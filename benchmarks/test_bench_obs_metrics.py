@@ -59,7 +59,7 @@ def test_bench_metrics_overhead(benchmark, paper_table):
     cp = compile_program(src, Options(nprocs=P, mode=Mode.INTER))
 
     def run(metrics):
-        return cp.run(cost=IPSC860, scheduler="coop", timeout_s=300.0,
+        return cp.run(cost=IPSC860, scheduler="event", timeout_s=300.0,
                       metrics=metrics)
 
     off_a, res_off = _best_wall(lambda: run(False))

@@ -53,7 +53,7 @@ def test_bench_obs_overhead(benchmark, paper_table):
     cp = compile_program(src, Options(nprocs=P, mode=Mode.INTER))
 
     def run(trace):
-        return cp.run(cost=IPSC860, scheduler="coop", timeout_s=300.0,
+        return cp.run(cost=IPSC860, scheduler="event", timeout_s=300.0,
                       trace=trace)
 
     off_a, res_off = _best_wall(lambda: run(False))

@@ -285,12 +285,14 @@ def dgefa_reference_lu(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def handcoded_dgefa_spmd(ctx, n: int, init_fn) -> np.ndarray:
+def handcoded_dgefa_spmd(ctx, n: int, init_fn):
     """Hand-written SPMD node program for column-cyclic dgefa on the
     simulated machine — the performance target compiled code should
     approach (§9's hand-coded comparison).
 
-    Returns this node's copy of the matrix (its owned columns valid).
+    A generator node program (``Machine.run(lambda ctx:
+    handcoded_dgefa_spmd(ctx, n, init))``); returns this node's copy of
+    the matrix (its owned columns valid).
     """
     P = ctx.nprocs
     me = ctx.rank
@@ -305,9 +307,9 @@ def handcoded_dgefa_spmd(ctx, n: int, init_fn) -> np.ndarray:
         if me == owner:
             ctx.compute(m)  # the dscal divides
             a[k + 1:, k] /= a[k, k]
-            ctx.broadcast(owner, a[k + 1:, k].copy(), m * elem)
+            yield from ctx.broadcast_y(owner, a[k + 1:, k].copy(), m * elem)
         else:
-            a[k + 1:, k] = ctx.broadcast(owner, None, m * elem)
+            a[k + 1:, k] = yield from ctx.broadcast_y(owner, None, m * elem)
         # update owned columns j in k+1..n-1 (0-based), j % P == me
         start = k + 1 + ((me - (k + 1)) % P)
         cols = range(start, n, P)

@@ -80,13 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-seed", type=int, default=0,
                    help="seed for the fault plan (default 0; also via "
                         "REPRO_FAULT_SEED)")
-    p.add_argument("--scheduler", choices=["coop", "threads", "event"],
+    p.add_argument("--scheduler", choices=["event", "threads"],
                    default=None,
-                   help="with --run: simulation backend — 'coop' is the "
-                        "single-threaded run-to-block scheduler (default), "
-                        "'threads' the thread-per-rank oracle, 'event' the "
-                        "event-driven core for large P (also via "
-                        "REPRO_SCHEDULER)")
+                   help="with --run: simulation backend — 'event' is the "
+                        "single-threaded event-driven core (default), "
+                        "'threads' the thread-per-rank oracle it is "
+                        "checked against (also via REPRO_SCHEDULER)")
     p.add_argument("--topology", metavar="NAME", default=None,
                    help="with --run: interconnect topology — uniform "
                         "(default), hypercube, mesh2d, torus2d, fattree; "

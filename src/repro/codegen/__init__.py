@@ -13,8 +13,10 @@ communication schedule, same RunStats.
 
 Any procedure the emitter cannot lower **demotes** to the interpreter's
 closures for that procedure only; demotions are reported per
-(rank class, variant, procedure, cause) so the driver can trace them
-and ``--strict`` can turn them into hard errors.
+(rank class, variant, procedure, cause) — *variant* is ``"event"`` for
+a procedure that may block (a generator), ``"node"`` otherwise — so
+the driver can trace them and ``--strict`` can turn them into hard
+errors.
 """
 
 from __future__ import annotations
@@ -79,8 +81,7 @@ def reset_memory() -> None:
 class GeneratedModule:
     """One exec'd node-program module for one rank class."""
 
-    __slots__ = ("cls", "source", "units", "units_y", "blocking",
-                 "demoted", "demoted_y")
+    __slots__ = ("cls", "source", "units", "blocking", "demoted")
 
     def __init__(self, cls: str, source: str, ns: dict) -> None:
         self.cls = cls
@@ -88,27 +89,22 @@ class GeneratedModule:
         # a poisoned entry that parses but lacks the tables raises
         # KeyError here; the loader treats that as a miss
         self.units = ns["UNITS"]
-        self.units_y = ns["UNITS_Y"]
         self.blocking = ns["BLOCKING"]
         self.demoted = ns["DEMOTED"]
-        self.demoted_y = ns["DEMOTED_Y"]
 
 
 class _FallbackModule:
     """Stands in when generation itself failed: every procedure
     demotes, the run proceeds on the interpreter."""
 
-    __slots__ = ("cls", "source", "units", "units_y", "blocking",
-                 "demoted", "demoted_y")
+    __slots__ = ("cls", "source", "units", "blocking", "demoted")
 
     def __init__(self, cls: str, cause: str) -> None:
         self.cls = cls
         self.source = f"# generation failed: {cause}\n"
         self.units = {}
-        self.units_y = {}
         self.blocking = frozenset()
         self.demoted = {"*": cause}
-        self.demoted_y = {"*": cause}
 
 
 @dataclass
@@ -195,9 +191,8 @@ def get_generated(
                 mod = _FallbackModule(cls, f"{type(ex).__name__}: {ex}")
         modules[cls] = (rlo, rhi, mod)
         for proc, cause in mod.demoted.items():
-            demotions.append((cls, "node", proc, cause))
-        for proc, cause in mod.demoted_y.items():
-            demotions.append((cls, "event", proc, cause))
+            variant = "event" if proc in mod.blocking else "node"
+            demotions.append((cls, variant, proc, cause))
 
     gen = GeneratedProgram(nprocs, key, vectorize, modules, demotions)
     _memory[key] = gen

@@ -25,7 +25,7 @@ from typing import Optional
 
 #: bump when the generated-code shape changes; stale entries then
 #: fail the header check and regenerate
-GEN_VERSION = "1"
+GEN_VERSION = "3"
 
 
 def cache_dir() -> str:

@@ -10,12 +10,10 @@ hi — see :func:`repro.codegen.rank_classes`) so that processor-identity
 guards like ``if (my$p .eq. 0)`` fold away statically for the interior
 ranks.
 
-Two variants of each procedure may be emitted:
-
-* a plain function ``fn(rt, fr)`` for the coop/threads backends, and
-* a generator ``fn_y(rt, fr)`` for the event backend that yields at
-  exactly the suspension points of the interpreter's blocking-units
-  fixpoint (``find_blocking_units``).
+Each procedure is emitted once: as a generator ``fn_y(rt, fr)`` that
+yields at exactly the interpreter's suspension points when it may
+block (``find_blocking_units`` says so), as a plain function
+``fn(rt, fr)`` otherwise.
 
 The generated code must be **bit-identical** to the interpreter in
 arrays, virtual clocks, and RunStats: every ``compute``/``loop_tick``/
@@ -36,7 +34,6 @@ import re
 from typing import Optional
 
 from ..interp.interpreter import (
-    _BLOCKING_STMTS,
     Interpreter,
     _count_ops,
     find_blocking_units,
@@ -170,34 +167,21 @@ class _ModuleEmitter:
     def emit(self) -> str:
         fns: list[str] = []
         units: dict[str, str] = {}
-        units_y: dict[str, str] = {}
         demoted: dict[str, str] = {}
-        demoted_y: dict[str, str] = {}
         for u in self.program.units:
             try:
-                src, ident = _FnEmitter(self, u, y=False).emit()
+                src, ident = _FnEmitter(
+                    self, u, y=u.name in self.blocking
+                ).emit()
                 fns.append(src)
                 units[u.name] = ident
             except Unsupported as ex:
                 demoted[u.name] = str(ex)
             except Exception as ex:  # defensive: demote, never fail
                 demoted[u.name] = f"internal: {type(ex).__name__}: {ex}"
-            if u.name in self.blocking:
-                if u.name in demoted:
-                    demoted_y[u.name] = demoted[u.name]
-                    continue
-                try:
-                    src, ident = _FnEmitter(self, u, y=True).emit()
-                    fns.append(src)
-                    units_y[u.name] = ident
-                except Unsupported as ex:
-                    demoted_y[u.name] = str(ex)
-                except Exception as ex:
-                    demoted_y[u.name] = \
-                        f"internal: {type(ex).__name__}: {ex}"
-        return self._assemble(fns, units, units_y, demoted, demoted_y)
+        return self._assemble(fns, units, demoted)
 
-    def _assemble(self, fns, units, units_y, demoted, demoted_y) -> str:
+    def _assemble(self, fns, units, demoted) -> str:
         out = [self.header]
         out.append('"""Auto-generated node program — do not edit.')
         out.append("")
@@ -234,9 +218,7 @@ class _ModuleEmitter:
             out.append(fn)
             out.append("")
         out.append(_table("UNITS", units, quote_values=False))
-        out.append(_table("UNITS_Y", units_y, quote_values=False))
         out.append(_table("DEMOTED", demoted, quote_values=True))
-        out.append(_table("DEMOTED_Y", demoted_y, quote_values=True))
         return "\n".join(out) + "\n"
 
 
@@ -252,15 +234,16 @@ def _table(name: str, mapping: dict, quote_values: bool) -> str:
 
 
 # --------------------------------------------------------------------------
-# one function (one procedure, one variant)
+# one function (one procedure)
 # --------------------------------------------------------------------------
 
 
 class _FnEmitter:
-    """Emit one procedure as ``def fn(rt, fr)`` (or a generator twin).
+    """Emit one procedure as ``def fn(rt, fr)`` — a generator when
+    *y* (the procedure may block).
 
     Charge placement mirrors ``Interpreter._compile_stmt`` statement by
-    statement; the ``y`` variant yields exactly where
+    statement; a generator yields exactly where
     ``Interpreter._compile_stmt_y`` does.
     """
 
@@ -393,8 +376,6 @@ class _FnEmitter:
             pre.append(f"_l{ax}_{ident} = _a_{ident}.bounds[{ax}][0]")
         return ["    " + ln for ln in pre]
 
-    # -- event-backend gating ---------------------------------------------
-
     def _check_no_blocking_exprs(self) -> None:
         """Mirror of ``Interpreter._check_no_blocking_exprs``: demoting
         here reproduces the interpreter's compile-time error exactly."""
@@ -405,21 +386,8 @@ class _FnEmitter:
                             and sub.name in self.mod.blocking:
                         raise Unsupported(
                             f"function {sub.name!r} communicates inside "
-                            f"an expression (event backend)"
+                            f"an expression"
                         )
-
-    def may_block(self, s: A.Stmt) -> bool:
-        if isinstance(s, _BLOCKING_STMTS):
-            return True
-        if isinstance(s, A.Call):
-            return s.name in self.mod.blocking
-        return any(
-            self.may_block(c)
-            for blk in A.child_blocks(s) for c in blk
-        )
-
-    def body_may_block(self, body: list[A.Stmt]) -> bool:
-        return any(self.may_block(s) for s in body)
 
     # -- expressions -------------------------------------------------------
 
@@ -708,8 +676,7 @@ class _FnEmitter:
             self.w(f"if {st_src} == 0:")
             msg = f"{self.unit.name}: zero DO step"
             self.w(f"    raise InterpError({msg!r})")
-        yb = self.y and self.body_may_block(s.body)
-        if not yb and self.mod.vectorize and s.body and all(
+        if self.mod.vectorize and s.body and all(
             isinstance(b, A.Assign) and isinstance(b.target, A.ArrayRef)
             for b in s.body
         ):
@@ -720,11 +687,10 @@ class _FnEmitter:
             if plan is not None:
                 plan.emit(lo_t, hi_t, st_src, st_lit)
                 return
-        self.emit_do_scalar(s, lo_t, hi_t, st_src, st_lit, yb)
+        self.emit_do_scalar(s, lo_t, hi_t, st_src, st_lit)
 
     def emit_do_scalar(self, s: A.Do, lo_t: str, hi_t: str,
-                       st_src: str, st_lit: Optional[int],
-                       yb: bool) -> None:
+                       st_src: str, st_lit: Optional[int]) -> None:
         i_t = self.tmp()
         self.w(f"{i_t} = {lo_t}")
         if st_lit is not None:
@@ -763,7 +729,7 @@ class _FnEmitter:
         if s.name not in self.mod.unit_names:
             raise Unsupported(f"call of unknown procedure {s.name!r}")
         args_src, actuals_src = self.call_args(list(s.args))
-        if self.y and s.name in self.mod.blocking:
+        if s.name in self.mod.blocking:
             self.has_yield = True
             self.w(f"yield from rt.call_y({s.name!r}, fr, {args_src}, "
                    f"{actuals_src})")
@@ -817,13 +783,9 @@ class _FnEmitter:
         self.uses.add("ctx")
         ident, e_t = self._entry(s.array, s.subs)
         p_t = self.tmp()
-        call = f"ctx.recv(int({self.ex(s.src)}), {s.tag}, " \
-               f"origin={self._origin(s)!r})"
-        if self.y:
-            self.has_yield = True
-            self.w(f"{p_t} = yield from {call.replace('ctx.recv(', 'ctx.recv_y(', 1)}")
-        else:
-            self.w(f"{p_t} = {call}")
+        self.has_yield = True
+        self.w(f"{p_t} = yield from ctx.recv_y(int({self.ex(s.src)}), "
+               f"{s.tag}, origin={self._origin(s)!r})")
         self.w(f"rt.write_entry(_a_{ident}, {e_t}[0], {e_t}[1], {p_t})")
 
     def emit_bcast(self, s: A.Bcast) -> None:
@@ -832,15 +794,13 @@ class _FnEmitter:
         r_t = self.tmp()
         self.w(f"{r_t} = int({self.ex(s.root)})")
         origin = self._origin(s)
-        bc = "ctx.broadcast_y" if self.y else "ctx.broadcast"
-        pref = "yield from " if self.y else ""
-        if self.y:
-            self.has_yield = True
+        bc = "yield from ctx.broadcast_y"
+        self.has_yield = True
         self.w(f"if RANK == {r_t}:")
-        self.w(f"    {pref}{bc}({r_t}, {e_t}[0] if {e_t}[0] is not None "
+        self.w(f"    {bc}({r_t}, {e_t}[0] if {e_t}[0] is not None "
                f"else _d_{ident}[{e_t}[1]], {e_t}[2], origin={origin!r})")
         self.w("else:")
-        self.w(f"    {pref}{bc}({r_t}, None, {e_t}[2], "
+        self.w(f"    {bc}({r_t}, None, {e_t}[2], "
                f"consume=rt.consumer(_a_{ident}, {e_t}[0], {e_t}[1]), "
                f"origin={origin!r})")
 
@@ -860,12 +820,9 @@ class _FnEmitter:
     def emit_recvpack(self, s: A.RecvPack) -> None:
         self.uses.add("ctx")
         ps_t = self.tmp()
-        recv = "ctx.recv_y" if self.y else "ctx.recv"
-        pref = "yield from " if self.y else ""
-        if self.y:
-            self.has_yield = True
-        self.w(f"{ps_t} = {pref}{recv}(int({self.ex(s.src)}), {s.tag}, "
-               f"origin={self._origin(s)!r})")
+        self.has_yield = True
+        self.w(f"{ps_t} = yield from ctx.recv_y(int({self.ex(s.src)}), "
+               f"{s.tag}, origin={self._origin(s)!r})")
         for k, (array, subs) in enumerate(s.parts):
             ident, e_t = self._entry(array, list(subs))
             self.w(f"rt.write_entry(_a_{ident}, {e_t}[0], {e_t}[1], "
@@ -875,37 +832,24 @@ class _FnEmitter:
         self.uses.update(("ctx", "S"))
         origin = getattr(s, "comment", "") \
             or f"{self.unit.name}:{s.op} {s.var}"
-        if self.y:
-            self.has_yield = True
-            r_t = self.tmp()
-            if s.op == "maxloc":
-                self.w(f"{r_t} = yield from ctx.allreduce_y("
-                       f"(S[{s.var!r}], S[{s.aux!r}]), 'maxloc', 16, "
-                       f"origin={origin!r})")
-                self.w(f"S[{s.var!r}], S[{s.aux!r}] = {r_t}")
-            else:
-                self.w(f"{r_t} = yield from ctx.allreduce_y("
-                       f"S[{s.var!r}], {s.op!r}, 8, origin={origin!r})")
-                self.w(f"S[{s.var!r}] = {r_t}")
-            return
+        self.has_yield = True
+        r_t = self.tmp()
         if s.op == "maxloc":
-            self.w(f"S[{s.var!r}], S[{s.aux!r}] = ctx.allreduce("
+            self.w(f"{r_t} = yield from ctx.allreduce_y("
                    f"(S[{s.var!r}], S[{s.aux!r}]), 'maxloc', 16, "
                    f"origin={origin!r})")
+            self.w(f"S[{s.var!r}], S[{s.aux!r}] = {r_t}")
         else:
-            self.w(f"S[{s.var!r}] = ctx.allreduce(S[{s.var!r}], "
-                   f"{s.op!r}, 8, origin={origin!r})")
+            self.w(f"{r_t} = yield from ctx.allreduce_y("
+                   f"S[{s.var!r}], {s.op!r}, 8, origin={origin!r})")
+            self.w(f"S[{s.var!r}] = {r_t}")
 
     def emit_remap(self, s: A.Remap) -> None:
         ident = self.areg(s.array)
         spec = self.mod.specs_const(s.to_specs)
         origin = s.comment or f"{self.unit.name}:remap {s.array}"
-        if self.y:
-            self.has_yield = True
-            self.w(f"yield from rt.remap_y(_a_{ident}, {spec}, "
-                   f"{origin!r})")
-        else:
-            self.w(f"rt.remap(_a_{ident}, {spec}, {origin!r})")
+        self.has_yield = True
+        self.w(f"yield from rt.remap_y(_a_{ident}, {spec}, {origin!r})")
 
     def emit_mark(self, s: A.MarkDist) -> None:
         ident = self.areg(s.array)
@@ -1124,7 +1068,7 @@ class _VecPlan:
             fn.ind -= 1
         fn.w(f"if not {ok_t}:")
         fn.ind += 1
-        fn.emit_do_scalar(self.do, lo_t, hi_t, st_src, st_lit, yb=False)
+        fn.emit_do_scalar(self.do, lo_t, hi_t, st_src, st_lit)
         fn.ind -= 1
         fn.w("else:")
         fn.ind += 1

@@ -21,7 +21,7 @@ import numpy as np
 from ..dist import Distribution
 from ..interp.arrays import FArray
 from ..interp.interpreter import Frame, Interpreter, InterpError, _Stop
-from ..runtime.remap import mark_array, remap_array, remap_array_y
+from ..runtime.remap import mark_array, remap_array_y
 
 
 def fdiv(a, b):
@@ -85,11 +85,6 @@ class NodeRt:
 
     # -- remapping ---------------------------------------------------------
 
-    def remap(self, arr: FArray, specs, origin: str) -> None:
-        new = Distribution.from_specs(list(specs), arr.bounds,
-                                      self.ctx.nprocs)
-        remap_array(self.ctx, arr, new, origin=origin)
-
     def remap_y(self, arr: FArray, specs, origin: str):
         new = Distribution.from_specs(list(specs), arr.bounds,
                                       self.ctx.nprocs)
@@ -124,8 +119,9 @@ class NodeRt:
              var_actuals: tuple) -> Frame:
         """CALL statement / function-call convention: identical frame
         binding, call-overhead charge, and scalar copy-out to
-        :meth:`Interpreter._call_procedure`.  Dispatches to the callee's
-        generated body when one exists, else to the interpreter."""
+        :meth:`Interpreter._call_procedure`, for callees that cannot
+        block.  Dispatches to the callee's generated body when one
+        exists, else to the interpreter."""
         interp = self.interp
         unit = interp.program.unit(name)
         callee = interp._make_frame(unit, args, fr)
@@ -142,20 +138,16 @@ class NodeRt:
         return callee
 
     def call_y(self, name: str, fr: Frame, args: list, var_actuals: tuple):
-        """Generator twin of :meth:`call` for blocking callees on the
-        event backend."""
+        """Generator twin of :meth:`call` for callees that may block
+        (their generated body is a generator)."""
         interp = self.interp
         unit = interp.program.unit(name)
         callee = interp._make_frame(unit, args, fr)
         self.ctx.compute(3 + len(args))  # call overhead
-        fn_y = self.mod.units_y.get(name)
+        fn_y = self.mod.units.get(name)
         if fn_y is not None:
             yield from fn_y(self, callee)
-        elif name not in self.mod.blocking and name in self.mod.units:
-            self.mod.units[name](self, callee)
         else:
-            if interp._blocking is None:
-                interp._blocking = interp._find_blocking_units()
             yield from interp._exec_unit_y(unit, callee)
         for formal, actual in zip(unit.formals, var_actuals):
             if actual is not None and actual not in fr.arrays:
@@ -175,39 +167,21 @@ class NodeRt:
 
     # -- entry points ------------------------------------------------------
 
-    def run(self) -> Frame:
-        """Execute the main program (coop/threads backends)."""
+    def run_y(self):
+        """Execute the main program as a rank coroutine: yields exactly
+        where :meth:`Interpreter.run_events` yields."""
         interp = self.interp
         main = interp.program.main
         frame = interp._make_frame(main, [], None)
         try:
             fn = self.mod.units.get(main.name)
-            if fn is not None:
-                fn(self, frame)
-            else:
-                interp._exec_unit(main, frame)
-        except _Stop:
-            pass
-        return frame
-
-    def run_y(self):
-        """Generator twin of :meth:`run` for the event backend: yields
-        exactly where the interpreter's event compile path yields."""
-        interp = self.interp
-        main = interp.program.main
-        frame = interp._make_frame(main, [], None)
-        try:
-            fn_y = self.mod.units_y.get(main.name)
-            if fn_y is not None:
-                yield from fn_y(self, frame)
-            elif main.name not in self.mod.blocking \
-                    and main.name in self.mod.units:
-                # a main that never blocks runs straight through
-                self.mod.units[main.name](self, frame)
-            else:
-                if interp._blocking is None:
-                    interp._blocking = interp._find_blocking_units()
+            if fn is None:
                 yield from interp._exec_unit_y(main, frame)
+            elif main.name in self.mod.blocking:
+                yield from fn(self, frame)
+            else:
+                # a main that never blocks runs straight through
+                fn(self, frame)
         except _Stop:
             pass
         return frame

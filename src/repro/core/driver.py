@@ -88,7 +88,7 @@ class CompiledProgram:
         ``REPRO_SIM_TIMEOUT`` (else 60 s); *faults* is an optional
         :class:`~repro.machine.faults.FaultPlan` (``REPRO_FAULTS`` when
         None); *scheduler* selects the simulation backend
-        (``REPRO_SCHEDULER`` or ``"coop"`` when None); *trace* enables
+        (``REPRO_SCHEDULER`` or ``"event"`` when None); *trace* enables
         event tracing (a :class:`~repro.obs.Tracer`, ``True``, or the
         ``REPRO_TRACE`` environment variable when None); *topology*
         selects the interconnect (a Topology instance, a name like

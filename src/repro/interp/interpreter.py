@@ -34,7 +34,7 @@ from ..lang.printer import expr_str
 from ..machine.machine import Machine, ProcContext
 from ..machine.costmodel import CostModel, IPSC860
 from ..runtime.intrinsics import PURE_INTRINSICS
-from ..runtime.remap import mark_array, remap_array, remap_array_y
+from ..runtime.remap import mark_array, remap_array_y
 from .arrays import FArray
 
 
@@ -102,8 +102,8 @@ def _count_ops(e: A.Expr) -> int:
 def find_blocking_units(program: A.Program) -> set[str]:
     """Procedures that may suspend: those containing a blocking
     statement, transitively closed over CALL / function-call edges.
-    Shared by the event-backend compilation here and by the node-program
-    code generator (``repro.codegen``), which must place its yields at
+    Shared by the compilation here and by the node-program code
+    generator (``repro.codegen``), which must place its yields at
     exactly the same procedures."""
     direct: set[str] = set()
     calls: dict[str, set[str]] = {}
@@ -143,6 +143,7 @@ class Interpreter:
         init_fn: Callable[[str, tuple[int, ...]], float] = default_init,
         init_main_arrays: bool = True,
         vectorize: Optional[bool] = None,
+        blocking: Optional[set[str]] = None,
     ) -> None:
         from .vectorize import enabled as _vec_enabled
 
@@ -158,10 +159,12 @@ class Interpreter:
         self.tracer = ctx.tracer if ctx is not None else None
         self.prints: list[str] = []
         self._compiled: dict[str, list[StmtFn]] = {}
-        #: event-backend compilation: per-unit segment lists and the set
-        #: of procedures that may suspend (built lazily by run_events)
+        #: per-unit segment lists of the SPMD (generator) form, and the
+        #: procedures that may suspend (``run_spmd`` computes the set
+        #: once per program and hands it to every rank's interpreter)
         self._compiled_y: dict[str, list[Seg]] = {}
-        self._blocking: Optional[set[str]] = None
+        self._blocking = find_blocking_units(program) \
+            if blocking is None else blocking
         self._param_env: dict[str, dict[str, float | int]] = {}
         for unit in program.units:
             self._param_env[unit.name] = self._eval_params(unit)
@@ -174,7 +177,9 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def run(self) -> Frame:
-        """Execute the main program; returns its final frame."""
+        """Execute the main program sequentially (``ctx=None``: the
+        independent reference, where no statement can block); returns
+        its final frame."""
         main = self.program.main
         frame = self._make_frame(main, [], None)
         try:
@@ -184,20 +189,19 @@ class Interpreter:
         return frame
 
     def run_events(self) -> "Generator[None, None, Frame]":
-        """Generator twin of :meth:`run` for the event-driven backend.
+        """The SPMD entry on every backend: execute the main program
+        as a rank coroutine.
 
         Yields exactly at the points where the rank genuinely suspends
         (a RECV with no matching message, a non-last collective
         arrival); the :class:`~repro.machine.event.EventScheduler`
-        resumes the generator when the wait is satisfied.  Statements
-        that cannot suspend run through the same compiled closures as
-        :meth:`run`, so clock charges — and therefore virtual times —
-        are bit-identical to the cooperative backend.
+        resumes the generator when the wait is satisfied, and on the
+        ``threads`` oracle the blocking ops wait inline so it never
+        yields.  Statements that cannot suspend run through the same
+        compiled closures as :meth:`run`.
         """
         if self.ctx is None:
             raise InterpError("run_events requires a machine context")
-        if self._blocking is None:
-            self._blocking = self._find_blocking_units()
         main = self.program.main
         frame = self._make_frame(main, [], None)
         try:
@@ -359,7 +363,8 @@ class Interpreter:
     def _exec_unit_y(
         self, unit: A.Procedure, frame: Frame
     ) -> Generator[None, None, None]:
-        """Generator twin of :meth:`_exec_unit` (event backend)."""
+        """Generator twin of :meth:`_exec_unit` for units that may
+        suspend."""
         segs = self._compiled_y.get(unit.name)
         if segs is None:
             segs = self._compile_block_y(unit.body, unit)
@@ -735,14 +740,15 @@ class Interpreter:
                 fr.scalars[var] = self.ctx.rank if self.ctx is not None else 0
 
             return run_setmyproc
-        if isinstance(s, (A.Send, A.Recv, A.Bcast)):
+        if isinstance(s, A.Send):
             return self._compile_comm(s, unit)
-        if isinstance(s, (A.SendPack, A.RecvPack)):
+        if isinstance(s, A.SendPack):
             return self._compile_pack(s, unit)
-        if isinstance(s, A.GlobalReduce):
-            return self._compile_reduce(s, unit)
-        if isinstance(s, A.Remap):
-            return self._compile_remap(s, unit)
+        if isinstance(s, _BLOCKING_STMTS):
+            raise InterpError(
+                f"{unit.name}: {type(s).__name__} can block and runs only "
+                f"inside an SPMD run (Interpreter.run_events)"
+            )
         if isinstance(s, A.MarkDist):
             specs = list(s.to_specs)
             name = s.array
@@ -755,59 +761,29 @@ class Interpreter:
             return run_mark
         raise InterpError(f"cannot compile statement {type(s).__name__}")
 
-    # -- event-backend (yielding) compilation --------------------------------
+    # -- compilation of statements that may suspend --------------------------
     #
-    # The event scheduler runs each rank as a generator coroutine that
-    # yields only at genuine suspension points.  Compiling every
-    # statement as a generator would slow the common (non-blocking)
-    # path dramatically, so compilation is split: a fixpoint over the
-    # call graph marks the procedures that can suspend, and only
-    # statements on a blocking path become generator closures — all
-    # other statements reuse the exact closures of the plain path,
-    # grouped into straight-line segments.
-
-    def _find_blocking_units(self) -> set[str]:
-        """Procedures that may suspend: those containing a blocking
-        statement, transitively closed over CALL / function-call
-        edges."""
-        direct: set[str] = set()
-        calls: dict[str, set[str]] = {}
-        unit_names = {u.name for u in self.program.units}
-        for u in self.program.units:
-            callees: set[str] = set()
-            for s in A.walk_stmts(u.body):
-                if isinstance(s, _BLOCKING_STMTS):
-                    direct.add(u.name)
-                if isinstance(s, A.Call):
-                    callees.add(s.name)
-                for e in A.stmt_exprs(s):
-                    for sub in A.walk_exprs(e):
-                        if isinstance(sub, A.CallExpr) \
-                                and sub.name in unit_names:
-                            callees.add(sub.name)
-            calls[u.name] = callees
-        blocking = set(direct)
-        changed = True
-        while changed:
-            changed = False
-            for name, callees in calls.items():
-                if name not in blocking and callees & blocking:
-                    blocking.add(name)
-                    changed = True
-        return blocking
+    # Each rank runs as a generator coroutine that yields only at
+    # genuine suspension points.  Compiling every statement as a
+    # generator would slow the common (non-blocking) path dramatically,
+    # so compilation is split: a fixpoint over the call graph
+    # (``find_blocking_units``) marks the procedures that can suspend,
+    # and only statements on a blocking path become generator closures
+    # — all other statements go through ``_compile_stmt``, grouped into
+    # straight-line segments.
 
     def _check_no_blocking_exprs(self, s: A.Stmt, unit: A.Procedure) -> None:
-        """The event backend cannot suspend in expression position (a
-        generator cannot yield from inside ``_compile_expr`` closures);
-        compiled node programs never place communication there, so this
-        is a compile-time error, not a silent wrong answer."""
+        """A rank cannot suspend in expression position (a generator
+        cannot yield from inside ``_compile_expr`` closures); compiled
+        node programs never place communication there, so this is a
+        compile-time error, not a silent wrong answer."""
         for e in A.stmt_exprs(s):
             for sub in A.walk_exprs(e):
                 if isinstance(sub, A.CallExpr) and sub.name in self._blocking:
                     raise InterpError(
                         f"{unit.name}: function {sub.name!r} communicates; "
-                        f"the event backend cannot suspend inside an "
-                        f"expression — restructure as a CALL statement"
+                        f"a rank cannot suspend inside an expression — "
+                        f"restructure as a CALL statement"
                     )
 
     def _stmt_may_block(self, s: A.Stmt, unit: A.Procedure) -> bool:
@@ -856,8 +832,9 @@ class Interpreter:
 
     def _compile_stmt_y(self, s: A.Stmt, unit: A.Procedure) -> Callable:
         """Generator closure for one statement on a blocking path.
-        Charge ordering mirrors :meth:`_compile_stmt` exactly — the two
-        paths must produce bit-identical virtual clocks."""
+        Charge ordering of IF/DO/DO WHILE/CALL mirrors
+        :meth:`_compile_stmt` exactly — where a statement sits must not
+        change the virtual clock."""
         ctx = self.ctx
         if isinstance(s, A.If):
             cond_fn = self._compile_expr(s.cond, unit)
@@ -934,13 +911,13 @@ class Interpreter:
 
             return run_call_y
         if isinstance(s, (A.Recv, A.Bcast)):
-            return self._compile_comm(s, unit, yielding=True)
+            return self._compile_comm(s, unit)
         if isinstance(s, A.RecvPack):
-            return self._compile_pack(s, unit, yielding=True)
+            return self._compile_pack(s, unit)
         if isinstance(s, A.GlobalReduce):
-            return self._compile_reduce(s, unit, yielding=True)
+            return self._compile_reduce(s, unit)
         if isinstance(s, A.Remap):
-            return self._compile_remap(s, unit, yielding=True)
+            return self._compile_remap(s, unit)
         raise InterpError(  # pragma: no cover - _stmt_may_block gates this
             f"statement {type(s).__name__} cannot suspend"
         )
@@ -1052,8 +1029,9 @@ class Interpreter:
             return c
         return f"{unit.name}:{c}"
 
-    def _compile_comm(self, s: A.Stmt, unit: A.Procedure,
-                      yielding: bool = False) -> Callable:
+    def _compile_comm(self, s: A.Stmt, unit: A.Procedure) -> Callable:
+        """Send compiles to a plain closure (it never blocks); Recv and
+        Bcast to generator closures."""
         section_fn = self._compile_section(s.subs, unit)
         name = s.array
         tag = s.tag
@@ -1077,58 +1055,21 @@ class Interpreter:
         if isinstance(s, A.Recv):
             src_fn = self._compile_expr(s.src, unit)
 
-            if yielding:
-                def run_recv_y(fr: Frame):
-                    arr = fr.arrays[name]
-                    view, slices, _nbytes = self._comm_entry(
-                        cache, arr, section_fn(fr)
-                    )
-                    payload = yield from self.ctx.recv_y(
-                        int(src_fn(fr)), tag, origin=origin
-                    )
-                    self._write_entry(arr, view, slices, payload)
-
-                return run_recv_y
-
-            def run_recv(fr: Frame):
+            def run_recv_y(fr: Frame):
                 arr = fr.arrays[name]
                 view, slices, _nbytes = self._comm_entry(
                     cache, arr, section_fn(fr)
                 )
-                payload = self.ctx.recv(int(src_fn(fr)), tag,
-                                        origin=origin)
+                payload = yield from self.ctx.recv_y(
+                    int(src_fn(fr)), tag, origin=origin
+                )
                 self._write_entry(arr, view, slices, payload)
 
-            return run_recv
+            return run_recv_y
         # broadcast
         root_fn = self._compile_expr(s.root, unit)
 
-        if yielding:
-            def run_bcast_y(fr: Frame):
-                arr = fr.arrays[name]
-                view, slices, nbytes = self._comm_entry(
-                    cache, arr, section_fn(fr)
-                )
-                root = int(root_fn(fr))
-                me = self.ctx.rank
-                if me == root:
-                    yield from self.ctx.broadcast_y(
-                        root,
-                        view if view is not None else arr.data[slices],
-                        nbytes, origin=origin,
-                    )
-                else:
-                    yield from self.ctx.broadcast_y(
-                        root, None, nbytes,
-                        consume=lambda data: self._write_entry(
-                            arr, view, slices, data
-                        ),
-                        origin=origin,
-                    )
-
-            return run_bcast_y
-
-        def run_bcast(fr: Frame):
+        def run_bcast_y(fr: Frame):
             arr = fr.arrays[name]
             view, slices, nbytes = self._comm_entry(
                 cache, arr, section_fn(fr)
@@ -1139,12 +1080,13 @@ class Interpreter:
                 # zero-copy: the collective's consume rendezvous keeps
                 # every consumer's copy ahead of any mutation of the
                 # source, so the root can pass a view of its own array
-                self.ctx.broadcast(
-                    root, view if view is not None else arr.data[slices],
+                yield from self.ctx.broadcast_y(
+                    root,
+                    view if view is not None else arr.data[slices],
                     nbytes, origin=origin,
                 )
             else:
-                self.ctx.broadcast(
+                yield from self.ctx.broadcast_y(
                     root, None, nbytes,
                     consume=lambda data: self._write_entry(
                         arr, view, slices, data
@@ -1152,12 +1094,12 @@ class Interpreter:
                     origin=origin,
                 )
 
-        return run_bcast
+        return run_bcast_y
 
-    def _compile_pack(self, s: A.Stmt, unit: A.Procedure,
-                      yielding: bool = False) -> Callable:
+    def _compile_pack(self, s: A.Stmt, unit: A.Procedure) -> Callable:
         """Aggregated multi-section messages (SendPack/RecvPack): all
-        parts travel as one message (one startup charge)."""
+        parts travel as one message (one startup charge).  SendPack is
+        a plain closure, RecvPack a generator closure."""
         part_fns = [
             (array, self._compile_section(list(subs), unit), {})
             for array, subs in s.parts
@@ -1186,87 +1128,48 @@ class Interpreter:
             return run_sendpack
         src_fn = self._compile_expr(s.src, unit)
 
-        if yielding:
-            def run_recvpack_y(fr: Frame):
-                payloads = yield from self.ctx.recv_y(
-                    int(src_fn(fr)), tag, origin=origin
-                )
-                for (array, sec_fn, cache), data in zip(part_fns, payloads):
-                    arr = fr.arrays[array]
-                    view, slices, _nb = self._comm_entry(
-                        cache, arr, sec_fn(fr)
-                    )
-                    self._write_entry(arr, view, slices, data)
-
-            return run_recvpack_y
-
-        def run_recvpack(fr: Frame):
-            payloads = self.ctx.recv(int(src_fn(fr)), tag, origin=origin)
+        def run_recvpack_y(fr: Frame):
+            payloads = yield from self.ctx.recv_y(
+                int(src_fn(fr)), tag, origin=origin
+            )
             for (array, sec_fn, cache), data in zip(part_fns, payloads):
                 arr = fr.arrays[array]
                 view, slices, _nb = self._comm_entry(cache, arr, sec_fn(fr))
                 self._write_entry(arr, view, slices, data)
 
-        return run_recvpack
+        return run_recvpack_y
 
-    def _compile_reduce(self, s: A.GlobalReduce, unit: A.Procedure,
-                        yielding: bool = False) -> Callable:
+    def _compile_reduce(self, s: A.GlobalReduce,
+                        unit: A.Procedure) -> Callable:
         var, op, aux = s.var, s.op, s.aux
         origin = getattr(s, "comment", "") or f"{unit.name}:{op} {var}"
 
-        if yielding:
-            def run_reduce_y(fr: Frame):
-                if op == "maxloc":
-                    value = (fr.scalars[var], fr.scalars[aux])
-                    result = yield from self.ctx.allreduce_y(
-                        value, "maxloc", 16, origin=origin
-                    )
-                    fr.scalars[var], fr.scalars[aux] = result
-                else:
-                    result = yield from self.ctx.allreduce_y(
-                        fr.scalars[var], op, 8, origin=origin
-                    )
-                    fr.scalars[var] = result
-
-            return run_reduce_y
-
-        def run_reduce(fr: Frame):
+        def run_reduce_y(fr: Frame):
             if op == "maxloc":
                 value = (fr.scalars[var], fr.scalars[aux])
-                result = self.ctx.allreduce(value, "maxloc", 16,
-                                            origin=origin)
+                result = yield from self.ctx.allreduce_y(
+                    value, "maxloc", 16, origin=origin
+                )
                 fr.scalars[var], fr.scalars[aux] = result
             else:
-                result = self.ctx.allreduce(fr.scalars[var], op, 8,
-                                            origin=origin)
+                result = yield from self.ctx.allreduce_y(
+                    fr.scalars[var], op, 8, origin=origin
+                )
                 fr.scalars[var] = result
 
-        return run_reduce
+        return run_reduce_y
 
-    def _compile_remap(self, s: A.Remap, unit: A.Procedure,
-                       yielding: bool = False) -> Callable:
+    def _compile_remap(self, s: A.Remap, unit: A.Procedure) -> Callable:
         name = s.array
         specs = list(s.to_specs)
         origin = getattr(s, "comment", "") or f"{unit.name}:remap {name}"
 
-        if yielding:
-            def run_remap_y(fr: Frame):
-                arr = fr.arrays[name]
-                new = Distribution.from_specs(
-                    specs, arr.bounds, self.ctx.nprocs
-                )
-                yield from remap_array_y(self.ctx, arr, new, origin=origin)
-
-            return run_remap_y
-
-        def run_remap(fr: Frame):
+        def run_remap_y(fr: Frame):
             arr = fr.arrays[name]
-            if self.ctx is None:
-                return  # sequential: remapping is a no-op
             new = Distribution.from_specs(specs, arr.bounds, self.ctx.nprocs)
-            remap_array(self.ctx, arr, new, origin=origin)
+            yield from remap_array_y(self.ctx, arr, new, origin=origin)
 
-        return run_remap
+        return run_remap_y
 
 
 def _binop_fn(op: str, lf: ExprFn, rf: ExprFn) -> ExprFn:
@@ -1379,8 +1282,8 @@ def run_spmd(
     60 s when None; deadlocks are normally detected instantly).
     *faults* is an optional :class:`~repro.machine.faults.FaultPlan`
     (``REPRO_FAULTS`` when None).  *scheduler* selects the simulation
-    backend (``REPRO_SCHEDULER`` or the cooperative scheduler when
-    None).  *trace* enables event tracing: a
+    backend (``REPRO_SCHEDULER`` or the event scheduler when None).
+    *trace* enables event tracing: a
     :class:`~repro.obs.Tracer`, ``True`` for a fresh one, or None to
     defer to ``REPRO_TRACE`` (when that names a file, the Chrome trace
     JSON is written there after the run).  *topology* selects the
@@ -1425,40 +1328,28 @@ def run_spmd(
                         variant=variant, cause=cause,
                     )
 
-    def make_interp(ctx: ProcContext) -> Interpreter:
-        return Interpreter(
-            program, ctx=ctx, initial_dists=initial_dists, init_fn=init_fn,
-            vectorize=vectorize,
-        )
-
-    def finish(ctx: ProcContext, interp: Interpreter) -> None:
-        ctx.stats.record_comm_cache(
-            interp.comm_cache_hits, interp.comm_cache_misses
-        )
-        prints.extend(interp.prints)
+    blocking = find_blocking_units(program)  # once, not once per rank
 
     def make_node(rank: int):
         mod = gen.module_for(rank) if gen is not None else None
-        if machine.scheduler == "event":
-            # generator node program: the machine drives each rank as
-            # a coroutine, suspending exactly at blocking communication
-            def node(ctx: ProcContext):
-                interp = make_interp(ctx)
-                if mod is not None:
-                    frame = yield from NodeRt(interp, mod).run_y()
-                else:
-                    frame = yield from interp.run_events()
-                finish(ctx, interp)
-                return frame
-        else:
-            def node(ctx: ProcContext) -> Frame:
-                interp = make_interp(ctx)
-                if mod is not None:
-                    frame = NodeRt(interp, mod).run()
-                else:
-                    frame = interp.run()
-                finish(ctx, interp)
-                return frame
+
+        # generator node program: the machine drives each rank as a
+        # coroutine, suspending exactly at blocking communication
+        def node(ctx: ProcContext):
+            interp = Interpreter(
+                program, ctx=ctx, initial_dists=initial_dists,
+                init_fn=init_fn, vectorize=vectorize, blocking=blocking,
+            )
+            if mod is not None:
+                frame = yield from NodeRt(interp, mod).run_y()
+            else:
+                frame = yield from interp.run_events()
+            ctx.stats.record_comm_cache(
+                interp.comm_cache_hits, interp.comm_cache_misses
+            )
+            prints.extend(interp.prints)
+            return frame
+
         return node
 
     frames = machine.run([make_node(r) for r in range(nprocs)])

@@ -11,13 +11,7 @@ from .event import (
 from .faults import FaultPlan
 from .machine import Machine, ProcContext
 from .network import DeadlockError, Network, SimulationError
-from .scheduler import (
-    SCHEDULERS,
-    CoopCollectives,
-    CoopNetwork,
-    CoopScheduler,
-    resolve_scheduler,
-)
+from .scheduler import SCHEDULERS, resolve_scheduler
 from .stats import RunStats
 from .topology import (
     TOPOLOGIES,
@@ -33,9 +27,6 @@ from .topology import (
 
 __all__ = [
     "SCHEDULERS",
-    "CoopCollectives",
-    "CoopNetwork",
-    "CoopScheduler",
     "EventCollectives",
     "EventNetwork",
     "EventProcContext",

@@ -104,7 +104,7 @@ def build_report(states, details, clocks, pending_of=None) -> DeadlockReport:
     """Assemble a :class:`DeadlockReport` from per-rank state arrays.
 
     Shared by the thread-backend :class:`DeadlockDetector` and the
-    cooperative scheduler so both produce byte-identical diagnoses: the
+    event scheduler so both produce byte-identical diagnoses: the
     same ``waits`` snapshot, the same ``pending`` summaries (*pending_of*
     maps a rank to its queued-but-unmatched keys) and the same one-line
     ``reason`` strings.

@@ -1,50 +1,55 @@
-"""Event-driven scheduler backend: rank state machine + calendar heap.
+"""The event-driven execution core: rank state machine + calendar heap.
 
-The cooperative backend (:mod:`repro.machine.scheduler`) already runs
-exactly one rank at a time, but it still pays one OS thread per rank
-and two ``threading.Event`` operations per context switch — about a
-millisecond of wall clock per simulated rank before the node program
-does any work, which caps experiments at toy P.  This backend removes
-the threads entirely:
+Exactly **one** rank executes at any moment, on the calling thread.  A
+rank runs until it blocks at a network operation — a receive with an
+empty queue, or a collective it is not the last to enter — and only
+then does the loop resume the next runnable rank, chosen
+deterministically by smallest ``(virtual clock, rank)``.  Virtual time
+is dataflow-determined (a receive completes at ``max(own clock, sender
+arrival)``, a collective at ``max(clocks) + tree cost``), so this
+dispatch order produces results bit-identical to the free-running
+``threads`` oracle (``tests/test_scheduler_differential.py`` enforces
+it) with none of its cost:
 
 * rank state is a structure of arrays — a numpy ``float64`` clock
   vector and an ``int8`` state-code vector, plus a plain list of
   pending-op descriptors — instead of per-rank objects with dicts;
 * the run queue is a calendar: a binary heap of ``(virtual clock,
   rank)`` entries.  A rank is pushed exactly when it becomes READY and
-  popped exactly once, so the heap never holds stale entries and the
-  pop order is provably identical to the cooperative scheduler's
-  min-scan (a blocked or ready rank's clock is frozen until it runs);
+  popped exactly once, so the heap never holds stale entries (a
+  blocked or ready rank's clock is frozen until it runs);
 * node programs are Python **generator coroutines**: they ``yield``
-  only at a genuine blocking point — a receive with an empty queue, a
-  collective they are not the last to enter — and a context switch is
-  one ``gen.send(None)``.  The interpreter compiles a yielding node
-  program when this backend is selected
-  (:meth:`repro.interp.interpreter.Interpreter.run_events`); plain
-  callable node programs are carried on a thread-backed fiber adapter
-  (:class:`_FiberCoroutine`) with identical semantics.
-
-Virtual-time arithmetic, fault injection, statistics, trace events, and
-the error surface are shared with or copied verbatim from the
-cooperative backend, so results are bit-identical across ``coop``,
-``threads``, and ``event`` (``tests/test_scheduler_differential.py``
-enforces it).  Deadlock is a native state here too — the heap is empty
-while some rank is still blocked — and produces the same
-:class:`~repro.machine.deadlock.DeadlockReport` reason strings.
-
-Select with ``Machine(scheduler="event")``, ``REPRO_SCHEDULER=event``,
-or ``fdc --scheduler event``.
+  only at a genuine blocking point and a context switch is one
+  ``gen.send(None)``.  No thread is ever created here; a plain
+  callable node program is simply a coroutine that never yields (its
+  sends, compute charges and already-satisfiable receives work; a
+  receive or collective that would have to wait is a
+  :class:`SimulationError`);
+* no locks or condition variables anywhere in the data path — plain
+  dicts and lists, because there is never a second runner to race with;
+* a collective completes in a **single rendezvous**: the last arrival
+  computes ``max(clocks)``, runs the completion (rank-ordered
+  reduction, broadcast consumption, exchange table snapshot) and puts
+  every participant back on the calendar, then simply keeps running;
+* deadlock is a native state — the heap is empty while some rank is
+  still blocked — declared at the instant it becomes true and reported
+  through the same :class:`~repro.machine.deadlock.DeadlockReport`
+  (identical ``reason`` strings) as the thread backend's wait-for
+  graph;
+* fault plans work unchanged: every ``FaultPlan`` decision is a pure
+  function of message identity and virtual time, never of scheduling.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
+from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
+from .costmodel import CostModel
 from .deadlock import (
     BLOCKED_COLLECTIVE,
     BLOCKED_RECV,
@@ -54,14 +59,19 @@ from .deadlock import (
     DeadlockReport,
     build_report,
 )
+from .faults import FaultPlan
 from .machine import ProcContext
 from .network import (
     AbortError,
     DeadlockError,
     SimulationError,
+    _Message,
+    arrival_time,
+    combine_reduction,
     resolve_timeout,
 )
-from .scheduler import READY, CoopCollectives, CoopNetwork
+from .stats import RunStats
+from .topology import LinkClock, Topology, UniformTopology
 
 #: dispatches between wall-clock deadline probes in the event loop —
 #: small enough that a ping-pong livelock dies within a fraction of a
@@ -79,7 +89,7 @@ S_FAILED = 5
 
 #: code -> the deadlock module's string states (report parity)
 _STATE_NAMES = {
-    S_READY: READY,
+    S_READY: "ready",
     S_RUNNING: RUNNING,
     S_BLOCKED_RECV: BLOCKED_RECV,
     S_BLOCKED_COLL: BLOCKED_COLLECTIVE,
@@ -91,14 +101,12 @@ _STATE_NAMES = {
 class EventScheduler:
     """The event loop: SoA rank state, the calendar heap, dispatch.
 
-    State-transition methods mirror :class:`CoopScheduler`'s interface
-    (``fail`` / ``failure_error`` / ``block_recv`` / ``unblock_recv`` /
-    ``block_collective`` / ``release_collective`` / ``finish``) so
-    :class:`EventNetwork` and :class:`EventCollectives` can reuse the
-    cooperative implementations unchanged — the one difference is that
-    blocking here *registers* the state and returns; the caller's
-    generator then yields, and :meth:`run_ranks` resumes it when the
-    rank is pushed back onto the heap.
+    :class:`EventNetwork` and :class:`EventCollectives` drive the
+    state transitions (``block_recv`` / ``unblock_recv`` /
+    ``block_collective`` / ``release_collective`` / ``finish``).
+    Blocking *registers* the state and returns; the caller's generator
+    then yields, and :meth:`run_ranks` resumes it when the rank is
+    pushed back onto the heap.
     """
 
     def __init__(self, nprocs: int, timeout_s: Optional[float] = None,
@@ -120,7 +128,7 @@ class EventScheduler:
         self.dispatches = 0
         self.switches = 0
 
-    # -- failure surface (identical to CoopScheduler) ----------------------
+    # -- failure surface ---------------------------------------------------
 
     def fail(self) -> None:
         """A rank errored: blocked ranks become dispatchable and raise
@@ -232,8 +240,8 @@ class EventScheduler:
     def _teardown(self, coros: list[Any]) -> None:
         """Resume every live coroutine once so it observes the failure
         and exits — the same drain a declared deadlock gets from the
-        main loop, run eagerly here so fiber-carried node programs
-        (whose yields park a real thread) don't outlive the raise.
+        main loop, run eagerly here so every rank's final clock and
+        work land in RunStats before the caller writes the postmortem.
         Every live rank sits at a yield inside a communication op and
         raises on the resume; the loop is bounded defensively anyway."""
         self.fail()
@@ -283,10 +291,10 @@ class EventScheduler:
         # runs on the calling thread, so a runaway program that keeps
         # generating events forever — e.g. one rank ping-ponging
         # messages while another stays blocked — would never hit the
-        # per-park timeouts the coop/threads backends enforce.  Check
+        # per-wait timeouts the threads backend enforces.  Check
         # the deadline periodically (every _CHECK_EVERY dispatches:
         # cheap relative to one gen.send) and tear the run down with
-        # the same DeadlockError surface the other backends raise.
+        # the same DeadlockError surface the threads backend raises.
         deadline = time.monotonic() + self.timeout_s
         unchecked = 0
         while True:
@@ -327,30 +335,125 @@ class EventScheduler:
                 )
 
 
-class EventNetwork(CoopNetwork):
-    """Point-to-point network for the event backend.
+class EventNetwork:
+    """Point-to-point interconnect for the event loop.
 
-    ``send`` is inherited unchanged from :class:`CoopNetwork` — it is
-    non-blocking (enqueue + ready the receiver), and the scheduler
-    interface it drives is identical.  The receive side is split:
-    :meth:`try_recv` performs the non-blocking match, and the blocking
-    loop (retry / register-blocked / yield) lives in
-    :meth:`EventProcContext.recv_y` where it can suspend.
+    Same virtual-time semantics, fault injection, and error surface as
+    :class:`~repro.machine.network.Network`, minus every lock and
+    condition variable: only one rank executes at a time, so plain dicts
+    suffice and a matched receive with a queued message costs a dict
+    probe and a ``deque.popleft``.  ``send`` never blocks (enqueue +
+    ready the receiver); the receive side is split: :meth:`try_recv`
+    performs the non-blocking match, and the blocking loop (retry /
+    register-blocked / yield) lives in :meth:`EventProcContext.recv_y`
+    where it can suspend.
     """
+
+    def __init__(
+        self,
+        nprocs: int,
+        cost: CostModel,
+        stats: RunStats,
+        timeout_s: Optional[float] = None,
+        faults: Optional[FaultPlan] = None,
+        scheduler: Optional[EventScheduler] = None,
+        tracer: Any = None,
+        topology: Optional[Topology] = None,
+        metrics: Any = None,
+    ) -> None:
+        self.nprocs = nprocs
+        self.cost = cost
+        self.stats = stats
+        self.timeout_s = resolve_timeout(timeout_s)
+        self.faults = faults
+        self.sched = scheduler
+        self.tracer = tracer
+        self.metrics = metrics
+        self.topo = topology if topology is not None \
+            else UniformTopology(nprocs)
+        self._links = LinkClock() if self.topo.contention else None
+        self._queues: list[dict[tuple[int, int], deque[_Message]]] = [
+            {} for _ in range(nprocs)
+        ]
+        self._seq: dict[tuple[int, int, int], int] = {}
+
+    # -- failure propagation ----------------------------------------------
+
+    def fail(self) -> None:
+        self.sched.fail()
+
+    # -- traffic -----------------------------------------------------------
+
+    def send(
+        self, src: int, dst: int, tag: int, payload: Any, nbytes: int,
+        now: float, origin: Optional[str] = None,
+    ) -> float:
+        """Deliver a message; returns the sender's clock after the send."""
+        if self.sched.failed:
+            raise self.sched.failure_error(AbortError(
+                f"processor {src} aborted before send to {dst}"
+            ))
+        if not (0 <= dst < self.nprocs):
+            raise SimulationError(f"send to invalid processor {dst}")
+        if dst == src:
+            raise SimulationError(f"processor {src} sending to itself")
+        sender_after = now + self.cost.send_cost(nbytes)
+        available = arrival_time(self.topo, self._links, self.cost,
+                                 src, dst, nbytes, now)
+        if self.faults is not None and self.faults.affects_messages:
+            seqkey = (src, dst, tag)
+            seq = self._seq.get(seqkey, 0)
+            self._seq[seqkey] = seq + 1
+            extra, retries = self.faults.message_faults(src, dst, tag, seq)
+            if extra or retries:
+                available += extra
+                self.stats.record_fault(retries)
+                if self.tracer is not None:
+                    self.tracer.rank_event(
+                        src, "fault", now, dst=dst, tag=tag,
+                        delay=extra, retries=retries,
+                    )
+        if self.tracer is not None:
+            if self.topo.is_uniform:
+                self.tracer.rank_event(
+                    src, "net.send", now, dst=dst, tag=tag, bytes=nbytes,
+                    avail=available, origin=origin,
+                )
+            else:
+                self.tracer.rank_event(
+                    src, "net.send", now, dst=dst, tag=tag, bytes=nbytes,
+                    avail=available, origin=origin,
+                    hops=self.topo.hops(src, dst),
+                )
+        key = (src, tag)
+        q = self._queues[dst].get(key)
+        if q is None:
+            q = self._queues[dst][key] = deque()
+        q.append(_Message(src, tag, payload, nbytes, available,
+                          sent_at=now, origin=origin))
+        self.sched.unblock_recv(dst, key)
+        self.stats.record_message(nbytes)
+        return sender_after
 
     def recv(self, dst: int, src: int, tag: int, now: float,
              origin: Optional[str] = None) -> tuple[Any, float]:
-        raise SimulationError(  # pragma: no cover - defensive
-            "EventNetwork.recv cannot block inline; "
-            "use EventProcContext.recv / recv_y"
-        )
+        """Sync receive (``ctx.recv`` in a plain-callable node program):
+        completes only when the message is already queued, because only
+        a generator can suspend on this backend."""
+        got = self.try_recv(dst, src, tag, now, origin=origin)
+        if got is None:
+            raise SimulationError(
+                f"processor {dst}: blocking operation outside the event "
+                f"loop: recv(src={src}, tag={tag}) has to wait; make the "
+                f"node program a generator and `yield from ctx.recv_y(...)`"
+            )
+        return got
 
     def try_recv(self, dst: int, src: int, tag: int, now: float,
                  origin: Optional[str] = None
                  ) -> Optional[tuple[Any, float]]:
         """Non-blocking matched receive: ``(payload, new clock)`` when a
-        message is deliverable, None otherwise.  Clock arithmetic and
-        the trace event are verbatim from the cooperative backend."""
+        message is deliverable, None otherwise."""
         if not (0 <= src < self.nprocs):
             raise SimulationError(f"recv from invalid processor {src}")
         key = (src, tag)
@@ -377,18 +480,122 @@ class EventNetwork(CoopNetwork):
             )
         return m.payload, t
 
+    # -- introspection -----------------------------------------------------
 
-class EventCollectives(CoopCollectives):
+    def pending_summary(
+        self, dst: int
+    ) -> list[tuple[tuple[int, int], int]]:
+        return sorted(
+            (key, len(q)) for key, q in self._queues[dst].items() if q
+        )
+
+
+class EventCollectives:
     """Single-rendezvous collectives as generators.
 
-    Slot bookkeeping, completion closures, virtual-time arithmetic, and
-    trace events are inherited from :class:`CoopCollectives`; only the
-    blocking mechanics differ — a non-last arrival registers its
-    blocked state and ``yield``s instead of parking a fiber.  The
-    shared result fields keep the same overwrite-safety argument: the
-    next collective cannot complete until every rank has re-entered it,
-    i.e. has already read the previous result.
+    Every participant deposits its contribution; a non-last arrival
+    registers its blocked state and ``yield``s, the last arrival runs
+    the completion — ``max(clocks)``, the rank-ordered reduction /
+    broadcast consumption / exchange snapshot, the stats — puts
+    everyone back on the calendar, and keeps going.  The shared result
+    slots are overwrite-safe without synchronization: the *next*
+    collective cannot complete until every rank has re-entered it,
+    which means every rank has already read the previous result.
     """
+
+    def __init__(self, nprocs: int, cost: CostModel, stats: RunStats,
+                 scheduler: EventScheduler, tracer: Any = None,
+                 topology: Optional[Topology] = None,
+                 metrics: Any = None) -> None:
+        self.nprocs = nprocs
+        self.cost = cost
+        self.stats = stats
+        self.sched = scheduler
+        self.tracer = tracer
+        self.metrics = metrics
+        self.topo = topology if topology is not None \
+            else UniformTopology(nprocs)
+        self._slots: dict[str, Any] = {}
+        self._clocks = [0.0] * nprocs
+        self._arrived = 0
+        self._maxclock = 0.0
+        #: straggler rank (trace-only), overwrite-safe like ``_result``
+        self._maxrank = 0
+        self._result: Any = None
+
+    def abort(self) -> None:
+        """Teardown is driven entirely by the scheduler."""
+
+    def _observe_coll(self, now: float) -> None:
+        """Metrics: virtual µs this participant waited for the
+        rendezvous to complete (call after ``_rendezvous_y`` returns)."""
+        self.metrics.coll_blocked.observe(max(0.0, self._maxclock - now))
+
+    def _trace_coll(self, rank: int, label: str, now: float, t: float,
+                    nbytes: int = 0, origin: Optional[str] = None) -> None:
+        """Record one participant's rendezvous span (after _rendezvous_y
+        returns, so ``_maxclock``/``_maxrank`` describe *this* op)."""
+        self.tracer.rank_event(
+            rank, "coll", now, dur=t - now, label=label, bytes=nbytes,
+            maxclock=self._maxclock, maxrank=self._maxrank, origin=origin,
+        )
+
+    # -- slot/completion builders ------------------------------------------
+
+    def _begin_bcast(self, rank: int, root: int, payload: Any, nbytes: int,
+                     consume: Any) -> Callable[[], Any]:
+        slot = self._slots.setdefault("bcast", {"consume": []})
+        if rank == root:
+            slot["data"] = payload
+            slot["nbytes"] = nbytes
+        if consume is not None:
+            slot["consume"].append(consume)
+
+        def complete() -> Any:
+            s = self._slots.pop("bcast")
+            data = s["data"]
+            for fn in s["consume"]:
+                fn(data)
+            self.stats.record_collective(s["nbytes"])
+            return data
+
+        return complete
+
+    def _begin_reduce(self, rank: int, value: Any, op: str,
+                      nbytes: int) -> Callable[[], Any]:
+        self._slots.setdefault("reduce", {})[rank] = value
+
+        def complete() -> Any:
+            table = self._slots.pop("reduce")
+            values = [table[r] for r in range(self.nprocs)]
+            result = combine_reduction(op, values)
+            self.stats.record_collective(nbytes * self.nprocs)
+            return result
+
+        return complete
+
+    def _begin_exchange(self, rank: int, outgoing: dict[int, Any],
+                        nbytes_out: int) -> Callable[[], Any]:
+        self._slots.setdefault("exchange", {})[rank] = (outgoing, nbytes_out)
+
+        def complete() -> Any:
+            table = self._slots.pop("exchange")
+            nmsgs = sum(len(msgs) for msgs, _nb in table.values())
+            nbytes = sum(nb for _msgs, nb in table.values())
+            if nmsgs:
+                self.stats.record_exchange(nmsgs, nbytes)
+            return table
+
+        return complete
+
+    def _incoming_of(self, rank: int) -> dict[int, Any]:
+        """Extract *rank*'s incoming payloads from an exchange result."""
+        table = self._result
+        return {
+            src: msgs[rank]
+            for src, (msgs, _nb) in table.items()
+            if rank in msgs
+        }
 
     def _rendezvous_y(self, rank: int, label: str, now: float,
                       complete: Callable[[], Any]
@@ -482,109 +689,25 @@ class EventCollectives(CoopCollectives):
         return incoming, t
 
 
-def is_event_coroutine(fn: Any) -> bool:
-    """Should *fn* be driven as a rank coroutine (vs a fiber)?
-
-    True for generator functions and for callables marked with an
-    ``event_coroutine`` attribute — the tag lets non-generator
-    wrappers (e.g. around generated node programs) opt in explicitly.
-    """
-    import inspect
-
-    return bool(
-        getattr(fn, "event_coroutine", False)
-        or inspect.isgeneratorfunction(fn)
-    )
-
-
-class _FiberCoroutine:
-    """Thread-backed coroutine adapter for plain-callable node programs.
-
-    Presents the generator protocol the event loop drives
-    (``send(None)`` resumes until the next blocking point or
-    completion, raising StopIteration at the end) on top of a daemon
-    thread, so node programs written as ordinary callables — tests,
-    hand-written experiments — run under the event backend unchanged.
-    Only one side runs at any moment: ``send`` wakes the fiber and
-    waits for it to park or finish, exactly the coop backend's handoff
-    discipline, so no other synchronization is needed.
-    """
-
-    def __init__(self, body: Callable[[], None], name: str,
-                 timeout_s: float) -> None:
-        self._body = body
-        self._timeout = timeout_s
-        self._resume = threading.Event()
-        self._parked = threading.Event()
-        self._done = False
-        self._exc: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._main, name=name, daemon=True
-        )
-        self._started = False
-
-    def _main(self) -> None:
-        try:
-            self._body()
-        except BaseException as e:  # pragma: no cover - runner catches all
-            self._exc = e
-        finally:
-            self._done = True
-            self._parked.set()
-
-    def park(self) -> None:
-        """Called on the fiber thread (via ``EventProcContext._drive``)
-        at a blocking point: hand control back to the event loop."""
-        self._parked.set()
-        if not self._resume.wait(timeout=self._timeout):
-            # wall-clock safety net, mirroring CoopScheduler._park: only
-            # fires if the event loop died without tearing us down
-            raise DeadlockError(
-                f"deadlock: wall-clock timeout: fiber "
-                f"{self._thread.name} waited {self._timeout:.1f}s "
-                f"for the event loop to resume it"
-            )
-        self._resume.clear()
-
-    def send(self, value: None) -> None:
-        """Resume the fiber until it parks or finishes."""
-        if self._done:
-            raise StopIteration
-        if not self._started:
-            self._started = True
-            self._thread.start()
-        else:
-            self._resume.set()
-        if not self._parked.wait(timeout=self._timeout + 10.0):
-            raise SimulationError(  # pragma: no cover - defensive
-                f"fiber {self._thread.name} neither parked nor finished"
-            )
-        self._parked.clear()
-        if self._done:
-            if self._exc is not None:  # pragma: no cover - defensive
-                raise self._exc
-            raise StopIteration
-
-
 class EventProcContext(ProcContext):
-    """Node-processor context for the event backend.
-
-    Adds generator twins of the blocking communication ops
-    (``recv_y`` / ``broadcast_y`` / ``allreduce_y`` / ``barrier_y`` /
-    ``exchange_y``) that ``yield`` while blocked — the interpreter's
-    event compile path drives them with ``yield from``.  The plain
-    blocking methods remain available for fiber-carried callable node
-    programs: they drive the same generators, parking the fiber at
-    each yield, so both program styles share one implementation of the
-    virtual-time arithmetic.
+    """Node-processor context for the event loop: the blocking
+    communication ops (``recv_y`` / ``broadcast_y`` / ``allreduce_y`` /
+    ``barrier_y`` / ``exchange_y``) are generators that ``yield`` while
+    blocked; node programs drive them with ``yield from``.  Nothing
+    outside a generator can suspend here, so the inherited sync
+    ``recv`` completes only when the message is already queued
+    (:meth:`EventNetwork.recv`) and the sync collectives are refused.
     """
 
-    def __init__(self, rank: int, machine: Any) -> None:
-        super().__init__(rank, machine)
-        #: set by Machine._run when this rank runs on a _FiberCoroutine
-        self._fiber: Optional[_FiberCoroutine] = None
+    def _sync_collective(self, *args: Any, **kwargs: Any) -> Any:
+        raise SimulationError(
+            f"processor {self.rank}: blocking operation outside the event "
+            f"loop: a collective has to wait for its peers; make the node "
+            f"program a generator and `yield from ctx.barrier_y()` / "
+            f"broadcast_y / allreduce_y / exchange_y"
+        )
 
-    # -- generator communication ops ---------------------------------------
+    broadcast = allreduce = barrier = exchange = _sync_collective
 
     def recv_y(self, src: int, tag: int, origin: Optional[str] = None
                ) -> Generator[None, None, Any]:
@@ -649,49 +772,3 @@ class EventProcContext(ProcContext):
         )
         self.clock = t
         return incoming
-
-    # -- plain blocking ops (fiber-carried callable programs) --------------
-
-    def _drive(self, gen: Generator[None, None, Any]) -> Any:
-        """Run a communication generator to completion, parking the
-        fiber at every yield.  Off-fiber (e.g. a helper probing a
-        context after the run) only non-blocking completion is legal."""
-        fiber = self._fiber
-        try:
-            while True:
-                gen.send(None)
-                if fiber is None:
-                    gen.close()
-                    raise SimulationError(
-                        f"processor {self.rank}: blocking operation "
-                        f"outside the event loop"
-                    )
-                try:
-                    fiber.park()
-                except BaseException:
-                    gen.close()
-                    raise
-        except StopIteration as stop:
-            return stop.value
-
-    def recv(self, src: int, tag: int, origin: Optional[str] = None) -> Any:
-        return self._drive(self.recv_y(src, tag, origin=origin))
-
-    def broadcast(self, root: int, payload: Any, nbytes: int,
-                  consume: Any = None, origin: Optional[str] = None) -> Any:
-        return self._drive(self.broadcast_y(
-            root, payload, nbytes, consume=consume, origin=origin
-        ))
-
-    def allreduce(self, value: Any, op: str, nbytes: int = 8,
-                  origin: Optional[str] = None) -> Any:
-        return self._drive(self.allreduce_y(value, op, nbytes, origin=origin))
-
-    def barrier(self, origin: Optional[str] = None) -> None:
-        return self._drive(self.barrier_y(origin=origin))
-
-    def exchange(self, outgoing: dict[int, Any], nbytes_out: int,
-                 origin: Optional[str] = None) -> dict[int, Any]:
-        return self._drive(self.exchange_y(
-            outgoing, nbytes_out, origin=origin
-        ))

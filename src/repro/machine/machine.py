@@ -3,8 +3,10 @@
 A :class:`Machine` runs the same node program (SPMD) on every simulated
 processor; each node sees a :class:`ProcContext` — its rank, virtual
 clock, and communication primitives.  The default backend is the
-cooperative run-to-block scheduler (:mod:`repro.machine.scheduler`);
+single-threaded event loop (:mod:`repro.machine.event`);
 ``scheduler="threads"`` selects the free-running thread-per-rank oracle.
+Both run the same node programs: generator functions that enter every
+operation that can block with ``yield from ctx.<op>_y(...)``.
 Exceptions on any node abort the whole run: the remaining ranks are
 signalled and raise at their next network operation, every node thread
 is joined with a bound, and the *first* failure by virtual time is
@@ -26,7 +28,8 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from typing import Any, Callable, Optional
+from types import GeneratorType
+from typing import Any, Callable, Generator, Optional
 
 from .costmodel import CostModel, IPSC860
 from .deadlock import DeadlockDetector, DeadlockReport
@@ -37,12 +40,7 @@ from .network import (
     Network,
     SimulationError,
 )
-from .scheduler import (
-    CoopCollectives,
-    CoopNetwork,
-    CoopScheduler,
-    resolve_scheduler,
-)
+from .scheduler import resolve_scheduler
 from .stats import RunStats
 from .topology import Topology, resolve_topology
 from ..obs import resolve_trace
@@ -225,21 +223,72 @@ class ProcContext:
         )
         return incoming
 
+    # -- the generator form node programs are written in ---------------------
+    #
+    # ``x = yield from ctx.recv_y(src, tag)`` runs unchanged on both
+    # backends.  On the event loop these suspend the rank
+    # (:class:`~repro.machine.event.EventProcContext`); on a rank's own
+    # thread the blocking call above simply waits, so each is a
+    # generator that never yields (the unreachable ``yield`` only makes
+    # it one).
+
+    def recv_y(self, src: int, tag: int, origin: Optional[str] = None
+               ) -> Generator[None, None, Any]:
+        return self.recv(src, tag, origin=origin)
+        yield
+
+    def broadcast_y(self, root: int, payload: Any, nbytes: int,
+                    consume: Any = None, origin: Optional[str] = None
+                    ) -> Generator[None, None, Any]:
+        return self.broadcast(root, payload, nbytes, consume=consume,
+                              origin=origin)
+        yield
+
+    def allreduce_y(self, value: Any, op: str, nbytes: int = 8,
+                    origin: Optional[str] = None
+                    ) -> Generator[None, None, Any]:
+        return self.allreduce(value, op, nbytes, origin=origin)
+        yield
+
+    def barrier_y(self, origin: Optional[str] = None
+                  ) -> Generator[None, None, None]:
+        return self.barrier(origin=origin)
+        yield
+
+    def exchange_y(self, outgoing: dict[int, Any], nbytes_out: int,
+                   origin: Optional[str] = None
+                   ) -> Generator[None, None, dict[int, Any]]:
+        return self.exchange(outgoing, nbytes_out, origin=origin)
+        yield
+
+
+def _run_to_completion(coro: Generator[None, None, None]) -> None:
+    """The synchronous driver of the ``threads`` backend: on a rank's
+    own thread every blocking op waits inline, so a node program runs
+    straight to ``StopIteration``.  A yield means it suspended without
+    the event loop to resume it; that is raised inside the program, at
+    the yield, so the run fails with the usual per-rank error report."""
+    try:
+        coro.send(None)
+        coro.throw(SimulationError(
+            "node program yielded on the threads backend, where "
+            "blocking operations never suspend"
+        ))
+    except StopIteration:
+        pass
+
 
 class Machine:
     """P simulated node processors plus network and collectives.
 
-    Three interchangeable backends drive the node programs (selected via
-    ``scheduler=`` / ``REPRO_SCHEDULER``, default ``coop``):
+    Two interchangeable backends drive the node programs (selected via
+    ``scheduler=`` / ``REPRO_SCHEDULER``, default ``event``):
 
-    * ``coop`` — the cooperative run-to-block scheduler
-      (:mod:`repro.machine.scheduler`): one rank executes at a time,
-      dispatched in deterministic (virtual time, rank) order, with no
-      locks and single-rendezvous collectives;
     * ``event`` — the event-driven rank state machine
-      (:mod:`repro.machine.event`): the same dispatch order driven by a
-      calendar heap over generator coroutines, scaling to thousands of
-      ranks;
+      (:mod:`repro.machine.event`): one rank executes at a time,
+      dispatched in deterministic (virtual time, rank) order by a
+      calendar heap over generator coroutines, with no threads, no
+      locks and single-rendezvous collectives;
     * ``threads`` — the free-running thread-per-rank oracle.
 
     Results, virtual clocks, and message/byte statistics are
@@ -276,7 +325,7 @@ class Machine:
             # free-running thread backend has no deterministic one
             raise ValueError(
                 "link contention requires a deterministic scheduler "
-                "(coop or event), not threads"
+                "(event), not threads"
             )
         self.stats = RunStats(nprocs=nprocs, scheduler=self.scheduler,
                               topology=self.topology.describe())
@@ -309,23 +358,7 @@ class Machine:
                 self.tracer.meta["topology"] = self.topology.describe()
             if self.faults is not None:
                 self.tracer.meta["faults"] = str(self.faults)
-        if self.scheduler == "coop":
-            self.detector = None
-            self._sched = CoopScheduler(nprocs, timeout_s,
-                                        tracer=self.tracer,
-                                        metrics=self.sim_metrics)
-            self.network = CoopNetwork(
-                nprocs, cost, self.stats, timeout_s,
-                faults=self.faults, scheduler=self._sched,
-                tracer=self.tracer, topology=self.topology,
-                metrics=self.sim_metrics,
-            )
-            self.collectives = CoopCollectives(
-                nprocs, cost, self.stats, self._sched, tracer=self.tracer,
-                topology=self.topology, metrics=self.sim_metrics,
-            )
-            self._sched.network = self.network
-        elif self.scheduler == "event":
+        if self.scheduler == "event":
             from .event import (
                 EventCollectives,
                 EventNetwork,
@@ -381,7 +414,11 @@ class Machine:
 
         *node_program* is either one callable shared by every rank or a
         sequence of per-rank callables (e.g. generated node programs,
-        which differ per rank class).  On failure the remaining ranks
+        which differ per rank class).  Each is a generator function
+        that enters blocking operations with ``yield from
+        ctx.recv_y(...)`` (also ``broadcast_y`` / ``allreduce_y`` /
+        ``barrier_y`` / ``exchange_y``); a plain callable is accepted
+        as a program that never has to wait.  On failure the remaining ranks
         are aborted at their next network operation, all node threads
         are joined with a bound, and the first error *by virtual time*
         is re-raised (teardown aborts are only raised when no primary
@@ -445,10 +482,14 @@ class Machine:
         errors: list[tuple[bool, float, int, BaseException, str]] = []
         lock = threading.Lock()
 
-        def runner(ctx: ProcContext) -> None:
+        def runner(ctx: ProcContext) -> Generator[None, None, None]:
             failed = False
             try:
-                results[ctx.rank] = programs[ctx.rank](ctx)
+                out = programs[ctx.rank](ctx)
+                if isinstance(out, GeneratorType):
+                    out = yield from out
+                # else a plain callable: a node program that never yields
+                results[ctx.rank] = out
             except BaseException as e:  # noqa: BLE001 - reported to caller
                 failed = True
                 secondary = isinstance(e, AbortError)
@@ -464,30 +505,23 @@ class Machine:
                 self.stats.record_proc_time(ctx.rank, ctx.clock)
                 self.stats.record_proc_work(ctx.rank, ctx.work)
                 # a finished/failed rank may leave peers unwakeable:
-                # both backends declare that deadlock immediately (the
-                # coop scheduler also hands the CPU onward here)
+                # both backends declare that deadlock immediately
                 if self._sched is not None:
                     self._sched.finish(ctx.rank, ctx.clock, failed=failed)
                 else:
                     self.detector.finish(ctx.rank, ctx.clock, failed=failed)
 
         leaked: list[str] = []
-        if self.scheduler == "event":
-            self._run_events(programs, contexts, results, errors, lock,
-                             runner)
-        elif self.nprocs == 1:
-            runner(contexts[0])
-        elif self._sched is not None:
-            leaked = self._sched.run_fibers(
-                [lambda c=c: runner(c) for c in contexts]
-            )
+        coros = [runner(c) for c in contexts]
+        if self._sched is not None:
+            self._sched.run_ranks(coros)
         else:
             threads = [
                 threading.Thread(
-                    target=runner, args=(c,), name=f"node-{c.rank}",
-                    daemon=True,
+                    target=_run_to_completion, args=(coro,),
+                    name=f"node-{rank}", daemon=True,
                 )
-                for c in contexts
+                for rank, coro in enumerate(coros)
             ]
             for t in threads:
                 t.start()
@@ -508,55 +542,6 @@ class Machine:
                 f"node threads failed to terminate: {leaked}"
             )
         return self._raise_or_results(errors, results)
-
-    def _run_events(
-        self,
-        programs: list[Callable[[ProcContext], Any]],
-        contexts: list[ProcContext],
-        results: list[Any],
-        errors: list[tuple[bool, float, int, BaseException, str]],
-        lock: threading.Lock,
-        runner: Callable[[ProcContext], None],
-    ) -> None:
-        """Drive the run on the event backend.  Generator node programs
-        (the interpreter's event compile path, generated modules' event
-        variants, or any generator function) become rank coroutines
-        directly; plain callables are carried on thread-backed fibers
-        with identical semantics."""
-        from .event import _FiberCoroutine, is_event_coroutine
-
-        sched = self._sched
-        if is_event_coroutine(programs[0]):
-            def runner_gen(ctx: ProcContext):
-                failed = False
-                try:
-                    results[ctx.rank] = yield from programs[ctx.rank](ctx)
-                except BaseException as e:  # noqa: BLE001 - see runner
-                    failed = True
-                    secondary = isinstance(e, AbortError)
-                    with lock:
-                        errors.append(
-                            (secondary, ctx.clock, ctx.rank, e,
-                             traceback.format_exc())
-                        )
-                    self.network.fail()
-                    self.collectives.abort()
-                finally:
-                    self.stats.record_proc_time(ctx.rank, ctx.clock)
-                    self.stats.record_proc_work(ctx.rank, ctx.work)
-                    sched.finish(ctx.rank, ctx.clock, failed=failed)
-
-            coros: list[Any] = [runner_gen(c) for c in contexts]
-        else:
-            coros = []
-            for c in contexts:
-                fiber = _FiberCoroutine(
-                    (lambda c=c: runner(c)), name=f"node-{c.rank}",
-                    timeout_s=self.network.timeout_s,
-                )
-                c._fiber = fiber
-                coros.append(fiber)
-        sched.run_ranks(coros)
 
     def _raise_or_results(
         self,

@@ -94,7 +94,7 @@ def arrival_time(
     src: int, dst: int, nbytes: int, now: float,
 ) -> float:
     """Virtual time a message posted at *now* becomes available at
-    *dst*.  Shared by all three network implementations: with link
+    *dst*.  Shared by both network implementations: with link
     contention enabled the message's head is routed over the topology's
     link path (serializing against earlier traffic), otherwise the
     closed-form latency applies."""

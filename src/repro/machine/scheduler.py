@@ -1,667 +1,33 @@
-"""Cooperative run-to-block scheduler: the zero-contention backend.
+"""Scheduler-backend selection.
 
-The thread backend (:mod:`repro.machine.network`) gives every simulated
-rank a free-running OS thread and pays for it in GIL contention, lock
-traffic, and ``threading.Barrier`` rendezvous.  None of that concurrency
-is *semantically* necessary: virtual time is dataflow-determined (a
-receive completes at ``max(own clock, sender arrival)``, a collective at
-``max(clocks) + tree cost``), so any dispatch order that respects the
-blocking structure produces bit-identical results.
-
-This module exploits that.  Exactly **one** rank executes at any moment:
-a rank runs until it blocks at a network operation — a receive with an
-empty queue, or a collective it is not the last to enter — and only then
-does the scheduler hand the CPU to the next runnable rank, chosen
-deterministically by smallest ``(virtual clock, rank)``.  Consequences:
-
-* no locks or condition variables anywhere in the data path — plain
-  dicts and lists, because there is never a second runner to race with;
-* a collective completes in a **single rendezvous**: the last arrival
-  computes ``max(clocks)``, runs the completion (rank-ordered reduction,
-  broadcast consumption, exchange table snapshot) and marks every
-  participant runnable, then simply keeps running;
-* deadlock is a native scheduler state — "no rank runnable while some
-  rank is blocked" — declared at the instant it becomes true and
-  reported through the same :class:`DeadlockReport` (identical
-  ``reason`` strings) as the thread backend's wait-for graph;
-* fault plans work unchanged: every ``FaultPlan`` decision is a pure
-  function of message identity and virtual time, never of scheduling.
-
-Ranks are carried on daemon threads used purely as coroutine frames
-(plain generators cannot suspend across the interpreter's call stack),
-but only one is ever logically runnable; a context switch is one
-``Event.set`` plus one ``Event.wait``.
-
-All backends accept either one node program shared by every rank or a
-per-rank list (``Machine.run``); generated node programs
-(:mod:`repro.codegen`) use the latter since rank classes get distinct
-modules.  Select the backend with
-``Machine(scheduler="coop"|"threads"|"event")``,
-``REPRO_SCHEDULER`` in the environment, or ``fdc --scheduler``; ``coop``
-is the default, ``threads`` is retained as a differential oracle
-(see ``tests/test_scheduler_differential.py``), and ``event`` is the
-heap-driven backend in :mod:`repro.machine.event` that scales to
-thousands of ranks.
+Two backends drive the simulated ranks: ``event`` — the deterministic
+single-threaded event loop in :mod:`repro.machine.event`, the default
+and the only production scheduler — and ``threads``, the free-running
+thread-per-rank oracle in :mod:`repro.machine.network` that the
+differential suites compare it against
+(``tests/test_scheduler_differential.py``).  Select with
+``Machine(scheduler=...)``, ``REPRO_SCHEDULER`` in the environment, or
+``fdc --scheduler``.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
-from collections import deque
-from typing import Any, Callable, Optional
+from typing import Optional
 
-from .costmodel import CostModel
-from .deadlock import (
-    BLOCKED_COLLECTIVE,
-    BLOCKED_RECV,
-    FAILED,
-    FINISHED,
-    RUNNING,
-    DeadlockReport,
-    build_report,
-)
-from .faults import FaultPlan
-from .network import (
-    AbortError,
-    DeadlockError,
-    SimulationError,
-    _Message,
-    arrival_time,
-    combine_reduction,
-    resolve_timeout,
-)
-from .stats import RunStats
-from .topology import LinkClock, Topology, UniformTopology
-
-#: runnable but waiting for the CPU (a delivered message or a completed
-#: collective made the rank dispatchable again)
-READY = "ready"
-
-SCHEDULERS = ("coop", "threads", "event")
+SCHEDULERS = ("event", "threads")
 
 
 def resolve_scheduler(name: Optional[str]) -> str:
-    """Explicit value, else ``REPRO_SCHEDULER``, else ``"coop"``."""
+    """Explicit value, else ``REPRO_SCHEDULER``, else ``"event"``."""
     if name is None:
-        name = os.environ.get("REPRO_SCHEDULER", "").strip().lower() or "coop"
+        name = os.environ.get("REPRO_SCHEDULER", "").strip().lower() or "event"
+    if name == "coop":
+        # legacy spelling of the retired cooperative backend, still
+        # passed by the frozen benchmarks/e2e/layers.py --trace probes
+        name = "event"
     if name not in SCHEDULERS:
         raise ValueError(
             f"unknown scheduler {name!r} (choose from {SCHEDULERS})"
         )
     return name
-
-
-class CoopScheduler:
-    """Dispatch core: rank states, the run queue, and fiber handoff.
-
-    Fibers hand off the CPU explicitly: the yielding fiber picks the
-    next runnable rank (smallest ``(clock, rank)``), sets that fiber's
-    event, and waits on its own.  Because at most one fiber is logically
-    running, none of the state here needs a lock; the event pair
-    provides the necessary happens-before edges between fibers.
-    """
-
-    def __init__(self, nprocs: int, timeout_s: Optional[float] = None,
-                 tracer: Any = None, metrics: Any = None) -> None:
-        self.nprocs = nprocs
-        self.timeout_s = resolve_timeout(timeout_s)
-        self.tracer = tracer
-        self.metrics = metrics
-        self._state = [READY] * nprocs
-        self._detail: list[object] = [None] * nprocs
-        self._clock = [0.0] * nprocs
-        self._events = [threading.Event() for _ in range(nprocs)]
-        self.report: Optional[DeadlockReport] = None
-        self.failed = False
-        self.network: Optional["CoopNetwork"] = None  # set by Machine
-        self.dispatches = 0
-        self.switches = 0
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _next_runnable(self) -> Optional[int]:
-        """Deterministic pick: smallest (virtual clock, rank).  After a
-        failure, blocked fibers are dispatchable too — they wake only to
-        raise, which is how teardown stays sequential."""
-        best = None
-        best_key = None
-        for r in range(self.nprocs):
-            s = self._state[r]
-            if s == READY or (
-                self.failed and s in (BLOCKED_RECV, BLOCKED_COLLECTIVE)
-            ):
-                key = (self._clock[r], r)
-                if best_key is None or key < best_key:
-                    best, best_key = r, key
-        return best
-
-    def _dispatch_next(self) -> bool:
-        nxt = self._next_runnable()
-        if nxt is None:
-            return False
-        self.dispatches += 1
-        if self._state[nxt] == READY:
-            self._state[nxt] = RUNNING
-        if self.tracer is not None:
-            self.tracer.rank_event(nxt, "sched.dispatch", self._clock[nxt])
-        self._events[nxt].set()
-        return True
-
-    def _park(self, rank: int) -> None:
-        """Yield the CPU; return when redispatched.  Declares deadlock
-        when nobody (including us) can run."""
-        ev = self._events[rank]
-        ev.clear()
-        if not self._dispatch_next():
-            self._declare_deadlock()
-            ev.set()  # resume immediately; caller raises on self.failed
-        self.switches += 1
-        if not ev.wait(timeout=self.timeout_s):
-            # wall-clock safety net: with exact blocking bookkeeping this
-            # only fires if a sibling fiber is stuck in non-simulated code
-            self.failed = True
-            reason = (
-                f"wall-clock timeout: processor {rank} waited "
-                f"{self.timeout_s:.1f}s for the scheduler to redispatch it"
-            )
-            if self.report is None:
-                rep = self._snapshot()
-                rep.reason = reason
-                self.report = rep
-            raise DeadlockError(f"deadlock: {reason}", self.report)
-
-    def _snapshot(self) -> DeadlockReport:
-        pending = self.network.pending_summary if self.network else None
-        return build_report(self._state, self._detail, self._clock,
-                            pending_of=pending)
-
-    def _declare_deadlock(self) -> None:
-        if self.failed or self.report is not None:
-            return
-        if not any(s in (BLOCKED_RECV, BLOCKED_COLLECTIVE)
-                   for s in self._state):
-            return  # everyone finished: normal termination
-        self.report = self._snapshot()
-        self.failed = True
-
-    # -- state transitions (called by CoopNetwork / CoopCollectives) -------
-
-    def fail(self) -> None:
-        """A rank errored: blocked fibers become dispatchable and raise
-        when they get the CPU (sequential, deterministic teardown)."""
-        self.failed = True
-
-    def failure_error(self, fallback: SimulationError) -> SimulationError:
-        """The error a torn-down rank raises: the deadlock diagnosis if
-        one was declared, the secondary abort otherwise."""
-        if self.report is not None:
-            return DeadlockError(
-                f"deadlock: {self.report.reason}\n{self.report.describe()}",
-                self.report,
-            )
-        return fallback
-
-    def block_recv(self, rank: int, key: tuple[int, int],
-                   clock: float) -> None:
-        """Rank blocks on a matched receive; returns when the message is
-        deliverable, raises when the run failed meanwhile."""
-        self._state[rank] = BLOCKED_RECV
-        self._detail[rank] = key
-        self._clock[rank] = clock
-        if self.metrics is not None:
-            self.metrics.block_recv.inc()
-        if self.tracer is not None:
-            self.tracer.rank_event(
-                rank, "sched.block", clock, why="recv",
-                src=key[0], tag=key[1],
-            )
-        self._park(rank)
-        if self.failed:
-            self._state[rank] = RUNNING
-            src, tag = key
-            raise self.failure_error(AbortError(
-                f"processor {rank} aborted while waiting for "
-                f"(src={src}, tag={tag})"
-            ))
-        self._detail[rank] = None
-
-    def block_collective(self, rank: int, label: str, clock: float) -> None:
-        """Rank waits for the rest of a collective; the last arrival
-        releases everyone (see CoopCollectives._rendezvous)."""
-        self._state[rank] = BLOCKED_COLLECTIVE
-        self._detail[rank] = label
-        self._clock[rank] = clock
-        if self.metrics is not None:
-            self.metrics.block_coll.inc()
-        if self.tracer is not None:
-            self.tracer.rank_event(
-                rank, "sched.block", clock, why="collective", label=label,
-            )
-        self._park(rank)
-        if self.failed:
-            self._state[rank] = RUNNING
-            raise self.failure_error(AbortError(
-                f"processor {rank} aborted inside collective {label!r} "
-                f"(a peer failed or deadlocked)"
-            ))
-        self._detail[rank] = None
-
-    def unblock_recv(self, dst: int, key: tuple[int, int]) -> None:
-        """A send matched *dst*'s awaited key: make it dispatchable (it
-        gets the CPU only when the current fiber next blocks)."""
-        if self._state[dst] == BLOCKED_RECV and self._detail[dst] == key:
-            self._state[dst] = READY
-            if self.tracer is not None:
-                self.tracer.rank_event(
-                    dst, "sched.unblock", self._clock[dst], why="recv",
-                    src=key[0], tag=key[1],
-                )
-
-    def release_collective(self) -> None:
-        """The last participant arrived: every collective waiter is
-        runnable again."""
-        for r, s in enumerate(self._state):
-            if s == BLOCKED_COLLECTIVE:
-                self._state[r] = READY
-                if self.tracer is not None:
-                    self.tracer.rank_event(
-                        r, "sched.unblock", self._clock[r],
-                        why="collective",
-                    )
-
-    def finish(self, rank: int, clock: float, failed: bool = False) -> None:
-        """Rank left its node program; hand the CPU onward.  Never
-        raises (called from ``finally``); a deadlock this finish exposes
-        is declared here and raised by the woken peers."""
-        self._state[rank] = FAILED if failed else FINISHED
-        self._detail[rank] = None
-        self._clock[rank] = clock
-        if not self._dispatch_next():
-            self._declare_deadlock()
-            if self.failed:
-                self._dispatch_next()  # wake a blocked fiber to tear down
-
-    # -- fiber lifecycle ---------------------------------------------------
-
-    def _fiber_main(self, rank: int, body: Callable[[], None]) -> None:
-        ev = self._events[rank]
-        while not ev.wait(timeout=self.timeout_s):
-            if self.failed:  # pragma: no cover - defensive
-                return       # torn down before ever being dispatched
-        body()
-
-    def run_fibers(self, bodies: list[Callable[[], None]]) -> list[str]:
-        """Run one fiber per rank to completion; returns leaked names
-        (empty in every non-pathological run)."""
-        threads = [
-            threading.Thread(
-                target=self._fiber_main, args=(r, bodies[r]),
-                name=f"node-{r}", daemon=True,
-            )
-            for r in range(self.nprocs)
-        ]
-        for t in threads:
-            t.start()
-        self._dispatch_next()  # kick rank 0 (all clocks are 0)
-        deadline = time.monotonic() + self.timeout_s + 10.0
-        for t in threads:
-            t.join(timeout=max(0.1, deadline - time.monotonic()))
-        leaked = [t.name for t in threads if t.is_alive()]
-        if leaked:  # pragma: no cover - defensive: should not happen
-            self.failed = True
-            for ev in self._events:
-                ev.set()
-            for t in threads:
-                t.join(timeout=1.0)
-            leaked = [t.name for t in threads if t.is_alive()]
-        return leaked
-
-
-class CoopNetwork:
-    """Point-to-point interconnect for the cooperative scheduler.
-
-    Same virtual-time semantics, fault injection, and error surface as
-    :class:`~repro.machine.network.Network`, minus every lock and
-    condition variable: only one rank executes at a time, so plain dicts
-    suffice and a matched receive with a queued message costs a dict
-    probe and a ``deque.popleft``.
-    """
-
-    def __init__(
-        self,
-        nprocs: int,
-        cost: CostModel,
-        stats: RunStats,
-        timeout_s: Optional[float] = None,
-        faults: Optional[FaultPlan] = None,
-        scheduler: Optional[CoopScheduler] = None,
-        tracer: Any = None,
-        topology: Optional[Topology] = None,
-        metrics: Any = None,
-    ) -> None:
-        self.nprocs = nprocs
-        self.cost = cost
-        self.stats = stats
-        self.timeout_s = resolve_timeout(timeout_s)
-        self.faults = faults
-        self.sched = scheduler
-        self.tracer = tracer
-        self.metrics = metrics
-        self.topo = topology if topology is not None \
-            else UniformTopology(nprocs)
-        self._links = LinkClock() if self.topo.contention else None
-        self._queues: list[dict[tuple[int, int], deque[_Message]]] = [
-            {} for _ in range(nprocs)
-        ]
-        self._seq: dict[tuple[int, int, int], int] = {}
-
-    # -- failure propagation ----------------------------------------------
-
-    def fail(self) -> None:
-        self.sched.fail()
-
-    def failing(self) -> bool:
-        return self.sched.failed
-
-    # -- traffic -----------------------------------------------------------
-
-    def send(
-        self, src: int, dst: int, tag: int, payload: Any, nbytes: int,
-        now: float, origin: Optional[str] = None,
-    ) -> float:
-        """Deliver a message; returns the sender's clock after the send."""
-        if self.sched.failed:
-            raise self.sched.failure_error(AbortError(
-                f"processor {src} aborted before send to {dst}"
-            ))
-        if not (0 <= dst < self.nprocs):
-            raise SimulationError(f"send to invalid processor {dst}")
-        if dst == src:
-            raise SimulationError(f"processor {src} sending to itself")
-        sender_after = now + self.cost.send_cost(nbytes)
-        available = arrival_time(self.topo, self._links, self.cost,
-                                 src, dst, nbytes, now)
-        if self.faults is not None and self.faults.affects_messages:
-            seqkey = (src, dst, tag)
-            seq = self._seq.get(seqkey, 0)
-            self._seq[seqkey] = seq + 1
-            extra, retries = self.faults.message_faults(src, dst, tag, seq)
-            if extra or retries:
-                available += extra
-                self.stats.record_fault(retries)
-                if self.tracer is not None:
-                    self.tracer.rank_event(
-                        src, "fault", now, dst=dst, tag=tag,
-                        delay=extra, retries=retries,
-                    )
-        if self.tracer is not None:
-            if self.topo.is_uniform:
-                self.tracer.rank_event(
-                    src, "net.send", now, dst=dst, tag=tag, bytes=nbytes,
-                    avail=available, origin=origin,
-                )
-            else:
-                self.tracer.rank_event(
-                    src, "net.send", now, dst=dst, tag=tag, bytes=nbytes,
-                    avail=available, origin=origin,
-                    hops=self.topo.hops(src, dst),
-                )
-        key = (src, tag)
-        q = self._queues[dst].get(key)
-        if q is None:
-            q = self._queues[dst][key] = deque()
-        q.append(_Message(src, tag, payload, nbytes, available,
-                          sent_at=now, origin=origin))
-        self.sched.unblock_recv(dst, key)
-        self.stats.record_message(nbytes)
-        return sender_after
-
-    def recv(self, dst: int, src: int, tag: int, now: float,
-             origin: Optional[str] = None) -> tuple[Any, float]:
-        """Blocking matched receive; returns (payload, new clock)."""
-        if not (0 <= src < self.nprocs):
-            raise SimulationError(f"recv from invalid processor {src}")
-        key = (src, tag)
-        queues = self._queues[dst]
-        while True:
-            q = queues.get(key)
-            if q:
-                m = q.popleft()
-                if not q:
-                    del queues[key]
-                arrive = max(now, m.available_at)
-                t = arrive + self.cost.recv_cost(m.nbytes)
-                if self.metrics is not None:
-                    self.metrics.recv_blocked.observe(
-                        max(0.0, m.available_at - now))
-                if self.tracer is not None:
-                    self.tracer.rank_event(
-                        dst, "net.recv", now, dur=t - now, src=m.src,
-                        tag=tag, bytes=m.nbytes, sent_at=m.sent_at,
-                        avail=m.available_at,
-                        wait=max(0.0, m.available_at - now),
-                        origin=origin or m.origin,
-                    )
-                return m.payload, t
-            if self.sched.failed:
-                raise self.sched.failure_error(AbortError(
-                    f"processor {dst} aborted while waiting for "
-                    f"(src={src}, tag={tag})"
-                ))
-            # yields the CPU; raises when the run fails while we wait,
-            # returns when the message is deliverable
-            self.sched.block_recv(dst, key, now)
-
-    # -- introspection -----------------------------------------------------
-
-    def pending(self, dst: int) -> int:
-        return sum(len(q) for q in self._queues[dst].values())
-
-    def has_pending(self, dst: int, key: tuple[int, int]) -> bool:
-        return bool(self._queues[dst].get(key))
-
-    def pending_summary(
-        self, dst: int
-    ) -> list[tuple[tuple[int, int], int]]:
-        return sorted(
-            (key, len(q)) for key, q in self._queues[dst].items() if q
-        )
-
-
-class CoopCollectives:
-    """Single-rendezvous collectives for the cooperative scheduler.
-
-    Every participant deposits its contribution and parks; the last
-    arrival runs the completion — ``max(clocks)``, the rank-ordered
-    reduction / broadcast consumption / exchange snapshot, the stats —
-    marks everyone runnable, and keeps going.  The shared result slots
-    are overwrite-safe without synchronization: the *next* collective
-    cannot complete until every rank has re-entered it, which means
-    every rank has already read the previous result.
-    """
-
-    def __init__(self, nprocs: int, cost: CostModel, stats: RunStats,
-                 scheduler: CoopScheduler, tracer: Any = None,
-                 topology: Optional[Topology] = None,
-                 metrics: Any = None) -> None:
-        self.nprocs = nprocs
-        self.cost = cost
-        self.stats = stats
-        self.sched = scheduler
-        self.tracer = tracer
-        self.metrics = metrics
-        self.topo = topology if topology is not None \
-            else UniformTopology(nprocs)
-        self._slots: dict[str, Any] = {}
-        self._clocks = [0.0] * nprocs
-        self._arrived = 0
-        self._maxclock = 0.0
-        #: straggler rank (trace-only), overwrite-safe like ``_result``
-        self._maxrank = 0
-        self._result: Any = None
-
-    def abort(self) -> None:
-        """Teardown is driven entirely by the scheduler."""
-
-    def _rendezvous(self, rank: int, label: str, now: float,
-                    complete: Callable[[], Any]) -> None:
-        if self.sched.failed:
-            raise self.sched.failure_error(AbortError(
-                f"processor {rank} aborted inside collective {label!r} "
-                f"(a peer failed or deadlocked)"
-            ))
-        self._clocks[rank] = now
-        self._arrived += 1
-        if self._arrived == self.nprocs:
-            self._arrived = 0
-            self._maxclock = max(self._clocks)
-            if self.tracer is not None:
-                self._maxrank = min(
-                    r for r in range(self.nprocs)
-                    if self._clocks[r] == self._maxclock
-                )
-            self._result = complete()
-            self.sched.release_collective()
-        else:
-            self.sched.block_collective(rank, label, now)
-
-    def _observe_coll(self, now: float) -> None:
-        """Metrics: virtual µs this participant waited for the
-        rendezvous to complete (call after ``_rendezvous`` returns)."""
-        self.metrics.coll_blocked.observe(max(0.0, self._maxclock - now))
-
-    def _trace_coll(self, rank: int, label: str, now: float, t: float,
-                    nbytes: int = 0, origin: Optional[str] = None) -> None:
-        """Record one participant's rendezvous span (after _rendezvous
-        returns, so ``_maxclock``/``_maxrank`` describe *this* op)."""
-        self.tracer.rank_event(
-            rank, "coll", now, dur=t - now, label=label, bytes=nbytes,
-            maxclock=self._maxclock, maxrank=self._maxrank, origin=origin,
-        )
-
-    # -- shared slot/completion builders (also used by the event
-    # -- backend's generator variants in repro.machine.event) --------------
-
-    def _begin_bcast(self, rank: int, root: int, payload: Any, nbytes: int,
-                     consume: Any) -> Callable[[], Any]:
-        slot = self._slots.setdefault("bcast", {"consume": []})
-        if rank == root:
-            slot["data"] = payload
-            slot["nbytes"] = nbytes
-        if consume is not None:
-            slot["consume"].append(consume)
-
-        def complete() -> Any:
-            s = self._slots.pop("bcast")
-            data = s["data"]
-            for fn in s["consume"]:
-                fn(data)
-            self.stats.record_collective(s["nbytes"])
-            return data
-
-        return complete
-
-    def _begin_reduce(self, rank: int, value: Any, op: str,
-                      nbytes: int) -> Callable[[], Any]:
-        self._slots.setdefault("reduce", {})[rank] = value
-
-        def complete() -> Any:
-            table = self._slots.pop("reduce")
-            values = [table[r] for r in range(self.nprocs)]
-            result = combine_reduction(op, values)
-            self.stats.record_collective(nbytes * self.nprocs)
-            return result
-
-        return complete
-
-    def _begin_exchange(self, rank: int, outgoing: dict[int, Any],
-                        nbytes_out: int) -> Callable[[], Any]:
-        self._slots.setdefault("exchange", {})[rank] = (outgoing, nbytes_out)
-
-        def complete() -> Any:
-            table = self._slots.pop("exchange")
-            nmsgs = sum(len(msgs) for msgs, _nb in table.values())
-            nbytes = sum(nb for _msgs, nb in table.values())
-            if nmsgs:
-                self.stats.record_exchange(nmsgs, nbytes)
-            return table
-
-        return complete
-
-    def _incoming_of(self, rank: int) -> dict[int, Any]:
-        """Extract *rank*'s incoming payloads from an exchange result."""
-        table = self._result
-        return {
-            src: msgs[rank]
-            for src, (msgs, _nb) in table.items()
-            if rank in msgs
-        }
-
-    def broadcast(self, rank: int, root: int, payload: Any, nbytes: int,
-                  now: float, consume: Any = None,
-                  origin: Optional[str] = None) -> tuple[Any, float]:
-        """All nodes call; returns (payload, new clock).
-
-        *consume* callbacks all run inside the completion, before any
-        participant resumes — so the root may pass a zero-copy view of
-        its own array and still mutate it freely afterwards.
-        """
-        complete = self._begin_bcast(rank, root, payload, nbytes, consume)
-        self._rendezvous(rank, "bcast", now, complete)
-        if self.metrics is not None:
-            self._observe_coll(now)
-        t = self._maxclock + self.topo.collective_cost(
-            self.cost, self.nprocs, nbytes
-        )
-        if self.tracer is not None:
-            self._trace_coll(rank, "bcast", now, t, nbytes, origin)
-        return self._result, t
-
-    def allreduce(self, rank: int, value: Any, op: str, nbytes: int,
-                  now: float,
-                  origin: Optional[str] = None) -> tuple[Any, float]:
-        """Combining all-reduce, rank-ordered for determinism."""
-        complete = self._begin_reduce(rank, value, op, nbytes)
-        self._rendezvous(rank, "reduce", now, complete)
-        if self.metrics is not None:
-            self._observe_coll(now)
-        t = self._maxclock + 2 * self.topo.collective_cost(
-            self.cost, self.nprocs, nbytes
-        )
-        if self.tracer is not None:
-            self._trace_coll(rank, "reduce", now, t, nbytes, origin)
-        return self._result, t
-
-    def barrier(self, rank: int, now: float,
-                origin: Optional[str] = None) -> float:
-        self._rendezvous(rank, "barrier", now, lambda: None)
-        if self.metrics is not None:
-            self._observe_coll(now)
-        t = self._maxclock + self.topo.barrier_cost(self.cost, self.nprocs)
-        if self.tracer is not None:
-            self._trace_coll(rank, "barrier", now, t, 0, origin)
-        return t
-
-    def exchange(self, rank: int, outgoing: dict[int, Any], nbytes_out: int,
-                 now: float,
-                 origin: Optional[str] = None) -> tuple[dict[int, Any], float]:
-        """All-to-all personalized exchange (the remap runtime)."""
-        complete = self._begin_exchange(rank, outgoing, nbytes_out)
-        self._rendezvous(rank, "exchange", now, complete)
-        if self.metrics is not None:
-            self._observe_coll(now)
-        incoming = self._incoming_of(rank)
-        t = self._maxclock + self.topo.collective_cost(
-            self.cost, self.nprocs, max(nbytes_out, 1)
-        )
-        if self.tracer is not None:
-            self._trace_coll(rank, "exchange", now, t, nbytes_out, origin)
-            per_pair = nbytes_out / max(1, len(outgoing))
-            for dst in sorted(outgoing):
-                self.tracer.rank_event(
-                    rank, "net.exchange", now, dst=dst, bytes=per_pair,
-                    origin=origin,
-                )
-        return incoming, t

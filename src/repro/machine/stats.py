@@ -40,8 +40,8 @@ class RunStats:
     topology: str = "uniform"    # interconnect topology (+":contention")
     host_cpus: int = field(default_factory=lambda: os.cpu_count() or 1)
     wall_s: float = 0.0          # host wall clock of Machine.run
-    dispatches: int = 0          # rank dispatches (coop/event) / starts
-    switches: int = 0            # context switches (coop/event only)
+    dispatches: int = 0          # rank dispatches (event) / starts
+    switches: int = 0            # context switches (event only)
     #: interpreter communication-schedule cache (resolved sections
     #: memoized per CommAction per rank)
     comm_cache_hits: int = 0
@@ -99,10 +99,6 @@ class RunStats:
             self.faulted_messages += 1
             self.retransmits += retransmits
 
-    def record_flops(self, n: float) -> None:
-        with self._lock:
-            self.flops += n
-
     def record_guards(self, n: int = 1) -> None:
         with self._lock:
             self.guards += n
@@ -117,8 +113,13 @@ class RunStats:
 
     def record_run(self, scheduler: str, wall_s: float,
                    dispatches: int = 0, switches: int = 0) -> None:
-        """Backend bookkeeping for one completed ``Machine.run``."""
+        """Backend bookkeeping for one completed ``Machine.run``, plus
+        the run's total work (summed in rank order: the float result
+        must not depend on which rank finished first)."""
         with self._lock:
+            self.flops = sum(
+                self.proc_work[r] for r in sorted(self.proc_work)
+            )
             self.scheduler = scheduler
             self.wall_s = wall_s
             self.dispatches += dispatches

@@ -347,8 +347,8 @@ class LinkClock:
     for the message's wire time from the moment the head clears it.
     With no queueing the arrival time equals the contention-free
     estimate exactly; congestion stretches it by the queueing delays.
-    Updates are deterministic because both deterministic backends
-    (coop, event) issue sends in identical (clock, rank) order.
+    Updates are deterministic because the event backend issues sends
+    in (clock, rank) order.
     """
 
     def __init__(self) -> None:

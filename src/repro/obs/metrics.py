@@ -15,7 +15,7 @@ Design constraints (the same contract as :mod:`.tracer`):
 * **read-only** — recording never touches simulated state: virtual
   timestamps come from the same observation points the tracer uses, so
   metrics-on runs stay bit-identical to metrics-off runs
-  (``tests/test_metrics.py`` enforces it across all three backends).
+  (``tests/test_metrics.py`` enforces it across both backends).
 * **hot paths hoist children** — ``family.labels(...)`` resolves a
   label set once to a bound child; a record on the child is one locked
   float add (plus one bisect for histograms).

@@ -32,7 +32,7 @@ and ``ts`` (virtual µs); span-like events carry ``dur``.  Kinds:
 ``net.exchange``   one pairwise transfer inside an all-to-all exchange
 ``coll``           collective rendezvous span: label, seq, maxclock,
                    maxrank, bytes, origin, proc
-``sched.dispatch`` cooperative scheduler handed this rank the CPU
+``sched.dispatch`` event scheduler resumed this rank
 ``sched.block``    rank blocked (why: recv/collective, detail)
 ``sched.unblock``  a send/rendezvous made this rank runnable again
 ``interp.vec``     vectorized block execution span: unit, var, n, ops

@@ -4,10 +4,11 @@ Fortran D "assumes the existence of a collection of library routines that
 can be invoked to remap arrays for different data decompositions".  This
 module is that library for the simulated machine:
 
-* :func:`remap_array` — physical redistribution: every node sends the
+* :func:`remap_array_y` — physical redistribution: every node sends the
   elements it owns under the old distribution to their owners under the
   new one (all-to-all personalized exchange), then records the new
-  distribution on the array.
+  distribution on the array.  A generator, like every operation that
+  can block: enter it with ``yield from``.
 * :func:`mark_array` — the §6.3 array-kill optimization: when the
   array's values are dead, remap *in place* by only changing the
   recorded distribution (zero data motion).
@@ -77,9 +78,8 @@ def _apply_incoming(
     """Write received sections and record the new distribution.
 
     Each rank records its own outgoing volume; summed over ranks that
-    equals the total data moved (what :func:`_total_moved` computes),
-    without the O(P^2) all-pairs section scan that dominated large-P
-    runs.  Rank 0 counts the remap operation itself."""
+    equals the total data moved, without an O(P^2) all-pairs section
+    scan.  Rank 0 counts the remap operation itself."""
     for _src, bundle in incoming.items():
         for subs, payload in bundle:
             arr.write_section(subs, payload)
@@ -87,39 +87,15 @@ def _apply_incoming(
     ctx.stats.record_remap(out_bytes, count=1 if ctx.rank == 0 else 0)
 
 
-def _remap_prologue(
-    ctx: "ProcContext", arr: "FArray", new: Distribution
-) -> Distribution | None:
-    """Common entry: returns the effective old distribution, or None
-    when the remap is mapping-identical (recorded in place, no data
-    motion)."""
+def remap_array_y(ctx: "ProcContext", arr: "FArray", new: Distribution,
+                  origin: str = None):
+    """Physically redistribute *arr* to *new* (collective; suspends the
+    rank in the all-to-all exchange)."""
     old = arr.dist
     if old is None:
         old = Distribution.replicated(arr.bounds, ctx.nprocs)
     if old.same_mapping(new):
-        arr.dist = new
-        return None
-    return old
-
-
-def remap_array(ctx: "ProcContext", arr: "FArray", new: Distribution,
-                origin: str = None) -> None:
-    """Physically redistribute *arr* to *new* (collective)."""
-    old = _remap_prologue(ctx, arr, new)
-    if old is None:
-        return
-    outgoing, out_bytes = _build_outgoing(ctx, arr, old, new)
-    incoming = ctx.exchange(outgoing, out_bytes, origin=origin)
-    _apply_incoming(ctx, arr, incoming, new, out_bytes)
-
-
-def remap_array_y(ctx: "ProcContext", arr: "FArray", new: Distribution,
-                  origin: str = None):
-    """Generator twin of :func:`remap_array` for the event-driven
-    backend: identical section math and stats, but the all-to-all
-    exchange suspends the rank coroutine instead of parking a fiber."""
-    old = _remap_prologue(ctx, arr, new)
-    if old is None:
+        arr.dist = new  # mapping-identical: recorded in place, no motion
         return
     outgoing, out_bytes = _build_outgoing(ctx, arr, old, new)
     incoming = yield from ctx.exchange_y(outgoing, out_bytes, origin=origin)
@@ -129,16 +105,3 @@ def remap_array_y(ctx: "ProcContext", arr: "FArray", new: Distribution,
 def mark_array(arr: "FArray", new: Distribution) -> None:
     """Remap in place (array values dead): no data motion, no cost."""
     arr.dist = new
-
-
-def _total_moved(
-    old: Distribution, new: Distribution, nprocs: int, elem_bytes: int
-) -> int:
-    total = 0
-    for src in range(nprocs):
-        for dst in range(nprocs):
-            if src == dst:
-                continue
-            for piece in transfer_sections(old, new, src, dst):
-                total += piece.count * elem_bytes
-    return total

@@ -10,4 +10,13 @@ overrides a value the invoker exported.
 
 import os
 
+from repro.machine import SCHEDULERS
+
 os.environ.setdefault("REPRO_SIM_TIMEOUT", "20")
+
+#: every spelling ``scheduler=`` / ``REPRO_SCHEDULER`` accepts: the two
+#: backends plus ``"coop"``, a legacy alias that resolves to ``"event"``
+#: (the frozen ``benchmarks/e2e`` probes pass it).  Backend-parametrised
+#: matrices run the alias as a case of its own, so it goes through the
+#: same deadlock / trace / metrics checks as the name it stands for.
+SCHEDULER_SPELLINGS = SCHEDULERS + ("coop",)

@@ -66,7 +66,7 @@ class TestPlanKeys:
         assert plan_key(
             SRC, OPTS, Plan(8, (DistOverride("x", (("cyclic", None),)),))
         ) != base
-        assert plan_key(SRC, OPTS, p, scheduler="coop") != base
+        assert plan_key(SRC, OPTS, p, scheduler="threads") != base
         assert plan_key(SRC, OPTS, p, cost="free") != base
 
     def test_label_is_not_identity(self):

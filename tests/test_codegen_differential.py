@@ -28,11 +28,17 @@ from repro.codegen import (
     rank_classes,
     reset_memory,
 )
-from repro.codegen.cache import entry_path, entry_stem, program_key
+from repro.codegen.cache import (
+    GEN_VERSION,
+    entry_header,
+    entry_path,
+    entry_stem,
+    program_key,
+)
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
 from repro.lang import ast as A
-from repro.machine import FaultPlan
+from repro.machine import SCHEDULERS, FaultPlan
 from repro.obs import Tracer
 
 STAT_FIELDS = (
@@ -95,8 +101,8 @@ def _assert_identical(a, b, label):
 def test_apps_bit_identical_generated_vs_interpreter(src, init, seed):
     cp = compile_program(src, Options(nprocs=4, mode=Mode.INTER))
     plan = _chaos_plan(seed)
-    ref = _run(cp, init, "coop", faults=plan, codegen=False)
-    for sched in ("coop", "threads", "event"):
+    ref = _run(cp, init, "event", faults=plan, codegen=False)
+    for sched in SCHEDULERS:
         gen = _run(cp, init, sched, faults=plan, codegen=True)
         _assert_identical(ref, gen, f"codegen {sched} seed={seed}")
 
@@ -108,8 +114,8 @@ def test_vectorize_axis_bit_identical(vectorize):
     the interpreter's in both switch positions."""
     cp = compile_program(stencil1d_source(128, 4),
                          Options(nprocs=4, mode=Mode.INTER))
-    ref = _run(cp, None, "coop", vectorize=vectorize, codegen=False)
-    for sched in ("coop", "event"):
+    ref = _run(cp, None, "event", vectorize=vectorize, codegen=False)
+    for sched in SCHEDULERS:
         gen = _run(cp, None, sched, vectorize=vectorize, codegen=True)
         _assert_identical(ref, gen, f"vec={vectorize} {sched}")
 
@@ -121,11 +127,11 @@ def test_modes_bit_identical(mode):
     guard and comm lowering hardest."""
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=mode))
-    ref = _run(cp, None, "coop", codegen=False)
-    _assert_identical(ref, _run(cp, None, "coop", codegen=True),
-                      f"{mode.value} coop")
+    ref = _run(cp, None, "event", codegen=False)
     _assert_identical(ref, _run(cp, None, "event", codegen=True),
                       f"{mode.value} event")
+    _assert_identical(ref, _run(cp, None, "threads", codegen=True),
+                      f"{mode.value} threads")
 
 
 def test_no_demotions_on_paper_apps():
@@ -166,7 +172,7 @@ def test_warm_run_skips_generation(codegen_tmp, monkeypatch):
 def test_run_surfaces_codegen_counters(codegen_tmp):
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=Mode.INTER))
-    res = _run(cp, None, "coop", codegen=True)
+    res = _run(cp, None, "event", codegen=True)
     s = res.stats
     ncls = len(rank_classes(4))
     assert s.codegen_cache_hits + s.codegen_cache_misses == ncls
@@ -178,11 +184,11 @@ def test_run_surfaces_codegen_counters(codegen_tmp):
         assert key in d
     assert "codegen=" in s.sched_summary()
     # second run: every module comes from cache
-    res2 = _run(cp, None, "coop", codegen=True)
+    res2 = _run(cp, None, "event", codegen=True)
     assert res2.stats.codegen_cache_hits == ncls
     assert res2.stats.codegen_cache_misses == 0
     # the interpreter-only path records nothing
-    res3 = _run(cp, None, "coop", codegen=False)
+    res3 = _run(cp, None, "event", codegen=False)
     assert res3.stats.codegen_cache_hits == 0
     assert res3.stats.codegen_cache_misses == 0
 
@@ -205,8 +211,8 @@ def test_poisoned_disk_entry_regenerated(codegen_tmp):
     gen2, hits, misses = get_generated(cp.program, 4, True)
     assert misses >= 1  # the poisoned class was regenerated
     assert open(path).read() == src  # and the entry was healed
-    ref = _run(cp, None, "coop", codegen=False)
-    _assert_identical(ref, _run(cp, None, "coop", codegen=True),
+    ref = _run(cp, None, "event", codegen=False)
+    _assert_identical(ref, _run(cp, None, "event", codegen=True),
                       "post-poison")
 
 
@@ -239,9 +245,58 @@ def test_unreadable_entry_regenerated(codegen_tmp):
     os.makedirs(path, exist_ok=True)  # open() -> IsADirectoryError
     gen, hits, misses = get_generated(cp.program, 4, True)
     assert misses >= 1  # the unreadable class regenerated
-    ref = _run(cp, None, "coop", codegen=False)
-    _assert_identical(ref, _run(cp, None, "coop", codegen=True),
+    ref = _run(cp, None, "event", codegen=False)
+    _assert_identical(ref, _run(cp, None, "event", codegen=True),
                       "unreadable-entry")
+
+
+def test_one_function_per_unit(codegen_tmp):
+    """Each procedure is emitted once — a generator when it may block,
+    a plain function otherwise — and there is one UNITS / one DEMOTED
+    table."""
+    import inspect
+
+    for name, src, _ in CASES:
+        cp = compile_program(src, Options(nprocs=4, mode=Mode.INTER))
+        gen, _, _ = get_generated(cp.program, 4, True)
+        units = {u.name for u in cp.program.units}
+        for cls, (_lo, _hi, mod) in gen.modules.items():
+            assert "UNITS_Y" not in mod.source, (name, cls)
+            assert "DEMOTED_Y" not in mod.source, (name, cls)
+            assert mod.source.count("\ndef _u_") == len(units), (name, cls)
+            assert set(mod.units) == units and not mod.demoted
+            for unit, fn in mod.units.items():
+                assert inspect.isgeneratorfunction(fn) \
+                    == (unit in mod.blocking), (name, cls, unit)
+
+
+def test_version_1_disk_entry_ignored_and_regenerated(codegen_tmp):
+    """An entry written by the two-variant generator (version 1: every
+    blocking unit twice, UNITS_Y / DEMOTED_Y tables) fails the header
+    check, so it is never executed; the slot is regenerated."""
+    cp = compile_program(stencil1d_source(64, 2),
+                         Options(nprocs=4, mode=Mode.INTER))
+    reset_memory()
+    assert GEN_VERSION != "1"
+    path = _entry_for(cp)
+    stem = path.rsplit("/", 1)[1][:-len(".py")]
+    old = entry_header(stem).replace(f" {GEN_VERSION} ", " 1 ", 1) + (
+        "\nBLOCKING = frozenset()\nUNITS = {}\nUNITS_Y = {}\n"
+        "DEMOTED = {'*': 'stale'}\nDEMOTED_Y = {'*': 'stale'}\n"
+    )
+    import os
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as f:
+        f.write(old)
+    gen, hits, misses = get_generated(cp.program, 4, True)
+    assert misses >= 1 and gen.demotions == []
+    healed = open(path).read()
+    assert healed.startswith(entry_header(stem) + "\n")
+    assert "UNITS_Y" not in healed
+    ref = _run(cp, None, "event", codegen=False)
+    _assert_identical(ref, _run(cp, None, "event", codegen=True),
+                      "post-v1-entry")
 
 
 def test_vectorize_keys_are_distinct(codegen_tmp):
@@ -268,14 +323,14 @@ def test_demotion_falls_back_and_traces(codegen_tmp, monkeypatch):
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=Mode.INTER))
     tracer = Tracer()
-    gen_res = _run(cp, None, "coop", codegen=True, trace=tracer)
+    gen_res = _run(cp, None, "event", codegen=True, trace=tracer)
     assert gen_res.stats.codegen_demotions > 0
     names = [e["name"] for e in tracer.host_events
              if e["kind"] == "compile.decision"]
     assert "codegen-demotion" in names
     monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", ())
     reset_memory()
-    ref = _run(cp, None, "coop", codegen=False)
+    ref = _run(cp, None, "event", codegen=False)
     _assert_identical(ref, gen_res, "demoted-vs-interpreter")
 
 
@@ -292,13 +347,13 @@ def test_partial_demotion_mixes_paths(codegen_tmp, monkeypatch):
     all_procs = {u.name for u in cp.program.units}
     assert demoted and demoted < all_procs  # strictly partial
     assert cp.program.main.name not in demoted  # main stays generated
-    gen_coop = _run(cp, init, "coop", codegen=True)
     gen_event = _run(cp, init, "event", codegen=True)
+    gen_threads = _run(cp, init, "threads", codegen=True)
     monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", ())
     reset_memory()
-    ref = _run(cp, init, "coop", codegen=False)
-    _assert_identical(ref, gen_coop, "partial-demotion coop")
+    ref = _run(cp, init, "event", codegen=False)
     _assert_identical(ref, gen_event, "partial-demotion event")
+    _assert_identical(ref, gen_threads, "partial-demotion threads")
 
 
 def test_strict_escalates_demotion(codegen_tmp, monkeypatch):

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.core.options import Options
-from repro.machine import FREE, Machine
+from repro.machine import FREE, Machine, resolve_scheduler
 from repro.machine.network import SimulationError
 from repro.obs import Tracer
 from repro.obs.flightrec import (
@@ -26,9 +26,8 @@ from repro.obs.flightrec import (
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ServiceCompiler, WorkerPool
 
+from .conftest import SCHEDULER_SPELLINGS
 from .test_service import BASE
-
-SCHEDULERS = ("coop", "threads", "event")
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +119,7 @@ class TestDumpPostmortem:
         assert dump_postmortem("unit-test") is None
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("scheduler", SCHEDULER_SPELLINGS)
 class TestDeadlockBundle:
     def test_deadlock_dumps_bundle(self, tmp_path, monkeypatch,
                                    scheduler):
@@ -132,7 +131,7 @@ class TestDeadlockBundle:
             if ctx.rank == 0:
                 ctx.send(1, 7, "other", 8)  # tag 7, never awaited
             else:
-                ctx.recv(0, 8)  # tag 8, never sent
+                yield from ctx.recv_y(0, 8)  # tag 8, never sent
 
         with pytest.raises(SimulationError, match="deadlock|aborted"):
             Machine(2, FREE, timeout_s=10.0,
@@ -149,7 +148,7 @@ class TestDeadlockBundle:
         assert bundle["events"]["events_seen"] > 0
         assert bundle["events"]["ranks"]
         assert bundle["stats"]["nprocs"] == 2
-        assert bundle["extra"]["scheduler"] == scheduler
+        assert bundle["extra"]["scheduler"] == resolve_scheduler(scheduler)
 
 
 class TestEventGeneratorBundle:

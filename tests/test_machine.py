@@ -17,6 +17,8 @@ from repro.machine import (
 )
 from repro.machine.network import resolve_timeout
 
+from .conftest import SCHEDULER_SPELLINGS
+
 
 def node_threads():
     """Names of still-alive simulated node threads (should be none
@@ -31,7 +33,7 @@ class TestPointToPoint:
             if ctx.rank < ctx.nprocs - 1:
                 ctx.send(ctx.rank + 1, 1, ctx.rank, 8)
             if ctx.rank > 0:
-                return ctx.recv(ctx.rank - 1, 1)
+                return (yield from ctx.recv_y(ctx.rank - 1, 1))
             return None
 
         m = Machine(4, FREE)
@@ -49,8 +51,8 @@ class TestPointToPoint:
                 ctx.send(1, 5, "five", 8)
                 ctx.send(1, 3, "three", 8)
             elif ctx.rank == 1:
-                a = ctx.recv(0, 3)
-                b = ctx.recv(0, 5)
+                a = yield from ctx.recv_y(0, 3)
+                b = yield from ctx.recv_y(0, 5)
                 return (a, b)
             return None
 
@@ -75,7 +77,7 @@ class TestPointToPoint:
     def test_deadlock_detected(self):
         def prog(ctx):
             if ctx.rank == 1:
-                ctx.recv(0, 42)  # never sent
+                yield from ctx.recv_y(0, 42)  # never sent
 
         with pytest.raises(SimulationError, match="deadlock|aborted"):
             Machine(2, FREE, timeout_s=0.5).run(prog)
@@ -95,8 +97,8 @@ class TestPointToPoint:
             else:
                 got = []
                 for tag in range(10):  # ascending receive order
-                    got.append(ctx.recv(0, tag))
-                    got.append(ctx.recv(1, 9 - tag))
+                    got.append((yield from ctx.recv_y(0, tag)))
+                    got.append((yield from ctx.recv_y(1, 9 - tag)))
                 return got
 
         res = Machine(3, FREE).run(prog)
@@ -111,7 +113,7 @@ class TestPointToPoint:
             if ctx.rank == 0:
                 ctx.send(1, 7, "other", 8)
             else:
-                ctx.recv(0, 8)  # tag 8 never sent
+                yield from ctx.recv_y(0, 8)  # tag 8 never sent
 
         with pytest.raises(SimulationError, match="deadlock|aborted"):
             Machine(2, FREE, timeout_s=0.5).run(prog)
@@ -126,7 +128,7 @@ class TestVirtualTime:
             if ctx.rank == 0:
                 ctx.send(1, 0, b"x" * 50, 50)
                 return ctx.clock
-            ctx.recv(0, 0)
+            yield from ctx.recv_y(0, 0)
             return ctx.clock
 
         m = Machine(2, cost)
@@ -144,7 +146,7 @@ class TestVirtualTime:
                 ctx.send(1, 0, 1, 8)
             else:
                 ctx.compute(10_000)  # busy until t=10000
-                ctx.recv(0, 0)
+                yield from ctx.recv_y(0, 0)
                 return ctx.clock
             return None
 
@@ -170,19 +172,22 @@ class TestVirtualTime:
             t == pytest.approx(25 * IPSC860.flop)
             for t in m.stats.proc_times.values()
         )
+        assert m.stats.flops == sum(m.stats.proc_work.values()) == 50
+        assert m.stats.as_dict()["flops"] == 50
 
 
 class TestCollectives:
     def test_broadcast_value(self):
         def prog(ctx):
-            return ctx.broadcast(2, "data" if ctx.rank == 2 else None, 32)
+            return (yield from ctx.broadcast_y(
+                2, "data" if ctx.rank == 2 else None, 32))
 
         res = Machine(4, FREE).run(prog)
         assert res == ["data"] * 4
 
     def test_broadcast_counts_once(self):
         def prog(ctx):
-            ctx.broadcast(0, 1 if ctx.rank == 0 else None, 8)
+            yield from ctx.broadcast_y(0, 1 if ctx.rank == 0 else None, 8)
 
         m = Machine(4, FREE)
         m.run(prog)
@@ -190,9 +195,9 @@ class TestCollectives:
 
     def test_allreduce_ops(self):
         def prog(ctx):
-            s = ctx.allreduce(ctx.rank + 1, "sum")
-            mx = ctx.allreduce(ctx.rank, "max")
-            mn = ctx.allreduce(ctx.rank, "min")
+            s = yield from ctx.allreduce_y(ctx.rank + 1, "sum")
+            mx = yield from ctx.allreduce_y(ctx.rank, "max")
+            mn = yield from ctx.allreduce_y(ctx.rank, "min")
             return (s, mx, mn)
 
         res = Machine(4, FREE).run(prog)
@@ -201,7 +206,8 @@ class TestCollectives:
     def test_allreduce_maxloc(self):
         def prog(ctx):
             mags = [3.0, 9.0, 9.0, 1.0]
-            return ctx.allreduce((mags[ctx.rank], ctx.rank), "maxloc")
+            return (yield from ctx.allreduce_y(
+                (mags[ctx.rank], ctx.rank), "maxloc"))
 
         res = Machine(4, FREE).run(prog)
         # ties break to the smaller index
@@ -212,7 +218,7 @@ class TestCollectives:
                          copy=0.0)
 
         def prog(ctx):
-            ctx.broadcast(0, 0 if ctx.rank == 0 else None, 0)
+            yield from ctx.broadcast_y(0, 0 if ctx.rank == 0 else None, 0)
             return ctx.clock
 
         res = Machine(8, cost).run(prog)
@@ -225,7 +231,7 @@ class TestCollectives:
 
         def prog(ctx):
             ctx.compute(100 * (ctx.rank + 1))
-            ctx.barrier()
+            yield from ctx.barrier_y()
             return ctx.clock
 
         res = Machine(4, cost).run(prog)
@@ -235,7 +241,7 @@ class TestCollectives:
         def prog(ctx):
             out = {dst: f"{ctx.rank}->{dst}"
                    for dst in range(ctx.nprocs) if dst != ctx.rank}
-            inc = ctx.exchange(out, 8)
+            inc = yield from ctx.exchange_y(out, 8)
             return sorted(inc.values())
 
         res = Machine(3, FREE).run(prog)
@@ -249,7 +255,7 @@ class TestCollectives:
         def prog(ctx):
             out = {dst: b"x" * 8
                    for dst in range(ctx.nprocs) if dst != ctx.rank}
-            ctx.exchange(out, 8 * len(out))
+            yield from ctx.exchange_y(out, 8 * len(out))
 
         m = Machine(3, FREE)
         m.run(prog)
@@ -261,11 +267,12 @@ class TestCollectives:
 class TestDeadlockDiagnostics:
     """Deadlocks are declared the instant they become true — by the
     wait-for graph on the thread backend, natively ("no rank runnable")
-    on the cooperative scheduler — with identical structured reports.
+    on the event loop — with identical structured reports.
     With a 60 s safety-net timeout, each case must still fail well
     under a second on both backends."""
 
-    @pytest.fixture(autouse=True, params=SCHEDULERS, ids=list(SCHEDULERS))
+    @pytest.fixture(autouse=True, params=SCHEDULER_SPELLINGS,
+                    ids=list(SCHEDULER_SPELLINGS))
     def _backend(self, request):
         self.scheduler = request.param
 
@@ -283,7 +290,7 @@ class TestDeadlockDiagnostics:
     def test_recv_with_no_sender(self):
         def prog(ctx):
             if ctx.rank == 2:
-                ctx.recv(0, 42)  # never sent
+                yield from ctx.recv_y(0, 42)  # never sent
 
         err, rep = self._deadlock(3, prog)
         assert rep.blocked_ranks == [2]
@@ -293,7 +300,7 @@ class TestDeadlockDiagnostics:
     def test_mismatched_barrier_membership(self):
         def prog(ctx):
             if ctx.rank != 0:  # rank 0 skips the barrier and finishes
-                ctx.barrier()
+                yield from ctx.barrier_y()
 
         _, rep = self._deadlock(3, prog)
         assert rep.blocked_ranks == [1, 2]
@@ -305,7 +312,7 @@ class TestDeadlockDiagnostics:
             if ctx.rank == 0:
                 ctx.send(1, 7, "payload", 8)
             else:
-                ctx.recv(0, 8)  # tag 8 never sent
+                yield from ctx.recv_y(0, 8)  # tag 8 never sent
 
         _, rep = self._deadlock(2, prog)
         assert rep.awaited[1] == (0, 8)
@@ -316,7 +323,7 @@ class TestDeadlockDiagnostics:
         """Two ranks each waiting on the other: a wait-for cycle."""
 
         def prog(ctx):
-            ctx.recv(1 - ctx.rank, 0)
+            yield from ctx.recv_y(1 - ctx.rank, 0)
 
         _, rep = self._deadlock(2, prog)
         assert rep.blocked_ranks == [0, 1]
@@ -327,7 +334,7 @@ class TestDeadlockDiagnostics:
 
         def prog(ctx):
             if ctx.rank == 1:
-                ctx.recv(0, 0)
+                yield from ctx.recv_y(0, 0)
 
         _, rep = self._deadlock(2, prog)
         waits = {w.rank: w.state for w in rep.waits}
@@ -339,9 +346,9 @@ class TestDeadlockDiagnostics:
 
         def prog(ctx):
             if ctx.rank == 0:
-                ctx.barrier()
+                yield from ctx.barrier_y()
             else:
-                ctx.recv(0, 9)
+                yield from ctx.recv_y(0, 9)
 
         _, rep = self._deadlock(2, prog)
         assert rep.awaited == {0: "barrier", 1: (0, 9)}
@@ -355,8 +362,8 @@ class TestDeadlockDiagnostics:
                 if ctx.rank == 0:
                     ctx.send(1, i, i, 8)
                 elif ctx.rank == 1:
-                    assert ctx.recv(0, i) == i
-                ctx.barrier()
+                    assert (yield from ctx.recv_y(0, i)) == i
+                yield from ctx.barrier_y()
             return ctx.rank
 
         for _ in range(5):
@@ -367,12 +374,69 @@ class TestDeadlockDiagnostics:
     def test_report_describe_lists_every_rank(self):
         def prog(ctx):
             if ctx.rank == 0:
-                ctx.recv(3, 1)
+                yield from ctx.recv_y(3, 1)
 
         _, rep = self._deadlock(4, prog)
         text = rep.describe()
         for r in range(4):
             assert f"rank {r}" in text
+
+
+class TestNodeProgramForms:
+    """Node programs are generator functions; both backends run the
+    same one.  A plain callable is a program that never has to wait."""
+
+    @staticmethod
+    def _ring_gen(ctx):
+        ctx.send((ctx.rank + 1) % ctx.nprocs, 0, ctx.rank, 8)
+        got = yield from ctx.recv_y((ctx.rank - 1) % ctx.nprocs, 0)
+        yield from ctx.barrier_y()
+        return got
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_generator_program_runs_on_both_backends(self, scheduler):
+        before = threading.active_count()
+        m = Machine(4, FREE, scheduler=scheduler)
+        assert m.run(self._ring_gen) == [3, 0, 1, 2]
+        assert m.stats.scheduler == scheduler
+        assert threading.active_count() == before
+
+    def test_plain_callable_that_must_wait_is_refused_on_event(self):
+        def prog(ctx):
+            if ctx.rank == 0:
+                return ctx.recv(1, 0)  # rank 1 has not run yet
+            ctx.send(0, 0, "late", 8)
+
+        before = threading.active_count()
+        with pytest.raises(SimulationError) as ei:
+            Machine(2, FREE, scheduler="event").run(prog)
+        msg = str(ei.value)
+        assert "blocking operation outside the event loop" in msg
+        assert "recv_y" in msg and "[node 0]" in msg
+        assert threading.active_count() == before
+
+    def test_plain_callable_that_never_waits_runs_on_event(self):
+        def prog(ctx):
+            if ctx.rank == 0:
+                ctx.send(1, 0, "early", 8)
+                return None
+            return ctx.recv(0, 0)  # already queued: rank 0 ran first
+
+        assert Machine(2, FREE, scheduler="event").run(prog) == [
+            None, "early"]
+
+    def test_sync_collective_is_refused_on_event(self):
+        with pytest.raises(SimulationError, match="barrier_y"):
+            Machine(2, FREE, scheduler="event").run(
+                lambda ctx: ctx.barrier())
+
+    def test_yield_on_threads_is_an_error(self):
+        def prog(ctx):
+            yield  # nothing resumes a suspended rank on this backend
+
+        with pytest.raises(SimulationError, match="yielded on the threads"):
+            Machine(2, FREE, scheduler="threads").run(prog)
+        assert not node_threads()
 
 
 class TestTimeoutConfig:
@@ -398,8 +462,8 @@ class TestTimeoutConfig:
 class TestEventBackendTimeout:
     """Regression: the event backend runs the calendar loop on the
     calling thread, so a runaway (livelocking) node program used to
-    escape the REPRO_SIM_TIMEOUT safety net the coop/threads backends
-    enforce via per-park timeouts.  The loop now checks the wall-clock
+    escape the REPRO_SIM_TIMEOUT safety net the threads backend
+    enforces via per-wait timeouts.  The loop now checks the wall-clock
     deadline periodically."""
 
     def test_livelock_hits_wall_clock_timeout(self):
@@ -411,7 +475,7 @@ class TestEventBackendTimeout:
             i = 0
             while True:
                 ctx.send(peer, i, 1, 8)
-                ctx.recv(peer, i)
+                yield from ctx.recv_y(peer, i)
                 i += 1
 
         t0 = time.monotonic()
@@ -419,11 +483,6 @@ class TestEventBackendTimeout:
             Machine(2, FREE, scheduler="event", timeout_s=0.5).run(prog)
         assert time.monotonic() - t0 < 30
         assert "timeout" in str(ei.value)
-        # the teardown must not leak fiber threads (they'd trip later
-        # tests' node_threads() checks)
-        limit = time.monotonic() + 5
-        while node_threads() and time.monotonic() < limit:
-            time.sleep(0.01)
         assert not node_threads()
 
     def test_normal_program_unaffected(self):
@@ -431,7 +490,7 @@ class TestEventBackendTimeout:
             peer = 1 - ctx.rank
             for i in range(50):
                 ctx.send(peer, i, ctx.rank, 8)
-                ctx.recv(peer, i)
+                yield from ctx.recv_y(peer, i)
             return ctx.rank
 
         assert Machine(2, FREE, scheduler="event",
@@ -445,9 +504,9 @@ class TestFaultInjection:
         total = 0
         for i in range(10):
             ctx.send(nxt, i, ctx.rank + i, 8)
-            total += ctx.recv(prv, i)
+            total += yield from ctx.recv_y(prv, i)
             ctx.compute(50)
-        return (total, ctx.allreduce(total, "sum"))
+        return (total, (yield from ctx.allreduce_y(total, "sum")))
 
     def test_same_seed_reproduces_exactly(self):
         plan = FaultPlan(seed=11, delay_prob=0.5, delay_max_us=80.0,
@@ -490,7 +549,7 @@ class TestFaultInjection:
         def prog(ctx):
             for i in range(100):
                 ctx.compute(10)
-                ctx.barrier()
+                yield from ctx.barrier_y()
             return "survived"
 
         t0 = time.monotonic()
@@ -502,7 +561,7 @@ class TestFaultInjection:
 
     def test_crash_identifies_rank(self):
         def prog(ctx):
-            ctx.barrier()
+            yield from ctx.barrier_y()
 
         with pytest.raises(SimulationError, match=r"rank 2"):
             Machine(3, FREE,

@@ -18,7 +18,7 @@ import pytest
 from repro.apps.stencil import stencil1d_source
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
-from repro.machine import FREE, Machine
+from repro.machine import FREE, Machine, resolve_scheduler
 from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
@@ -27,11 +27,12 @@ from repro.obs.metrics import (
     resolve_metrics,
 )
 
+from .conftest import SCHEDULER_SPELLINGS
+
 SRC = stencil1d_source(64, 2)
 OPTS = Options(nprocs=4, mode=Mode.INTER)
 
-GRID = [(s, v) for s in ("coop", "threads", "event")
-        for v in (False, True)]
+GRID = [(s, v) for s in SCHEDULER_SPELLINGS for v in (False, True)]
 GRID_IDS = [f"{s}-{'vec' if v else 'scalar'}" for s, v in GRID]
 
 
@@ -180,7 +181,8 @@ class TestSimulatorMetrics:
         snap = reg.snapshot()
         runs = {tuple(sorted(v["labels"].items())): v["value"]
                 for v in snap["repro_sim_runs_total"]["values"]}
-        assert runs[(("backend", scheduler), ("outcome", "ok"))] == 1.0
+        assert runs[(("backend", resolve_scheduler(scheduler)),
+                     ("outcome", "ok"))] == 1.0
         events = {v["labels"]["event"]: v["value"]
                   for v in snap["repro_sim_events_total"]["values"]}
         assert events["messages"] == res.stats.messages

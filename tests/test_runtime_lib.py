@@ -13,7 +13,7 @@ from repro.lang import parse
 from repro.lang.ast import DistSpec
 from repro.machine import FREE, Machine
 from repro.runtime.intrinsics import PURE_INTRINSICS
-from repro.runtime.remap import remap_array, transfer_sections
+from repro.runtime.remap import remap_array_y, transfer_sections
 
 
 def dist(kind, n, P, param=None):
@@ -75,7 +75,7 @@ class TestRemapCollective:
                 for g in piece.dims[0].iter():
                     arr.set([g], float(g * 10))
             new = Distribution.from_specs(new_specs, [(1, n)], P)
-            remap_array(ctx, arr, new)
+            yield from remap_array_y(ctx, arr, new)
             # verify this proc now holds its new owned values
             for piece in new.local_index_sets(ctx.rank):
                 for g in piece.dims[0].iter():

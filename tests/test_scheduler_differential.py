@@ -1,19 +1,19 @@
-"""Cross-backend differential suite: coop scheduler vs thread oracle
-vs the event-driven core.
+"""Cross-backend differential suite: the event-driven core vs the
+thread oracle.
 
 The scheduler backend must be an *invisible* change: virtual time is
 dataflow-determined (a recv completes at ``max(own clock, arrival)``,
 a collective at ``max(participant clocks) + tree cost``), so per-rank
 arrays, virtual clocks, and delivery statistics are bit-identical
 whichever backend drives the ranks — under fault plans and under both
-execution paths.  This suite enforces that for all three backends,
-plus determinism of the schedulers themselves and the equivalence of
-the communication-schedule cache.
+execution paths.  This suite enforces that for both backends, plus
+determinism of the event scheduler itself and the equivalence of the
+communication-schedule cache.
 """
 
 from __future__ import annotations
 
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +25,14 @@ from repro.apps.stencil import stencil1d_source, stencil2d_source
 from repro.apps.wave import wave_source
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
-from repro.machine import FaultPlan, Machine, resolve_scheduler
+from repro.interp.interpreter import default_init
+from repro.machine import (
+    SCHEDULERS,
+    FaultPlan,
+    Machine,
+    SimulationError,
+    resolve_scheduler,
+)
 
 #: statistics that must not depend on the backend (wall-clock and the
 #: scheduler counters themselves are exempt by definition)
@@ -78,12 +85,11 @@ def _assert_identical(a, b, label):
 def test_apps_bit_identical_across_backends(src, init, seed, vectorize):
     cp = compile_program(src, Options(nprocs=4, mode=Mode.INTER))
     plan = _chaos_plan(seed)
-    coop = _run(cp, init, "coop", faults=plan, vectorize=vectorize)
-    threads = _run(cp, init, "threads", faults=plan, vectorize=vectorize)
-    _assert_identical(coop, threads, f"seed={seed} vec={vectorize}")
     event = _run(cp, init, "event", faults=plan, vectorize=vectorize)
-    _assert_identical(coop, event, f"event seed={seed} vec={vectorize}")
-    assert coop.prints == event.prints
+    threads = _run(cp, init, "threads", faults=plan, vectorize=vectorize)
+    _assert_identical(event, threads, f"seed={seed} vec={vectorize}")
+    assert sorted(event.prints) == sorted(threads.prints)
+    assert event.stats.flops == threads.stats.flops
 
 
 @pytest.mark.parametrize("mode", [Mode.INTER, Mode.RTR],
@@ -92,12 +98,11 @@ def test_modes_bit_identical_across_backends(mode):
     """RTR's element-grain messaging stresses the comm path hardest."""
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=mode))
-    coop = _run(cp, None, "coop")
-    _assert_identical(coop, _run(cp, None, "threads"), mode.value)
-    _assert_identical(coop, _run(cp, None, "event"),
-                      f"event {mode.value}")
+    _assert_identical(_run(cp, None, "event"), _run(cp, None, "threads"),
+                      mode.value)
 
 
+# one core, two spellings: "coop" is the legacy alias of "event"
 @pytest.mark.parametrize("scheduler", ["coop", "event"])
 def test_deterministic_backends_repeat_exactly(scheduler):
     """Two runs agree on everything including the scheduler's own
@@ -111,14 +116,62 @@ def test_deterministic_backends_repeat_exactly(scheduler):
     assert a.stats.switches == b.stats.switches
 
 
+#: the six apps at sizes a 16-way block distribution divides evenly
+CASES_P16 = [
+    ("stencil1d", stencil1d_source(128, 2), None),
+    ("stencil2d", stencil2d_source(32, 2), None),
+    ("adi", adi_source(32, 2), None),
+    ("cg", cg_source(32, 2), None),
+    ("dgefa", dgefa_source(16), make_dgefa_init(16)),
+    ("wave", wave_source(64, 2), None),
+]
+
+
+@pytest.mark.parametrize(
+    "src,init", [c[1:] for c in CASES_P16], ids=[c[0] for c in CASES_P16]
+)
+def test_event_run_creates_no_threads(src, init):
+    """The event core runs every rank on the calling thread: the
+    process's thread count is the same after a run as before it —
+    when the run succeeds and when a rank crashes mid-run."""
+    cp = compile_program(src, Options(nprocs=16, mode=Mode.INTER))
+    seen = []
+
+    def init_fn(name, idx, _base=init or default_init):
+        seen.append(threading.active_count())
+        return _base(name, idx)
+
+    before = threading.active_count()
+    res = cp.run(timeout_s=30.0, scheduler="event", init_fn=init_fn)
+    assert len(res.frames) == 16
+    # sampled from inside every rank's node program, not only at exit
+    assert seen and set(seen) == {before}
+    assert threading.active_count() == before
+    crash = FaultPlan(crash_at={3: 0.0})
+    with pytest.raises(SimulationError, match="injected crash"):
+        _run(cp, init, "event", faults=crash)
+    assert threading.active_count() == before
+
+
+def test_event_deadlock_creates_no_threads():
+    def prog(ctx):
+        if ctx.rank != 5:  # rank 5 skips the barrier: forced deadlock
+            yield from ctx.barrier_y()
+
+    before = threading.active_count()
+    with pytest.raises(SimulationError, match="deadlock"):
+        Machine(16, timeout_s=30.0, scheduler="event").run(prog)
+    assert threading.active_count() == before
+
+
 def test_comm_cache_equivalence(monkeypatch):
     """The communication-schedule cache is a pure memoization: results
     and statistics are identical with it disabled."""
     cp = compile_program(stencil1d_source(128, 4),
                          Options(nprocs=4, mode=Mode.INTER))
-    cached = _run(cp, None, "coop")
+    cached = _run(cp, None, "event")
     monkeypatch.setenv("REPRO_COMM_CACHE", "0")
-    uncached = _run(cp, None, "coop")
+    uncached = _run(cp, None, "event")
     _assert_identical(cached, uncached, "comm-cache")
     assert cached.stats.comm_cache_hits > 0
     assert uncached.stats.comm_cache_hits == 0
@@ -127,42 +180,94 @@ def test_comm_cache_equivalence(monkeypatch):
 def test_scheduler_stats_surface():
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=Mode.INTER))
-    res = _run(cp, None, "coop")
+    res = _run(cp, None, "event")
     s = res.stats
-    assert s.scheduler == "coop"
+    assert s.scheduler == "event"
     assert s.wall_s > 0.0
     assert s.dispatches >= 4
     assert s.switches > 0
     line = s.sched_summary()
-    assert "scheduler=coop" in line and "dispatches=" in line
+    assert "scheduler=event" in line and "dispatches=" in line
 
 
 def test_env_selects_backend(monkeypatch):
     monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    assert resolve_scheduler(None) == "coop"
+    assert SCHEDULERS == ("event", "threads")
+    assert resolve_scheduler(None) == "event"
     monkeypatch.setenv("REPRO_SCHEDULER", "threads")
     assert resolve_scheduler(None) == "threads"
     assert Machine(2).scheduler == "threads"
-    monkeypatch.setenv("REPRO_SCHEDULER", "event")
-    assert resolve_scheduler(None) == "event"
-    assert Machine(2).scheduler == "event"
     # an explicit argument wins over the environment
-    assert resolve_scheduler("coop") == "coop"
-    assert Machine(2, scheduler="coop").scheduler == "coop"
+    assert resolve_scheduler("event") == "event"
+    assert Machine(2, scheduler="event").scheduler == "event"
     with pytest.raises(ValueError, match="unknown scheduler"):
         resolve_scheduler("fibers")
 
 
-def test_cli_scheduler_flag(tmp_path, capsys):
+def test_legacy_coop_spelling_runs_on_event(monkeypatch):
+    """The retired backend's name still resolves (the frozen end-to-end
+    benchmark passes it) — to the event core."""
+    assert resolve_scheduler("coop") == "event"
+    monkeypatch.setenv("REPRO_SCHEDULER", "coop")
+    assert resolve_scheduler(None) == "event"
+    cp = compile_program(stencil1d_source(64, 2),
+                         Options(nprocs=4, mode=Mode.INTER))
+    res = cp.run(timeout_s=30.0)
+    assert res.stats.scheduler == "event"
+    monkeypatch.delenv("REPRO_SCHEDULER")
+    _assert_identical(res, _run(cp, None, "coop"), "coop alias")
+
+
+COMM_IN_EXPR = """
+program p
+real x(8)
+distribute x(block)
+y = g2(x) + 1.0
+end
+
+real function g2(x)
+real x(8)
+g2 = 0.0
+call shift(x)
+end
+
+subroutine shift(x)
+real x(8)
+do i = 2, 8
+  x(i) = x(i - 1)
+enddo
+end
+"""
+
+
+@pytest.mark.parametrize("codegen", [False, True], ids=["interp", "codegen"])
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_communicating_function_in_expression_is_compile_error(
+        scheduler, codegen):
+    """A rank cannot suspend inside an expression, so a function
+    reference that (transitively) communicates is refused when the
+    calling procedure is compiled — on every backend, not only on the
+    one that would otherwise have hung or mis-scheduled."""
+    from repro.interp.interpreter import find_blocking_units
+
+    cp = compile_program(COMM_IN_EXPR, Options(nprocs=2, mode=Mode.INTER))
+    assert "g2" in find_blocking_units(cp.program)
+    with pytest.raises(Exception, match="g2.* communicates"):
+        cp.run(timeout_s=30.0, scheduler=scheduler, codegen=codegen)
+
+
+def test_cli_scheduler_flag(tmp_path, capsys, monkeypatch):
     from repro.cli import main
 
     f = tmp_path / "prog.fd"
     f.write_text(stencil1d_source(64, 2))
-    rc = main([str(f), "--run", "--no-text", "--report",
-               "--scheduler", "coop"])
+    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+    rc = main([str(f), "--run", "--no-text", "--report"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "scheduler=coop" in out
+    assert "scheduler=event" in capsys.readouterr().out  # the default
+    with pytest.raises(SystemExit):
+        main([str(f), "--run", "--scheduler", "coop"])
+    capsys.readouterr()
     rc = main([str(f), "--run", "--no-text", "--report",
                "--scheduler", "threads"])
     assert rc == 0

@@ -18,7 +18,7 @@ from repro.apps.dgefa import dgefa_source, make_dgefa_init
 from repro.apps.stencil import stencil1d_source
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
-from repro.machine import Machine
+from repro.machine import Machine, resolve_scheduler
 from repro.obs import (
     Tracer,
     chrome_trace,
@@ -30,17 +30,19 @@ from repro.obs import (
     resolve_trace,
 )
 
+from .conftest import SCHEDULER_SPELLINGS
+
 RANK_KINDS = {
     "net.send", "net.recv", "net.exchange", "coll",
     "sched.dispatch", "sched.block", "sched.unblock",
     "interp.vec", "interp.cache", "fault",
 }
 
-GRID = [(s, v) for s in ("coop", "threads") for v in (False, True)]
+GRID = [(s, v) for s in SCHEDULER_SPELLINGS for v in (False, True)]
 GRID_IDS = [f"{s}-{'vec' if v else 'scalar'}" for s, v in GRID]
 
 
-def _traced_run(src, *, scheduler="coop", vectorize=False, init_fn=None,
+def _traced_run(src, *, scheduler="event", vectorize=False, init_fn=None,
                 nprocs=4, mode=Mode.INTER):
     cp = compile_program(src, Options(nprocs=nprocs, mode=mode))
     extra = {"init_fn": init_fn} if init_fn is not None else {}
@@ -133,7 +135,7 @@ class TestRankEvents:
                           vectorize=vectorize)
         tr = res.trace
         sched_evs = tr.events("sched.dispatch")
-        if scheduler == "coop":
+        if resolve_scheduler(scheduler) == "event":
             # one dispatch per scheduler hand-off, as counted by stats
             assert len(sched_evs) == res.stats.dispatches
             assert tr.events("sched.block")

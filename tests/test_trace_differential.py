@@ -24,6 +24,8 @@ from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
 from repro.machine import FaultPlan
 
+from .conftest import SCHEDULER_SPELLINGS
+
 STAT_FIELDS = (
     "messages", "bytes", "collectives", "collective_bytes",
     "remaps", "remap_bytes", "guards", "flops",
@@ -61,7 +63,7 @@ def _assert_invisible(off, on, label):
 
 @pytest.mark.parametrize("vectorize", [False, True],
                          ids=["scalar", "vectorized"])
-@pytest.mark.parametrize("scheduler", ["coop", "threads"])
+@pytest.mark.parametrize("scheduler", SCHEDULER_SPELLINGS)
 @pytest.mark.parametrize(
     "src,init", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
 )
@@ -74,7 +76,7 @@ def test_tracing_is_invisible(src, init, scheduler, vectorize):
     _assert_invisible(off, on, f"{scheduler} vec={vectorize}")
 
 
-@pytest.mark.parametrize("scheduler", ["coop", "threads"])
+@pytest.mark.parametrize("scheduler", SCHEDULER_SPELLINGS)
 def test_tracing_is_invisible_under_faults(scheduler):
     """Fault events are recorded from the same deterministic draws the
     untraced run makes — injection must not consume extra randomness."""
