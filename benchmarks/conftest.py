@@ -3,7 +3,20 @@
 
 from __future__ import annotations
 
+import atexit
+import os
+import shutil
+import tempfile
+
 import pytest
+
+# keep the benches out of ~/.cache (see tests/conftest.py); an explicit
+# export still wins
+_cache_root = tempfile.mkdtemp(prefix="repro-bench-cache-")
+atexit.register(shutil.rmtree, _cache_root, ignore_errors=True)
+os.environ.setdefault("REPRO_CODEGEN_CACHE",
+                      os.path.join(_cache_root, "codegen"))
+os.environ.setdefault("REPRO_TUNE_CACHE", os.path.join(_cache_root, "tune"))
 
 
 @pytest.fixture(scope="session")

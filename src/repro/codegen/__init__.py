@@ -167,13 +167,16 @@ def get_generated(
     modules: dict[str, tuple[int, int, object]] = {}
     demotions: list[tuple[str, str, str, str]] = []
     hits = misses = 0
+    store = _cache.cas()
     for cls, rlo, rhi in rank_classes(nprocs):
         stem = _cache.entry_stem(key, nprocs, vectorize, cls)
         header = _cache.entry_header(stem)
         mod = None
-        src = _cache.load(stem)
+        src = store.load(stem)
         if src is not None:
             mod = _exec_module(cls, src, stem)
+            if mod is None:
+                store.discard(stem)  # header-valid, body poisoned
         if mod is not None:
             GEN_COUNTS["disk"] += 1
             hits += 1
@@ -186,7 +189,7 @@ def get_generated(
                 if mod is None:
                     raise ValueError("generated module failed to load")
                 GEN_COUNTS["generated"] += 1
-                _cache.store(stem, src)
+                store.store(stem, src)
             except Exception as ex:  # never fail the run
                 mod = _FallbackModule(cls, f"{type(ex).__name__}: {ex}")
         modules[cls] = (rlo, rhi, mod)

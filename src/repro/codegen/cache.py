@@ -10,18 +10,19 @@ Layout: one ``.py`` file per (program, options, rank class) under
 
 The stem is ``<sha256(program text + nprocs + vectorize + generator
 version)>-<nprocs>-<vec|novec>-<class>``.  Every entry's first line is
-a header comment repeating that key; :func:`load` refuses any file
-whose header does not match, so a tampered, truncated, or
-version-stale entry is silently ignored and regenerated.  All disk
-failures are soft — the cache is a pure accelerator.
+a header comment repeating that key (``emit_module`` writes it, ``exec``
+ignores it).  Storage is a :class:`repro.cas.Cas` namespace
+(``codegen``, no memory tier — the in-process memo holds exec'd
+modules, not sources); the disk discipline is documented once, in
+DESIGN.md § 7 Stores.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
-from typing import Optional
+
+from ..cas import TEXT, Cas
 
 #: bump when the generated-code shape changes; stale entries then
 #: fail the header check and regenerate
@@ -48,42 +49,25 @@ def entry_stem(key: str, nprocs: int, vectorize: bool, cls: str) -> str:
 
 
 def entry_header(stem: str) -> str:
-    return f"# repro-codegen {GEN_VERSION} {stem}"
+    """Line 1 of the entry's source: ``# repro-codegen <version> <stem>``."""
+    return cas().header(stem).decode().rstrip("\n")
 
 
 def entry_path(stem: str) -> str:
-    return os.path.join(cache_dir(), stem + ".py")
+    return cas().path(stem)
 
 
-def load(stem: str) -> Optional[str]:
-    """Return the cached source, or None if missing/unreadable/poisoned."""
-    try:
-        with open(entry_path(stem), "r", encoding="utf-8") as fh:
-            src = fh.read()
-    except OSError:
-        return None
-    first = src.split("\n", 1)[0]
-    if first != entry_header(stem):
-        return None  # tampered or generator-version mismatch
-    return src
+#: one store per directory seen: ``REPRO_CODEGEN_CACHE`` may change
+#: mid-process, and degradation is a property of the directory
+_stores: dict[str, Cas] = {}
 
 
-def store(stem: str, src: str) -> None:
-    """Atomically write an entry; failures are swallowed (the cache
-    never makes a run fail)."""
-    try:
-        d = cache_dir()
-        os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(src)
-            os.replace(tmp, entry_path(stem))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        pass
+def cas() -> Cas:
+    """The store for the current :func:`cache_dir`."""
+    d = cache_dir()
+    store = _stores.get(d)
+    if store is None:
+        store = _stores[d] = Cas("codegen", GEN_VERSION, "", ".py", TEXT,
+                                 directory=d, memory=False,
+                                 inline_header=True)
+    return store

@@ -17,10 +17,7 @@ The result executes directly on the simulated machine via
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
-import tempfile
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass
 from typing import Optional, Union
@@ -682,15 +679,7 @@ _compile_cache: dict[tuple, "CompiledProgram"] = {}
 
 #: process-wide compile-memo counters, surfaced by ``fdc --report``
 #: (RunStats.as_dict folds them in next to the comm/codegen caches)
-_compile_cache_stats = {"hits": 0, "misses": 0, "disk_hits": 0,
-                        "disk_degraded": 0}
-
-#: bump when CompiledProgram's pickled shape changes; stale disk
-#: entries then fail the header check and regenerate
-_DISK_CACHE_VERSION = "2"
-
-#: directories already reported unwritable (one decision event per dir)
-_degraded_dirs: set[str] = set()
+_compile_cache_stats = {"hits": 0, "misses": 0}
 
 
 def compile_cache_stats() -> dict:
@@ -698,70 +687,11 @@ def compile_cache_stats() -> dict:
     return dict(_compile_cache_stats)
 
 
-def _cache_setting() -> str:
-    """``REPRO_COMPILE_CACHE``: ``"0"`` disables memoization, ``"1"``
-    (or unset) keeps the in-process memo, and any other value names a
-    *directory* holding a persistent on-disk compile cache shared
-    across processes (entries are crash-safe mkstemp+rename writes;
-    corrupt, stale, or unreadable entries regenerate silently, and an
-    unwritable directory degrades to in-memory-only caching)."""
-    return os.environ.get("REPRO_COMPILE_CACHE", "1").strip()
-
-
-def _disk_entry_path(directory: str, source: str, opts: Options) -> str:
-    blob = f"{_DISK_CACHE_VERSION}\n{astuple(opts)!r}\n{source}"
-    key = hashlib.sha256(blob.encode()).hexdigest()
-    return os.path.join(directory, f"compile-{key}.pkl")
-
-
-def _disk_header(path: str) -> bytes:
-    stem = os.path.basename(path)
-    return f"# repro-compile {_DISK_CACHE_VERSION} {stem}\n".encode()
-
-
-def _disk_load(directory: str, source: str, opts: Options
-               ) -> Optional["CompiledProgram"]:
-    """Load a disk-cached compilation; any failure — missing file,
-    truncated header, unpicklable body — is a silent miss."""
-    path = _disk_entry_path(directory, source, opts)
-    header = _disk_header(path)
-    try:
-        with open(path, "rb") as fh:
-            if fh.read(len(header)) != header:
-                return None
-            obj = pickle.load(fh)
-    except Exception:
-        return None
-    return obj if isinstance(obj, CompiledProgram) else None
-
-
-def _disk_store(directory: str, source: str, opts: Options,
-                compiled: "CompiledProgram", tracer=None) -> None:
-    """Atomically write a disk-cache entry.  All failures are soft: an
-    unwritable or read-only cache directory degrades to uncached
-    (in-memory-only) compilation, recorded once per directory as a
-    ``compile.cache-degraded`` decision."""
-    path = _disk_entry_path(directory, source, opts)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(_disk_header(path))
-                pickle.dump(compiled, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except (OSError, pickle.PicklingError):
-        _compile_cache_stats["disk_degraded"] += 1
-        if directory not in _degraded_dirs:
-            _degraded_dirs.add(directory)
-            if tracer is not None:
-                tracer.decision("compile.cache-degraded", dir=directory)
+def _memo_enabled() -> bool:
+    """``REPRO_COMPILE_CACHE``: ``0``/``false``/``no``/``off`` disables
+    the in-process memo; read per call (benchmark probes toggle it)."""
+    return os.environ.get("REPRO_COMPILE_CACHE", "1").strip().lower() \
+        not in ("0", "false", "no", "off")
 
 
 def compile_program(
@@ -774,8 +704,7 @@ def compile_program(
 
     Repeated compilations of the same source text with equal options
     return a shared memoized :class:`CompiledProgram` (disable with
-    ``REPRO_COMPILE_CACHE=0``; set it to a directory path for an
-    additional persistent on-disk cache shared across processes).
+    ``REPRO_COMPILE_CACHE=0``).
     *trace* optionally supplies a :class:`~repro.obs.Tracer` (or
     ``True``) recording per-phase timings and compilation decisions; a
     memoized hit records a single ``compile.cache-hit`` decision
@@ -783,12 +712,8 @@ def compile_program(
     """
     opts = opts or Options()
     tracer = resolve_trace(trace)
-    setting = _cache_setting()
     cache_key = None
-    disk_dir = None
-    if isinstance(source, str) and setting != "0":
-        if setting not in ("", "1"):
-            disk_dir = setting
+    if isinstance(source, str) and _memo_enabled():
         cache_key = (source, astuple(opts))
         hit = _compile_cache.get(cache_key)
         if hit is not None:
@@ -797,23 +722,10 @@ def compile_program(
                 tracer.decision("compile.cache-hit", mode=opts.mode.value,
                                 nprocs=opts.nprocs)
             return hit
-        if disk_dir is not None:
-            hit = _disk_load(disk_dir, source, opts)
-            if hit is not None:
-                _compile_cache_stats["hits"] += 1
-                _compile_cache_stats["disk_hits"] += 1
-                _compile_cache[cache_key] = hit
-                if tracer is not None:
-                    tracer.decision("compile.cache-hit", tier="disk",
-                                    mode=opts.mode.value,
-                                    nprocs=opts.nprocs)
-                return hit
     _compile_cache_stats["misses"] += 1
     compiled = _compile_uncached(source, opts, tracer)
     if cache_key is not None:
         _compile_cache[cache_key] = compiled
-        if disk_dir is not None:
-            _disk_store(disk_dir, source, opts, compiled, tracer)
     return compiled
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 import datetime
 import json
 import os
-import tempfile
 import threading
 from collections import deque
 from typing import Any, Optional
 
+from ..cas import atomic_write
 from .tracer import Tracer
 
 #: default per-rank ring capacity (events kept per rank)
@@ -168,7 +168,6 @@ def dump_postmortem(
         d = postmortem_dir(directory)
         if d is None:
             return None
-        os.makedirs(d, exist_ok=True)
         bundle = {
             "schema": 1,
             "kind": kind,
@@ -190,21 +189,10 @@ def dump_postmortem(
         with _seq_lock:
             _seq += 1
             seq = _seq
-        name = f"postmortem-{kind}-{os.getpid()}-{seq}.json"
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".pm-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(bundle, f, indent=2, sort_keys=True,
-                          default=str)
-                f.write("\n")
-            out = os.path.join(d, name)
-            os.replace(tmp, out)
-            return out
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        out = os.path.join(
+            d, f"postmortem-{kind}-{os.getpid()}-{seq}.json")
+        atomic_write(out, (json.dumps(bundle, indent=2, sort_keys=True,
+                                      default=str) + "\n").encode())
+        return out
     except Exception:
         return None

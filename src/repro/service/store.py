@@ -19,23 +19,18 @@ Entries are keyed by a digest of
 
 so a hit is valid by construction; there is no invalidation protocol.
 
-Disk discipline follows ``codegen/cache.py``: entries are written to a
-mkstemp temp file and published with ``os.replace`` (atomic on POSIX),
-start with a self-describing header naming the format version and their
-own key, and *every* read/write failure is soft — corrupt, stale,
-truncated, or unreadable entries count as misses and regenerate
-silently; an unwritable directory degrades the store to memory-only.
+Storage is a :class:`repro.cas.Cas` namespace (``summary``); the disk
+discipline — atomic publish, header check, corrupt → miss, unwritable →
+memory-only — is documented once, in DESIGN.md § 7 Stores.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import tempfile
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional
 
+from ..cas import PICKLE, Cas
 from ..core.options import CompileReport, Options
 from ..lang import ast as A
 
@@ -80,106 +75,14 @@ class ProcSummary:
     fragment: CompileReport
 
 
-@dataclass
-class SummaryStore:
+class SummaryStore(Cas):
     """Two-tier (memory + optional disk) summary store."""
 
-    directory: Optional[str] = None
-    memory: dict[str, ProcSummary] = field(default_factory=dict)
-    counters: dict[str, int] = field(default_factory=lambda: {
-        "hits": 0, "misses": 0, "disk_hits": 0, "stores": 0,
-        "corrupt": 0, "degraded": 0,
-    })
-    #: set when a write failed; disk layer disabled for this store
-    degraded: bool = False
-
-    # -- keys ---------------------------------------------------------------
+    def __init__(self, directory: Optional[str] = None) -> None:
+        super().__init__(
+            "summary", STORE_VERSION, "proc-", ".pkl", PICKLE,
+            kind=ProcSummary, directory=directory)
 
     @staticmethod
     def key(opts_fp: str, src_fp: str, in_fp: str) -> str:
         return _digest(f"{STORE_VERSION}|{opts_fp}|{src_fp}|{in_fp}")
-
-    def _path(self, key: str) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, f"proc-{key}.pkl")
-
-    def _header(self, key: str) -> bytes:
-        return f"# repro-summary {STORE_VERSION} proc-{key}.pkl\n".encode()
-
-    # -- access -------------------------------------------------------------
-
-    def load(self, key: str) -> Optional[ProcSummary]:
-        hit = self.memory.get(key)
-        if hit is not None:
-            self.counters["hits"] += 1
-            return hit
-        if self.directory is not None and not self.degraded:
-            hit = self._disk_load(key)
-            if hit is not None:
-                self.memory[key] = hit
-                self.counters["hits"] += 1
-                self.counters["disk_hits"] += 1
-                return hit
-        self.counters["misses"] += 1
-        return None
-
-    def store(self, key: str, summary: ProcSummary) -> None:
-        self.memory[key] = summary
-        self.counters["stores"] += 1
-        if self.directory is not None and not self.degraded:
-            self._disk_store(key, summary)
-
-    def stats(self) -> dict:
-        return dict(self.counters)
-
-    # -- disk tier ----------------------------------------------------------
-
-    def _disk_load(self, key: str) -> Optional[ProcSummary]:
-        path = self._path(key)
-        header = self._header(key)
-        try:
-            with open(path, "rb") as fh:
-                if fh.read(len(header)) != header:
-                    # truncated, stale version, or foreign file: treat
-                    # as corrupt, drop it, regenerate silently
-                    self.counters["corrupt"] += 1
-                    self._discard(path)
-                    return None
-                obj = pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            self.counters["corrupt"] += 1
-            self._discard(path)
-            return None
-        if not isinstance(obj, ProcSummary):
-            self.counters["corrupt"] += 1
-            self._discard(path)
-            return None
-        return obj
-
-    def _disk_store(self, key: str, summary: ProcSummary) -> None:
-        path = self._path(key)
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(self._header(key))
-                    pickle.dump(summary, fh,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                self._discard(tmp)
-                raise
-        except (OSError, pickle.PicklingError):
-            # unwritable/read-only directory: memory-only from here on
-            self.counters["degraded"] += 1
-            self.degraded = True
-
-    @staticmethod
-    def _discard(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass

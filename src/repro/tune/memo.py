@@ -2,13 +2,9 @@
 
 Maps :func:`~repro.tune.plan.plan_key` digests to their metrics dicts so
 repeated tuning runs (and sibling searches over the same program) never
-re-simulate a plan.  Disk discipline follows the repo's other stores
-(``codegen/cache.py``, ``service/store.py``): entries are JSON files
-published atomically (mkstemp + ``os.replace``), self-described by a
-header line naming the format version and their own key; every read or
-write failure is soft — corrupt, truncated, stale-version, or foreign
-files count as misses and are dropped, and an unwritable directory
-degrades the memo to memory-only rather than failing the search.
+re-simulate a plan.  Storage is a :class:`repro.cas.Cas` namespace
+(``tune-eval``, JSON payloads); the disk discipline is documented once,
+in DESIGN.md § 7 Stores.
 
 The directory comes from (first match wins): the explicit ``directory``
 argument, ``REPRO_TUNE_CACHE``, or ``~/.cache/repro-tune``; an empty
@@ -17,11 +13,10 @@ argument, ``REPRO_TUNE_CACHE``, or ``~/.cache/repro-tune``; an empty
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from typing import Optional
 
+from ..cas import JSON, Cas
 from .plan import MEMO_VERSION
 
 
@@ -31,101 +26,13 @@ def default_memo_dir() -> Optional[str]:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-tune")
 
 
-class EvalMemo:
+class EvalMemo(Cas):
     """Two-tier (memory + optional disk) evaluation memo."""
 
     def __init__(self, directory: Optional[str] = None,
                  use_default_dir: bool = True) -> None:
         if directory is None and use_default_dir:
             directory = default_memo_dir()
-        # an explicit empty string means "no disk tier"
-        self.directory = directory or None
-        self.memory: dict[str, dict] = {}
-        self.degraded = False
-        self.counters = {"hits": 0, "misses": 0, "disk_hits": 0,
-                         "stores": 0, "corrupt": 0, "degraded": 0}
-
-    # -- paths --------------------------------------------------------------
-
-    def _path(self, key: str) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, f"eval-{key}.json")
-
-    def _header(self, key: str) -> str:
-        return f"# repro-tune-eval {MEMO_VERSION} eval-{key}.json\n"
-
-    # -- access -------------------------------------------------------------
-
-    def load(self, key: str) -> Optional[dict]:
-        hit = self.memory.get(key)
-        if hit is not None:
-            self.counters["hits"] += 1
-            return hit
-        if self.directory is not None and not self.degraded:
-            hit = self._disk_load(key)
-            if hit is not None:
-                self.memory[key] = hit
-                self.counters["hits"] += 1
-                self.counters["disk_hits"] += 1
-                return hit
-        self.counters["misses"] += 1
-        return None
-
-    def store(self, key: str, metrics: dict) -> None:
-        self.memory[key] = metrics
-        self.counters["stores"] += 1
-        if self.directory is not None and not self.degraded:
-            self._disk_store(key, metrics)
-
-    def stats(self) -> dict:
-        return dict(self.counters)
-
-    # -- disk tier ----------------------------------------------------------
-
-    def _disk_load(self, key: str) -> Optional[dict]:
-        path = self._path(key)
-        header = self._header(key)
-        try:
-            with open(path, "r") as fh:
-                if fh.readline() != header:
-                    self.counters["corrupt"] += 1
-                    self._discard(path)
-                    return None
-                obj = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            self.counters["corrupt"] += 1
-            self._discard(path)
-            return None
-        if not isinstance(obj, dict):
-            self.counters["corrupt"] += 1
-            self._discard(path)
-            return None
-        return obj
-
-    def _disk_store(self, key: str, metrics: dict) -> None:
-        path = self._path(key)
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(self._header(key))
-                    json.dump(metrics, fh, sort_keys=True)
-                os.replace(tmp, path)
-            except BaseException:
-                self._discard(tmp)
-                raise
-        except (OSError, TypeError, ValueError):
-            # unwritable directory or unserializable payload:
-            # memory-only from here on
-            self.counters["degraded"] += 1
-            self.degraded = True
-
-    @staticmethod
-    def _discard(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+        super().__init__(
+            "tune-eval", MEMO_VERSION, "eval-", ".json", JSON,
+            kind=dict, directory=directory)

@@ -1,203 +1,71 @@
-"""Compile-cache robustness: the ``REPRO_COMPILE_CACHE`` disk tier.
+"""The whole-program compile memo and its switch.
 
-``REPRO_COMPILE_CACHE`` semantics: ``0`` disables memoization, ``1``
-(or unset) keeps the in-process memo, any other value names a
-directory holding a persistent cross-process cache.  The disk tier
-must follow the same contract as ``codegen/cache.py``: atomic
-mkstemp+replace writes, self-describing headers, and *every* failure
-soft — corrupt entries regenerate silently, an unwritable directory
-degrades to uncached compilation with a trace decision event, and
-concurrent writers never produce torn reads.
+``REPRO_COMPILE_CACHE`` is a plain on/off switch for the in-process
+memo of ``compile_program`` (``0``/``false``/``no``/``off`` disable it;
+anything else, or unset, keeps it).  It is read on every call.  Reuse
+*across* processes is the per-procedure summary store's job
+(``tests/test_cas.py``, ``tests/test_service.py``).
 """
 
-import hashlib
 import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.core import Options, compile_program
-from repro.core.driver import (
-    _compile_cache,
-    _disk_entry_path,
-    compile_cache_stats,
-)
-from repro.obs import Tracer
-
-SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src")
+from repro.core.driver import _compile_cache, compile_cache_stats
 
 
 def make_src(n):
-    """A unique tiny program per *n* (unique cache keys per test)."""
+    """A unique tiny program per *n* (unique memo keys per test)."""
     return (f"program p\nreal x({n})\ndistribute x(block)\n"
             f"do i = 1, {n}\n  x(i) = i\nenddo\nend\n")
 
 
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    d = str(tmp_path / "ccache")
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", d)
+@pytest.fixture(autouse=True)
+def fresh_memo():
     _compile_cache.clear()
-    yield d
+    yield
     _compile_cache.clear()
 
 
-class TestDiskTier:
-    def test_roundtrip_across_processes_simulated(self, cache_dir):
-        src = make_src(10)
-        opts = Options(nprocs=4)
-        first = compile_program(src, opts)
-        assert os.listdir(cache_dir)  # entry published
-        _compile_cache.clear()  # simulate a fresh process
-        before = compile_cache_stats()["disk_hits"]
-        second = compile_program(src, opts)
-        assert compile_cache_stats()["disk_hits"] == before + 1
-        assert second.text() == first.text()
+class TestCompileMemo:
+    def test_on_shares_one_compilation_and_counts(self, monkeypatch):
+        monkeypatch.delenv("REPRO_COMPILE_CACHE", raising=False)
+        before = compile_cache_stats()
+        a = compile_program(make_src(10), Options(nprocs=4))
+        b = compile_program(make_src(10), Options(nprocs=4))
+        c = compile_program(make_src(10), Options(nprocs=2))
+        assert a is b and c is not a
+        after = compile_cache_stats()
+        assert set(after) == {"hits", "misses"}
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"] + 2
 
-    def test_entry_is_self_describing(self, cache_dir):
-        src = make_src(11)
-        opts = Options(nprocs=4)
-        compile_program(src, opts)
-        path = _disk_entry_path(cache_dir, src, opts)
-        with open(path, "rb") as fh:
-            head = fh.readline()
-        assert head.startswith(b"# repro-compile ")
-        assert os.path.basename(path).encode() in head
+    def test_off_means_off(self, monkeypatch):
+        for n, value in enumerate(["0", "false", "No", " off "]):
+            monkeypatch.setenv("REPRO_COMPILE_CACHE", value)
+            before = compile_cache_stats()
+            a = compile_program(make_src(20 + n), Options(nprocs=4))
+            b = compile_program(make_src(20 + n), Options(nprocs=4))
+            assert a is not b, value  # no memo sharing
+            assert a.text() == b.text()
+            after = compile_cache_stats()
+            assert after["hits"] == before["hits"]
+            assert after["misses"] == before["misses"] + 2
 
-    def test_corrupt_entry_regenerates_silently(self, cache_dir):
-        src = make_src(12)
-        opts = Options(nprocs=4)
-        first = compile_program(src, opts)
-        path = _disk_entry_path(cache_dir, src, opts)
-        with open(path, "r+b") as fh:
-            fh.truncate(9)
-        _compile_cache.clear()
-        again = compile_program(src, opts)
-        assert again.text() == first.text()
-
-    def test_garbage_entry_regenerates_silently(self, cache_dir):
-        src = make_src(13)
-        opts = Options(nprocs=4)
-        first = compile_program(src, opts)
-        path = _disk_entry_path(cache_dir, src, opts)
-        with open(path, "wb") as fh:
-            fh.write(os.urandom(64))
-        _compile_cache.clear()
-        assert compile_program(src, opts).text() == first.text()
-
-    def test_no_temp_droppings(self, cache_dir):
-        for n in (14, 15, 16):
-            compile_program(make_src(n), Options(nprocs=4))
-        assert not [f for f in os.listdir(cache_dir)
-                    if f.endswith(".tmp")]
-
-    def test_off_means_off(self, tmp_path, monkeypatch):
+    def test_switch_is_read_on_every_call(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPILE_CACHE", "1")
+        a = compile_program(make_src(18), Options(nprocs=4))
         monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-        src = make_src(17)
-        a = compile_program(src, Options(nprocs=4))
-        b = compile_program(src, Options(nprocs=4))
-        assert a is not b  # no memo sharing
+        assert compile_program(make_src(18), Options(nprocs=4)) is not a
+        monkeypatch.setenv("REPRO_COMPILE_CACHE", "1")
+        assert compile_program(make_src(18), Options(nprocs=4)) is a
 
-
-class TestUnwritableDirectory:
-    def test_degrades_to_uncached_with_decision(self, tmp_path,
-                                                monkeypatch):
-        """A cache 'directory' that cannot be created (a path beneath
-        an existing *file* — the same OSError family as a read-only
-        dir, but reproducible as root) must not fail the compilation;
-        it records a compile.cache-degraded decision."""
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
-        bad = str(blocker / "cache")
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", bad)
-        _compile_cache.clear()
-        before = compile_cache_stats()["disk_degraded"]
-        tracer = Tracer()
-        cp = compile_program(make_src(18), Options(nprocs=4),
-                             trace=tracer)
-        assert cp.text()  # compilation itself succeeded
-        assert compile_cache_stats()["disk_degraded"] == before + 1
-        degraded = [e for e in tracer.host_events
-                    if e.get("name") == "compile.cache-degraded"]
-        assert len(degraded) == 1
-
-    def test_decision_once_per_directory(self, tmp_path, monkeypatch):
-        blocker = tmp_path / "blocker2"
-        blocker.write_text("")
-        bad = str(blocker / "cache")
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", bad)
-        _compile_cache.clear()
-        tracer = Tracer()
-        compile_program(make_src(19), Options(nprocs=4), trace=tracer)
-        compile_program(make_src(20), Options(nprocs=4), trace=tracer)
-        degraded = [e for e in tracer.host_events
-                    if e.get("name") == "compile.cache-degraded"]
-        assert len(degraded) == 1  # reported once, not per compile
-
-    def test_unreadable_entries_are_soft(self, cache_dir):
-        """A directory that exists but whose entry cannot be read
-        (here: replaced by a directory) is a silent miss."""
-        src = make_src(21)
-        opts = Options(nprocs=4)
-        first = compile_program(src, opts)
-        path = _disk_entry_path(cache_dir, src, opts)
-        os.unlink(path)
-        os.makedirs(path)  # open(path, "rb") now raises IsADirectoryError
-        _compile_cache.clear()
-        assert compile_program(src, opts).text() == first.text()
-
-
-_WORKER_SCRIPT = r"""
-import hashlib, os, sys
-sys.path.insert(0, {src_root!r})
-from repro.core import Options, compile_program
-from repro.core.driver import _compile_cache
-
-def make_src(n):
-    return ("program p\nreal x(%d)\ndistribute x(block)\n"
-            "do i = 1, %d\n  x(i) = i\nenddo\nend\n" % (n, n))
-
-out = []
-for round in range(3):
-    for n in (16, 24, 32, 40, 48):
-        cp = compile_program(make_src(n), Options(nprocs=4))
-        out.append(hashlib.sha256(cp.text().encode()).hexdigest()[:12])
-        _compile_cache.clear()   # force the disk path every round
-print(",".join(out))
-"""
-
-
-class TestConcurrentWriters:
-    def test_two_processes_one_cache_dir(self, tmp_path):
-        """Two processes compiling the same (program, options) set into
-        one compile-cache + one codegen-cache dir: both must succeed
-        with identical outputs, and every published entry must load
-        cleanly afterwards (no torn reads from the mkstemp+replace
-        path)."""
-        cdir = str(tmp_path / "shared-compile")
-        gdir = str(tmp_path / "shared-codegen")
-        env = dict(os.environ,
-                   REPRO_COMPILE_CACHE=cdir,
-                   REPRO_CODEGEN_CACHE=gdir,
-                   PYTHONPATH=SRC_ROOT)
-        script = _WORKER_SCRIPT.format(src_root=SRC_ROOT)
-        procs = [subprocess.Popen([sys.executable, "-c", script],
-                                  stdout=subprocess.PIPE,
-                                  stderr=subprocess.PIPE, env=env)
-                 for _ in range(2)]
-        outs = []
-        for p in procs:
-            out, err = p.communicate(timeout=300)
-            assert p.returncode == 0, err.decode()
-            outs.append(out.decode().strip())
-        assert outs[0] == outs[1]  # identical hashes in both processes
-
-        # every published entry is intact: a third pass, disk-only,
-        # reproduces the same hashes without recompiling
-        assert not [f for f in os.listdir(cdir) if f.endswith(".tmp")]
-        p = subprocess.run([sys.executable, "-c", script],
-                           capture_output=True, env=env, timeout=300)
-        assert p.returncode == 0, p.stderr.decode()
-        assert p.stdout.decode().strip() == outs[0]
+    def test_a_path_is_just_on(self, tmp_path, monkeypatch):
+        """There is no disk tier: a value that used to name a cache
+        directory only keeps the memo on, and nothing is written."""
+        d = tmp_path / "ccache"
+        monkeypatch.setenv("REPRO_COMPILE_CACHE", str(d))
+        a = compile_program(make_src(19), Options(nprocs=4))
+        assert compile_program(make_src(19), Options(nprocs=4)) is a
+        assert not os.path.exists(d)

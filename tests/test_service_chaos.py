@@ -235,7 +235,7 @@ class TestStoreCorruption:
         assert entries
         for name in entries:
             key = name[len("proc-"):-len(".pkl")]
-            assert store._disk_load(key) is not None
+            assert store.load(key) is not None
         assert store.counters["corrupt"] == 0
 
 
