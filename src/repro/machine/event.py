@@ -45,11 +45,10 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from typing import Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 import numpy as np
 
-from .costmodel import CostModel
 from .deadlock import (
     BLOCKED_COLLECTIVE,
     BLOCKED_RECV,
@@ -59,19 +58,16 @@ from .deadlock import (
     DeadlockReport,
     build_report,
 )
-from .faults import FaultPlan
 from .machine import ProcContext
 from .network import (
     AbortError,
     DeadlockError,
     SimulationError,
-    _Message,
-    arrival_time,
-    combine_reduction,
     resolve_timeout,
 )
-from .stats import RunStats
-from .topology import LinkClock, Topology, UniformTopology
+
+if TYPE_CHECKING:
+    from .wire import Wire, _Message
 
 #: dispatches between wall-clock deadline probes in the event loop —
 #: small enough that a ping-pong livelock dies within a fraction of a
@@ -312,6 +308,9 @@ class EventScheduler:
                     # them: the report feeds the postmortem bundle
                     if self.report is None:
                         self.report = self._snapshot()
+                    # r was popped but not run: back on the calendar so
+                    # the teardown resumes (and ends) it with the rest
+                    heapq.heappush(heap, (float(self.clocks[r]), r))
                     self._teardown(coros)
                     raise DeadlockError(
                         f"deadlock: wall-clock timeout: event loop "
@@ -338,7 +337,7 @@ class EventScheduler:
 class EventNetwork:
     """Point-to-point interconnect for the event loop.
 
-    Same virtual-time semantics, fault injection, and error surface as
+    Same wire model (:mod:`repro.machine.wire`) and error surface as
     :class:`~repro.machine.network.Network`, minus every lock and
     condition variable: only one rank executes at a time, so plain dicts
     suffice and a matched receive with a queued message costs a dict
@@ -349,33 +348,16 @@ class EventNetwork:
     where it can suspend.
     """
 
-    def __init__(
-        self,
-        nprocs: int,
-        cost: CostModel,
-        stats: RunStats,
-        timeout_s: Optional[float] = None,
-        faults: Optional[FaultPlan] = None,
-        scheduler: Optional[EventScheduler] = None,
-        tracer: Any = None,
-        topology: Optional[Topology] = None,
-        metrics: Any = None,
-    ) -> None:
-        self.nprocs = nprocs
-        self.cost = cost
-        self.stats = stats
+    def __init__(self, wire: "Wire", scheduler: EventScheduler,
+                 timeout_s: Optional[float] = None) -> None:
+        self.nprocs = wire.nprocs
         self.timeout_s = resolve_timeout(timeout_s)
-        self.faults = faults
         self.sched = scheduler
-        self.tracer = tracer
-        self.metrics = metrics
-        self.topo = topology if topology is not None \
-            else UniformTopology(nprocs)
-        self._links = LinkClock() if self.topo.contention else None
+        self._post = wire.post
+        self._take = wire.take
         self._queues: list[dict[tuple[int, int], deque[_Message]]] = [
-            {} for _ in range(nprocs)
+            {} for _ in range(self.nprocs)
         ]
-        self._seq: dict[tuple[int, int, int], int] = {}
 
     # -- failure propagation ----------------------------------------------
 
@@ -393,46 +375,15 @@ class EventNetwork:
             raise self.sched.failure_error(AbortError(
                 f"processor {src} aborted before send to {dst}"
             ))
-        if not (0 <= dst < self.nprocs):
-            raise SimulationError(f"send to invalid processor {dst}")
-        if dst == src:
-            raise SimulationError(f"processor {src} sending to itself")
-        sender_after = now + self.cost.send_cost(nbytes)
-        available = arrival_time(self.topo, self._links, self.cost,
-                                 src, dst, nbytes, now)
-        if self.faults is not None and self.faults.affects_messages:
-            seqkey = (src, dst, tag)
-            seq = self._seq.get(seqkey, 0)
-            self._seq[seqkey] = seq + 1
-            extra, retries = self.faults.message_faults(src, dst, tag, seq)
-            if extra or retries:
-                available += extra
-                self.stats.record_fault(retries)
-                if self.tracer is not None:
-                    self.tracer.rank_event(
-                        src, "fault", now, dst=dst, tag=tag,
-                        delay=extra, retries=retries,
-                    )
-        if self.tracer is not None:
-            if self.topo.is_uniform:
-                self.tracer.rank_event(
-                    src, "net.send", now, dst=dst, tag=tag, bytes=nbytes,
-                    avail=available, origin=origin,
-                )
-            else:
-                self.tracer.rank_event(
-                    src, "net.send", now, dst=dst, tag=tag, bytes=nbytes,
-                    avail=available, origin=origin,
-                    hops=self.topo.hops(src, dst),
-                )
+        msg, sender_after = self._post(
+            src, dst, tag, payload, nbytes, now, origin
+        )
         key = (src, tag)
         q = self._queues[dst].get(key)
         if q is None:
             q = self._queues[dst][key] = deque()
-        q.append(_Message(src, tag, payload, nbytes, available,
-                          sent_at=now, origin=origin))
+        q.append(msg)
         self.sched.unblock_recv(dst, key)
-        self.stats.record_message(nbytes)
         return sender_after
 
     def recv(self, dst: int, src: int, tag: int, now: float,
@@ -464,21 +415,7 @@ class EventNetwork:
         m = q.popleft()
         if not q:
             del queues[key]
-        arrive = max(now, m.available_at)
-        t = arrive + self.cost.recv_cost(m.nbytes)
-        if self.metrics is not None:
-            self.metrics.recv_blocked.observe(
-                max(0.0, m.available_at - now)
-            )
-        if self.tracer is not None:
-            self.tracer.rank_event(
-                dst, "net.recv", now, dur=t - now, src=m.src,
-                tag=tag, bytes=m.nbytes, sent_at=m.sent_at,
-                avail=m.available_at,
-                wait=max(0.0, m.available_at - now),
-                origin=origin or m.origin,
-            )
-        return m.payload, t
+        return self._take(m, dst, tag, now, origin)
 
     # -- introspection -----------------------------------------------------
 
@@ -493,200 +430,77 @@ class EventNetwork:
 class EventCollectives:
     """Single-rendezvous collectives as generators.
 
-    Every participant deposits its contribution; a non-last arrival
-    registers its blocked state and ``yield``s, the last arrival runs
-    the completion — ``max(clocks)``, the rank-ordered reduction /
-    broadcast consumption / exchange snapshot, the stats — puts
-    everyone back on the calendar, and keeps going.  The shared result
-    slots are overwrite-safe without synchronization: the *next*
-    collective cannot complete until every rank has re-entered it,
-    which means every rank has already read the previous result.
+    Every participant deposits its contribution (:meth:`Wire.join`); a
+    non-last arrival registers its blocked state and ``yield``s, the
+    last arrival closes the round (:meth:`Wire.close_round`), puts
+    everyone back on the calendar, and keeps going; each participant
+    then settles its own clock (:meth:`Wire.settle`).
     """
 
-    def __init__(self, nprocs: int, cost: CostModel, stats: RunStats,
-                 scheduler: EventScheduler, tracer: Any = None,
-                 topology: Optional[Topology] = None,
-                 metrics: Any = None) -> None:
-        self.nprocs = nprocs
-        self.cost = cost
-        self.stats = stats
+    def __init__(self, wire: "Wire", scheduler: EventScheduler) -> None:
+        self.wire = wire
+        self.nprocs = wire.nprocs
         self.sched = scheduler
-        self.tracer = tracer
-        self.metrics = metrics
-        self.topo = topology if topology is not None \
-            else UniformTopology(nprocs)
-        self._slots: dict[str, Any] = {}
-        self._clocks = [0.0] * nprocs
         self._arrived = 0
-        self._maxclock = 0.0
-        #: straggler rank (trace-only), overwrite-safe like ``_result``
-        self._maxrank = 0
-        self._result: Any = None
 
     def abort(self) -> None:
         """Teardown is driven entirely by the scheduler."""
 
-    def _observe_coll(self, now: float) -> None:
-        """Metrics: virtual µs this participant waited for the
-        rendezvous to complete (call after ``_rendezvous_y`` returns)."""
-        self.metrics.coll_blocked.observe(max(0.0, self._maxclock - now))
-
-    def _trace_coll(self, rank: int, label: str, now: float, t: float,
-                    nbytes: int = 0, origin: Optional[str] = None) -> None:
-        """Record one participant's rendezvous span (after _rendezvous_y
-        returns, so ``_maxclock``/``_maxrank`` describe *this* op)."""
-        self.tracer.rank_event(
-            rank, "coll", now, dur=t - now, label=label, bytes=nbytes,
-            maxclock=self._maxclock, maxrank=self._maxrank, origin=origin,
-        )
-
-    # -- slot/completion builders ------------------------------------------
-
-    def _begin_bcast(self, rank: int, root: int, payload: Any, nbytes: int,
-                     consume: Any) -> Callable[[], Any]:
-        slot = self._slots.setdefault("bcast", {"consume": []})
-        if rank == root:
-            slot["data"] = payload
-            slot["nbytes"] = nbytes
-        if consume is not None:
-            slot["consume"].append(consume)
-
-        def complete() -> Any:
-            s = self._slots.pop("bcast")
-            data = s["data"]
-            for fn in s["consume"]:
-                fn(data)
-            self.stats.record_collective(s["nbytes"])
-            return data
-
-        return complete
-
-    def _begin_reduce(self, rank: int, value: Any, op: str,
-                      nbytes: int) -> Callable[[], Any]:
-        self._slots.setdefault("reduce", {})[rank] = value
-
-        def complete() -> Any:
-            table = self._slots.pop("reduce")
-            values = [table[r] for r in range(self.nprocs)]
-            result = combine_reduction(op, values)
-            self.stats.record_collective(nbytes * self.nprocs)
-            return result
-
-        return complete
-
-    def _begin_exchange(self, rank: int, outgoing: dict[int, Any],
-                        nbytes_out: int) -> Callable[[], Any]:
-        self._slots.setdefault("exchange", {})[rank] = (outgoing, nbytes_out)
-
-        def complete() -> Any:
-            table = self._slots.pop("exchange")
-            nmsgs = sum(len(msgs) for msgs, _nb in table.values())
-            nbytes = sum(nb for _msgs, nb in table.values())
-            if nmsgs:
-                self.stats.record_exchange(nmsgs, nbytes)
-            return table
-
-        return complete
-
-    def _incoming_of(self, rank: int) -> dict[int, Any]:
-        """Extract *rank*'s incoming payloads from an exchange result."""
-        table = self._result
-        return {
-            src: msgs[rank]
-            for src, (msgs, _nb) in table.items()
-            if rank in msgs
-        }
-
-    def _rendezvous_y(self, rank: int, label: str, now: float,
-                      complete: Callable[[], Any]
-                      ) -> Generator[None, None, None]:
-        if self.sched.failed:
-            raise self.sched.failure_error(AbortError(
+    def _collective_y(self, rank: int, label: str, now: float,
+                      origin: Optional[str], param: Any = None,
+                      value: Any = None, nbytes: int = 0,
+                      consume: Any = None
+                      ) -> Generator[None, None, tuple[Any, float]]:
+        """One rendezvous: deposit, wait for every rank, settle."""
+        sched = self.sched
+        if sched.failed:
+            raise sched.failure_error(AbortError(
                 f"processor {rank} aborted inside collective {label!r} "
                 f"(a peer failed or deadlocked)"
             ))
-        self._clocks[rank] = now
+        wire = self.wire
+        wire.join(rank, label, now, param, value, nbytes, consume)
         self._arrived += 1
         if self._arrived == self.nprocs:
             self._arrived = 0
-            self._maxclock = max(self._clocks)
-            if self.tracer is not None:
-                self._maxrank = min(
-                    r for r in range(self.nprocs)
-                    if self._clocks[r] == self._maxclock
-                )
-            self._result = complete()
-            self.sched.release_collective()
+            wire.close_round()
+            sched.release_collective()
         else:
-            self.sched.block_collective(rank, label, now)
+            sched.block_collective(rank, label, now)
             yield
-            if self.sched.failed:
-                raise self.sched.failure_error(AbortError(
+            if sched.failed:
+                raise sched.failure_error(AbortError(
                     f"processor {rank} aborted inside collective "
                     f"{label!r} (a peer failed or deadlocked)"
                 ))
+        return wire.settle(rank, now, origin)
 
     def broadcast_y(self, rank: int, root: int, payload: Any, nbytes: int,
                     now: float, consume: Any = None,
                     origin: Optional[str] = None
                     ) -> Generator[None, None, tuple[Any, float]]:
-        complete = self._begin_bcast(rank, root, payload, nbytes, consume)
-        yield from self._rendezvous_y(rank, "bcast", now, complete)
-        if self.metrics is not None:
-            self._observe_coll(now)
-        t = self._maxclock + self.topo.collective_cost(
-            self.cost, self.nprocs, nbytes
-        )
-        if self.tracer is not None:
-            self._trace_coll(rank, "bcast", now, t, nbytes, origin)
-        return self._result, t
+        return self._collective_y(rank, "bcast", now, origin, root,
+                                  payload, nbytes, consume)
 
     def allreduce_y(self, rank: int, value: Any, op: str, nbytes: int,
                     now: float, origin: Optional[str] = None
                     ) -> Generator[None, None, tuple[Any, float]]:
-        complete = self._begin_reduce(rank, value, op, nbytes)
-        yield from self._rendezvous_y(rank, "reduce", now, complete)
-        if self.metrics is not None:
-            self._observe_coll(now)
-        t = self._maxclock + 2 * self.topo.collective_cost(
-            self.cost, self.nprocs, nbytes
-        )
-        if self.tracer is not None:
-            self._trace_coll(rank, "reduce", now, t, nbytes, origin)
-        return self._result, t
+        return self._collective_y(rank, "reduce", now, origin, op,
+                                  value, nbytes)
 
     def barrier_y(self, rank: int, now: float,
                   origin: Optional[str] = None
                   ) -> Generator[None, None, float]:
-        yield from self._rendezvous_y(rank, "barrier", now, lambda: None)
-        if self.metrics is not None:
-            self._observe_coll(now)
-        t = self._maxclock + self.topo.barrier_cost(self.cost, self.nprocs)
-        if self.tracer is not None:
-            self._trace_coll(rank, "barrier", now, t, 0, origin)
+        _none, t = yield from self._collective_y(rank, "barrier", now,
+                                                 origin)
         return t
 
     def exchange_y(self, rank: int, outgoing: dict[int, Any],
                    nbytes_out: int, now: float,
                    origin: Optional[str] = None
                    ) -> Generator[None, None, tuple[dict[int, Any], float]]:
-        complete = self._begin_exchange(rank, outgoing, nbytes_out)
-        yield from self._rendezvous_y(rank, "exchange", now, complete)
-        if self.metrics is not None:
-            self._observe_coll(now)
-        incoming = self._incoming_of(rank)
-        t = self._maxclock + self.topo.collective_cost(
-            self.cost, self.nprocs, max(nbytes_out, 1)
-        )
-        if self.tracer is not None:
-            self._trace_coll(rank, "exchange", now, t, nbytes_out, origin)
-            per_pair = nbytes_out / max(1, len(outgoing))
-            for dst in sorted(outgoing):
-                self.tracer.rank_event(
-                    rank, "net.exchange", now, dst=dst, bytes=per_pair,
-                    origin=origin,
-                )
-        return incoming, t
+        return self._collective_y(rank, "exchange", now, origin, None,
+                                  outgoing, nbytes_out)
 
 
 class EventProcContext(ProcContext):

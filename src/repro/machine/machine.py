@@ -43,6 +43,7 @@ from .network import (
 from .scheduler import resolve_scheduler
 from .stats import RunStats
 from .topology import Topology, resolve_topology
+from .wire import Wire
 from ..obs import resolve_trace
 from ..obs.flightrec import (
     FlightRecorder,
@@ -358,6 +359,8 @@ class Machine:
                 self.tracer.meta["topology"] = self.topology.describe()
             if self.faults is not None:
                 self.tracer.meta["faults"] = str(self.faults)
+        self.wire = Wire(nprocs, cost, self.stats, self.faults, self.tracer,
+                         self.topology, self.sim_metrics)
         if self.scheduler == "event":
             from .event import (
                 EventCollectives,
@@ -369,31 +372,17 @@ class Machine:
             self._sched = EventScheduler(nprocs, timeout_s,
                                          tracer=self.tracer,
                                          metrics=self.sim_metrics)
-            self.network = EventNetwork(
-                nprocs, cost, self.stats, timeout_s,
-                faults=self.faults, scheduler=self._sched,
-                tracer=self.tracer, topology=self.topology,
-                metrics=self.sim_metrics,
-            )
-            self.collectives = EventCollectives(
-                nprocs, cost, self.stats, self._sched, tracer=self.tracer,
-                topology=self.topology, metrics=self.sim_metrics,
-            )
+            self.network = EventNetwork(self.wire, self._sched, timeout_s)
+            self.collectives = EventCollectives(self.wire, self._sched)
             self._sched.network = self.network
         else:
             self._sched = None
             self.detector = DeadlockDetector(nprocs)
-            self.network = Network(
-                nprocs, cost, self.stats, timeout_s,
-                faults=self.faults, detector=self.detector,
-                tracer=self.tracer, topology=self.topology,
-                metrics=self.sim_metrics,
-            )
+            self.network = Network(self.wire, timeout_s,
+                                   detector=self.detector)
             self.collectives = CollectiveContext(
-                nprocs, cost, self.stats, timeout_s,
-                detector=self.detector, network=self.network,
-                tracer=self.tracer, topology=self.topology,
-                metrics=self.sim_metrics,
+                self.wire, timeout_s, detector=self.detector,
+                network=self.network,
             )
             self.detector.attach(self.network, self._declare_failure)
 

@@ -1,11 +1,13 @@
 """Tests for the simulated MIMD machine: network, collectives, timing,
 instant deadlock diagnosis, and deterministic fault injection."""
 
+import os
 import threading
 import time
 
 import pytest
 
+import repro.machine
 from repro.machine import (
     FREE,
     IPSC860,
@@ -381,6 +383,71 @@ class TestDeadlockDiagnostics:
         for r in range(4):
             assert f"rank {r}" in text
 
+    # -- mismatched collectives: a diagnosis, not a wrong answer ----------
+    #
+    # The ranks of one rendezvous entered different collectives (or the
+    # same one with a different op / root).  Which rank arrives first is
+    # free on ``threads``, so the checks are order-insensitive.
+
+    def _mismatch(self, prog, *named):
+        t0 = time.monotonic()
+        with pytest.raises(SimulationError) as ei:
+            Machine(3, IPSC860, timeout_s=60.0,
+                    scheduler=self.scheduler).run(prog)
+        assert time.monotonic() - t0 < 1.0, "diagnosis was not instant"
+        assert not node_threads(), "leaked node threads"
+        text = str(ei.value)
+        assert "collective mismatch" in text
+        for name in named:
+            assert name in text, (name, text)
+
+        # a correct collective on a fresh machine is unaffected
+        def ok(ctx):
+            return (yield from ctx.allreduce_y(float(ctx.rank + 1), "sum"))
+
+        assert Machine(3, IPSC860,
+                       scheduler=self.scheduler).run(ok) == [6.0] * 3
+
+    def test_barrier_vs_exchange_mismatch(self):
+        """Not a successful run with rank 0's payload silently dropped."""
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                yield from ctx.barrier_y()
+                return "barrier"
+            return (yield from ctx.exchange_y({0: "x"}, 8))
+
+        self._mismatch(prog, "'barrier'", "'exchange'")
+
+    def test_broadcast_vs_allreduce_mismatch(self):
+        """Not a bare KeyError from the round's completion."""
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                return (yield from ctx.broadcast_y(0, "x", 8))
+            return (yield from ctx.allreduce_y(1.0, "sum"))
+
+        self._mismatch(prog, "'bcast'", "'reduce'")
+
+    def test_allreduce_op_mismatch(self):
+        """Not a result that depends on which rank's op the backend
+        happens to keep."""
+
+        def prog(ctx):
+            return (yield from ctx.allreduce_y(
+                float(ctx.rank + 1), "sum" if ctx.rank == 0 else "max"
+            ))
+
+        self._mismatch(prog, "'reduce'", "'sum'", "'max'")
+
+    def test_broadcast_root_mismatch(self):
+        def prog(ctx):
+            return (yield from ctx.broadcast_y(
+                0 if ctx.rank == 0 else 1, "x", 8
+            ))
+
+        self._mismatch(prog, "'bcast'", "root 0", "root 1")
+
 
 class TestNodeProgramForms:
     """Node programs are generator functions; both backends run the
@@ -479,11 +546,14 @@ class TestEventBackendTimeout:
                 i += 1
 
         t0 = time.monotonic()
+        m = Machine(2, FREE, scheduler="event", timeout_s=0.5)
         with pytest.raises(SimulationError) as ei:
-            Machine(2, FREE, scheduler="event", timeout_s=0.5).run(prog)
+            m.run(prog)
         assert time.monotonic() - t0 < 30
         assert "timeout" in str(ei.value)
         assert not node_threads()
+        # every rank was torn down — none left suspended mid-program
+        assert sorted(m.stats.proc_times) == [0, 1]
 
     def test_normal_program_unaffected(self):
         def prog(ctx):
@@ -639,3 +709,25 @@ class TestErrors:
     def test_zero_procs_rejected(self):
         with pytest.raises(ValueError):
             Machine(0)
+
+
+def test_one_wire_model_site():
+    """What a message or a collective costs, records and traces is
+    written in ``machine/wire.py`` only: no other module of the package
+    calls the cost formulas, bumps the traffic counters or emits the
+    ``net.*`` / ``coll`` events (the files defining those names aside)."""
+    needles = (
+        "record_message(", "record_collective(", "record_exchange(",
+        "record_fault(", "send_cost(", "recv_cost(", "collective_cost(",
+        "barrier_cost(", "message_faults(",
+        '"net.send"', '"net.recv"', '"net.exchange"', '"coll"',
+    )
+    defining = {"stats.py", "costmodel.py", "topology.py", "faults.py"}
+    pkg = os.path.dirname(repro.machine.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name in defining:
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            text = fh.read()
+        found = [n for n in needles if n in text]
+        assert found == (list(needles) if name == "wire.py" else []), name

@@ -76,6 +76,15 @@ def _assert_identical(a, b, label):
             ), f"{label}: array {name} differs on rank {rk}"
 
 
+#: the event kinds ``machine/wire.py`` emits
+MODEL_KINDS = ("net.send", "net.recv", "coll", "net.exchange", "fault")
+
+
+def _model_events(result, rank):
+    return [ev for ev in result.trace.rank_events[rank]
+            if ev["kind"] in MODEL_KINDS]
+
+
 @pytest.mark.parametrize("vectorize", [False, True],
                          ids=["scalar", "vectorized"])
 @pytest.mark.parametrize("seed", SEEDS)
@@ -90,6 +99,18 @@ def test_apps_bit_identical_across_backends(src, init, seed, vectorize):
     _assert_identical(event, threads, f"seed={seed} vec={vectorize}")
     assert sorted(event.prints) == sorted(threads.prints)
     assert event.stats.flops == threads.stats.flops
+    # traced leg: what the wire model emits is backend-independent —
+    # each rank's ordered stream of model events is equal dict for dict
+    # (``sched.*`` events are the scheduling discipline's own)
+    event, threads = (
+        _run(cp, init, s, faults=plan, vectorize=vectorize, trace=True)
+        for s in ("event", "threads")
+    )
+    for rank in range(4):
+        stream = _model_events(event, rank)
+        assert stream, f"rank {rank} recorded no model events"
+        assert stream == _model_events(threads, rank), \
+            f"seed={seed} vec={vectorize} rank={rank}"
 
 
 @pytest.mark.parametrize("mode", [Mode.INTER, Mode.RTR],
