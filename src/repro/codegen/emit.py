@@ -16,12 +16,15 @@ block (``find_blocking_units`` says so), as a plain function
 ``fn(rt, fr)`` otherwise.
 
 The generated code must be **bit-identical** to the interpreter in
-arrays, virtual clocks, and RunStats: every ``compute``/``loop_tick``/
-``guard_tick`` charge is emitted in the interpreter's order, affine
-loop nests are vectorized under exactly the legality rules of
-:mod:`repro.interp.vectorize` (same runtime checks, same trace event),
-and communication sections go through the interpreter's memoized
-``_comm_entry`` so cache counters and trace events match.
+arrays, virtual clocks, and RunStats.  The rules the two engines share
+are not restated here but *lowered* from their one definition under
+:mod:`repro.interp`: which loops run as blocks and under which
+run-time checks (:class:`~repro.interp.vectorize.LoopPlan`), the call
+convention, ``/``, scalar typing, print formatting, block sections,
+the block trace event and the memoized ``_comm_entry``.  What this
+module owns is the statement walk: every ``compute``/``loop_tick``/
+``guard_tick`` charge is emitted in the interpreter's order, which the
+differential suites check.
 
 Any construct without a generated equivalent raises :class:`Unsupported`
 and the whole procedure demotes to the interpreter (see
@@ -36,9 +39,16 @@ from typing import Optional
 from ..interp.interpreter import (
     Interpreter,
     _count_ops,
+    blocking_call_in_expr,
     find_blocking_units,
+    scalar_type,
 )
-from ..interp.vectorize import _INVARIANT_OK_CALLS, MIN_BLOCK, _mentions
+from ..interp.vectorize import (
+    MIN_BLOCK,
+    LoopPlan,
+    _mentions,
+    loop_plan,
+)
 from ..lang import ast as A
 from ..runtime.intrinsics import PURE_INTRINSICS
 
@@ -53,10 +63,6 @@ class Unsupported(Exception):
 UNSUPPORTED_STMTS: tuple = ()
 
 
-class _VecReject(Exception):
-    """Internal: loop nest not vectorizable; emit the scalar loop."""
-
-
 #: Fortran binary operators with a direct Python spelling.
 _BIN_PY = {
     "+": "+", "-": "-", "*": "*", "**": "**",
@@ -67,22 +73,16 @@ _BIN_PY = {
 _CMP_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=",
              "==": "==", "/=": "/="}
 
-#: single-argument vector intrinsics -> numpy source template
+#: numpy source spelling of each ``VEC_INTRINSICS`` entry: the call
+#: itself for the unary ones, one step of the left fold for ``min``/``max``
 _VEC_CALL_SRC = {
     "f": "f_func({0})",
     "g": "g_func({0})",
     "abs": "np.abs({0})",
     "sqrt": "np.sqrt({0})",
+    "min": "np.minimum({0}, {1})",
+    "max": "np.maximum({0}, {1})",
 }
-
-
-def scalar_type(unit: A.Procedure, name: str) -> str:
-    """Mirror of ``Interpreter._scalar_type`` (declaration wins, else
-    the I-N implicit-integer rule)."""
-    d = unit.decl(name)
-    if d is not None:
-        return d.type
-    return "integer" if name[0] in "ijklmn" else "real"
 
 
 def _const_int(e: A.Expr) -> Optional[int]:
@@ -242,7 +242,7 @@ class _FnEmitter:
     """Emit one procedure as ``def fn(rt, fr)`` — a generator when
     *y* (the procedure may block).
 
-    Charge placement mirrors ``Interpreter._compile_stmt`` statement by
+    Charge placement follows ``Interpreter._compile_stmt`` statement by
     statement; a generator yields exactly where
     ``Interpreter._compile_stmt_y`` does.
     """
@@ -377,17 +377,14 @@ class _FnEmitter:
         return ["    " + ln for ln in pre]
 
     def _check_no_blocking_exprs(self) -> None:
-        """Mirror of ``Interpreter._check_no_blocking_exprs``: demoting
-        here reproduces the interpreter's compile-time error exactly."""
+        """Demoting here lets the interpreter raise its compile-time
+        error for a function that communicates in expression position."""
         for st in A.walk_stmts(self.unit.body):
-            for e in A.stmt_exprs(st):
-                for sub in A.walk_exprs(e):
-                    if isinstance(sub, A.CallExpr) \
-                            and sub.name in self.mod.blocking:
-                        raise Unsupported(
-                            f"function {sub.name!r} communicates inside "
-                            f"an expression"
-                        )
+            name = blocking_call_in_expr(st, self.mod.blocking)
+            if name is not None:
+                raise Unsupported(
+                    f"function {name!r} communicates inside an expression"
+                )
 
     # -- expressions -------------------------------------------------------
 
@@ -676,18 +673,11 @@ class _FnEmitter:
             self.w(f"if {st_src} == 0:")
             msg = f"{self.unit.name}: zero DO step"
             self.w(f"    raise InterpError({msg!r})")
-        if self.mod.vectorize and s.body and all(
-            isinstance(b, A.Assign) and isinstance(b.target, A.ArrayRef)
-            for b in s.body
-        ):
-            try:
-                plan = _VecPlan(self, s)
-            except _VecReject:
-                plan = None
-            if plan is not None:
-                plan.emit(lo_t, hi_t, st_src, st_lit)
-                return
-        self.emit_do_scalar(s, lo_t, hi_t, st_src, st_lit)
+        plan = loop_plan(s) if self.mod.vectorize else None
+        if plan is not None:
+            _VecPlan(self, plan).emit(lo_t, hi_t, st_src, st_lit)
+        else:
+            self.emit_do_scalar(s, lo_t, hi_t, st_src, st_lit)
 
     def emit_do_scalar(self, s: A.Do, lo_t: str, hi_t: str,
                        st_src: str, st_lit: Optional[int]) -> None:
@@ -858,161 +848,22 @@ class _FnEmitter:
 
 
 # --------------------------------------------------------------------------
-# loop vectorization (static mirror of repro.interp.vectorize._Plan)
+# loop vectorization (source lowering of repro.interp.vectorize.LoopPlan)
 # --------------------------------------------------------------------------
 
 
 class _VecPlan:
-    """Static legality analysis + numpy emission for an affine DO nest.
+    """Numpy emission for a DO loop that :class:`LoopPlan` accepted:
+    the same block slices, residual run-time checks, charges and trace
+    event as the interpreter's closure lowering of the same plan."""
 
-    The acceptance rules are a faithful (conservative) mirror of
-    ``vectorize._Plan``: anything this plan accepts, the interpreter's
-    vectorizer accepts with the same block slices, runtime checks, and
-    charges — which is what keeps the two paths bit-identical.
-    """
-
-    def __init__(self, fn: _FnEmitter, do: A.Do) -> None:
+    def __init__(self, fn: _FnEmitter, plan: LoopPlan) -> None:
         self.fn = fn
-        self.v = do.var
-        self.do = do
-        self.uses_iota = False
-        self.ops_per_iter = 0
-        #: array name -> (axis, [offset exprs]) for written arrays
-        self.writes: dict[str, tuple[int, list]] = {}
-        #: (array name, axis, offset) for refs indexed by the loop var
-        self.v_reads: list[tuple[str, int, object]] = []
-        #: (array name, subs) for loop-invariant refs
-        self.inv_reads: list[tuple[str, tuple]] = []
-        #: per-statement compiled shape: (name, ident, axis, off,
-        #: invariant-subs, rhs expr)
-        self.stmts: list[tuple] = []
-        for s in do.body:
-            self._plan_stmt(s)
-        self._finalize()
-
-    # -- analysis ----------------------------------------------------------
-
-    def _plan_stmt(self, s: A.Assign) -> None:
-        target = s.target
-        axis, off = self._classify_ref(target)
-        if axis is None:
-            raise _VecReject  # invariant write
-        prev = self.writes.get(target.name)
-        if prev is not None and prev[0] != axis:
-            raise _VecReject
-        if prev is None:
-            self.writes[target.name] = (axis, [off])
-        else:
-            prev[1].append(off)
-        self._check_expr(s.expr)
-        self.ops_per_iter += _count_ops(s.expr) + 1 + len(target.subs)
-        self.stmts.append((target, axis, off, s.expr))
-
-    def _invariant(self, e: A.Expr) -> None:
-        """Legality of a loop-invariant subexpression (mirror of
-        ``_Plan._checked_invariant``)."""
-        for sub in A.walk_exprs(e):
-            if isinstance(sub, A.CallExpr) \
-                    and sub.name not in _INVARIANT_OK_CALLS:
-                raise _VecReject
-            if isinstance(sub, A.Triplet):
-                raise _VecReject
-            if isinstance(sub, A.ArrayRef):
-                self.inv_reads.append((sub.name, tuple(sub.subs)))
-
-    def _axis_offset(self, e: A.Expr):
-        """The affine form of a subscript in the loop variable:
-        returns the offset descriptor or rejects."""
-        v = self.v
-        if isinstance(e, A.Var) and e.name == v:
-            return ("zero",)
-        if isinstance(e, A.BinOp) and isinstance(e.left, A.Var) \
-                and e.left.name == v and not _mentions(e.right, v):
-            if e.op == "+":
-                self._invariant(e.right)
-                return ("pos", e.right)
-            if e.op == "-":
-                self._invariant(e.right)
-                return ("neg", e.right)
-        if isinstance(e, A.BinOp) and e.op == "+" \
-                and isinstance(e.right, A.Var) and e.right.name == v \
-                and not _mentions(e.left, v):
-            self._invariant(e.left)
-            return ("pos", e.left)
-        raise _VecReject
-
-    def _classify_ref(self, ref: A.ArrayRef):
-        """(axis, off) of the one subscript mentioning the loop var;
-        (None, None) when the reference is loop-invariant."""
-        v = self.v
-        axis = off = None
-        for ax, sub in enumerate(ref.subs):
-            if isinstance(sub, A.Triplet):
-                raise _VecReject
-            if _mentions(sub, v):
-                if axis is not None:
-                    raise _VecReject  # two subscripts use the loop var
-                axis = ax
-                off = self._axis_offset(sub)
-            else:
-                self._invariant(sub)
-        return axis, off
-
-    def _check_expr(self, e: A.Expr) -> None:
-        v = self.v
-        if not _mentions(e, v):
-            self._invariant(e)
-            return
-        if isinstance(e, A.Var):  # e.name == v
-            self.uses_iota = True
-            return
-        if isinstance(e, A.ArrayRef):
-            axis, off = self._classify_ref(e)
-            self.v_reads.append((e.name, axis, off))
-            return
-        if isinstance(e, A.BinOp):
-            if e.op not in ("+", "-", "*", "/", "**"):
-                raise _VecReject
-            self._check_expr(e.left)
-            self._check_expr(e.right)
-            return
-        if isinstance(e, A.UnOp):
-            if e.op != "-":
-                raise _VecReject
-            self._check_expr(e.operand)
-            return
-        if isinstance(e, A.CallExpr):
-            if e.name not in _VEC_CALL_SRC and e.name not in ("min", "max"):
-                raise _VecReject
-            if e.name in ("min", "max") and len(e.args) < 2:
-                raise _VecReject
-            for a in e.args:
-                self._check_expr(a)
-            return
-        raise _VecReject
-
-    def _finalize(self) -> None:
-        self.checked_v_reads: list[tuple[str, object]] = []
-        self.checked_inv_reads: list[tuple[str, A.Expr]] = []
-        for name, axis, off in self.v_reads:
-            w = self.writes.get(name)
-            if w is None:
-                continue
-            if axis != w[0]:
-                raise _VecReject
-            self.checked_v_reads.append((name, off))
-        for name, subs in self.inv_reads:
-            w = self.writes.get(name)
-            if w is None:
-                continue
-            axis = w[0]
-            if axis >= len(subs):
-                raise _VecReject
-            self.checked_inv_reads.append((name, subs[axis]))
-        for name in self.writes:
-            self.fn.areg(name)
-
-    # -- emission ----------------------------------------------------------
+        self.plan = plan
+        self.do = plan.do
+        self.v = plan.v
+        for name in plan.writes:
+            fn.areg(name)
 
     def _off_src(self, off) -> str:
         if off[0] == "zero":
@@ -1036,13 +887,13 @@ class _VecPlan:
         conds: list[str] = []
         fn.w(f"if {ok_t}:")
         fn.ind += 1
-        for name, (axis, offs) in self.writes.items():
+        for name, (axis, offs) in self.plan.writes.items():
             t = fn.tmp()
             woff_t[name] = t
             fn.w(f"{t} = {self._off_src(offs[0])}")
             for extra in offs[1:]:
                 conds.append(f"{self._off_src(extra)} == {t}")
-        for name, off in self.checked_v_reads:
+        for name, off in self.plan.checked_v_reads:
             conds.append(f"{self._off_src(off)} == {woff_t[name]}")
         if conds:
             fn.w(f"{ok_t} = " + " and ".join(conds))
@@ -1051,7 +902,7 @@ class _VecPlan:
         fn.ind -= 1
         # anti-dependence range checks for invariant reads of written
         # arrays (same inclusive window as vectorize.runtime_ok)
-        for name, idx in self.checked_inv_reads:
+        for name, idx in self.plan.checked_inv_reads:
             f_t, l_t = fn.tmp(), fn.tmp()
             fn.w(f"if {ok_t}:")
             fn.ind += 1
@@ -1075,27 +926,27 @@ class _VecPlan:
         t0_t = fn.tmp()
         fn.w(f"{t0_t} = ctx.clock_estimate() if _trc else 0.0")
         io_t = fn.tmp()
-        if self.uses_iota:
+        if self.plan.uses_iota:
             fn.w(f"{io_t} = np.arange({lo_t}, {lo_t} + {n_t} * {st_src}, "
                  f"{st_src})")
-        for target, axis, off, expr in self.stmts:
+        for target, axis, off, expr in self.plan.stmts:
             tgt = self._slice_src(target, axis, off, lo_t, n_t, st_src,
                                   woff_t.get(target.name))
             rhs = self._vec_ex(expr, lo_t, n_t, st_src, io_t)
             fn.w(f"{tgt} = {rhs}")
         fn.w(f"loop_tick({n_t})")
-        fn.w(f"compute({n_t} * {self.ops_per_iter})")
+        ops = self.plan.ops_per_iter
+        fn.w(f"compute({n_t} * {ops})")
         fn.w("if _trc:")
         fn.w(f"    rt.trace_vec({t0_t}, {self.fn.unit.name!r}, "
-             f"{self.do.var!r}, {n_t}, {n_t} * {self.ops_per_iter})")
+             f"{self.do.var!r}, {n_t}, {n_t} * {ops})")
         fn.w(f"S[{self.do.var!r}] = {lo_t} + {n_t} * {st_src}")
         fn.ind -= 2
 
     def _slice_src(self, ref: A.ArrayRef, axis: int, off, lo_t: str,
                    n_t: str, st_src: str, woff: Optional[str]) -> str:
         """Numpy subscript for a loop-carried reference: ``ax_slice``
-        on the loop axis, scalar offsets elsewhere (bounds-checked at
-        the block endpoints exactly like ``_block_slices``)."""
+        on the loop axis, scalar offsets elsewhere."""
         fn = self.fn
         ident = fn.areg(ref.name)
         fn.arr_data.add(ident)
@@ -1121,7 +972,7 @@ class _VecPlan:
         if isinstance(e, A.Var):  # the loop variable
             return io_t
         if isinstance(e, A.ArrayRef):
-            axis, off = self._classify_ref(e)
+            axis, off = self.plan.classify_ref(e)
             return self._slice_src(e, axis, off, lo_t, n_t, st_src, None)
         if isinstance(e, A.BinOp):
             left = self._vec_ex(e.left, lo_t, n_t, st_src, io_t)
@@ -1131,16 +982,11 @@ class _VecPlan:
             return f"({left} {e.op} {right})"
         if isinstance(e, A.UnOp):
             return f"(-{self._vec_ex(e.operand, lo_t, n_t, st_src, io_t)})"
-        if isinstance(e, A.CallExpr):
-            args = [self._vec_ex(a, lo_t, n_t, st_src, io_t)
-                    for a in e.args]
-            if e.name in _VEC_CALL_SRC:
-                if len(args) != 1:
-                    raise _VecReject
-                return _VEC_CALL_SRC[e.name].format(args[0])
-            nf = "np.minimum" if e.name == "min" else "np.maximum"
-            acc = args[0]
-            for a in args[1:]:
-                acc = f"{nf}({acc}, {a})"
-            return acc
-        raise _VecReject
+        # a VEC_INTRINSICS call (LoopPlan admits nothing else, and has
+        # checked the arity)
+        args = [self._vec_ex(a, lo_t, n_t, st_src, io_t) for a in e.args]
+        tmpl = _VEC_CALL_SRC[e.name]
+        acc = tmpl.format(*args[:2])
+        for a in args[2:]:
+            acc = tmpl.format(acc, a)
+        return acc

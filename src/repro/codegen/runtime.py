@@ -5,7 +5,9 @@ Python: it reads and writes frame scalars and numpy buffers directly
 and charges the virtual clock inline.  Everything that must stay
 *shared* with the interpreter — frame construction, COMMON storage,
 the communication-schedule cache, print formatting, remap execution,
-call/return conventions — goes through the :class:`NodeRt` shim so the
+call/return conventions, ``/`` and block sections — is defined once
+under :mod:`repro.interp` and reached through the :class:`NodeRt` shim
+(or re-exported here, for the names generated modules import), so the
 two execution paths cannot drift apart.  One ``NodeRt`` wraps one
 :class:`~repro.interp.interpreter.Interpreter` instance per rank; any
 procedure the generator demoted falls back to that interpreter's
@@ -20,34 +22,15 @@ import numpy as np
 
 from ..dist import Distribution
 from ..interp.arrays import FArray
-from ..interp.interpreter import Frame, Interpreter, InterpError, _Stop
+from ..interp.interpreter import (
+    Frame, Interpreter, InterpError, _Stop, fdiv, format_print,
+)
+from ..interp.vectorize import ax_slice, trace_block
 from ..runtime.remap import mark_array, remap_array_y
 
-
-def fdiv(a, b):
-    """Scalar mirror of the interpreter's ``/``: Fortran truncating
-    division when both operands are integral, IEEE division otherwise."""
-    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-        q = abs(a) // abs(b)
-        return int(q if (a >= 0) == (b >= 0) else -q)
-    return a / b
-
-
-def owner_of(arr: FArray, idx):
-    """``owner()`` intrinsic against an array's current distribution."""
-    dist = arr.dist
-    if dist is None or dist.is_replicated:
-        return 0
-    return dist.owner(idx)
-
-
-def ax_slice(arr: FArray, pos: int, first: int, last: int, st: int):
-    """Loop-axis block section -> slice, bounds-checked at the block
-    endpoints exactly like :func:`repro.interp.vectorize._block_slices`."""
-    o_first = arr._offset(pos, first)
-    o_last = arr._offset(pos, last)
-    stop = o_last + (1 if st > 0 else -1)
-    return slice(o_first, stop if stop >= 0 else None, st)
+#: ``ax_slice`` and ``fdiv`` are re-exports: generated modules import
+#: them from here
+__all__ = ["NodeRt", "ax_slice", "fdiv"]
 
 
 class NodeRt:
@@ -61,8 +44,8 @@ class NodeRt:
         self.ctx = interp.ctx
         self.tracer = interp.tracer
         #: per-comm-statement section caches, keyed by the static id the
-        #: emitter assigned (mirrors the per-closure caches of the
-        #: interpreter's compiled comm statements)
+        #: emitter assigned (the interpreter's compiled comm statements
+        #: hold one such cache per closure)
         self._caches: dict[int, dict] = {}
 
     # -- communication sections -------------------------------------------
@@ -97,62 +80,42 @@ class NodeRt:
     # -- observability -----------------------------------------------------
 
     def emit_print(self, values) -> None:
-        parts = [
-            f"{v:.6g}" if isinstance(v, float) else str(v) for v in values
-        ]
-        self.interp.prints.append(f"[{self.ctx.rank}] " + " ".join(parts))
+        self.interp.prints.append(format_print(self.ctx.rank, values))
 
     def trace_vec(self, t0: float, unit: str, var: str, n: int,
                   ops: int) -> None:
-        """The vectorized-block trace event, identical in kind and
-        fields to the interpreter's (tools must not care which path
-        executed the block)."""
-        ctx = self.ctx
-        self.tracer.rank_event(
-            ctx.rank, "interp.vec", t0, dur=ctx.clock_estimate() - t0,
-            unit=unit, var=var, n=n, ops=ops,
-        )
+        trace_block(self.tracer, self.ctx, t0, unit, var, n, ops)
 
     # -- calls -------------------------------------------------------------
 
     def call(self, name: str, fr: Frame, args: list,
              var_actuals: tuple) -> Frame:
-        """CALL statement / function-call convention: identical frame
-        binding, call-overhead charge, and scalar copy-out to
-        :meth:`Interpreter._call_procedure`, for callees that cannot
+        """CALL statement / function reference under the interpreter's
+        call convention (:meth:`Interpreter.enter_call` /
+        :meth:`~Interpreter.leave_call`), for callees that cannot
         block.  Dispatches to the callee's generated body when one
         exists, else to the interpreter."""
         interp = self.interp
-        unit = interp.program.unit(name)
-        callee = interp._make_frame(unit, args, fr)
-        self.ctx.compute(3 + len(args))  # call overhead
+        unit, callee = interp.enter_call(name, args, fr)
         fn = self.mod.units.get(name)
         if fn is not None:
             fn(self, callee)
         else:
             interp._exec_unit(unit, callee)
-        for formal, actual in zip(unit.formals, var_actuals):
-            if actual is not None and actual not in fr.arrays:
-                if formal in callee.scalars:
-                    fr.scalars[actual] = callee.scalars[formal]
+        interp.leave_call(unit, var_actuals, fr, callee)
         return callee
 
     def call_y(self, name: str, fr: Frame, args: list, var_actuals: tuple):
-        """Generator twin of :meth:`call` for callees that may block
+        """Generator form of :meth:`call` for callees that may block
         (their generated body is a generator)."""
         interp = self.interp
-        unit = interp.program.unit(name)
-        callee = interp._make_frame(unit, args, fr)
-        self.ctx.compute(3 + len(args))  # call overhead
+        unit, callee = interp.enter_call(name, args, fr)
         fn_y = self.mod.units.get(name)
         if fn_y is not None:
             yield from fn_y(self, callee)
         else:
             yield from interp._exec_unit_y(unit, callee)
-        for formal, actual in zip(unit.formals, var_actuals):
-            if actual is not None and actual not in fr.arrays:
-                if formal in callee.scalars:
-                    fr.scalars[actual] = callee.scalars[formal]
+        interp.leave_call(unit, var_actuals, fr, callee)
         return callee
 
     def fcall(self, name: str, fr: Frame, args: list, var_actuals: tuple):

@@ -99,6 +99,43 @@ def _count_ops(e: A.Expr) -> int:
     return n
 
 
+def scalar_type(unit: A.Procedure, name: str) -> str:
+    """Type of scalar *name* in *unit*: its declaration wins, else the
+    I-N implicit-integer rule."""
+    d = unit.decl(name)
+    if d is not None:
+        return d.type
+    return "integer" if name[0] in "ijklmn" else "real"
+
+
+def fdiv(a, b):
+    """Scalar ``/``: Fortran truncating division when both operands are
+    integral, IEEE division otherwise.  Generated modules call it by
+    this name."""
+    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
+        q = abs(a) // abs(b)
+        return int(q if (a >= 0) == (b >= 0) else -q)
+    return a / b
+
+
+def format_print(rank: int, values) -> str:
+    """One PRINT line as the run records it."""
+    parts = [f"{v:.6g}" if isinstance(v, float) else str(v) for v in values]
+    return f"[{rank}] " + " ".join(parts)
+
+
+def blocking_call_in_expr(s: A.Stmt, blocking: set[str]) -> Optional[str]:
+    """Name of a function in *blocking* referenced in expression
+    position directly in statement *s*, else None.  A rank cannot
+    suspend there (a generator cannot yield from inside an expression),
+    and compiled node programs never place communication there."""
+    for e in A.stmt_exprs(s):
+        for sub in A.walk_exprs(e):
+            if isinstance(sub, A.CallExpr) and sub.name in blocking:
+                return sub.name
+    return None
+
+
 def find_blocking_units(program: A.Program) -> set[str]:
     """Procedures that may suspend: those containing a blocking
     statement, transitively closed over CALL / function-call edges.
@@ -248,12 +285,6 @@ class Interpreter:
                 self._fill(arr)
             self._common_store[name] = arr
 
-    def _scalar_type(self, unit: A.Procedure, name: str) -> str:
-        d = unit.decl(name)
-        if d is not None:
-            return d.type
-        return "integer" if name[0] in "ijklmn" else "real"
-
     def _make_frame(
         self,
         unit: A.Procedure,
@@ -338,27 +369,48 @@ class Interpreter:
         except _Return:
             pass
 
-    def _call_procedure(
-        self, name: str, arg_exprs: list[A.Expr], frame: Frame,
-        compiled_args: list[ExprFn],
-    ) -> Frame:
+    def enter_call(
+        self, name: str, args: list[object], frame: Frame
+    ) -> tuple[A.Procedure, Frame]:
+        """The call convention: every caller — the CALL, generator-CALL
+        and function-reference closures here, ``NodeRt.call``/``call_y``
+        for generated code — is ``enter_call`` -> run the body ->
+        :meth:`leave_call`.  Binds the evaluated actuals *args* (the
+        :class:`FArray` itself for an array) to a fresh frame of
+        procedure *name* and charges the call overhead."""
         unit = self.program.unit(name)
-        args: list[object] = []
-        for e, fn in zip(arg_exprs, compiled_args):
-            if isinstance(e, A.Var) and e.name in frame.arrays:
-                args.append(frame.arrays[e.name])
-            else:
-                args.append(fn(frame))
         callee_frame = self._make_frame(unit, args, frame)
         if self.ctx is not None:
             self.ctx.compute(3 + len(args))  # call overhead
-        self._exec_unit(unit, callee_frame)
-        # copy-out for scalar var actuals
-        for formal, e in zip(unit.formals, arg_exprs):
-            if isinstance(e, A.Var) and e.name not in frame.arrays:
-                if formal in callee_frame.scalars:
-                    frame.scalars[e.name] = callee_frame.scalars[formal]
-        return callee_frame
+        return unit, callee_frame
+
+    @staticmethod
+    def leave_call(unit: A.Procedure, var_actuals: tuple, frame: Frame,
+                   callee_frame: Frame) -> None:
+        """Copy scalar formals out to the actuals that are variables:
+        ``var_actuals[k]`` is the name of the k-th actual when it is a
+        bare variable, else None."""
+        for formal, actual in zip(unit.formals, var_actuals):
+            if actual is not None and actual not in frame.arrays \
+                    and formal in callee_frame.scalars:
+                frame.scalars[actual] = callee_frame.scalars[formal]
+
+    def _compile_actuals(
+        self, args: list[A.Expr], unit: A.Procedure
+    ) -> tuple[Callable[[Frame], list], tuple]:
+        """``(actuals_fn, var_actuals)`` of a call site: a bare variable
+        naming an array of the calling frame passes the array itself."""
+        var_actuals = tuple(
+            a.name if isinstance(a, A.Var) else None for a in args
+        )
+        arg_fns = [self._compile_expr(a, unit) for a in args]
+
+        def actuals(fr: Frame) -> list:
+            arrays = fr.arrays
+            return [arrays[v] if v in arrays else fn(fr)
+                    for v, fn in zip(var_actuals, arg_fns)]
+
+        return actuals, var_actuals
 
     def _exec_unit_y(
         self, unit: A.Procedure, frame: Frame
@@ -377,31 +429,6 @@ class Interpreter:
                     fn(frame)
         except _Return:
             pass
-
-    def _call_procedure_y(
-        self, name: str, arg_exprs: list[A.Expr], frame: Frame,
-        compiled_args: list[ExprFn],
-    ) -> Generator[None, None, Frame]:
-        """Generator twin of :meth:`_call_procedure`: identical binding,
-        call-overhead charge, and scalar copy-out; the callee body may
-        suspend."""
-        unit = self.program.unit(name)
-        args: list[object] = []
-        for e, fn in zip(arg_exprs, compiled_args):
-            if isinstance(e, A.Var) and e.name in frame.arrays:
-                args.append(frame.arrays[e.name])
-            else:
-                args.append(fn(frame))
-        callee_frame = self._make_frame(unit, args, frame)
-        if self.ctx is not None:
-            self.ctx.compute(3 + len(args))  # call overhead
-        yield from self._exec_unit_y(unit, callee_frame)
-        # copy-out for scalar var actuals
-        for formal, e in zip(unit.formals, arg_exprs):
-            if isinstance(e, A.Var) and e.name not in frame.arrays:
-                if formal in callee_frame.scalars:
-                    frame.scalars[e.name] = callee_frame.scalars[formal]
-        return callee_frame
 
     # ------------------------------------------------------------------
     # expression compilation
@@ -557,11 +584,12 @@ class Interpreter:
             ) from None
         if callee.kind != "function":
             raise InterpError(f"{name} is not a function")
-        arg_exprs = list(e.args)
-        arg_fns = [self._compile_expr(a, unit) for a in e.args]
+        actuals, var_actuals = self._compile_actuals(e.args, unit)
 
         def call_fn(fr: Frame):
-            callee_frame = self._call_procedure(name, arg_exprs, fr, arg_fns)
+            callee, callee_frame = self.enter_call(name, actuals(fr), fr)
+            self._exec_unit(callee, callee_frame)
+            self.leave_call(callee, var_actuals, fr, callee_frame)
             try:
                 return callee_frame.scalars[name]
             except KeyError:
@@ -580,6 +608,27 @@ class Interpreter:
     ) -> list[StmtFn]:
         return [self._compile_stmt(s, unit) for s in body]
 
+    def _compile_bounds(
+        self, s: A.Do, unit: A.Procedure
+    ) -> Callable[[Frame], tuple[int, int, int]]:
+        """The DO prologue of the scalar, generator and block forms of
+        a loop: ``lo``, ``hi``, ``step`` evaluated in that order, a zero
+        step refused."""
+        lo_fn = self._compile_expr(s.lo, unit)
+        hi_fn = self._compile_expr(s.hi, unit)
+        st_fn = self._compile_expr(s.step, unit)
+        unit_name = unit.name
+
+        def bounds(fr: Frame) -> tuple[int, int, int]:
+            lo = int(lo_fn(fr))
+            hi = int(hi_fn(fr))
+            st = int(st_fn(fr))
+            if st == 0:
+                raise InterpError(f"{unit_name}: zero DO step")
+            return lo, hi, st
+
+        return bounds
+
     def _compile_stmt(self, s: A.Stmt, unit: A.Procedure) -> StmtFn:
         ctx = self.ctx
         if isinstance(s, A.Assign):
@@ -587,8 +636,7 @@ class Interpreter:
             ops = _count_ops(s.expr) + 1
             if isinstance(s.target, A.Var):
                 name = s.target.name
-                typ = self._scalar_type(unit, name)
-                cast = int if typ == "integer" else float
+                cast = int if scalar_type(unit, name) == "integer" else float
                 if ctx is None:
                     def assign_scalar(fr: Frame):
                         fr.scalars[name] = cast(expr_fn(fr))
@@ -638,21 +686,14 @@ class Interpreter:
             return run_if
         if isinstance(s, A.Do):
             var = s.var
-            lo_fn = self._compile_expr(s.lo, unit)
-            hi_fn = self._compile_expr(s.hi, unit)
-            st_fn = self._compile_expr(s.step, unit)
+            bounds = self._compile_bounds(s, unit)
             body_code = self._compile_block(s.body, unit)
 
             # bind the tick method once per compiled loop rather than
             # testing ctx and resolving the attribute every iteration
             loop_tick = None if ctx is None else ctx.loop_tick
 
-            def run_do(fr: Frame):
-                lo = int(lo_fn(fr))
-                hi = int(hi_fn(fr))
-                st = int(st_fn(fr))
-                if st == 0:
-                    raise InterpError(f"{unit.name}: zero DO step")
+            def run_loop(fr: Frame, lo: int, hi: int, st: int):
                 scal = fr.scalars
                 i = lo
                 if st > 0:
@@ -676,10 +717,10 @@ class Interpreter:
             if self.vectorize:
                 from .vectorize import try_vectorize
 
-                vec = try_vectorize(s, unit, self, run_do)
+                vec = try_vectorize(s, unit, self, bounds, run_loop)
                 if vec is not None:
                     return vec
-            return run_do
+            return lambda fr: run_loop(fr, *bounds(fr))
         if isinstance(s, A.DoWhile):
             cond_fn = self._compile_expr(s.cond, unit)
             body_code = self._compile_block(s.body, unit)
@@ -698,11 +739,12 @@ class Interpreter:
             return run_while
         if isinstance(s, A.Call):
             name = s.name
-            arg_exprs = list(s.args)
-            arg_fns = [self._compile_expr(a, unit) for a in s.args]
+            actuals, var_actuals = self._compile_actuals(s.args, unit)
 
             def run_call(fr: Frame):
-                self._call_procedure(name, arg_exprs, fr, arg_fns)
+                callee, callee_frame = self.enter_call(name, actuals(fr), fr)
+                self._exec_unit(callee, callee_frame)
+                self.leave_call(callee, var_actuals, fr, callee_frame)
 
             return run_call
         if isinstance(s, A.Return):
@@ -721,12 +763,10 @@ class Interpreter:
             item_fns = [self._compile_expr(i, unit) for i in s.items]
 
             def run_print(fr: Frame):
-                parts = []
-                for fn in item_fns:
-                    v = fn(fr)
-                    parts.append(f"{v:.6g}" if isinstance(v, float) else str(v))
                 rank = self.ctx.rank if self.ctx is not None else 0
-                self.prints.append(f"[{rank}] " + " ".join(parts))
+                self.prints.append(
+                    format_print(rank, [fn(fr) for fn in item_fns])
+                )
 
             return run_print
         if isinstance(s, (A.Decomposition, A.Align, A.Distribute)):
@@ -772,22 +812,15 @@ class Interpreter:
     # — all other statements go through ``_compile_stmt``, grouped into
     # straight-line segments.
 
-    def _check_no_blocking_exprs(self, s: A.Stmt, unit: A.Procedure) -> None:
-        """A rank cannot suspend in expression position (a generator
-        cannot yield from inside ``_compile_expr`` closures); compiled
-        node programs never place communication there, so this is a
-        compile-time error, not a silent wrong answer."""
-        for e in A.stmt_exprs(s):
-            for sub in A.walk_exprs(e):
-                if isinstance(sub, A.CallExpr) and sub.name in self._blocking:
-                    raise InterpError(
-                        f"{unit.name}: function {sub.name!r} communicates; "
-                        f"a rank cannot suspend inside an expression — "
-                        f"restructure as a CALL statement"
-                    )
-
     def _stmt_may_block(self, s: A.Stmt, unit: A.Procedure) -> bool:
-        self._check_no_blocking_exprs(s, unit)
+        fn_name = blocking_call_in_expr(s, self._blocking)
+        if fn_name is not None:
+            # a compile-time error, not a silent wrong answer
+            raise InterpError(
+                f"{unit.name}: function {fn_name!r} communicates; "
+                f"a rank cannot suspend inside an expression — "
+                f"restructure as a CALL statement"
+            )
         if isinstance(s, _BLOCKING_STMTS):
             return True
         if isinstance(s, A.Call):
@@ -855,20 +888,14 @@ class Interpreter:
             return run_if_y
         if isinstance(s, A.Do):
             var = s.var
-            lo_fn = self._compile_expr(s.lo, unit)
-            hi_fn = self._compile_expr(s.hi, unit)
-            st_fn = self._compile_expr(s.step, unit)
+            bounds = self._compile_bounds(s, unit)
             body_segs = self._compile_block_y(s.body, unit)
             loop_tick = ctx.loop_tick
             # no try_vectorize: the vectorizer only accepts all-Assign
             # bodies, so a loop containing communication never qualifies
 
             def run_do_y(fr: Frame):
-                lo = int(lo_fn(fr))
-                hi = int(hi_fn(fr))
-                st = int(st_fn(fr))
-                if st == 0:
-                    raise InterpError(f"{unit.name}: zero DO step")
+                lo, hi, st = bounds(fr)
                 scal = fr.scalars
                 i = lo
                 while (i <= hi) if st > 0 else (i >= hi):
@@ -903,11 +930,12 @@ class Interpreter:
             return run_while_y
         if isinstance(s, A.Call):
             name = s.name
-            arg_exprs = list(s.args)
-            arg_fns = [self._compile_expr(a, unit) for a in s.args]
+            actuals, var_actuals = self._compile_actuals(s.args, unit)
 
             def run_call_y(fr: Frame):
-                yield from self._call_procedure_y(name, arg_exprs, fr, arg_fns)
+                callee, callee_frame = self.enter_call(name, actuals(fr), fr)
+                yield from self._exec_unit_y(callee, callee_frame)
+                self.leave_call(callee, var_actuals, fr, callee_frame)
 
             return run_call_y
         if isinstance(s, (A.Recv, A.Bcast)):
@@ -1180,14 +1208,7 @@ def _binop_fn(op: str, lf: ExprFn, rf: ExprFn) -> ExprFn:
     if op == "*":
         return lambda fr: lf(fr) * rf(fr)
     if op == "/":
-        def div(fr):
-            a, b = lf(fr), rf(fr)
-            if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-                q = abs(a) // abs(b)
-                return int(q if (a >= 0) == (b >= 0) else -q)
-            return a / b
-
-        return div
+        return lambda fr: fdiv(lf(fr), rf(fr))
     if op == "**":
         return lambda fr: lf(fr) ** rf(fr)
     if op == "==":

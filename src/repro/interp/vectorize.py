@@ -7,9 +7,10 @@ array assignments and compiles them to whole-section numpy expressions:
 one slice assignment per statement per block instead of one closure call
 per element.
 
-Legality (checked at closure-compile time, with residual conditions
-checked per block at run time; any failure falls back to the scalar
-closure path for that block):
+Legality (:class:`LoopPlan` — one analysis, lowered to closures here
+and to source text by :mod:`repro.codegen.emit` — with residual
+conditions checked per block at run time; any failure falls back to the
+scalar loop for that block):
 
 * the body is a non-empty sequence of ``Assign`` statements to array
   elements — no calls, no communication, no control flow, no scalar
@@ -46,12 +47,14 @@ keyword of the run helpers overrides the environment per run.
 from __future__ import annotations
 
 import os
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
 
 from ..lang import ast as A
 from ..runtime.intrinsics import PURE_INTRINSICS, f_func, g_func
+from .interpreter import _count_ops
 
 #: below this trip count the closure path is cheaper than slice setup
 MIN_BLOCK = 4
@@ -104,39 +107,27 @@ def _is_int(x) -> bool:
 
 
 def _fortran_div(a, b):
-    """Elementwise mirror of the scalar interpreter's ``/``: Fortran
-    truncating division when both operands are integral, IEEE division
-    otherwise."""
+    """Elementwise form of the scalar ``/`` (``interpreter.fdiv``):
+    Fortran truncating division when both operands are integral, IEEE
+    division otherwise."""
     if _is_int(a) and _is_int(b):
         q = np.abs(a) // np.abs(b)
         return np.where((a >= 0) == (b >= 0), q, -q)
     return a / b
 
 
-def _fold_minimum(args):
-    out = args[0]
-    for a in args[1:]:
-        out = np.minimum(out, a)
-    return out
-
-
-def _fold_maximum(args):
-    out = args[0]
-    for a in args[1:]:
-        out = np.maximum(out, a)
-    return out
-
-
-#: intrinsics whose numpy application is bit-identical to the scalar
-#: interpreter's per-element application (``exp`` is excluded: numpy's
-#: SIMD exp is not guaranteed identical to libm's)
-_VEC_INTRINSICS: dict[str, Callable] = {
-    "f": lambda args: f_func(args[0]),
-    "g": lambda args: g_func(args[0]),
-    "abs": lambda args: np.abs(args[0]),
-    "sqrt": lambda args: np.sqrt(args[0]),
-    "min": _fold_minimum,
-    "max": _fold_maximum,
+#: ``name -> (block impl, min arity, exact arity or None)``: intrinsics
+#: whose numpy application is bit-identical to the scalar interpreter's
+#: per-element application (``exp`` is excluded: numpy's SIMD exp is not
+#: guaranteed identical to libm's).  :class:`LoopPlan` checks the arity,
+#: so no lowering meets a call it cannot lower.
+VEC_INTRINSICS: dict[str, tuple[Callable, int, Optional[int]]] = {
+    "f": (lambda args: f_func(args[0]), 1, 1),
+    "g": (lambda args: g_func(args[0]), 1, 1),
+    "abs": (lambda args: np.abs(args[0]), 1, 1),
+    "sqrt": (lambda args: np.sqrt(args[0]), 1, 1),
+    "min": (lambda args: reduce(np.minimum, args), 2, None),
+    "max": (lambda args: reduce(np.maximum, args), 2, None),
 }
 
 #: calls that are pure and cost-free in the scalar path, hence safe
@@ -144,46 +135,115 @@ _VEC_INTRINSICS: dict[str, Callable] = {
 _INVARIANT_OK_CALLS = set(PURE_INTRINSICS) | {"myproc", "owner"}
 
 
-class _Plan:
-    """Compile-time analysis and code generation for one DO loop."""
+class LoopPlan:
+    """The legality analysis of one DO loop (module docstring) as a pure
+    AST -> data step: the single definition of "this loop may run as
+    blocks", lowered to closures by :class:`_Plan` and to source text by
+    ``repro.codegen.emit._VecPlan``.
 
-    def __init__(self, do: A.Do, unit, interp) -> None:
+    A subscript offset is ``("zero",)``, ``("pos", expr)`` or
+    ``("neg", expr)`` for ``i``, ``i + expr`` / ``expr + i`` and
+    ``i - expr`` (``expr`` loop invariant).  Construction raises
+    :class:`_Reject`; use :func:`loop_plan`.
+    """
+
+    def __init__(self, do: A.Do) -> None:
         self.do = do
-        self.unit = unit
-        self.interp = interp
         self.v = do.var
-        # legality bookkeeping
-        self.writes: dict[str, tuple[int, list]] = {}  # name -> (axis, [off_fn])
-        self.v_reads: list[tuple[str, int, Callable]] = []
-        self.inv_reads: list[tuple[str, list[A.Expr]]] = []
-        self.execs: list[Callable] = []
+        #: written array -> (loop axis, [offset of each write])
+        self.writes: dict[str, tuple[int, list]] = {}
+        #: one ``(target, axis, off, rhs)`` per body statement
+        self.stmts: list[tuple[A.ArrayRef, int, tuple, A.Expr]] = []
+        #: the right-hand sides use the loop variable as a value
+        self.uses_iota = False
+        #: the scalar path's exact operation count of one iteration
         self.ops_per_iter = 0
-
-        from .interpreter import _count_ops
-
+        self._v_reads: list[tuple[str, int, tuple]] = []
+        self._inv_reads: list[A.ArrayRef] = []
+        if not do.body:
+            raise _Reject
         for s in do.body:
             if not (isinstance(s, A.Assign)
                     and isinstance(s.target, A.ArrayRef)):
                 raise _Reject
-            target = self._compile_target(s.target)
-            rhs = self._compile_expr(s.expr)
-            self.execs.append(self._make_exec(target, rhs))
-            self.ops_per_iter += (
-                _count_ops(s.expr) + 1 + len(s.target.subs)
-            )
-        self._finalize_legality()
+            # the write is registered before its right-hand side is
+            # analysed (the order of the residual checks depends on it)
+            axis, off = self._record_ref(s.target)
+            if axis is None:
+                raise _Reject  # loop-invariant write: a cross-iteration race
+            prev = self.writes.setdefault(s.target.name, (axis, []))
+            if prev[0] != axis:
+                raise _Reject
+            prev[1].append(off)
+            self._check_expr(s.expr)
+            self.ops_per_iter += _count_ops(s.expr) + 1 + len(s.target.subs)
+            self.stmts.append((s.target, axis, off, s.expr))
+        #: ``(array, off)``: a read carrying the loop variable must sit
+        #: on the write axis of an array the block writes, and (checked
+        #: per block) at the write offset
+        self.checked_v_reads: list[tuple[str, tuple]] = []
+        for name, axis, off in self._v_reads:
+            w = self.writes.get(name)
+            if w is not None:
+                if axis != w[0]:
+                    raise _Reject
+                self.checked_v_reads.append((name, off))
+        #: ``(array, index expr on the write axis)``: an invariant read
+        #: of a written array must (checked per block) miss the block
+        self.checked_inv_reads: list[tuple[str, A.Expr]] = []
+        for ref in self._inv_reads:
+            w = self.writes.get(ref.name)
+            if w is not None:
+                if w[0] >= len(ref.subs):
+                    raise _Reject
+                self.checked_inv_reads.append((ref.name, ref.subs[w[0]]))
 
-    # -- subscript helpers -------------------------------------------------
+    def classify_ref(self, ref: A.ArrayRef):
+        """``(axis, off)`` of the one subscript of *ref* that mentions
+        the loop variable — ``(None, None)`` for a loop-invariant
+        reference.  Pure, so the lowerings call it again per read."""
+        axis = off = None
+        for pos, sub in enumerate(ref.subs):
+            if isinstance(sub, A.Triplet):
+                raise _Reject
+            if _mentions(sub, self.v):
+                if axis is not None:
+                    raise _Reject  # two subscripts use the loop variable
+                axis, off = pos, self._axis_offset(sub)
+        return axis, off
 
-    def _invariant_fn(self, e: A.Expr) -> Callable:
-        return self.interp._compile_expr(e, self.unit)
+    def _axis_offset(self, e: A.Expr) -> tuple:
+        """Offset descriptor of a subscript of the form ``i`` / ``i±c``
+        / ``c+i`` (``c`` loop invariant)."""
+        v = self.v
+        if isinstance(e, A.Var) and e.name == v:
+            return ("zero",)
+        if isinstance(e, A.BinOp) and e.op in ("+", "-"):
+            left_v = isinstance(e.left, A.Var) and e.left.name == v
+            right_v = isinstance(e.right, A.Var) and e.right.name == v
+            if left_v and not _mentions(e.right, v):
+                return ("pos" if e.op == "+" else "neg", e.right)
+            if e.op == "+" and right_v and not _mentions(e.left, v):
+                return ("pos", e.left)
+        raise _Reject
 
-    def _checked_invariant(self, e: A.Expr) -> Callable:
-        """Compile a loop-invariant expression that the block evaluates
-        once (the scalar path evaluates it per iteration, but invariance
-        makes the values equal).  User-function calls are rejected —
-        they carry per-call cost accounting and may have effects — and
-        array reads inside it are recorded so the runtime disjointness
+    def _record_ref(self, ref: A.ArrayRef):
+        """:meth:`classify_ref` plus the invariance check of every other
+        subscript (and of the offset), in subscript order."""
+        axis, off = self.classify_ref(ref)
+        for pos, sub in enumerate(ref.subs):
+            if pos != axis:
+                self._invariant(sub)
+            elif off[0] != "zero":
+                self._invariant(off[1])
+        return axis, off
+
+    def _invariant(self, e: A.Expr) -> None:
+        """A loop-invariant expression the block evaluates once (the
+        scalar path evaluates it per iteration, but invariance makes
+        the values equal).  User-function calls are rejected — they
+        carry per-call cost accounting and may have effects — and array
+        reads inside it are recorded so the per-block disjointness
         check sees them."""
         for sub in A.walk_exprs(e):
             if isinstance(sub, A.CallExpr) \
@@ -192,74 +252,102 @@ class _Plan:
             if isinstance(sub, A.Triplet):
                 raise _Reject
             if isinstance(sub, A.ArrayRef):
-                self.inv_reads.append((sub.name, list(sub.subs)))
-        return self._invariant_fn(e)
+                self._inv_reads.append(sub)
 
-    def _axis_offset(self, e: A.Expr) -> Callable:
-        """Offset function for a subscript of the form ``i``/``i±c``/
-        ``c+i`` (``c`` loop invariant)."""
-        v = self.v
-        if isinstance(e, A.Var) and e.name == v:
-            return lambda fr: 0
-        if isinstance(e, A.BinOp) and e.op in ("+", "-"):
-            left_v = isinstance(e.left, A.Var) and e.left.name == v
-            right_v = isinstance(e.right, A.Var) and e.right.name == v
-            if left_v and not _mentions(e.right, v):
-                off = self._checked_invariant(e.right)
-                if e.op == "+":
-                    return lambda fr: int(off(fr))
-                return lambda fr: -int(off(fr))
-            if e.op == "+" and right_v and not _mentions(e.left, v):
-                off = self._checked_invariant(e.left)
-                return lambda fr: int(off(fr))
-        raise _Reject
-
-    def _classify_ref(self, ref: A.ArrayRef):
-        """Split a reference's subscripts into the loop axis (at most
-        one, affine in the loop variable) and invariant index fns."""
-        axis = None
-        off_fn = None
-        sub_items: list[Optional[Callable]] = []
-        for pos, s in enumerate(ref.subs):
-            if isinstance(s, A.Triplet):
-                raise _Reject
-            if _mentions(s, self.v):
-                if axis is not None:
-                    raise _Reject
-                axis = pos
-                off_fn = self._axis_offset(s)
-                sub_items.append(None)
-            else:
-                sub_items.append(self._checked_invariant(s))
-        return axis, off_fn, sub_items
-
-    def _compile_target(self, t: A.ArrayRef):
-        axis, off_fn, sub_items = self._classify_ref(t)
-        if axis is None:
-            raise _Reject  # loop-invariant write: a cross-iteration race
-        prev = self.writes.get(t.name)
-        if prev is None:
-            self.writes[t.name] = (axis, [off_fn])
-        else:
-            if prev[0] != axis:
-                raise _Reject
-            prev[1].append(off_fn)
-        return t.name, axis, off_fn, sub_items
-
-    # -- expression compilation --------------------------------------------
-
-    def _compile_expr(self, e: A.Expr) -> Callable:
-        """Compile *e* to ``fn(frame, block) -> scalar | ndarray`` with
-        values bit-identical to the scalar path's per-element results."""
+    def _check_expr(self, e: A.Expr) -> None:
         if not _mentions(e, self.v):
-            return self._compile_invariant(e)
+            self._invariant(e)
+        elif isinstance(e, A.Var):  # the loop variable itself
+            self.uses_iota = True
+        elif isinstance(e, A.ArrayRef):
+            # axis is not None: the reference mentions the loop variable
+            axis, off = self._record_ref(e)
+            self._v_reads.append((e.name, axis, off))
+        elif isinstance(e, A.BinOp) and e.op in ("+", "-", "*", "/", "**"):
+            self._check_expr(e.left)
+            self._check_expr(e.right)
+        elif isinstance(e, A.UnOp) and e.op == "-":
+            self._check_expr(e.operand)
+        elif isinstance(e, A.CallExpr) and e.name in VEC_INTRINSICS:
+            _impl, at_least, exactly = VEC_INTRINSICS[e.name]
+            if len(e.args) < at_least \
+                    or (exactly is not None and len(e.args) != exactly):
+                raise _Reject
+            for a in e.args:
+                self._check_expr(a)
+        else:
+            # comparisons / logicals are not in affine assigns; user
+            # functions carry per-call cost and effects
+            raise _Reject
+
+
+def loop_plan(do: A.Do) -> Optional[LoopPlan]:
+    """The :class:`LoopPlan` of *do*, or ``None`` when the loop must run
+    as the scalar loop."""
+    try:
+        return LoopPlan(do)
+    except _Reject:
+        return None
+
+
+class _Plan:
+    """Closure lowering of a :class:`LoopPlan`: one block executor per
+    statement plus the residual per-block checks."""
+
+    def __init__(self, plan: LoopPlan, unit, interp) -> None:
+        self.plan = plan
+        self._scalar = lambda e: interp._compile_expr(e, unit)
+        self.execs = [self._lower_stmt(*stmt) for stmt in plan.stmts]
+        self._writes = [
+            (name, [self._off_fn(off) for off in offs])
+            for name, (_axis, offs) in plan.writes.items()
+        ]
+        self._v_reads = [
+            (name, self._off_fn(off)) for name, off in plan.checked_v_reads
+        ]
+        self._inv_reads = [
+            (name, self._scalar(idx)) for name, idx in plan.checked_inv_reads
+        ]
+
+    def _off_fn(self, off: tuple) -> Callable:
+        """``fn(frame) -> int`` of an offset descriptor."""
+        if off[0] == "zero":
+            return lambda fr: 0
+        fn = self._scalar(off[1])
+        if off[0] == "pos":
+            return lambda fr: int(fn(fr))
+        return lambda fr: -int(fn(fr))
+
+    def _section(self, ref: A.ArrayRef, axis: int, off: tuple) -> tuple:
+        """The ``_block_slices`` arguments of one loop-carried reference."""
+        return ref.name, axis, self._off_fn(off), [
+            None if pos == axis else self._scalar(s)
+            for pos, s in enumerate(ref.subs)
+        ]
+
+    def _lower_expr(self, e: A.Expr) -> Callable:
+        """Lower *e* to ``fn(frame, block) -> scalar | ndarray`` with
+        values bit-identical to the scalar path's per-element results."""
+        if not _mentions(e, self.plan.v):
+            # evaluated once per block via the scalar expression compiler
+            fn = self._scalar(e)
+            return lambda fr, blk: fn(fr)
         if isinstance(e, A.Var):  # the loop variable itself
             return lambda fr, blk: blk.iota()
         if isinstance(e, A.ArrayRef):
-            return self._compile_read(e)
+            name, axis, off_fn, sub_items = self._section(
+                e, *self.plan.classify_ref(e)
+            )
+
+            def read(fr, blk):
+                arr = fr.arrays[name]
+                sl = _block_slices(arr, blk, axis, off_fn(fr), sub_items, fr)
+                return arr.data[sl]
+
+            return read
         if isinstance(e, A.BinOp):
-            lf = self._compile_expr(e.left)
-            rf = self._compile_expr(e.right)
+            lf = self._lower_expr(e.left)
+            rf = self._lower_expr(e.right)
             op = e.op
             if op == "+":
                 return lambda fr, blk: lf(fr, blk) + rf(fr, blk)
@@ -269,94 +357,41 @@ class _Plan:
                 return lambda fr, blk: lf(fr, blk) * rf(fr, blk)
             if op == "/":
                 return lambda fr, blk: _fortran_div(lf(fr, blk), rf(fr, blk))
-            if op == "**":
-                return lambda fr, blk: lf(fr, blk) ** rf(fr, blk)
-            raise _Reject  # comparisons / logicals: not in affine assigns
-        if isinstance(e, A.UnOp) and e.op == "-":
-            of = self._compile_expr(e.operand)
+            return lambda fr, blk: lf(fr, blk) ** rf(fr, blk)
+        if isinstance(e, A.UnOp):
+            of = self._lower_expr(e.operand)
             return lambda fr, blk: -of(fr, blk)
-        if isinstance(e, A.CallExpr):
-            impl = _VEC_INTRINSICS.get(e.name)
-            if impl is None:
-                raise _Reject  # user functions: per-call cost + effects
-            arg_fns = [self._compile_expr(a) for a in e.args]
-            return lambda fr, blk: impl([f(fr, blk) for f in arg_fns])
-        raise _Reject
+        impl = VEC_INTRINSICS[e.name][0]
+        arg_fns = [self._lower_expr(a) for a in e.args]
+        return lambda fr, blk: impl([f(fr, blk) for f in arg_fns])
 
-    def _compile_invariant(self, e: A.Expr) -> Callable:
-        """A loop-invariant subexpression: evaluated once per block via
-        the scalar expression compiler."""
-        fn = self._checked_invariant(e)
-        return lambda fr, blk: fn(fr)
-
-    def _compile_read(self, ref: A.ArrayRef) -> Callable:
-        axis, off_fn, sub_items = self._classify_ref(ref)
-        # axis is not None here: _mentions(ref, v) held and all subs of
-        # an invariant ref would have been taken by _compile_invariant
-        name = ref.name
-        self.v_reads.append((name, axis, off_fn))
-
-        def read(fr, blk):
-            arr = fr.arrays[name]
-            sl = _block_slices(arr, blk, axis, int(off_fn(fr)),
-                               sub_items, fr)
-            return arr.data[sl]
-
-        return read
-
-    def _make_exec(self, target, rhs_fn) -> Callable:
-        name, axis, off_fn, sub_items = target
+    def _lower_stmt(self, target: A.ArrayRef, axis: int, off: tuple,
+                    rhs: A.Expr) -> Callable:
+        name, axis, off_fn, sub_items = self._section(target, axis, off)
+        rhs_fn = self._lower_expr(rhs)
 
         def exec_stmt(fr, blk):
             arr = fr.arrays[name]
-            sl = _block_slices(arr, blk, axis, int(off_fn(fr)),
-                               sub_items, fr)
+            sl = _block_slices(arr, blk, axis, off_fn(fr), sub_items, fr)
             arr.data[sl] = rhs_fn(fr, blk)
 
         return exec_stmt
-
-    # -- legality -----------------------------------------------------------
-
-    def _finalize_legality(self) -> None:
-        # reads carrying the loop variable must sit on the write axis of
-        # any array the block writes (offset equality checked per block)
-        self._checked_v_reads = []
-        for name, axis, off_fn in self.v_reads:
-            w = self.writes.get(name)
-            if w is None:
-                continue
-            if axis != w[0]:
-                raise _Reject
-            self._checked_v_reads.append((name, off_fn))
-        # invariant reads of written arrays need their index on the
-        # write axis for the runtime range check
-        self._checked_inv_reads = []
-        for name, subs in self.inv_reads:
-            w = self.writes.get(name)
-            if w is None:
-                continue
-            axis = w[0]
-            if axis >= len(subs):
-                raise _Reject
-            self._checked_inv_reads.append(
-                (name, self._invariant_fn(subs[axis]))
-            )
 
     def runtime_ok(self, fr, lo: int, st: int, n: int) -> bool:
         """Per-block residual legality: common write offsets, read
         offsets equal to write offsets, invariant reads outside the
         written index range."""
         woff = {}
-        for name, (axis, off_fns) in self.writes.items():
-            w = int(off_fns[0](fr))
+        for name, off_fns in self._writes:
+            w = off_fns[0](fr)
             for f in off_fns[1:]:
-                if int(f(fr)) != w:
+                if f(fr) != w:
                     return False
             woff[name] = w
-        for name, off_fn in self._checked_v_reads:
-            if int(off_fn(fr)) != woff[name]:
+        for name, off_fn in self._v_reads:
+            if off_fn(fr) != woff[name]:
                 return False
-        for name, idx_fn in self._checked_inv_reads:
+        for name, idx_fn in self._inv_reads:
             first = lo + woff[name]
             last = first + (n - 1) * st
             w_lo, w_hi = (first, last) if st > 0 else (last, first)
@@ -365,59 +400,67 @@ class _Plan:
         return True
 
 
+def ax_slice(arr, pos: int, first: int, last: int, st: int) -> slice:
+    """Loop-axis block section ``first, first+st, .., last`` -> numpy
+    slice, bounds-checked at the block endpoints like the scalar path
+    checks each element.  Generated modules call it by this name."""
+    o_first = arr._offset(pos, first)
+    o_last = arr._offset(pos, last)
+    stop = o_last + (1 if st > 0 else -1)
+    return slice(o_first, stop if stop >= 0 else None, st)
+
+
 def _block_slices(arr, blk: _Block, axis: int, off: int,
                   sub_items, fr) -> tuple:
-    """Global-index block section -> numpy index tuple (bounds-checked
-    at the block endpoints, like the scalar path checks each element)."""
+    """Global-index block section -> numpy index tuple."""
     out = []
     for pos, item in enumerate(sub_items):
         if pos == axis:
             first = blk.lo + off
-            last = first + (blk.n - 1) * blk.st
-            o_first = arr._offset(pos, first)
-            o_last = arr._offset(pos, last)
-            stop = o_last + (1 if blk.st > 0 else -1)
-            out.append(slice(o_first, stop if stop >= 0 else None, blk.st))
+            out.append(ax_slice(arr, pos, first,
+                                first + (blk.n - 1) * blk.st, blk.st))
         else:
             out.append(arr._offset(pos, int(item(fr))))
     return tuple(out)
 
 
-def try_vectorize(do: A.Do, unit, interp, scalar_fallback) -> Optional[Callable]:
+def trace_block(tracer, ctx, t0: float, unit: str, var: str, n: int,
+                ops: int) -> None:
+    """The ``interp.vec`` event of one executed block: the virtual span
+    of its charges, previewed without flushing (a flush here would
+    perturb the simulation).  One definition, so tools cannot tell
+    which engine executed the block."""
+    tracer.rank_event(
+        ctx.rank, "interp.vec", t0, dur=ctx.clock_estimate() - t0,
+        unit=unit, var=var, n=n, ops=ops,
+    )
+
+
+def try_vectorize(do: A.Do, unit, interp, bounds,
+                  scalar_loop) -> Optional[Callable]:
     """Attempt to compile *do* to a vectorized block executor.  Returns
     a statement function or ``None`` when the loop is not vectorizable;
-    the returned function itself falls back to *scalar_fallback* for
-    blocks that fail the residual runtime checks or are too small to
-    win."""
-    if not do.body:
+    the returned function itself falls back to
+    ``scalar_loop(frame, lo, hi, step)`` — over the bounds *bounds* has
+    already evaluated, once — for blocks that fail the residual runtime
+    checks or are too small to win."""
+    analysis = loop_plan(do)
+    if analysis is None:
         return None
-    try:
-        plan = _Plan(do, unit, interp)
-    except _Reject:
-        return None
-
-    from .interpreter import InterpError
-
+    plan = _Plan(analysis, unit, interp)
     ctx = interp.ctx
     var = do.var
-    lo_fn = interp._compile_expr(do.lo, unit)
-    hi_fn = interp._compile_expr(do.hi, unit)
-    st_fn = interp._compile_expr(do.step, unit)
-    ops_per_iter = plan.ops_per_iter
+    ops_per_iter = analysis.ops_per_iter
     unit_name = unit.name
 
     def run_do_vec(fr):
-        lo = int(lo_fn(fr))
-        hi = int(hi_fn(fr))
-        st = int(st_fn(fr))
-        if st == 0:
-            raise InterpError(f"{unit_name}: zero DO step")
+        lo, hi, st = bounds(fr)
         n = (hi - lo) // st + 1
         if n <= 0:
             fr.scalars[var] = lo
             return
         if n < MIN_BLOCK or not plan.runtime_ok(fr, lo, st, n):
-            scalar_fallback(fr)
+            scalar_loop(fr, lo, hi, st)
             return
         tracer = ctx.tracer if ctx is not None else None
         t0 = ctx.clock_estimate() if tracer is not None else 0.0
@@ -428,12 +471,7 @@ def try_vectorize(do: A.Do, unit, interp, scalar_fallback) -> Optional[Callable]
             ctx.loop_tick(n)
             ctx.compute(n * ops_per_iter)
         if tracer is not None:
-            # virtual span of the block's charges, previewed without
-            # flushing (a flush here would perturb the simulation)
-            tracer.rank_event(
-                ctx.rank, "interp.vec", t0, dur=ctx.clock_estimate() - t0,
-                unit=unit_name, var=var, n=n, ops=n * ops_per_iter,
-            )
+            trace_block(tracer, ctx, t0, unit_name, var, n, n * ops_per_iter)
         fr.scalars[var] = lo + n * st
 
     return run_do_vec

@@ -335,6 +335,8 @@ class TestCodegenClient:
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(blocker / "cache"))
+        # the compile-time prewarm only runs when codegen is the default
+        monkeypatch.setenv("REPRO_CODEGEN", "1")
         prog = self._program()  # prewarms: three modules already emitted
         reset_memory()
         gen, hits, misses = get_generated(prog, 4, True)

@@ -32,6 +32,7 @@ from repro.core.options import Mode, Options
 from repro.interp import run_sequential
 from repro.interp.vectorize import enabled
 from repro.lang import parse
+from repro.obs import Tracer
 
 #: the stats that must match exactly between the two execution paths
 STAT_FIELDS = (
@@ -209,6 +210,49 @@ def test_random_sequential_programs_bit_identical(src):
         assert np.array_equal(
             f_vec.arrays[name].data, f_sca.arrays[name].data, equal_nan=True
         ), f"array {name} differs"
+    # the same grammar through the emitter: the generated node program
+    # (P=1) against the scalar interpreter, and its block decisions —
+    # accept, reject, per-block fallback — against the vectorized
+    # interpreter's, event for event
+    cp = compile_program(src, Options(nprocs=1))
+    r_gen = cp.run(codegen=True, vectorize=True, timeout_s=5.0,
+                   trace=Tracer(sample=False))
+    r_sca = cp.run(codegen=False, vectorize=False, timeout_s=5.0)
+    r_vec = cp.run(codegen=False, vectorize=True, timeout_s=5.0,
+                   trace=Tracer(sample=False))
+    assert r_gen.stats.proc_times == r_sca.stats.proc_times
+    for name, arr in r_sca.frames[0].arrays.items():
+        assert np.array_equal(
+            r_gen.frames[0].arrays[name].data, arr.data, equal_nan=True
+        ), f"generated: array {name} differs"
+    assert r_gen.trace.events("interp.vec") \
+        == r_vec.trace.events("interp.vec")
+
+
+def test_loop_bounds_evaluated_once_when_block_falls_back():
+    """A block that falls back to the scalar loop (here: trip count
+    below ``MIN_BLOCK``) runs it over the bounds already evaluated — a
+    user function in a loop bound is called, and charged, once on every
+    engine."""
+    cp = compile_program("""
+program h
+real a(32)
+integer k
+k = 3
+do i = 1, nf(k)
+  a(i) = a(i) + 1.0
+enddo
+end
+integer function nf(m)
+integer m
+nf = m
+end
+""", Options(nprocs=1))
+    times = {
+        (cg, vec): cp.run(codegen=cg, vectorize=vec).stats.proc_times
+        for cg in (False, True) for vec in (False, True)
+    }
+    assert len({repr(t) for t in times.values()}) == 1, times
 
 
 # -- the switch itself ----------------------------------------------------
