@@ -7,9 +7,10 @@ Phases (§4, §5):
 2. **Interprocedural propagation** — reaching decompositions top-down,
    procedure cloning, side effects.
 3. **Interprocedural code generation** — one pass over the procedures in
-   reverse topological order; each :class:`ProcedureCompiler` consumes
-   its callees' exports (delayed partitions, pending communication, RSD
-   summaries, decomposition sets) and produces its own.
+   reverse topological order (:func:`sweep`); each
+   :class:`ProcedureCompiler` consumes its callees' exports (delayed
+   partitions, pending communication, RSD summaries, decomposition
+   sets) and produces its own.
 
 The result executes directly on the simulated machine via
 :meth:`CompiledProgram.run`.
@@ -57,6 +58,12 @@ from .partition import (
     resolve_arrays,
 )
 from .reaching import ReachingResult, compute_reaching
+from .recompile import (
+    ProcSummary,
+    inputs_fingerprint,
+    source_fingerprint,
+    store_opts_fingerprint,
+)
 
 
 @dataclass
@@ -738,10 +745,7 @@ def front_end(
     reaching, report)`` with the report seeded with cloning outcomes.
     Deterministic: every process running it over the same source and
     options reconstructs identical structures."""
-    def span(name, **fields):
-        return tracer.phase(name, **fields) if tracer is not None \
-            else nullcontext()
-
+    span = _spans(tracer)
     with span("parse"):
         prog = parse(source) if isinstance(source, str) \
             else _deep_copy(source)
@@ -801,10 +805,8 @@ def compile_procedure_unit(
     paper's graceful degradation: a failed compile-time analysis demotes
     the procedure to run-time resolution instead of aborting (unless
     ``opts.strict``).  Mutates ``prog.unit(name)`` in place and appends
-    to *report*; returns the procedure's exports.  The compile service
-    and its workers call this for byte-identical per-procedure results
-    (same rewrites, same tag-allocation deltas) as the whole-program
-    driver."""
+    to *report*; returns the procedure's exports.  Reached through
+    :func:`compile_one`."""
     pc = ProcedureCompiler(
         prog.unit(name), acg, reaching, opts, exports, report,
         tags, is_main=(name == main_name), tracer=tracer,
@@ -827,32 +829,150 @@ def compile_procedure_unit(
         )
 
 
+#: statement types carrying allocator-issued message tags (tag > 0 iff
+#: the allocator issued it; tags only affect runtime message matching,
+#: never printed text)
+_TAGGED = (A.Send, A.Recv, A.SendPack, A.RecvPack, A.Bcast,
+           A.GlobalReduce)
+
+
+def _spans(tracer):
+    """``span(name, **fields)``: a tracer phase, or nothing untraced."""
+    if tracer is None:
+        return lambda name, **fields: nullcontext()
+    return tracer.phase
+
+
+def compile_one(prog, name, acg, reaching, opts, exports, main_name,
+                tracer=None) -> ProcSummary:
+    """Compile procedure *name* (in place) with a private tag allocator
+    and a private report fragment: everything its compilation leaves
+    behind, independent of what was compiled before it.  The one path
+    to :func:`compile_procedure_unit` — the sweep and the service's
+    workers both go through here."""
+    tags = TagAllocator()
+    frag = CompileReport(mode=opts.mode, nprocs=opts.nprocs)
+    exp = compile_procedure_unit(
+        prog, name, acg, reaching, opts, exports, frag, tags,
+        main_name, tracer,
+    )
+    return ProcSummary(name, prog.unit(name), exp, tags.next - 1, frag)
+
+
+def sweep(
+    source: Union[str, A.Program],
+    opts: Options,
+    store=None,
+    tracer=None,
+    compile_wave=None,
+    checkpoint=None,
+) -> tuple[CompiledProgram, list[str], list[str]]:
+    """The paper's single pass (§4, §7, §8; docs/compiler.md
+    § Recompilation): front end, the procedures in reverse topological
+    *waves*, assembly.  Returns ``(compiled, reused, recompiled)``.
+
+    A procedure is ready once its callees are resolved.  With a *store*
+    (``key(opts_fp, src_fp, in_fp)``, ``load(key)``, ``store(key,
+    summary)``) a ready procedure whose §8 key — options, source and
+    interprocedural-inputs fingerprints — is stored is reused; the rest
+    of the wave, mutually independent, goes through :func:`compile_one`.
+    Assembly splices the bodies back in reverse topological order,
+    shifting each private tag block by the running total and merging
+    the report fragments: the numbering and report of one shared
+    allocator, whichever procedures were reused or compiled elsewhere.
+
+    The compile service's two differences are per-call callables:
+    ``compile_wave(dirty, exports, prog, acg, reaching, main_name)``
+    returns ``{name: ProcSummary}`` for a wave compiled elsewhere (None:
+    compile it here); ``checkpoint()`` runs on entry, per wave and
+    before each local compile, and may raise to abandon the compile.
+    """
+    span = _spans(tracer)
+    checkpoint = checkpoint or (lambda: None)
+    checkpoint()
+    prog, acg, reaching, report = front_end(source, opts, tracer)
+    # initial (static prologue) distributions of the main program
+    with span("initial-distributions"):
+        initial = _initial_distributions(prog, reaching, opts)
+
+    order = acg.reverse_topological_order()
+    main_name = prog.main.name
+    # plan-invariant on purpose: distribution overrides rewrite the
+    # program before fingerprinting, so sibling tuning plans share
+    # summaries of untouched procedures (see store_opts_fingerprint)
+    opts_fp = store_opts_fingerprint(opts) if store is not None else None
+    resolved: dict[str, ProcSummary] = {}
+    reused: list[str] = []
+    recompiled: list[str] = []
+    with span("codegen"):
+        pending = list(order)
+        while pending:
+            checkpoint()
+            ready = [
+                n for n in pending
+                if all(site.callee in resolved
+                       for site in acg.calls_from(n))
+            ]
+            if not ready:  # pragma: no cover - ACG rejects recursion
+                raise CompileError(
+                    f"call-graph cycle among {sorted(pending)}")
+            exports = {n: s.exports for n, s in resolved.items()}
+            keys: dict[str, object] = {}
+            dirty = []
+            for n in ready:
+                if store is not None:
+                    keys[n] = store.key(
+                        opts_fp, source_fingerprint(prog.unit(n)),
+                        inputs_fingerprint(n, acg, reaching, exports,
+                                           opts))
+                    hit = store.load(keys[n])
+                    if hit is not None and hit.name == n:
+                        resolved[n] = hit
+                        reused.append(n)
+                        if tracer is not None:
+                            tracer.decision("summary-reuse", proc=n)
+                        continue
+                dirty.append(n)
+            got = compile_wave(
+                dirty, exports, prog, acg, reaching, main_name
+            ) if compile_wave is not None and dirty else None
+            if got is None:
+                got = {}
+                for n in dirty:
+                    checkpoint()
+                    with span("procedure", proc=n):
+                        got[n] = compile_one(
+                            prog, n, acg, reaching, opts, exports,
+                            main_name, tracer)
+            for n in dirty:
+                resolved[n] = got[n]
+                if store is not None:
+                    store.store(keys[n], got[n])
+            recompiled += dirty
+            pending = [n for n in pending if n not in resolved]
+
+        base = 0
+        for name in order:
+            s = resolved[name]
+            # a stored summary outlives this compilation: renumber a copy
+            proc = A.clone_procedure(s.proc) if store is not None \
+                else s.proc
+            if base:
+                for st in A.walk_stmts(proc.body):
+                    if isinstance(st, _TAGGED) and st.tag > 0:
+                        st.tag += base
+            base += s.tag_count
+            prog.units[prog.units.index(prog.unit(name))] = proc
+            report.merge(s.fragment)
+    return CompiledProgram(prog, initial, report, opts), reused, recompiled
+
+
 def _compile_uncached(
     source: Union[str, A.Program], opts: Options, tracer=None
 ) -> CompiledProgram:
-    def span(name, **fields):
-        return tracer.phase(name, **fields) if tracer is not None \
-            else nullcontext()
-
+    span = _spans(tracer)
     with span("compile", mode=opts.mode.value, nprocs=opts.nprocs):
-        prog, acg, reaching, report = front_end(source, opts, tracer)
-
-        # initial (static prologue) distributions of the main program
-        with span("initial-distributions"):
-            initial = _initial_distributions(prog, reaching, opts)
-
-        tags = TagAllocator()
-        exports: dict[str, ProcExports] = {}
-        main_name = prog.main.name
-        with span("codegen"):
-            for name in acg.reverse_topological_order():
-                with span("procedure", proc=name):
-                    exports[name] = compile_procedure_unit(
-                        prog, name, acg, reaching, opts, exports,
-                        report, tags, main_name, tracer,
-                    )
-
-    compiled = CompiledProgram(prog, initial, report, opts)
+        compiled = sweep(source, opts, tracer=tracer)[0]
     with span("emit-node-program", nprocs=opts.nprocs):
         _prewarm_codegen(compiled, tracer)
     return compiled

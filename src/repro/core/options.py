@@ -52,10 +52,6 @@ class Options:
     #: "cloning may be disabled when a threshold program growth has been
     #: exceeded, forcing run-time resolution instead")
     clone_growth_limit: float = 8.0
-    #: emit parameterized overlap bounds (Figure 14) in localized output
-    parameterized_overlaps: bool = False
-    #: collect human-readable notes about decisions taken
-    verbose_notes: bool = True
     #: when False (the default), a procedure whose analysis fails or
     #: that uses an unsupported construct is *demoted* to the run-time
     #: resolution compilation path instead of aborting the whole
@@ -68,9 +64,6 @@ class Options:
     #: to the override's specs, so a candidate layout applies without
     #: editing source (``fdc --distribute`` / the auto-tuner).
     distribute: tuple = ()
-
-    def notes_sink(self) -> list[str]:
-        return []
 
 
 @dataclass
@@ -105,3 +98,21 @@ class CompileReport:
 
     def note(self, msg: str) -> None:
         self.notes.append(msg)
+
+    def merge(self, frag: "CompileReport") -> None:
+        """Fold one procedure's report fragment into the program report
+        (``mode``, ``nprocs`` and ``cloned`` are whole-program facts the
+        front end sets).  Merging the fragments in reverse topological
+        order reproduces a sequential compilation's append order."""
+        for proc, dists in frag.distributions.items():
+            self.distributions[proc] = dict(dists)
+        self.comm_placements += frag.comm_placements
+        self.comm_sites += frag.comm_sites
+        self.rtr_fallbacks += frag.rtr_fallbacks
+        self.rtr_demotions += frag.rtr_demotions
+        self.remaps_emitted += frag.remaps_emitted
+        self.remaps_eliminated += frag.remaps_eliminated
+        self.remaps_hoisted += frag.remaps_hoisted
+        self.remaps_marked += frag.remaps_marked
+        self.overlaps.update(frag.overlaps)
+        self.notes += frag.notes

@@ -13,24 +13,24 @@ propagated constants, and the callee exports (delayed partitions,
 pending communication, RSD summaries, decomposition sets) visible at its
 call sites.  On a subsequent compilation, a procedure is recompiled only
 when one of those fingerprints changed; everything else keeps its
-previous node code (here: the compiled Procedure object is reused).
+previous node code (its stored :class:`ProcSummary` is reused).
+
+This module holds what §8 defines — the fingerprints and the summary
+they key — and nothing that imports the driver: the pass that applies
+the test is :func:`repro.core.driver.sweep`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import Union
 
 from ..callgraph.acg import ACG
 from ..lang import ast as A
-from ..lang import parse, procedure_str
-from .cloning import clone_program
-from .driver import CompiledProgram, ProcedureCompiler, TagAllocator, \
-    _initial_distributions
+from ..lang import procedure_str
 from .model import ProcExports
-from .options import CompileReport, Mode, Options
-from .reaching import compute_reaching
+from .options import CompileReport, Options
 
 
 def _digest(text: str) -> str:
@@ -67,10 +67,6 @@ def exports_fingerprint(exp: ProcExports) -> str:
     return _digest("|".join(parts))
 
 
-#: backwards-compatible private alias
-_exports_fingerprint = exports_fingerprint
-
-
 def inputs_fingerprint(
     name: str,
     acg: ACG,
@@ -99,86 +95,76 @@ def inputs_fingerprint(
     return _digest("|".join(parts))
 
 
-@dataclass
-class ProcRecord:
-    """What one procedure's last compilation depended on."""
+def opts_fingerprint(opts: Options) -> str:
+    """Fingerprint of every compilation option (any of them can change
+    generated code, so all of them key the store)."""
+    return _digest(repr(astuple(opts)))
 
-    source: str
-    inputs: str          # reaching + constants + callee exports digest
-    compiled: A.Procedure
-    exports: ProcExports
+
+def store_opts_fingerprint(opts: Options) -> str:
+    """The *summary-store* options fingerprint: every option except the
+    distribution-plan overrides.  Overrides rewrite DISTRIBUTE
+    statements before analysis, so their whole effect is already visible
+    in the per-procedure source and interprocedural-inputs fingerprints
+    — excluding them here lets sibling candidate plans of one tuning run
+    share the summaries of every procedure the plan change does not
+    actually touch.  (The worker front-end memo keeps the full
+    :func:`opts_fingerprint`: two compilations of the same source under
+    different overrides are different programs.)"""
+    return opts_fingerprint(replace(opts, distribute=()))
+
+
+@dataclass
+class ProcSummary:
+    """One procedure's reusable compilation result."""
+
+    name: str
+    #: compiled body with local tags 1..tag_count
+    proc: A.Procedure
+    exports: object                 # ProcExports (picklable, name-keyed)
+    tag_count: int
+    #: the per-procedure slice of the compile report
+    fragment: CompileReport
+
+
+class _Summaries(dict):
+    """The summary store the sweep expects (``key`` / ``load`` /
+    ``store``) as a dict: content-addressed like the service's
+    :class:`~repro.service.store.SummaryStore`, so it remembers every
+    procedure version compiled in the session, not only the last."""
+
+    @staticmethod
+    def key(opts_fp: str, src_fp: str, in_fp: str) -> tuple:
+        return opts_fp, src_fp, in_fp
+
+    load = dict.get
+    store = dict.__setitem__
 
 
 @dataclass
 class RecompilationManager:
-    """Separate-compilation façade over the whole-program driver.
+    """Separate-compilation façade: :func:`repro.core.driver.sweep` plus
+    an in-memory summary store.
 
-    ``compile()`` performs a full build and caches per-procedure
-    records; subsequent ``compile()`` calls with edited source reuse
-    every procedure whose source *and* interprocedural inputs are
-    unchanged.  ``last_recompiled`` lists what was actually rebuilt —
-    the quantity §8's analysis minimizes.
+    ``compile()`` is the whole-program compile, except that every
+    procedure whose source *and* interprocedural inputs match a summary
+    compiled earlier in the session reuses it; the result equals the
+    cold :func:`~repro.core.driver.compile_program` by construction.
+    ``last_recompiled`` lists what was actually rebuilt — the quantity
+    §8's analysis minimizes.
     """
 
     opts: Options = field(default_factory=Options)
-    records: dict[str, ProcRecord] = field(default_factory=dict)
     last_recompiled: list[str] = field(default_factory=list)
     last_reused: list[str] = field(default_factory=list)
-    #: persistent across compilations so reused node code (which keeps
-    #: its old message tags) never collides with freshly compiled code
-    tags: TagAllocator = field(default_factory=TagAllocator)
+    summaries: _Summaries = field(default_factory=_Summaries, init=False,
+                                  repr=False)
 
-    def compile(self, source: Union[str, A.Program]) -> CompiledProgram:
-        prog = parse(source) if isinstance(source, str) else \
-            A.Program([A.clone_procedure(u) for u in source.units])
-        report = CompileReport(mode=self.opts.mode, nprocs=self.opts.nprocs)
-        if self.opts.mode in (Mode.INTER, Mode.INTRA):
-            outcome = clone_program(prog, self.opts)
-            prog, acg, reaching = (
-                outcome.program, outcome.acg, outcome.reaching
-            )
-            report.cloned = outcome.clones
-        else:
-            acg = ACG(prog)
-            reaching = compute_reaching(acg, self.opts)
-        initial = _initial_distributions(prog, reaching, self.opts)
+    def compile(self, source: Union[str, A.Program]):
+        """Compile *source* to a
+        :class:`~repro.core.driver.CompiledProgram`."""
+        from .driver import sweep  # the driver imports this module
 
-        tags = self.tags
-        exports: dict[str, ProcExports] = {}
-        new_records: dict[str, ProcRecord] = {}
-        self.last_recompiled = []
-        self.last_reused = []
-        main_name = prog.main.name
-        for name in acg.reverse_topological_order():
-            proc = prog.unit(name)
-            src_fp = source_fingerprint(proc)
-            in_fp = self._inputs_fingerprint(name, acg, reaching, exports)
-            old = self.records.get(name)
-            if old is not None and old.source == src_fp \
-                    and old.inputs == in_fp:
-                # reuse: swap in the previously compiled body
-                idx = prog.units.index(proc)
-                prog.units[idx] = old.compiled
-                exports[name] = old.exports
-                new_records[name] = old
-                self.last_reused.append(name)
-                continue
-            pc = ProcedureCompiler(
-                proc, acg, reaching, self.opts, exports, report, tags,
-                is_main=(name == main_name),
-            )
-            exports[name] = pc.compile()
-            new_records[name] = ProcRecord(src_fp, in_fp, proc,
-                                           exports[name])
-            self.last_recompiled.append(name)
-        self.records = new_records
-        return CompiledProgram(prog, initial, report, self.opts)
-
-    def _inputs_fingerprint(
-        self,
-        name: str,
-        acg: ACG,
-        reaching,
-        exports: dict[str, ProcExports],
-    ) -> str:
-        return inputs_fingerprint(name, acg, reaching, exports, self.opts)
+        compiled, self.last_reused, self.last_recompiled = sweep(
+            source, self.opts, store=self.summaries)
+        return compiled

@@ -8,14 +8,14 @@ keyed by source + interprocedural-input fingerprints) and dispatches
 procedures whose recompilation tests fire to a supervised worker-process
 pool.  Clients (`fdc --server`) fall back to in-process compilation on
 any infrastructure failure — the service accelerates compilation, it
-never changes its results: service output is byte-identical to
-``compile_program``.
+never changes its results: it runs the same
+:func:`repro.core.driver.sweep` as ``compile_program``.
 
 Layers::
 
     protocol.py   length-prefixed JSON frames + wire (de)serialization
     store.py      crash-safe content-addressed summary store
-    compiler.py   ServiceCompiler: incremental waves over the ACG
+    compiler.py   ServiceCompiler: sweep + store, pool and deadline
     worker.py     per-procedure compile worker (python -m ...)
     pool.py       supervised worker pool (restart, backoff, deadlines)
     daemon.py     the socket server (queueing, backpressure, shedding)

@@ -1,29 +1,19 @@
 """Incremental service compiler.
 
-``ServiceCompiler.compile`` produces output **byte-identical** to the
-whole-program :func:`~repro.core.driver.compile_program` while only
-actually compiling procedures whose §8 recompilation tests fire:
+``ServiceCompiler.compile`` is :func:`repro.core.driver.sweep` — the
+same pass :func:`~repro.core.driver.compile_program` runs, so its
+output is the cold compile's byte for byte (docs/compiler.md
+§ Recompilation) — with the three things a service adds:
 
-1. Run the shared front end (parse, cloning, reaching decompositions,
-   alias check) — cheap, deterministic, and the source of the
-   fingerprints.
-2. Sweep the ACG in reverse topological *waves*: a procedure is ready
-   once all its callees are resolved.  For each ready procedure compute
-   its summary-store key (options + source + interprocedural-inputs
-   fingerprints) and probe the store; misses form the wave's *dirty*
-   set — mutually independent by construction, so they compile in
-   parallel on the worker pool (or locally when no pool is available).
-3. Assemble: each procedure was compiled with a private
-   :class:`TagAllocator` (message tags 1..tag_count), so splicing the
-   compiled bodies back in reverse topological order while shifting
-   each block by the running total reproduces the sequential driver's
-   contiguous tag numbering exactly.  Report fragments merge in the
-   same order, reproducing the sequential report.
-
-Deadlines are cooperative: the compiler checks between waves and
-between local procedure compiles, and worker reads time out; an expiry
-raises :class:`~repro.service.protocol.ServiceError` with kind
-``deadline`` (retryable).
+* a :class:`~repro.service.store.SummaryStore`, so only procedures
+  whose §8 recompilation test fires are actually compiled;
+* the worker pool: a wave's dirty procedures are mutually independent,
+  so they compile in parallel on the pool; any pool failure falls back
+  to compiling the wave in-process (results are identical either way);
+* a cooperative deadline: checked on entry, between waves and between
+  local procedure compiles, and worker reads time out; an expiry raises
+  :class:`~repro.service.protocol.ServiceError` with kind ``deadline``
+  (retryable).
 """
 
 from __future__ import annotations
@@ -31,74 +21,10 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from ..callgraph.acg import ACG
-from ..core.codegen import TagAllocator
-from ..core.driver import (
-    CompiledProgram,
-    _initial_distributions,
-    compile_procedure_unit,
-    front_end,
-)
-from ..core.options import CompileReport, Options
-from ..core.recompile import inputs_fingerprint, source_fingerprint
-from ..lang import ast as A
+from ..core.driver import CompiledProgram, sweep
+from ..core.options import Options
 from .protocol import ServiceError
-from .store import ProcSummary, SummaryStore, store_opts_fingerprint
-
-#: statement types carrying allocator-issued message tags (tag > 0 iff
-#: the allocator issued it; tags only affect runtime message matching,
-#: never printed text)
-_TAGGED = (A.Send, A.Recv, A.SendPack, A.RecvPack, A.Bcast,
-           A.GlobalReduce)
-
-
-def renumber_tags(proc: A.Procedure, base: int) -> None:
-    """Shift every allocator-issued message tag in *proc* by *base*."""
-    if base == 0:
-        return
-    for st in A.walk_stmts(proc.body):
-        if isinstance(st, _TAGGED) and st.tag > 0:
-            st.tag += base
-
-
-def merge_fragment(report: CompileReport, frag: CompileReport) -> None:
-    """Fold one procedure's report fragment into the program report.
-    Fragments merge in reverse topological order, which reproduces the
-    sequential driver's append order exactly (all list entries are
-    procedure-prefixed, so plain extends are also duplicate-safe)."""
-    for proc, dists in frag.distributions.items():
-        report.distributions.setdefault(proc, {}).update(dists)
-    report.comm_placements.extend(frag.comm_placements)
-    report.comm_sites.extend(frag.comm_sites)
-    report.rtr_fallbacks.extend(frag.rtr_fallbacks)
-    report.rtr_demotions.extend(frag.rtr_demotions)
-    report.remaps_emitted += frag.remaps_emitted
-    report.remaps_eliminated += frag.remaps_eliminated
-    report.remaps_hoisted += frag.remaps_hoisted
-    report.remaps_marked += frag.remaps_marked
-    for k, v in frag.overlaps.items():
-        report.overlaps[k] = v
-    report.notes.extend(frag.notes)
-
-
-def compile_one(prog, name, acg, reaching, opts, exports, main_name,
-                tracer=None) -> ProcSummary:
-    """Compile one procedure with a private tag allocator and report.
-    The shared path used by workers *and* the in-daemon fallback — both
-    produce the same bytes the sequential driver would."""
-    tags = TagAllocator()
-    frag = CompileReport(mode=opts.mode, nprocs=opts.nprocs)
-    exp = compile_procedure_unit(
-        prog, name, acg, reaching, opts, dict(exports), frag, tags,
-        main_name, tracer,
-    )
-    return ProcSummary(
-        name=name,
-        proc=A.clone_procedure(prog.unit(name)),
-        exports=exp,
-        tag_count=tags.next - 1,
-        fragment=frag,
-    )
+from .store import SummaryStore
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -131,129 +57,39 @@ class ServiceCompiler:
         opts = opts or Options()
         tracer = tracer if tracer is not None else self.tracer
 
-        def span(name, **fields):
-            from contextlib import nullcontext
-            return tracer.phase(name, **fields) if tracer is not None \
-                else nullcontext()
-
-        _check_deadline(deadline)
-        with span("service.front-end"):
-            prog, acg, reaching, report = front_end(source, opts, tracer)
-        with span("service.initial-distributions"):
-            initial = _initial_distributions(prog, reaching, opts)
-
-        order = list(acg.reverse_topological_order())
-        # plan-invariant on purpose: distribution overrides rewrite the
-        # program before fingerprinting, so sibling tuning plans share
-        # summaries of untouched procedures (see store_opts_fingerprint)
-        opts_fp = store_opts_fingerprint(opts)
-        main_name = prog.main.name
-        src_fps = {n: source_fingerprint(prog.unit(n)) for n in order}
-
-        resolved: dict[str, ProcSummary] = {}
-        keys: dict[str, str] = {}
-        reused: list[str] = []
-        compiled_names: list[str] = []
-        pending = list(order)
-        with span("service.waves"):
-            while pending:
-                _check_deadline(deadline)
-                ready = [
-                    n for n in pending
-                    if all(site.callee in resolved
-                           for site in acg.calls_from(n))
-                ]
-                if not ready:  # pragma: no cover - ACG is a DAG
-                    raise ServiceError(
-                        "internal",
-                        f"call-graph cycle among {sorted(pending)}",
-                        retryable=False,
-                    )
-                exports_now = {
-                    n: s.exports for n, s in resolved.items()
-                }
-                dirty = []
-                for n in ready:
-                    in_fp = inputs_fingerprint(
-                        n, acg, reaching, exports_now, opts
-                    )
-                    keys[n] = SummaryStore.key(opts_fp, src_fps[n], in_fp)
-                    hit = self.store.load(keys[n])
-                    if hit is not None and hit.name == n:
-                        resolved[n] = hit
-                        reused.append(n)
-                        if tracer is not None:
-                            tracer.decision("service.summary-reuse",
-                                            proc=n)
-                    else:
-                        dirty.append(n)
-                if dirty:
-                    got = self._compile_wave(
-                        source, prog, dirty, acg, reaching, opts,
-                        exports_now, main_name, deadline, tracer,
-                    )
-                    for n in dirty:
-                        resolved[n] = got[n]
-                        compiled_names.append(n)
-                        self.store.store(keys[n], got[n])
-                for n in ready:
-                    pending.remove(n)
-
-        # assembly: splice compiled bodies back in reverse topological
-        # order, shifting each procedure's private tag block by the
-        # running total — reproducing the sequential driver's single
-        # shared allocator byte-for-byte
-        with span("service.assemble"):
-            base = 0
-            for name in order:
-                s = resolved[name]
-                proc = A.clone_procedure(s.proc)
-                renumber_tags(proc, base)
-                base += s.tag_count
-                idx = prog.units.index(prog.unit(name))
-                prog.units[idx] = proc
-                merge_fragment(report, s.fragment)
-
-        compiled = CompiledProgram(prog, initial, report, opts)
-        stats = {
-            "procs": len(order),
-            "reused": len(reused),
-            "compiled": len(compiled_names),
-            "store": self.store.stats(),
-        }
-        if self.pool is not None:
-            stats["pool"] = self.pool.stats()
-        return compiled, stats
-
-    # -- dirty-wave compilation --------------------------------------------
-
-    def _compile_wave(self, source, prog, dirty, acg, reaching, opts,
-                      exports_now, main_name, deadline, tracer
-                      ) -> dict[str, ProcSummary]:
-        """Compile the wave's dirty procedures — on the worker pool when
-        one is available, else locally.  Pool failure of any kind falls
-        back to local compilation of the affected names (results are
-        identical either way)."""
-        if self.pool is not None and len(dirty) > 0:
-            need = sorted({
-                site.callee for n in dirty for site in acg.calls_from(n)
-            })
-            exports_sub = {c: exports_now[c] for c in need}
+        def on_pool(dirty, exports, prog, acg, reaching, main_name):
+            # workers rebuild prog/acg/reaching from source themselves:
+            # reaching results are keyed by statement identity
+            if self.pool is None:
+                return None
+            need = {site.callee for n in dirty
+                    for site in acg.calls_from(n)}
             try:
                 results = self.pool.compile_procs(
-                    source, opts, dirty, exports_sub, main_name,
+                    source, opts, dirty,
+                    {c: exports[c] for c in sorted(need)}, main_name,
                     deadline=deadline,
                 )
-                return {s.name: s for s in results}
             except ServiceError as e:
                 if e.kind == "deadline":
                     raise
                 if tracer is not None:
                     tracer.decision("service.pool-fallback",
                                     cause=str(e))
-        out = {}
-        for n in dirty:
-            _check_deadline(deadline)
-            out[n] = compile_one(prog, n, acg, reaching, opts,
-                                 exports_now, main_name, tracer)
-        return out
+                return None
+            return {s.name: s for s in results}
+
+        compiled, reused, recompiled = sweep(
+            source, opts, store=self.store, tracer=tracer,
+            compile_wave=on_pool,
+            checkpoint=lambda: _check_deadline(deadline),
+        )
+        stats = {
+            "procs": len(reused) + len(recompiled),
+            "reused": len(reused),
+            "compiled": len(recompiled),
+            "store": self.store.stats(),
+        }
+        if self.pool is not None:
+            stats["pool"] = self.pool.stats()
+        return compiled, stats

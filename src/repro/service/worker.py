@@ -19,8 +19,8 @@ Jobs::
 A compile job re-runs the deterministic front end from source (reaching
 results are keyed by statement identity, so they cannot travel between
 processes) and compiles each requested procedure with a private tag
-allocator via the same :func:`~repro.service.compiler.compile_one` the
-in-daemon fallback uses — results are byte-identical either way.  The
+allocator via the same :func:`~repro.core.driver.compile_one` the
+sweep itself uses — results are byte-identical either way.  The
 front end is memoized per (source, options) so one wave's many jobs
 parse and analyze once.
 
@@ -43,11 +43,9 @@ import sys
 import time
 from collections import OrderedDict
 
-from ..core.driver import front_end
-from ..core.recompile import _digest
-from .compiler import compile_one
+from ..core.driver import compile_one, front_end
+from ..core.recompile import _digest, opts_fingerprint
 from .protocol import read_pipe_frame, write_pipe_frame
-from .store import opts_fingerprint
 
 #: front-end memo size (source+options pairs); jobs in one wave share
 #: one entry, a small window covers edit sequences
@@ -107,13 +105,11 @@ def _handle_compile(job: dict, cache: _FrontEndCache) -> dict:
     opts = job["opts"]
     names = job["names"]
     prog, acg, reaching = cache.get(source, opts, names)
-    exports = dict(job["exports"])
-    results = []
-    for name in names:
-        s = compile_one(prog, name, acg, reaching, opts, exports,
-                        job["main_name"])
-        results.append(s)
-    return {"ok": True, "results": results}
+    return {"ok": True, "results": [
+        compile_one(prog, name, acg, reaching, opts, job["exports"],
+                    job["main_name"])
+        for name in names
+    ]}
 
 
 #: per-process evaluation compilers, one per summary-store directory —

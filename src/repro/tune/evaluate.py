@@ -10,11 +10,11 @@ and deterministic — the tuner's objective is simulated virtual time,
 which is scheduler-invariant anyway) and runs through the interpreter
 (``codegen=False``): virtual time is bit-identical to the codegen path,
 and skipping per-plan module generation keeps each probe cheap.
-Compilation goes through an incremental
-:class:`~repro.service.compiler.ServiceCompiler`, so sibling plans only
-recompile the procedures whose distribution actually changed (the
-summary store's options fingerprint is plan-invariant; see
-:func:`~repro.service.store.store_opts_fingerprint`).
+Compilation is the compiler's one :func:`~repro.core.driver.sweep` over
+a summary store (:class:`~repro.service.compiler.ServiceCompiler`), so
+sibling plans only recompile the procedures whose distribution actually
+changed (the store's options fingerprint is plan-invariant; see
+:func:`~repro.core.recompile.store_opts_fingerprint`).
 """
 
 from __future__ import annotations

@@ -2,14 +2,29 @@
 preserved — only procedures whose source or interprocedural inputs
 changed are rebuilt."""
 
-import numpy as np
+import os
+import re
 
+import numpy as np
+import pytest
+
+import repro
+from repro.analysis.aliasing import AliasedRedistributionError
 from repro.apps import FIG1, stencil1d_source
-from repro.core import Mode, Options
+from repro.core import (
+    CompileError,
+    Mode,
+    Options,
+    compile_program,
+    parse_distribute_args,
+)
 from repro.core.recompile import RecompilationManager
 from repro.interp import run_sequential
 from repro.lang import parse
 from repro.machine import FREE
+
+from .test_rtr_demotion import SRC as DEMOTED
+from .test_service import assert_same_program
 
 
 BASE = """
@@ -166,3 +181,92 @@ class TestFigurePrograms:
         m.compile(src)
         m.compile(src)
         assert m.last_recompiled == []
+
+
+class TestIsTheCompilerFdcRuns:
+    """The manager is ``sweep`` + a store, so it cannot differ from
+    ``compile_program``: each case failed while it was its own driver."""
+
+    @pytest.fixture(autouse=True)
+    def no_memo(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
+
+    def test_unanalyzable_procedure_is_demoted_not_fatal(self):
+        opts = Options(nprocs=4, mode=Mode.INTER)
+        cp = RecompilationManager(opts=opts).compile(DEMOTED)
+        cold = compile_program(DEMOTED, opts)
+        assert cp.report.rtr_demotions == cold.report.rtr_demotions != []
+        strict = Options(nprocs=4, mode=Mode.INTER, strict=True)
+        with pytest.raises(CompileError):
+            compile_program(DEMOTED, strict)
+        with pytest.raises(CompileError):
+            RecompilationManager(opts=strict).compile(DEMOTED)
+
+    def test_aliased_redistribution_rejected(self):
+        # the program of test_aliasing.TestSection64Restriction
+        src = (
+            "program p\nreal x(16)\ndistribute x(block)\n"
+            "call f(x, x)\nend\n"
+            "subroutine f(a, b)\nreal a(16), b(16)\n"
+            "distribute a(cyclic)\n"
+            "do i = 1, 16\na(i) = f(b(i))\nenddo\nend\n"
+        )
+        with pytest.raises(AliasedRedistributionError):
+            manager().compile(src)
+
+    def test_distribute_overrides_applied(self):
+        opts = Options(nprocs=4, mode=Mode.INTER,
+                       distribute=parse_distribute_args(["x=cyclic"]))
+        cp = RecompilationManager(opts=opts).compile(BASE)
+        cold = compile_program(BASE, opts)
+        assert cp.text() == cold.text()
+        assert cp.report.distributions == cold.report.distributions
+        assert "cyclic" in cp.report.distributions["init"]["x"]
+
+    def test_incremental_build_reports_reused_procedures(self):
+        m = manager()
+        m.compile(BASE)
+        cp = m.compile(EDIT_LEAF)
+        assert m.last_recompiled == ["init"]
+        cold = compile_program(EDIT_LEAF, m.opts)
+        assert_same_program(cp, cold)  # report and statement tags too
+        assert cp.explain() == cold.explain()
+
+    def test_reverted_edit_is_a_hit(self):
+        """The store is content-addressed: it remembers every version
+        compiled in the session, not only the last build's."""
+        m = manager()
+        for src in (BASE, EDIT_LEAF, BASE):
+            m.compile(src)
+        assert m.last_recompiled == []
+
+
+def test_the_sweep_has_one_home():
+    """``core/driver.py`` is the only driver of the reverse-topological
+    pass: nothing else constructs a ``ProcedureCompiler``, allocates
+    tags, walks the ACG in compilation order or re-implements the front
+    end, and the helpers of the deleted second and third copies stay
+    deleted."""
+    root = os.path.dirname(repro.__file__)
+    texts = {}
+    for d, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(d, name)
+                with open(path, encoding="utf-8") as fh:
+                    texts[os.path.relpath(path, root)] = fh.read()
+    driver = os.path.join("core", "driver.py")
+    recompile = texts[os.path.join("core", "recompile.py")]
+    assert [p for p, t in texts.items() if "ProcedureCompiler(" in t] \
+        == [driver]
+    assert sum(t.count("TagAllocator()") for t in texts.values()) == 1
+    assert "TagAllocator()" in texts[driver]
+    for path, text in texts.items():
+        assert not re.search(
+            r"def renumber_tags|def merge_fragment|class ProcRecord", text
+        ), path
+        if path.startswith("service" + os.sep):
+            assert "reverse_topological_order(" not in text, path
+    assert not re.search(
+        r"reverse_topological_order\(|clone_program|compute_reaching"
+        r"|^from \.driver import", recompile, re.M)

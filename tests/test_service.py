@@ -10,6 +10,7 @@ in-daemon fallback.
 """
 
 import os
+import re
 import socket
 import threading
 import time
@@ -27,7 +28,9 @@ from repro.apps import (
 from repro.cli import main as cli_main
 from repro.core import Mode, Options, compile_program
 from repro.core.driver import _compile_cache
+from repro.core.recompile import RecompilationManager
 from repro.interp import run_sequential
+from repro.lang import ast as A
 from repro.lang import parse
 from repro.machine import FREE
 from repro.obs import Tracer
@@ -260,16 +263,96 @@ APPS = [
 ]
 
 
+def session(driver, opts):
+    """One incremental session of either caller of the sweep:
+    ``compile(src) -> (compiled, procedures compiled, procedures)``."""
+    if driver == "service":
+        sc = ServiceCompiler()
+
+        def compile(src):
+            cp, st = sc.compile(src, opts)
+            return cp, st["compiled"], st["procs"]
+    else:
+        m = RecompilationManager(opts=opts)
+
+        def compile(src):
+            cp = m.compile(src)
+            return (cp, len(m.last_recompiled),
+                    len(m.last_recompiled) + len(m.last_reused))
+    return compile
+
+
+def assert_same_program(got, cold):
+    def tags(cp):
+        return [(u.name, type(st).__name__, st.tag)
+                for u in cp.program.units for st in A.walk_stmts(u.body)
+                if hasattr(st, "tag")]
+
+    assert got.text() == cold.text()
+    assert got.report == cold.report
+    assert tags(got) == tags(cold)
+    assert got.initial_dists == cold.initial_dists
+    # the generated-module cache key
+    assert repr(got.program) == repr(cold.program)
+
+
+def check_equals_cold_compile(driver, src):
+    """Cold, warm and after a one-procedure edit, an incremental
+    driver's output is the cold ``compile_program``'s."""
+    opts = Options(nprocs=4)
+    compile = session(driver, opts)
+    cold = compile_program(src, opts)
+    got, compiled, procs = compile(src)
+    assert_same_program(got, cold)
+    assert compiled == procs
+    got, compiled, _ = compile(src)
+    assert_same_program(got, cold)
+    assert compiled == 0
+    last = list(re.finditer(r"\d+\.\d+", src))[-1]
+    edited = src[:last.end()] + "5" + src[last.end():]
+    got, compiled, _ = compile(edited)
+    assert_same_program(got, compile_program(edited, opts))
+    assert 0 < compiled < procs
+
+
 class TestServiceCompilerIdentity:
     @pytest.mark.parametrize("name,srcfn", APPS)
     def test_byte_identical_to_cold_compile(self, name, srcfn, no_memo):
-        src = srcfn()
+        check_equals_cold_compile("service", srcfn())
+
+    @pytest.mark.parametrize("name,srcfn", APPS)
+    def test_manager_identical_to_cold_compile(self, name, srcfn, no_memo):
+        check_equals_cold_compile("manager", srcfn())
+
+    @pytest.mark.parametrize("driver", ["service", "manager"])
+    def test_sweep_phases_traced(self, driver, no_memo):
+        """Every caller of the sweep emits the cold compile's phases; a
+        warm build decides one reuse per procedure and compiles none."""
+        def names(tracer, kind):
+            return [e["name"] for e in tracer.host_events
+                    if e["kind"] == kind]
+
+        cold, warm = Tracer(), Tracer()
         opts = Options(nprocs=4)
-        cold = compile_program(src, opts)
-        got, stats = ServiceCompiler().compile(src, opts)
-        assert got.text() == cold.text()
-        assert got.report == cold.report
-        assert stats["compiled"] == stats["procs"]
+        if driver == "service":
+            sc = ServiceCompiler()
+            sc.compile(BASE, opts, tracer=cold)
+            sc.compile(BASE, opts, tracer=warm)
+        else:
+            # the manager takes no tracer: make its one call with one
+            from repro.core.driver import sweep
+
+            m = RecompilationManager(opts=opts)
+            sweep(BASE, opts, store=m.summaries, tracer=cold)
+            sweep(BASE, opts, store=m.summaries, tracer=warm)
+        for tracer in (cold, warm):
+            assert set(names(tracer, "compile.phase")) >= {
+                "interprocedural-analysis", "alias-analysis",
+                "initial-distributions", "codegen"}
+        assert names(cold, "compile.phase").count("procedure") == 3
+        assert "summary-reuse" not in names(cold, "compile.decision")
+        assert "procedure" not in names(warm, "compile.phase")
+        assert names(warm, "compile.decision").count("summary-reuse") == 3
 
     def test_warm_compile_reuses_everything(self, no_memo):
         sc = ServiceCompiler()
@@ -433,6 +516,16 @@ class TestDaemon:
         _, path = daemon
         with pytest.raises(ServiceError) as ei:
             CompileClient(path).request({"op": "frobnicate"})
+        assert ei.value.kind == "bad-request"
+
+    def test_retired_option_field_refused(self, daemon):
+        """A client of an older build still sends an Options field this
+        build deleted: a structured bad-request, not a crash."""
+        _, path = daemon
+        wire = dict(options_to_wire(Options()), verbose_notes=True)
+        with pytest.raises(ServiceError) as ei:
+            CompileClient(path).request(
+                {"op": "compile", "source": BASE, "opts": wire})
         assert ei.value.kind == "bad-request"
 
     def test_version_mismatch_refused(self, daemon):

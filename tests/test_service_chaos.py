@@ -249,7 +249,7 @@ class TestFlood:
                      queue_limit=2):
         """A daemon whose front end is artificially slow, so the queue
         actually fills."""
-        import repro.service.compiler as svc_compiler
+        import repro.core.driver as svc_compiler
 
         real = svc_compiler.front_end
 
