@@ -1,21 +1,26 @@
 """Experiment [observability]: tracing overhead.
 
-Not a paper figure — this measures the tracer itself.  The design
-contract is asymmetric:
+Not a paper figure — this measures the tracer itself.  There are three
+cost levels, and the design contract differs for each:
 
-* **tracing off** must be free: every instrumentation point is one
-  ``tracer is not None`` test, so a run without tracing is
-  indistinguishable from the pre-instrumentation simulator.  Measured
-  as a twin series (the same untraced run, best-of-N, twice) whose
-  ratio bounds both timer noise and any guard cost — the target is
-  ≤ 2 %.
-* **tracing on** may pay for event collection, but no more than 2x:
-  each event is one dict construction appended to a per-rank list, no
-  locks, no I/O during the run.
+* **off** (``trace=False``, or ``REPRO_FLIGHTREC=0``: no sink attached)
+  must be free: every instrumentation point is one ``tracer is not
+  None`` test, so such a run is indistinguishable from the
+  pre-instrumentation simulator.  Measured as a twin series (the same
+  run, best-of-N, twice) whose ratio bounds both timer noise and any
+  guard cost — the target is ≤ 2 %.
+* **default** (``trace=None``, ``REPRO_FLIGHTREC`` unset) is what every
+  user actually gets — ``fdc --run``, the daemon, the end-to-end
+  benchmark: the always-on flight recorder is attached.  Each event is
+  one positional record appended to a per-rank ring (no dict, no
+  kwargs); the target is ≤ 1.25x the off run, the hard gate 1.6x.
+* **tracing on** may pay for full event collection, but no more than
+  2x: each event is the same record appended to a per-rank list, no
+  locks, no I/O during the run; dicts are built when the trace is read.
 
 The stencil relaxation at P = 16 is the workload (communication-dense,
-so the traced run records an event at every message, dispatch, and
-cache probe).  Results land in ``BENCH_obs_overhead.json``.
+so a run records an event at every message, dispatch, and cache
+probe).  Results land in ``BENCH_obs_overhead.json``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ REPS = 5
 #: noise floor best-of-REPS leaves behind on a shared CI host
 OFF_TOLERANCE = 1.25
 ON_LIMIT = 2.0
+#: the default (flight recorder attached) run over the off run; the
+#: 1.25x design target is recorded in the payload
+DEFAULT_LIMIT = 1.6
 
 
 def _best_wall(run, reps: int = REPS) -> tuple[float, object]:
@@ -48,7 +56,9 @@ def _best_wall(run, reps: int = REPS) -> tuple[float, object]:
     return best, res
 
 
-def test_bench_obs_overhead(benchmark, paper_table):
+def test_bench_obs_overhead(benchmark, paper_table, monkeypatch):
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
     src = stencil1d_source(N, STEPS)
     cp = compile_program(src, Options(nprocs=P, mode=Mode.INTER))
 
@@ -58,14 +68,18 @@ def test_bench_obs_overhead(benchmark, paper_table):
 
     off_a, res_off = _best_wall(lambda: run(False))
     off_b, _ = _best_wall(lambda: run(False))
+    default_w, res_default = _best_wall(lambda: run(None))
     on_w, res_on = _best_wall(lambda: run(True))
     benchmark.pedantic(lambda: run(False), rounds=2, iterations=1)
 
     # tracing must also be *invisible*: same arrays, same clocks
-    assert np.array_equal(res_off.gathered("x"), res_on.gathered("x"))
-    assert res_off.stats.proc_times == res_on.stats.proc_times
+    for res in (res_default, res_on):
+        assert np.array_equal(res_off.gathered("x"), res.gathered("x"))
+        assert res_off.stats.proc_times == res.stats.proc_times
+    assert res_default.trace is None
 
     twin_ratio = max(off_a, off_b) / min(off_a, off_b)
+    default_ratio = default_w / min(off_a, off_b)
     on_ratio = on_w / min(off_a, off_b)
     events = res_on.trace.event_count()
     payload = {
@@ -73,9 +87,12 @@ def test_bench_obs_overhead(benchmark, paper_table):
         "reps": REPS,
         "wall_off_s": min(off_a, off_b),
         "wall_off_twin_s": max(off_a, off_b),
+        "wall_default_s": default_w,
         "wall_on_s": on_w,
         "off_twin_ratio": twin_ratio,
         "off_target_ratio": 1.02,
+        "default_over_off": default_ratio,
+        "default_target_ratio": 1.25,
         "on_over_off": on_ratio,
         "events": events,
         "events_per_second": events / on_w if on_w else 0.0,
@@ -90,12 +107,15 @@ def test_bench_obs_overhead(benchmark, paper_table):
             f"    1.00x",
             f"{'tracing off (twin)':<22} {max(off_a, off_b) * 1e3:>8.1f}"
             f"    {twin_ratio:.3f}x",
+            f"{'default (flight recorder)':<22} {default_w * 1e3:>5.1f}"
+            f"    {default_ratio:.3f}x",
             f"{'tracing on':<22} {on_w * 1e3:>8.1f}"
             f"    {on_ratio:.3f}x  ({events} events)",
         ],
     )
     benchmark.extra_info.update(
         off_twin_ratio=round(twin_ratio, 4),
+        default_over_off=round(default_ratio, 4),
         on_over_off=round(on_ratio, 4),
         events=events,
     )
@@ -104,6 +124,10 @@ def test_bench_obs_overhead(benchmark, paper_table):
     # target is recorded in the payload, the hard gate absorbs CI noise
     assert twin_ratio <= OFF_TOLERANCE, \
         f"tracing-off runs diverged {twin_ratio:.3f}x (noise or guards)"
+    # noise that inflates the twin ratio inflates this one as much
+    assert default_ratio <= DEFAULT_LIMIT * max(1.0, twin_ratio), \
+        f"default (flight recorder) run {default_ratio:.2f}x the off " \
+        f"run exceeds {DEFAULT_LIMIT}x"
     assert on_ratio <= ON_LIMIT, \
         f"tracing-on overhead {on_ratio:.2f}x exceeds {ON_LIMIT}x"
     assert events > 0

@@ -1011,17 +1011,17 @@ class Interpreter:
         if entry is not None:
             self.comm_cache_hits += 1
             if self.tracer is not None:
-                self.tracer.rank_event(
-                    self.ctx.rank, "interp.cache",
-                    self.ctx.clock_estimate(), array=arr.name, hit=True,
-                )
+                self.tracer.emit(self.ctx.rank, (
+                    "interp.cache", self.ctx.clock_estimate(), 0.0,
+                    arr.name, True,
+                ))
             return entry
         self.comm_cache_misses += 1
         if self.tracer is not None:
-            self.tracer.rank_event(
-                self.ctx.rank, "interp.cache",
-                self.ctx.clock_estimate(), array=arr.name, hit=False,
-            )
+            self.tracer.emit(self.ctx.rank, (
+                "interp.cache", self.ctx.clock_estimate(), 0.0,
+                arr.name, False,
+            ))
         subs = self._resolve_whole_dims(arr, raw)
         slices = arr._slices(subs)
         view = arr.data[slices]

@@ -430,10 +430,8 @@ def trace_block(tracer, ctx, t0: float, unit: str, var: str, n: int,
     of its charges, previewed without flushing (a flush here would
     perturb the simulation).  One definition, so tools cannot tell
     which engine executed the block."""
-    tracer.rank_event(
-        ctx.rank, "interp.vec", t0, dur=ctx.clock_estimate() - t0,
-        unit=unit, var=var, n=n, ops=ops,
-    )
+    tracer.emit(ctx.rank, ("interp.vec", t0, ctx.clock_estimate() - t0,
+                           unit, var, n, ops))
 
 
 def try_vectorize(do: A.Do, unit, interp, bounds,

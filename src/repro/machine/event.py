@@ -65,6 +65,7 @@ from .network import (
     SimulationError,
     resolve_timeout,
 )
+from ..obs.tracer import ABSENT
 
 if TYPE_CHECKING:
     from .wire import Wire, _Message
@@ -182,10 +183,8 @@ class EventScheduler:
         if self.metrics is not None:
             self.metrics.block_recv.inc()
         if self.tracer is not None:
-            self.tracer.rank_event(
-                rank, "sched.block", clock, why="recv",
-                src=key[0], tag=key[1],
-            )
+            self.tracer.emit(
+                rank, ("sched.block", clock, 0.0, "recv", key[0], key[1]))
 
     def block_collective(self, rank: int, label: str, clock: float) -> None:
         self.states[rank] = S_BLOCKED_COLL
@@ -194,9 +193,8 @@ class EventScheduler:
         if self.metrics is not None:
             self.metrics.block_coll.inc()
         if self.tracer is not None:
-            self.tracer.rank_event(
-                rank, "sched.block", clock, why="collective", label=label,
-            )
+            self.tracer.emit(rank, ("sched.block", clock, 0.0, "collective",
+                                    ABSENT, ABSENT, label))
 
     def unblock_recv(self, dst: int, key: tuple[int, int]) -> None:
         """A send matched *dst*'s awaited key: back onto the calendar."""
@@ -205,10 +203,10 @@ class EventScheduler:
             self._detail[dst] = None
             heapq.heappush(self._heap, (float(self.clocks[dst]), dst))
             if self.tracer is not None:
-                self.tracer.rank_event(
-                    dst, "sched.unblock", float(self.clocks[dst]),
-                    why="recv", src=key[0], tag=key[1],
-                )
+                self.tracer.emit(dst, (
+                    "sched.unblock", float(self.clocks[dst]), 0.0,
+                    "recv", key[0], key[1],
+                ))
 
     def release_collective(self) -> None:
         """The last participant arrived: all waiters re-enter the
@@ -220,10 +218,10 @@ class EventScheduler:
                 self._detail[r] = None
                 heapq.heappush(self._heap, (float(self.clocks[r]), r))
                 if self.tracer is not None:
-                    self.tracer.rank_event(
-                        r, "sched.unblock", float(self.clocks[r]),
-                        why="collective",
-                    )
+                    self.tracer.emit(r, (
+                        "sched.unblock", float(self.clocks[r]), 0.0,
+                        "collective",
+                    ))
 
     def finish(self, rank: int, clock: float, failed: bool = False) -> None:
         """Rank left its node program (called from the runner's
@@ -322,7 +320,7 @@ class EventScheduler:
             self.dispatches += 1
             self.states[r] = S_RUNNING
             if tracer is not None:
-                tracer.rank_event(r, "sched.dispatch", float(self.clocks[r]))
+                tracer.emit(r, ("sched.dispatch", float(self.clocks[r]), 0.0))
             try:
                 coros[r].send(None)
             except StopIteration:

@@ -140,18 +140,14 @@ class Wire:
                 available += extra
                 self.stats.record_fault(retries)
                 if tracer is not None:
-                    tracer.rank_event(
-                        src, "fault", now, dst=dst, tag=tag,
-                        delay=extra, retries=retries,
-                    )
+                    tracer.emit(src, ("fault", now, 0.0, dst, tag,
+                                      extra, retries))
         if tracer is not None:
-            # ``hops=`` only on a non-uniform topology
-            hops = {} if self.topo.is_uniform \
-                else {"hops": self.topo.hops(src, dst)}
-            tracer.rank_event(
-                src, "net.send", now, dst=dst, tag=tag, bytes=nbytes,
-                avail=available, origin=origin, **hops,
-            )
+            rec = ("net.send", now, 0.0, dst, tag, nbytes, available,
+                   origin)
+            if not self.topo.is_uniform:  # trailing ``hops`` field
+                rec += (self.topo.hops(src, dst),)
+            tracer.emit(src, rec)
         self.stats.record_message(nbytes)
         return _Message(src, tag, payload, nbytes, available,
                         sent_at=now, origin=origin), sender_after
@@ -165,13 +161,11 @@ class Wire:
         if self.metrics is not None:
             self.metrics.recv_blocked.observe(max(0.0, m.available_at - now))
         if self.tracer is not None:
-            self.tracer.rank_event(
-                dst, "net.recv", now, dur=t - now, src=m.src,
-                tag=tag, bytes=m.nbytes, sent_at=m.sent_at,
-                avail=m.available_at,
-                wait=max(0.0, m.available_at - now),
-                origin=origin or m.origin,
-            )
+            self.tracer.emit(dst, (
+                "net.recv", now, t - now, m.src, tag, m.nbytes, m.sent_at,
+                m.available_at, max(0.0, m.available_at - now),
+                origin or m.origin,
+            ))
         return m.payload, t
 
     # -- collectives ---------------------------------------------------------
@@ -271,15 +265,11 @@ class Wire:
             self.metrics.coll_blocked.observe(max(0.0, maxclock - now))
         tracer = self.tracer
         if tracer is not None:
-            tracer.rank_event(
-                rank, "coll", now, dur=t - now, label=label, bytes=nbytes,
-                maxclock=maxclock, maxrank=self._maxrank, origin=origin,
-            )
+            tracer.emit(rank, ("coll", now, t - now, label, nbytes,
+                               maxclock, self._maxrank, origin))
             if label == "exchange":
                 per_pair = nbytes / max(1, len(outgoing))
                 for dst in sorted(outgoing):
-                    tracer.rank_event(
-                        rank, "net.exchange", now, dst=dst, bytes=per_pair,
-                        origin=origin,
-                    )
+                    tracer.emit(rank, ("net.exchange", now, 0.0, dst,
+                                       per_pair, origin))
         return result, t

@@ -9,8 +9,10 @@ visible for any compiled program:
   through the compiler driver (host-time phase spans and decision
   events) and the simulator (virtual-time message lifecycle, scheduler
   dispatch, collective rendezvous, vectorized-block and comm-cache
-  events).  Off by default; when off, every instrumentation point is a
-  single ``is not None`` test and traced and untraced runs are
+  events).  Off by default; with no sink attached every
+  instrumentation point is a single ``is not None`` test, with one it
+  appends one positional record (:data:`FIELDS` is the schema; event
+  dicts are built on read), and traced and untraced runs are
   bit-identical.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — export to the
   Chrome trace-event / Perfetto JSON format (``fdc --trace out.json``):
@@ -31,7 +33,7 @@ visible for any compiled program:
   a service worker dies.
 """
 
-from .tracer import Tracer, resolve_trace, trace_output_path
+from .tracer import FIELDS, Tracer, resolve_trace, trace_output_path
 from .chrome import chrome_trace, write_chrome_trace
 from .flightrec import (
     FlightRecorder,
@@ -58,6 +60,7 @@ from .profile import (
 )
 
 __all__ = [
+    "FIELDS",
     "Tracer",
     "resolve_trace",
     "trace_output_path",

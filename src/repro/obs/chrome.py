@@ -68,21 +68,20 @@ def chrome_trace(tracer: Tracer) -> dict[str, Any]:
                 "args": _args(ev, ("kind", "name", "t0", "depth")),
             })
 
-    for rank, events in enumerate(tracer.rank_events):
-        for ev in events:
-            kind = ev["kind"]
-            rec: dict[str, Any] = {
-                "name": kind, "cat": kind.split(".", 1)[0],
-                "pid": SIM_PID, "tid": rank, "ts": ev["ts"],
-                "args": _args(ev, ("kind", "rank", "ts", "dur")),
-            }
-            if kind in _SPAN_KINDS:
-                rec["ph"] = "X"
-                rec["dur"] = ev.get("dur", 0.0)
-            else:
-                rec["ph"] = "i"
-                rec["s"] = "t"
-            out.append(rec)
+    for ev in tracer.events():
+        kind = ev["kind"]
+        rec: dict[str, Any] = {
+            "name": kind, "cat": kind.split(".", 1)[0],
+            "pid": SIM_PID, "tid": ev["rank"], "ts": ev["ts"],
+            "args": _args(ev, ("kind", "rank", "ts", "dur")),
+        }
+        if kind in _SPAN_KINDS:
+            rec["ph"] = "X"
+            rec["dur"] = ev.get("dur", 0.0)
+        else:
+            rec["ph"] = "i"
+            rec["s"] = "t"
+        out.append(rec)
 
     meta = dict(tracer.meta)
     dropped = getattr(tracer, "dropped_events", 0)

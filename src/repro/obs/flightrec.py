@@ -29,7 +29,7 @@ from collections import deque
 from typing import Any, Optional
 
 from ..cas import atomic_write
-from .tracer import Tracer
+from .tracer import Tracer, event_dict
 
 #: default per-rank ring capacity (events kept per rank)
 DEFAULT_CAPACITY = 256
@@ -53,47 +53,59 @@ def flightrec_capacity() -> int:
 class FlightRecorder(Tracer):
     """A :class:`Tracer` whose event storage is bounded.
 
-    Same hook interface (``rank_event``/``phase``/``decision``), same
+    Same sink interface (``emit``/``phase``/``decision``), same
     read-only discipline — so attaching one cannot perturb the
     simulation — but each rank's stream and the host stream are
     ``deque(maxlen=capacity)`` rings: memory stays O(P · capacity) no
     matter how long the run, and what remains at failure time is
-    exactly the recent history a postmortem needs.
+    exactly the recent history a postmortem needs.  A ring slot holds
+    one ``(kind, ts, dur, *values)`` record; :meth:`tail` turns the
+    survivors into event dicts.
     """
 
     def __init__(self, nprocs: int = 0,
                  capacity: Optional[int] = None) -> None:
         self.capacity = DEFAULT_CAPACITY if capacity is None \
             else max(1, capacity)
-        #: total events offered (appends beyond capacity evict the
-        #: oldest; approximate under the thread-per-rank backend)
-        self.events_seen = 0
-        super().__init__(sample=False)
+        #: events offered per rank.  Each counter is touched only by
+        #: its own stream's writers, so the sum is exact on both
+        #: scheduler backends.
+        self._seen: list[int] = []
+        super().__init__(nprocs, sample=False)
         self.host_events = deque(maxlen=self.capacity)
-        self.rank_events = []
-        self.ensure_ranks(nprocs)
 
-    def ensure_ranks(self, nprocs: int) -> None:
-        while len(self.rank_events) < nprocs:
-            self.rank_events.append(deque(maxlen=self.capacity))
+    def _new_stream(self) -> deque:
+        self._seen.append(0)
+        return deque(maxlen=self.capacity)
 
-    def rank_event(self, rank: int, kind: str, ts: float,
-                   dur: float = 0.0, **fields: Any) -> None:
-        self.events_seen += 1
-        super().rank_event(rank, kind, ts, dur, **fields)
+    def emit(self, rank: int, rec: tuple) -> None:
+        self._seen[rank] += 1
+        self.streams[rank].append(rec)
+
+    @property
+    def events_seen(self) -> int:
+        """Total events offered (appends beyond capacity evict the
+        oldest)."""
+        return sum(self._seen)
 
     def tail(self) -> dict:
         """The recorder's content as a JSON-ready dict (only ranks
         that recorded anything appear)."""
-        return {
-            "capacity": self.capacity,
-            "events_seen": self.events_seen,
-            "host": list(self.host_events),
-            "ranks": {
-                str(r): list(evs)
-                for r, evs in enumerate(self.rank_events) if evs
-            },
-        }
+        return _tail(self, self.capacity, self.events_seen)
+
+
+def _tail(tracer: Tracer, cap: int, seen: int) -> dict:
+    """The last *cap* events of each stream of *tracer*, materialised
+    after slicing (a full trace may hold millions of records)."""
+    return {
+        "capacity": cap,
+        "events_seen": seen,
+        "host": list(tracer.host_events)[-cap:],
+        "ranks": {
+            str(r): [event_dict(r, rec) for rec in list(stream)[-cap:]]
+            for r, stream in enumerate(tracer.streams) if stream
+        },
+    }
 
 
 def _recorder_tail(recorder: Any) -> Optional[dict]:
@@ -103,16 +115,7 @@ def _recorder_tail(recorder: Any) -> Optional[dict]:
         return None
     if isinstance(recorder, FlightRecorder):
         return recorder.tail()
-    cap = DEFAULT_CAPACITY
-    return {
-        "capacity": cap,
-        "events_seen": recorder.event_count(),
-        "host": list(recorder.host_events)[-cap:],
-        "ranks": {
-            str(r): list(evs)[-cap:]
-            for r, evs in enumerate(recorder.rank_events) if evs
-        },
-    }
+    return _tail(recorder, DEFAULT_CAPACITY, recorder.event_count())
 
 
 def _report_dict(report: Any) -> Optional[dict]:

@@ -19,6 +19,8 @@ from .tracer import Tracer
 
 #: event kinds that can block a rank in virtual time
 _BLOCKING = ("net.recv", "coll")
+#: event kinds that move bytes from one rank to one other
+_TRANSFERS = ("net.send", "net.exchange")
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +54,13 @@ def comm_hotspots(tracer: Tracer) -> list[dict]:
         row["count"] += n
         row["bytes"] += nbytes
 
-    for evs in tracer.rank_events:
-        for ev in evs:
-            k = ev["kind"]
-            if k in ("net.send", "net.exchange"):
-                add(ev.get("origin"), k, ev.get("bytes", 0))
-            elif k == "coll" and ev["rank"] == 0:
-                add(ev.get("origin") or ev.get("label"),
-                    f"coll.{ev.get('label', '?')}", ev.get("bytes", 0))
+    for ev in tracer.events(_TRANSFERS + ("coll",)):
+        k = ev["kind"]
+        if k != "coll":
+            add(ev.get("origin"), k, ev.get("bytes", 0))
+        elif ev["rank"] == 0:
+            add(ev.get("origin") or ev.get("label"),
+                f"coll.{ev.get('label', '?')}", ev.get("bytes", 0))
     return sorted(
         groups.values(),
         key=lambda r: (-r["bytes"], -r["count"], r["proc"], r["origin"]),
@@ -79,12 +80,10 @@ def comm_matrix(tracer: Tracer) -> tuple[list[list[int]], list[list[float]]]:
     P = tracer.nprocs
     msgs = [[0] * P for _ in range(P)]
     byts = [[0.0] * P for _ in range(P)]
-    for evs in tracer.rank_events:
-        for ev in evs:
-            if ev["kind"] in ("net.send", "net.exchange"):
-                src, dst = ev["rank"], ev["dst"]
-                msgs[src][dst] += 1
-                byts[src][dst] += ev.get("bytes", 0)
+    for ev in tracer.events(_TRANSFERS):
+        src, dst = ev["rank"], ev["dst"]
+        msgs[src][dst] += 1
+        byts[src][dst] += ev.get("bytes", 0)
     return msgs, byts
 
 
@@ -104,19 +103,16 @@ def link_traffic(
     """
     links: dict[tuple, dict] = {}
     hops: dict[int, int] = {}
-    for evs in tracer.rank_events:
-        for ev in evs:
-            if ev["kind"] not in ("net.send", "net.exchange"):
-                continue
-            path = topology.link_path(ev["rank"], ev["dst"])
-            hops[len(path)] = hops.get(len(path), 0) + 1
-            nbytes = ev.get("bytes", 0)
-            for link in path:
-                row = links.get(link)
-                if row is None:
-                    row = links[link] = {"msgs": 0, "bytes": 0.0}
-                row["msgs"] += 1
-                row["bytes"] += nbytes
+    for ev in tracer.events(_TRANSFERS):
+        path = topology.link_path(ev["rank"], ev["dst"])
+        hops[len(path)] = hops.get(len(path), 0) + 1
+        nbytes = ev.get("bytes", 0)
+        for link in path:
+            row = links.get(link)
+            if row is None:
+                row = links[link] = {"msgs": 0, "bytes": 0.0}
+            row["msgs"] += 1
+            row["bytes"] += nbytes
     return links, hops
 
 
@@ -150,10 +146,9 @@ def critical_path(
         return []
     T = max(proc_times.values())
     rank = min(r for r, t in proc_times.items() if t == T)
-    blocking = [
-        [e for e in evs if e["kind"] in _BLOCKING]
-        for evs in tracer.rank_events
-    ]
+    blocking: list[list[dict]] = [[] for _ in range(tracer.nprocs)]
+    for e in tracer.events(_BLOCKING):
+        blocking[e["rank"]].append(e)
     ptr = [len(b) - 1 for b in blocking]
     eps = 1e-9 * max(1.0, abs(T))
     segs: list[dict] = []

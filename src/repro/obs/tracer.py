@@ -11,34 +11,26 @@ traced-vs-untraced differential suite):
   points come from :meth:`ProcContext.clock_estimate`, which previews
   the batched-charge flush without performing it (an actual flush
   changes floating-point summation order and would alter clocks).
-* **low overhead** — with tracing off, each instrumentation point costs
-  one ``tracer is not None`` test.  With tracing on, an event is one
-  dict construction and one list append into a per-rank list (so no
-  lock is needed even under the thread-per-rank backend: each rank's
-  list is only ever appended by code running on behalf of that rank,
-  or — for collective completions — at a rendezvous point where every
-  other participant is parked).
+* **low overhead** — with no sink attached (``trace=False`` or
+  ``REPRO_FLIGHTREC=0``) each instrumentation point costs one
+  ``tracer is not None`` test.  With any sink — the default flight
+  recorder or a full Tracer — an event is one positional tuple and one
+  :meth:`Tracer.emit` call appending it to the rank's stream; the
+  event *dict* is built only when a consumer reads
+  (:attr:`Tracer.rank_events`, :meth:`Tracer.events`, the exports).
+  No lock is needed even under the thread-per-rank backend: each
+  rank's stream is only ever appended by code running on behalf of
+  that rank, or — for collective completions — at a rendezvous point
+  where every other participant is parked.
 
 Event schema
 ------------
 
-Rank events (virtual time) are dicts with at least ``kind``, ``rank``
-and ``ts`` (virtual µs); span-like events carry ``dur``.  Kinds:
-
-=================  ========================================================
-``net.send``       message posted: dst, tag, bytes, avail, origin, proc
-``net.recv``       matched receive span: src, tag, bytes, sent_at, avail,
-                   wait (blocked µs), origin, proc
-``net.exchange``   one pairwise transfer inside an all-to-all exchange
-``coll``           collective rendezvous span: label, seq, maxclock,
-                   maxrank, bytes, origin, proc
-``sched.dispatch`` event scheduler resumed this rank
-``sched.block``    rank blocked (why: recv/collective, detail)
-``sched.unblock``  a send/rendezvous made this rank runnable again
-``interp.vec``     vectorized block execution span: unit, var, n, ops
-``interp.cache``   comm-schedule cache probe: array, hit
-``fault``          injected delay/retransmit on a posted message
-=================  ========================================================
+A rank event (virtual time) is stored as the record ``(kind, ts, dur,
+v1, ..., vk)`` on its rank's stream and read as a dict with ``kind``,
+``rank``, ``ts`` (virtual µs), ``dur`` on span-like events, and the
+fields :data:`FIELDS` names for its kind — :data:`FIELDS` is the schema;
+``docs/observability.md`` § Event schema describes each kind.
 
 Host events are spans (``kind == "compile.phase"``, with ``t0``/``t1``
 in ``time.perf_counter`` seconds and a nesting ``depth``) and instants
@@ -73,6 +65,47 @@ from __future__ import annotations
 import os
 import time
 from typing import Any, Optional
+
+#: The rank-event schema: per kind, the names of a record's values
+#: ``v1..vk``, in the order a reader sees them as dict (and JSON) keys.
+FIELDS: dict[str, tuple[str, ...]] = {
+    "net.send": ("dst", "tag", "bytes", "avail", "origin", "hops"),
+    "net.recv": ("src", "tag", "bytes", "sent_at", "avail", "wait",
+                 "origin"),
+    "net.exchange": ("dst", "bytes", "origin"),
+    "coll": ("label", "bytes", "maxclock", "maxrank", "origin"),
+    "fault": ("dst", "tag", "delay", "retries"),
+    "sched.dispatch": (),
+    "sched.block": ("why", "src", "tag", "label"),
+    "sched.unblock": ("why", "src", "tag"),
+    "interp.vec": ("unit", "var", "n", "ops"),
+    "interp.cache": ("array", "hit"),
+}
+
+
+#: Placeholder for a skipped *middle* field of a record (trailing
+#: fields are simply left off).  ``None`` is a value, not absence.
+ABSENT = object()
+
+
+def event_dict(rank: int, rec: tuple) -> dict:
+    """The event a reader sees for record *rec* of *rank*'s stream:
+    ``kind``/``rank``/``ts``, ``dur`` when nonzero, then the fields
+    :data:`FIELDS` names for the kind, in schema order."""
+    kind = rec[0]
+    names = FIELDS[kind]
+    if len(rec) - 3 > len(names):
+        raise ValueError(
+            f"{kind!r} record carries {len(rec) - 3} values, "
+            f"schema names {len(names)}: {rec!r}"
+        )
+    ev = {"kind": kind, "rank": rank, "ts": rec[1]}
+    if rec[2]:
+        ev["dur"] = rec[2]
+    for name, v in zip(names, rec[3:]):
+        if v is not ABSENT:
+            ev[name] = v
+    return ev
 
 
 def _env_trace() -> str:
@@ -148,7 +181,8 @@ class Tracer:
 
     def __init__(self, nprocs: int = 0, sample: Any = None) -> None:
         self.host_events: list[dict] = []
-        self.rank_events: list[list[dict]] = [[] for _ in range(nprocs)]
+        #: one stream of ``(kind, ts, dur, *values)`` records per rank
+        self.streams: list[Any] = []
         self.meta: dict[str, Any] = {}
         self._depth = 0
         self.epoch = time.perf_counter()
@@ -165,16 +199,20 @@ class Tracer:
         #: ranks allowed to record (None = all ranks)
         self._sampled: Optional[set[int]] = None
         self.dropped_events = 0
+        self.ensure_ranks(nprocs)
 
     # -- machine attachment -------------------------------------------------
+
+    def _new_stream(self) -> Any:
+        return []
 
     def ensure_ranks(self, nprocs: int) -> None:
         """Grow the per-rank event streams to *nprocs* tracks (the
         tracer may be created before the machine exists)."""
-        while len(self.rank_events) < nprocs:
-            self.rank_events.append([])
+        while len(self.streams) < nprocs:
+            self.streams.append(self._new_stream())
         n = self.sample_ranks
-        P = len(self.rank_events)
+        P = len(self.streams)
         if n is not None and P > n:
             # evenly-spaced deterministic rank subset, endpoints kept
             if n == 1:
@@ -186,7 +224,7 @@ class Tracer:
 
     @property
     def nprocs(self) -> int:
-        return len(self.rank_events)
+        return len(self.streams)
 
     # -- compiler (host time) ----------------------------------------------
 
@@ -221,36 +259,55 @@ class Tracer:
 
     # -- simulator (virtual time) -------------------------------------------
 
-    def rank_event(self, rank: int, kind: str, ts: float,
-                   dur: float = 0.0, **fields: Any) -> None:
-        """Record one virtual-time event on *rank*'s track (dropped
-        whole when the sampling policy excludes it)."""
+    def emit(self, rank: int, rec: tuple) -> None:
+        """The sink every instrumentation site calls: append the record
+        ``(kind, ts, dur, *values)`` to *rank*'s stream (dropped whole
+        when the sampling policy excludes it)."""
         if self._sampled is not None and rank not in self._sampled:
             self.dropped_events += 1
             return
-        evs = self.rank_events[rank]
-        if self._budget is not None and len(evs) >= self._budget:
+        stream = self.streams[rank]
+        if self._budget is not None and len(stream) >= self._budget:
             self.dropped_events += 1
             return
-        ev = {"kind": kind, "rank": rank, "ts": ts}
-        if dur:
-            ev["dur"] = dur
-        if fields:
-            ev.update(fields)
-        evs.append(ev)
+        stream.append(rec)
 
-    # -- summaries ----------------------------------------------------------
+    def rank_event(self, rank: int, kind: str, ts: float,
+                   dur: float = 0.0, **fields: Any) -> None:
+        """Keyword front door to :meth:`emit` for tests and ad-hoc
+        callers: packs *fields* into a record by ``FIELDS[kind]``."""
+        names = FIELDS[kind]
+        unknown = fields.keys() - set(names)
+        if unknown:
+            raise TypeError(
+                f"{kind!r} events have no field {sorted(unknown)}; "
+                f"schema: {names}"
+            )
+        self.emit(rank, (kind, ts, dur,
+                         *(fields.get(name, ABSENT) for name in names)))
+
+    # -- readers ------------------------------------------------------------
+
+    @property
+    def rank_events(self) -> list[list[dict]]:
+        """Every stream materialised as event dicts, one list per rank
+        (built afresh on each read — hoist it out of loops)."""
+        return [
+            [event_dict(rank, rec) for rec in stream]
+            for rank, stream in enumerate(self.streams)
+        ]
 
     def event_count(self) -> int:
-        return len(self.host_events) + sum(
-            len(evs) for evs in self.rank_events
-        )
+        return len(self.host_events) + sum(map(len, self.streams))
 
-    def events(self, kind: Optional[str] = None) -> list[dict]:
-        """All rank events (optionally filtered by kind), rank-major."""
-        out: list[dict] = []
-        for evs in self.rank_events:
-            for ev in evs:
-                if kind is None or ev["kind"] == kind:
-                    out.append(ev)
-        return out
+    def events(self, kind: str | tuple[str, ...] | None = None
+               ) -> list[dict]:
+        """All rank events, rank-major; *kind* — one kind or a tuple of
+        kinds — filters on the record, before any dict is built."""
+        kinds = (kind,) if isinstance(kind, str) else kind
+        return [
+            event_dict(rank, rec)
+            for rank, stream in enumerate(self.streams)
+            for rec in stream
+            if kinds is None or rec[0] in kinds
+        ]

@@ -18,7 +18,10 @@ import os
 import shutil
 import tempfile
 
+import pytest
+
 from repro.machine import SCHEDULERS
+from repro.obs import FlightRecorder
 
 os.environ.setdefault("REPRO_SIM_TIMEOUT", "20")
 
@@ -34,3 +37,18 @@ os.environ.setdefault("REPRO_TUNE_CACHE", os.path.join(_cache_root, "tune"))
 #: matrices run the alias as a case of its own, so it goes through the
 #: same deadlock / trace / metrics checks as the name it stands for.
 SCHEDULER_SPELLINGS = SCHEDULERS + ("coop",)
+
+
+@pytest.fixture
+def recorders(monkeypatch):
+    """Every flight recorder a ``Machine`` attaches during the test
+    (``cp.run`` does not hand its machine back)."""
+    made = []
+
+    class Spy(FlightRecorder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr("repro.machine.machine.FlightRecorder", Spy)
+    return made

@@ -10,13 +10,17 @@ leave one complete JSON bundle behind.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
-from repro.core.options import Options
+from repro.apps.stencil import stencil1d_source
+from repro.core.driver import compile_program
+from repro.core.options import Mode, Options
 from repro.machine import FREE, Machine, resolve_scheduler
 from repro.machine.network import SimulationError
-from repro.obs import Tracer
+from repro.obs import FIELDS, Tracer
 from repro.obs.flightrec import (
     DEFAULT_CAPACITY,
     FlightRecorder,
@@ -67,6 +71,34 @@ class TestCapacity:
         assert tail["capacity"] == 8 and tail["events_seen"] == 100
         assert set(tail["ranks"]) == {"0"}  # silent ranks omitted
 
+    def test_events_seen_survives_racing_ranks(self):
+        """One counter per rank, each written only by that rank's
+        writers: P threads emitting at once lose no count."""
+        P, N = 8, 4000
+        fr = FlightRecorder(P, capacity=4)
+        go = threading.Event()
+
+        def writer(rank):
+            go.wait(10.0)
+            for i in range(N):
+                fr.emit(rank, ("sched.dispatch", float(i), 0.0))
+
+        threads = [threading.Thread(target=writer, args=(r,), daemon=True)
+                   for r in range(P)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            go.set()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert fr.events_seen == P * N
+        assert all(len(stream) == 4 for stream in fr.streams)
+
     def test_machine_attachment(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
@@ -81,6 +113,29 @@ class TestCapacity:
         assert m.tracer is m.user_tracer
         assert isinstance(m.tracer, Tracer)
         assert not isinstance(m.tracer, FlightRecorder)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULER_SPELLINGS)
+def test_events_seen_is_exact(monkeypatch, recorders, scheduler):
+    """The default run's recorder is offered exactly the rank events a
+    full-fidelity trace of the same run records — on both backends."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
+    cp = compile_program(stencil1d_source(256, 10),
+                         Options(nprocs=8, mode=Mode.INTER))
+    res = cp.run(scheduler=scheduler)
+    assert res.trace is None and len(recorders) == 1
+    traced = cp.run(scheduler=scheduler, trace=Tracer(sample=False))
+    assert len(recorders) == 1  # an explicit trace: no recorder
+    fr = recorders[0]
+    assert fr.capacity == DEFAULT_CAPACITY
+    assert fr.events_seen == len(traced.trace.events()) > 0
+    # every kind the full trace holds is in the rings too
+    tail = fr.tail()
+    assert tail["events_seen"] == fr.events_seen
+    ring_kinds = {ev["kind"] for evs in tail["ranks"].values()
+                  for ev in evs}
+    assert ring_kinds == {ev["kind"] for ev in traced.trace.events()}
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +204,34 @@ class TestDeadlockBundle:
         assert bundle["events"]["ranks"]
         assert bundle["stats"]["nprocs"] == 2
         assert bundle["extra"]["scheduler"] == resolve_scheduler(scheduler)
+
+    def test_bundle_events_are_schema_shaped(self, tmp_path, monkeypatch,
+                                             scheduler):
+        """The rings hold records; the bundle holds the documented
+        event dicts, each on the rank track it is filed under."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
+        monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                ctx.send(1, 7, "other", 8)
+            else:
+                yield from ctx.recv_y(0, 8)
+
+        with pytest.raises(SimulationError, match="deadlock|aborted"):
+            Machine(2, FREE, timeout_s=10.0,
+                    scheduler=scheduler).run(prog)
+        ranks = _load_bundle(tmp_path, "simulation-error")["events"]["ranks"]
+        sends = [ev for ev in ranks["0"] if ev["kind"] == "net.send"]
+        assert [(ev["dst"], ev["tag"], ev["bytes"]) for ev in sends] == \
+            [(1, 7, 8)]
+        assert "origin" in sends[0] and sends[0]["origin"] is None
+        for rank, evs in ranks.items():
+            for ev in evs:
+                assert ev["rank"] == int(rank) and ev["ts"] >= 0.0
+                assert set(ev) - {"kind", "rank", "ts", "dur"} <= \
+                    set(FIELDS[ev["kind"]])
 
 
 class TestEventGeneratorBundle:

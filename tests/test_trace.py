@@ -10,16 +10,23 @@ exactly.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import re
+import sys
 
 import pytest
 
+import repro
+from repro.apps.cg import cg_source
 from repro.apps.dgefa import dgefa_source, make_dgefa_init
 from repro.apps.stencil import stencil1d_source
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
 from repro.machine import Machine, resolve_scheduler
 from repro.obs import (
+    FIELDS,
     Tracer,
     chrome_trace,
     comm_hotspots,
@@ -29,8 +36,12 @@ from repro.obs import (
     profile_report,
     resolve_trace,
 )
+from repro.obs.tracer import ABSENT, event_dict
 
 from .conftest import SCHEDULER_SPELLINGS
+
+SRC_ROOT = os.path.dirname(repro.__file__)
+REPO_ROOT = os.path.dirname(os.path.dirname(SRC_ROOT))
 
 RANK_KINDS = {
     "net.send", "net.recv", "net.exchange", "coll",
@@ -302,3 +313,204 @@ class TestProfile:
         assert "communication hot spots" in text
         assert "communication matrix" in text
         assert "virtual-time critical path" in text
+
+
+# ---------------------------------------------------------------------------
+# the record schema and its one emit path
+# ---------------------------------------------------------------------------
+
+_STD = ("kind", "rank", "ts", "dur")
+
+#: one keyword-form event per kind, incl. a skipped middle field
+#: (``sched.block`` for a collective), dropped trailing fields and
+#: ``origin=None`` (a value, not absence)
+SAMPLE_EVENTS = [
+    ("net.send", 1.0, 0.0, dict(dst=1, tag=2, bytes=8, avail=3.0,
+                                origin=None)),
+    ("net.send", 1.0, 0.0, dict(dst=1, tag=2, bytes=8, avail=3.0,
+                                origin="p:a[i]", hops=2)),
+    ("net.recv", 1.0, 2.5, dict(src=0, tag=2, bytes=8, sent_at=0.5,
+                                avail=3.0, wait=2.0, origin="p:a[i]")),
+    ("net.exchange", 4.0, 0.0, dict(dst=3, bytes=16.0, origin=None)),
+    ("coll", 4.0, 6.0, dict(label="reduce", bytes=8, maxclock=5.0,
+                            maxrank=1, origin=None)),
+    ("fault", 1.0, 0.0, dict(dst=1, tag=2, delay=40.0, retries=1)),
+    ("sched.dispatch", 7.0, 0.0, {}),
+    ("sched.block", 7.0, 0.0, dict(why="recv", src=0, tag=2)),
+    ("sched.block", 7.0, 0.0, dict(why="collective", label="barrier")),
+    ("sched.unblock", 7.0, 0.0, dict(why="recv", src=0, tag=2)),
+    ("sched.unblock", 7.0, 0.0, dict(why="collective")),
+    ("interp.vec", 2.0, 9.0, dict(unit="main", var="i", n=16, ops=32)),
+    ("interp.cache", 2.0, 0.0, dict(array="x", hit=False)),
+]
+
+
+class TestSchema:
+    def test_sample_covers_every_kind(self):
+        assert {k for k, *_ in SAMPLE_EVENTS} == set(FIELDS) == RANK_KINDS
+
+    def test_traced_apps_conform(self):
+        """Every event of the differential apps names only schema
+        fields, in schema order."""
+        from .test_trace_differential import CASES
+
+        seen = set()
+        for _, src, init in CASES:
+            res = _traced_run(src, vectorize=True, init_fn=init)
+            for ev in res.trace.events():
+                names = [k for k in ev if k not in _STD]
+                schema = FIELDS[ev["kind"]]
+                assert set(names) <= set(schema), ev
+                assert names == [n for n in schema if n in ev], ev
+                assert list(ev)[:3] == ["kind", "rank", "ts"]
+                seen.add(ev["kind"])
+        assert seen >= RANK_KINDS - {"fault", "net.exchange"}
+
+    def test_front_door_equals_emit(self):
+        """``rank_event`` (keywords) and ``emit`` (records) are one
+        path: equal events, field for field and in the same order."""
+        kw, pos = Tracer(1, sample=False), Tracer(1, sample=False)
+        for kind, ts, dur, fields in SAMPLE_EVENTS:
+            kw.rank_event(0, kind, ts, dur, **fields)
+            values = [fields.get(n, ABSENT) for n in FIELDS[kind]]
+            while values and values[-1] is ABSENT:
+                values.pop()
+            pos.emit(0, (kind, ts, dur, *values))
+        got = kw.rank_events[0]
+        assert got == pos.rank_events[0]
+        for ev, (kind, ts, dur, fields) in zip(got, SAMPLE_EVENTS):
+            want = {"kind": kind, "rank": 0, "ts": ts}
+            if dur:
+                want["dur"] = dur
+            want.update(fields)
+            assert ev == want and list(ev) == list(want)
+        assert got[0]["origin"] is None  # written as null, not dropped
+        assert "src" not in got[8] and got[8]["label"] == "barrier"
+
+    def test_malformed_events_rejected(self):
+        t = Tracer(1, sample=False)
+        with pytest.raises(TypeError, match="bogus"):
+            t.rank_event(0, "net.send", 1.0, bogus=1)
+        assert t.event_count() == 0
+        with pytest.raises(ValueError, match="interp.cache"):
+            event_dict(0, ("interp.cache", 1.0, 0.0, "x", True, "extra"))
+
+    def test_docs_table_matches_schema(self):
+        """docs/observability.md § Event schema names exactly FIELDS'
+        kinds and, per kind, exactly its fields."""
+        with open(os.path.join(REPO_ROOT, "docs", "observability.md"),
+                  encoding="utf-8") as fh:
+            text = fh.read()
+        section = text.split("## Event schema", 1)[1].split("\n#", 1)[0]
+        documented = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) != 3 or not cells[0].startswith("`"):
+                continue
+            fields = tuple(re.findall(r"`(\w+)`", cells[2]))
+            for kind in re.findall(r"`([\w.]+)`", cells[0]):
+                documented[kind] = fields
+        assert documented == FIELDS
+
+
+def test_one_emit_path():
+    """Under ``src/repro`` nothing outside ``obs/tracer.py`` calls the
+    keyword front door or writes an event dict literal, and a tracer's
+    ``emit`` is called from exactly the 13 instrumentation sites."""
+    emit_call = re.compile(r"\btracer\.emit\(")
+    # {"kind": ..., "rank": ..., "ts": ...} (profile.py's path segments
+    # carry t0/t1, not ts)
+    literal = re.compile(r'"kind":[^}]*?"rank":[^}]*?"ts":')
+    emits, front_door, literals = {}, [], []
+    for root, _, files in os.walk(SRC_ROOT):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, SRC_ROOT).replace(os.sep, "/")
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            n = len(emit_call.findall(text))
+            if n:
+                emits[rel] = n
+            if rel == "obs/tracer.py":
+                continue
+            if "rank_event(" in text:
+                front_door.append(rel)
+            if literal.search(text):
+                literals.append(rel)
+    assert front_door == [] and literals == []
+    assert emits == {
+        "machine/wire.py": 5, "machine/event.py": 5,
+        "interp/interpreter.py": 2, "interp/vectorize.py": 1,
+    }
+    # ... and in tracer.py the one event-dict literal is event_dict's
+    with open(os.path.join(SRC_ROOT, "obs", "tracer.py"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    assert len(literal.findall(text)) == 1
+    assert literal.search(
+        text.split("def event_dict", 1)[1].split("\ndef ", 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# what the always-on recorder costs, counted exactly
+# ---------------------------------------------------------------------------
+
+
+def _python_calls(fn):
+    """Python-level function calls made while *fn* runs.  The event
+    backend is single-threaded, so the count is deterministic once the
+    cycle collector — which would run finalizers of earlier tests'
+    garbage at a point nobody controls — is held off."""
+    calls = 0
+
+    def prof(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(prof)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls, result
+
+
+@pytest.mark.parametrize("src,nprocs,per_event", [
+    (stencil1d_source(256, 10), 8, 2.3),
+    (cg_source(64, 5), 4, 1.7),
+], ids=["stencil1d", "cg"])
+def test_recorder_costs_one_frame_per_event(monkeypatch, recorders, src,
+                                            nprocs, per_event):
+    """The default run (flight recorder attached) makes as many Python
+    calls per event as a traced one — one ``emit`` frame plus the
+    timestamp's ``clock_estimate`` — and holds records, not dicts."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
+    cp = compile_program(src, Options(nprocs=nprocs, mode=Mode.INTER))
+
+    def run(trace):
+        return _python_calls(
+            lambda: cp.run(trace=trace, scheduler="event"))
+
+    run(False)  # warm every lazy path before counting
+    off, _ = run(False)
+    assert run(False)[0] == off
+    default, res = run(None)
+    traced, res_on = run(True)
+    assert res.trace is None and len(recorders) == 1
+    events = len(res_on.trace.events())
+    assert recorders[0].events_seen == events
+    assert (default - off) / events <= per_event
+    assert abs((default - off) - (traced - off)) / events <= 0.05
+
+    live = [rec for stream in recorders[0].streams for rec in stream]
+    assert live
+    for rec in live:
+        assert type(rec) is tuple
+        assert not any(isinstance(item, dict) for item in rec)
