@@ -5,15 +5,17 @@ closures; this module instead *prints* the procedure as straight-line
 Python — scalar reads/writes against ``fr.scalars``, direct numpy
 indexing against each array's buffer, inline virtual-clock charges, and
 explicit ``send/recv/bcast/allreduce/remap`` calls at the placements the
-compiler chose.  One module is generated per **rank class** (lo / mid /
-hi — see :func:`repro.codegen.rank_classes`) so that processor-identity
-guards like ``if (my$p .eq. 0)`` fold away statically for the interior
-ranks.
+compiler chose.  The **procedure** is the emitted unit
+(:func:`emit_unit`): its text depends on nothing but its own key (see
+:func:`repro.codegen.cache.unit_key`), so no emitter state outlives one
+procedure.  It is printed per **rank class** (lo / mid / hi — see
+:func:`repro.codegen.rank_classes`) only when a processor-identity
+guard like ``if (my$p .eq. 0)`` folds away for some class; otherwise
+one text serves every rank.
 
-Each procedure is emitted once: as a generator ``fn_y(rt, fr)`` that
+Each procedure is one function: a generator ``fn(rt, fr)`` that
 yields at exactly the interpreter's suspension points when it may
-block (``find_blocking_units`` says so), as a plain function
-``fn(rt, fr)`` otherwise.
+block (``find_blocking_units`` says so), a plain function otherwise.
 
 The generated code must be **bit-identical** to the interpreter in
 arrays, virtual clocks, and RunStats.  The rules the two engines share
@@ -38,9 +40,8 @@ from typing import Optional
 
 from ..interp.interpreter import (
     Interpreter,
+    UnitFacts,
     _count_ops,
-    blocking_call_in_expr,
-    find_blocking_units,
     scalar_type,
 )
 from ..interp.vectorize import (
@@ -51,6 +52,7 @@ from ..interp.vectorize import (
 )
 from ..lang import ast as A
 from ..runtime.intrinsics import PURE_INTRINSICS
+from .cache import Variant
 
 
 class Unsupported(Exception):
@@ -78,10 +80,10 @@ _CMP_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=",
 _VEC_CALL_SRC = {
     "f": "f_func({0})",
     "g": "g_func({0})",
-    "abs": "np.abs({0})",
-    "sqrt": "np.sqrt({0})",
-    "min": "np.minimum({0}, {1})",
-    "max": "np.maximum({0}, {1})",
+    "abs": "np_abs({0})",
+    "sqrt": "np_sqrt({0})",
+    "min": "np_minimum({0}, {1})",
+    "max": "np_maximum({0}, {1})",
 }
 
 
@@ -95,131 +97,97 @@ def _const_int(e: A.Expr) -> Optional[int]:
     return None
 
 
-def emit_module(program: A.Program, nprocs: int, cls: str,
-                rlo: int, rhi: int, vectorize: bool, header: str) -> str:
-    """Generate the node-program module source for one rank class.
+#: What every unit text assumes is in scope.  The loader executes it
+#: once and runs each text over a copy of the resulting namespace; an
+#: assembled module (:func:`assemble_module`) starts with it.  Only
+#: plain names: CPython compiles ``mod.f(x)`` differently when it can
+#: see ``mod`` being imported, and a text must compile to the same code
+#: alone and inside an assembled module.
+PRELUDE = """\
+from numpy import abs as np_abs, arange as np_arange
+from numpy import maximum as np_maximum, minimum as np_minimum
+from numpy import sqrt as np_sqrt
 
-    ``header`` becomes the first line verbatim (the disk cache uses it
-    to validate an entry before trusting it)."""
-    return _ModuleEmitter(
-        program, nprocs, cls, rlo, rhi, vectorize, header
-    ).emit()
+from repro.codegen.runtime import ax_slice, fdiv
+from repro.interp.interpreter import InterpError, _Stop
+from repro.interp.vectorize import _fortran_div as _vdiv
+from repro.lang.ast import DistSpec
+from repro.runtime.intrinsics import PURE_INTRINSICS, f_func, g_func
+
+""" + "".join(f"_in_{name} = PURE_INTRINSICS[{name!r}]\n"
+              for name in PURE_INTRINSICS)
 
 
-# --------------------------------------------------------------------------
-# module-level emission
-# --------------------------------------------------------------------------
+def unit_ident(name: str, y: bool) -> str:
+    """Python name of the function generated for procedure *name*.
+    Injective, so two procedures never share one (``h$1``, a clone, and
+    a user's ``h_1``): source names are lowercase, every other
+    character is spelled ``X<hex>X``, and only a generator ends in
+    ``_Y``."""
+    esc = re.sub(r"[^a-z0-9_]", lambda m: f"X{ord(m.group()):x}X", name)
+    return "_u_" + esc + ("_Y" if y else "")
 
 
-class _ModuleEmitter:
-    def __init__(self, program: A.Program, nprocs: int, cls: str,
-                 rlo: int, rhi: int, vectorize: bool, header: str) -> None:
-        self.program = program
-        self.nprocs = nprocs
-        self.cls = cls
-        self.rlo = rlo
-        self.rhi = rhi
-        self.vectorize = vectorize
-        self.header = header
-        self.blocking = find_blocking_units(program)
-        self.unit_names = {u.name for u in program.units}
-        self._sid = 0
-        self._intrinsics: dict[str, str] = {}
-        self._specs: dict[tuple, str] = {}
-        self._fn_idents: set[str] = set()
+def emit_unit(
+    unit: A.Procedure,
+    facts: UnitFacts,
+    callees: tuple[tuple[str, str, bool], ...],
+    blocks: bool,
+    vectorize: bool,
+    classes: list[tuple[str, int, int]],
+) -> list[Variant]:
+    """Generate procedure *unit* for every rank class of *classes*
+    (:func:`repro.codegen.rank_classes` rows).
 
-    # -- registries shared by all function emitters ------------------------
+    The result depends on the arguments alone — they are what
+    :func:`repro.codegen.cache.unit_key` hashes: *facts* is derived
+    from *unit*, *callees* is the sorted ``(name, kind, may block)`` row
+    of every procedure it calls or references, *blocks* says whether it
+    may suspend itself.  A procedure whose emission never compared the
+    rank with a constant is emitted once, for all classes; otherwise
+    each class is attempted on its own (a guard folded away for one
+    class may hide a statement that demotes another) and classes that
+    print the same text share one variant."""
+    names = tuple(cls for cls, _, _ in classes)
+    outcomes: list[tuple[Optional[str], Optional[str]]] = []
+    for _, rlo, rhi in classes:
+        fn = _FnEmitter(unit, facts, callees, blocks, vectorize, rlo, rhi)
+        try:
+            outcomes.append((fn.emit(), None))
+        except Unsupported as ex:
+            outcomes.append((None, str(ex)))
+        except Exception as ex:  # defensive: demote, never fail
+            outcomes.append((None, f"internal: {type(ex).__name__}: {ex}"))
+        if not fn.rank_sensitive:
+            # nothing read the rank interval: every class ends the same
+            return [Variant(names, *outcomes[-1])]
+    groups: dict[tuple, list[str]] = {}
+    for cls, outcome in zip(names, outcomes):
+        groups.setdefault(outcome, []).append(cls)
+    return [Variant(tuple(group), *outcome)
+            for outcome, group in groups.items()]
 
-    def next_sid(self) -> int:
-        """Static id of one communication statement: its section cache
-        in :class:`~repro.codegen.runtime.NodeRt` (one per statement,
-        exactly like the interpreter's per-closure caches)."""
-        self._sid += 1
-        return self._sid
 
-    def intrinsic(self, name: str) -> str:
-        ident = self._intrinsics.get(name)
-        if ident is None:
-            ident = self._intrinsics[name] = f"_in_{name}"
-        return ident
-
-    def specs_const(self, specs) -> str:
-        for sp in specs:
-            if sp.param is not None and not isinstance(sp.param, int):
-                raise Unsupported(f"distribution parameter {sp.param!r}")
-        key = tuple((sp.kind, sp.param) for sp in specs)
-        ident = self._specs.get(key)
-        if ident is None:
-            ident = self._specs[key] = f"_SPECS_{len(self._specs)}"
-        return ident
-
-    def fn_ident(self, unit_name: str, y: bool) -> str:
-        base = "_u_" + re.sub(r"\W", "_", unit_name) + ("_y" if y else "")
-        ident, k = base, 2
-        while ident in self._fn_idents:
-            ident = f"{base}{k}"
-            k += 1
-        self._fn_idents.add(ident)
-        return ident
-
-    # -- driver ------------------------------------------------------------
-
-    def emit(self) -> str:
-        fns: list[str] = []
-        units: dict[str, str] = {}
-        demoted: dict[str, str] = {}
-        for u in self.program.units:
-            try:
-                src, ident = _FnEmitter(
-                    self, u, y=u.name in self.blocking
-                ).emit()
-                fns.append(src)
-                units[u.name] = ident
-            except Unsupported as ex:
-                demoted[u.name] = str(ex)
-            except Exception as ex:  # defensive: demote, never fail
-                demoted[u.name] = f"internal: {type(ex).__name__}: {ex}"
-        return self._assemble(fns, units, demoted)
-
-    def _assemble(self, fns, units, demoted) -> str:
-        out = [self.header]
-        out.append('"""Auto-generated node program — do not edit.')
-        out.append("")
-        out.append(f"rank class {self.cls!r}: ranks {self.rlo}..{self.rhi} "
-                   f"of {self.nprocs}; vectorize={self.vectorize}")
-        out.append('"""')
-        out.append("")
-        out.append("import numpy as np")
-        out.append("")
-        out.append("from repro.codegen.runtime import ax_slice, fdiv")
-        out.append("from repro.interp.interpreter import InterpError, _Stop")
-        out.append("from repro.interp.vectorize import _fortran_div as _vdiv")
-        out.append("from repro.lang.ast import DistSpec")
-        out.append("from repro.runtime.intrinsics import "
-                   "PURE_INTRINSICS, f_func, g_func")
-        out.append("")
-        out.append(f"RANK_CLASS = {self.cls!r}")
-        out.append(f"RANK_LO, RANK_HI = {self.rlo}, {self.rhi}")
-        out.append(f"NPROCS = {self.nprocs}")
-        blocking = sorted(self.blocking)
-        out.append(f"BLOCKING = frozenset({blocking!r})")
-        for name in sorted(self._intrinsics):
-            out.append(f"{self._intrinsics[name]} = "
-                       f"PURE_INTRINSICS[{name!r}]")
-        for key, ident in self._specs.items():
-            items = ", ".join(
-                f"DistSpec(kind={kind!r}, param={param!r})"
-                for kind, param in key
-            )
-            comma = "," if len(key) == 1 else ""
-            out.append(f"{ident} = ({items}{comma})")
-        out.append("")
-        for fn in fns:
-            out.append(fn)
-            out.append("")
-        out.append(_table("UNITS", units, quote_values=False))
-        out.append(_table("DEMOTED", demoted, quote_values=True))
-        return "\n".join(out) + "\n"
+def assemble_module(cls: str, rlo: int, rhi: int, nprocs: int,
+                    vectorize: bool, blocking: frozenset,
+                    texts: dict[str, str], demoted: dict[str, str]) -> str:
+    """One rank class's node program as a single importable module:
+    the unit *texts* (procedure name -> text) over the prelude, with the
+    ``UNITS`` / ``DEMOTED`` tables.  For reading and dumping only — the
+    run path executes the texts themselves."""
+    out = ['"""Auto-generated node program — do not edit.', "",
+           f"rank class {cls!r}: ranks {rlo}..{rhi} of {nprocs}; "
+           f"vectorize={vectorize}", '"""', "", PRELUDE,
+           f"RANK_CLASS = {cls!r}",
+           f"RANK_LO, RANK_HI = {rlo}, {rhi}",
+           f"NPROCS = {nprocs}",
+           f"BLOCKING = frozenset({sorted(blocking)!r})", ""]
+    for text in texts.values():
+        out += [text, ""]
+    units = {name: unit_ident(name, name in blocking) for name in texts}
+    out.append(_table("UNITS", units, quote_values=False))
+    out.append(_table("DEMOTED", demoted, quote_values=True))
+    return "\n".join(out) + "\n"
 
 
 def _table(name: str, mapping: dict, quote_values: bool) -> str:
@@ -247,16 +215,28 @@ class _FnEmitter:
     ``Interpreter._compile_stmt_y`` does.
     """
 
-    def __init__(self, mod: _ModuleEmitter, unit: A.Procedure,
-                 y: bool) -> None:
-        self.mod = mod
+    def __init__(self, unit: A.Procedure, facts: UnitFacts,
+                 callees: tuple[tuple[str, str, bool], ...], y: bool,
+                 vectorize: bool, rlo: int, rhi: int) -> None:
         self.unit = unit
+        self.facts = facts
+        #: name -> (kind, may block) of every procedure referenced
+        self.callees = {name: (kind, blocks)
+                        for name, kind, blocks in callees}
         self.y = y
-        self.ident = mod.fn_ident(unit.name, y)
+        self.vectorize = vectorize
+        self.rlo = rlo
+        self.rhi = rhi
+        #: set once a guard compared the rank with a constant: only
+        #: then can the text differ between rank classes
+        self.rank_sensitive = False
+        self.ident = unit_ident(unit.name, y)
         self.lines: list[str] = []
         self.ind = 1
         self._ntmp = 0
+        self._nsid = 0
         self.uses: set[str] = set()
+        self.specs: dict[tuple, str] = {}    # DistSpec rows -> constant
         self.arrays: dict[str, str] = {}     # array name -> ident
         self.arr_data: set[str] = set()      # idents needing .data alias
         self.arr_lo: set[tuple[str, int]] = set()  # (ident, axis) lbounds
@@ -305,49 +285,51 @@ class _FnEmitter:
                 break
         if not prefix:
             return prefix
-        written: set[str] = set(self.unit.formals)
-        for s in A.walk_stmts(self.unit.body):
-            if isinstance(s, A.Assign) and isinstance(s.target, A.Var):
-                written.add(s.target.name)
-            elif isinstance(s, A.Do):
-                written.add(s.var)
-            elif isinstance(s, A.GlobalReduce):
-                written.add(s.var)
-                if s.aux:
-                    written.add(s.aux)
-            elif isinstance(s, A.Call):
-                written.update(
-                    a.name for a in s.args if isinstance(a, A.Var)
-                )
-            for e in A.stmt_exprs(s):
-                for sub in A.walk_exprs(e):
-                    if isinstance(sub, A.CallExpr) \
-                            and sub.name in self.mod.unit_names:
-                        written.update(
-                            a.name for a in sub.args
-                            if isinstance(a, A.Var)
-                        )
+        written = set(self.unit.formals) | self.facts.written
+        for name, var_args in self.facts.expr_calls.items():
+            if name in self.callees:
+                written |= var_args
         return prefix - written
+
+    def specs_const(self, specs) -> str:
+        for sp in specs:
+            if sp.param is not None and not isinstance(sp.param, int):
+                raise Unsupported(f"distribution parameter {sp.param!r}")
+        key = tuple((sp.kind, sp.param) for sp in specs)
+        ident = self.specs.get(key)
+        if ident is None:
+            stem = self.ident.replace("_u_", "_SPECS_", 1)
+            ident = self.specs[key] = f"{stem}_{len(self.specs)}"
+        return ident
 
     # -- assembly ----------------------------------------------------------
 
-    def emit(self) -> tuple[str, str]:
+    def emit(self) -> str:
+        """The unit's self-contained text: the constants it names, then
+        its ``def``."""
         if self.y:
             self._check_no_blocking_exprs()
         self.suite_inline(self.unit.body)
         if self.y and not self.has_yield:
             self.w("if False:")
             self.w("    yield  # pragma: no cover - generator marker")
-        pre = self._preamble()
-        body = pre + self.lines
+        body = self._preamble() + self.lines
         if not body:
             body = ["    pass"]
         variant = "event" if self.y else "node"
-        head = [
+        head = []
+        for key, ident in self.specs.items():
+            items = ", ".join(
+                f"DistSpec(kind={kind!r}, param={param!r})"
+                for kind, param in key
+            )
+            comma = "," if len(key) == 1 else ""
+            head.append(f"{ident} = ({items}{comma})")
+        head += [
             f"def {self.ident}(rt, fr):",
             f"    # {self.unit.kind} {self.unit.name} ({variant} variant)",
         ]
-        return "\n".join(head + body), self.ident
+        return "\n".join(head + body)
 
     def _preamble(self) -> list[str]:
         u = self.uses
@@ -379,9 +361,8 @@ class _FnEmitter:
     def _check_no_blocking_exprs(self) -> None:
         """Demoting here lets the interpreter raise its compile-time
         error for a function that communicates in expression position."""
-        for st in A.walk_stmts(self.unit.body):
-            name = blocking_call_in_expr(st, self.mod.blocking)
-            if name is not None:
+        for name in self.facts.expr_calls:
+            if name in self.callees and self.callees[name][1]:
                 raise Unsupported(
                     f"function {name!r} communicates inside an expression"
                 )
@@ -452,12 +433,11 @@ class _FnEmitter:
             return (f"(0 if {arr}.dist is None or {arr}.dist.is_replicated "
                     f"else {arr}.dist.owner({idx}))")
         if name in PURE_INTRINSICS:
-            fn = self.mod.intrinsic(name)
             args = ", ".join(self.ex(a) for a in e.args)
-            return f"{fn}({args})"
-        if name not in self.mod.unit_names:
+            return f"_in_{name}({args})"
+        if name not in self.callees:
             raise Unsupported(f"unknown function {name!r}")
-        if self.mod.program.unit(name).kind != "function":
+        if self.callees[name][0] != "function":
             raise Unsupported(f"{name} is not a function")
         args_src, actuals_src = self.call_args(list(e.args))
         return f"rt.fcall({name!r}, fr, {args_src}, {actuals_src})"
@@ -483,7 +463,7 @@ class _FnEmitter:
         for e in exprs:
             for sub in A.walk_exprs(e):
                 if isinstance(sub, A.CallExpr) \
-                        and sub.name in self.mod.unit_names:
+                        and sub.name in self.callees:
                     return True
         return False
 
@@ -632,7 +612,8 @@ class _FnEmitter:
             return None
         if c is None:
             return None
-        lo, hi = self.mod.rlo, self.mod.rhi
+        self.rank_sensitive = True
+        lo, hi = self.rlo, self.rhi
         if op == "<":
             return True if hi < c else (False if lo >= c else None)
         if op == "<=":
@@ -673,7 +654,7 @@ class _FnEmitter:
             self.w(f"if {st_src} == 0:")
             msg = f"{self.unit.name}: zero DO step"
             self.w(f"    raise InterpError({msg!r})")
-        plan = loop_plan(s) if self.mod.vectorize else None
+        plan = loop_plan(s) if self.vectorize else None
         if plan is not None:
             _VecPlan(self, plan).emit(lo_t, hi_t, st_src, st_lit)
         else:
@@ -716,10 +697,10 @@ class _FnEmitter:
     # -- calls / IO --------------------------------------------------------
 
     def emit_call(self, s: A.Call) -> None:
-        if s.name not in self.mod.unit_names:
+        if s.name not in self.callees:
             raise Unsupported(f"call of unknown procedure {s.name!r}")
         args_src, actuals_src = self.call_args(list(s.args))
-        if s.name in self.mod.blocking:
+        if self.callees[s.name][1]:
             self.has_yield = True
             self.w(f"yield from rt.call_y({s.name!r}, fr, {args_src}, "
                    f"{actuals_src})")
@@ -754,9 +735,13 @@ class _FnEmitter:
     def _entry(self, array: str, subs: list[A.Expr]) -> tuple[str, str]:
         ident = self.areg(array)
         self.arr_data.add(ident)
-        sid = self.mod.next_sid()
+        # static id of this communication statement: its section cache
+        # in NodeRt (one per statement, exactly like the interpreter's
+        # per-closure caches)
+        self._nsid += 1
+        sid = f"{self.unit.name}:{self._nsid}"
         e_t = self.tmp()
-        self.w(f"{e_t} = rt.comm_entry({sid}, _a_{ident}, "
+        self.w(f"{e_t} = rt.comm_entry({sid!r}, _a_{ident}, "
                f"{self.section_src(subs)})")
         return ident, e_t
 
@@ -836,14 +821,14 @@ class _FnEmitter:
 
     def emit_remap(self, s: A.Remap) -> None:
         ident = self.areg(s.array)
-        spec = self.mod.specs_const(s.to_specs)
+        spec = self.specs_const(s.to_specs)
         origin = s.comment or f"{self.unit.name}:remap {s.array}"
         self.has_yield = True
         self.w(f"yield from rt.remap_y(_a_{ident}, {spec}, {origin!r})")
 
     def emit_mark(self, s: A.MarkDist) -> None:
         ident = self.areg(s.array)
-        spec = self.mod.specs_const(s.to_specs)
+        spec = self.specs_const(s.to_specs)
         self.w(f"rt.mark(_a_{ident}, {spec})")
 
 
@@ -927,7 +912,7 @@ class _VecPlan:
         fn.w(f"{t0_t} = ctx.clock_estimate() if _trc else 0.0")
         io_t = fn.tmp()
         if self.plan.uses_iota:
-            fn.w(f"{io_t} = np.arange({lo_t}, {lo_t} + {n_t} * {st_src}, "
+            fn.w(f"{io_t} = np_arange({lo_t}, {lo_t} + {n_t} * {st_src}, "
                  f"{st_src})")
         for target, axis, off, expr in self.plan.stmts:
             tgt = self._slice_src(target, axis, off, lo_t, n_t, st_src,

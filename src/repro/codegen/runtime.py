@@ -44,13 +44,13 @@ class NodeRt:
         self.ctx = interp.ctx
         self.tracer = interp.tracer
         #: per-comm-statement section caches, keyed by the static id the
-        #: emitter assigned (the interpreter's compiled comm statements
-        #: hold one such cache per closure)
-        self._caches: dict[int, dict] = {}
+        #: emitter assigned (``'<procedure>:<k>'``; the interpreter's
+        #: compiled comm statements hold one such cache per closure)
+        self._caches: dict[str, dict] = {}
 
     # -- communication sections -------------------------------------------
 
-    def comm_entry(self, sid: int, arr: FArray, raw: list):
+    def comm_entry(self, sid: str, arr: FArray, raw: list):
         """Resolve one communication section through the interpreter's
         memoized path (identical hit/miss counters and trace events)."""
         cache = self._caches.get(sid)

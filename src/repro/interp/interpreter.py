@@ -24,7 +24,7 @@ Semantics notes
 from __future__ import annotations
 
 import os
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, NamedTuple, Optional
 
 import numpy as np
 
@@ -136,34 +136,75 @@ def blocking_call_in_expr(s: A.Stmt, blocking: set[str]) -> Optional[str]:
     return None
 
 
-def find_blocking_units(program: A.Program) -> set[str]:
+class UnitFacts(NamedTuple):
+    """What one walk over a procedure's body establishes about it,
+    independent of the program around it."""
+
+    #: contains a blocking statement itself
+    blocks: bool
+    #: targets of its CALL statements
+    calls: frozenset[str]
+    #: every name called in expression position (user functions and
+    #: intrinsics alike, in first-occurrence order) -> the scalar
+    #: variables passed to it, which a user function may write
+    expr_calls: dict[str, frozenset[str]]
+    #: scalars its statements write: assignment targets, DO variables,
+    #: reduction results and the variables a CALL passes by reference
+    written: frozenset[str]
+
+
+def unit_facts(unit: A.Procedure) -> UnitFacts:
+    """The single statement / expression walk behind :class:`UnitFacts`."""
+    blocks = False
+    calls: set[str] = set()
+    expr_calls: dict[str, set[str]] = {}
+    written: set[str] = set()
+    for s in A.walk_stmts(unit.body):
+        if isinstance(s, _BLOCKING_STMTS):
+            blocks = True
+        if isinstance(s, A.Assign):
+            if isinstance(s.target, A.Var):
+                written.add(s.target.name)
+        elif isinstance(s, A.Do):
+            written.add(s.var)
+        elif isinstance(s, A.GlobalReduce):
+            written.add(s.var)
+            if s.aux:
+                written.add(s.aux)
+        elif isinstance(s, A.Call):
+            calls.add(s.name)
+            written.update(a.name for a in s.args if isinstance(a, A.Var))
+        for e in A.stmt_exprs(s):
+            for sub in A.walk_exprs(e):
+                if isinstance(sub, A.CallExpr):
+                    expr_calls.setdefault(sub.name, set()).update(
+                        a.name for a in sub.args if isinstance(a, A.Var)
+                    )
+    return UnitFacts(
+        blocks, frozenset(calls),
+        {name: frozenset(args) for name, args in expr_calls.items()},
+        frozenset(written),
+    )
+
+
+def find_blocking_units(
+    program: A.Program, facts: Optional[dict[str, UnitFacts]] = None
+) -> set[str]:
     """Procedures that may suspend: those containing a blocking
     statement, transitively closed over CALL / function-call edges.
     Shared by the compilation here and by the node-program code
     generator (``repro.codegen``), which must place its yields at
-    exactly the same procedures."""
-    direct: set[str] = set()
-    calls: dict[str, set[str]] = {}
-    unit_names = {u.name for u in program.units}
-    for u in program.units:
-        callees: set[str] = set()
-        for s in A.walk_stmts(u.body):
-            if isinstance(s, _BLOCKING_STMTS):
-                direct.add(u.name)
-            if isinstance(s, A.Call):
-                callees.add(s.name)
-            for e in A.stmt_exprs(s):
-                for sub in A.walk_exprs(e):
-                    if isinstance(sub, A.CallExpr) \
-                            and sub.name in unit_names:
-                        callees.add(sub.name)
-        calls[u.name] = callees
-    blocking = set(direct)
+    exactly the same procedures — and which passes the per-unit
+    *facts* it has already collected."""
+    if facts is None:
+        facts = {u.name: unit_facts(u) for u in program.units}
+    blocking = {name for name, f in facts.items() if f.blocks}
     changed = True
     while changed:
         changed = False
-        for name, callees in calls.items():
-            if name not in blocking and callees & blocking:
+        for name, f in facts.items():
+            if name not in blocking and (
+                    f.calls & blocking or f.expr_calls.keys() & blocking):
                 blocking.add(name)
                 changed = True
     return blocking
@@ -1349,7 +1390,10 @@ def run_spmd(
                         variant=variant, cause=cause,
                     )
 
-    blocking = find_blocking_units(program)  # once, not once per rank
+    # once per program, not once per rank or per run: a generated
+    # program carries the set its emission was decided by
+    blocking = gen.blocking if gen is not None \
+        else find_blocking_units(program)
 
     def make_node(rank: int):
         mod = gen.module_for(rank) if gen is not None else None

@@ -20,7 +20,7 @@ import pytest
 
 from repro.cas import atomic_write
 from repro.codegen import cache as gen_cache
-from repro.codegen import get_generated, reset_memory
+from repro.codegen import get_generated, reset_memory, unit_keys
 from repro.codegen.cache import GEN_VERSION, entry_stem
 from repro.core import Options, compile_program
 from repro.core.options import CompileReport
@@ -33,7 +33,7 @@ SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 
 KEY = "k" * 64
-STEM = entry_stem(KEY, 4, True, "mid")
+STEM = entry_stem(KEY, 4, True)
 
 
 def _skip_unless_denied(path, mode):
@@ -276,7 +276,8 @@ class TestOnDiskCompatibility:
     today starts with the literal old header."""
 
     def test_versions_unchanged(self):
-        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "1", "3")
+        # GEN_VERSION 4: one entry per procedure (was one per rank class)
+        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "1", "4")
 
     def test_summary_store(self, tmp_path):
         d = tmp_path / "s"
@@ -311,9 +312,10 @@ class TestOnDiskCompatibility:
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(d))
         (d / f"{STEM}.py").write_text(_module_source())
         assert gen_cache.cas().load(STEM) == _module_source()
-        assert gen_cache.entry_header(STEM) == f"# repro-codegen 3 {STEM}"
+        assert gen_cache.entry_header(STEM) \
+            == f"# repro-codegen {GEN_VERSION} {STEM}"
         assert gen_cache.entry_path(STEM) == str(d / f"{STEM}.py")
-        other = entry_stem(KEY, 4, True, "lo")
+        other = entry_stem(KEY, 4, False)
         gen_cache.cas().store(other, _module_source(other))
         assert (d / f"{other}.py").read_text() == _module_source(other)
 
@@ -337,12 +339,12 @@ class TestCodegenClient:
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(blocker / "cache"))
         # the compile-time prewarm only runs when codegen is the default
         monkeypatch.setenv("REPRO_CODEGEN", "1")
-        prog = self._program()  # prewarms: three modules already emitted
+        prog = self._program()  # prewarms: its one procedure emitted
         reset_memory()
         gen, hits, misses = get_generated(prog, 4, True)
         assert (hits, misses) == (0, 3) and not gen.demotions
         stats = gen_cache.cas().stats()
-        assert stats["stores"] == 6 and stats["degraded"] == 1
+        assert stats["stores"] == 2 and stats["degraded"] == 1
         reset_memory()
 
     def test_poisoned_body_is_counted_and_healed(self, tmp_path,
@@ -352,15 +354,14 @@ class TestCodegenClient:
         reset_memory()
         get_generated(prog, 4, True)
         store = gen_cache.cas()
-        stem = entry_stem(gen_cache.program_key(repr(prog), 4, True),
-                          4, True, "mid")
+        stem = entry_stem(unit_keys(prog, 4, True)["p"], 4, True)
         good = open(store.path(stem)).read()
         with open(store.path(stem), "w") as fh:
             fh.write(good[: len(good) // 2] + "\ndef broken(:\n")
         reset_memory()
         before = store.stats()["corrupt"]
         _, hits, misses = get_generated(prog, 4, True)
-        assert (hits, misses) == (2, 1)
+        assert (hits, misses) == (0, 3)  # every class runs the procedure
         assert store.stats()["corrupt"] == before + 1
         assert open(store.path(stem)).read() == good
         reset_memory()
@@ -426,7 +427,7 @@ class TestConcurrentWriters:
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", gdir)
         modules = gen_cache.cas()
         stems = [n[:-len(".py")] for n in os.listdir(gdir)]
-        assert len(stems) == 8 * 3  # 8 programs x (lo, mid, hi)
+        assert len(stems) == 8 * 2  # 8 programs x (main + f)
         for stem in stems:
             assert modules.load(stem) is not None
         assert store.stats()["corrupt"] == 0
