@@ -60,14 +60,13 @@ def clone_program(program: A.Program, opts: Options) -> CloneOutcome:
     """Iteratively clone until every procedure has a single partition of
     callers (or the growth cap is hit)."""
     original_count = len(program.units)
-    outcome = CloneOutcome(program, ACG(program),
-                           compute_reaching(ACG(program), opts))
-    if not opts.enable_cloning:
-        return outcome
-
+    clones: dict[str, list[str]] = {}
     while True:
         acg = ACG(program)
         reaching = compute_reaching(acg, opts)
+        outcome = CloneOutcome(program, acg, reaching, clones)
+        if not opts.enable_cloning:
+            return outcome
         effects = compute_side_effects(acg)
         appear_sets = {
             name: effects[name].appear & (
@@ -88,9 +87,6 @@ def clone_program(program: A.Program, opts: Options) -> CloneOutcome:
                 opts.clone_growth_limit * original_count
             ):
                 outcome.growth_capped = True
-                outcome.program = program
-                outcome.acg = acg
-                outcome.reaching = reaching
                 return outcome
             # create one clone per additional partition; the first keeps
             # the original name
@@ -102,13 +98,10 @@ def clone_program(program: A.Program, opts: Options) -> CloneOutcome:
                 clone_names.append(clone_name)
                 for site in sites:
                     site.stmt.name = clone_name
-            outcome.clones.setdefault(name, []).extend(clone_names)
+            clones.setdefault(name, []).extend(clone_names)
             changed = True
             break  # re-analyze from scratch after each transformation
         if not changed:
-            outcome.program = program
-            outcome.acg = acg
-            outcome.reaching = reaching
             return outcome
 
 

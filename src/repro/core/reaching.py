@@ -101,41 +101,48 @@ def _param_env(proc: A.Procedure) -> dict:
     return env
 
 
+def entry_facts(proc: A.Procedure, opts: Options,
+                const_env: dict | None = None) -> frozenset[Fact]:
+    """Facts entering *proc* before interprocedural propagation: formal
+    and COMMON arrays at ``TOP``, local arrays replicated.  No CFG and
+    no data-flow solve — the local phase of Figure 6 needs only this."""
+    param_env = const_env or _param_env(proc)
+    # COMMON arrays inherit their decomposition from the caller exactly
+    # like formals (in the main program they behave like locals)
+    inherited = {
+        d.name for d in proc.decls if d.is_array and d.name in proc.formals
+    }
+    if proc.kind != "program":
+        inherited |= set(proc.commons)
+    facts: set[Fact] = {(n, TOP) for n in inherited}
+    for d in proc.decls:
+        if d.is_array and d.name not in inherited:
+            bounds = _array_bounds(proc, d.name, param_env)
+            if bounds is not None:
+                facts.add(
+                    (d.name, Distribution.replicated(bounds, opts.nprocs)))
+    return frozenset(facts)
+
+
 def analyze_procedure(
     proc: A.Procedure,
     opts: Options,
     entry: frozenset[Fact] | None = None,
     const_env: dict | None = None,
 ) -> ProcReaching:
-    """Local reaching-decompositions for one procedure.
+    """Local reaching-decompositions for one procedure: the data-flow
+    solve over its CFG.
 
-    ``entry`` overrides the default entry facts (used when re-running
-    after interprocedural propagation has resolved TOP); ``const_env``
+    ``entry`` overrides the default :func:`entry_facts` (used after
+    interprocedural propagation has resolved TOP); ``const_env``
     supplies interprocedurally propagated constants so DISTRIBUTE of
     formal arrays with symbolic bounds resolves.
     """
     table = build_directive_table(proc)
     cfg = CFG.build(proc.body)
-    param_env = dict(const_env) if const_env else _param_env(proc)
-
-    commons = set(proc.commons)
-    formal_arrays = {
-        d.name for d in proc.decls if d.is_array and d.name in proc.formals
-    }
-    # COMMON arrays inherit their decomposition from the caller exactly
-    # like formals (in the main program they behave like locals)
-    inherited = formal_arrays | (commons if proc.kind != "program" else set())
-    local_arrays = {
-        d.name for d in proc.decls
-        if d.is_array and d.name not in inherited
-    }
+    param_env = const_env or _param_env(proc)
     if entry is None:
-        facts: set[Fact] = {(n, TOP) for n in inherited}
-        for n in local_arrays:
-            bounds = _array_bounds(proc, n, param_env)
-            if bounds is not None:
-                facts.add((n, Distribution.replicated(bounds, opts.nprocs)))
-        entry = frozenset(facts)
+        entry = entry_facts(proc, opts, const_env)
 
     # gen/kill per CFG node
     gen: dict[int, set[Fact]] = {}
@@ -212,19 +219,13 @@ class ReachingResult:
 
 
 def compute_reaching(acg: ACG, opts: Options) -> ReachingResult:
-    """Figure 6: local analysis + top-down interprocedural propagation +
-    the final recomputation pass that resolves TOP in every procedure."""
+    """Figure 6: local entry facts + top-down interprocedural
+    propagation, solving each procedure's data flow once, with TOP
+    already resolved from its callers."""
     program = acg.program
     from ..analysis.constants import propagate_constants
 
     constants = propagate_constants(acg)
-
-    # --- local analysis phase -----------------------------------------
-    local: dict[str, ProcReaching] = {}
-    for proc in program.units:
-        local[proc.name] = analyze_procedure(
-            proc, opts, const_env=constants[proc.name]
-        )
 
     # --- interprocedural propagation (topological: callers first) -------
     reaching: dict[str, frozenset[Fact]] = {}
@@ -244,20 +245,20 @@ def compute_reaching(acg: ACG, opts: Options) -> ReachingResult:
                 site_reaching[site.id] = translated
                 merged |= translated
             reaching[name] = frozenset(merged)
-        # resolve TOP: re-run local analysis with the propagated entry
-        entry_facts: set[Fact] = set()
-        base = local[name].entry
-        for arr, d in base:
+        # resolve TOP in the local entry facts with the propagated ones,
+        # then solve: the one data-flow solve per procedure
+        entry: set[Fact] = set()
+        for arr, d in entry_facts(proc, opts, constants[name]):
             if d is TOP:
                 resolved = {dd for (n, dd) in reaching[name] if n == arr}
                 if resolved:
-                    entry_facts |= {(arr, dd) for dd in resolved}
+                    entry |= {(arr, dd) for dd in resolved}
                 else:
-                    entry_facts.add((arr, TOP))
+                    entry.add((arr, TOP))
             else:
-                entry_facts.add((arr, d))
+                entry.add((arr, d))
         final[name] = analyze_procedure(
-            proc, opts, frozenset(entry_facts), const_env=constants[name]
+            proc, opts, frozenset(entry), const_env=constants[name]
         )
 
     return ReachingResult(final, reaching, site_reaching, constants)

@@ -108,9 +108,7 @@ def store_opts_fingerprint(opts: Options) -> str:
     in the per-procedure source and interprocedural-inputs fingerprints
     — excluding them here lets sibling candidate plans of one tuning run
     share the summaries of every procedure the plan change does not
-    actually touch.  (The worker front-end memo keeps the full
-    :func:`opts_fingerprint`: two compilations of the same source under
-    different overrides are different programs.)"""
+    actually touch."""
     return opts_fingerprint(replace(opts, distribute=()))
 
 

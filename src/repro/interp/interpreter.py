@@ -222,6 +222,7 @@ class Interpreter:
         init_main_arrays: bool = True,
         vectorize: Optional[bool] = None,
         blocking: Optional[set[str]] = None,
+        images: Optional[dict[tuple, np.ndarray]] = None,
     ) -> None:
         from .vectorize import enabled as _vec_enabled
 
@@ -243,6 +244,9 @@ class Interpreter:
         self._compiled_y: dict[str, list[Seg]] = {}
         self._blocking = find_blocking_units(program) \
             if blocking is None else blocking
+        #: initial array images shared by the ranks of one run
+        #: (``run_spmd`` hands every rank the same dict; see ``_fill``)
+        self._images = images
         self._param_env: dict[str, dict[str, float | int]] = {}
         for unit in program.units:
             self._param_env[unit.name] = self._eval_params(unit)
@@ -372,11 +376,23 @@ class Interpreter:
         return v
 
     def _fill(self, arr: FArray) -> None:
+        """Set *arr* to its initial image: computed by the first rank of
+        the run to need it, copied by the others (every rank holds the
+        global-size array, so P computations would be O(N·P) per run)."""
+        if self._images is None:
+            self._compute_fill(arr)
+            return
+        key = (arr.name, tuple(arr.bounds), arr.dtype)
+        image = self._images.get(key)
+        if image is None:
+            self._compute_fill(arr)
+            self._images[key] = arr.data.copy()
+        else:
+            arr.data[...] = image
+
+    def _compute_fill(self, arr: FArray) -> None:
         if self.init_fn is default_init:
-            # vectorized twin of default_init: every rank fills its
-            # (global-size) arrays at startup, so the per-element
-            # Python loop is O(N) per rank — O(N·P) per run — and
-            # dominates wall time at P >= 1024.  The hash is a small
+            # vectorized twin of default_init.  The hash is a small
             # modular fold over the index tuple, so broadcasting one
             # axis at a time reproduces it bit for bit.
             shape = arr.data.shape
@@ -1394,6 +1410,9 @@ def run_spmd(
     # program carries the set its emission was decided by
     blocking = gen.blocking if gen is not None \
         else find_blocking_units(program)
+    # per run, not per process: an init_fn's purity cannot be keyed
+    # across runs (two `threads` ranks computing one image is benign)
+    images: dict[tuple, np.ndarray] = {}
 
     def make_node(rank: int):
         mod = gen.module_for(rank) if gen is not None else None
@@ -1404,6 +1423,7 @@ def run_spmd(
             interp = Interpreter(
                 program, ctx=ctx, initial_dists=initial_dists,
                 init_fn=init_fn, vectorize=vectorize, blocking=blocking,
+                images=images,
             )
             if mod is not None:
                 frame = yield from NodeRt(interp, mod).run_y()

@@ -1,17 +1,20 @@
 """Fortran D dialect front end: lexer, parser, AST, pretty printer."""
 
 from . import ast
-from .lexer import LexError, tokenize
-from .parser import ParseError, Parser, parse
+from .lexer import LexError, logical_lines, tokenize
+from .parser import PARSE_COUNTS, ParseError, Parser, parse, reset_unit_memo
 from .printer import expr_str, procedure_str, program_str, stmt_lines
 
 __all__ = [
     "ast",
     "tokenize",
+    "logical_lines",
     "LexError",
     "parse",
     "Parser",
     "ParseError",
+    "PARSE_COUNTS",
+    "reset_unit_memo",
     "expr_str",
     "stmt_lines",
     "procedure_str",

@@ -2,11 +2,16 @@
 
 The lexer is line-oriented: statement boundaries are newlines (there is no
 fixed-form column handling; sources in this repository are free-form).
-Comment lines start with ``!``, ``c``/``C`` in column one followed by a
-space, or ``*`` in column one.  Inline ``!`` comments are stripped.
+Comment lines start with ``!`` (after optional blanks) or with ``*`` in
+column one followed by a blank; fixed-form ``c``/``C`` comment lines are
+*not* accepted (``c = 1`` is an assignment).  Inline ``!`` comments are
+stripped.  :func:`logical_lines` is the one definition of a line: the
+tokenizer and the parser's unit splitter both read it.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Iterator
 
 from .tokens import DOT_OPS, KEYWORDS, MULTI_OPS, SINGLE_OPS, TokKind, Token
 
@@ -39,19 +44,16 @@ def _is_comment_line(stripped: str, raw: str) -> bool:
     return False
 
 
-def tokenize(source: str) -> list[Token]:
-    """Tokenize *source*, returning a list ending with an EOF token.
+def logical_lines(source: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(first physical line number, text)`` per logical line.
 
-    Consecutive physical lines joined by a trailing ``&`` are treated as a
-    single logical line.  Blank and comment lines produce no tokens.
+    Blank and comment lines are dropped, inline comments stripped, and
+    consecutive physical lines joined by a trailing ``&`` become one
+    logical line numbered by its first physical line.
     """
-    tokens: list[Token] = []
-    lines = source.split("\n")
-    lineno = 0
     pending: str | None = None
     pending_line = 0
-    for raw in lines:
-        lineno += 1
+    for lineno, raw in enumerate(source.split("\n"), 1):
         stripped = raw.strip()
         if not stripped or _is_comment_line(stripped, raw):
             continue
@@ -67,12 +69,34 @@ def tokenize(source: str) -> list[Token]:
             pending = line.rstrip()[:-1]
             pending_line = start_line
             continue
-        _lex_line(line, start_line, tokens)
-        tokens.append(Token(TokKind.NEWLINE, "\n", start_line, len(line) + 1))
+        yield start_line, line
     if pending is not None:
         raise LexError("dangling continuation '&'", pending_line, 1)
-    tokens.append(Token(TokKind.EOF, "", lineno + 1, 1))
+
+
+def eof_line(source: str) -> int:
+    """Line number of the EOF token: one past the last physical line."""
+    return source.count("\n") + 2
+
+
+def lex_lines(lines: Iterable[tuple[int, str]], eof: int) -> list[Token]:
+    """Tokens of *lines* (as :func:`logical_lines` yields them, at their
+    real line numbers), ending with an EOF token on line *eof*."""
+    tokens: list[Token] = []
+    for lineno, line in lines:
+        _lex_line(line, lineno, tokens)
+        tokens.append(Token(TokKind.NEWLINE, "\n", lineno, len(line) + 1))
+    tokens.append(Token(TokKind.EOF, "", eof, 1))
     return tokens
+
+
+def tokenize(source: str) -> list[Token]:
+    """Tokenize *source*, returning a list ending with an EOF token.
+
+    Consecutive physical lines joined by a trailing ``&`` are treated as a
+    single logical line.  Blank and comment lines produce no tokens.
+    """
+    return lex_lines(logical_lines(source), eof_line(source))
 
 
 def _strip_inline_comment(line: str) -> str:

@@ -19,8 +19,12 @@ declarations and PARAMETER go to the unit header.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from typing import Iterator
+
 from . import ast as A
-from .lexer import tokenize
+from .lexer import eof_line, lex_lines, logical_lines
 from .tokens import TokKind, Token
 
 
@@ -563,9 +567,79 @@ class Parser:
         raise ParseError("expected expression", t)
 
 
+#: unit-memo activity (tests and ``fdc serve`` stats assert on these):
+#: program units lexed + parsed / served as clones of a memoised tree
+PARSE_COUNTS = {"units_parsed": 0, "units_reused": 0}
+
+#: bound of the unit memo, in chunks (an LRU: the editing sessions and
+#: cold-compile sets in the benchmarks touch ~100 distinct units)
+_UNIT_MEMO_CAP = 1024
+
+#: comment-stripped chunk text -> the pristine units it parses to.  The
+#: trees never leave this module: :func:`parse` hands out clones, so
+#: in-place compilation cannot reach them.  A parse is a pure function
+#: of its text, so there is nothing to invalidate or configure.
+_unit_memo: OrderedDict[str, list[A.Procedure]] = OrderedDict()
+_unit_memo_lock = threading.Lock()
+
+
+def reset_unit_memo() -> None:
+    """Drop the unit memo and zero :data:`PARSE_COUNTS` (tests)."""
+    with _unit_memo_lock:
+        _unit_memo.clear()
+        for k in PARSE_COUNTS:
+            PARSE_COUNTS[k] = 0
+
+
+def _unit_chunks(source: str) -> Iterator[list[tuple[int, str]]]:
+    """Split *source* at its unit boundaries: a chunk is the run of
+    logical lines up to and including a bare ``end`` — the grammar's
+    only unit terminator (``enddo`` / ``endif`` are single keywords) —
+    and whatever follows the last ``end`` is one more chunk."""
+    chunk: list[tuple[int, str]] = []
+    for line in logical_lines(source):
+        chunk.append(line)
+        if line[1].strip().lower() == "end":
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
+
+
+def _parse_chunk(chunk: list[tuple[int, str]], eof: int) -> list[A.Procedure]:
+    """The units of one chunk, as fresh trees: clones of the memoised
+    parse of its text, lexed and parsed (at its real line numbers, so
+    errors keep their position) on a miss."""
+    # trailing blanks are what a stripped inline comment leaves behind
+    key = "\n".join(text.rstrip() for _, text in chunk)
+    with _unit_memo_lock:
+        units = _unit_memo.get(key)
+        if units is not None:
+            _unit_memo.move_to_end(key)
+            PARSE_COUNTS["units_reused"] += len(units)
+    if units is None:
+        units = Parser(lex_lines(chunk, eof)).parse_program().units
+        with _unit_memo_lock:
+            _unit_memo[key] = units
+            PARSE_COUNTS["units_parsed"] += len(units)
+            while len(_unit_memo) > _UNIT_MEMO_CAP:
+                _unit_memo.popitem(last=False)
+    return [A.clone_procedure(u) for u in units]
+
+
 def parse(source: str) -> A.Program:
-    """Parse Fortran D *source* text into a Program AST."""
-    prog = Parser(tokenize(source)).parse_program()
+    """Parse Fortran D *source* text into a Program AST.
+
+    The program unit is the grain: each unit's text is lexed and parsed
+    once per process (a bounded memo keyed by the text) and every call
+    returns fresh trees."""
+    eof = eof_line(source)
+    units: list[A.Procedure] = []
+    # a source without a single logical line is one empty chunk: the
+    # parser raises its own "empty program"
+    for chunk in list(_unit_chunks(source)) or [[]]:
+        units += _parse_chunk(chunk, eof)
+    prog = A.Program(units)
     _resolve_calls(prog)
     return prog
 

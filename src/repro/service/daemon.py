@@ -21,8 +21,8 @@ spans, ``service.overloaded``/``service.shed`` decisions), and
 
 The daemon also owns an always-on :class:`~repro.obs.MetricsRegistry`:
 per-request latency histograms and outcome counters, a live queue-depth
-gauge, queue-wait times, and mirrors of the pool / store / compile-cache
-counters.  The ``metrics`` control op serves a snapshot plus the
+gauge, queue-wait times, and mirrors of the pool / store / parse /
+compile-cache counters.  The ``metrics`` control op serves a snapshot plus the
 Prometheus text exposition (``fdc metrics``).
 """
 
@@ -35,6 +35,7 @@ import time
 from collections import deque
 from typing import Optional
 
+from ..lang import PARSE_COUNTS
 from ..obs.metrics import MetricsRegistry, mirror_counters
 from .compiler import ServiceCompiler
 from .pool import WorkerPool
@@ -388,12 +389,13 @@ class CompileDaemon:
             out = dict(self.counters)
             out["queued"] = len(self._queue)
         out["store"] = self.store.stats()
+        out["parse"] = dict(PARSE_COUNTS)
         if self.pool is not None:
             out["pool"] = self.pool.stats()
         return out
 
     def _sync_metrics(self) -> None:
-        """Refresh the mirrored counter families (pool / store /
+        """Refresh the mirrored counter families (pool / store / parse /
         compile-cache / intake counters) and the queue-depth gauge so a
         ``metrics`` reply reflects the daemon's current state."""
         from ..core.driver import compile_cache_stats
@@ -408,6 +410,10 @@ class CompileDaemon:
         mirror_counters(self.metrics, "fdc_store_events_total",
                         self.store.stats(),
                         help="summary-store activity")
+        mirror_counters(self.metrics, "fdc_parse_events_total",
+                        PARSE_COUNTS,
+                        help="program units parsed vs reused from the "
+                             "parser's unit memo (this process)")
         if self.pool is not None:
             mirror_counters(self.metrics, "fdc_pool_events_total",
                             self.pool.stats(),

@@ -20,9 +20,10 @@ A compile job re-runs the deterministic front end from source (reaching
 results are keyed by statement identity, so they cannot travel between
 processes) and compiles each requested procedure with a private tag
 allocator via the same :func:`~repro.core.driver.compile_one` the
-sweep itself uses — results are byte-identical either way.  The
-front end is memoized per (source, options) so one wave's many jobs
-parse and analyze once.
+sweep itself uses — results are byte-identical either way.  The worker
+keeps no cache of its own: the front end is incremental (the parser
+memoises per program unit, :mod:`repro.lang.parser`), so a job that
+follows a one-procedure edit lexes and parses that one procedure.
 
 ``crash_flag`` and ``hang_flag`` are the chaos hooks: if the named
 file exists when a compile job arrives, the worker consumes it and
@@ -41,46 +42,9 @@ import os
 import signal
 import sys
 import time
-from collections import OrderedDict
 
 from ..core.driver import compile_one, front_end
-from ..core.recompile import _digest, opts_fingerprint
 from .protocol import read_pipe_frame, write_pipe_frame
-
-#: front-end memo size (source+options pairs); jobs in one wave share
-#: one entry, a small window covers edit sequences
-_FRONT_END_MEMO = 4
-
-
-class _FrontEndCache:
-    """LRU of (source, options) -> (prog, acg, reaching, used_names).
-
-    ``used_names`` tracks procedures already compiled against this
-    front end: compilation rewrites the procedure body in place, and
-    reaching results are keyed by the *original* statement identities —
-    so a name may be compiled at most once per front-end instance.  A
-    repeat request (possible after pool retries) re-runs the front end.
-    """
-
-    def __init__(self, cap: int = _FRONT_END_MEMO) -> None:
-        self.cap = cap
-        self.entries: OrderedDict[tuple, tuple] = OrderedDict()
-
-    def get(self, source, opts, names):
-        key = (_digest(source), opts_fingerprint(opts))
-        entry = self.entries.get(key)
-        if entry is not None:
-            used = entry[3]
-            if used.isdisjoint(names):
-                self.entries.move_to_end(key)
-                used.update(names)
-                return entry[:3]
-            del self.entries[key]
-        prog, acg, reaching, _report = front_end(source, opts)
-        self.entries[key] = (prog, acg, reaching, set(names))
-        while len(self.entries) > self.cap:
-            self.entries.popitem(last=False)
-        return prog, acg, reaching
 
 
 def _consume_chaos_flags(job: dict) -> None:
@@ -99,16 +63,16 @@ def _consume_chaos_flags(job: dict) -> None:
         time.sleep(3600)
 
 
-def _handle_compile(job: dict, cache: _FrontEndCache) -> dict:
+def _handle_compile(job: dict) -> dict:
     _consume_chaos_flags(job)
-    source = job["source"]
     opts = job["opts"]
-    names = job["names"]
-    prog, acg, reaching = cache.get(source, opts, names)
+    # fresh trees per job: compilation rewrites a procedure in place and
+    # reaching results are keyed by the original statement identities
+    prog, acg, reaching, _report = front_end(job["source"], opts)
     return {"ok": True, "results": [
         compile_one(prog, name, acg, reaching, opts, job["exports"],
                     job["main_name"])
-        for name in names
+        for name in job["names"]
     ]}
 
 
@@ -153,7 +117,6 @@ def main() -> int:
     out = os.fdopen(os.dup(1), "wb")
     inp = os.fdopen(os.dup(0), "rb")
     sys.stdout = sys.stderr
-    cache = _FrontEndCache()
     while True:
         job = read_pipe_frame(inp)
         if job is None or job.get("op") == "exit":
@@ -171,7 +134,7 @@ def main() -> int:
             if job["op"] == "evaluate":
                 reply = _handle_evaluate(job)
             else:
-                reply = _handle_compile(job, cache)
+                reply = _handle_compile(job)
         except Exception as e:  # report, stay alive
             reply = {"ok": False,
                      "error": f"{type(e).__name__}: {e}",

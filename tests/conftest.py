@@ -52,3 +52,76 @@ def recorders(monkeypatch):
 
     monkeypatch.setattr("repro.machine.machine.FlightRecorder", Spy)
     return made
+
+
+# -- many-procedure sources (the shapes of the end-to-end benchmark's
+# programs, rebuilt here: tests do not import ``benchmarks/``) -----------
+
+
+def pipeline_source(k, consts=None, n=64, body_extra=None):
+    """main + *k* relaxation stages; stage *j* adds ``consts[j]``.  A
+    one-stage edit leaves every other unit's text untouched.
+    *body_extra* is one more line in every stage, after its declaration."""
+    consts = consts or [f"{100 + j}.25" for j in range(k)]
+    parts = ["program p", f"real x({n}), y({n})",
+             "align y(i) with x(i)", "distribute x(block)"]
+    parts += [f"call stage{j}(x, y)" for j in range(k)]
+    parts.append("end")
+    for j, c in enumerate(consts):
+        s = 1 + j % 3
+        parts += [f"subroutine stage{j}(x, y)", f"real x({n}), y({n})"]
+        if body_extra is not None:
+            parts.append(body_extra)
+        parts += [f"do i = {1 + s}, {n - s}",
+                  f"  y(i) = f(x(i - {s})) + f(x(i + {s})) + {c}",
+                  "enddo",
+                  f"do i = 1, {n}", "  x(i) = y(i) * 0.5", "enddo",
+                  "end"]
+    return "\n".join(parts) + "\n"
+
+
+def chain_source(depth, n=64):
+    """A *depth*-deep call chain."""
+    parts = ["program p", f"real x({n}), y({n})",
+             "align y(i) with x(i)", "distribute x(block)",
+             "call c1(x, y)", "end"]
+    for j in range(1, depth + 1):
+        s = 1 + j % 3
+        parts += [f"subroutine c{j}(x, y)", f"real x({n}), y({n})",
+                  f"do i = 1, {n - s}",
+                  f"  y(i) = f(x(i + {s})) + {j}.5", "enddo",
+                  f"do i = 1, {n}", "  x(i) = y(i) * 0.5", "enddo"]
+        if j < depth:
+            parts.append(f"call c{j + 1}(x, y)")
+        parts.append("end")
+    return "\n".join(parts) + "\n"
+
+
+def clonefan_source(fan, n=16):
+    """Figure-4 shaped: each of *fan* callee pairs is reached with a
+    row- and a column-distributed actual, so INTER / INTRA compilation
+    clones ``g<j>`` and then ``h<j>`` — two clone steps per pair."""
+    parts = ["program p", f"real x({n},{n}), y({n},{n})",
+             "align y(i, j) with x(j, i)", "distribute x(block, :)"]
+    for j in range(fan):
+        parts += [f"do i = 1, {n}", f"  call g{j}(x, i)", "enddo",
+                  f"do j = 1, {n}", f"  call g{j}(y, j)", "enddo"]
+    parts.append("end")
+    for j in range(fan):
+        s = 1 + j % 3
+        parts += [f"subroutine g{j}(z, i)", f"real z({n},{n})",
+                  f"call h{j}(z, i)", "end",
+                  f"subroutine h{j}(z, i)", f"real z({n},{n})",
+                  f"do k = 1, {n - s}",
+                  f"  z(k, i) = f(z(k + {s}, i)) + {j}.75",
+                  "enddo", "end"]
+    return "\n".join(parts) + "\n"
+
+
+@pytest.fixture
+def cold_unit_memo():
+    """Start the test with an empty parser unit memo and zeroed
+    ``PARSE_COUNTS`` (both are process-wide)."""
+    from repro.lang import reset_unit_memo
+
+    reset_unit_memo()

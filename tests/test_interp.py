@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.apps import dgefa_source, make_dgefa_init, stencil1d_source
+from repro.core import Options, compile_program
 from repro.dist import Distribution
 from repro.interp import (
     FArray,
@@ -337,3 +339,82 @@ class TestBroadcastStmt:
         for fr in res.frames:
             assert fr.arrays["x"].data.tolist() == [i * 3.0 for i in range(1, 11)]
         assert res.stats.collectives == 1
+
+
+class TestSharedInitialImages:
+    """Ranks of one run share each array's initial image: arrays are
+    global-size on every rank, so the first rank to fill one computes it
+    and the others copy — same arrays, clocks and stats as P fills."""
+
+    N = 6
+
+    def counting_run(self, scheduler):
+        calls = []
+
+        def init(name, idx):
+            calls.append((name, idx))
+            return float(10 * idx[0] + (idx[1] if len(idx) > 1 else 0))
+
+        prog = parse(f"program p\nreal a({self.N}, {self.N})\n"
+                     f"integer k({self.N})\na(1, 1) = a(2, 2)\nend\n")
+        res = run_spmd(prog, 4, FREE, init_fn=init, scheduler=scheduler)
+        for fr in res.frames:
+            a, k = fr.arrays["a"].data, fr.arrays["k"].data
+            assert a[2, 3] == 34.0 and a[0, 0] == 22.0
+            assert k.dtype == np.int64 and k.tolist() == \
+                [10 * i for i in range(1, self.N + 1)]
+        return calls
+
+    def test_image_computed_once_per_run_on_event(self):
+        calls = self.counting_run("event")
+        assert len(calls) == self.N * self.N + self.N
+        assert len(set(calls)) == len(calls)
+        # per run, not per process: a second run asks again
+        assert len(self.counting_run("event")) == len(calls)
+
+    def test_image_computed_at_most_once_per_rank_on_threads(self):
+        cells = self.N * self.N + self.N
+        assert cells <= len(self.counting_run("threads")) <= 4 * cells
+
+    def test_a_rank_cannot_write_through_to_the_image(self):
+        # on `event` rank 0 has overwritten x(1) before rank 1 fills
+        prog = parse("program p\nreal x(4)\nx(1) = x(1) + myproc() + 1\n"
+                     "end\n")
+        res = run_spmd(prog, 3, FREE, init_fn=lambda name, idx: 1.0)
+        assert [fr.arrays["x"].data.tolist() for fr in res.frames] == [
+            [2.0, 1.0, 1.0, 1.0], [3.0, 1.0, 1.0, 1.0], [4.0, 1.0, 1.0, 1.0]]
+
+    @pytest.mark.parametrize("codegen", [False, True],
+                             ids=["interp", "codegen"])
+    @pytest.mark.parametrize("scheduler", ["event", "threads"])
+    @pytest.mark.parametrize("app", ["dgefa", "stencil1d"])
+    def test_identical_to_per_rank_fills(self, app, scheduler, codegen,
+                                         monkeypatch):
+        src, init = (dgefa_source(16), make_dgefa_init(16)) \
+            if app == "dgefa" else (stencil1d_source(64, 3), None)
+        cp = compile_program(src, Options(nprocs=4))
+        kw = {"init_fn": init} if init is not None else {}
+
+        def run():
+            return cp.run(scheduler=scheduler, codegen=codegen,
+                          timeout_s=30.0, **kw)
+
+        def facts(res):
+            d = res.stats.as_dict()
+            for key in ("wall_s", "host_cpus", "dispatches", "switches",
+                        "metrics", "codegen_cache_hits",
+                        "codegen_cache_misses", "compile_cache_hits",
+                        "compile_cache_misses"):
+                d.pop(key)
+            return d
+
+        shared = run()
+        # the reference: every rank computes its own image
+        monkeypatch.setattr(Interpreter, "_fill", Interpreter._compute_fill)
+        own = run()
+        assert facts(shared) == facts(own)
+        for fs, fo in zip(shared.frames, own.frames):
+            assert fs.arrays.keys() == fo.arrays.keys()
+            for name in fs.arrays:
+                assert np.array_equal(fs.arrays[name].data,
+                                      fo.arrays[name].data, equal_nan=True)

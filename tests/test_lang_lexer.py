@@ -1,9 +1,16 @@
 """Unit tests for the Fortran D lexer."""
 
+import hashlib
+
 import pytest
 
-from repro.lang import LexError, tokenize
+from repro.apps import stencil1d_source
+from repro.lang import LexError, logical_lines, tokenize
 from repro.lang.tokens import TokKind
+
+#: sha256 of `tokenize(stencil1d_source(64, 4))` rendered one token a line
+GOLDEN_STENCIL1D = (
+    "5d3d6fb798aed8830d7bd576ba86c415bbf719af608e4c221d38b931964cbd91")
 
 
 def kinds(src):
@@ -120,3 +127,40 @@ class TestLinesAndComments:
     def test_unexpected_character_raises(self):
         with pytest.raises(LexError):
             tokenize("x = #")
+
+
+class TestLogicalLines:
+    """`logical_lines` is the one definition of a line: the tokenizer
+    and the parser's unit splitter both read it."""
+
+    def test_one_comment_rule_for_lexer_and_splitter(self):
+        src = "c = 1\n* note\n! note\n  ! indented note\n"
+        assert list(logical_lines(src)) == [(1, "c = 1")]
+        assert texts(src) == ["c", "=", "1"]
+
+    def test_numbered_by_first_physical_line(self):
+        src = "\n! c\nx = 1 + &\n  2 ! tail\n\ny = 'a!b'\n"
+        assert list(logical_lines(src)) == [
+            (3, "x = 1 +   2 "), (6, "y = 'a!b'"),
+        ]
+
+    def test_tokenize_is_the_lexed_logical_lines(self):
+        src = "program p\nx = 1 + &\n  2\n* note\nend\n"
+        assert [(t.kind.value, t.text, t.line, t.col)
+                for t in tokenize(src)] == [
+            ("keyword", "program", 1, 1), ("ident", "p", 1, 9),
+            ("newline", "\n", 1, 10),
+            ("ident", "x", 2, 1), ("op", "=", 2, 3), ("int", "1", 2, 5),
+            ("op", "+", 2, 7), ("int", "2", 2, 11), ("newline", "\n", 2, 12),
+            ("keyword", "end", 5, 1), ("newline", "\n", 5, 4),
+            ("eof", "", 7, 1),
+        ]
+
+    def test_token_list_golden(self):
+        """The exact token list of one app, pinned at the commit before
+        the tokenizer was rebuilt on `logical_lines`."""
+        toks = tokenize(stencil1d_source(64, 4))
+        flat = "\n".join(f"{t.kind.value} {t.text!r} {t.line}:{t.col}"
+                         for t in toks)
+        assert len(toks) == 184
+        assert hashlib.sha256(flat.encode()).hexdigest() == GOLDEN_STENCIL1D

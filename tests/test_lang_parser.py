@@ -1,9 +1,26 @@
 """Unit tests for the Fortran D parser."""
 
+import sys
+import threading
+
 import pytest
 
-from repro.lang import ParseError, parse, program_str
+from repro import apps
+from repro.core import Options, compile_program
+from repro.lang import (
+    PARSE_COUNTS,
+    LexError,
+    ParseError,
+    Parser,
+    parse,
+    program_str,
+    tokenize,
+)
 from repro.lang import ast as A
+from repro.lang import parser as parser_mod
+from repro.lang.parser import _resolve_calls
+
+from .conftest import chain_source, clonefan_source, pipeline_source
 
 
 def parse_unit(body, header="program t", decls="real x(100)\ninteger i"):
@@ -238,3 +255,176 @@ class TestRoundTrip:
         once = program_str(parse(src))
         twice = program_str(parse(once))
         assert once == twice
+
+
+# ---------------------------------------------------------------------------
+# the unit memo: the memoised parse *is* the parse
+# ---------------------------------------------------------------------------
+
+
+def plain_parse(src):
+    """The whole-source path the unit memo replaced."""
+    prog = Parser(tokenize(src)).parse_program()
+    _resolve_calls(prog)
+    return prog
+
+
+def raised(fn, src):
+    """``"<type>: <message>"`` of what ``fn(src)`` raises."""
+    with pytest.raises((ParseError, LexError)) as ei:
+        fn(src)
+    return f"{type(ei.value).__name__}: {ei.value}"
+
+
+SOURCES = {name: getattr(apps, name)() for name in apps.__all__
+           if name.endswith("_source")}
+SOURCES.update(FIG1=apps.FIG1, FIG4=apps.FIG4, FIG15=apps.FIG15,
+               pipeline=pipeline_source(12), chain=chain_source(6),
+               clonefan=clonefan_source(2))
+
+TWO_UNITS = "program p\nx = 1\nend\nsubroutine f(a)\na = 2\nend\n"
+
+
+@pytest.mark.usefixtures("cold_unit_memo")
+class TestUnitMemo:
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_cold_warm_and_plain_parse_agree(self, name):
+        src = SOURCES[name]
+        want = repr(plain_parse(src))
+        assert repr(parse(src)) == want           # every unit a miss
+        assert PARSE_COUNTS["units_reused"] == 0
+        assert repr(parse(src)) == want           # every unit a hit
+        assert PARSE_COUNTS["units_parsed"] == PARSE_COUNTS["units_reused"]
+        assert program_str(parse(src)) == program_str(plain_parse(src))
+
+    @pytest.mark.parametrize("bad", [
+        "subroutine g(b)\nb = = 3\nend\n",        # ParseError, unit 3
+        "subroutine g(b)\nb = 3 # 4\nend\n",      # LexError, unit 3
+        "subroutine g(b)\nb = 'open\nend\n",
+        "subroutine g(b)\ndo i = 1, 3\nb = i\nend\n",
+    ], ids=["parse-error", "lex-error", "open-string", "open-do"])
+    def test_error_position_same_on_hits_and_misses(self, bad):
+        src = TWO_UNITS + "\n! third unit\n" + bad
+        want = raised(plain_parse, src)
+        assert raised(parse, src) == want         # units 1-2 missed
+        assert PARSE_COUNTS["units_parsed"] == 2
+        assert raised(parse, src) == want         # units 1-2 hit
+        assert PARSE_COUNTS == {"units_parsed": 2, "units_reused": 2}
+
+    @pytest.mark.parametrize("src", [
+        "",
+        "\n! only a comment\n\n",
+        "program p\nx = 1\n",                     # no `end`
+        TWO_UNITS + "x = 3\n",                    # text after the last end
+        TWO_UNITS + "subroutine g\ny = 1\n",
+        "program p\nx = 1\nend program\n",        # `end` + junk
+        "program p\nx = 1\nend p\nsubroutine f\nend\n",
+        "program p\nx = 1 + &\n",                 # dangling continuation
+        "end\n",
+    ], ids=["empty", "comment-only", "no-end", "text-after-last-end",
+            "unit-after-last-end", "end-program", "end-name",
+            "dangling-continuation", "bare-end"])
+    def test_malformed_sources_raise_what_they_raised(self, src):
+        assert raised(parse, src) == raised(plain_parse, src)
+        assert raised(parse, src) == raised(plain_parse, src)
+
+    @pytest.mark.parametrize("src", [
+        "program p\nx = 1\nEND\nsubroutine f\ny = 2\nEnd\n",
+        "program p\nx = 1\n   end   \n  subroutine f\ny = 2\n\tend\n",
+        "program p\nx = 1\nend ! of p\nsubroutine f\ny = 2\nend ! of f\n",
+        "program p\r\nx = 1\r\nend\r\nsubroutine f\r\ny = 2\r\nend\r\n",
+        "program p\nx = 1\nend\nsubroutine f\ny = 2\nend",
+        "program p\nx = 1\nend\n\n! between\n* units\n\nsubroutine f\n"
+        "y = 2\nend\n",
+        "program p\nprint *, 'end'\nend\nsubroutine f\nprint *, 'end'\n"
+        "end\n",
+        "program p\nx = 1\n&\nend\nsubroutine f\ny = 2\nend\n",
+    ], ids=["upper-mixed-case", "indented", "end-comment", "crlf",
+            "no-trailing-newline", "comments-between-units", "end-string",
+            "continued-bare-end"])
+    def test_splitter_edges_parse_as_the_plain_path(self, src):
+        want = repr(plain_parse(src))
+        assert repr(parse(src)) == want
+        assert repr(parse(src)) == want
+        assert len(parse(src).units) == 2
+
+    def test_continuation_line_that_is_the_bare_word_end(self):
+        # one logical line `x = end`: not a unit boundary, and an error
+        # with the position the plain path reports
+        src = "program p\nx = &\nend\nend\n"
+        assert raised(parse, src) == raised(plain_parse, src)
+
+    def test_identical_units_come_back_as_distinct_trees(self):
+        unit = "subroutine f(a)\nreal a(10)\na(1) = 2\nend\n"
+        prog = parse(unit + unit)
+        assert PARSE_COUNTS == {"units_parsed": 1, "units_reused": 1}
+        a, b = prog.units
+        assert a == b and a is not b
+        assert a.body[0] is not b.body[0] and a.decls[0] is not b.decls[0]
+
+    def test_comment_and_blank_line_edits_are_hits(self):
+        parse(TWO_UNITS)
+        parse(TWO_UNITS.replace("x = 1\n", "\n! why\n* so\nx = 1  ! one\n"))
+        assert PARSE_COUNTS == {"units_parsed": 2, "units_reused": 2}
+
+    def test_compilation_never_reaches_the_memoised_trees(self):
+        src = SOURCES["stencil1d_source"]
+        pristine = repr(plain_parse(src))
+        cp = compile_program(src, Options(nprocs=4))
+        assert repr(cp.program) != pristine       # rewritten in place
+        assert repr(parse(src)) == pristine
+
+    def test_two_parses_share_no_statement(self):
+        def stmt_ids(prog):
+            return {id(s) for u in prog.units
+                    for s in A.walk_stmts(u.body)}
+
+        src = SOURCES["pipeline"]
+        a, b = parse(src), parse(src)
+        assert stmt_ids(a) and not stmt_ids(a) & stmt_ids(b)
+        assert not {id(u) for u in a.units} & {id(u) for u in b.units}
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(parser_mod, "_UNIT_MEMO_CAP", 8)
+        for j in range(40):
+            parse(f"subroutine f{j}\nx = {j}\nend\n")
+            assert len(parser_mod._unit_memo) <= 8
+        # least recently used goes first: the newest 8 are hits
+        for j in range(32, 40):
+            parse(f"subroutine f{j}\nx = {j}\nend\n")
+        assert PARSE_COUNTS == {"units_parsed": 40, "units_reused": 8}
+
+    def test_two_threads_parsing_interleaved_edits(self, monkeypatch):
+        monkeypatch.setattr(parser_mod, "_UNIT_MEMO_CAP", 64)
+        edits = [pipeline_source(3, [f"{j}.5", "2.5", f"{j % 7}.25"])
+                 for j in range(200)]
+        want = [repr(plain_parse(s)) for s in edits]
+        got = {0: [], 1: []}
+        errors = []
+
+        def work(tid):
+            try:
+                for s in edits[tid::2] + edits[1 - tid::2]:
+                    got[tid].append((s, repr(parse(s))))
+                    assert len(parser_mod._unit_memo) <= 64
+            except Exception as e:  # surfaced by the assert below
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors and not any(t.is_alive() for t in threads)
+        by_src = dict(zip(edits, want))
+        for tid in (0, 1):
+            assert len(got[tid]) == 200
+            assert all(r == by_src[s] for s, r in got[tid])
+        assert len(parser_mod._unit_memo) <= 64
+        assert sum(PARSE_COUNTS.values()) == 2 * 200 * 4

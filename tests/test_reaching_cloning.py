@@ -5,13 +5,20 @@ import pytest
 
 from repro.apps import FIG4
 from repro.callgraph.acg import ACG
+from repro.core import Mode, compile_program
+from repro.core import cloning as cloning_mod
+from repro.core import driver as driver_mod
+from repro.core import reaching as reaching_mod
 from repro.core.cloning import clone_program
+from repro.core.driver import front_end
 from repro.core.options import Options
 from repro.core.reaching import ReachingError, analyze_procedure, compute_reaching
 from repro.dist import TOP, Distribution
+from repro.lang import PARSE_COUNTS, parse
 from repro.lang import ast as A
-from repro.lang import parse
 from repro.lang.ast import DistSpec
+
+from .conftest import clonefan_source, pipeline_source
 
 
 def opts(P=4):
@@ -194,3 +201,92 @@ class TestCloning:
         )
         out = clone_program(parse(src), opts())
         assert out.clones == {}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of ``compute_reaching`` runs and of data-flow solves
+    (``analyze_procedure`` runs) from here on."""
+    n = {"compute_reaching": 0, "solves": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            n[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    reach = counted("compute_reaching", reaching_mod.compute_reaching)
+    monkeypatch.setattr(reaching_mod, "analyze_procedure",
+                        counted("solves", reaching_mod.analyze_procedure))
+    for mod in (reaching_mod, cloning_mod, driver_mod):
+        monkeypatch.setattr(mod, "compute_reaching", reach)
+    return n
+
+
+class TestTheUnitIsTheGrain:
+    """Exact counts, not timings: a unit is lexed and parsed once per
+    text and its data flow solved once per analysis."""
+
+    K = 8
+
+    @pytest.fixture(autouse=True)
+    def cold(self, cold_unit_memo, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
+
+    def parsed_reused(self, src):
+        before = dict(PARSE_COUNTS)
+        compile_program(src, opts(4))
+        return (PARSE_COUNTS["units_parsed"] - before["units_parsed"],
+                PARSE_COUNTS["units_reused"] - before["units_reused"])
+
+    def test_units_parsed_per_compile(self):
+        consts = [f"{100 + j}.25" for j in range(self.K)]
+        base = pipeline_source(self.K, consts)
+        assert self.parsed_reused(base) == (9, 0)       # cold
+        consts[3] = "900.75"
+        edit = pipeline_source(self.K, consts)
+        assert self.parsed_reused(edit) == (1, 8)       # one stage edited
+        assert self.parsed_reused(edit) == (0, 9)       # exact repeat
+        for extra in ("! a full-line comment", "* another", ""):
+            noted = pipeline_source(self.K, consts, body_extra=extra)
+            assert noted != edit
+            assert self.parsed_reused(noted) == (0, 9)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_one_solve_per_unit_one_analysis_per_front_end(self, mode, calls):
+        src = pipeline_source(self.K)
+        front_end(src, Options(nprocs=4, mode=mode))
+        assert calls == {"compute_reaching": 1, "solves": self.K + 1}
+
+    @pytest.mark.parametrize("mode", [Mode.INTRA, Mode.INTER])
+    def test_one_analysis_per_clone_step(self, mode, calls):
+        fan = 2
+        src = clonefan_source(fan)
+        _, _, _, report = front_end(src, Options(nprocs=4, mode=mode))
+        steps = len(report.cloned)
+        assert steps == 2 * fan                 # g<j>, then h<j>
+        units = [1 + 2 * fan + s for s in range(steps + 1)]
+        assert calls == {"compute_reaching": 1 + steps,
+                         "solves": sum(units)}
+
+    def test_cloning_disabled_analyses_once(self, calls):
+        prog = parse(clonefan_source(2))
+        o = opts()
+        o.enable_cloning = False
+        out = clone_program(prog, o)
+        assert calls == {"compute_reaching": 1, "solves": len(prog.units)}
+        assert out.clones == {} and out.reaching.per_proc.keys() \
+            == set(prog.names())
+
+    def test_faulty_procedure_reports_the_same_error(self):
+        # two calls pass different n, so it is no interprocedural constant
+        src = (
+            "program p\nreal x(8, 8)\ncall f(x, 8)\ncall f(x, 4)\nend\n"
+            "subroutine f(a, n)\nreal a(n, n)\ninteger n\n"
+            "distribute a(block, :)\na(1, 1) = 0\nend\n"
+            "subroutine g(b)\nreal b(8)\nb(1) = 1\nend\n"
+        )
+        with pytest.raises(ReachingError) as ei:
+            compute_reaching(ACG(parse(src)), opts())
+        assert str(ei.value) == \
+            "f: DISTRIBUTE of a with symbolic bounds is not supported"

@@ -56,6 +56,8 @@ from repro.service.protocol import (
 )
 from repro.service.store import ProcSummary, opts_fingerprint
 
+from .conftest import pipeline_source
+
 
 BASE = """
 program p
@@ -496,6 +498,26 @@ class TestDaemon:
         st = c.stats()
         assert st["completed"] == 2
         assert st["store"]["hits"] >= 3  # all of p/init/smooth reused
+
+    def test_parse_counters_in_stats_and_metrics(self, daemon, no_memo,
+                                                 cold_unit_memo):
+        """The daemon's front end parses a unit once per text: base,
+        one one-stage edit, one exact repeat of an 8-stage pipeline."""
+        _, path = daemon
+        c = CompileClient(path)
+        consts = [f"{100 + j}.25" for j in range(8)]
+        base = pipeline_source(8, consts)
+        consts[5] = "900.75"
+        edit = pipeline_source(8, consts)
+        for src in (base, edit, edit):
+            c.compile(src, Options(nprocs=4))
+        want = {"units_parsed": 10, "units_reused": 17}
+        assert c.stats()["parse"] == want
+        got = c.metrics()
+        assert {v["labels"]["event"]: v["value"] for v in
+                got["metrics"]["fdc_parse_events_total"]["values"]} == want
+        assert 'fdc_parse_events_total{event="units_parsed"} 10' \
+            in got["prometheus"]
 
     def test_compile_error_is_structured_not_retryable(self, daemon):
         _, path = daemon
