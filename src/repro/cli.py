@@ -42,7 +42,6 @@ from .core import (
     compile_program,
     parse_distribute_args,
 )
-from .core.driver import compile_cache_stats
 from .core.localize import localized_procedure_text
 from .dist import Distribution
 from .interp import run_sequential
@@ -430,9 +429,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"! {res.stats.summary()}")
         if args.report:
             print(f"! {res.stats.sched_summary()}")
-            cc = compile_cache_stats()
-            print(f"! compile-cache={cc['hits']}/"
-                  f"{cc['hits'] + cc['misses']} hits")
         if args.stats_json:
             with open(args.stats_json, "w") as f:
                 json.dump(res.stats.as_dict(), f, indent=2, sort_keys=True)

@@ -53,7 +53,7 @@ def enabled(override: Optional[bool] = None) -> bool:
     (default on)."""
     if override is not None:
         return override
-    return os.environ.get("REPRO_CODEGEN", "1").lower() \
+    return os.environ.get("REPRO_CODEGEN", "1").strip().lower() \
         not in ("0", "false", "no", "off")
 
 
@@ -72,26 +72,23 @@ def rank_classes(nprocs: int) -> list[tuple[str, int, int]]:
 
 
 #: generation-activity counters (benches assert warm runs do no work).
-#: ``generated`` / ``disk`` / ``memory`` count rank-class modules: a
-#: program's modules are *generated* when at least one of its procedures
-#: had to be emitted, *disk* when every one came from the disk cache or
-#: the unit memo, *memory* when the program memo had them.  The
-#: ``units_*`` keys count procedures (emitted / served without
-#: emission) and ``texts_compiled`` counts ``compile()`` calls.
-GEN_COUNTS = {"generated": 0, "disk": 0, "memory": 0,
+#: ``generated`` / ``disk`` count rank-class modules: a program's
+#: modules are *generated* when at least one of its procedures had to be
+#: emitted, *disk* when every one came from the unit memo or the disk
+#: cache.  The ``units_*`` keys count procedures (emitted / served
+#: without emission) and ``texts_compiled`` counts ``compile()`` calls.
+GEN_COUNTS = {"generated": 0, "disk": 0,
               "units_emitted": 0, "texts_compiled": 0, "units_reused": 0}
 
-#: in-process memos: one GeneratedProgram per program key, and below it
-#: one loaded procedure per unit key — rank class -> ``(function,
-#: text)``, or ``(None, cause)`` where it demoted — so the same
-#: procedure in another program is not loaded twice
-_memory: dict[str, "GeneratedProgram"] = {}
+#: the in-process unit memo: one loaded procedure per unit key — rank
+#: class -> ``(function, text)``, or ``(None, cause)`` where it demoted
+#: — so a procedure is loaded once per process, whichever program it
+#: is part of
 _units: dict[str, dict[str, tuple[Optional[Callable], str]]] = {}
 
 
 def reset_memory() -> None:
-    """Drop the in-process memos and zero :data:`GEN_COUNTS` (tests)."""
-    _memory.clear()
+    """Drop the unit memo and zero :data:`GEN_COUNTS` (tests)."""
     _units.clear()
     for k in GEN_COUNTS:
         GEN_COUNTS[k] = 0
@@ -136,7 +133,6 @@ class GeneratedProgram:
     """All rank-class modules for one (program, nprocs, options)."""
 
     nprocs: int
-    key: str
     vectorize: bool
     #: class name -> (rlo, rhi, module)
     modules: dict[str, tuple[int, int, GeneratedModule]]
@@ -188,7 +184,7 @@ def _load_variants(ukey: str, ident: str, variants: list[Variant],
     return by_class
 
 
-def _emission_inputs(program: A.Program, reprs: list[str], nprocs: int,
+def _emission_inputs(program: A.Program, nprocs: int,
                      vectorize: bool) -> tuple[frozenset, list[tuple]]:
     """The blocking set and, per procedure, what its text is a function
     of with the key hashing exactly that: ``(unit, facts, may block,
@@ -198,14 +194,14 @@ def _emission_inputs(program: A.Program, reprs: list[str], nprocs: int,
     blocking = frozenset(find_blocking_units(program, facts))
     kinds = {u.name: u.kind for u in program.units}
     rows = []
-    for u, text in zip(program.units, reprs):
+    for u in program.units:
         f = facts[u.name]
         blocks = u.name in blocking
         callees = tuple(sorted(
             (name, kinds[name], name in blocking)
             for name in f.calls | f.expr_calls.keys() if name in kinds
         ))
-        ukey = _cache.unit_key(text, nprocs, vectorize, blocks, callees)
+        ukey = _cache.unit_key(repr(u), nprocs, vectorize, blocks, callees)
         rows.append((u, f, blocks, callees, ukey))
     return blocking, rows
 
@@ -214,17 +210,16 @@ def unit_keys(program: A.Program, nprocs: int,
               vectorize: bool) -> dict[str, str]:
     """Procedure name -> its unit key (its disk entry is
     ``cache.entry_stem(key, nprocs, vectorize)``)."""
-    reprs = [repr(u) for u in program.units]
-    _, rows = _emission_inputs(program, reprs, nprocs, vectorize)
+    _, rows = _emission_inputs(program, nprocs, vectorize)
     return {u.name: ukey for u, _, _, _, ukey in rows}
 
 
-def _generate(program: A.Program, reprs: list[str], key: str,
-              nprocs: int, vectorize: bool) -> tuple[GeneratedProgram, bool]:
+def _generate(program: A.Program, nprocs: int,
+              vectorize: bool) -> tuple[GeneratedProgram, bool]:
     """Resolve every procedure — unit memo, then disk, then emit
     (storing back) — and assemble the rank-class modules from the
     loaded functions.  Also returns whether anything was emitted."""
-    blocking, rows = _emission_inputs(program, reprs, nprocs, vectorize)
+    blocking, rows = _emission_inputs(program, nprocs, vectorize)
     classes = rank_classes(nprocs)
     names = [cls for cls, _, _ in classes]
     store = _cache.cas()
@@ -268,8 +263,7 @@ def _generate(program: A.Program, reprs: list[str], key: str,
         for proc, cause in mod.demoted.items():
             variant = "event" if proc in blocking else "node"
             demotions.append((cls, variant, proc, cause))
-    gen = GeneratedProgram(nprocs, key, vectorize, modules, blocking,
-                           demotions)
+    gen = GeneratedProgram(nprocs, vectorize, modules, blocking, demotions)
     return gen, emitted
 
 
@@ -282,23 +276,13 @@ def get_generated(
     """Return the generated node program plus (cache hits, misses),
     counted in rank-class modules.
 
-    Resolution: the program memo, else per procedure the unit memo,
-    then disk, then emit; the modules are misses when any procedure had
-    to be emitted.  ``strict`` escalates any demotion to
-    :class:`CodegenError`."""
-    # deterministic content-bearing form, computed once per procedure
-    reprs = [repr(u) for u in program.units]
-    key = _cache.program_key(reprs, nprocs, vectorize)
-    gen = _memory.get(key)
-    if gen is not None:
-        hits, misses = len(gen.modules), 0
-        GEN_COUNTS["memory"] += hits
-    else:
-        gen, emitted = _generate(program, reprs, key, nprocs, vectorize)
-        _memory[key] = gen
-        n = len(gen.modules)
-        hits, misses = (0, n) if emitted else (n, 0)
-        GEN_COUNTS["generated" if emitted else "disk"] += n
+    Resolution, per procedure: the unit memo, then disk, then emit; the
+    modules are misses when any procedure had to be emitted.  ``strict``
+    escalates any demotion to :class:`CodegenError`."""
+    gen, emitted = _generate(program, nprocs, vectorize)
+    n = len(gen.modules)
+    hits, misses = (0, n) if emitted else (n, 0)
+    GEN_COUNTS["generated" if emitted else "disk"] += n
     if strict and gen.demotions:
         raise CodegenError(_strict_message(gen))
     return gen, hits, misses

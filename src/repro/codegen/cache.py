@@ -69,13 +69,6 @@ def _digest(*parts: str) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-def program_key(unit_reprs: list[str], nprocs: int,
-                vectorize: bool) -> str:
-    """Content hash of a whole program: the ``repr`` of its units in
-    order (the callee rows of :func:`unit_key` are derived from them)."""
-    return _digest(GEN_VERSION, str(nprocs), str(vectorize), *unit_reprs)
-
-
 def unit_key(unit_repr: str, nprocs: int, vectorize: bool, blocks: bool,
              callees: tuple[tuple[str, str, bool], ...]) -> str:
     """Content hash covering everything one procedure's generated text

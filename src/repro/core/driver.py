@@ -18,9 +18,8 @@ The result executes directly on the simulated machine via
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..analysis.symbolics import affine_of, eval_const
@@ -676,31 +675,6 @@ def _sanitize_summaries(
 # ---------------------------------------------------------------------------
 
 
-#: memoized compilations, keyed on (source text, option values).  The
-#: benchmark sweeps recompile identical programs many times (warmup plus
-#: measured rounds); compilation is deterministic and its result is
-#: treated as immutable by every runner, so caching is safe.  Only
-#: string sources are cached: a caller-supplied Program AST may be
-#: mutated between calls.
-_compile_cache: dict[tuple, "CompiledProgram"] = {}
-
-#: process-wide compile-memo counters, surfaced by ``fdc --report``
-#: (RunStats.as_dict folds them in next to the comm/codegen caches)
-_compile_cache_stats = {"hits": 0, "misses": 0}
-
-
-def compile_cache_stats() -> dict:
-    """Snapshot of the compile-memo hit/miss counters."""
-    return dict(_compile_cache_stats)
-
-
-def _memo_enabled() -> bool:
-    """``REPRO_COMPILE_CACHE``: ``0``/``false``/``no``/``off`` disables
-    the in-process memo; read per call (benchmark probes toggle it)."""
-    return os.environ.get("REPRO_COMPILE_CACHE", "1").strip().lower() \
-        not in ("0", "false", "no", "off")
-
-
 def compile_program(
     source: Union[str, A.Program],
     opts: Optional[Options] = None,
@@ -709,30 +683,19 @@ def compile_program(
     """Compile Fortran D source (or a parsed Program) to an SPMD node
     program for ``opts.nprocs`` processors.
 
-    Repeated compilations of the same source text with equal options
-    return a shared memoized :class:`CompiledProgram` (disable with
-    ``REPRO_COMPILE_CACHE=0``).
+    Every call returns a fresh :class:`CompiledProgram`; reuse happens
+    per procedure below it (the parser's unit memo, codegen's unit
+    memo and disk cache), so a repeat compile costs a warm sweep.
     *trace* optionally supplies a :class:`~repro.obs.Tracer` (or
-    ``True``) recording per-phase timings and compilation decisions; a
-    memoized hit records a single ``compile.cache-hit`` decision
-    instead of re-tracing the phases.
+    ``True``) recording per-phase timings and compilation decisions.
     """
     opts = opts or Options()
     tracer = resolve_trace(trace)
-    cache_key = None
-    if isinstance(source, str) and _memo_enabled():
-        cache_key = (source, astuple(opts))
-        hit = _compile_cache.get(cache_key)
-        if hit is not None:
-            _compile_cache_stats["hits"] += 1
-            if tracer is not None:
-                tracer.decision("compile.cache-hit", mode=opts.mode.value,
-                                nprocs=opts.nprocs)
-            return hit
-    _compile_cache_stats["misses"] += 1
-    compiled = _compile_uncached(source, opts, tracer)
-    if cache_key is not None:
-        _compile_cache[cache_key] = compiled
+    span = _spans(tracer)
+    with span("compile", mode=opts.mode.value, nprocs=opts.nprocs):
+        compiled = sweep(source, opts, tracer=tracer)[0]
+    with span("emit-node-program", nprocs=opts.nprocs):
+        _prewarm_codegen(compiled, tracer)
     return compiled
 
 
@@ -965,17 +928,6 @@ def sweep(
             prog.units[prog.units.index(prog.unit(name))] = proc
             report.merge(s.fragment)
     return CompiledProgram(prog, initial, report, opts), reused, recompiled
-
-
-def _compile_uncached(
-    source: Union[str, A.Program], opts: Options, tracer=None
-) -> CompiledProgram:
-    span = _spans(tracer)
-    with span("compile", mode=opts.mode.value, nprocs=opts.nprocs):
-        compiled = sweep(source, opts, tracer=tracer)[0]
-    with span("emit-node-program", nprocs=opts.nprocs):
-        _prewarm_codegen(compiled, tracer)
-    return compiled
 
 
 def _prewarm_codegen(compiled: CompiledProgram, tracer=None) -> None:

@@ -1406,8 +1406,8 @@ def run_spmd(
                         variant=variant, cause=cause,
                     )
 
-    # once per program, not once per rank or per run: a generated
-    # program carries the set its emission was decided by
+    # once per run, not once per rank: a generated program carries the
+    # set its emission was decided by
     blocking = gen.blocking if gen is not None \
         else find_blocking_units(program)
     # per run, not per process: an init_fn's purity cannot be keyed

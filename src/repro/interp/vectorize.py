@@ -65,7 +65,7 @@ def enabled(override: Optional[bool] = None) -> bool:
     else the ``REPRO_VECTORIZE`` environment flag (default on)."""
     if override is not None:
         return bool(override)
-    return os.environ.get("REPRO_VECTORIZE", "1").lower() not in (
+    return os.environ.get("REPRO_VECTORIZE", "1").strip().lower() not in (
         "0", "false", "no", "off"
     )
 

@@ -139,9 +139,9 @@ class RunStats:
 
     def record_codegen(self, hits: int, misses: int,
                        demotions: int) -> None:
-        """Generated-module cache counters for this run (a hit means a
-        rank-class module came from the in-process memo or disk; a miss
-        means it was generated) plus the demotion count."""
+        """Generated-module cache counters for this run (a hit means
+        every procedure of a rank-class module came from the unit memo
+        or disk; a miss means one was emitted) plus the demotion count."""
         with self._lock:
             self.codegen_cache_hits += hits
             self.codegen_cache_misses += misses
@@ -187,9 +187,6 @@ class RunStats:
         quantities (consumed by ``fdc --stats-json`` and the benchmark
         harness).  Taken under the lock so concurrent recorders never
         produce a torn snapshot."""
-        from ..core.driver import compile_cache_stats  # deferred: cycle
-
-        cc = compile_cache_stats()
         with self._lock:
             time_us = max(self.proc_times.values(), default=0.0)
             work = list(self.proc_work.values())
@@ -226,8 +223,6 @@ class RunStats:
                 "codegen_cache_hits": self.codegen_cache_hits,
                 "codegen_cache_misses": self.codegen_cache_misses,
                 "codegen_demotions": self.codegen_demotions,
-                "compile_cache_hits": cc["hits"],
-                "compile_cache_misses": cc["misses"],
                 "metrics": self.metrics,
                 "time_us": time_us,
                 "time_ms": time_us / 1000.0,

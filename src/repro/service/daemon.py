@@ -21,8 +21,8 @@ spans, ``service.overloaded``/``service.shed`` decisions), and
 
 The daemon also owns an always-on :class:`~repro.obs.MetricsRegistry`:
 per-request latency histograms and outcome counters, a live queue-depth
-gauge, queue-wait times, and mirrors of the pool / store / parse /
-compile-cache counters.  The ``metrics`` control op serves a snapshot plus the
+gauge, queue-wait times, and mirrors of the pool / store / parse
+counters.  The ``metrics`` control op serves a snapshot plus the
 Prometheus text exposition (``fdc metrics``).
 """
 
@@ -396,10 +396,8 @@ class CompileDaemon:
 
     def _sync_metrics(self) -> None:
         """Refresh the mirrored counter families (pool / store / parse /
-        compile-cache / intake counters) and the queue-depth gauge so a
-        ``metrics`` reply reflects the daemon's current state."""
-        from ..core.driver import compile_cache_stats
-
+        intake counters) and the queue-depth gauge so a ``metrics`` reply
+        reflects the daemon's current state."""
         with self._cv:
             counters = dict(self.counters)
             qlen = len(self._queue)
@@ -418,9 +416,6 @@ class CompileDaemon:
             mirror_counters(self.metrics, "fdc_pool_events_total",
                             self.pool.stats(),
                             help="worker-pool supervision counters")
-        mirror_counters(self.metrics, "fdc_compile_cache_events_total",
-                        compile_cache_stats(),
-                        help="in-process compile memo activity")
 
     def _reply_close(self, conn: socket.socket, obj: dict) -> None:
         try:

@@ -404,7 +404,7 @@ class TestConcurrentWriters:
         sdir = str(tmp_path / "shared-store")
         gdir = str(tmp_path / "shared-codegen")
         env = dict(os.environ, REPRO_CODEGEN_CACHE=gdir,
-                   REPRO_COMPILE_CACHE="0", PYTHONPATH=SRC_ROOT)
+                   PYTHONPATH=SRC_ROOT)
         procs = [subprocess.Popen(
             [sys.executable, "-c", _WRITER, sdir, *own],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)

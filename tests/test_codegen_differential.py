@@ -218,10 +218,18 @@ def test_warm_run_skips_generation(codegen_tmp, monkeypatch):
     gen, hits, misses = get_generated(cp.program, 4, True)
     assert misses == len(gen.modules) and hits == 0
     assert GEN_COUNTS["generated"] == len(gen.modules)
-    # in-process memo
+    emitted, texts = GEN_COUNTS["units_emitted"], GEN_COUNTS["texts_compiled"]
+    # in-process unit memo: nothing emitted or compiled again, and every
+    # procedure is the function object the first resolution loaded
     gen2, hits2, misses2 = get_generated(cp.program, 4, True)
-    assert gen2 is gen and misses2 == 0 and hits2 == len(gen.modules)
+    assert misses2 == 0 and hits2 == len(gen.modules)
     assert GEN_COUNTS["generated"] == len(gen.modules)  # unchanged
+    assert GEN_COUNTS["units_emitted"] == emitted
+    assert GEN_COUNTS["texts_compiled"] == texts
+    for cls, (_lo, _hi, mod) in gen.modules.items():
+        units2 = gen2.modules[cls][2].units
+        assert units2.keys() == mod.units.keys()
+        assert all(units2[u] is fn for u, fn in mod.units.items()), cls
     # disk (fresh process simulated by dropping the memo)
     reset_memory()
     gen3, hits3, misses3 = get_generated(cp.program, 4, True)
@@ -240,9 +248,10 @@ def test_run_surfaces_codegen_counters(codegen_tmp):
     assert s.codegen_demotions == 0
     d = s.as_dict()
     for key in ("codegen_cache_hits", "codegen_cache_misses",
-                "codegen_demotions", "compile_cache_hits",
-                "compile_cache_misses"):
+                "codegen_demotions"):
         assert key in d
+    # a run's stats are a function of the run alone
+    assert not any(k.startswith("compile_cache") for k in d)
     assert "codegen=" in s.sched_summary()
     # second run: every module comes from cache
     res2 = _run(cp, None, "event", codegen=True)
@@ -367,10 +376,13 @@ def test_vectorize_keys_are_distinct(codegen_tmp):
     between the two would silently skew charges."""
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=Mode.INTER))
+    on = unit_keys(cp.program, 4, True)
+    off = unit_keys(cp.program, 4, False)
+    assert on.keys() == off.keys()
+    assert all(on[u] != off[u] for u in on)
     a, _, _ = get_generated(cp.program, 4, True)
     b, _, _ = get_generated(cp.program, 4, False)
-    assert a.key != b.key
-    assert a is not b
+    assert a.vectorize and not b.vectorize
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +419,8 @@ def _pipeline(mode, consts=PIPE_CONSTS, nprocs=8):
 
 @pytest.fixture
 def fresh_counts(codegen_tmp, monkeypatch):
-    """Compile with the memo and the prewarm off, so every count below
-    is the work of the ``get_generated`` calls the test makes."""
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
+    """Compile with the prewarm off, so every count below is the work
+    of the ``get_generated`` calls the test makes."""
     monkeypatch.setenv("REPRO_CODEGEN", "0")
     return codegen_tmp
 
@@ -441,16 +452,15 @@ def test_units_emitted_and_shared_exactly(fresh_counts, mode, texts,
     assert (hits, misses) == (0, 3) and gen.demotions == []
     assert _unit_counts() == (9, texts, 0)
     assert _shared(gen) == shared
-    assert [GEN_COUNTS[k] for k in ("generated", "disk", "memory")] \
-        == [3, 0, 0]
+    assert [GEN_COUNTS[k] for k in ("generated", "disk")] == [3, 0]
     # memo-warm, then disk-warm: the module counters keep their meaning
     assert get_generated(prog, 8, True)[1:] == (3, 0)
-    assert GEN_COUNTS["memory"] == 3 and _unit_counts() == (9, texts, 0)
+    assert [GEN_COUNTS[k] for k in ("generated", "disk")] == [3, 3]
+    assert _unit_counts() == (9, texts, 9)
     reset_memory()
     gen2, hits, misses = get_generated(prog, 8, True)
     assert (hits, misses) == (3, 0) and _shared(gen2) == shared
-    assert [GEN_COUNTS[k] for k in ("generated", "disk", "memory")] \
-        == [0, 3, 0]
+    assert [GEN_COUNTS[k] for k in ("generated", "disk")] == [0, 3]
     assert _unit_counts() == (0, texts, 9)
 
 
@@ -567,10 +577,10 @@ def test_dump_is_what_runs(codegen_tmp, src):
                 assert dumped.co_consts == fn.__code__.co_consts
 
 
-def test_blocking_closure_computed_once_per_generated_program(
-        codegen_tmp, monkeypatch):
-    """``run_spmd`` reuses the set generation was decided by instead of
-    walking the whole program again on every run."""
+def test_blocking_closure_computed_once_per_run(codegen_tmp, monkeypatch):
+    """``run_spmd`` reuses the set generation was decided by: the whole
+    program is walked once per run (per rank it would be 4 per run
+    here), on either engine."""
     calls = []
     real = interp_mod.find_blocking_units
 
@@ -580,12 +590,12 @@ def test_blocking_closure_computed_once_per_generated_program(
 
     monkeypatch.setattr(interp_mod, "find_blocking_units", counting)
     monkeypatch.setattr(codegen, "find_blocking_units", counting)
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
+    monkeypatch.setenv("REPRO_CODEGEN", "1")  # the prewarm runs
     cp = compile_program(stencil1d_source(80, 2),
                          Options(nprocs=4, mode=Mode.INTER))
     for _ in range(3):
         _run(cp, None, "event", codegen=True)
-    assert len(calls) == 1
+    assert len(calls) == 1 + 3
     del calls[:]
     for _ in range(3):
         _run(cp, None, "event", codegen=False)
@@ -649,7 +659,6 @@ def test_demotion_is_per_rank_class(codegen_tmp, monkeypatch):
     that demotes ``lo``: only ``lo`` runs the procedure on the
     interpreter."""
     monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.Print,))
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
     cp = compile_program(GUARDED_PRINT, Options(nprocs=4))
     gen, _, _ = get_generated(cp.program, 4, True)
     assert gen.demotions == [
@@ -712,7 +721,7 @@ def test_strict_escalates_demotion(codegen_tmp, monkeypatch):
                          Options(nprocs=4, mode=Mode.INTER))
     with pytest.raises(CodegenError, match="demoted under --strict"):
         get_generated(cp.program, 4, True, strict=True)
-    # non-strict proceeds on the same (memoized) generation
+    # non-strict proceeds on the same (unit-memoized) generation
     gen, _, _ = get_generated(cp.program, 4, True)
     assert gen.demotions
 
@@ -723,7 +732,6 @@ def test_strict_compile_fails_on_demotion(codegen_tmp, monkeypatch):
     from repro.core.driver import CompileError
 
     monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.Do,))
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
     # the prewarm returns early when the environment default is off
     monkeypatch.setenv("REPRO_CODEGEN", "1")
     with pytest.raises(CompileError, match="demoted under --strict"):
@@ -746,7 +754,7 @@ def test_cli_codegen_flags(tmp_path, capsys, monkeypatch):
     rc = main([str(f), "--run", "--no-text", "--report", "--codegen"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "codegen=" in out and "compile-cache=" in out
+    assert "codegen=" in out and "compile-cache=" not in out
     rc = main([str(f), "--run", "--no-text", "--no-codegen"])
     assert rc == 0
     dump = tmp_path / "gen.py"

@@ -260,7 +260,6 @@ class TestWorkerCrashBundle:
         """A SIGKILLed compile worker is discarded, counted in the
         restart metrics, and leaves a worker-crash bundle — while the
         request itself still completes on the replacement worker."""
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
         pm_dir = tmp_path / "pm"
         monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(pm_dir))
         flag = tmp_path / "die"

@@ -403,8 +403,7 @@ class TestSharedInitialImages:
             d = res.stats.as_dict()
             for key in ("wall_s", "host_cpus", "dispatches", "switches",
                         "metrics", "codegen_cache_hits",
-                        "codegen_cache_misses", "compile_cache_hits",
-                        "compile_cache_misses"):
+                        "codegen_cache_misses"):
                 d.pop(key)
             return d
 

@@ -223,15 +223,12 @@ def calls(monkeypatch):
     return n
 
 
+@pytest.mark.usefixtures("cold_unit_memo")
 class TestTheUnitIsTheGrain:
     """Exact counts, not timings: a unit is lexed and parsed once per
     text and its data flow solved once per analysis."""
 
     K = 8
-
-    @pytest.fixture(autouse=True)
-    def cold(self, cold_unit_memo, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
 
     def parsed_reused(self, src):
         before = dict(PARSE_COUNTS)

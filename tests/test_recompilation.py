@@ -10,7 +10,19 @@ import pytest
 
 import repro
 from repro.analysis.aliasing import AliasedRedistributionError
-from repro.apps import FIG1, stencil1d_source
+from repro.apps import (
+    FIG1,
+    FIG4,
+    FIG15,
+    adi_source,
+    cg_source,
+    dgefa_dgesl_source,
+    dgefa_pivot_source,
+    dgefa_source,
+    stencil1d_source,
+    stencil2d_source,
+    wave_source,
+)
 from repro.core import (
     CompileError,
     Mode,
@@ -20,6 +32,7 @@ from repro.core import (
 )
 from repro.core.recompile import RecompilationManager
 from repro.interp import run_sequential
+from repro.lang import ast as A
 from repro.lang import parse
 from repro.machine import FREE
 
@@ -187,10 +200,6 @@ class TestIsTheCompilerFdcRuns:
     """The manager is ``sweep`` + a store, so it cannot differ from
     ``compile_program``: each case failed while it was its own driver."""
 
-    @pytest.fixture(autouse=True)
-    def no_memo(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-
     def test_unanalyzable_procedure_is_demoted_not_fatal(self):
         opts = Options(nprocs=4, mode=Mode.INTER)
         cp = RecompilationManager(opts=opts).compile(DEMOTED)
@@ -241,20 +250,56 @@ class TestIsTheCompilerFdcRuns:
         assert m.last_recompiled == []
 
 
+PURE_APPS = [
+    ("fig1", FIG1), ("fig4", FIG4), ("fig15", FIG15),
+    ("dgefa", dgefa_source(16)), ("dgefa_pivot", dgefa_pivot_source(16)),
+    ("dgefa_dgesl", dgefa_dgesl_source(16)), ("adi", adi_source(16, 2)),
+    ("cg", cg_source(32, 4)), ("stencil1d", stencil1d_source(64, 2)),
+    ("stencil2d", stencil2d_source(24, 2)), ("wave", wave_source(64, 4)),
+]
+
+
+@pytest.mark.parametrize("src", [s for _, s in PURE_APPS],
+                         ids=[n for n, _ in PURE_APPS])
+def test_compile_program_is_a_pure_function(src):
+    """Two compiles of one source are equal and share nothing: reuse
+    lives per procedure below ``compile_program``, so a caller that
+    rewrites its result cannot change anyone else's."""
+    for mode in (Mode.RTR, Mode.INTRA, Mode.INTER):
+        opts = Options(nprocs=4, mode=mode)
+        a, b = compile_program(src, opts), compile_program(src, opts)
+        assert a is not b and a.program is not b.program
+        assert_same_program(a, b)
+        text = b.text()
+        stmt = next(s for u in a.program.units for s in A.walk_stmts(u.body)
+                    if isinstance(s, A.Assign))
+        stmt.expr = A.Var("rewritten")
+        assert a.text() != text
+        assert b.text() == text, mode
+
+
+def _sources(*subdirs):
+    """Relative path -> text of every module under ``repro/<subdir>``
+    (all of ``repro`` when no subdir is named)."""
+    root = os.path.dirname(repro.__file__)
+    texts = {}
+    for sub in subdirs or ("",):
+        for d, _, files in os.walk(os.path.join(root, sub)):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(d, name)
+                    with open(path, encoding="utf-8") as fh:
+                        texts[os.path.relpath(path, root)] = fh.read()
+    return texts
+
+
 def test_the_sweep_has_one_home():
     """``core/driver.py`` is the only driver of the reverse-topological
     pass: nothing else constructs a ``ProcedureCompiler``, allocates
     tags, walks the ACG in compilation order or re-implements the front
     end, and the helpers of the deleted second and third copies stay
     deleted."""
-    root = os.path.dirname(repro.__file__)
-    texts = {}
-    for d, _, files in os.walk(root):
-        for name in files:
-            if name.endswith(".py"):
-                path = os.path.join(d, name)
-                with open(path, encoding="utf-8") as fh:
-                    texts[os.path.relpath(path, root)] = fh.read()
+    texts = _sources()
     driver = os.path.join("core", "driver.py")
     recompile = texts[os.path.join("core", "recompile.py")]
     assert [p for p, t in texts.items() if "ProcedureCompiler(" in t] \
@@ -270,3 +315,26 @@ def test_the_sweep_has_one_home():
     assert not re.search(
         r"reverse_topological_order\(|clone_program|compute_reaching"
         r"|^from \.driver import", recompile, re.M)
+
+
+def test_lower_layers_do_not_import_the_compiler():
+    """The simulator, telemetry, engines and front end sit below
+    ``repro.core``: what they compute is a function of their inputs,
+    never of compiler state."""
+    up = re.compile(r"^\s*(?:from|import)\s+(?:repro\.core|\.\.core)\b",
+                    re.M)
+    texts = _sources("machine", "obs", "interp", "codegen", "lang")
+    assert texts
+    assert [p for p, t in texts.items() if up.search(t)] == []
+
+
+def test_the_procedure_is_the_only_grain_of_reuse():
+    """No whole-program memo in front of the per-procedure ones (the
+    parser's unit memo, the summary store, codegen's unit memo): its
+    switch, key, counters, trace decision and metric family stay
+    deleted."""
+    gone = ("REPRO_COMPILE_CACHE", "_compile_cache", "compile_cache_stats",
+            "program_key", "compile.cache-hit",
+            "fdc_compile_cache_events_total")
+    assert [(p, name) for p, t in _sources().items()
+            for name in gone if name in t] == []

@@ -27,7 +27,6 @@ from repro.apps import (
 )
 from repro.cli import main as cli_main
 from repro.core import Mode, Options, compile_program
-from repro.core.driver import _compile_cache
 from repro.core.recompile import RecompilationManager
 from repro.interp import run_sequential
 from repro.lang import ast as A
@@ -97,12 +96,6 @@ def sock_path(tmp_path, name="d.sock"):
     import tempfile
 
     return os.path.join(tempfile.mkdtemp(prefix="fdc"), name)
-
-
-@pytest.fixture
-def no_memo(monkeypatch):
-    """Disable the compile memo so 'cold in-process compile' is real."""
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +312,15 @@ def check_equals_cold_compile(driver, src):
 
 class TestServiceCompilerIdentity:
     @pytest.mark.parametrize("name,srcfn", APPS)
-    def test_byte_identical_to_cold_compile(self, name, srcfn, no_memo):
+    def test_byte_identical_to_cold_compile(self, name, srcfn):
         check_equals_cold_compile("service", srcfn())
 
     @pytest.mark.parametrize("name,srcfn", APPS)
-    def test_manager_identical_to_cold_compile(self, name, srcfn, no_memo):
+    def test_manager_identical_to_cold_compile(self, name, srcfn):
         check_equals_cold_compile("manager", srcfn())
 
     @pytest.mark.parametrize("driver", ["service", "manager"])
-    def test_sweep_phases_traced(self, driver, no_memo):
+    def test_sweep_phases_traced(self, driver):
         """Every caller of the sweep emits the cold compile's phases; a
         warm build decides one reuse per procedure and compiles none."""
         def names(tracer, kind):
@@ -356,14 +349,14 @@ class TestServiceCompilerIdentity:
         assert "procedure" not in names(warm, "compile.phase")
         assert names(warm, "compile.decision").count("summary-reuse") == 3
 
-    def test_warm_compile_reuses_everything(self, no_memo):
+    def test_warm_compile_reuses_everything(self):
         sc = ServiceCompiler()
         sc.compile(BASE, Options(nprocs=4))
         _, stats = sc.compile(BASE, Options(nprocs=4))
         assert stats["reused"] == stats["procs"]
         assert stats["compiled"] == 0
 
-    def test_warm_output_still_identical(self, no_memo):
+    def test_warm_output_still_identical(self):
         opts = Options(nprocs=4)
         cold = compile_program(BASE, opts)
         sc = ServiceCompiler()
@@ -374,7 +367,7 @@ class TestServiceCompilerIdentity:
         seq = run_sequential(parse(BASE)).arrays["x"].data
         assert np.allclose(res.gathered("x"), seq)
 
-    def test_leaf_edit_recompiles_only_leaf(self, no_memo):
+    def test_leaf_edit_recompiles_only_leaf(self):
         sc = ServiceCompiler()
         sc.compile(BASE, Options(nprocs=4))
         got, stats = sc.compile(EDIT_LEAF, Options(nprocs=4))
@@ -383,7 +376,7 @@ class TestServiceCompilerIdentity:
         assert got.text() == compile_program(
             EDIT_LEAF, Options(nprocs=4)).text()
 
-    def test_interface_edit_recompiles_callers(self, no_memo):
+    def test_interface_edit_recompiles_callers(self):
         sc = ServiceCompiler()
         sc.compile(BASE, Options(nprocs=4))
         got, stats = sc.compile(EDIT_SHIFT, Options(nprocs=4))
@@ -394,14 +387,13 @@ class TestServiceCompilerIdentity:
         assert got.text() == compile_program(
             EDIT_SHIFT, Options(nprocs=4)).text()
 
-    def test_option_change_is_a_different_key(self, no_memo):
+    def test_option_change_is_a_different_key(self):
         sc = ServiceCompiler()
         sc.compile(BASE, Options(nprocs=4))
         _, stats = sc.compile(BASE, Options(nprocs=8))
         assert stats["compiled"] == stats["procs"]
 
-    def test_persistent_store_shared_across_compilers(self, tmp_path,
-                                                      no_memo):
+    def test_persistent_store_shared_across_compilers(self, tmp_path):
         d = str(tmp_path / "store")
         opts = Options(nprocs=4)
         ServiceCompiler(SummaryStore(d)).compile(BASE, opts)
@@ -409,7 +401,7 @@ class TestServiceCompilerIdentity:
         assert stats["reused"] == stats["procs"]
         assert got.text() == compile_program(BASE, opts).text()
 
-    def test_deadline_raises_retryable(self, no_memo):
+    def test_deadline_raises_retryable(self):
         sc = ServiceCompiler()
         with pytest.raises(ServiceError) as ei:
             sc.compile(BASE, Options(nprocs=4),
@@ -417,7 +409,7 @@ class TestServiceCompilerIdentity:
         assert ei.value.kind == "deadline"
         assert ei.value.retryable
 
-    def test_rtr_demotion_preserved(self, no_memo):
+    def test_rtr_demotion_preserved(self):
         """Graceful degradation must survive the service path: a
         procedure the analyzer rejects demotes identically."""
         src = BASE.replace("x(i) = f(x(i + 5))",
@@ -430,7 +422,7 @@ class TestServiceCompilerIdentity:
 
 
 class TestServiceCompilerWithPool:
-    def test_pool_output_identical(self, no_memo):
+    def test_pool_output_identical(self):
         pool = WorkerPool(size=2, seed=0)
         try:
             opts = Options(nprocs=4)
@@ -443,7 +435,7 @@ class TestServiceCompilerWithPool:
         finally:
             pool.close()
 
-    def test_pool_run_results_identical(self, no_memo):
+    def test_pool_run_results_identical(self):
         pool = WorkerPool(size=2, seed=0)
         try:
             opts = Options(nprocs=4)
@@ -480,7 +472,7 @@ class TestDaemon:
         rep = CompileClient(path).ping()
         assert rep["pong"] and rep["pid"] == os.getpid()
 
-    def test_compile_identical_and_runs(self, daemon, no_memo):
+    def test_compile_identical_and_runs(self, daemon):
         _, path = daemon
         opts = Options(nprocs=4)
         cold = compile_program(BASE, opts)
@@ -490,7 +482,7 @@ class TestDaemon:
         assert np.array_equal(r1.gathered("x"), r2.gathered("x"))
         assert r1.stats.time_us == r2.stats.time_us
 
-    def test_second_compile_hits_store(self, daemon, no_memo):
+    def test_second_compile_hits_store(self, daemon):
         _, path = daemon
         c = CompileClient(path)
         c.compile(BASE, Options(nprocs=4))
@@ -499,7 +491,7 @@ class TestDaemon:
         assert st["completed"] == 2
         assert st["store"]["hits"] >= 3  # all of p/init/smooth reused
 
-    def test_parse_counters_in_stats_and_metrics(self, daemon, no_memo,
+    def test_parse_counters_in_stats_and_metrics(self, daemon,
                                                  cold_unit_memo):
         """The daemon's front end parses a unit once per text: base,
         one one-stage edit, one exact repeat of an 8-stage pipeline."""
@@ -584,7 +576,7 @@ class TestFallback:
         assert resolve_server("/arg/wins.sock") == "/arg/wins.sock"
         assert resolve_server("off") is None
 
-    def test_unreachable_daemon_falls_back(self, no_memo):
+    def test_unreachable_daemon_falls_back(self):
         opts = Options(nprocs=4)
         tracer = Tracer()
         got, info = compile_with_fallback(
@@ -595,7 +587,7 @@ class TestFallback:
                  if e.get("name") == "service.fallback"]
         assert len(falls) == 1
 
-    def test_mid_request_death_falls_back(self, tmp_path, no_memo):
+    def test_mid_request_death_falls_back(self, tmp_path):
         """A server that accepts, reads the request, then slams the
         connection mid-reply must not break the client."""
         path = sock_path(tmp_path, "evil.sock")
@@ -620,7 +612,7 @@ class TestFallback:
         finally:
             lst.close()
 
-    def test_malformed_blob_falls_back(self, tmp_path, no_memo):
+    def test_malformed_blob_falls_back(self, tmp_path):
         """An ok-reply whose pickled payload is garbage is an
         infrastructure failure, not a result."""
         path = sock_path(tmp_path, "garbage.sock")
@@ -646,7 +638,7 @@ class TestFallback:
         finally:
             lst.close()
 
-    def test_healthy_daemon_used(self, tmp_path, no_memo):
+    def test_healthy_daemon_used(self, tmp_path):
         path = sock_path(tmp_path)
         d = CompileDaemon(path, pool_size=0)
         t = d.serve_in_thread()
@@ -688,7 +680,7 @@ class TestCLI:
         assert cli_main(["ping", "--socket",
                          str(tmp_path / "none.sock")]) == 1
 
-    def test_compile_via_server_flag(self, tmp_path, capsys, no_memo):
+    def test_compile_via_server_flag(self, tmp_path, capsys):
         path = sock_path(tmp_path)
         d = CompileDaemon(path, pool_size=0)
         t = d.serve_in_thread()
@@ -697,7 +689,6 @@ class TestCLI:
         try:
             assert cli_main([str(src_file), "--server", path]) == 0
             out = capsys.readouterr().out
-            _compile_cache.clear()
             cold = compile_program(BASE, Options(nprocs=4))
             assert cold.text() in out
         finally:

@@ -32,18 +32,13 @@ from repro.service.protocol import recv_frame, send_frame
 from .test_service import BASE, EDIT_LEAF, sock_path
 
 
-@pytest.fixture
-def no_memo(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-
-
 # ---------------------------------------------------------------------------
 # worker crash / hang supervision
 # ---------------------------------------------------------------------------
 
 
 class TestWorkerCrash:
-    def test_sigkill_mid_compile_recovers(self, tmp_path, no_memo):
+    def test_sigkill_mid_compile_recovers(self, tmp_path):
         """The crash flag makes exactly one worker SIGKILL itself on
         job receipt; the supervisor restarts and the result is still
         byte-identical."""
@@ -63,7 +58,7 @@ class TestWorkerCrash:
             pool.close()
         assert not flag.exists()
 
-    def test_externally_killed_worker_recovers(self, no_memo):
+    def test_externally_killed_worker_recovers(self):
         """kill -9 on a live worker between jobs: the pool discards the
         corpse and spawns a replacement."""
         pool = WorkerPool(size=1, seed=0, backoff_base=0.01)
@@ -81,7 +76,7 @@ class TestWorkerCrash:
         finally:
             pool.close()
 
-    def test_hang_detected_and_killed(self, tmp_path, no_memo):
+    def test_hang_detected_and_killed(self, tmp_path):
         """The hang flag wedges one worker mid-job; the deadline read
         SIGKILLs it and the retry succeeds."""
         flag = tmp_path / "hang"
@@ -122,7 +117,7 @@ class TestWorkerCrash:
             assert lo <= b <= hi
             raw.append(b)
 
-    def test_retries_exhausted_is_structured(self, tmp_path, no_memo):
+    def test_retries_exhausted_is_structured(self, tmp_path):
         """A flag re-armed before every job defeats all retries: the
         pool must give up with a retryable error, not loop forever."""
         flag = tmp_path / "die"
@@ -145,7 +140,7 @@ class TestWorkerCrash:
             pool.close()
 
     def test_compiler_falls_back_in_process_when_pool_dead(
-            self, tmp_path, no_memo):
+            self, tmp_path):
         """Retries exhausted → the ServiceCompiler compiles locally;
         the request still succeeds byte-identically."""
         flag = tmp_path / "die"
@@ -167,7 +162,7 @@ class TestWorkerCrash:
 
 
 class TestDaemonWorkerCrash:
-    def test_daemon_crash_recovery_end_to_end(self, tmp_path, no_memo):
+    def test_daemon_crash_recovery_end_to_end(self, tmp_path):
         """Full stack: daemon + pool + crash flag.  The client sees a
         normal, correct reply; the daemon's stats show the crash."""
         flag = tmp_path / "die"
@@ -194,8 +189,7 @@ class TestDaemonWorkerCrash:
 
 
 class TestStoreCorruption:
-    def test_truncated_entries_regenerate_identically(self, tmp_path,
-                                                      no_memo):
+    def test_truncated_entries_regenerate_identically(self, tmp_path):
         d = str(tmp_path / "store")
         opts = Options(nprocs=4)
         ServiceCompiler(SummaryStore(d)).compile(BASE, opts)
@@ -211,8 +205,7 @@ class TestStoreCorruption:
         _, stats2 = ServiceCompiler(SummaryStore(d)).compile(BASE, opts)
         assert stats2["reused"] == stats2["procs"]
 
-    def test_garbage_entries_regenerate_identically(self, tmp_path,
-                                                    no_memo):
+    def test_garbage_entries_regenerate_identically(self, tmp_path):
         d = str(tmp_path / "store")
         opts = Options(nprocs=4)
         ServiceCompiler(SummaryStore(d)).compile(BASE, opts)
@@ -222,7 +215,7 @@ class TestStoreCorruption:
         got, _ = ServiceCompiler(SummaryStore(d)).compile(BASE, opts)
         assert got.text() == compile_program(BASE, opts).text()
 
-    def test_no_partial_entries_on_crash(self, tmp_path, no_memo):
+    def test_no_partial_entries_on_crash(self, tmp_path):
         """Store writes are tempfile+rename: after any number of
         compiles, every published entry must load cleanly (no torn
         writes visible under the final name)."""
@@ -265,7 +258,7 @@ class TestFlood:
         return d, t, path
 
     def test_flood_yields_complete_or_retryable(self, tmp_path,
-                                                monkeypatch, no_memo):
+                                                monkeypatch):
         """Every flooded request either completes byte-identically or
         gets a structured retryable overloaded/deadline error."""
         d, t, path = self._slow_daemon(tmp_path, monkeypatch)
@@ -305,7 +298,7 @@ class TestFlood:
             t.join(timeout=5)
 
     def test_speculative_shed_for_non_speculative(self, tmp_path,
-                                                  monkeypatch, no_memo):
+                                                  monkeypatch):
         """With the queue full of speculation, a non-speculative
         arrival sheds the oldest speculative request."""
         d, t, path = self._slow_daemon(tmp_path, monkeypatch,
@@ -346,8 +339,7 @@ class TestFlood:
             d.stop()
             t.join(timeout=5)
 
-    def test_full_queue_refuses_speculative(self, tmp_path, monkeypatch,
-                                            no_memo):
+    def test_full_queue_refuses_speculative(self, tmp_path, monkeypatch):
         d, t, path = self._slow_daemon(tmp_path, monkeypatch,
                                        delay=0.8, queue_limit=1)
         try:
@@ -400,8 +392,7 @@ class TestProtocolAbuse:
             d.stop()
             t.join(timeout=5)
 
-    def test_daemon_died_between_requests_falls_back(self, tmp_path,
-                                                     no_memo):
+    def test_daemon_died_between_requests_falls_back(self, tmp_path):
         path = sock_path(tmp_path)
         d = CompileDaemon(path, pool_size=0)
         t = d.serve_in_thread()
@@ -419,8 +410,7 @@ class TestProtocolAbuse:
 
 
 class TestChaosDifferential:
-    def test_crashy_service_run_equals_cold_run(self, tmp_path,
-                                                no_memo):
+    def test_crashy_service_run_equals_cold_run(self, tmp_path):
         """Compile through a daemon whose only worker crashes once,
         then *run* both programs: gathered arrays, virtual clocks and
         message counts must match exactly."""

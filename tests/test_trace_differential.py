@@ -104,11 +104,9 @@ def test_tracing_is_invisible_across_modes(mode):
     )
 
 
-def test_traced_compile_output_identical(monkeypatch):
+def test_traced_compile_output_identical():
     """Compiling with a tracer yields the same node program text and
-    report as compiling without (decision hooks only observe).  The
-    memo cache is disabled so both compilations actually run."""
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
+    report as compiling without (decision hooks only observe)."""
     src = dgefa_source(16)
     opts = Options(nprocs=4, mode=Mode.INTER)
     plain = compile_program(src, opts)
