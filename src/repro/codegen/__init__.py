@@ -26,12 +26,12 @@ errors.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..interp.interpreter import find_blocking_units, unit_facts
 from ..lang import ast as A
+from ..settings import Settings
 from . import cache as _cache
 from .cache import Variant
 from .emit import PRELUDE, assemble_module, emit_unit, unit_ident
@@ -53,8 +53,7 @@ def enabled(override: Optional[bool] = None) -> bool:
     (default on)."""
     if override is not None:
         return override
-    return os.environ.get("REPRO_CODEGEN", "1").strip().lower() \
-        not in ("0", "false", "no", "off")
+    return Settings.from_env().codegen
 
 
 def rank_classes(nprocs: int) -> list[tuple[str, int, int]]:

@@ -1,7 +1,7 @@
 """Disk cache for generated node programs, one entry per procedure.
 
 Layout: one ``.py`` file per *unit key* under ``$REPRO_CODEGEN_CACHE``
-(default ``~/.cache/repro-codegen``)::
+(default ``~/.cache/repro-codegen``; empty: no disk tier)::
 
     ~/.cache/repro-codegen/
         a3f9…c1-4-vec.py
@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import os
 from typing import NamedTuple, Optional
 
 from ..cas import TEXT, Cas
+from ..settings import Settings
 
 #: bump when the generated-code shape changes; stale entries then
 #: fail the header check and regenerate
@@ -56,13 +56,6 @@ class Variant(NamedTuple):
     classes: tuple[str, ...]
     text: Optional[str]
     cause: Optional[str]
-
-
-def cache_dir() -> str:
-    env = os.environ.get("REPRO_CODEGEN_CACHE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro-codegen")
 
 
 def _digest(*parts: str) -> str:
@@ -120,12 +113,12 @@ def decode_entry(payload: str) -> list[Variant]:
 
 #: one store per directory seen: ``REPRO_CODEGEN_CACHE`` may change
 #: mid-process, and degradation is a property of the directory
-_stores: dict[str, Cas] = {}
+_stores: dict[Optional[str], Cas] = {}
 
 
 def cas() -> Cas:
-    """The store for the current :func:`cache_dir`."""
-    d = cache_dir()
+    """The store for the current ``REPRO_CODEGEN_CACHE``."""
+    d = Settings.from_env().codegen_cache
     store = _stores.get(d)
     if store is None:
         store = _stores[d] = Cas("codegen", GEN_VERSION, "", ".py", TEXT,

@@ -30,6 +30,7 @@ from ..lang import ast as A
 from ..lang import parse, program_str
 from ..machine.costmodel import CostModel, IPSC860
 from ..obs import resolve_trace
+from ..settings import Settings
 from .cloning import clone_program
 from .codegen import (
     RewritePlan,
@@ -87,21 +88,9 @@ class CompiledProgram:
         codegen: Optional[bool] = None,
         metrics=None,
     ) -> SPMDResult:
-        """Execute on the simulated machine.  *timeout_s* defaults to
-        ``REPRO_SIM_TIMEOUT`` (else 60 s); *faults* is an optional
-        :class:`~repro.machine.faults.FaultPlan` (``REPRO_FAULTS`` when
-        None); *scheduler* selects the simulation backend
-        (``REPRO_SCHEDULER`` or ``"event"`` when None); *trace* enables
-        event tracing (a :class:`~repro.obs.Tracer`, ``True``, or the
-        ``REPRO_TRACE`` environment variable when None); *topology*
-        selects the interconnect (a Topology instance, a name like
-        ``"hypercube"``, or ``REPRO_TOPOLOGY`` / uniform when None);
-        *codegen* selects generated node programs vs the interpreter
-        (``REPRO_CODEGEN``, default on) — with ``Options.strict`` any
-        codegen demotion becomes a hard error; *metrics* enables the
-        metrics registry (a :class:`~repro.obs.MetricsRegistry`,
-        ``True`` for the default registry, or ``REPRO_METRICS`` when
-        None)."""
+        """Execute on the simulated machine; the arguments are
+        :func:`~repro.interp.interpreter.run_spmd`'s, and with
+        ``Options.strict`` any codegen demotion is a hard error."""
         from ..interp.interpreter import default_init
 
         return run_spmd(
@@ -936,14 +925,14 @@ def _prewarm_codegen(compiled: CompiledProgram, tracer=None) -> None:
     for generation.  Under ``Options.strict`` a codegen demotion is a
     compile error; otherwise every failure here is soft — ``run_spmd``
     regenerates on demand and demotes to the interpreter."""
-    from ..codegen import CodegenError, enabled, get_generated
-    from ..interp.vectorize import enabled as vec_enabled
+    from ..codegen import CodegenError, get_generated
 
-    if not enabled(None):
+    settings = Settings.from_env()
+    if not settings.codegen:
         return
     try:
         gen, _, _ = get_generated(
-            compiled.program, compiled.opts.nprocs, vec_enabled(None),
+            compiled.program, compiled.opts.nprocs, settings.vectorize,
             strict=compiled.opts.strict,
         )
     except CodegenError as e:

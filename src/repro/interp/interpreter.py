@@ -23,7 +23,6 @@ Semantics notes
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Generator, NamedTuple, Optional
 
 import numpy as np
@@ -35,16 +34,8 @@ from ..machine.machine import Machine, ProcContext
 from ..machine.costmodel import CostModel, IPSC860
 from ..runtime.intrinsics import PURE_INTRINSICS
 from ..runtime.remap import mark_array, remap_array_y
+from ..settings import Settings
 from .arrays import FArray
-
-
-def comm_cache_enabled(flag: Optional[bool] = None) -> bool:
-    """Communication-schedule caching: on unless ``REPRO_COMM_CACHE=0``."""
-    if flag is not None:
-        return flag
-    return os.environ.get("REPRO_COMM_CACHE", "").strip().lower() not in (
-        "0", "false", "no", "off"
-    )
 
 
 class InterpError(Exception):
@@ -223,16 +214,19 @@ class Interpreter:
         vectorize: Optional[bool] = None,
         blocking: Optional[set[str]] = None,
         images: Optional[dict[tuple, np.ndarray]] = None,
+        comm_cache: Optional[bool] = None,
     ) -> None:
-        from .vectorize import enabled as _vec_enabled
-
         self.program = program
         self.ctx = ctx
         self.initial_dists = initial_dists or {}
         self.init_fn = init_fn
         self.init_main_arrays = init_main_arrays
-        self.vectorize = _vec_enabled(vectorize)
-        self.comm_cache = comm_cache_enabled()
+        if vectorize is None or comm_cache is None:  # run_spmd passes both
+            s = Settings.from_env()
+            vectorize = s.vectorize if vectorize is None else vectorize
+            comm_cache = s.comm_cache if comm_cache is None else comm_cache
+        self.vectorize = bool(vectorize)
+        self.comm_cache = comm_cache
         self.comm_cache_hits = 0
         self.comm_cache_misses = 0
         self.tracer = ctx.tracer if ctx is not None else None
@@ -1356,42 +1350,34 @@ def run_spmd(
 ) -> SPMDResult:
     """Run a compiled SPMD node program on the simulated machine.
 
-    *timeout_s* is the wall-clock safety net (``REPRO_SIM_TIMEOUT`` or
-    60 s when None; deadlocks are normally detected instantly).
-    *faults* is an optional :class:`~repro.machine.faults.FaultPlan`
-    (``REPRO_FAULTS`` when None).  *scheduler* selects the simulation
-    backend (``REPRO_SCHEDULER`` or the event scheduler when None).
-    *trace* enables event tracing: a
-    :class:`~repro.obs.Tracer`, ``True`` for a fresh one, or None to
-    defer to ``REPRO_TRACE`` (when that names a file, the Chrome trace
-    JSON is written there after the run).  *topology* selects the
-    interconnect (a :class:`~repro.machine.topology.Topology`, a name
-    like ``"hypercube"`` or ``"mesh2d:contention"``, or None for
-    ``REPRO_TOPOLOGY`` / uniform).  *codegen* selects the generated
-    node-program path (``REPRO_CODEGEN``, default on; see
-    :mod:`repro.codegen`); *codegen_strict* escalates per-procedure
-    demotions to errors.  *metrics* enables the metrics registry: a
-    :class:`~repro.obs.MetricsRegistry`, ``True`` for the process-wide
-    default registry, or None to defer to ``REPRO_METRICS``.
+    Every argument left None falls back to its ``REPRO_*`` setting
+    (DESIGN.md § 8 Settings): *timeout_s* is the wall-clock safety net
+    (deadlocks are detected instantly); *faults* a
+    :class:`~repro.machine.faults.FaultPlan`; *scheduler* the simulation
+    backend; *trace* a :class:`~repro.obs.Tracer` or ``True`` for a
+    fresh one (a file ``REPRO_TRACE`` names receives the Chrome trace);
+    *topology* a :class:`~repro.machine.topology.Topology` or a name like
+    ``"mesh2d:contention"``; *codegen* the generated node-program path
+    (*codegen_strict* escalates per-procedure demotions to errors);
+    *metrics* a :class:`~repro.obs.MetricsRegistry` or ``True`` for the
+    process-wide default registry.
     """
     # deferred import: repro.codegen.emit imports this module
-    from ..codegen import (
-        CodegenError, NodeRt, enabled as codegen_enabled, get_generated,
-    )
+    from ..codegen import CodegenError, NodeRt, get_generated
 
     machine = Machine(nprocs, cost, timeout_s, faults=faults,
                       scheduler=scheduler, trace=trace, topology=topology,
                       metrics=metrics)
     prints: list[str] = []
+    # resolved once per run and handed to every rank's interpreter
+    settings = Settings.from_env()
+    vectorize = settings.vectorize if vectorize is None else bool(vectorize)
 
     gen = None
-    if codegen_enabled(codegen):
-        from .vectorize import enabled as vec_enabled
-
+    if settings.codegen if codegen is None else codegen:
         try:
             gen, gh, gm = get_generated(
-                program, nprocs, vec_enabled(vectorize),
-                strict=codegen_strict,
+                program, nprocs, vectorize, strict=codegen_strict,
             )
         except CodegenError:
             raise
@@ -1423,7 +1409,7 @@ def run_spmd(
             interp = Interpreter(
                 program, ctx=ctx, initial_dists=initial_dists,
                 init_fn=init_fn, vectorize=vectorize, blocking=blocking,
-                images=images,
+                images=images, comm_cache=settings.comm_cache,
             )
             if mod is not None:
                 frame = yield from NodeRt(interp, mod).run_y()
@@ -1438,11 +1424,10 @@ def run_spmd(
         return node
 
     frames = machine.run([make_node(r) for r in range(nprocs)])
-    if machine.user_tracer is not None and trace is None:
-        from ..obs import trace_output_path, write_chrome_trace
+    if machine.user_tracer is not None and trace is None \
+            and isinstance(settings.trace, str):
+        from ..obs import write_chrome_trace
 
-        path = trace_output_path()
-        if path:
-            write_chrome_trace(machine.user_tracer, path)
+        write_chrome_trace(machine.user_tracer, settings.trace)
     return SPMDResult(machine.stats, frames, prints,
                       trace=machine.user_tracer)

@@ -46,7 +46,6 @@ keyword of the run helpers overrides the environment per run.
 
 from __future__ import annotations
 
-import os
 from functools import reduce
 from typing import Callable, Optional
 
@@ -54,6 +53,7 @@ import numpy as np
 
 from ..lang import ast as A
 from ..runtime.intrinsics import PURE_INTRINSICS, f_func, g_func
+from ..settings import Settings
 from .interpreter import _count_ops
 
 #: below this trip count the closure path is cheaper than slice setup
@@ -65,9 +65,7 @@ def enabled(override: Optional[bool] = None) -> bool:
     else the ``REPRO_VECTORIZE`` environment flag (default on)."""
     if override is not None:
         return bool(override)
-    return os.environ.get("REPRO_VECTORIZE", "1").strip().lower() not in (
-        "0", "false", "no", "off"
-    )
+    return Settings.from_env().vectorize
 
 
 class _Reject(Exception):

@@ -63,7 +63,6 @@ from .network import (
     AbortError,
     DeadlockError,
     SimulationError,
-    resolve_timeout,
 )
 from ..obs.tracer import ABSENT
 
@@ -106,10 +105,10 @@ class EventScheduler:
     pushed back onto the heap.
     """
 
-    def __init__(self, nprocs: int, timeout_s: Optional[float] = None,
+    def __init__(self, nprocs: int, timeout_s: float,
                  tracer: Any = None, metrics: Any = None) -> None:
         self.nprocs = nprocs
-        self.timeout_s = resolve_timeout(timeout_s)
+        self.timeout_s = timeout_s
         self.tracer = tracer
         self.metrics = metrics
         #: structure-of-arrays rank state
@@ -347,9 +346,9 @@ class EventNetwork:
     """
 
     def __init__(self, wire: "Wire", scheduler: EventScheduler,
-                 timeout_s: Optional[float] = None) -> None:
+                 timeout_s: float) -> None:
         self.nprocs = wire.nprocs
-        self.timeout_s = resolve_timeout(timeout_s)
+        self.timeout_s = timeout_s
         self.sched = scheduler
         self._post = wire.post
         self._take = wire.take

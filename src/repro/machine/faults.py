@@ -37,8 +37,9 @@ e.g. ``REPRO_FAULTS="delay=0.5:80,drop=0.1,slow=1:2.0"``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+
+from ..settings import Settings, number
 
 _MASK = (1 << 64) - 1
 
@@ -143,10 +144,13 @@ class FaultPlan:
         return cls(**kw)
 
     @classmethod
-    def from_env(cls) -> "FaultPlan | None":
-        """Plan described by ``REPRO_FAULTS`` (None when unset/empty)."""
-        spec = os.environ.get("REPRO_FAULTS", "").strip()
-        if not spec:
+    def from_settings(cls, s: Settings) -> "FaultPlan | None":
+        """Plan described by ``REPRO_FAULTS`` / ``REPRO_FAULT_SEED``
+        (None when unset/empty)."""
+        if not s.faults:
             return None
-        seed = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-        return cls.parse(spec, seed)
+        seed = number(s.fault_seed or "0", int)
+        if seed is None:
+            raise ValueError(f"bad REPRO_FAULT_SEED {s.fault_seed!r}: "
+                             "not an integer")
+        return cls.parse(s.faults, seed)

@@ -13,14 +13,13 @@ is joined with a bound, and the *first* failure by virtual time is
 re-raised on the caller's thread (secondary teardown aborts never shadow
 the primary error).
 
-Resilience hooks:
+Resilience hooks (each falls back to its ``REPRO_*`` setting when unset):
 
 * ``faults=`` — a :class:`~repro.machine.faults.FaultPlan` injecting
   deterministic delay jitter, drops-with-retransmit, per-rank compute
-  slowdowns, and crash-at-clock faults (``REPRO_FAULTS`` when unset);
-* ``timeout_s=`` — the wall-clock safety-net timeout
-  (``REPRO_SIM_TIMEOUT`` when unset; deadlocks are normally detected
-  instantly by the wait-for graph, long before this fires).
+  slowdowns, and crash-at-clock faults;
+* ``timeout_s=`` — the wall-clock safety net (deadlocks are detected
+  instantly by the wait-for graph, long before it fires).
 """
 
 from __future__ import annotations
@@ -44,13 +43,10 @@ from .scheduler import resolve_scheduler
 from .stats import RunStats
 from .topology import Topology, resolve_topology
 from .wire import Wire
-from ..obs import resolve_trace
-from ..obs.flightrec import (
-    FlightRecorder,
-    dump_postmortem,
-    flightrec_capacity,
-)
+from ..obs import Tracer
+from ..obs.flightrec import FlightRecorder, dump_postmortem
 from ..obs.metrics import SimMetrics, resolve_metrics
+from ..settings import Settings
 
 
 class ProcContext:
@@ -318,9 +314,16 @@ class Machine:
             raise ValueError("need at least one processor")
         self.nprocs = nprocs
         self.cost = cost
-        self.faults = faults if faults is not None else FaultPlan.from_env()
-        self.scheduler = resolve_scheduler(scheduler)
-        self.topology: Topology = resolve_topology(topology, nprocs)
+        # the environment is read once per machine; explicit arguments win
+        s = Settings.from_env()
+        if timeout_s is None:
+            timeout_s = s.sim_timeout_s
+        self.faults = faults if faults is not None \
+            else FaultPlan.from_settings(s)
+        self.scheduler = resolve_scheduler(
+            s.scheduler if scheduler is None else scheduler)
+        self.topology: Topology = resolve_topology(
+            s.topology if topology is None else topology, nprocs)
         if self.topology.contention and self.scheduler == "threads":
             # link-contention arrival times depend on send order; the
             # free-running thread backend has no deterministic one
@@ -330,21 +333,22 @@ class Machine:
             )
         self.stats = RunStats(nprocs=nprocs, scheduler=self.scheduler,
                               topology=self.topology.describe())
+        if trace is True or (trace is None and s.trace):
+            trace = Tracer(sample=s.trace_sample)
         #: the tracer the caller asked for (None for untraced runs —
         #: SPMDResult.trace mirrors this, never the flight recorder)
-        self.user_tracer = resolve_trace(trace)
+        self.user_tracer = trace if isinstance(trace, Tracer) else None
         self.tracer = self.user_tracer
         self.flightrec: Optional[FlightRecorder] = None
         if self.tracer is None and trace is not False:
             # always-on flight recorder: a bounded ring of recent
             # events per rank, so a run that dies leaves a postmortem
-            # even though nobody requested a trace (REPRO_FLIGHTREC=0
-            # disables, a number resizes the rings)
-            cap = flightrec_capacity()
-            if cap > 0:
-                self.flightrec = FlightRecorder(nprocs, capacity=cap)
+            # even though nobody requested a trace
+            if s.flightrec > 0:
+                self.flightrec = FlightRecorder(nprocs, capacity=s.flightrec)
                 self.tracer = self.flightrec
-        self.metrics = resolve_metrics(metrics)
+        self.metrics = resolve_metrics(
+            s.metrics if metrics is None else metrics)
         self.sim_metrics: Optional[SimMetrics] = (
             None if self.metrics is None
             else SimMetrics(self.metrics, backend=self.scheduler,

@@ -26,7 +26,6 @@ wall-clock timeouts — which is what makes it the differential oracle.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -36,21 +35,6 @@ from .deadlock import DeadlockDetector, DeadlockReport
 
 if TYPE_CHECKING:
     from .wire import Wire, _Message
-
-DEFAULT_TIMEOUT_S = 60.0
-
-
-def resolve_timeout(timeout_s: Optional[float]) -> float:
-    """Explicit value, else ``REPRO_SIM_TIMEOUT``, else 60 s."""
-    if timeout_s is not None:
-        return timeout_s
-    env = os.environ.get("REPRO_SIM_TIMEOUT", "").strip()
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return DEFAULT_TIMEOUT_S
 
 
 class SimulationError(Exception):
@@ -87,12 +71,12 @@ class Network:
     def __init__(
         self,
         wire: "Wire",
-        timeout_s: Optional[float] = None,
+        timeout_s: float,
         detector: Optional[DeadlockDetector] = None,
     ) -> None:
         self.wire = wire
         self.nprocs = nprocs = wire.nprocs
-        self.timeout_s = resolve_timeout(timeout_s)
+        self.timeout_s = timeout_s
         self.detector = detector
         self.metrics = wire.metrics
         self._queues: list[dict[tuple[int, int], deque[_Message]]] = [
@@ -240,11 +224,11 @@ class CollectiveContext:
     """
 
     def __init__(self, wire: "Wire",
-                 timeout_s: Optional[float] = None,
+                 timeout_s: float,
                  detector: Optional[DeadlockDetector] = None,
                  network: Optional[Network] = None) -> None:
         self.wire = wire
-        self.timeout_s = resolve_timeout(timeout_s)
+        self.timeout_s = timeout_s
         self.detector = detector
         self.network = network
         self.metrics = wire.metrics

@@ -12,8 +12,9 @@ differential suites compare it against
 
 from __future__ import annotations
 
-import os
 from typing import Optional
+
+from ..settings import Settings
 
 SCHEDULERS = ("event", "threads")
 
@@ -21,7 +22,7 @@ SCHEDULERS = ("event", "threads")
 def resolve_scheduler(name: Optional[str]) -> str:
     """Explicit value, else ``REPRO_SCHEDULER``, else ``"event"``."""
     if name is None:
-        name = os.environ.get("REPRO_SCHEDULER", "").strip().lower() or "event"
+        name = Settings.from_env().scheduler
     if name == "coop":
         # legacy spelling of the retired cooperative backend, still
         # passed by the frozen benchmarks/e2e/layers.py --trace probes

@@ -38,9 +38,9 @@ or ``fdc --topology``; names take an optional ``:flags`` suffix, e.g.
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
+from ..settings import Settings
 from .costmodel import tree_stages
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -396,10 +396,7 @@ def resolve_topology(
                 f"machine has P={nprocs}"
             )
         return topology
-    name = topology
-    if name is None:
-        name = os.environ.get("REPRO_TOPOLOGY", "").strip().lower() or \
-            "uniform"
+    name = Settings.from_env().topology if topology is None else topology
     name = name.strip().lower()
     contention = False
     if ":" in name:

@@ -33,14 +33,9 @@ visible for any compiled program:
   a service worker dies.
 """
 
-from .tracer import FIELDS, Tracer, resolve_trace, trace_output_path
+from .tracer import FIELDS, Tracer, resolve_trace
 from .chrome import chrome_trace, write_chrome_trace
-from .flightrec import (
-    FlightRecorder,
-    dump_postmortem,
-    flightrec_capacity,
-    postmortem_dir,
-)
+from .flightrec import FlightRecorder, dump_postmortem
 from .metrics import (
     MetricsRegistry,
     SimMetrics,
@@ -63,13 +58,10 @@ __all__ = [
     "FIELDS",
     "Tracer",
     "resolve_trace",
-    "trace_output_path",
     "chrome_trace",
     "write_chrome_trace",
     "FlightRecorder",
     "dump_postmortem",
-    "flightrec_capacity",
-    "postmortem_dir",
     "MetricsRegistry",
     "SimMetrics",
     "default_registry",

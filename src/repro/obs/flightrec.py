@@ -5,10 +5,9 @@ is opt-in; the :class:`FlightRecorder` is its bounded sibling — one
 ring buffer of the most recent events per rank — cheap enough to leave
 attached to every run.  When no explicit tracer is requested,
 :class:`~repro.machine.machine.Machine` attaches one automatically
-(capacity via ``REPRO_FLIGHTREC``: ``0`` disables, a number sizes the
-per-rank rings, default 256 events), so a run that dies with a
-:class:`~repro.machine.network.SimulationError` or deadlock still has
-its final moments on record.
+(``REPRO_FLIGHTREC`` sizes the per-rank rings or turns them off), so a
+run that dies with a :class:`~repro.machine.network.SimulationError` or
+deadlock still has its final moments on record.
 
 The postmortem side: :func:`dump_postmortem` writes one JSON bundle —
 the error, the structured :class:`DeadlockReport`, the run's
@@ -29,25 +28,8 @@ from collections import deque
 from typing import Any, Optional
 
 from ..cas import atomic_write
+from ..settings import DEFAULT_CAPACITY, Settings
 from .tracer import Tracer, event_dict
-
-#: default per-rank ring capacity (events kept per rank)
-DEFAULT_CAPACITY = 256
-
-
-def flightrec_capacity() -> int:
-    """Configured ring capacity: ``REPRO_FLIGHTREC`` — ``0``/``off``
-    disables, a positive integer sizes the rings, anything else (or
-    unset) selects :data:`DEFAULT_CAPACITY`."""
-    v = os.environ.get("REPRO_FLIGHTREC", "").strip().lower()
-    if v in ("0", "off", "false", "no"):
-        return 0
-    if v in ("", "1", "on", "true", "yes"):
-        return DEFAULT_CAPACITY
-    try:
-        return max(0, int(v))
-    except ValueError:
-        return DEFAULT_CAPACITY
 
 
 class FlightRecorder(Tracer):
@@ -140,15 +122,6 @@ def _report_dict(report: Any) -> Optional[dict]:
         return {"describe": str(report)}
 
 
-def postmortem_dir(directory: Optional[str] = None) -> Optional[str]:
-    """Where bundles go: explicit *directory*, else
-    ``REPRO_POSTMORTEM_DIR``, else None (dumping disabled)."""
-    if directory:
-        return directory
-    d = os.environ.get("REPRO_POSTMORTEM_DIR", "").strip()
-    return d or None
-
-
 _seq_lock = threading.Lock()
 _seq = 0
 
@@ -163,12 +136,13 @@ def dump_postmortem(
     extra: Optional[dict] = None,
     directory: Optional[str] = None,
 ) -> Optional[str]:
-    """Write one postmortem bundle; returns its path, or None when no
+    """Write one postmortem bundle into *directory* (else
+    ``REPRO_POSTMORTEM_DIR``); returns its path, or None when no
     directory is configured.  Best-effort: any failure here returns
     None rather than masking the error being reported."""
     global _seq
     try:
-        d = postmortem_dir(directory)
+        d = directory or Settings.from_env().postmortem_dir
         if d is None:
             return None
         bundle = {

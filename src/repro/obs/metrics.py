@@ -28,10 +28,11 @@ JSON-ready dict, histograms carrying extracted p50/p90/p99) and
 
 from __future__ import annotations
 
-import os
 import threading
 from bisect import bisect_left
 from typing import Any, Iterable, Optional, Sequence
+
+from ..settings import Settings
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -365,8 +366,7 @@ def metrics_enabled(arg: Any = None) -> bool:
     """``REPRO_METRICS`` truthiness (explicit *arg* wins)."""
     if arg is not None:
         return bool(arg)
-    v = os.environ.get("REPRO_METRICS", "").strip().lower()
-    return bool(v) and v not in ("0", "false", "no", "off")
+    return Settings.from_env().metrics
 
 
 def resolve_metrics(metrics: Any = None) -> Optional[MetricsRegistry]:

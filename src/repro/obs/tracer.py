@@ -40,10 +40,9 @@ Enabling
 --------
 
 ``Machine(trace=...)`` / ``cp.run(trace=...)`` / ``compile_program(...,
-trace=...)`` accept a Tracer (or ``True`` for a fresh one); the
-``REPRO_TRACE`` environment variable turns tracing on globally —
-``REPRO_TRACE=1`` collects in memory, any other value is a path the
-run's Chrome trace JSON is written to.
+trace=...)`` accept a Tracer (or ``True`` for a fresh one); else
+``REPRO_TRACE`` decides, and may name the file the run's Chrome trace
+is written to.
 
 Sampling
 --------
@@ -62,9 +61,10 @@ count is tracked in :attr:`Tracer.dropped_events`.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Optional
+
+from ..settings import Settings, number
 
 #: The rank-event schema: per kind, the names of a record's values
 #: ``v1..vk``, in the order a reader sees them as dict (and JSON) keys.
@@ -108,54 +108,27 @@ def event_dict(rank: int, rec: tuple) -> dict:
     return ev
 
 
-def _env_trace() -> str:
-    return os.environ.get("REPRO_TRACE", "").strip()
-
-
-def trace_output_path() -> Optional[str]:
-    """The trace-file path requested via ``REPRO_TRACE``, if any
-    (values that merely switch tracing on/off are not paths)."""
-    v = _env_trace()
-    if v and v.lower() not in ("0", "1", "false", "true", "no", "yes",
-                               "off", "on"):
-        return v
-    return None
+def _limit(text: str) -> Optional[int]:
+    n = number(text, int, 0)
+    return n if n > 0 else None
 
 
 def _parse_sample(spec: str) -> tuple[Optional[int], Optional[int]]:
     """``"<ranks>[:<events-per-rank>]"`` -> (rank limit, event budget);
     0/empty/garbage components mean "no limit" for that component."""
-    ranks: Optional[int] = None
-    budget: Optional[int] = None
     head, _, tail = spec.partition(":")
-    try:
-        n = int(head)
-        ranks = n if n > 0 else None
-    except ValueError:
-        pass
-    if tail:
-        try:
-            n = int(tail)
-            budget = n if n > 0 else None
-        except ValueError:
-            pass
-    return ranks, budget
+    return _limit(head), _limit(tail)
 
 
 def resolve_trace(trace: Any = None) -> Optional["Tracer"]:
     """Normalize a ``trace=`` argument: a Tracer passes through,
     ``True`` makes a fresh one, ``False`` forces tracing off, and
     ``None`` defers to ``REPRO_TRACE``."""
-    if isinstance(trace, Tracer):
-        return trace
+    if trace is None:
+        trace = bool(Settings.from_env().trace)
     if trace is True:
         return Tracer()
-    if trace is False:
-        return None
-    v = _env_trace()
-    if v and v.lower() not in ("0", "false", "no", "off"):
-        return Tracer()
-    return None
+    return trace if isinstance(trace, Tracer) else None
 
 
 class _PhaseSpan:
@@ -190,7 +163,7 @@ class Tracer:
         # string, False to force full fidelity, or None to defer to
         # REPRO_TRACE_SAMPLE
         if sample is None:
-            sample = os.environ.get("REPRO_TRACE_SAMPLE", "").strip()
+            sample = Settings.from_env().trace_sample
         self.sample_ranks: Optional[int] = None
         self._budget: Optional[int] = None
         if sample:

@@ -6,8 +6,8 @@ Server resolution order (``resolve_server``):
 2. the ``REPRO_SERVER`` environment variable,
 3. off (compile in-process).
 
-``WHERE`` is ``off`` (disable), ``auto`` (the per-user default socket
-``$TMPDIR/repro-fdc-<uid>.sock``) or an explicit socket path.
+``WHERE`` is ``off`` (disable; any switch-off spelling), ``auto`` (the
+per-user default socket ``$TMPDIR/repro-fdc-<uid>.sock``) or a path.
 
 ``compile_with_fallback`` is the entry point the CLI uses: it sends the
 compile to the daemon and, on *any* infrastructure failure — daemon
@@ -33,6 +33,7 @@ from ..core.driver import CompiledProgram, compile_program
 from ..core.model import CompileError
 from ..core.options import Options
 from ..obs.tracer import resolve_trace
+from ..settings import Settings, switch
 from .protocol import (
     PROTOCOL_VERSION,
     FrameError,
@@ -58,13 +59,12 @@ def default_socket_path() -> str:
 
 def resolve_server(arg: Optional[str] = None) -> Optional[str]:
     """Resolve the server socket path: explicit *arg* wins, then
-    ``REPRO_SERVER``; ``off``/empty disables, ``auto`` names the
+    ``REPRO_SERVER``; empty or off disables, ``auto`` names the
     per-user default socket."""
-    value = arg if arg is not None \
-        else os.environ.get("REPRO_SERVER", "").strip()
-    if not value or value == "off":
+    value = (Settings.from_env().server if arg is None else arg).strip()
+    if not switch(value, False):
         return None
-    if value == "auto":
+    if value.lower() == "auto":
         return default_socket_path()
     return value
 

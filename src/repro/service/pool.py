@@ -179,17 +179,17 @@ class WorkerPool:
             out.extend(rep["results"])
         return out
 
-    def evaluate_plans(self, source, plan_opts, scheduler: str = "event",
-                       cost: str = "ipsc860",
+    def evaluate_plans(self, source, plan_opts,
                        store_dir: Optional[str] = None,
-                       deadline: Optional[float] = None) -> list[dict]:
+                       deadline: Optional[float] = None,
+                       **machine) -> list[dict]:
         """Evaluate candidate distribution plans (fully-formed
         :class:`~repro.core.options.Options`, one per plan) across the
         pool: compile each through the workers' persistent incremental
         compilers (sharing *store_dir* summaries across processes) and
-        run it on the simulated machine.  Returns one metrics dict per
-        plan, in input order; an infeasible plan yields
-        ``{"error": ...}`` instead of metrics."""
+        run it on the simulated *machine* (``evaluate_plan`` keywords).
+        Returns one metrics dict per plan, in input order; an infeasible
+        plan yields ``{"error": ...}`` instead of metrics."""
         if not plan_opts:
             return []
         indexed = [{"idx": i, "opts": o} for i, o in enumerate(plan_opts)]
@@ -197,7 +197,7 @@ class WorkerPool:
         chunks = [indexed[i::nchunks] for i in range(nchunks)]
         jobs = [{
             "op": "evaluate", "source": source, "plans": chunk,
-            "scheduler": scheduler, "cost": cost, "store_dir": store_dir,
+            "machine": machine, "store_dir": store_dir,
             "crash_flag": self.crash_flag, "hang_flag": self.hang_flag,
         } for chunk in chunks]
         replies = self._run_jobs(jobs, deadline)

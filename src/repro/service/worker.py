@@ -13,7 +13,7 @@ Jobs::
      "crash_flag": path|None, "hang_flag": path|None}
     {"op": "evaluate", "source": str,
      "plans": [{"idx": int, "opts": Options}],
-     "scheduler": str, "cost": str, "store_dir": path|None,
+     "machine": {evaluate_plan keyword: value}, "store_dir": path|None,
      "crash_flag": path|None, "hang_flag": path|None}
 
 A compile job re-runs the deterministic front end from source (reaching
@@ -100,11 +100,8 @@ def _handle_evaluate(job: dict) -> dict:
     results = []
     for plan in job["plans"]:
         try:
-            metrics = evaluate_plan(
-                sc, job["source"], plan["opts"],
-                scheduler=job.get("scheduler", "event"),
-                cost=job.get("cost", "ipsc860"),
-            )
+            metrics = evaluate_plan(sc, job["source"], plan["opts"],
+                                    **job["machine"])
         except Exception as e:
             metrics = {"error": f"{type(e).__name__}: {e}"}
         metrics["idx"] = plan["idx"]

@@ -23,7 +23,7 @@ See ``docs/autotune.md``.
 """
 
 from .evaluate import COST_MODELS, evaluate_plan, make_eval_compiler
-from .memo import EvalMemo, default_memo_dir
+from .memo import EvalMemo
 from .plan import MEMO_VERSION, Plan, plan_key
 from .search import EvalRecord, TuneOutcome, autotune, \
     render_tune_report
@@ -39,7 +39,6 @@ __all__ = [
     "TuneSpace",
     "autotune",
     "build_space",
-    "default_memo_dir",
     "evaluate_plan",
     "initial_moves",
     "make_eval_compiler",

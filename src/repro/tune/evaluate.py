@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.options import Options
-from ..machine import FAST_NETWORK, FREE, IPSC860
+from ..machine import FAST_NETWORK, FREE, IPSC860, FaultPlan
 
 #: cost models by CLI name (mirrors ``fdc --cost``)
 COST_MODELS = {"ipsc860": IPSC860, "fast": FAST_NETWORK, "free": FREE}
@@ -40,9 +40,11 @@ def make_eval_compiler(store_dir: Optional[str] = None):
 
 def evaluate_plan(compiler, source: str, opts: Options,
                   scheduler: str = "event", cost: str = "ipsc860",
-                  trace: bool = False) -> dict:
-    """Compile *opts* (a plan already applied) and run it on the
-    simulated machine; returns a JSON-ready metrics dict.
+                  trace: bool = False, topology: str = "uniform",
+                  faults: Optional[FaultPlan] = None) -> dict:
+    """Compile *opts* (a plan already applied), run it on the simulated
+    machine the arguments name (*faults* None: none; the environment is
+    never consulted) and return a JSON-ready metrics dict.
 
     With ``trace=True`` the run is traced and the dict additionally
     carries ``objective`` (:func:`~repro.obs.objective_summary` — the
@@ -52,8 +54,10 @@ def evaluate_plan(compiler, source: str, opts: Options,
     """
     cost_model = COST_MODELS[cost] if isinstance(cost, str) else cost
     cp, cstats = compiler.compile(source, opts)
+    # an empty plan, not None: None would defer to REPRO_FAULTS
     res = cp.run(cost=cost_model, scheduler=scheduler,
-                 trace=True if trace else False, codegen=False)
+                 trace=True if trace else False, codegen=False,
+                 topology=topology, faults=faults or FaultPlan())
     sd = res.stats.as_dict()
     metrics = {
         "time_us": sd["time_us"],

@@ -11,8 +11,9 @@ CLI flags — :meth:`Plan.cli_flags` prints exactly those.
 :func:`plan_key` is the evaluation-memo key from the issue's contract:
 ``sha256(program ‖ options ‖ plan)`` — here the program source digest
 and the *applied* options tuple (which embeds the plan), plus the
-evaluation backend and cost model, under a format version.  Two tuning
-runs over the same source and options therefore share every evaluation.
+simulated machine (backend, cost model, topology, faults), under a
+format version.  Tuning runs over one source, options and machine
+therefore share every evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ..core.options import Options
 
 #: bump when the metrics payload or key recipe changes; old memo
 #: entries then miss and regenerate
-MEMO_VERSION = "1"
+MEMO_VERSION = "2"
 
 
 def _digest(text: str) -> str:
@@ -64,10 +65,11 @@ class Plan:
 
 
 def plan_key(source: str, opts: Options, plan: Plan,
-             scheduler: str = "event", cost: str = "ipsc860") -> str:
+             scheduler: str = "event", cost: str = "ipsc860",
+             topology: str = "uniform", faults=None) -> str:
     """Content address of one evaluation: program ‖ options ‖ plan
-    (via the applied options, which embed the plan) ‖ backend ‖ cost,
-    all under :data:`MEMO_VERSION`."""
+    (via the applied options, which embed the plan) ‖ the machine
+    (backend, cost, topology, faults), under :data:`MEMO_VERSION`."""
     applied = plan.apply(opts)
     return _digest("|".join([
         MEMO_VERSION,
@@ -75,4 +77,6 @@ def plan_key(source: str, opts: Options, plan: Plan,
         repr(astuple(applied)),
         scheduler,
         str(cost),
+        topology,
+        repr(faults),
     ]))

@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.options import Options
+from ..machine import FaultPlan
+from ..settings import Settings
 from .evaluate import evaluate_plan, make_eval_compiler
 from .memo import EvalMemo
 from .plan import MEMO_VERSION, Plan, plan_key
@@ -134,12 +136,11 @@ class _Evaluator:
     requested and usable, in-process otherwise; both paths call the
     same :func:`evaluate_plan`."""
 
-    def __init__(self, source: str, opts: Options, scheduler: str,
-                 cost: str, workers: int, compiler) -> None:
+    def __init__(self, source: str, opts: Options, machine: dict,
+                 workers: int, compiler) -> None:
         self.source = source
         self.opts = opts
-        self.scheduler = scheduler
-        self.cost = cost
+        self.machine = machine
         self.workers = workers
         self.compiler = compiler        # in-process fallback/serial
         self.pool = None
@@ -165,8 +166,8 @@ class _Evaluator:
 
             try:
                 return self.pool.evaluate_plans(
-                    self.source, applied, scheduler=self.scheduler,
-                    cost=self.cost, store_dir=self.store_dir,
+                    self.source, applied, store_dir=self.store_dir,
+                    **self.machine,
                 )
             except ServiceError:
                 pass  # degrade to the identical serial sweep
@@ -174,8 +175,7 @@ class _Evaluator:
         for o in applied:
             try:
                 out.append(evaluate_plan(
-                    self.compiler, self.source, o,
-                    scheduler=self.scheduler, cost=self.cost,
+                    self.compiler, self.source, o, **self.machine,
                 ))
             except Exception as e:
                 out.append({"error": f"{type(e).__name__}: {e}"})
@@ -192,8 +192,8 @@ def autotune(source: str, opts: Optional[Options] = None,
 
     *budget* caps actual simulator evaluations (memo hits are free);
     *workers* sets the evaluation pool size (None = min(4, cpus),
-    0/1 = serial); *memo_dir* overrides the evaluation memo directory
-    (default: ``REPRO_TUNE_CACHE`` or ``~/.cache/repro-tune``).
+    0/1 = serial); *memo_dir* overrides ``REPRO_TUNE_CACHE``.  The
+    topology and fault plan come from the environment, once per search.
     """
     if budget < 1:
         raise ValueError("autotune budget must be >= 1")
@@ -201,21 +201,24 @@ def autotune(source: str, opts: Optional[Options] = None,
     workers = _resolve_workers(workers)
     memo = EvalMemo(memo_dir)
     t0 = time.perf_counter()
+    # what shapes virtual time besides the plan, resolved once per search
+    settings = Settings.from_env()
+    machine = dict(scheduler=scheduler, cost=cost,
+                   topology=settings.topology.lower(),
+                   faults=FaultPlan.from_settings(settings))
 
     compiler = make_eval_compiler()
     # stage 0: the as-written plan, traced — the baseline objective and
     # the pruning signal (comm share, hot communication sites)
     base_plan = Plan(opts.nprocs, (), label="as-written")
     base_metrics = evaluate_plan(compiler, source, base_plan.apply(opts),
-                                 scheduler=scheduler, cost=cost,
-                                 trace=True)
+                                 trace=True, **machine)
     base = EvalRecord(base_plan, base_metrics)
     left = budget - 1
 
     space = build_space(source, base_metrics, opts)
     objective = base_metrics.get("objective", {})
-    evaluator = _Evaluator(source, opts, scheduler, cost, workers,
-                           compiler)
+    evaluator = _Evaluator(source, opts, machine, workers, compiler)
     records: list[EvalRecord] = []
     seen = {base_plan}
     evaluated = 1
@@ -230,7 +233,7 @@ def autotune(source: str, opts: Optional[Options] = None,
             if p in seen:
                 continue
             seen.add(p)
-            keys[p] = plan_key(source, opts, p, scheduler, cost)
+            keys[p] = plan_key(source, opts, p, **machine)
             hit = memo.load(keys[p])
             if hit is not None:
                 memo_hits += 1

@@ -27,6 +27,7 @@ from repro.core import Options
 from repro.core.model import DistOverride
 from repro.interp import run_sequential
 from repro.lang import parse
+from repro.machine import FaultPlan
 from repro.tune import (
     EvalMemo,
     Plan,
@@ -68,6 +69,9 @@ class TestPlanKeys:
         ) != base
         assert plan_key(SRC, OPTS, p, scheduler="threads") != base
         assert plan_key(SRC, OPTS, p, cost="free") != base
+        assert plan_key(SRC, OPTS, p, topology="hypercube") != base
+        assert plan_key(SRC, OPTS, p,
+                        faults=FaultPlan(seed=1, drop_prob=0.1)) != base
 
     def test_label_is_not_identity(self):
         assert Plan(8, (), label="a") == Plan(8, (), label="b")
@@ -208,6 +212,46 @@ class TestSearch:
         assert serial.best == par.best
         assert serial.best_metrics["time_us"] == \
             par.best_metrics["time_us"]
+
+    @pytest.mark.parametrize("var,value", [
+        ("REPRO_TOPOLOGY", "hypercube"),
+        ("REPRO_FAULTS", "delay=0.5:80,slow=1:2.0"),
+    ])
+    def test_memo_is_keyed_on_the_machine(self, tmp_path, monkeypatch,
+                                          var, value):
+        """A memo filled on one simulated machine never answers for
+        another: re-tuning without *var* matches a fresh tune."""
+        src, opts = stencil1d_source(256, 4), Options(nprocs=8)
+        memo = str(tmp_path / "shared")
+        monkeypatch.setenv(var, value)
+        autotune(src, opts, budget=6, workers=0, memo_dir=memo)
+        monkeypatch.delenv(var)
+        again = autotune(src, opts, budget=6, workers=0, memo_dir=memo)
+        fresh = autotune(src, opts, budget=6, workers=0, memo_dir="")
+        key = lambda o: sorted(
+            (r.plan.describe(), r.metrics.get("time_us"))
+            for r in o.records
+        )
+        assert again.memo_hits == 0
+        assert key(again) == key(fresh)
+
+    def test_pool_runs_the_callers_machine(self, monkeypatch):
+        """A worker evaluates under the topology it is handed, not the
+        environment it was spawned in."""
+        from repro.service import WorkerPool
+        from repro.tune.evaluate import evaluate_plan, make_eval_compiler
+
+        applied = [Plan(8, ()).apply(OPTS)]
+        monkeypatch.setenv("REPRO_TOPOLOGY", "hypercube")
+        pool = WorkerPool(size=1)
+        try:
+            pool.evaluate_plans(SRC, applied)  # spawns the worker here
+            monkeypatch.delenv("REPRO_TOPOLOGY")
+            (pooled,) = pool.evaluate_plans(SRC, applied)
+        finally:
+            pool.close()
+        serial = evaluate_plan(make_eval_compiler(), SRC, applied[0])
+        assert pooled["time_us"] == serial["time_us"]
 
     def test_outcome_as_dict_is_json_ready(self):
         out = autotune(SRC, OPTS, budget=4, workers=0)

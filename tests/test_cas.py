@@ -276,8 +276,9 @@ class TestOnDiskCompatibility:
     today starts with the literal old header."""
 
     def test_versions_unchanged(self):
-        # GEN_VERSION 4: one entry per procedure (was one per rank class)
-        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "1", "4")
+        # GEN_VERSION 4: one entry per procedure (was one per rank class);
+        # MEMO_VERSION 2: plan keys cover the topology and fault plan
+        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "2", "4")
 
     def test_summary_store(self, tmp_path):
         d = tmp_path / "s"
@@ -297,13 +298,13 @@ class TestOnDiskCompatibility:
         d = tmp_path / "m"
         d.mkdir()
         (d / f"eval-{KEY}.json").write_text(
-            f"# repro-tune-eval 1 eval-{KEY}.json\n"
+            f"# repro-tune-eval 2 eval-{KEY}.json\n"
             + json.dumps({"time_us": 3.0, "msgs": 4}, sort_keys=True))
         memo = EvalMemo(str(d))
         assert memo.load(KEY) == {"time_us": 3.0, "msgs": 4}
         memo.store("j" * 64, {"b": 1, "a": 2})
         assert (d / f"eval-{'j' * 64}.json").read_text() == (
-            f"# repro-tune-eval 1 eval-{'j' * 64}.json\n"
+            f"# repro-tune-eval 2 eval-{'j' * 64}.json\n"
             '{"a": 2, "b": 1}')
 
     def test_codegen_cache(self, tmp_path, monkeypatch):

@@ -25,10 +25,10 @@ from repro.obs.flightrec import (
     DEFAULT_CAPACITY,
     FlightRecorder,
     dump_postmortem,
-    flightrec_capacity,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ServiceCompiler, WorkerPool
+from repro.settings import Settings
 
 from .conftest import SCHEDULER_SPELLINGS
 from .test_service import BASE
@@ -56,7 +56,7 @@ class TestCapacity:
             monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
         else:
             monkeypatch.setenv("REPRO_FLIGHTREC", env)
-        assert flightrec_capacity() == expect
+        assert Settings.from_env().flightrec == expect
 
     def test_ring_is_bounded(self):
         fr = FlightRecorder(2, capacity=8)

@@ -17,7 +17,7 @@ from repro.machine import (
     Machine,
     SimulationError,
 )
-from repro.machine.network import resolve_timeout
+from repro.settings import Settings
 
 from .conftest import SCHEDULER_SPELLINGS
 
@@ -509,21 +509,22 @@ class TestNodeProgramForms:
 class TestTimeoutConfig:
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_TIMEOUT", "7")
-        assert resolve_timeout(3.0) == 3.0
         assert Machine(2, FREE, timeout_s=3.0).network.timeout_s == 3.0
+        assert Machine(2, FREE, timeout_s=3.0,
+                       scheduler="threads").network.timeout_s == 3.0
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_TIMEOUT", "7.5")
-        assert resolve_timeout(None) == 7.5
+        assert Settings.from_env().sim_timeout_s == 7.5
         assert Machine(2, FREE).network.timeout_s == 7.5
 
     def test_default_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_TIMEOUT", raising=False)
-        assert resolve_timeout(None) == 60.0
+        assert Settings.from_env().sim_timeout_s == 60.0
 
     def test_garbage_env_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_TIMEOUT", "soon")
-        assert resolve_timeout(None) == 60.0
+        assert Settings.from_env().sim_timeout_s == 60.0
 
 
 class TestEventBackendTimeout:
@@ -565,6 +566,10 @@ class TestEventBackendTimeout:
 
         assert Machine(2, FREE, scheduler="event",
                        timeout_s=20.0).run(prog) == [0, 1]
+
+
+def env_plan():
+    return FaultPlan.from_settings(Settings.from_env())
 
 
 class TestFaultInjection:
@@ -676,11 +681,21 @@ class TestFaultInjection:
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert FaultPlan.from_env() is None
+        assert env_plan() is None
         monkeypatch.setenv("REPRO_FAULTS", "delay=0.25:40")
         monkeypatch.setenv("REPRO_FAULT_SEED", "9")
-        plan = FaultPlan.from_env()
+        plan = env_plan()
         assert plan.seed == 9 and plan.delay_prob == 0.25
+
+    def test_bad_env_seed_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SEED", "x")
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        assert env_plan() is None  # no plan, no seed to parse
+        monkeypatch.setenv("REPRO_FAULTS", "delay=0.25:40")
+        with pytest.raises(ValueError, match="REPRO_FAULT_SEED 'x'"):
+            env_plan()
+        with pytest.raises(ValueError, match="REPRO_FAULT_SEED"):
+            Machine(2, FREE)
 
     def test_machine_picks_up_env_plan(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "slow=0:3.0")
