@@ -19,7 +19,7 @@ The result executes directly on the simulated machine via
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..analysis.symbolics import affine_of, eval_const
@@ -682,7 +682,8 @@ def compile_program(
     tracer = resolve_trace(trace)
     span = _spans(tracer)
     with span("compile", mode=opts.mode.value, nprocs=opts.nprocs):
-        compiled = sweep(source, opts, tracer=tracer)[0]
+        compiled = assemble(sweep(source, opts, tracer=tracer), opts,
+                            shared=False)
     with span("emit-node-program", nprocs=opts.nprocs):
         _prewarm_codegen(compiled, tracer)
     return compiled
@@ -811,6 +812,49 @@ def compile_one(prog, name, acg, reaching, opts, exports, main_name,
     return ProcSummary(name, prog.unit(name), exp, tags.next - 1, frag)
 
 
+@dataclass
+class Swept:
+    """The pieces :func:`sweep` leaves for :func:`assemble` — everything
+    a compiled program is made of, not yet joined."""
+
+    #: the program's units, in source order
+    units: list[str]
+    #: reverse topological order: the order of assembly
+    order: list[str]
+    #: each procedure's §8 store key (empty without a store)
+    keys: dict[str, object]
+    summaries: dict[str, ProcSummary]
+    #: the front end's report; the fragments are merged into it
+    report: CompileReport
+    initial_dists: dict[tuple[str, str], Distribution]
+    reused: list[str] = field(default_factory=list)
+    recompiled: list[str] = field(default_factory=list)
+
+
+def assemble(swept: Swept, opts: Options, *, shared: bool) -> CompiledProgram:
+    """The one assembly: splice the procedure bodies into one program,
+    shifting each private tag block by the running total and merging
+    the report fragments, both in reverse topological order — the
+    numbering and report of one shared allocator, whichever procedures
+    were reused, compiled elsewhere or shipped.  *shared* summaries
+    outlive the call (a store's, a client cache's): their bodies are
+    renumbered in a copy."""
+    procs: dict[str, A.Procedure] = {}
+    base = 0
+    for name in swept.order:
+        s = swept.summaries[name]
+        proc = A.clone_procedure(s.proc) if shared else s.proc
+        if base:
+            for st in A.walk_stmts(proc.body):
+                if isinstance(st, _TAGGED) and st.tag > 0:
+                    st.tag += base
+        base += s.tag_count
+        procs[name] = proc
+        swept.report.merge(s.fragment)
+    program = A.Program([procs[name] for name in swept.units])
+    return CompiledProgram(program, swept.initial_dists, swept.report, opts)
+
+
 def sweep(
     source: Union[str, A.Program],
     opts: Options,
@@ -818,20 +862,17 @@ def sweep(
     tracer=None,
     compile_wave=None,
     checkpoint=None,
-) -> tuple[CompiledProgram, list[str], list[str]]:
+) -> Swept:
     """The paper's single pass (§4, §7, §8; docs/compiler.md
-    § Recompilation): front end, the procedures in reverse topological
-    *waves*, assembly.  Returns ``(compiled, reused, recompiled)``.
+    § Recompilation): front end, then the procedures in reverse
+    topological *waves*.  Returns the pieces; :func:`assemble` joins
+    them.
 
     A procedure is ready once its callees are resolved.  With a *store*
     (``key(opts_fp, src_fp, in_fp)``, ``load(key)``, ``store(key,
     summary)``) a ready procedure whose §8 key — options, source and
     interprocedural-inputs fingerprints — is stored is reused; the rest
     of the wave, mutually independent, goes through :func:`compile_one`.
-    Assembly splices the bodies back in reverse topological order,
-    shifting each private tag block by the running total and merging
-    the report fragments: the numbering and report of one shared
-    allocator, whichever procedures were reused or compiled elsewhere.
 
     The compile service's two differences are per-call callables:
     ``compile_wave(dirty, exports, prog, acg, reaching, main_name)``
@@ -854,6 +895,7 @@ def sweep(
     # summaries of untouched procedures (see store_opts_fingerprint)
     opts_fp = store_opts_fingerprint(opts) if store is not None else None
     resolved: dict[str, ProcSummary] = {}
+    keys: dict[str, object] = {}
     reused: list[str] = []
     recompiled: list[str] = []
     with span("codegen"):
@@ -869,7 +911,6 @@ def sweep(
                 raise CompileError(
                     f"call-graph cycle among {sorted(pending)}")
             exports = {n: s.exports for n, s in resolved.items()}
-            keys: dict[str, object] = {}
             dirty = []
             for n in ready:
                 if store is not None:
@@ -902,21 +943,8 @@ def sweep(
                     store.store(keys[n], got[n])
             recompiled += dirty
             pending = [n for n in pending if n not in resolved]
-
-        base = 0
-        for name in order:
-            s = resolved[name]
-            # a stored summary outlives this compilation: renumber a copy
-            proc = A.clone_procedure(s.proc) if store is not None \
-                else s.proc
-            if base:
-                for st in A.walk_stmts(proc.body):
-                    if isinstance(st, _TAGGED) and st.tag > 0:
-                        st.tag += base
-            base += s.tag_count
-            prog.units[prog.units.index(prog.unit(name))] = proc
-            report.merge(s.fragment)
-    return CompiledProgram(prog, initial, report, opts), reused, recompiled
+    return Swept(prog.names(), order, keys, resolved, report, initial,
+                 reused, recompiled)
 
 
 def _prewarm_codegen(compiled: CompiledProgram, tracer=None) -> None:

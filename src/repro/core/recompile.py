@@ -161,8 +161,9 @@ class RecompilationManager:
     def compile(self, source: Union[str, A.Program]):
         """Compile *source* to a
         :class:`~repro.core.driver.CompiledProgram`."""
-        from .driver import sweep  # the driver imports this module
+        from .driver import assemble, sweep  # the driver imports this
 
-        compiled, self.last_reused, self.last_recompiled = sweep(
-            source, self.opts, store=self.summaries)
-        return compiled
+        swept = sweep(source, self.opts, store=self.summaries)
+        self.last_reused, self.last_recompiled = \
+            swept.reused, swept.recompiled
+        return assemble(swept, self.opts, shared=True)

@@ -13,13 +13,15 @@ never changes its results: it runs the same
 
 Layers::
 
-    protocol.py   length-prefixed JSON frames + wire (de)serialization
+    protocol.py   length-prefixed JSON frames + wire (de)serialization,
+                  including the per-procedure compile reply
     store.py      crash-safe content-addressed summary store
     compiler.py   ServiceCompiler: sweep + store, pool and deadline
     worker.py     per-procedure compile worker (python -m ...)
     pool.py       supervised worker pool (restart, backoff, deadlines)
     daemon.py     the socket server (queueing, backpressure, shedding)
-    client.py     CompileClient + graceful in-process fallback
+    client.py     CompileClient + its procedure blob cache + graceful
+                  in-process fallback
 
 See ``docs/service.md`` for the protocol, the store layout, and the
 failure/degradation matrix.

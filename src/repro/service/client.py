@@ -19,6 +19,12 @@ is therefore byte-identical whether or not the daemon is healthy; only
 :class:`~repro.core.model.CompileError` exactly like a local compile.
 Every fallback is recorded in the module counters
 (:func:`client_stats`) and as a ``service.fallback`` trace decision.
+
+A compile reply is per procedure: the client keeps the procedures it
+was sent in a process-wide blob cache keyed by §8 store key, names
+them in each request's ``have`` list, and assembles the program from
+the reply's manifest with the compiler's own
+:func:`~repro.core.driver.assemble`.
 """
 
 from __future__ import annotations
@@ -26,12 +32,15 @@ from __future__ import annotations
 import os
 import socket
 import tempfile
+import threading
 import time
+from collections import OrderedDict
 from typing import Optional
 
-from ..core.driver import CompiledProgram, compile_program
+from ..core.driver import CompiledProgram, assemble, compile_program
 from ..core.model import CompileError
 from ..core.options import Options
+from ..core.recompile import ProcSummary
 from ..obs.tracer import resolve_trace
 from ..settings import Settings, switch
 from .protocol import (
@@ -41,15 +50,36 @@ from .protocol import (
     options_to_wire,
     recv_frame,
     send_frame,
-    unpack_blob,
+    unpack_pieces,
 )
 
-#: process-wide client counters (surfaced by tests and ``fdc --report``)
-_stats = {"remote": 0, "fallback": 0, "retries": 0, "local": 0}
+#: process-wide client counters (surfaced by tests and ``fdc --report``);
+#: ``blobs_received`` / ``blobs_reused`` count procedures a compile reply
+#: shipped vs took from the blob cache
+_stats = {"remote": 0, "fallback": 0, "retries": 0, "local": 0,
+          "blobs_received": 0, "blobs_reused": 0}
+
+#: bound of the blob cache, in procedures (an LRU).  Every request names
+#: every cached key, so the bound is also the ``have`` list's: 256 keys
+#: are ~17 kB of JSON, ~0.1 ms to encode and decode
+_BLOB_CACHE_CAP = 256
+
+#: §8 store key -> the procedure a reply shipped under it (tags local,
+#: no exports).  Entries are never mutated — assembly renumbers copies —
+#: and a key names one compilation result, so there is nothing to
+#: invalidate.  Memory only, like the parser's unit memo.
+_blob_cache: OrderedDict[str, ProcSummary] = OrderedDict()
+_blob_cache_lock = threading.Lock()
 
 
 def client_stats() -> dict:
     return dict(_stats)
+
+
+def reset_blob_cache() -> None:
+    """Drop every cached procedure blob (tests)."""
+    with _blob_cache_lock:
+        _blob_cache.clear()
 
 
 def default_socket_path() -> str:
@@ -130,15 +160,21 @@ class CompileClient:
     def compile(self, source: str, opts: Optional[Options] = None,
                 deadline_s: Optional[float] = None,
                 speculative: bool = False) -> CompiledProgram:
-        """Compile remotely.  The reply's pickled program is validated;
-        anything that is not a :class:`CompiledProgram` raises
-        :class:`FrameError` (and the fallback path treats it as an
-        infrastructure failure)."""
+        """Compile remotely.  The request names every cached procedure
+        blob; the reply ships the rest.  A reply that does not decode
+        to the pieces of a program raises :class:`FrameError` (and the
+        fallback path treats it as an infrastructure failure)."""
+        opts = opts or Options()
+        # what `have` names is held for the whole request, so an
+        # eviction by a concurrent request cannot strand a key
+        with _blob_cache_lock:
+            held = dict(_blob_cache)
         req = {
             "op": "compile",
             "source": source,
-            "opts": options_to_wire(opts or Options()),
+            "opts": options_to_wire(opts),
             "speculative": speculative,
+            "have": list(held),
         }
         if deadline_s is not None:
             req["deadline_s"] = deadline_s
@@ -147,13 +183,16 @@ class CompileClient:
         budget = deadline_s + 5.0 if deadline_s is not None \
             else self.timeout_s
         reply = self.request(req, timeout_s=budget)
-        try:
-            compiled = unpack_blob(reply["blob"])
-        except Exception as e:
-            raise FrameError(f"undecodable compile reply: {e}") from None
-        if not isinstance(compiled, CompiledProgram):
-            raise FrameError("compile reply is not a CompiledProgram")
-        return compiled
+        swept, shipped = unpack_pieces(reply, held)
+        with _blob_cache_lock:
+            for name, key in swept.keys.items():
+                _blob_cache[key] = swept.summaries[name]
+                _blob_cache.move_to_end(key)
+            while len(_blob_cache) > _BLOB_CACHE_CAP:
+                _blob_cache.popitem(last=False)
+            _stats["blobs_received"] += shipped
+            _stats["blobs_reused"] += len(swept.order) - shipped
+        return assemble(swept, opts, shared=True)
 
 
 def compile_with_fallback(

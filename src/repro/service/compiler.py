@@ -1,9 +1,11 @@
 """Incremental service compiler.
 
-``ServiceCompiler.compile`` is :func:`repro.core.driver.sweep` — the
-same pass :func:`~repro.core.driver.compile_program` runs, so its
-output is the cold compile's byte for byte (docs/compiler.md
-§ Recompilation) — with the three things a service adds:
+``ServiceCompiler.compile`` is :func:`repro.core.driver.sweep` and
+:func:`~repro.core.driver.assemble` — the same pass and assembly
+:func:`~repro.core.driver.compile_program` runs, so its output is the
+cold compile's byte for byte (docs/compiler.md § Recompilation) — with
+the three things a service adds (``ServiceCompiler.sweep`` stops short
+of the assembly: the daemon ships the pieces and its client assembles):
 
 * a :class:`~repro.service.store.SummaryStore`, so only procedures
   whose §8 recompilation test fires are actually compiled;
@@ -21,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from ..core.driver import CompiledProgram, sweep
+from ..core.driver import CompiledProgram, Swept, assemble, sweep
 from ..core.options import Options
 from .protocol import ServiceError
 from .store import SummaryStore
@@ -55,6 +57,14 @@ class ServiceCompiler:
         compiled program plus a per-request stats dict (procedures
         reused vs compiled, store counters)."""
         opts = opts or Options()
+        swept, stats = self.sweep(source, opts, deadline, tracer)
+        return assemble(swept, opts, shared=True), stats
+
+    def sweep(self, source: str, opts: Options,
+              deadline: Optional[float] = None,
+              tracer=None) -> tuple[Swept, dict]:
+        """:meth:`compile` without the assembly: the pieces a daemon
+        ships per procedure, plus the stats dict."""
         tracer = tracer if tracer is not None else self.tracer
 
         def on_pool(dirty, exports, prog, acg, reaching, main_name):
@@ -79,17 +89,17 @@ class ServiceCompiler:
                 return None
             return {s.name: s for s in results}
 
-        compiled, reused, recompiled = sweep(
+        swept = sweep(
             source, opts, store=self.store, tracer=tracer,
             compile_wave=on_pool,
             checkpoint=lambda: _check_deadline(deadline),
         )
         stats = {
-            "procs": len(reused) + len(recompiled),
-            "reused": len(reused),
-            "compiled": len(recompiled),
+            "procs": len(swept.order),
+            "reused": len(swept.reused),
+            "compiled": len(swept.recompiled),
             "store": self.store.stats(),
         }
         if self.pool is not None:
             stats["pool"] = self.pool.stats()
-        return compiled, stats
+        return swept, stats

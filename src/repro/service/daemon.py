@@ -21,9 +21,14 @@ spans, ``service.overloaded``/``service.shed`` decisions), and
 
 The daemon also owns an always-on :class:`~repro.obs.MetricsRegistry`:
 per-request latency histograms and outcome counters, a live queue-depth
-gauge, queue-wait times, and mirrors of the pool / store / parse
-counters.  The ``metrics`` control op serves a snapshot plus the
+gauge, queue-wait times, and mirrors of the pool / store / parse /
+reply counters.  The ``metrics`` control op serves a snapshot plus the
 Prometheus text exposition (``fdc metrics``).
+
+A compile reply is per procedure (:func:`.protocol.pack_pieces`): the
+daemon sweeps but does not assemble, and ships a procedure's blob only
+when the request's ``have`` list does not name its §8 store key.  It
+keeps no per-client state: ``have`` is the whole of it.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import time
 from collections import deque
 from typing import Optional
 
+from ..core.options import Options
 from ..lang import PARSE_COUNTS
 from ..obs.metrics import MetricsRegistry, mirror_counters
 from .compiler import ServiceCompiler
@@ -43,11 +49,11 @@ from .protocol import (
     PROTOCOL_VERSION,
     FrameError,
     ServiceError,
+    encode_frame,
     error_reply,
     options_from_wire,
-    pack_blob,
+    pack_pieces,
     recv_frame,
-    send_frame,
 )
 from .store import SummaryStore
 
@@ -111,6 +117,9 @@ class CompileDaemon:
             "requests": 0, "completed": 0, "errors": 0,
             "overloaded": 0, "shed": 0, "expired": 0, "bad": 0,
         }
+        #: compile replies: procedure blobs shipped vs elided (the
+        #: request's ``have`` named them), and frame bytes sent
+        self.reply = {"blobs_shipped": 0, "blobs_elided": 0, "bytes": 0}
         #: queue entries: (conn, request, enqueued_at, deadline)
         self._queue: deque = deque()
         self._cv = threading.Condition()
@@ -339,7 +348,11 @@ class CompileDaemon:
             self._m_latency.observe(time.monotonic() - start,
                                     outcome=outcome)
             self._m_requests.inc(1.0, op="compile", outcome=outcome)
-            self._reply_close(conn, reply)
+            frame = encode_frame(reply)
+            if reply.get("ok"):
+                with self._cv:
+                    self.reply["bytes"] += len(frame)
+            self._send_close(conn, frame)
 
     def _compile(self, req: dict, deadline: float) -> dict:
         def span():
@@ -351,9 +364,13 @@ class CompileDaemon:
         try:
             source = req["source"]
             opts = options_from_wire(req["opts"]) if req.get("opts") \
-                else None
+                else Options()
             if not isinstance(source, str):
                 raise KeyError("source")
+            have = req.get("have", [])
+            if not isinstance(have, list) \
+                    or not all(isinstance(k, str) for k in have):
+                raise TypeError("'have' is not a list of strings")
         except (KeyError, TypeError, ValueError) as e:
             with self._cv:
                 self.counters["bad"] += 1
@@ -361,8 +378,9 @@ class CompileDaemon:
                                retryable=False)
         try:
             with span():
-                compiled, stats = self.compiler.compile(
+                swept, stats = self.compiler.sweep(
                     source, opts, deadline=deadline)
+                pieces = pack_pieces(swept, set(have))
         except ServiceError as e:
             with self._cv:
                 self.counters["errors"] += 1
@@ -377,10 +395,13 @@ class CompileDaemon:
             return error_reply("compile-error",
                                f"{type(e).__name__}: {e}",
                                retryable=False)
+        shipped = len(pieces["blobs"])
         with self._cv:
             self.counters["completed"] += 1
-        return {"ok": True, "v": PROTOCOL_VERSION,
-                "blob": pack_blob(compiled), "stats": stats}
+            self.reply["blobs_shipped"] += shipped
+            self.reply["blobs_elided"] += len(swept.order) - shipped
+        return {"ok": True, "v": PROTOCOL_VERSION, **pieces,
+                "stats": stats}
 
     # -- misc ---------------------------------------------------------------
 
@@ -388,6 +409,7 @@ class CompileDaemon:
         with self._cv:
             out = dict(self.counters)
             out["queued"] = len(self._queue)
+            out["reply"] = dict(self.reply)
         out["store"] = self.store.stats()
         out["parse"] = dict(PARSE_COUNTS)
         if self.pool is not None:
@@ -396,15 +418,19 @@ class CompileDaemon:
 
     def _sync_metrics(self) -> None:
         """Refresh the mirrored counter families (pool / store / parse /
-        intake counters) and the queue-depth gauge so a ``metrics`` reply
-        reflects the daemon's current state."""
+        intake / reply counters) and the queue-depth gauge so a
+        ``metrics`` reply reflects the daemon's current state."""
         with self._cv:
             counters = dict(self.counters)
+            reply = dict(self.reply)
             qlen = len(self._queue)
         self._m_queue_depth.set(qlen)
         mirror_counters(self.metrics, "fdc_daemon_events_total",
                         counters,
                         help="daemon request-intake counters")
+        mirror_counters(self.metrics, "fdc_reply_events_total", reply,
+                        help="compile replies: procedure blobs shipped "
+                             "vs elided by the client's cache, bytes sent")
         mirror_counters(self.metrics, "fdc_store_events_total",
                         self.store.stats(),
                         help="summary-store activity")
@@ -418,8 +444,11 @@ class CompileDaemon:
                             help="worker-pool supervision counters")
 
     def _reply_close(self, conn: socket.socket, obj: dict) -> None:
+        self._send_close(conn, encode_frame(obj))
+
+    def _send_close(self, conn: socket.socket, frame: bytes) -> None:
         try:
-            send_frame(conn, obj)
+            conn.sendall(frame)
         except OSError:
             pass
         finally:

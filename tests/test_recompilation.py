@@ -315,6 +315,13 @@ def test_the_sweep_has_one_home():
     assert not re.search(
         r"reverse_topological_order\(|clone_program|compute_reaching"
         r"|^from \.driver import", recompile, re.M)
+    # one assembly: the tag shift lives in `assemble` and nowhere else
+    shift = "st.tag += base"
+    assert [p for p, t in texts.items() if shift in t] == [driver]
+    assert texts[driver].count(shift) == 1
+    (body,) = re.findall(r"^def assemble\(.*?(?=^def |^class )",
+                         texts[driver], re.M | re.S)
+    assert shift in body
 
 
 def test_lower_layers_do_not_import_the_compiler():

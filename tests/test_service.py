@@ -9,9 +9,11 @@ results), whether procedures came from the store, a worker, or the
 in-daemon fallback.
 """
 
+import json
 import os
 import re
 import socket
+import sys
 import threading
 import time
 
@@ -22,11 +24,12 @@ from repro.apps import (
     adi_source,
     cg_source,
     dgefa_dgesl_source,
+    stencil1d_source,
     stencil2d_source,
     wave_source,
 )
 from repro.cli import main as cli_main
-from repro.core import Mode, Options, compile_program
+from repro.core import Mode, Options, compile_program, parse_distribute_args
 from repro.core.recompile import RecompilationManager
 from repro.interp import run_sequential
 from repro.lang import ast as A
@@ -40,15 +43,19 @@ from repro.service import (
     ServiceError,
     SummaryStore,
     WorkerPool,
+    client_stats,
     compile_with_fallback,
     resolve_server,
 )
+from repro.service import client as client_mod
+from repro.service.client import reset_blob_cache
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     FrameError,
     options_from_wire,
     options_to_wire,
     pack_blob,
+    pack_pieces,
     recv_frame,
     send_frame,
     unpack_blob,
@@ -157,6 +164,14 @@ class TestProtocol:
                        delay_communication=False)
         back = options_from_wire(options_to_wire(opts))
         assert back == opts
+
+    @pytest.mark.parametrize("spec", [
+        ["x=cyclic"], ["a=block,:", "b=:,cyclic"], ["x=block_cyclic:4"],
+    ], ids=["elastic", "per-dimension", "block-cyclic"])
+    def test_distribute_overrides_survive_the_wire(self, spec):
+        opts = Options(nprocs=4, distribute=parse_distribute_args(spec))
+        wire = json.loads(json.dumps(options_to_wire(opts)))
+        assert options_from_wire(wire) == opts
 
     def test_blob_roundtrip(self):
         obj = {"arr": [1, 2, 3], "opts": Options()}
@@ -549,6 +564,64 @@ class TestDaemon:
                 {"op": "ping", "v": PROTOCOL_VERSION + 1})
         assert ei.value.kind == "bad-request"
 
+    def test_v1_compile_refused_and_client_falls_back(self, daemon,
+                                                      monkeypatch):
+        """A v1 client expects one pickled program: the daemon refuses
+        it, and such a client compiles locally."""
+        _, path = daemon
+        opts = Options(nprocs=4)
+        with pytest.raises(ServiceError) as ei:
+            CompileClient(path).request(
+                {"op": "compile", "v": 1, "source": BASE,
+                 "opts": options_to_wire(opts)})
+        assert ei.value.kind == "bad-request"
+        monkeypatch.setattr(client_mod, "PROTOCOL_VERSION", 1)
+        got, info = compile_with_fallback(BASE, opts, server=path)
+        assert info["used"] == "local"
+        assert "bad-request" in info["cause"]
+        assert_same_program(got, compile_program(BASE, opts))
+
+    @pytest.mark.parametrize("have", ["abc", [1, 2], {"k": "v"}, [["k"]]],
+                             ids=["string", "ints", "object", "nested"])
+    def test_malformed_have_is_bad_request(self, daemon, have):
+        d, path = daemon
+        with pytest.raises(ServiceError) as ei:
+            CompileClient(path).request(
+                {"op": "compile", "source": BASE,
+                 "opts": options_to_wire(Options()), "have": have})
+        assert ei.value.kind == "bad-request"
+        assert not ei.value.retryable
+        assert "Traceback" not in str(ei.value)
+        assert CompileClient(path).ping()["pong"]
+        assert d.counters["bad"] == 1
+
+    def test_distribute_override_served_identically(self, daemon):
+        _, path = daemon
+        src = stencil1d_source(64, 4)
+        opts = Options(nprocs=4,
+                       distribute=parse_distribute_args(["x=cyclic"]))
+        got, info = compile_with_fallback(src, opts, server=path)
+        assert info["used"] == "server"
+        assert_same_program(got, compile_program(src, opts))
+
+    def test_reply_counters_in_stats_and_metrics(self, daemon):
+        d, path = daemon
+        reset_blob_cache()
+        c = CompileClient(path)
+        before = client_stats()
+        for src in (BASE, EDIT_LEAF, EDIT_LEAF):
+            c.compile(src, Options(nprocs=4))
+        reply = c.stats()["reply"]
+        # cold: 3 shipped; leaf edit: init's new version; repeat: none
+        assert (reply["blobs_shipped"], reply["blobs_elided"]) == (4, 5)
+        assert reply["bytes"] > 0
+        after = client_stats()
+        assert after["blobs_received"] - before["blobs_received"] == 4
+        assert after["blobs_reused"] - before["blobs_reused"] == 5
+        prom = c.metrics()["prometheus"]
+        assert 'fdc_reply_events_total{event="blobs_shipped"} 4' in prom
+        assert 'fdc_reply_events_total{event="blobs_elided"} 5' in prom
+
     def test_shutdown_op(self, tmp_path):
         path = sock_path(tmp_path)
         d = CompileDaemon(path, pool_size=0)
@@ -560,8 +633,164 @@ class TestDaemon:
 
 
 # ---------------------------------------------------------------------------
+# the per-procedure reply and the client's blob cache
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=[0, 1], ids=["pool0", "pool1"])
+def pooled_daemon(request, tmp_path):
+    path = sock_path(tmp_path)
+    d = CompileDaemon(path, pool_size=request.param)
+    t = d.serve_in_thread()
+    yield d, path
+    d.stop()
+    t.join(timeout=5)
+
+
+def shipped(d, compile):
+    """``compile()``'s result and the procedure blobs its reply shipped."""
+    before = d.stats()["reply"]["blobs_shipped"]
+    got = compile()
+    return got, d.stats()["reply"]["blobs_shipped"] - before
+
+
+class TestProcedureReply:
+    def test_count_table(self, pooled_daemon):
+        """k = 8 pipeline: a reply ships exactly the procedures the
+        client's cache lacks, and every reply is the cold compile."""
+        d, path = pooled_daemon
+        c = CompileClient(path)
+        opts = Options(nprocs=4)
+        consts = [f"{100 + j}.25" for j in range(8)]
+        base = pipeline_source(8, consts)
+        consts[5] = "900.75"
+        edit = pipeline_source(8, consts)
+        rows = [(base, True), (edit, False), (edit, False), (edit, True)]
+        counts = []
+        for src, clear in rows:
+            if clear:
+                reset_blob_cache()
+            got, n = shipped(d, lambda s=src: c.compile(s, opts))
+            assert_same_program(got, compile_program(src, opts))
+            counts.append(n)
+        assert counts == [9, 1, 0, 9]
+
+    def test_cold_and_warm_cache_replies_equal_compile_program(
+            self, daemon):
+        """11 apps × RTR / INTRA / INTER at P = 4."""
+        from .test_recompilation import PURE_APPS  # imports this module
+
+        d, path = daemon
+        c = CompileClient(path)
+        for name, src in PURE_APPS:
+            for mode in Mode:
+                opts = Options(nprocs=4, mode=mode)
+                cold = compile_program(src, opts)
+                reset_blob_cache()
+                for cache in ("cold", "warm"):
+                    got, n = shipped(d, lambda: c.compile(src, opts))
+                    assert_same_program(got, cold)
+                    assert repr(got.report) == repr(cold.report), \
+                        (name, mode, cache)
+                    assert (n > 0) == (cache == "cold"), (name, mode)
+
+    def test_cache_is_bounded_lru(self, daemon, monkeypatch):
+        d, path = daemon
+        monkeypatch.setattr(client_mod, "_BLOB_CACHE_CAP", 8)
+        reset_blob_cache()
+        c = CompileClient(path)
+        opts = Options(nprocs=4)
+        for j in range(6):
+            src = pipeline_source(8, [f"{j}.5"] + ["2.25"] * 7)
+            assert c.compile(src, opts).text() \
+                == compile_program(src, opts).text()
+            assert len(client_mod._blob_cache) == 8
+        # 9 procedures, 8 slots: an exact repeat ships the one that
+        # did not fit
+        got, n = shipped(d, lambda: c.compile(src, opts))
+        assert n == 1
+        assert_same_program(got, compile_program(src, opts))
+
+    def test_two_threads_interleaved_edits_share_one_cache(
+            self, daemon, monkeypatch):
+        _, path = daemon
+        monkeypatch.setattr(client_mod, "_BLOB_CACHE_CAP", 16)
+        reset_blob_cache()
+        opts = Options(nprocs=4)
+        edits = [pipeline_source(3, [f"{j}.5", "2.5", f"{j % 7}.25"])
+                 for j in range(200)]
+        want = {s: compile_program(s, opts).text() for s in edits}
+        got = {0: [], 1: []}
+        errors = []
+
+        def work(tid):
+            c = CompileClient(path)
+            try:
+                for s in edits[tid::2] + edits[1 - tid::2]:
+                    got[tid].append((s, c.compile(s, opts).text()))
+                    with client_mod._blob_cache_lock:
+                        assert len(client_mod._blob_cache) <= 16
+            except Exception as e:  # surfaced by the assert below
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors and not any(t.is_alive() for t in threads)
+        for tid in (0, 1):
+            assert len(got[tid]) == 200
+            assert all(text == want[s] for s, text in got[tid])
+        assert len(client_mod._blob_cache) <= 16
+
+
+# ---------------------------------------------------------------------------
 # client fallback
 # ---------------------------------------------------------------------------
+
+
+def check_bad_reply_falls_back(tmp_path, spoil):
+    """A fake daemon answers with a real reply spoilt in place by
+    *spoil*: the client raises ``FrameError`` and caches nothing, and
+    ``compile_with_fallback`` returns the cold compile."""
+    opts = Options(nprocs=4)
+    swept, stats = ServiceCompiler().sweep(BASE, opts)
+    reset_blob_cache()
+    path = sock_path(tmp_path, "fake.sock")
+    lst = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    lst.bind(path)
+    lst.listen(2)
+
+    def serve():
+        for _ in range(2):
+            conn, _ = lst.accept()
+            recv_frame(conn)
+            reply = {"ok": True, "v": PROTOCOL_VERSION,
+                     **pack_pieces(swept, set()), "stats": stats}
+            spoil(reply)
+            send_frame(conn, reply)
+            conn.close()
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    try:
+        with pytest.raises(FrameError):
+            CompileClient(path).compile(BASE, opts)
+        assert not client_mod._blob_cache
+        got, info = compile_with_fallback(BASE, opts, server=path,
+                                          retries=0)
+        assert info["used"] == "local"
+        assert "FrameError" in info["cause"]
+        assert_same_program(got, compile_program(BASE, opts))
+    finally:
+        lst.close()
 
 
 class TestFallback:
@@ -613,30 +842,29 @@ class TestFallback:
             lst.close()
 
     def test_malformed_blob_falls_back(self, tmp_path):
-        """An ok-reply whose pickled payload is garbage is an
-        infrastructure failure, not a result."""
-        path = sock_path(tmp_path, "garbage.sock")
-        lst = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        lst.bind(path)
-        lst.listen(1)
+        """An ok-reply whose procedure blob is not the expected tuple is
+        an infrastructure failure, not a result."""
+        def garbage(reply):
+            key = reply["manifest"]["keys"][0]
+            reply["blobs"][key] = pack_blob({"not": "a program"})
 
-        def garbage():
-            conn, _ = lst.accept()
-            recv_frame(conn)
-            send_frame(conn, {"ok": True, "v": PROTOCOL_VERSION,
-                              "blob": pack_blob({"not": "a program"})})
-            conn.close()
+        check_bad_reply_falls_back(tmp_path, garbage)
 
-        t = threading.Thread(target=garbage, daemon=True)
-        t.start()
-        try:
-            opts = Options(nprocs=4)
-            got, info = compile_with_fallback(BASE, opts, server=path,
-                                              retries=0)
-            assert info["used"] == "local"
-            assert got.text() == compile_program(BASE, opts).text()
-        finally:
-            lst.close()
+    @pytest.mark.parametrize("spoil", [
+        lambda r: r["blobs"].pop(r["manifest"]["keys"][-1]),
+        lambda r: r["blobs"].update(
+            {k: "!!not base64!!" for k in r["blobs"]}),
+        lambda r: r["blobs"].update(
+            {k: pack_blob(("p", "x", 1, None)) for k in r["blobs"]}),
+        lambda r: r.update(head="garbage"),
+        lambda r: r.update(head=pack_blob(["not", "a", "head"])),
+        lambda r: r["manifest"]["units"].append("ghost"),
+        lambda r: r.pop("manifest"),
+    ], ids=["key-neither-shipped-nor-cached", "blob-not-a-pickle",
+            "blob-wrong-tuple", "head-not-a-pickle", "head-wrong-shape",
+            "manifest-inconsistent", "no-manifest"])
+    def test_bad_reply_falls_back(self, tmp_path, spoil):
+        check_bad_reply_falls_back(tmp_path, spoil)
 
     def test_healthy_daemon_used(self, tmp_path):
         path = sock_path(tmp_path)
