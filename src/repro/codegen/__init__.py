@@ -247,7 +247,7 @@ def _generate(program: A.Program, nprocs: int,
                 variants = [Variant(tuple(names), None,
                                     f"internal: {type(ex).__name__}: {ex}")]
                 by_class = _load_variants(ukey, ident, variants, names)
-            store.store(stem, _cache.encode_entry(stem, variants))
+            store.store(stem, _cache.encode_entry(store, stem, variants))
             GEN_COUNTS["units_emitted"] += 1
             emitted = True
         _units[ukey] = by_class

@@ -76,17 +76,19 @@ def entry_stem(key: str, nprocs: int, vectorize: bool) -> str:
     return f"{key}-{nprocs}-{vec}"
 
 
-def entry_header(stem: str) -> str:
+def entry_header(stem: str, store: Optional[Cas] = None) -> str:
     """Line 1 of the entry: ``# repro-codegen <version> <stem>``."""
-    return cas().header(stem).decode().rstrip("\n")
+    return (store or cas()).header(stem).decode().rstrip("\n")
 
 
 def entry_path(stem: str) -> str:
     return cas().path(stem)
 
 
-def encode_entry(stem: str, variants: list[Variant]) -> str:
-    out = [entry_header(stem)]
+def encode_entry(store: Cas, stem: str, variants: list[Variant]) -> str:
+    """The entry *store* keeps for *stem* (the caller resolved the store
+    once, not once per procedure)."""
+    out = [entry_header(stem, store)]
     for v in variants:
         names = " ".join(v.classes)
         out.append(f"{_MARK}{names}{_DEMOTED}{v.cause!r}" if v.text is None

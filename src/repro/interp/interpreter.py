@@ -1424,10 +1424,15 @@ def run_spmd(
         return node
 
     frames = machine.run([make_node(r) for r in range(nprocs)])
-    if machine.user_tracer is not None and trace is None \
+    # the result carries a trace only when one was asked for: a ring
+    # the machine attached on its own is its flight recorder
+    tracer = machine.tracer
+    if tracer is not None and tracer is not trace \
+            and tracer.capacity is not None:
+        tracer = None
+    if tracer is not None and trace is None \
             and isinstance(settings.trace, str):
         from ..obs import write_chrome_trace
 
-        write_chrome_trace(machine.user_tracer, settings.trace)
-    return SPMDResult(machine.stats, frames, prints,
-                      trace=machine.user_tracer)
+        write_chrome_trace(tracer, settings.trace)
+    return SPMDResult(machine.stats, frames, prints, trace=tracer)

@@ -106,11 +106,10 @@ class EventScheduler:
     """
 
     def __init__(self, nprocs: int, timeout_s: float,
-                 tracer: Any = None, metrics: Any = None) -> None:
+                 tracer: Any = None) -> None:
         self.nprocs = nprocs
         self.timeout_s = timeout_s
         self.tracer = tracer
-        self.metrics = metrics
         #: structure-of-arrays rank state
         self.clocks = np.zeros(nprocs, dtype=np.float64)
         self.states = np.full(nprocs, S_READY, dtype=np.int8)
@@ -179,8 +178,6 @@ class EventScheduler:
         self.states[rank] = S_BLOCKED_RECV
         self._detail[rank] = key
         self.clocks[rank] = clock
-        if self.metrics is not None:
-            self.metrics.block_recv.inc()
         if self.tracer is not None:
             self.tracer.emit(
                 rank, ("sched.block", clock, 0.0, "recv", key[0], key[1]))
@@ -189,8 +186,6 @@ class EventScheduler:
         self.states[rank] = S_BLOCKED_COLL
         self._detail[rank] = label
         self.clocks[rank] = clock
-        if self.metrics is not None:
-            self.metrics.block_coll.inc()
         if self.tracer is not None:
             self.tracer.emit(rank, ("sched.block", clock, 0.0, "collective",
                                     ABSENT, ABSENT, label))

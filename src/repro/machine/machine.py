@@ -43,9 +43,9 @@ from .scheduler import resolve_scheduler
 from .stats import RunStats
 from .topology import Topology, resolve_topology
 from .wire import Wire
-from ..obs import Tracer
-from ..obs.flightrec import FlightRecorder, dump_postmortem
-from ..obs.metrics import SimMetrics, resolve_metrics
+from ..obs import Tracer, resolve_trace
+from ..obs.flightrec import dump_postmortem
+from ..obs.metrics import SimMetrics, record_run, resolve_metrics
 from ..settings import Settings
 
 
@@ -333,28 +333,20 @@ class Machine:
             )
         self.stats = RunStats(nprocs=nprocs, scheduler=self.scheduler,
                               topology=self.topology.describe())
-        if trace is True or (trace is None and s.trace):
-            trace = Tracer(sample=s.trace_sample)
-        #: the tracer the caller asked for (None for untraced runs —
-        #: SPMDResult.trace mirrors this, never the flight recorder)
-        self.user_tracer = trace if isinstance(trace, Tracer) else None
-        self.tracer = self.user_tracer
-        self.flightrec: Optional[FlightRecorder] = None
-        if self.tracer is None and trace is not False:
-            # always-on flight recorder: a bounded ring of recent
-            # events per rank, so a run that dies leaves a postmortem
-            # even though nobody requested a trace
-            if s.flightrec > 0:
-                self.flightrec = FlightRecorder(nprocs, capacity=s.flightrec)
-                self.tracer = self.flightrec
         self.metrics = resolve_metrics(
             s.metrics if metrics is None else metrics)
-        self.sim_metrics: Optional[SimMetrics] = (
-            None if self.metrics is None
-            else SimMetrics(self.metrics, backend=self.scheduler,
-                            topology=self.topology.describe())
-        )
+        #: the run's one sink: the trace the caller asked for, else the
+        #: always-on flight recorder (a ring of recent events per rank,
+        #: so a run that dies leaves a postmortem), else a ring keeping
+        #: nothing when only the metrics fold needs the records
+        self.tracer: Optional[Tracer] = resolve_trace(trace, s)
+        if self.tracer is None:
+            capacity = 0 if trace is False else s.flightrec
+            if capacity or self.metrics is not None:
+                self.tracer = Tracer(nprocs, capacity=capacity)
         if self.tracer is not None:
+            self.tracer.fold = None if self.metrics is None \
+                else SimMetrics(self.metrics, self.scheduler).fold
             self.tracer.ensure_ranks(nprocs)
             self.tracer.meta.update(
                 nprocs=nprocs, scheduler=self.scheduler, cost=str(cost),
@@ -364,7 +356,7 @@ class Machine:
             if self.faults is not None:
                 self.tracer.meta["faults"] = str(self.faults)
         self.wire = Wire(nprocs, cost, self.stats, self.faults, self.tracer,
-                         self.topology, self.sim_metrics)
+                         self.topology)
         if self.scheduler == "event":
             from .event import (
                 EventCollectives,
@@ -374,8 +366,7 @@ class Machine:
 
             self.detector = None
             self._sched = EventScheduler(nprocs, timeout_s,
-                                         tracer=self.tracer,
-                                         metrics=self.sim_metrics)
+                                         tracer=self.tracer)
             self.network = EventNetwork(self.wire, self._sched, timeout_s)
             self.collectives = EventCollectives(self.wire, self._sched)
             self._sched.network = self.network
@@ -431,9 +422,9 @@ class Machine:
                 dispatches=sched.dispatches if sched else self.nprocs,
                 switches=sched.switches if sched else 0,
             )
-            if self.sim_metrics is not None:
-                self.sim_metrics.record_run(self.stats,
-                                            failed=failure is not None)
+            if self.metrics is not None:
+                record_run(self.metrics, self.scheduler, self.stats,
+                           failed=failure is not None)
                 self.stats.record_metrics(self.metrics.snapshot())
             if failure is not None:
                 # postmortem bundle (REPRO_POSTMORTEM_DIR; best-effort,

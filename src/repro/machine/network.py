@@ -78,7 +78,6 @@ class Network:
         self.nprocs = nprocs = wire.nprocs
         self.timeout_s = timeout_s
         self.detector = detector
-        self.metrics = wire.metrics
         self._queues: list[dict[tuple[int, int], deque[_Message]]] = [
             {} for _ in range(nprocs)
         ]
@@ -161,8 +160,6 @@ class Network:
             # This raises DeadlockError right here when this rank's
             # transition completes a deadlock.
             try:
-                if self.metrics is not None:
-                    self.metrics.block_recv.inc()
                 if self.detector is not None:
                     self.detector.block_recv(dst, key, now)
                 remaining = deadline - time.monotonic()
@@ -231,7 +228,6 @@ class CollectiveContext:
         self.timeout_s = timeout_s
         self.detector = detector
         self.network = network
-        self.metrics = wire.metrics
         self._barrier = threading.Barrier(wire.nprocs, action=self._trip)
         self._lock = threading.Lock()
 
@@ -274,8 +270,6 @@ class CollectiveContext:
         if self.network is not None and self.network.failing():
             raise self._failure_error(rank, label)
         try:
-            if self.metrics is not None:
-                self.metrics.block_coll.inc()
             if self.detector is not None:
                 self.detector.block_collective(rank, label, now)
             try:

@@ -8,7 +8,7 @@ variables vs. the calendar heap):
 * :meth:`Wire.post` — a send: sender overhead, topology (or contended
   link) arrival time, injected fault delay, ``RunStats``, ``net.send``;
 * :meth:`Wire.take` — a matched receive: ``max(now, available)`` +
-  receive overhead, blocked-time histogram, ``net.recv``;
+  receive overhead, ``net.recv`` (whose ``wait`` is the blocked time);
 * :meth:`Wire.join` / :meth:`Wire.close_round` / :meth:`Wire.settle` —
   a collective: every rank deposits its contribution, exactly one
   participant closes the round (``max(clocks)``, the rank-ordered
@@ -75,13 +75,12 @@ class Wire:
 
     def __init__(self, nprocs: int, cost: CostModel, stats: RunStats,
                  faults: Optional[FaultPlan], tracer: Any,
-                 topology: Topology, metrics: Any) -> None:
+                 topology: Topology) -> None:
         self.nprocs = nprocs
         self.cost = cost
         self.stats = stats
         self.faults = faults
         self.tracer = tracer
-        self.metrics = metrics
         self.topo = topology
         self._faulty = faults is not None and faults.affects_messages
         self._links = LinkClock() if topology.contention else None
@@ -158,8 +157,6 @@ class Wire:
         clock)."""
         arrive = max(now, m.available_at)
         t = arrive + self.cost.recv_cost(m.nbytes)
-        if self.metrics is not None:
-            self.metrics.recv_blocked.observe(max(0.0, m.available_at - now))
         if self.tracer is not None:
             self.tracer.emit(dst, (
                 "net.recv", now, t - now, m.src, tag, m.nbytes, m.sent_at,
@@ -260,9 +257,6 @@ class Wire:
             )
         else:
             t = maxclock + topo.barrier_cost(self.cost, self.nprocs)
-        if self.metrics is not None:
-            # virtual time spent blocked until the straggler arrived
-            self.metrics.coll_blocked.observe(max(0.0, maxclock - now))
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(rank, ("coll", now, t - now, label, nbytes,

@@ -5,15 +5,17 @@ The paper's whole argument (§9) is *explaining* where messages come from
 and which communication pattern dominates; this package makes that story
 visible for any compiled program:
 
-* :class:`Tracer` — a low-overhead structured event recorder threaded
-  through the compiler driver (host-time phase spans and decision
-  events) and the simulator (virtual-time message lifecycle, scheduler
-  dispatch, collective rendezvous, vectorized-block and comm-cache
-  events).  Off by default; with no sink attached every
-  instrumentation point is a single ``is not None`` test, with one it
-  appends one positional record (:data:`FIELDS` is the schema; event
-  dicts are built on read), and traced and untraced runs are
-  bit-identical.
+* :class:`Tracer` — the one telemetry sink: a low-overhead structured
+  event recorder threaded through the compiler driver (host-time phase
+  spans and decision events) and the simulator (virtual-time message
+  lifecycle, scheduler dispatch, collective rendezvous,
+  vectorized-block and comm-cache events).  It keeps everything, a
+  sample, or — as the always-on flight recorder ``Machine`` attaches
+  to untraced runs — a bounded ring of recent events per rank.  With
+  no sink attached every instrumentation point is a single
+  ``is not None`` test, with one it appends one positional record
+  (:data:`FIELDS` is the schema; event dicts are built on read), and
+  traced and untraced runs are bit-identical.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — export to the
   Chrome trace-event / Perfetto JSON format (``fdc --trace out.json``):
   one track per simulated rank in virtual µs plus compiler-phase tracks
@@ -26,16 +28,16 @@ visible for any compiled program:
 * :class:`MetricsRegistry` (:mod:`.metrics`) — labeled counters,
   gauges, and bucketed latency histograms with p50/p90/p99 extraction;
   the production-telemetry substrate of the compile daemon
-  (``fdc metrics``) and, under ``REPRO_METRICS``, the simulator.
-* :class:`FlightRecorder` (:mod:`.flightrec`) — an always-on bounded
-  ring of recent trace events per rank, dumped via
-  :func:`dump_postmortem` into ``REPRO_POSTMORTEM_DIR`` when a run or
-  a service worker dies.
+  (``fdc metrics``) and, under ``REPRO_METRICS``, the simulator, whose
+  per-event metrics (:class:`SimMetrics`) fold the sink's records.
+* :func:`dump_postmortem` (:mod:`.flightrec`) — the flight recorder's
+  tails, run stats and metrics in one bundle under
+  ``REPRO_POSTMORTEM_DIR`` when a run or a service worker dies.
 """
 
 from .tracer import FIELDS, Tracer, resolve_trace
 from .chrome import chrome_trace, write_chrome_trace
-from .flightrec import FlightRecorder, dump_postmortem
+from .flightrec import dump_postmortem
 from .metrics import (
     MetricsRegistry,
     SimMetrics,
@@ -60,7 +62,6 @@ __all__ = [
     "resolve_trace",
     "chrome_trace",
     "write_chrome_trace",
-    "FlightRecorder",
     "dump_postmortem",
     "MetricsRegistry",
     "SimMetrics",

@@ -84,7 +84,7 @@ def chrome_trace(tracer: Tracer) -> dict[str, Any]:
         out.append(rec)
 
     meta = dict(tracer.meta)
-    dropped = getattr(tracer, "dropped_events", 0)
+    dropped = tracer.dropped_events
     if dropped:
         meta["dropped_events"] = dropped
     return {

@@ -10,12 +10,14 @@ daemon, and ``fdc --stats-json`` all share one schema.
 
 Design constraints (the same contract as :mod:`.tracer`):
 
-* **cheap-when-disabled** — with metrics off, each instrumentation
-  point costs one ``metrics is not None`` test; nothing is allocated.
-* **read-only** — recording never touches simulated state: virtual
-  timestamps come from the same observation points the tracer uses, so
-  metrics-on runs stay bit-identical to metrics-off runs
-  (``tests/test_metrics.py`` enforces it across both backends).
+* **no sites of its own** — the simulator's per-event metrics are a
+  fold over the trace records its one sink is offered
+  (:class:`SimMetrics`); with metrics off the sink carries no fold and
+  nothing is allocated.
+* **read-only** — recording never touches simulated state: the values
+  folded are the records' own, so metrics-on runs stay bit-identical
+  to metrics-off runs (``tests/test_metrics.py`` enforces it across
+  both backends).
 * **hot paths hoist children** — ``family.labels(...)`` resolves a
   label set once to a bound child; a record on the child is one locked
   float add (plus one bisect for histograms).
@@ -33,6 +35,7 @@ from bisect import bisect_left
 from typing import Any, Iterable, Optional, Sequence
 
 from ..settings import Settings
+from .tracer import FIELDS
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -42,6 +45,7 @@ __all__ = [
     "default_registry",
     "metrics_enabled",
     "mirror_counters",
+    "record_run",
     "resolve_metrics",
 ]
 
@@ -382,22 +386,24 @@ def resolve_metrics(metrics: Any = None) -> Optional[MetricsRegistry]:
     return default_registry() if metrics_enabled() else None
 
 
-class SimMetrics:
-    """Pre-bound simulator instruments for one :class:`Machine`.
+#: where the values the fold reads sit in a record, per the schema
+_WAIT = 3 + FIELDS["net.recv"].index("wait")
+_MAXCLOCK = 3 + FIELDS["coll"].index("maxclock")
+_WHY = 3 + FIELDS["sched.block"].index("why")
 
-    Hot-path children (blocked-time histograms, block counters) are
-    hoisted here once per run so the per-event cost is a single locked
-    update; whole-run totals (messages, bytes, dispatches, cache
-    counters) are folded in from :class:`RunStats` at the end of the
-    run rather than per event, keeping metrics-on overhead within the
-    BENCH_obs_metrics bound.
+
+class SimMetrics:
+    """The simulator's per-event metrics: a fold over trace records.
+
+    :meth:`fold` is a :attr:`~repro.obs.tracer.Tracer.fold`, so it sees
+    every record the run's sink is offered, before sampling or ring
+    eviction — the instrumentation sites emit once and know nothing of
+    metrics.  Its children are hoisted here once per run, so a folded
+    record costs one locked update.  Whole-run totals come from
+    :func:`record_run` instead.
     """
 
-    def __init__(self, registry: MetricsRegistry, backend: str,
-                 topology: str = "uniform") -> None:
-        self.registry = registry
-        self.backend = backend
-        self.topology = topology
+    def __init__(self, registry: MetricsRegistry, backend: str) -> None:
         blocked = registry.histogram(
             "repro_sim_blocked_us",
             "virtual µs a rank spent blocked before its operation "
@@ -407,61 +413,73 @@ class SimMetrics:
         self.recv_blocked = blocked.labels(backend=backend, kind="recv")
         self.coll_blocked = blocked.labels(backend=backend,
                                            kind="collective")
-        blocks = registry.counter(
-            "repro_sim_blocks_total",
-            "rank block events by cause", labels=("backend", "why"),
-        )
-        self.block_recv = blocks.labels(backend=backend, why="recv")
-        self.block_coll = blocks.labels(backend=backend,
-                                        why="collective")
-        self._runs = registry.counter(
-            "repro_sim_runs_total", "simulated SPMD runs by outcome",
-            labels=("backend", "outcome"),
-        )
-        self._totals = registry.counter(
-            "repro_sim_events_total",
-            "simulated traffic and scheduling totals across runs",
-            labels=("backend", "event"),
-        )
-        self._wall = registry.histogram(
-            "repro_sim_run_wall_seconds",
-            "host wall-clock of Machine.run", labels=("backend",),
-        ).labels(backend=backend)
-        self._time = registry.histogram(
-            "repro_sim_time_us",
-            "simulated makespan (virtual µs)", labels=("backend",),
-            buckets=DEFAULT_VIRTUAL_BUCKETS,
-        ).labels(backend=backend)
+        #: ``why`` -> counter; only the event loop emits ``sched.block``
+        self._blocks = {}
+        if backend == "event":
+            blocks = registry.counter(
+                "repro_sim_blocks_total",
+                "rank block events by cause", labels=("backend", "why"),
+            )
+            self._blocks = {why: blocks.labels(backend=backend, why=why)
+                            for why in ("recv", "collective")}
 
-    def record_run(self, stats: Any, failed: bool = False) -> None:
-        """Fold one finished run's :class:`RunStats` into the registry
-        (bulk counter adds — one lock round-trip per series)."""
-        outcome = "failed" if failed else "ok"
-        self._runs.inc(1.0, backend=self.backend, outcome=outcome)
-        t = self._totals
-        for event, amount in (
-            ("messages", stats.messages),
-            ("bytes", stats.bytes),
-            ("collectives", stats.collectives),
-            ("collective_bytes", stats.collective_bytes),
-            ("dispatches", stats.dispatches),
-            ("switches", stats.switches),
-            ("guards", stats.guards),
-            ("faulted_messages", stats.faulted_messages),
-            ("retransmits", stats.retransmits),
-        ):
-            if amount:
-                t.labels(backend=self.backend, event=event).inc(amount)
-        mirror_counters(
-            self.registry, "repro_cache_events_total",
-            {
-                "comm_hits": stats.comm_cache_hits,
-                "comm_misses": stats.comm_cache_misses,
-                "codegen_hits": stats.codegen_cache_hits,
-                "codegen_misses": stats.codegen_cache_misses,
-                "codegen_demotions": stats.codegen_demotions,
-            },
-            help="interpreter/codegen cache activity (latest run)",
-        )
-        self._wall.observe(stats.wall_s)
-        self._time.observe(stats.time_us)
+    def fold(self, rec: tuple) -> None:
+        kind = rec[0]
+        if kind == "net.recv":
+            self.recv_blocked.observe(rec[_WAIT])
+        elif kind == "coll":
+            # virtual time spent blocked until the straggler arrived
+            self.coll_blocked.observe(max(0.0, rec[_MAXCLOCK] - rec[1]))
+        elif kind == "sched.block":
+            self._blocks[rec[_WHY]].inc()
+
+
+def record_run(registry: MetricsRegistry, backend: str, stats: Any,
+               failed: bool = False) -> None:
+    """Fold one finished run's :class:`RunStats` into *registry* (bulk
+    counter adds — one lock round-trip per series — rather than per
+    event, keeping metrics-on overhead within the BENCH_obs_metrics
+    bound)."""
+    outcome = "failed" if failed else "ok"
+    registry.counter(
+        "repro_sim_runs_total", "simulated SPMD runs by outcome",
+        labels=("backend", "outcome"),
+    ).inc(1.0, backend=backend, outcome=outcome)
+    t = registry.counter(
+        "repro_sim_events_total",
+        "simulated traffic and scheduling totals across runs",
+        labels=("backend", "event"),
+    )
+    for event, amount in (
+        ("messages", stats.messages),
+        ("bytes", stats.bytes),
+        ("collectives", stats.collectives),
+        ("collective_bytes", stats.collective_bytes),
+        ("dispatches", stats.dispatches),
+        ("switches", stats.switches),
+        ("guards", stats.guards),
+        ("faulted_messages", stats.faulted_messages),
+        ("retransmits", stats.retransmits),
+    ):
+        if amount:
+            t.labels(backend=backend, event=event).inc(amount)
+    mirror_counters(
+        registry, "repro_cache_events_total",
+        {
+            "comm_hits": stats.comm_cache_hits,
+            "comm_misses": stats.comm_cache_misses,
+            "codegen_hits": stats.codegen_cache_hits,
+            "codegen_misses": stats.codegen_cache_misses,
+            "codegen_demotions": stats.codegen_demotions,
+        },
+        help="interpreter/codegen cache activity (latest run)",
+    )
+    registry.histogram(
+        "repro_sim_run_wall_seconds",
+        "host wall-clock of Machine.run", labels=("backend",),
+    ).observe(stats.wall_s, backend=backend)
+    registry.histogram(
+        "repro_sim_time_us",
+        "simulated makespan (virtual µs)", labels=("backend",),
+        buckets=DEFAULT_VIRTUAL_BUCKETS,
+    ).observe(stats.time_us, backend=backend)

@@ -12,16 +12,17 @@ traced-vs-untraced differential suite):
   the batched-charge flush without performing it (an actual flush
   changes floating-point summation order and would alter clocks).
 * **low overhead** — with no sink attached (``trace=False`` or
-  ``REPRO_FLIGHTREC=0``) each instrumentation point costs one
-  ``tracer is not None`` test.  With any sink — the default flight
-  recorder or a full Tracer — an event is one positional tuple and one
-  :meth:`Tracer.emit` call appending it to the rank's stream; the
+  ``REPRO_FLIGHTREC=0``, metrics off) each instrumentation point costs
+  one ``tracer is not None`` test.  With a sink — the default flight
+  recorder ring or a full trace — an event is one positional tuple and
+  one :meth:`Tracer.emit` call appending it to the rank's stream; the
   event *dict* is built only when a consumer reads
   (:attr:`Tracer.rank_events`, :meth:`Tracer.events`, the exports).
   No lock is needed even under the thread-per-rank backend: each
-  rank's stream is only ever appended by code running on behalf of
-  that rank, or — for collective completions — at a rendezvous point
-  where every other participant is parked.
+  rank's stream and offered-event counter are only ever written by
+  code running on behalf of that rank, or — for collective
+  completions — at a rendezvous point where every other participant
+  is parked.
 
 Event schema
 ------------
@@ -44,27 +45,42 @@ trace=...)`` accept a Tracer (or ``True`` for a fresh one); else
 ``REPRO_TRACE`` decides, and may name the file the run's Chrome trace
 is written to.
 
-Sampling
---------
+Retention
+---------
 
-Full-fidelity traces become unusable (and memory-hungry) at
-event-backend scale: P=4096 ranks each produce thousands of events.
-``REPRO_TRACE_SAMPLE=<ranks>[:<events-per-rank>]`` bounds the trace:
-only ``<ranks>`` evenly-spaced ranks record events (rank 0 and the
-last rank always included), and each sampled rank keeps at most
-``<events-per-rank>`` events (0 or omitted = unbounded).  Sampling
-drops *whole* events, so each surviving per-rank stream is an ordered
-subsequence of the unsampled stream — per-rank clock monotonicity is
-preserved (``tests/test_trace_sampling.py`` enforces it).  The drop
-count is tracked in :attr:`Tracer.dropped_events`.
+A tracer keeps one of three things of what it is offered:
+
+* **everything** (the default for a requested trace);
+* **a sample**.  Full-fidelity traces become unusable (and
+  memory-hungry) at event-backend scale: P=4096 ranks each produce
+  thousands of events.  ``REPRO_TRACE_SAMPLE=<ranks>[:<events-per-rank>]``
+  (or ``sample=``) bounds the trace: only ``<ranks>`` evenly-spaced
+  ranks record events (rank 0 and the last rank always included), and
+  each sampled rank keeps at most ``<events-per-rank>`` events (0 or
+  omitted = unbounded).  Sampling drops *whole* events, so each
+  surviving per-rank stream is an ordered subsequence of the unsampled
+  stream — per-rank clock monotonicity is preserved
+  (``tests/test_trace_sampling.py`` enforces it);
+* **a ring** (``capacity=N``): the *N* most recent events per rank,
+  the always-on flight recorder :class:`~repro.machine.machine.Machine`
+  attaches to untraced runs (``REPRO_FLIGHTREC``).  Memory stays
+  O(P · N) however long the run; ``capacity=0`` keeps nothing.
+
+Whatever is kept, one counter per rank counts every event offered:
+:attr:`Tracer.events_seen` is its sum and :attr:`Tracer.dropped_events`
+what retention let go.  An attached :attr:`Tracer.fold` (the
+simulator's metrics, :class:`~repro.obs.metrics.SimMetrics`) sees every
+record before retention decides, so sampling and rings never change
+what it measures.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Optional
+from collections import deque
+from typing import Any, Callable, Optional
 
-from ..settings import Settings, number
+from ..settings import DEFAULT_CAPACITY, Settings, number
 
 #: The rank-event schema: per kind, the names of a record's values
 #: ``v1..vk``, in the order a reader sees them as dict (and JSON) keys.
@@ -120,14 +136,18 @@ def _parse_sample(spec: str) -> tuple[Optional[int], Optional[int]]:
     return _limit(head), _limit(tail)
 
 
-def resolve_trace(trace: Any = None) -> Optional["Tracer"]:
+def resolve_trace(trace: Any = None,
+                  settings: Optional[Settings] = None) -> Optional["Tracer"]:
     """Normalize a ``trace=`` argument: a Tracer passes through,
-    ``True`` makes a fresh one, ``False`` forces tracing off, and
-    ``None`` defers to ``REPRO_TRACE``."""
-    if trace is None:
-        trace = bool(Settings.from_env().trace)
-    if trace is True:
-        return Tracer()
+    ``True`` makes a fresh one (sampled per ``REPRO_TRACE_SAMPLE``),
+    ``False`` forces tracing off, and ``None`` defers to
+    ``REPRO_TRACE``.  *settings* saves a caller that already holds them
+    a second read of the environment."""
+    if trace is None or trace is True:
+        s = Settings.from_env() if settings is None else settings
+        if trace or s.trace:
+            return Tracer(sample=s.trace_sample)
+        return None
     return trace if isinstance(trace, Tracer) else None
 
 
@@ -150,19 +170,33 @@ class _PhaseSpan:
 
 
 class Tracer:
-    """Collects host-time compiler events and virtual-time rank events."""
+    """Collects host-time compiler events and virtual-time rank events.
 
-    def __init__(self, nprocs: int = 0, sample: Any = None) -> None:
-        self.host_events: list[dict] = []
+    Retention (module docstring) is chosen here: *capacity* makes a
+    per-rank ring of that many records (and of host events), else
+    *sample* is a ``REPRO_TRACE_SAMPLE`` spec, False for full fidelity,
+    or None to defer to ``REPRO_TRACE_SAMPLE``.
+    """
+
+    def __init__(self, nprocs: int = 0, sample: Any = None,
+                 capacity: Optional[int] = None) -> None:
+        #: ring size per rank, None when not a ring
+        self.capacity = None if capacity is None else max(0, capacity)
+        self.host_events: Any = [] if capacity is None \
+            else deque(maxlen=self.capacity)
         #: one stream of ``(kind, ts, dur, *values)`` records per rank
         self.streams: list[Any] = []
+        #: events offered per rank, whatever retention kept
+        self._seen: list[int] = []
+        #: called with every record :meth:`emit` is offered, before
+        #: retention (None: nothing folds)
+        self.fold: Optional[Callable[[tuple], None]] = None
         self.meta: dict[str, Any] = {}
         self._depth = 0
         self.epoch = time.perf_counter()
-        # -- sampling (see module docstring): *sample* is a spec
-        # string, False to force full fidelity, or None to defer to
-        # REPRO_TRACE_SAMPLE
-        if sample is None:
+        if capacity is not None:
+            sample = False
+        elif sample is None:
             sample = Settings.from_env().trace_sample
         self.sample_ranks: Optional[int] = None
         self._budget: Optional[int] = None
@@ -171,19 +205,17 @@ class Tracer:
             self.meta["trace_sample"] = sample
         #: ranks allowed to record (None = all ranks)
         self._sampled: Optional[set[int]] = None
-        self.dropped_events = 0
         self.ensure_ranks(nprocs)
 
     # -- machine attachment -------------------------------------------------
-
-    def _new_stream(self) -> Any:
-        return []
 
     def ensure_ranks(self, nprocs: int) -> None:
         """Grow the per-rank event streams to *nprocs* tracks (the
         tracer may be created before the machine exists)."""
         while len(self.streams) < nprocs:
-            self.streams.append(self._new_stream())
+            self.streams.append([] if self.capacity is None
+                                else deque(maxlen=self.capacity))
+            self._seen.append(0)
         n = self.sample_ranks
         P = len(self.streams)
         if n is not None and P > n:
@@ -233,15 +265,17 @@ class Tracer:
     # -- simulator (virtual time) -------------------------------------------
 
     def emit(self, rank: int, rec: tuple) -> None:
-        """The sink every instrumentation site calls: append the record
-        ``(kind, ts, dur, *values)`` to *rank*'s stream (dropped whole
-        when the sampling policy excludes it)."""
+        """The sink every instrumentation site calls: fold the record
+        ``(kind, ts, dur, *values)``, count it, and append it to
+        *rank*'s stream (dropped whole when the sampling policy
+        excludes it; a ring evicts its oldest)."""
+        if self.fold is not None:
+            self.fold(rec)
+        self._seen[rank] += 1
         if self._sampled is not None and rank not in self._sampled:
-            self.dropped_events += 1
             return
         stream = self.streams[rank]
         if self._budget is not None and len(stream) >= self._budget:
-            self.dropped_events += 1
             return
         stream.append(rec)
 
@@ -270,8 +304,36 @@ class Tracer:
             for rank, stream in enumerate(self.streams)
         ]
 
+    @property
+    def events_seen(self) -> int:
+        """Rank events offered to :meth:`emit`, kept or not."""
+        return sum(self._seen)
+
+    @property
+    def dropped_events(self) -> int:
+        """Rank events offered but not kept (sampled out, over budget,
+        or evicted from a ring)."""
+        return self.events_seen - sum(map(len, self.streams))
+
     def event_count(self) -> int:
         return len(self.host_events) + sum(map(len, self.streams))
+
+    def tail(self) -> dict:
+        """The recent history a postmortem bundle holds, JSON-ready: the
+        last ``capacity`` events of each stream (``DEFAULT_CAPACITY``
+        when this is not a ring), materialised after slicing — a full
+        trace may hold millions of records.  Only ranks that recorded
+        anything appear."""
+        cap = DEFAULT_CAPACITY if self.capacity is None else self.capacity
+        return {
+            "capacity": cap,
+            "events_seen": self.events_seen,
+            "host": list(self.host_events)[-cap:],
+            "ranks": {
+                str(r): [event_dict(r, rec) for rec in list(stream)[-cap:]]
+                for r, stream in enumerate(self.streams) if stream
+            },
+        }
 
     def events(self, kind: str | tuple[str, ...] | None = None
                ) -> list[dict]:

@@ -21,7 +21,7 @@ import tempfile
 import pytest
 
 from repro.machine import SCHEDULERS
-from repro.obs import FlightRecorder
+from repro.obs import Tracer
 
 os.environ.setdefault("REPRO_SIM_TIMEOUT", "20")
 
@@ -41,16 +41,18 @@ SCHEDULER_SPELLINGS = SCHEDULERS + ("coop",)
 
 @pytest.fixture
 def recorders(monkeypatch):
-    """Every flight recorder a ``Machine`` attaches during the test
-    (``cp.run`` does not hand its machine back)."""
+    """Every ring tracer a ``Machine`` makes for itself during the test
+    — its flight recorder, or the empty ring a metrics fold rides on
+    (``cp.run`` does not hand its machine back).  A trace the caller
+    asked for is made elsewhere and is not collected."""
     made = []
 
-    class Spy(FlightRecorder):
+    class Spy(Tracer):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    monkeypatch.setattr("repro.machine.machine.FlightRecorder", Spy)
+    monkeypatch.setattr("repro.machine.machine.Tracer", Spy)
     return made
 
 

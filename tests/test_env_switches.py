@@ -120,6 +120,38 @@ class TestDirectories:
         assert gen_cache.cas().directory == str(tmp_path / "g")
 
 
+def test_cold_codegen_reads_settings_once_per_program(monkeypatch, tmp_path):
+    """Codegen resolves its store once per program, not once per emitted
+    procedure: a cold compile of 32 stages reads the environment as
+    often as one of 8."""
+    from repro.codegen import GEN_COUNTS, reset_memory
+    from repro.core.driver import compile_program
+    from repro.core.options import Options
+
+    from .conftest import pipeline_source
+
+    monkeypatch.delenv("REPRO_CODEGEN", raising=False)
+    reads = 0
+    from_env = Settings.from_env.__func__
+
+    def counted(cls):
+        nonlocal reads
+        reads += 1
+        return from_env(cls)
+
+    monkeypatch.setattr(Settings, "from_env", classmethod(counted))
+    counts = {}
+    for k in (8, 32):
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / str(k)))
+        reset_memory()
+        reads = 0
+        compile_program(pipeline_source(k), Options(nprocs=4))
+        assert GEN_COUNTS["units_emitted"] == k + 1
+        counts[k] = reads
+    assert counts[8] == counts[32]
+    reset_memory()
+
+
 def test_settings_has_one_field_per_name():
     names = set(re.findall(r"REPRO_[A-Z_]+", pathlib.Path(
         repro.__file__).with_name("settings.py").read_text()))

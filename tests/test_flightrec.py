@@ -1,10 +1,11 @@
 """Flight-recorder and postmortem-bundle tests.
 
-The recorder must stay bounded (O(P · capacity) memory no matter how
-long the run), attach automatically to untraced runs without leaking
-into ``SPMDResult.trace``, and — when ``REPRO_POSTMORTEM_DIR`` is set —
-a run that dies (deadlock on any backend, crashed service worker) must
-leave one complete JSON bundle behind.
+The flight recorder is a ``Tracer`` ring.  It must stay bounded
+(O(P · capacity) memory no matter how long the run), attach
+automatically to untraced runs without leaking into
+``SPMDResult.trace``, and — when ``REPRO_POSTMORTEM_DIR`` is set — a
+run that dies (deadlock on any backend, crashed service worker) must
+leave one complete JSON bundle behind, whichever sink the run had.
 """
 
 from __future__ import annotations
@@ -21,14 +22,10 @@ from repro.core.options import Mode, Options
 from repro.machine import FREE, Machine, resolve_scheduler
 from repro.machine.network import SimulationError
 from repro.obs import FIELDS, Tracer
-from repro.obs.flightrec import (
-    DEFAULT_CAPACITY,
-    FlightRecorder,
-    dump_postmortem,
-)
+from repro.obs.flightrec import dump_postmortem
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ServiceCompiler, WorkerPool
-from repro.settings import Settings
+from repro.settings import DEFAULT_CAPACITY, Settings
 
 from .conftest import SCHEDULER_SPELLINGS
 from .test_service import BASE
@@ -59,7 +56,7 @@ class TestCapacity:
         assert Settings.from_env().flightrec == expect
 
     def test_ring_is_bounded(self):
-        fr = FlightRecorder(2, capacity=8)
+        fr = Tracer(2, capacity=8)
         for i in range(100):
             fr.rank_event(0, "net.send", float(i))
         assert fr.events_seen == 100
@@ -75,7 +72,7 @@ class TestCapacity:
         """One counter per rank, each written only by that rank's
         writers: P threads emitting at once lose no count."""
         P, N = 8, 4000
-        fr = FlightRecorder(P, capacity=4)
+        fr = Tracer(P, capacity=4)
         go = threading.Event()
 
         def writer(rank):
@@ -102,17 +99,28 @@ class TestCapacity:
     def test_machine_attachment(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
-        m = Machine(2)
-        assert isinstance(m.tracer, FlightRecorder)
-        assert m.user_tracer is None  # the recorder is not a user trace
+        monkeypatch.delenv("REPRO_METRICS", raising=False)
+        assert Machine(2).tracer.capacity == DEFAULT_CAPACITY
+        monkeypatch.setenv("REPRO_FLIGHTREC", "64")
+        assert Machine(2).tracer.capacity == 64
         monkeypatch.setenv("REPRO_FLIGHTREC", "0")
         assert Machine(2).tracer is None
+        # metrics alone: a ring that keeps nothing carries the fold
+        m = Machine(2, metrics=MetricsRegistry())
+        assert m.tracer.capacity == 0 and m.tracer.fold is not None
         # an explicit trace wins: no recorder rides along
         monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
-        m = Machine(2, trace=True)
-        assert m.tracer is m.user_tracer
-        assert isinstance(m.tracer, Tracer)
-        assert not isinstance(m.tracer, FlightRecorder)
+        t = Tracer()
+        assert Machine(2, trace=t).tracer is t
+        assert Machine(2, trace=True).tracer.capacity is None
+        assert Machine(2, trace=False).tracer is None
+        # ... and only an asked-for trace reaches the result
+        cp = compile_program(stencil1d_source(32, 1),
+                             Options(nprocs=2, mode=Mode.INTER))
+        assert cp.run().trace is None
+        assert cp.run(trace=t).trace is t
+        ring = Tracer(capacity=8)
+        assert cp.run(trace=ring).trace is ring
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_SPELLINGS)
@@ -147,6 +155,52 @@ def _load_bundle(directory, kind):
     files = sorted(directory.glob(f"postmortem-{kind}-*.json"))
     assert files, f"no {kind} bundle in {directory}"
     return json.loads(files[-1].read_text())
+
+
+def _ring_then_hang(ctx):
+    """Four ranks pass a token round a ring and meet at a barrier;
+    then rank 3 waits for a message nobody sends."""
+    r, p = ctx.rank, ctx.nprocs
+    ctx.send((r + 1) % p, 1, r, 8)
+    yield from ctx.recv_y((r - 1) % p, 1)
+    yield from ctx.barrier_y()
+    if r == 3:
+        yield from ctx.recv_y(0, 9)
+
+
+def _traced_with_a_phase():
+    t = Tracer(sample=False)
+    with t.phase("setup"):  # a host event is not a rank event
+        pass
+    return t
+
+
+@pytest.mark.parametrize("sink", [
+    lambda: None, _traced_with_a_phase, lambda: Tracer(sample="2:1"),
+], ids=["default-ring", "full-trace", "sampled"])
+def test_bundle_events_seen_is_every_offered_event(tmp_path, monkeypatch,
+                                                   sink):
+    """``events_seen`` counts the rank events the run offered its sink,
+    whichever sink it was: not the host events a trace also holds, and
+    not only the ones sampling kept."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
+    monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
+
+    def run(trace):
+        with pytest.raises(SimulationError, match="deadlock"):
+            Machine(4, FREE, timeout_s=10.0, scheduler="event",
+                    trace=trace).run(_ring_then_hang)
+
+    full = Tracer(sample=False)
+    run(full)
+    offered = sum(map(len, full.streams))
+    assert offered == 30
+    for f in tmp_path.iterdir():
+        f.unlink()
+    run(sink())
+    bundle = _load_bundle(tmp_path, "simulation-error")
+    assert bundle["events"]["events_seen"] == offered
 
 
 class TestDumpPostmortem:

@@ -15,10 +15,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.apps.cg import cg_source
 from repro.apps.stencil import stencil1d_source
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
 from repro.machine import FREE, Machine, resolve_scheduler
+from repro.obs import Tracer
 from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
@@ -213,3 +215,90 @@ class TestSimulatorMetrics:
         for key in ("time_us", "messages", "bytes", "collectives",
                     "guards", "dispatches", "total_bytes"):
             assert a[key] == b[key], f"{key} perturbed by metrics"
+
+
+# ---------------------------------------------------------------------------
+# the per-event metrics are a fold over the sink's records
+# ---------------------------------------------------------------------------
+
+#: app -> blocked-time histogram rows (kind -> count, sum, nonzero
+#: buckets) and event-backend block counts (why -> value), as the
+#: simulator measured them before the fold replaced its own hooks
+PINNED = {
+    "stencil": (
+        stencil1d_source(64, 2),
+        {"recv": (12, 313.9400000000001, {"1": 7, "2.5": 2, "250": 3}),
+         "collective": (0, 0.0, {})},
+        {"recv": 6.0, "collective": 0.0},
+    ),
+    "cg": (
+        cg_source(64, 5),
+        {"recv": (30, 537.5000000000009,
+                  {"1": 15, "2.5": 9, "5": 1, "250": 5}),
+         "collective": (124, 517.2500000000034,
+                        {"1": 114, "2.5": 5, "250": 5})},
+        {"recv": 11.0, "collective": 93.0},
+    ),
+}
+
+
+def _sim_rows(snap):
+    """The folded families of a snapshot, keyed by their labels."""
+    return {
+        name: {
+            tuple(sorted(v["labels"].items())):
+                {k: x for k, x in v.items() if k != "labels"}
+            for v in snap.get(name, {"values": []})["values"]
+        }
+        for name in ("repro_sim_blocked_us", "repro_sim_blocks_total")
+    }
+
+
+@pytest.mark.parametrize("app", sorted(PINNED))
+@pytest.mark.parametrize("scheduler", ["event", "threads"])
+def test_fold_reproduces_pinned_values(app, scheduler):
+    src, blocked, blocks = PINNED[app]
+    reg = MetricsRegistry()
+    compile_program(src, OPTS).run(scheduler=scheduler, metrics=reg)
+    snap = reg.snapshot()
+    rows = {v["labels"]["kind"]: v
+            for v in snap["repro_sim_blocked_us"]["values"]}
+    assert set(rows) == set(blocked)
+    for kind, (count, total, buckets) in blocked.items():
+        row = rows[kind]
+        assert row["labels"]["backend"] == scheduler
+        assert row["count"] == count
+        # threads rank interleaving may reorder the float additions
+        assert row["sum"] == (total if scheduler == "event"
+                              else pytest.approx(total, rel=1e-12))
+        assert {b: c for b, c in row["buckets"].items() if c} == buckets
+    # only the event loop blocks in simulated time; the threads backend
+    # emits no sched.block records and has no block-counter rows
+    got = {v["labels"]["why"]: v["value"]
+           for v in snap.get("repro_sim_blocks_total",
+                             {"values": []})["values"]
+           if v["labels"]["backend"] == scheduler}
+    assert got == (blocks if scheduler == "event" else {})
+
+
+@pytest.mark.parametrize("app", sorted(PINNED))
+def test_fold_sees_what_retention_drops(app, monkeypatch):
+    """One snapshot under four sinks: the default ring, a full trace,
+    a trace sampled down to one event of one rank, and no recorder at
+    all — the fold reads every record before retention decides."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
+    cp = compile_program(PINNED[app][0], OPTS)
+
+    def folded(trace=None):
+        reg = MetricsRegistry()
+        cp.run(scheduler="event", trace=trace, metrics=reg)
+        return _sim_rows(reg.snapshot())
+
+    ring = folded()
+    assert ring == folded(True)
+    sampled = Tracer(sample="1:1")
+    assert ring == folded(sampled)
+    assert sampled.dropped_events > 0
+    monkeypatch.setenv("REPRO_FLIGHTREC", "0")
+    assert ring == folded()

@@ -70,9 +70,9 @@ class TestResolve:
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         assert resolve_trace(None) is None
-        # an untraced Machine may still carry a flight recorder on
-        # .tracer, but no *user* tracer is attached
-        assert Machine(2).user_tracer is None
+        # an untraced Machine may still carry its flight recorder on
+        # .tracer — a ring, not a trace — and the result carries none
+        assert Machine(2).tracer.capacity is not None
         cp = compile_program(stencil1d_source(32, 1),
                              Options(nprocs=2, mode=Mode.INTER))
         assert cp.run().trace is None
@@ -93,9 +93,17 @@ class TestResolve:
     def test_machine_attaches_tracer(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         m = Machine(3, trace=True)
-        assert m.tracer is not None
+        assert m.tracer is not None and m.tracer.capacity is None
         assert m.tracer.nprocs == 3
         assert m.tracer.meta["nprocs"] == 3
+        # REPRO_TRACE asks for a trace as trace=True does: the result
+        # carries the machine's full tracer
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        cp = compile_program(stencil1d_source(32, 1),
+                             Options(nprocs=2, mode=Mode.INTER))
+        res = cp.run()
+        assert res.trace is not None and res.trace.capacity is None
+        assert res.trace.events("net.send")
 
 
 # ---------------------------------------------------------------------------
