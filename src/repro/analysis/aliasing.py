@@ -79,13 +79,12 @@ def check_dynamic_decomposition(acg: ACG, aliases: AliasInfo) -> None:
     from ..core.reaching import build_directive_table
 
     for name in acg.nodes:
-        proc = acg.node(name).proc
-        is_main = proc.kind == "program"
-        dynamic = find_dynamic_distributes(proc, is_main)
-        if not dynamic:
-            continue
         bad = aliases.aliased_formals(name)
         if not bad:
+            continue
+        proc = acg.node(name).proc
+        dynamic = find_dynamic_distributes(proc, proc.kind == "program")
+        if not dynamic:
             continue
         table = build_directive_table(proc)
         for stmt in dynamic:

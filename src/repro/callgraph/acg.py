@@ -12,8 +12,9 @@ index of P1's loop running 1:100 step 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Optional
 
+from ..lang import UnitSummary
 from ..lang import ast as A
 from ..lang.printer import expr_str
 
@@ -75,16 +76,22 @@ class ProcNode:
     proc: A.Procedure
     loops: list[LoopInfo] = field(default_factory=list)
     call_sites: list[CallSite] = field(default_factory=list)  # outgoing
+    callers: list[CallSite] = field(default_factory=list)  # incoming
+    #: the unit's local summary when ``proc`` is its tree as parsed;
+    #: None for clones and units the front end rewrote
+    summary: Optional[UnitSummary] = None
 
 
 class ACG:
-    """The augmented call graph for a whole program."""
+    """The augmented call graph for a whole program.  *local* maps unit
+    names to their local summaries (see :attr:`ProcNode.summary`)."""
 
-    def __init__(self, program: A.Program) -> None:
+    def __init__(self, program: A.Program,
+                 local: Optional[dict[str, UnitSummary]] = None) -> None:
         self.program = program
         self.nodes: dict[str, ProcNode] = {}
         self.calls: list[CallSite] = []
-        self._build()
+        self._build(local or {})
         self._check_recursion()
 
     # -- queries ---------------------------------------------------------
@@ -100,7 +107,7 @@ class ACG:
         return self.nodes[name].call_sites
 
     def calls_to(self, name: str) -> list[CallSite]:
-        return [c for c in self.calls if c.callee == name]
+        return self.nodes[name].callers
 
     def callees(self, name: str) -> set[str]:
         return {c.callee for c in self.calls_from(name)}
@@ -131,9 +138,10 @@ class ACG:
 
     # -- construction ------------------------------------------------------
 
-    def _build(self) -> None:
+    def _build(self, local: dict[str, UnitSummary]) -> None:
         for unit in self.program.units:
-            self.nodes[unit.name] = ProcNode(unit)
+            self.nodes[unit.name] = ProcNode(unit,
+                                             summary=local.get(unit.name))
         for unit in self.program.units:
             self._scan_body(unit, unit.body, [])
 
@@ -200,6 +208,7 @@ class ACG:
                     site.index_formals[formal] = loop_by_var[actual.name]
         self.calls.append(site)
         self.nodes[unit.name].call_sites.append(site)
+        callee.callers.append(site)
 
     def _check_recursion(self) -> None:
         WHITE, GRAY, BLACK = 0, 1, 2

@@ -10,7 +10,10 @@ takes over).
 
 Cloning changes the call graph, which changes reaching decompositions in
 descendants, so the driver iterates: analyze, clone the first procedure
-that needs it (in topological order), re-analyze — until stable.
+that needs it (in topological order), re-analyze — until stable.  Units
+still as parsed keep their local summaries, so a re-analysis re-solves
+only the clones, the redirected callers and the procedures whose entry
+facts changed.
 """
 
 from __future__ import annotations
@@ -44,43 +47,64 @@ def _filter(facts: frozenset[Fact], names: set[str]) -> frozenset[Fact]:
 
 
 def _partition_calls(
-    acg: ACG, reaching: ReachingResult, appear_sets: dict[str, set[str]],
-    name: str,
+    acg: ACG, reaching: ReachingResult, name: str,
 ) -> list[tuple[frozenset[Fact], list]]:
-    """Group calls to *name* by filtered reaching facts."""
+    """Group calls to *name* by their (unfiltered) reaching facts."""
     groups: dict[frozenset[Fact], list] = {}
     for site in acg.calls_to(name):
         facts = reaching.site_reaching.get(site.id, frozenset())
-        key = _filter(facts, appear_sets[name])
-        groups.setdefault(key, []).append(site)
+        groups.setdefault(facts, []).append(site)
     return list(groups.items())
 
 
-def clone_program(program: A.Program, opts: Options) -> CloneOutcome:
+def _merge_filtered(
+    groups: list[tuple[frozenset[Fact], list]], appear: set[str],
+) -> list[tuple[frozenset[Fact], list]]:
+    """Merge *groups* whose keys agree once filtered to *appear*: the
+    partition by ``Filter(facts, Appear)``, groups in the same order."""
+    merged: dict[frozenset[Fact], list] = {}
+    for key, sites in groups:
+        merged.setdefault(_filter(key, appear), []).extend(sites)
+    return list(merged.items())
+
+
+def clone_program(program: A.Program, opts: Options,
+                  local: dict | None = None) -> CloneOutcome:
     """Iteratively clone until every procedure has a single partition of
-    callers (or the growth cap is hit)."""
+    callers (or the growth cap is hit).  *local* maps the units still as
+    parsed to their local summaries (see :class:`~repro.callgraph.acg.ACG`);
+    a caller whose calls are redirected to a clone leaves it."""
     original_count = len(program.units)
     clones: dict[str, list[str]] = {}
+    local = dict(local or {})
     while True:
-        acg = ACG(program)
+        acg = ACG(program, local)
         reaching = compute_reaching(acg, opts)
         outcome = CloneOutcome(program, acg, reaching, clones)
         if not opts.enable_cloning:
             return outcome
-        effects = compute_side_effects(acg)
-        appear_sets = {
-            name: effects[name].appear & (
-                set(program.unit(name).formals)
-                | set(program.unit(name).commons)
-            )
-            for name in acg.nodes
-        }
+        # Filter only merges groups, so side effects (for Appear) are
+        # needed only once some procedure has two unfiltered groups;
+        # its filtered partition merges those groups
+        appear_sets = None
         changed = False
         for name in acg.topological_order():
             proc = program.unit(name)
             if proc.kind == "program":
                 continue
-            groups = _partition_calls(acg, reaching, appear_sets, name)
+            groups = _partition_calls(acg, reaching, name)
+            if len(groups) <= 1:
+                continue
+            if appear_sets is None:
+                effects = compute_side_effects(acg)
+                appear_sets = {
+                    n: effects[n].appear & (
+                        set(program.unit(n).formals)
+                        | set(program.unit(n).commons)
+                    )
+                    for n in acg.nodes
+                }
+            groups = _merge_filtered(groups, appear_sets[name])
             if len(groups) <= 1:
                 continue
             if len(program.units) + len(groups) - 1 > (
@@ -98,6 +122,7 @@ def clone_program(program: A.Program, opts: Options) -> CloneOutcome:
                 clone_names.append(clone_name)
                 for site in sites:
                     site.stmt.name = clone_name
+                    local.pop(site.caller, None)
             clones.setdefault(name, []).extend(clone_names)
             changed = True
             break  # re-analyze from scratch after each transformation

@@ -27,7 +27,7 @@ from ..callgraph.acg import ACG
 from ..dist import Distribution
 from ..interp.interpreter import SPMDResult, run_spmd
 from ..lang import ast as A
-from ..lang import parse, program_str
+from ..lang import parse_summaries, program_str
 from ..machine.costmodel import CostModel, IPSC860
 from ..obs import resolve_trace
 from ..settings import Settings
@@ -61,8 +61,8 @@ from .reaching import ReachingResult, compute_reaching
 from .recompile import (
     ProcSummary,
     inputs_fingerprint,
-    source_fingerprint,
     store_opts_fingerprint,
+    unit_fingerprint,
 )
 
 
@@ -693,21 +693,31 @@ def front_end(
     source: Union[str, A.Program], opts: Options, tracer=None
 ):
     """The compiler front end shared by the whole-program driver and the
-    compile service: parse, interprocedural analysis (cloning + reaching
-    decompositions), and the §6.4 alias check.  Returns ``(prog, acg,
-    reaching, report)`` with the report seeded with cloning outcomes.
-    Deterministic: every process running it over the same source and
-    options reconstructs identical structures."""
+    compile service: the paper's phases 1 and 2 — local summaries (per
+    unit text, memoised: :func:`~repro.lang.parse_summaries`), then
+    interprocedural analysis (cloning + reaching decompositions) and the
+    §6.4 alias check.  Returns ``(prog, acg, reaching, report)`` with
+    the report seeded with cloning outcomes; ``acg`` carries the local
+    summaries of the units still as parsed.  Deterministic: every
+    process running it over the same source and options reconstructs
+    identical structures."""
     span = _spans(tracer)
     with span("parse"):
-        prog = parse(source) if isinstance(source, str) \
-            else _deep_copy(source)
+        if isinstance(source, str):
+            summaries = parse_summaries(source)
+            prog = A.Program([s.tree() for s in summaries])
+            local = {s.name: s for s in summaries}
+            if len(local) < len(summaries):  # duplicate unit names
+                local = {}
+        else:
+            prog, local = _deep_copy(source), {}
     if opts.distribute:
         # plan overrides rewrite DISTRIBUTE statements *before* any
         # analysis, so every downstream fact (reaching decompositions,
         # fingerprints, worker re-runs) sees the overridden layout
         with span("distribution-overrides"):
-            apply_dist_overrides(prog, opts.distribute)
+            for name in apply_dist_overrides(prog, opts.distribute):
+                local.pop(name, None)
             if tracer is not None:
                 for ov in opts.distribute:
                     tracer.decision("dist-override", spec=ov.describe())
@@ -715,7 +725,7 @@ def front_end(
 
     with span("interprocedural-analysis"):
         if opts.mode in (Mode.INTER, Mode.INTRA):
-            outcome = clone_program(prog, opts)
+            outcome = clone_program(prog, opts, local)
             prog, acg, reaching = \
                 outcome.program, outcome.acg, outcome.reaching
             report.cloned = outcome.clones
@@ -728,7 +738,7 @@ def front_end(
                     tracer.decision("clone", base=base,
                                     clones=", ".join(clones))
         else:
-            acg = ACG(prog)
+            acg = ACG(prog, local)
             reaching = compute_reaching(acg, opts)
 
     # §6.4: dynamic decomposition of aliased variables is rejected
@@ -915,7 +925,7 @@ def sweep(
             for n in ready:
                 if store is not None:
                     keys[n] = store.key(
-                        opts_fp, source_fingerprint(prog.unit(n)),
+                        opts_fp, unit_fingerprint(acg, n),
                         inputs_fingerprint(n, acg, reaching, exports,
                                            opts))
                     hit = store.load(keys[n])

@@ -234,18 +234,20 @@ def parse_distribute_args(args: list[str]) -> tuple[DistOverride, ...]:
     return tuple(by_array.values())
 
 
-def apply_dist_overrides(prog, overrides) -> None:
+def apply_dist_overrides(prog, overrides) -> set[str]:
     """Rewrite every DISTRIBUTE statement of each overridden array,
     program-wide (main *and* procedures — a phase-local DISTRIBUTE is a
     remap point, and pinning the array to one layout collapses it).
 
-    Mutates *prog* in place.  Raises :class:`CompileError` when an
-    override names an array no DISTRIBUTE statement targets, or when an
-    explicit per-dimension spec list does not match the statement's
+    Mutates *prog* in place and returns the names of the units whose
+    text changed.  Raises :class:`CompileError` when an override names
+    an array no DISTRIBUTE statement targets, or when an explicit
+    per-dimension spec list does not match the statement's
     dimensionality.
     """
+    rewritten: set[str] = set()
     if not overrides:
-        return
+        return rewritten
     by_array = {ov.array: ov for ov in overrides}
     seen: set[str] = set()
     known: set[str] = set()
@@ -258,7 +260,10 @@ def apply_dist_overrides(prog, overrides) -> None:
             if ov is None:
                 continue
             seen.add(s.name)
-            s.specs = _overridden_specs(unit.name, s, ov)
+            specs = _overridden_specs(unit.name, s, ov)
+            if specs != s.specs:
+                rewritten.add(unit.name)
+            s.specs = specs
     missing = sorted(set(by_array) - seen)
     if missing:
         raise CompileError(
@@ -266,6 +271,7 @@ def apply_dist_overrides(prog, overrides) -> None:
             f"no DISTRIBUTE statement targets them (distributed arrays: "
             f"{', '.join(sorted(known)) or 'none'})"
         )
+    return rewritten
 
 
 def _overridden_specs(proc_name: str, stmt, ov: DistOverride):

@@ -22,6 +22,7 @@ from ..callgraph.acg import ACG, CallSite
 from ..dist import TOP, DirectiveTable, Distribution
 from ..dist.decomposition import _Top
 from ..ir.cfg import CFG
+from ..lang import UnitSummary
 from ..lang import ast as A
 from .options import Options
 
@@ -38,16 +39,11 @@ class ProcReaching:
     """Reaching-decompositions results for one procedure."""
 
     name: str
-    cfg: CFG
     #: facts entering the procedure (formal arrays start at TOP until
     #: interprocedural propagation fills them in)
     entry: frozenset[Fact] = frozenset()
-    #: per call site id: facts at the call, translated to callee formals
-    local_reaching: dict[int, frozenset[Fact]] = field(default_factory=dict)
     #: per statement (id of the AST node): facts reaching it
     at_stmt: dict[int, frozenset[Fact]] = field(default_factory=dict)
-    #: the directive table (decomps/aligns declared in this procedure)
-    table: DirectiveTable | None = None
 
     def dists_of(self, array: str, stmt: A.Stmt) -> set[DistOrTop]:
         facts = self.at_stmt.get(id(stmt), frozenset())
@@ -180,11 +176,36 @@ def analyze_procedure(
 
     ins, _outs = solve(cfg, transfer, "forward", boundary=entry)
 
-    pr = ProcReaching(proc.name, cfg, entry, table=table)
+    pr = ProcReaching(proc.name, entry)
     for node in cfg.nodes:
         if node.stmt is not None:
             pr.at_stmt[id(node.stmt)] = ins[node.id]
     return pr
+
+
+def _solve(proc: A.Procedure, summary: UnitSummary | None, opts: Options,
+           entry: frozenset[Fact], const_env: dict) -> ProcReaching:
+    """:func:`analyze_procedure`, memoised on the procedure's local
+    *summary* (if any) by (entry facts, constants, nprocs).  The memo
+    holds facts by statement position in
+    :func:`~repro.lang.ast.walk_stmts` order (the CFG has a node per
+    statement), so one solve serves every tree cloned from the unit's
+    text."""
+    if summary is None:
+        return analyze_procedure(proc, opts, entry, const_env=const_env)
+    stmts = list(A.walk_stmts(proc.body))
+
+    def solve_here() -> tuple[frozenset[Fact], ...]:
+        at = analyze_procedure(proc, opts, entry,
+                               const_env=const_env).at_stmt
+        return tuple(at[id(s)] for s in stmts)
+
+    # the type keeps 64 and 64.0 apart: they resolve bounds differently
+    env = tuple((k, type(v), v) for k, v in sorted(const_env.items()))
+    facts = summary.derive(("reaching", entry, env, opts.nprocs),
+                           solve_here)
+    return ProcReaching(proc.name, entry,
+                        {id(s): f for s, f in zip(stmts, facts)})
 
 
 def translate_to_callee(
@@ -221,7 +242,8 @@ class ReachingResult:
 def compute_reaching(acg: ACG, opts: Options) -> ReachingResult:
     """Figure 6: local entry facts + top-down interprocedural
     propagation, solving each procedure's data flow once, with TOP
-    already resolved from its callers."""
+    already resolved from its callers (a unit as parsed reuses the solve
+    of its text under the same entry facts: :func:`_solve`)."""
     program = acg.program
     from ..analysis.constants import propagate_constants
 
@@ -257,8 +279,7 @@ def compute_reaching(acg: ACG, opts: Options) -> ReachingResult:
                     entry.add((arr, TOP))
             else:
                 entry.add((arr, d))
-        final[name] = analyze_procedure(
-            proc, opts, frozenset(entry), const_env=constants[name]
-        )
+        final[name] = _solve(proc, acg.node(name).summary, opts,
+                             frozenset(entry), constants[name])
 
     return ReachingResult(final, reaching, site_reaching, constants)

@@ -43,6 +43,19 @@ def source_fingerprint(proc: A.Procedure) -> str:
     return _digest(procedure_str(proc))
 
 
+def unit_fingerprint(acg: ACG, name: str) -> str:
+    """:func:`source_fingerprint` of procedure *name*, printed once per
+    text: memoised on its local summary unless the front end rewrote
+    the unit (a clone, a redirected caller, a ``--distribute``
+    override)."""
+    node = acg.node(name)
+    if node.summary is None:
+        # program.unit, not node.proc: the first of duplicate names
+        return source_fingerprint(acg.program.unit(name))
+    return node.summary.derive("fingerprint",
+                               lambda: source_fingerprint(node.proc))
+
+
 def exports_fingerprint(exp: ProcExports) -> str:
     """Stable fingerprint of everything a procedure exports to its
     callers — the interface summary whose change forces callers to

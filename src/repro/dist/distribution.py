@@ -255,6 +255,13 @@ class Distribution:
             object.__setattr__(self, "_owner_fn", fn)
         return fn(indices)
 
+    def __getstate__(self) -> dict:
+        # the caches above are rebuilt on demand: a distribution shared
+        # through the compiler's memos pickles the same whether or not a
+        # run has compiled its owner closure
+        return {k: v for k, v in self.__dict__.items()
+                if not k.startswith("_")}
+
     def _compile_owner(self):
         parts = []  # (axis, per-dim coordinate closure, grid extent)
         for axis, d in enumerate(self.dims):

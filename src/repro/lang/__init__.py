@@ -2,7 +2,16 @@
 
 from . import ast
 from .lexer import LexError, logical_lines, tokenize
-from .parser import PARSE_COUNTS, ParseError, Parser, parse, reset_unit_memo
+from .parser import (
+    PARSE_COUNTS,
+    SUMMARY_COUNTS,
+    ParseError,
+    Parser,
+    UnitSummary,
+    parse,
+    parse_summaries,
+    reset_unit_memo,
+)
 from .printer import expr_str, procedure_str, program_str, stmt_lines
 
 __all__ = [
@@ -11,9 +20,12 @@ __all__ = [
     "logical_lines",
     "LexError",
     "parse",
+    "parse_summaries",
     "Parser",
     "ParseError",
     "PARSE_COUNTS",
+    "SUMMARY_COUNTS",
+    "UnitSummary",
     "reset_unit_memo",
     "expr_str",
     "stmt_lines",

@@ -100,6 +100,8 @@ def tokenize(source: str) -> list[Token]:
 
 
 def _strip_inline_comment(line: str) -> str:
+    if "!" not in line:
+        return line
     in_str = False
     for i, ch in enumerate(line):
         if ch == "'":

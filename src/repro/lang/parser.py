@@ -571,24 +571,90 @@ class Parser:
 #: program units lexed + parsed / served as clones of a memoised tree
 PARSE_COUNTS = {"units_parsed": 0, "units_reused": 0}
 
+#: local-summary activity, counted like :data:`PARSE_COUNTS`: summaries
+#: built (a unit's calls resolved) / served from the unit memo
+SUMMARY_COUNTS = {"summaries_built": 0, "summaries_reused": 0}
+
 #: bound of the unit memo, in chunks (an LRU: the editing sessions and
 #: cold-compile sets in the benchmarks touch ~100 distinct units)
 _UNIT_MEMO_CAP = 1024
 
-#: comment-stripped chunk text -> the pristine units it parses to.  The
-#: trees never leave this module: :func:`parse` hands out clones, so
-#: in-place compilation cannot reach them.  A parse is a pure function
-#: of its text, so there is nothing to invalidate or configure.
-_unit_memo: OrderedDict[str, list[A.Procedure]] = OrderedDict()
+#: bound of what one summary memoises (:meth:`UnitSummary.derive`).
+#: Replaying every derive through LRUs of each size, hits stop growing
+#: at 2 (a fingerprint and one solve) on ``service_edit``,
+#: ``compile_cold`` and a 12-plan stencil1d autotune, and at 3 when one
+#: service compiles a program in RTR, INTRA and INTER.
+_DERIVED_CAP = 3
+
+#: comment-stripped chunk text -> its :class:`_Chunk`.  The trees never
+#: leave this module: :func:`parse` hands out clones, so in-place
+#: compilation cannot reach them.  A parse is a pure function of its
+#: text, so there is nothing to invalidate or configure.
+_unit_memo: OrderedDict[str, _Chunk] = OrderedDict()
 _unit_memo_lock = threading.Lock()
+
+_MISSING = object()
+
+
+class UnitSummary:
+    """One procedure's local summary (the paper's phase 1, "local
+    summary collection after edits only"): its call-resolved tree, which
+    never leaves the memo (:meth:`tree` hands out clones), plus what
+    later phases compute from that tree alone, memoised per key by
+    :meth:`derive` — the §8 source fingerprint and one reaching solve
+    per (entry facts, constants, nprocs)."""
+
+    def __init__(self, unit: A.Procedure) -> None:
+        self.unit = unit
+        self._derived: OrderedDict = OrderedDict()
+
+    @property
+    def name(self) -> str:
+        return self.unit.name
+
+    def tree(self) -> A.Procedure:
+        return A.clone_procedure(self.unit)
+
+    def derive(self, key, compute):
+        """``compute()``, memoised under *key*.  *compute* must be a pure
+        function of this unit's text and *key*; it may run on any tree
+        cloned from :attr:`unit` and left as it came."""
+        with _unit_memo_lock:
+            value = self._derived.get(key, _MISSING)
+            if value is not _MISSING:
+                self._derived.move_to_end(key)
+                return value
+        value = compute()
+        with _unit_memo_lock:
+            self._derived[key] = value
+            while len(self._derived) > _DERIVED_CAP:
+                self._derived.popitem(last=False)
+        return value
+
+
+class _Chunk:
+    """One unit-memo entry: the pristine units a chunk's text parses to,
+    and their local summaries per set of ``function`` names their call
+    resolution consults — a subset of the chunk's :attr:`arrays`, and in
+    practice the same one every time."""
+
+    __slots__ = ("units", "arrays", "summaries")
+
+    def __init__(self, units: list[A.Procedure]) -> None:
+        self.units = units
+        self.arrays = frozenset(d.name for u in units for d in u.decls
+                                if d.is_array)
+        self.summaries: dict[frozenset[str], list[UnitSummary]] = {}
 
 
 def reset_unit_memo() -> None:
-    """Drop the unit memo and zero :data:`PARSE_COUNTS` (tests)."""
+    """Drop the unit memo (summaries included) and zero
+    :data:`PARSE_COUNTS` and :data:`SUMMARY_COUNTS` (tests)."""
     with _unit_memo_lock:
         _unit_memo.clear()
-        for k in PARSE_COUNTS:
-            PARSE_COUNTS[k] = 0
+        for counts in (PARSE_COUNTS, SUMMARY_COUNTS):
+            for k in counts:
+                counts[k] = 0
 
 
 def _unit_chunks(source: str) -> Iterator[list[tuple[int, str]]]:
@@ -606,25 +672,60 @@ def _unit_chunks(source: str) -> Iterator[list[tuple[int, str]]]:
         yield chunk
 
 
-def _parse_chunk(chunk: list[tuple[int, str]], eof: int) -> list[A.Procedure]:
-    """The units of one chunk, as fresh trees: clones of the memoised
-    parse of its text, lexed and parsed (at its real line numbers, so
-    errors keep their position) on a miss."""
+def _parse_chunk(chunk: list[tuple[int, str]], eof: int) -> _Chunk:
+    """The memo entry of one chunk's text: lexed and parsed (at its real
+    line numbers, so errors keep their position) on a miss."""
     # trailing blanks are what a stripped inline comment leaves behind
     key = "\n".join(text.rstrip() for _, text in chunk)
     with _unit_memo_lock:
-        units = _unit_memo.get(key)
-        if units is not None:
+        entry = _unit_memo.get(key)
+        if entry is not None:
             _unit_memo.move_to_end(key)
-            PARSE_COUNTS["units_reused"] += len(units)
-    if units is None:
-        units = Parser(lex_lines(chunk, eof)).parse_program().units
+            PARSE_COUNTS["units_reused"] += len(entry.units)
+    if entry is None:
+        entry = _Chunk(Parser(lex_lines(chunk, eof)).parse_program().units)
         with _unit_memo_lock:
-            _unit_memo[key] = units
-            PARSE_COUNTS["units_parsed"] += len(units)
+            _unit_memo[key] = entry
+            PARSE_COUNTS["units_parsed"] += len(entry.units)
             while len(_unit_memo) > _UNIT_MEMO_CAP:
                 _unit_memo.popitem(last=False)
-    return [A.clone_procedure(u) for u in units]
+    return entry
+
+
+def _summaries(entry: _Chunk, func_names: set[str]) -> list[UnitSummary]:
+    """The local summaries of *entry*'s units in a program whose
+    ``function`` units are *func_names*: built from clones of the
+    pristine units once per set of names call resolution consults (the
+    chunk's arrays that are also functions)."""
+    consulted = entry.arrays & func_names
+    with _unit_memo_lock:
+        summaries = entry.summaries.get(consulted)
+        if summaries is not None:
+            SUMMARY_COUNTS["summaries_reused"] += len(summaries)
+            return summaries
+    summaries = []
+    for u in entry.units:
+        unit = A.clone_procedure(u)
+        _resolve_unit(unit, func_names)
+        summaries.append(UnitSummary(unit))
+    with _unit_memo_lock:
+        entry.summaries[consulted] = summaries
+        SUMMARY_COUNTS["summaries_built"] += len(summaries)
+    return summaries
+
+
+def parse_summaries(source: str) -> list[UnitSummary]:
+    """The local summaries of *source*'s units, in source order: each
+    unit's text is lexed and parsed once per process, and its calls
+    resolved once per (text, consulted function names)."""
+    eof = eof_line(source)
+    # a source without a single logical line is one empty chunk: the
+    # parser raises its own "empty program"
+    entries = [_parse_chunk(chunk, eof)
+               for chunk in list(_unit_chunks(source)) or [[]]]
+    func_names = {u.name for e in entries for u in e.units
+                  if u.kind == "function"}
+    return [s for e in entries for s in _summaries(e, func_names)]
 
 
 def parse(source: str) -> A.Program:
@@ -633,15 +734,7 @@ def parse(source: str) -> A.Program:
     The program unit is the grain: each unit's text is lexed and parsed
     once per process (a bounded memo keyed by the text) and every call
     returns fresh trees."""
-    eof = eof_line(source)
-    units: list[A.Procedure] = []
-    # a source without a single logical line is one empty chunk: the
-    # parser raises its own "empty program"
-    for chunk in list(_unit_chunks(source)) or [[]]:
-        units += _parse_chunk(chunk, eof)
-    prog = A.Program(units)
-    _resolve_calls(prog)
-    return prog
+    return A.Program([s.tree() for s in parse_summaries(source)])
 
 
 #: Names always treated as function calls (intrinsics + user math funcs).
@@ -657,6 +750,13 @@ def _resolve_calls(prog: A.Program) -> None:
     """Rewrite ``ArrayRef`` nodes whose name is not a declared array into
     ``CallExpr`` (intrinsic or user function call)."""
     func_names = {u.name for u in prog.units if u.kind == "function"}
+    for unit in prog.units:
+        _resolve_unit(unit, func_names)
+
+
+def _resolve_unit(unit: A.Procedure, func_names: set[str]) -> None:
+    """:func:`_resolve_calls` for one unit of a program whose
+    ``function`` units are *func_names*."""
 
     def fix(e: A.Expr, arrays: set[str]) -> A.Expr:
         if isinstance(e, A.ArrayRef):
@@ -701,7 +801,6 @@ def _resolve_calls(prog: A.Program) -> None:
             for blk in A.child_blocks(s):
                 fix_body(blk, arrays)
 
-    for unit in prog.units:
-        arrays = {d.name for d in unit.decls if d.is_array}
-        arrays -= func_names
-        fix_body(unit.body, arrays)
+    arrays = {d.name for d in unit.decls if d.is_array}
+    arrays -= func_names
+    fix_body(unit.body, arrays)

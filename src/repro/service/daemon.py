@@ -41,7 +41,7 @@ from collections import deque
 from typing import Optional
 
 from ..core.options import Options
-from ..lang import PARSE_COUNTS
+from ..lang import PARSE_COUNTS, SUMMARY_COUNTS
 from ..obs.metrics import MetricsRegistry, mirror_counters
 from .compiler import ServiceCompiler
 from .pool import WorkerPool
@@ -412,13 +412,14 @@ class CompileDaemon:
             out["reply"] = dict(self.reply)
         out["store"] = self.store.stats()
         out["parse"] = dict(PARSE_COUNTS)
+        out["local_summaries"] = dict(SUMMARY_COUNTS)
         if self.pool is not None:
             out["pool"] = self.pool.stats()
         return out
 
     def _sync_metrics(self) -> None:
         """Refresh the mirrored counter families (pool / store / parse /
-        intake / reply counters) and the queue-depth gauge so a
+        summary / intake / reply counters) and the queue-depth gauge so a
         ``metrics`` reply reflects the daemon's current state."""
         with self._cv:
             counters = dict(self.counters)
@@ -437,6 +438,10 @@ class CompileDaemon:
         mirror_counters(self.metrics, "fdc_parse_events_total",
                         PARSE_COUNTS,
                         help="program units parsed vs reused from the "
+                             "parser's unit memo (this process)")
+        mirror_counters(self.metrics, "fdc_local_summary_events_total",
+                        SUMMARY_COUNTS,
+                        help="local summaries built vs reused from the "
                              "parser's unit memo (this process)")
         if self.pool is not None:
             mirror_counters(self.metrics, "fdc_pool_events_total",

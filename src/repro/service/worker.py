@@ -21,9 +21,10 @@ results are keyed by statement identity, so they cannot travel between
 processes) and compiles each requested procedure with a private tag
 allocator via the same :func:`~repro.core.driver.compile_one` the
 sweep itself uses — results are byte-identical either way.  The worker
-keeps no cache of its own: the front end is incremental (the parser
-memoises per program unit, :mod:`repro.lang.parser`), so a job that
-follows a one-procedure edit lexes and parses that one procedure.
+keeps no cache of its own: the front end is incremental (each unit's
+local summary — tree, reaching solves, fingerprint — is memoised per
+text, :mod:`repro.lang.parser`), so a job that follows a one-procedure
+edit parses and solves that one procedure.
 
 ``crash_flag`` and ``hang_flag`` are the chaos hooks: if the named
 file exists when a compile job arrives, the worker consumes it and
@@ -67,7 +68,7 @@ def _handle_compile(job: dict) -> dict:
     _consume_chaos_flags(job)
     opts = job["opts"]
     # fresh trees per job: compilation rewrites a procedure in place and
-    # reaching results are keyed by the original statement identities
+    # reaching results are keyed by the fresh trees' statement identities
     prog, acg, reaching, _report = front_end(job["source"], opts)
     return {"ok": True, "results": [
         compile_one(prog, name, acg, reaching, opts, job["exports"],

@@ -71,6 +71,14 @@ class TestACGStructure:
         assert s2.array_actuals == {"z": "y"}
         assert not s1.reshaped
 
+    def test_callers_indexed_in_call_order(self):
+        acg = ACG(parse(FIG4))
+        for name in acg.nodes:
+            assert acg.calls_to(name) == \
+                [c for c in acg.calls if c.callee == name]
+        assert [c.caller for c in acg.calls_to("f1")] == ["p1", "p1"]
+        assert acg.calls_to("p1") == []
+
     def test_topological_orders(self):
         acg = ACG(parse(FIG4))
         topo = acg.topological_order()

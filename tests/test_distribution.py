@@ -1,5 +1,7 @@
 """Unit + property tests for distribution index math."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +139,17 @@ class TestDistribution:
     def test_same_mapping(self):
         assert dist1d("block", 100, 4).same_mapping(dist1d("block", 100, 4))
         assert not dist1d("block", 100, 4).same_mapping(dist1d("cyclic", 100, 4))
+
+    def test_pickles_the_same_after_a_run_used_it(self):
+        """The compiler's memos share distributions between compiles and
+        runs: one whose owner closure a run compiled still pickles, to
+        the same bytes, and answers the same after the round trip."""
+        d = dist1d("block", 100, 4)
+        fresh = pickle.dumps(d)
+        assert d.owner((30,)) == 1 and d.is_replicated is False
+        assert pickle.dumps(d) == fresh
+        back = pickle.loads(fresh)
+        assert back == d and back.owner((30,)) == 1
 
     def test_specs_roundtrip(self):
         d = Distribution.from_specs(

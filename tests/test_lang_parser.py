@@ -9,6 +9,7 @@ from repro import apps
 from repro.core import Options, compile_program
 from repro.lang import (
     PARSE_COUNTS,
+    SUMMARY_COUNTS,
     LexError,
     ParseError,
     Parser,
@@ -366,6 +367,31 @@ class TestUnitMemo:
         parse(TWO_UNITS)
         parse(TWO_UNITS.replace("x = 1\n", "\n! why\n* so\nx = 1  ! one\n"))
         assert PARSE_COUNTS == {"units_parsed": 2, "units_reused": 2}
+
+    def test_adding_a_function_unit_reresolves_its_callers(self):
+        """Call resolution consults the program's ``function`` names, so
+        a unit's summary is keyed by its text *and* the names it
+        consults: the same main resolves ``f(2)`` as an element of its
+        array ``f`` alone and as a call once a ``function f`` exists."""
+        main = "program p\nreal f(8), x\nx = f(2)\nend\n"
+        func = "real function f(i)\ninteger i\nf = i * 2\nend\n"
+        alone, with_f = parse(main), parse(main + func)
+        assert isinstance(alone.main.body[0].expr, A.ArrayRef)
+        assert isinstance(with_f.main.body[0].expr, A.CallExpr)
+        assert SUMMARY_COUNTS == {"summaries_built": 3,
+                                  "summaries_reused": 0}
+        for src in (main, main + func):
+            assert repr(parse(src)) == repr(plain_parse(src))
+        assert PARSE_COUNTS == {"units_parsed": 2, "units_reused": 4}
+        assert SUMMARY_COUNTS == {"summaries_built": 3,
+                                  "summaries_reused": 3}
+        # a unit without an array named f consults no name: adding the
+        # function leaves its summary (and the function's) as they were
+        sub = "subroutine s(y)\nreal y(8)\ny(1) = f(2)\nend\n"
+        parse(sub)
+        parse(sub + func)
+        assert SUMMARY_COUNTS == {"summaries_built": 4,
+                                  "summaries_reused": 5}
 
     def test_compilation_never_reaches_the_memoised_trees(self):
         src = SOURCES["stencil1d_source"]

@@ -14,11 +14,12 @@ from repro.core.driver import front_end
 from repro.core.options import Options
 from repro.core.reaching import ReachingError, analyze_procedure, compute_reaching
 from repro.dist import TOP, Distribution
-from repro.lang import PARSE_COUNTS, parse
+from repro.lang import PARSE_COUNTS, SUMMARY_COUNTS, parse
 from repro.lang import ast as A
 from repro.lang.ast import DistSpec
 
 from .conftest import clonefan_source, pipeline_source
+from .test_recompilation import PURE_APPS
 
 
 def opts(P=4):
@@ -223,10 +224,30 @@ def calls(monkeypatch):
     return n
 
 
+@pytest.fixture
+def effects_runs(monkeypatch):
+    """How often cloning runs ``compute_side_effects`` from here on."""
+    n = [0]
+    real = cloning_mod.compute_side_effects
+
+    def counted(acg):
+        n[0] += 1
+        return real(acg)
+
+    monkeypatch.setattr(cloning_mod, "compute_side_effects", counted)
+    return n
+
+
+#: ``report.cloned`` per app, identical to what cloning reported when it
+#: computed side effects on every analysis (apps not listed clone nothing)
+CLONED = {"fig4": {"f1": ["f1$1"], "f2": ["f2$1"]}}
+
+
 @pytest.mark.usefixtures("cold_unit_memo")
 class TestTheUnitIsTheGrain:
     """Exact counts, not timings: a unit is lexed and parsed once per
-    text and its data flow solved once per analysis."""
+    text, its local summary built once per text, and its data flow
+    solved once per text and entry facts."""
 
     K = 8
 
@@ -249,6 +270,58 @@ class TestTheUnitIsTheGrain:
             assert noted != edit
             assert self.parsed_reused(noted) == (0, 9)
 
+    def built_reused_solved(self, src, calls):
+        before = dict(SUMMARY_COUNTS, solves=calls["solves"])
+        compile_program(src, opts(4))
+        after = dict(SUMMARY_COUNTS, solves=calls["solves"])
+        return tuple(after[k] - before[k] for k in
+                     ("summaries_built", "summaries_reused", "solves"))
+
+    def test_summaries_built_per_compile(self, calls):
+        consts = [f"{100 + j}.25" for j in range(self.K)]
+        base = pipeline_source(self.K, consts)
+        assert self.built_reused_solved(base, calls) == (9, 0, 9)  # cold
+        consts[3] = "900.75"
+        edit = pipeline_source(self.K, consts)
+        # one stage edited: its summary is new and so is its solve; the
+        # other stages keep their entry facts, so they reuse theirs
+        assert self.built_reused_solved(edit, calls) == (1, 8, 1)
+        assert self.built_reused_solved(edit, calls) == (0, 9, 0)  # repeat
+        for extra in ("! a full-line comment", "* another", ""):
+            noted = pipeline_source(self.K, consts, body_extra=extra)
+            assert self.built_reused_solved(noted, calls) == (0, 9, 0)
+
+    def test_redistribution_resolves_exactly_the_changed_entries(self, calls):
+        src = pipeline_source(self.K)
+        cyclic = src.replace("distribute x(block)", "distribute x(cyclic)")
+        front_end(src, opts())
+        front_end(cyclic, opts())         # every stage is passed x
+        assert calls["solves"] == 2 * (self.K + 1)
+        src = (
+            "program p\nreal x(64), z(64)\ndistribute x(block)\n"
+            "distribute z(block)\ncall a(x)\ncall b(z)\nend\n"
+            "subroutine a(u)\nreal u(64)\nu(1) = 1\nend\n"
+            "subroutine b(v)\nreal v(64)\nv(1) = 2\nend\n"
+        )
+        calls["solves"] = 0
+        front_end(src, opts())
+        front_end(src.replace("x(block)", "x(cyclic)"), opts())
+        assert calls["solves"] == 3 + 2   # p (edited) and a; b reuses
+
+    def test_side_effects_only_when_cloning_could_use_them(self,
+                                                          effects_runs):
+        front_end(pipeline_source(self.K), opts())
+        assert effects_runs[0] == 0       # no callee with two groups
+        front_end(clonefan_source(2), opts())
+        assert effects_runs[0] >= 1
+
+    @pytest.mark.parametrize("mode", [Mode.INTRA, Mode.INTER])
+    @pytest.mark.parametrize("name,src", PURE_APPS,
+                             ids=[n for n, _ in PURE_APPS])
+    def test_lazy_side_effects_clone_the_same(self, name, src, mode):
+        _, _, _, report = front_end(src, Options(nprocs=4, mode=mode))
+        assert report.cloned == CLONED.get(name, {})
+
     @pytest.mark.parametrize("mode", list(Mode))
     def test_one_solve_per_unit_one_analysis_per_front_end(self, mode, calls):
         src = pipeline_source(self.K)
@@ -262,9 +335,12 @@ class TestTheUnitIsTheGrain:
         _, _, _, report = front_end(src, Options(nprocs=4, mode=mode))
         steps = len(report.cloned)
         assert steps == 2 * fan                 # g<j>, then h<j>
-        units = [1 + 2 * fan + s for s in range(steps + 1)]
-        assert calls == {"compute_reaching": 1 + steps,
-                         "solves": sum(units)}
+        # after the first analysis, step s re-solves main (its calls were
+        # redirected), the s clones and the one procedure whose entry
+        # facts that clone split; every other unit reuses its solve
+        solves = 1 + 2 * fan + sum(s + 2 for s in range(1, steps + 1))
+        assert solves == 23   # was 35: every unit solved per analysis
+        assert calls == {"compute_reaching": 1 + steps, "solves": solves}
 
     def test_cloning_disabled_analyses_once(self, calls):
         prog = parse(clonefan_source(2))

@@ -526,6 +526,27 @@ class TestDaemon:
         assert 'fdc_parse_events_total{event="units_parsed"} 10' \
             in got["prometheus"]
 
+    def test_local_summary_counters_in_stats_and_metrics(self, daemon,
+                                                         cold_unit_memo):
+        """A one-stage edit builds one local summary and reuses the
+        other units'; an exact repeat builds none."""
+        _, path = daemon
+        c = CompileClient(path)
+        consts = [f"{100 + j}.25" for j in range(8)]
+        base = pipeline_source(8, consts)
+        consts[5] = "900.75"
+        edit = pipeline_source(8, consts)
+        for src in (base, edit, edit):
+            c.compile(src, Options(nprocs=4))
+        want = {"summaries_built": 10, "summaries_reused": 17}
+        assert c.stats()["local_summaries"] == want
+        got = c.metrics()
+        assert {v["labels"]["event"]: v["value"] for v in
+                got["metrics"]["fdc_local_summary_events_total"]["values"]
+                } == want
+        assert 'fdc_local_summary_events_total{event="summaries_built"} ' \
+            '10' in got["prometheus"]
+
     def test_compile_error_is_structured_not_retryable(self, daemon):
         _, path = daemon
         with pytest.raises(ServiceError) as ei:
