@@ -39,7 +39,6 @@ from .core import (
     DynOpt,
     Mode,
     Options,
-    compile_program,
     parse_distribute_args,
 )
 from .core.localize import localized_procedure_text
@@ -320,47 +319,22 @@ def main(argv: list[str] | None = None) -> int:
         args.nprocs = opts.nprocs
 
     try:
-        from .service import resolve_server
+        from .service import compile_with_fallback
 
-        if resolve_server(args.server) is not None:
-            from .service import compile_with_fallback
-
-            cp, sinfo = compile_with_fallback(
-                source, opts, server=args.server, trace=tracer)
-            if sinfo["used"] != "server":
-                print(f"! server fallback: {sinfo.get('cause')}",
-                      file=sys.stderr)
-        else:
-            cp = compile_program(source, opts, trace=tracer)
+        cp, sinfo = compile_with_fallback(
+            source, opts, server=args.server, trace=tracer)
     except Exception as e:  # surface compile errors with a clean message
         print(f"fdc: compilation failed: {e}", file=sys.stderr)
         return 1
+    if sinfo.get("attempts") and sinfo["used"] != "server":
+        # a server was configured (and tried) but not used
+        print(f"! server fallback: {sinfo['cause']}", file=sys.stderr)
 
     if not args.no_text:
         print(cp.text())
 
     if args.report:
-        # iteration orders are sorted so the report is byte-identical
-        # across runs regardless of dict insertion order
-        r = cp.report
-        print(f"! mode={r.mode.value} nprocs={r.nprocs}")
-        for proc, dists in sorted(r.distributions.items()):
-            for arr, d in sorted(dists.items()):
-                print(f"! dist {proc}.{arr}: {d}")
-        for base, clones in sorted(r.cloned.items()):
-            print(f"! cloned {base} -> {', '.join(clones)}")
-        for line in r.comm_placements:
-            print(f"! comm {line}")
-        for line in r.rtr_fallbacks:
-            print(f"! rtr-fallback {line}")
-        for line in r.rtr_demotions:
-            print(f"! rtr-demotion {line}")
-        if r.remaps_emitted or r.remaps_eliminated or r.remaps_marked:
-            print(f"! remaps emitted={r.remaps_emitted} "
-                  f"eliminated={r.remaps_eliminated} "
-                  f"hoisted={r.remaps_hoisted} marked={r.remaps_marked}")
-        for (proc, arr), offs in sorted(r.overlaps.items()):
-            print(f"! overlap {proc}.{arr}: {offs}")
+        print(cp.explain())
 
     if args.codegen_dump:
         from .codegen import get_generated

@@ -22,7 +22,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from ..analysis.symbolics import affine_of, eval_const
+from ..analysis.constants import local_param_env
+from ..analysis.symbolics import affine_of
 from ..callgraph.acg import ACG
 from ..dist import Distribution
 from ..interp.interpreter import SPMDResult, run_spmd
@@ -115,51 +116,30 @@ class CompiledProgram:
         return program_str(self.program)
 
     def explain(self) -> str:
-        """Human-readable compilation narrative: distributions chosen,
-        clones created, communication placements, remap optimization
-        counts, overlaps, and any run-time-resolution fallbacks."""
+        """The compile report as ``fdc --report`` prints it, one
+        ``! <kind> ...`` line per fact: distributions chosen, clones
+        created, communication placements, run-time-resolution
+        fallbacks and demotions, remap counts, overlaps and notes.
+        Iteration orders are sorted, so the text is byte-identical
+        across runs."""
         r = self.report
-        lines = [
-            f"mode={r.mode.value} nprocs={r.nprocs}",
-            "",
-            "data partitioning:",
-        ]
-        for proc, dists in sorted(r.distributions.items()):
-            for arr, d in sorted(dists.items()):
-                lines.append(f"  {proc}.{arr}: {d}")
-        if r.cloned:
-            lines.append("")
-            lines.append("procedure cloning:")
-            for base, clones in sorted(r.cloned.items()):
-                lines.append(f"  {base} -> {base}, {', '.join(clones)}")
-        if r.comm_placements:
-            lines.append("")
-            lines.append("communication:")
-            for c in r.comm_placements:
-                lines.append(f"  {c}")
-        if r.remaps_emitted or r.remaps_eliminated or r.remaps_hoisted \
-                or r.remaps_marked:
-            lines.append("")
-            lines.append(
-                f"dynamic decomposition: emitted={r.remaps_emitted} "
-                f"eliminated={r.remaps_eliminated} "
-                f"hoisted={r.remaps_hoisted} marked={r.remaps_marked}"
-            )
-        if r.overlaps:
-            lines.append("")
-            lines.append("overlap regions:")
-            for (proc, arr), offs in sorted(r.overlaps.items()):
-                lines.append(f"  {proc}.{arr}: {offs}")
-        if r.rtr_fallbacks:
-            lines.append("")
-            lines.append("run-time resolution fallbacks:")
-            for f in r.rtr_fallbacks:
-                lines.append(f"  {f}")
-        if r.rtr_demotions:
-            lines.append("")
-            lines.append("procedures demoted to run-time resolution:")
-            for d in r.rtr_demotions:
-                lines.append(f"  {d}")
+        lines = [f"! mode={r.mode.value} nprocs={r.nprocs}"]
+        lines += [f"! dist {proc}.{arr}: {d}"
+                  for proc, dists in sorted(r.distributions.items())
+                  for arr, d in sorted(dists.items())]
+        lines += [f"! cloned {base} -> {', '.join(clones)}"
+                  for base, clones in sorted(r.cloned.items())]
+        lines += [f"! comm {line}" for line in r.comm_placements]
+        lines += [f"! rtr-fallback {line}" for line in r.rtr_fallbacks]
+        lines += [f"! rtr-demotion {line}" for line in r.rtr_demotions]
+        if r.remaps_emitted or r.remaps_eliminated or r.remaps_marked:
+            lines.append(f"! remaps emitted={r.remaps_emitted} "
+                         f"eliminated={r.remaps_eliminated} "
+                         f"hoisted={r.remaps_hoisted} "
+                         f"marked={r.remaps_marked}")
+        lines += [f"! overlap {proc}.{arr}: {offs}"
+                  for (proc, arr), offs in sorted(r.overlaps.items())]
+        lines += [f"! note {note}" for note in r.notes]
         return "\n".join(lines)
 
 
@@ -176,7 +156,6 @@ class ProcedureCompiler:
         report: CompileReport,
         tags: TagAllocator,
         is_main: bool,
-        tracer=None,
     ) -> None:
         self.proc = proc
         self.acg = acg
@@ -186,18 +165,12 @@ class ProcedureCompiler:
         self.report = report
         self.tags = tags
         self.is_main = is_main
-        self.tracer = tracer
-        env = dict(_param_env(proc))
+        env = local_param_env(proc)
         consts = getattr(reaching, "constants", None) or {}
         env.update(consts.get(proc.name, {}))
         self.env = env
 
     # ------------------------------------------------------------------
-
-    def _decide(self, name: str, **fields) -> None:
-        """Record a compilation decision when tracing is enabled."""
-        if self.tracer is not None:
-            self.tracer.decision(name, **fields)
 
     def compile(self) -> ProcExports:
         proc, opts = self.proc, self.opts
@@ -207,12 +180,8 @@ class ProcedureCompiler:
             n: (str(i.dist) if i.dist else "replicated")
             for n, i in arrays.items()
         }
-        for n, d in sorted(self.report.distributions[proc.name].items()):
-            self._decide("distribution", proc=proc.name, array=n, dist=d)
         for n, why in rtr_arrays.items():
             self.report.rtr_fallbacks.append(f"{proc.name}.{n}: {why}")
-            self._decide("rtr-fallback", proc=proc.name,
-                         why=f"{n}: {why}")
 
         if opts.mode is Mode.RTR:
             return self._compile_rtr(arrays, rtr_arrays)
@@ -255,7 +224,6 @@ class ProcedureCompiler:
             forced_rtr.update(new_rtr)
             for why in new_rtr.values():
                 self.report.rtr_fallbacks.append(f"{proc.name}: {why}")
-                self._decide("rtr-fallback", proc=proc.name, why=why)
         else:  # pragma: no cover - the fixpoint always terminates
             raise CompileError(f"{proc.name}: partition planning diverged")
 
@@ -284,8 +252,6 @@ class ProcedureCompiler:
             self.report.comm_sites.append(
                 (proc.name, act.pending.array, act.pending.kind)
             )
-            self._decide("comm-placement", proc=proc.name, level=act.level,
-                         placement=act.pending.describe())
         return exports
 
     # -- constraints ------------------------------------------------------
@@ -319,8 +285,6 @@ class ProcedureCompiler:
                     full = f"{self.proc.name}: {why}"
                     if full not in self.report.rtr_fallbacks:
                         self.report.rtr_fallbacks.append(full)
-                        self._decide("rtr-fallback", proc=self.proc.name,
-                                     why=why)
             elif isinstance(s, A.Call):
                 site = site_of.get(sid)
                 if site is None:
@@ -583,15 +547,6 @@ class ProcedureCompiler:
 # ---------------------------------------------------------------------------
 
 
-def _param_env(proc: A.Procedure) -> dict:
-    env: dict = {}
-    for p in proc.params:
-        v = eval_const(p.value, env)
-        if v is not None:
-            env[p.name] = v
-    return env
-
-
 def _ancestors_of(body: list[A.Stmt], target: A.Stmt) -> list[A.Stmt]:
     def find(b):
         for s in b:
@@ -676,7 +631,8 @@ def compile_program(
     per procedure below it (the parser's unit memo, codegen's unit
     memo and disk cache), so a repeat compile costs a warm sweep.
     *trace* optionally supplies a :class:`~repro.obs.Tracer` (or
-    ``True``) recording per-phase timings and compilation decisions.
+    ``True``) recording per-phase timings and compilation decisions
+    (:func:`trace_decisions`).
     """
     opts = opts or Options()
     tracer = resolve_trace(trace)
@@ -718,9 +674,6 @@ def front_end(
         with span("distribution-overrides"):
             for name in apply_dist_overrides(prog, opts.distribute):
                 local.pop(name, None)
-            if tracer is not None:
-                for ov in opts.distribute:
-                    tracer.decision("dist-override", spec=ov.describe())
     report = CompileReport(mode=opts.mode, nprocs=opts.nprocs)
 
     with span("interprocedural-analysis"):
@@ -731,12 +684,6 @@ def front_end(
             report.cloned = outcome.clones
             if outcome.growth_capped:
                 report.note("cloning disabled: growth threshold exceeded")
-                if tracer is not None:
-                    tracer.decision("clone-growth-capped")
-            if tracer is not None:
-                for base, clones in sorted(report.cloned.items()):
-                    tracer.decision("clone", base=base,
-                                    clones=", ".join(clones))
         else:
             acg = ACG(prog, local)
             reaching = compute_reaching(acg, opts)
@@ -762,7 +709,6 @@ def compile_procedure_unit(
     report: CompileReport,
     tags: TagAllocator,
     main_name: str,
-    tracer=None,
 ) -> ProcExports:
     """Compile one procedure of the reverse-topological sweep, with the
     paper's graceful degradation: a failed compile-time analysis demotes
@@ -772,7 +718,7 @@ def compile_procedure_unit(
     :func:`compile_one`."""
     pc = ProcedureCompiler(
         prog.unit(name), acg, reaching, opts, exports, report,
-        tags, is_main=(name == main_name), tracer=tracer,
+        tags, is_main=(name == main_name),
     )
     if opts.strict:
         return pc.compile()
@@ -788,7 +734,7 @@ def compile_procedure_unit(
         # nothing, which callers already treat conservatively.
         return _demote_to_rtr(
             name, e, prog, acg, reaching, opts, exports,
-            report, tags, main_name, tracer,
+            report, tags, main_name,
         )
 
 
@@ -806,18 +752,18 @@ def _spans(tracer):
     return tracer.phase
 
 
-def compile_one(prog, name, acg, reaching, opts, exports, main_name,
-                tracer=None) -> ProcSummary:
+def compile_one(prog, name, acg, reaching, opts, exports,
+                main_name) -> ProcSummary:
     """Compile procedure *name* (in place) with a private tag allocator
     and a private report fragment: everything its compilation leaves
-    behind, independent of what was compiled before it.  The one path
-    to :func:`compile_procedure_unit` — the sweep and the service's
-    workers both go through here."""
+    behind, independent of what was compiled before it — a pure
+    function of its inputs, whose decisions are the fragment.  The one
+    path to :func:`compile_procedure_unit` — the sweep and the
+    service's workers both go through here."""
     tags = TagAllocator()
     frag = CompileReport(mode=opts.mode, nprocs=opts.nprocs)
     exp = compile_procedure_unit(
-        prog, name, acg, reaching, opts, exports, frag, tags,
-        main_name, tracer,
+        prog, name, acg, reaching, opts, exports, frag, tags, main_name,
     )
     return ProcSummary(name, prog.unit(name), exp, tags.next - 1, frag)
 
@@ -946,15 +892,51 @@ def sweep(
                     with span("procedure", proc=n):
                         got[n] = compile_one(
                             prog, n, acg, reaching, opts, exports,
-                            main_name, tracer)
+                            main_name)
             for n in dirty:
                 resolved[n] = got[n]
                 if store is not None:
                     store.store(keys[n], got[n])
             recompiled += dirty
             pending = [n for n in pending if n not in resolved]
-    return Swept(prog.names(), order, keys, resolved, report, initial,
-                 reused, recompiled)
+    swept = Swept(prog.names(), order, keys, resolved, report, initial,
+                  reused, recompiled)
+    trace_decisions(swept, opts, tracer)
+    return swept
+
+
+def trace_decisions(swept: Swept, opts: Options, tracer) -> None:
+    """Trace a compile's decisions as ``compile.decision`` events, read
+    from its report — the one record of them, so a procedure's
+    decisions are the same whether it was compiled here, reused from a
+    store, compiled by a worker or shipped by the daemon.  In order:
+    the options' distribution overrides, the front end's clones and
+    notes, then each procedure's fragment in reverse topological order.
+    Called at the end of :func:`sweep` and by the service client on an
+    unpacked reply, before :func:`assemble` merges the fragments."""
+    if tracer is None:
+        return
+    decide = tracer.decision
+    for ov in opts.distribute:
+        decide("dist-override", spec=ov.describe())
+    for base, clones in sorted(swept.report.cloned.items()):
+        decide("clone", base=base, clones=", ".join(clones))
+    for text in swept.report.notes:
+        decide("note", text=text)
+    for name in swept.order:
+        frag = swept.summaries[name].fragment
+        for arr, dist in sorted(frag.distributions.get(name, {}).items()):
+            decide("distribution", proc=name, array=arr, dist=dist)
+        # the event's own "kind" is compile.decision: the site's is
+        # comm_kind
+        for line, (_, arr, kind) in zip(frag.comm_placements,
+                                        frag.comm_sites):
+            decide("comm-placement", proc=name, array=arr, comm_kind=kind,
+                   line=line)
+        for line in frag.rtr_fallbacks:
+            decide("rtr-fallback", proc=name, line=line)
+        for line in frag.rtr_demotions:
+            decide("rtr-demotion", proc=name, line=line)
 
 
 def _prewarm_codegen(compiled: CompiledProgram, tracer=None) -> None:
@@ -985,7 +967,7 @@ def _prewarm_codegen(compiled: CompiledProgram, tracer=None) -> None:
 
 def _demote_to_rtr(
     name, err, prog, acg, reaching, opts, exports, report,
-    tags, main_name, tracer=None,
+    tags, main_name,
 ) -> ProcExports:
     """Compile procedure *name* with run-time resolution after its
     compile-time analysis failed with *err* (Options.strict=False)."""
@@ -996,13 +978,11 @@ def _demote_to_rtr(
     report.rtr_demotions.append(f"{name}: {cause}")
     if why not in report.rtr_fallbacks:
         report.rtr_fallbacks.append(why)
-    if tracer is not None:
-        tracer.decision("rtr-demotion", proc=name, cause=cause)
     proc = prog.unit(name)
     pr = reaching.per_proc[name]
     pc = ProcedureCompiler(
         proc, acg, reaching, opts, exports, report, tags,
-        is_main=(name == main_name), tracer=tracer,
+        is_main=(name == main_name),
     )
     arrays, rtr_arrays = resolve_arrays(proc, pr, opts)
     return pc._compile_rtr(arrays, rtr_arrays)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
+from ..analysis.constants import local_param_env
 from ..analysis.dataflow import solve
 from ..callgraph.acg import ACG, CallSite
 from ..dist import TOP, DirectiveTable, Distribution
@@ -86,23 +87,12 @@ def _array_bounds(proc: A.Procedure, name: str,
     return out
 
 
-def _param_env(proc: A.Procedure) -> dict:
-    from ..analysis.symbolics import eval_const
-
-    env: dict = {}
-    for p in proc.params:
-        v = eval_const(p.value, env)
-        if v is not None:
-            env[p.name] = v
-    return env
-
-
 def entry_facts(proc: A.Procedure, opts: Options,
                 const_env: dict | None = None) -> frozenset[Fact]:
     """Facts entering *proc* before interprocedural propagation: formal
     and COMMON arrays at ``TOP``, local arrays replicated.  No CFG and
     no data-flow solve — the local phase of Figure 6 needs only this."""
-    param_env = const_env or _param_env(proc)
+    param_env = const_env or local_param_env(proc)
     # COMMON arrays inherit their decomposition from the caller exactly
     # like formals (in the main program they behave like locals)
     inherited = {
@@ -136,7 +126,7 @@ def analyze_procedure(
     """
     table = build_directive_table(proc)
     cfg = CFG.build(proc.body)
-    param_env = const_env or _param_env(proc)
+    param_env = const_env or local_param_env(proc)
     if entry is None:
         entry = entry_facts(proc, opts, const_env)
 

@@ -15,18 +15,20 @@ call sites.  On a subsequent compilation, a procedure is recompiled only
 when one of those fingerprints changed; everything else keeps its
 previous node code (its stored :class:`ProcSummary` is reused).
 
-This module holds what §8 defines — the fingerprints and the summary
-they key — and nothing that imports the driver: the pass that applies
-the test is :func:`repro.core.driver.sweep`.
+This module holds what §8 defines — the fingerprints, the summary they
+key and the store that keeps summaries — and nothing that imports the
+driver: the pass that applies the test is
+:func:`repro.core.driver.sweep`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import astuple, dataclass, field, replace
-from typing import Union
+from typing import Optional, Union
 
 from ..callgraph.acg import ACG
+from ..cas import PICKLE, Cas
 from ..lang import ast as A
 from ..lang import procedure_str
 from .model import ProcExports
@@ -138,24 +140,37 @@ class ProcSummary:
     fragment: CompileReport
 
 
-class _Summaries(dict):
-    """The summary store the sweep expects (``key`` / ``load`` /
-    ``store``) as a dict: content-addressed like the service's
-    :class:`~repro.service.store.SummaryStore`, so it remembers every
-    procedure version compiled in the session, not only the last."""
+#: bump when ProcSummary's pickled shape changes; old entries then fail
+#: the header check and regenerate
+STORE_VERSION = "2"
+
+
+class SummaryStore(Cas):
+    """The summary store :func:`~repro.core.driver.sweep` takes: a
+    :class:`ProcSummary` per §8 key — a digest of the store version,
+    the options fingerprint (:func:`store_opts_fingerprint`), the
+    procedure's source fingerprint and its interprocedural-inputs
+    fingerprint — so a hit is valid by construction and nothing is
+    invalidated.  The ``summary`` namespace of :mod:`repro.cas`: memory,
+    plus a disk tier when given a *directory* (``fdc serve --store``;
+    the disk discipline is DESIGN.md § 7 Stores)."""
+
+    def __init__(self, directory: Optional[str] = None) -> None:
+        super().__init__(
+            "summary", STORE_VERSION, "proc-", ".pkl", PICKLE,
+            kind=ProcSummary, directory=directory)
 
     @staticmethod
-    def key(opts_fp: str, src_fp: str, in_fp: str) -> tuple:
-        return opts_fp, src_fp, in_fp
-
-    load = dict.get
-    store = dict.__setitem__
+    def key(opts_fp: str, src_fp: str, in_fp: str) -> str:
+        return hashlib.sha256(
+            f"{STORE_VERSION}|{opts_fp}|{src_fp}|{in_fp}".encode()
+        ).hexdigest()
 
 
 @dataclass
 class RecompilationManager:
     """Separate-compilation façade: :func:`repro.core.driver.sweep` plus
-    an in-memory summary store.
+    a memory-only :class:`SummaryStore`.
 
     ``compile()`` is the whole-program compile, except that every
     procedure whose source *and* interprocedural inputs match a summary
@@ -168,8 +183,8 @@ class RecompilationManager:
     opts: Options = field(default_factory=Options)
     last_recompiled: list[str] = field(default_factory=list)
     last_reused: list[str] = field(default_factory=list)
-    summaries: _Summaries = field(default_factory=_Summaries, init=False,
-                                  repr=False)
+    summaries: SummaryStore = field(default_factory=SummaryStore,
+                                    init=False, repr=False)
 
     def compile(self, source: Union[str, A.Program]):
         """Compile *source* to a

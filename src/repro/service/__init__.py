@@ -15,8 +15,8 @@ Layers::
 
     protocol.py   length-prefixed JSON frames + wire (de)serialization,
                   including the per-procedure compile reply
-    store.py      crash-safe content-addressed summary store
-    compiler.py   ServiceCompiler: sweep + store, pool and deadline
+    compiler.py   ServiceCompiler: sweep + summary store (the §8 one,
+                  core/recompile.py), pool and deadline
     worker.py     per-procedure compile worker (python -m ...)
     pool.py       supervised worker pool (restart, backoff, deadlines)
     daemon.py     the socket server (queueing, backpressure, shedding)
@@ -27,6 +27,7 @@ See ``docs/service.md`` for the protocol, the store layout, and the
 failure/degradation matrix.
 """
 
+from ..core.recompile import SummaryStore
 from .client import (
     CompileClient,
     client_stats,
@@ -37,7 +38,6 @@ from .compiler import ServiceCompiler
 from .daemon import CompileDaemon
 from .pool import WorkerPool
 from .protocol import ServiceError
-from .store import SummaryStore
 
 __all__ = [
     "CompileClient",

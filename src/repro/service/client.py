@@ -37,7 +37,12 @@ import time
 from collections import OrderedDict
 from typing import Optional
 
-from ..core.driver import CompiledProgram, assemble, compile_program
+from ..core.driver import (
+    CompiledProgram,
+    assemble,
+    compile_program,
+    trace_decisions,
+)
 from ..core.model import CompileError
 from ..core.options import Options
 from ..core.recompile import ProcSummary
@@ -159,11 +164,13 @@ class CompileClient:
 
     def compile(self, source: str, opts: Optional[Options] = None,
                 deadline_s: Optional[float] = None,
-                speculative: bool = False) -> CompiledProgram:
+                speculative: bool = False, tracer=None) -> CompiledProgram:
         """Compile remotely.  The request names every cached procedure
         blob; the reply ships the rest.  A reply that does not decode
         to the pieces of a program raises :class:`FrameError` (and the
-        fallback path treats it as an infrastructure failure)."""
+        fallback path treats it as an infrastructure failure).  *tracer*
+        receives the compile's decisions, read from the reply's report
+        like a local compile's."""
         opts = opts or Options()
         # what `have` names is held for the whole request, so an
         # eviction by a concurrent request cannot strand a key
@@ -192,6 +199,7 @@ class CompileClient:
                 _blob_cache.popitem(last=False)
             _stats["blobs_received"] += shipped
             _stats["blobs_reused"] += len(swept.order) - shipped
+        trace_decisions(swept, opts, tracer)
         return assemble(swept, opts, shared=True)
 
 
@@ -222,7 +230,8 @@ def compile_with_fallback(
         try:
             compiled = client.compile(source, opts,
                                       deadline_s=deadline_s,
-                                      speculative=speculative)
+                                      speculative=speculative,
+                                      tracer=tracer)
             _stats["remote"] += 1
             return compiled, {"used": "server", "attempts": attempts}
         except ServiceError as e:

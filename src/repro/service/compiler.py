@@ -7,7 +7,7 @@ cold compile's byte for byte (docs/compiler.md § Recompilation) — with
 the three things a service adds (``ServiceCompiler.sweep`` stops short
 of the assembly: the daemon ships the pieces and its client assembles):
 
-* a :class:`~repro.service.store.SummaryStore`, so only procedures
+* a :class:`~repro.core.recompile.SummaryStore`, so only procedures
   whose §8 recompilation test fires are actually compiled;
 * the worker pool: a wave's dirty procedures are mutually independent,
   so they compile in parallel on the pool; any pool failure falls back
@@ -25,8 +25,8 @@ from typing import Optional
 
 from ..core.driver import CompiledProgram, Swept, assemble, sweep
 from ..core.options import Options
+from ..core.recompile import SummaryStore
 from .protocol import ServiceError
-from .store import SummaryStore
 
 
 def _check_deadline(deadline: Optional[float]) -> None:

@@ -41,6 +41,7 @@ from collections import deque
 from typing import Optional
 
 from ..core.options import Options
+from ..core.recompile import SummaryStore
 from ..lang import PARSE_COUNTS, SUMMARY_COUNTS
 from ..obs.metrics import MetricsRegistry, mirror_counters
 from .compiler import ServiceCompiler
@@ -55,7 +56,6 @@ from .protocol import (
     pack_pieces,
     recv_frame,
 )
-from .store import SummaryStore
 
 
 class CompileDaemon:

@@ -34,9 +34,9 @@ import threading
 import time
 from typing import Optional
 
+from ..core.recompile import ProcSummary
 from .protocol import MAX_FRAME, FrameError, ServiceError, \
     write_pipe_frame
-from .store import ProcSummary
 
 _LEN = struct.Struct(">I")
 

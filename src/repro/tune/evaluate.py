@@ -32,8 +32,8 @@ def make_eval_compiler(store_dir: Optional[str] = None):
     """A fresh incremental compiler over a (possibly disk-backed)
     summary store — disk-backed stores share per-procedure summaries
     across worker processes."""
+    from ..core.recompile import SummaryStore
     from ..service.compiler import ServiceCompiler
-    from ..service.store import SummaryStore
 
     return ServiceCompiler(store=SummaryStore(directory=store_dir))
 

@@ -24,8 +24,8 @@ from repro.codegen import get_generated, reset_memory, unit_keys
 from repro.codegen.cache import GEN_VERSION, entry_stem
 from repro.core import Options, compile_program
 from repro.core.options import CompileReport
+from repro.core.recompile import STORE_VERSION, ProcSummary, SummaryStore
 from repro.lang import parse
-from repro.service.store import STORE_VERSION, ProcSummary, SummaryStore
 from repro.tune.memo import EvalMemo
 from repro.tune.plan import MEMO_VERSION
 

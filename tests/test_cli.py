@@ -104,12 +104,44 @@ class TestLocalize:
 
 
 class TestExplain:
+    """``explain()`` and ``fdc --report`` are one renderer of the report."""
+
     def test_explain_narrative(self):
         from repro.apps import FIG4
         from repro.core import Options, compile_program
 
-        text = compile_program(FIG4, Options(nprocs=4)).explain()
-        assert "data partitioning:" in text
-        assert "f1 -> f1, f1$1" in text
-        assert "shift(5)" in text
-        assert "overlap regions:" in text
+        lines = compile_program(FIG4, Options(nprocs=4)).explain() \
+            .splitlines()
+        assert lines[0] == "! mode=inter nprocs=4"
+        assert "! dist p1.x: (block, :)" in lines
+        assert "! cloned f1 -> f1$1" in lines
+        assert any(ln.startswith("! comm p1: level 0 shift(5) x[")
+                   for ln in lines)
+        assert "! overlap p1.x: [(0, 5), (0, 0)]" in lines
+
+    def test_report_is_explain(self, tmp_path, capsys):
+        from repro.apps import FIG4
+        from repro.core import Options, compile_program
+
+        p = tmp_path / "fig4.fd"
+        p.write_text(FIG4)
+        assert main([str(p), "--report", "--no-text"]) == 0
+        assert capsys.readouterr().out == \
+            compile_program(FIG4, Options(nprocs=4)).explain() + "\n"
+
+    def test_notes_are_shown(self, tmp_path, capsys, monkeypatch):
+        """The front end's growth-cap note reaches both views."""
+        import repro.cli as cli
+        from repro.apps import FIG4
+        from repro.core import Options, compile_program
+
+        note = "! note cloning disabled: growth threshold exceeded"
+        opts = Options(nprocs=4, clone_growth_limit=1.0)
+        assert note in compile_program(FIG4, opts).explain().splitlines()
+        # fdc has no growth-limit flag: give its options the same limit
+        monkeypatch.setattr(cli, "Options", lambda **kw: Options(
+            clone_growth_limit=1.0, **kw))
+        p = tmp_path / "fig4.fd"
+        p.write_text(FIG4)
+        assert main([str(p), "--report", "--no-text"]) == 0
+        assert note in capsys.readouterr().out.splitlines()

@@ -324,6 +324,38 @@ def test_the_sweep_has_one_home():
     assert shift in body
 
 
+def test_report_backed_decisions_have_one_emitter():
+    """The compile report is the one record of a compile's decisions:
+    every report-backed ``compile.decision`` is emitted by
+    ``core/driver.trace_decisions``, and no per-procedure compile
+    function takes a tracer (its result is a pure function of its
+    inputs)."""
+    import ast
+    import inspect
+
+    from repro.core import driver
+
+    from .test_decisions import REPORT_BACKED
+
+    sites = set()
+    for path, text in _sources().items():
+        for fn in ast.walk(ast.parse(text)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and call.args \
+                        and isinstance(call.args[0], ast.Constant) \
+                        and call.args[0].value in REPORT_BACKED:
+                    sites.add((path, fn.name, call.args[0].value))
+    home = (os.path.join("core", "driver.py"), "trace_decisions")
+    assert {site[:2] for site in sites} == {home}
+    assert {site[2] for site in sites} == REPORT_BACKED
+    for fn in (driver.ProcedureCompiler, driver.compile_procedure_unit,
+               driver.compile_one, driver._demote_to_rtr):
+        assert "tracer" not in inspect.signature(fn).parameters, fn
+    assert "tracer" not in inspect.getsource(driver.ProcedureCompiler)
+
+
 def test_lower_layers_do_not_import_the_compiler():
     """The simulator, telemetry, engines and front end sit below
     ``repro.core``: what they compute is a function of their inputs,

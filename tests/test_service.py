@@ -60,7 +60,7 @@ from repro.service.protocol import (
     send_frame,
     unpack_blob,
 )
-from repro.service.store import ProcSummary, opts_fingerprint
+from repro.core.recompile import ProcSummary, opts_fingerprint
 
 from .conftest import pipeline_source
 
