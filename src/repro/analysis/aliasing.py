@@ -9,15 +9,15 @@ reject (or fall back on) dynamic decomposition of aliased formals.
 
 The analysis is the classical pairwise-formal propagation: alias pairs
 are seeded at call sites that pass the same actual twice and propagated
-top-down through the (acyclic) call graph.
+top-down through the (acyclic) call graph
+(:meth:`~repro.callgraph.acg.ACG.propagate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..callgraph.acg import ACG
-from ..lang import ast as A
+from ..callgraph.acg import ACG, CallSite
 
 
 @dataclass
@@ -38,34 +38,30 @@ class AliasInfo:
 
 def compute_aliases(acg: ACG) -> AliasInfo:
     """Top-down alias propagation over the call graph."""
-    info = AliasInfo()
-    for name in acg.nodes:
-        info.pairs[name] = set()
 
-    for name in acg.topological_order():
-        caller_pairs = info.pairs[name]
-        for site in acg.calls_from(name):
-            callee_pairs = info.pairs[site.callee]
-            # formals receiving the same actual array alias directly
-            by_actual: dict[str, list[str]] = {}
-            for formal, actual in site.array_actuals.items():
-                by_actual.setdefault(actual, []).append(formal)
-            for formals in by_actual.values():
-                for i in range(len(formals)):
-                    for j in range(i + 1, len(formals)):
-                        callee_pairs.add(frozenset((formals[i], formals[j])))
-            # aliases among actuals propagate to the bound formals
-            actual_of: dict[str, str] = site.array_actuals
-            inv: dict[str, list[str]] = {}
-            for formal, actual in actual_of.items():
-                inv.setdefault(actual, []).append(formal)
-            for pair in caller_pairs:
-                a, b = tuple(pair)
-                for fa in inv.get(a, ()):
-                    for fb in inv.get(b, ()):
-                        if fa != fb:
-                            callee_pairs.add(frozenset((fa, fb)))
-    return info
+    def across(site: CallSite,
+               caller_pairs: set[frozenset[str]]) -> set[frozenset[str]]:
+        pairs: set[frozenset[str]] = set()
+        # formals receiving the same actual array alias directly
+        by_actual: dict[str, list[str]] = {}
+        for formal, actual in site.array_actuals.items():
+            by_actual.setdefault(actual, []).append(formal)
+        for formals in by_actual.values():
+            for i in range(len(formals)):
+                for j in range(i + 1, len(formals)):
+                    pairs.add(frozenset((formals[i], formals[j])))
+        # aliases among actuals propagate to the bound formals
+        for pair in caller_pairs:
+            a, b = tuple(pair)
+            for fa in by_actual.get(a, ()):
+                for fb in by_actual.get(b, ()):
+                    if fa != fb:
+                        pairs.add(frozenset((fa, fb)))
+        return pairs
+
+    pairs, _ = acg.propagate(True, across, lambda facts: set().union(*facts),
+                             lambda name, pairs: pairs)
+    return AliasInfo(pairs)
 
 
 class AliasedRedistributionError(Exception):

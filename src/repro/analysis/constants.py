@@ -8,25 +8,22 @@ compiler uses this to resolve symbolic array bounds like ``a(n, n)`` and
 loop bounds in callees — without it, DISTRIBUTE of formal arrays and
 most of dgefa would fall back to run-time resolution.
 
-The propagation is a single top-down pass over the (acyclic) call graph;
-a formal receiving different values from different call sites is dropped
-(procedure cloning, which runs alongside, tends to split exactly those
-call sites anyway).
+The propagation is one top-down walk of the (acyclic) call graph
+(:meth:`~repro.callgraph.acg.ACG.propagate`); a formal receiving
+different values from different call sites is dropped (procedure
+cloning, which runs alongside, tends to split exactly those call sites
+anyway).
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from ..callgraph.acg import ACG
+from ..callgraph.acg import ACG, CallSite
 from ..lang import ast as A
 from .symbolics import eval_const
 
 Number = Union[int, float]
-
-#: sentinel for "multiple conflicting values"
-_CONFLICT = object()
-
 
 def local_param_env(proc: A.Procedure) -> dict[str, Number]:
     env: dict[str, Number] = {}
@@ -50,31 +47,28 @@ def _is_assigned(proc: A.Procedure, name: str) -> bool:
 def propagate_constants(acg: ACG) -> dict[str, dict[str, Number]]:
     """Per-procedure constant environments: PARAMETER constants plus
     formals constant across all call sites (and not reassigned)."""
-    result: dict[str, dict[str, Number]] = {}
-    for name in acg.topological_order():
+
+    # per scalar formal: its value, or None when not a compile-time
+    # constant at some site or not the same at every site
+    def across(site: CallSite, caller_env: dict) -> dict[str, object]:
+        return {formal: eval_const(actual, caller_env)
+                for formal, actual in site.actual_of.items()
+                if formal not in site.array_actuals}
+
+    def meet(facts: list[dict[str, object]]) -> dict[str, object]:
+        incoming: dict[str, object] = {}
+        for fact in facts:
+            for formal, v in fact.items():
+                if incoming.setdefault(formal, v) != v:
+                    incoming[formal] = None
+        return incoming
+
+    def local(name: str, incoming: dict[str, object]) -> dict[str, Number]:
         proc = acg.node(name).proc
         env = local_param_env(proc)
-        sites = acg.calls_to(name)
-        if sites:
-            incoming: dict[str, object] = {}
-            for site in sites:
-                caller_env = result.get(site.caller, {})
-                for formal, actual in site.actual_of.items():
-                    if formal in site.array_actuals:
-                        continue
-                    v = eval_const(actual, caller_env)
-                    prev = incoming.get(formal)
-                    if v is None:
-                        incoming[formal] = _CONFLICT
-                    elif prev is None:
-                        incoming[formal] = v
-                    elif prev is not _CONFLICT and prev != v:
-                        incoming[formal] = _CONFLICT
-            for formal, v in incoming.items():
-                if v is _CONFLICT:
-                    continue
-                if _is_assigned(proc, formal):
-                    continue
+        for formal, v in incoming.items():
+            if v is not None and not _is_assigned(proc, formal):
                 env.setdefault(formal, v)  # PARAMETER wins if clashing
-        result[name] = env
-    return result
+        return env
+
+    return acg.propagate(True, across, meet, local)[0]

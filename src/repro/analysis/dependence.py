@@ -184,9 +184,6 @@ def true_dependence(
     by_var = {l.var: i for i, l in enumerate(common)}
     intervals = [_Interval() for _ in common]
 
-    def level_of(var: Optional[str]) -> Optional[int]:
-        return by_var.get(var) if var else None
-
     for w, r in zip(wdims, rdims):
         ok = _dim_constraint(w, r, common, by_var, intervals, env)
         if not ok:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..callgraph.acg import ACG
+from ..callgraph.acg import ACG, CallSite
 from ..lang import ast as A
+from .symbolics import free_vars
 
 
 @dataclass
@@ -77,34 +78,35 @@ def compute_side_effects(acg: ACG) -> dict[str, SideEffects]:
     procedure (formals and locals); at call sites the callee's formal
     effects are translated to the actuals.
     """
-    result: dict[str, SideEffects] = {}
-    for name in acg.reverse_topological_order():
-        proc = acg.node(name).proc
-        eff = _direct_effects(proc)
-        for site in acg.calls_from(name):
-            callee_eff = result[site.callee]
-            callee_proc = acg.node(site.callee).proc
-            for g in callee_proc.commons:
-                if g in callee_eff.mod:
-                    eff.mod.add(g)
-                if g in callee_eff.ref:
-                    eff.ref.add(g)
-            for formal in callee_proc.formals:
-                actual = site.actual_of[formal]
-                if isinstance(actual, A.Var):
-                    if formal in callee_eff.mod:
-                        eff.mod.add(actual.name)
-                    if formal in callee_eff.ref:
-                        eff.ref.add(actual.name)
-                else:
-                    # expression actual: a use of its variables; cannot be
-                    # modified (Fortran would pass a temporary)
-                    if formal in callee_eff.ref or formal in callee_eff.mod:
-                        from .symbolics import free_vars
 
-                        eff.ref |= free_vars(actual)
-        result[name] = eff
-    return result
+    def across(site: CallSite, callee_eff: SideEffects) -> SideEffects:
+        callee_proc = acg.node(site.callee).proc
+        commons = set(callee_proc.commons)
+        eff = SideEffects(callee_eff.mod & commons, callee_eff.ref & commons)
+        for formal in callee_proc.formals:
+            actual = site.actual_of[formal]
+            if isinstance(actual, A.Var):
+                if formal in callee_eff.mod:
+                    eff.mod.add(actual.name)
+                if formal in callee_eff.ref:
+                    eff.ref.add(actual.name)
+            elif formal in callee_eff.appear:
+                # expression actual: a use of its variables; cannot be
+                # modified (Fortran would pass a temporary)
+                eff.ref |= free_vars(actual)
+        return eff
+
+    def meet(facts: list[SideEffects]) -> SideEffects:
+        return SideEffects(set().union(*(f.mod for f in facts)),
+                           set().union(*(f.ref for f in facts)))
+
+    def local(name: str, below: SideEffects) -> SideEffects:
+        eff = _direct_effects(acg.node(name).proc)
+        eff.mod |= below.mod
+        eff.ref |= below.ref
+        return eff
+
+    return acg.propagate(False, across, meet, local)[0]
 
 
 def appear(acg: ACG, effects: dict[str, SideEffects], name: str) -> set[str]:

@@ -12,7 +12,7 @@ index of P1's loop running 1:100 step 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from ..lang import UnitSummary
 from ..lang import ast as A
@@ -135,6 +135,28 @@ class ACG:
     def reverse_topological_order(self) -> list[str]:
         """Callees before callers — the paper's code-generation order."""
         return list(reversed(self.topological_order()))
+
+    def propagate(self, down: bool, across: Callable, meet: Callable,
+                  local: Callable) -> tuple[dict[str, Any], dict[int, Any]]:
+        """The one walk every Table 1 problem is an instance of.  Visits
+        the procedures callers-first (*down*) or callees-first; at each,
+        asks every call site for ``across(site, value)`` of its end
+        already visited, takes ``meet`` of those facts (a list, in
+        call-site order) as the procedure's boundary and computes its
+        value as ``local(name, boundary)``.  Returns the values per
+        procedure, in visit order, and the facts per call-site id."""
+        order = self.topological_order()
+        if not down:
+            order.reverse()
+        values: dict[str, Any] = {}
+        facts: dict[int, Any] = {}
+        for name in order:
+            node = self.nodes[name]
+            sites = node.callers if down else node.call_sites
+            for s in sites:
+                facts[s.id] = across(s, values[s.caller if down else s.callee])
+            values[name] = local(name, meet([facts[s.id] for s in sites]))
+        return values, facts
 
     # -- construction ------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.sideeffects import compute_side_effects
+from ..analysis.sideeffects import appear, compute_side_effects
 from ..callgraph.acg import ACG
 from ..lang import ast as A
 from .options import Options
@@ -86,7 +86,7 @@ def clone_program(program: A.Program, opts: Options,
         # Filter only merges groups, so side effects (for Appear) are
         # needed only once some procedure has two unfiltered groups;
         # its filtered partition merges those groups
-        appear_sets = None
+        effects = None
         changed = False
         for name in acg.topological_order():
             proc = program.unit(name)
@@ -95,16 +95,9 @@ def clone_program(program: A.Program, opts: Options,
             groups = _partition_calls(acg, reaching, name)
             if len(groups) <= 1:
                 continue
-            if appear_sets is None:
+            if effects is None:
                 effects = compute_side_effects(acg)
-                appear_sets = {
-                    n: effects[n].appear & (
-                        set(program.unit(n).formals)
-                        | set(program.unit(n).commons)
-                    )
-                    for n in acg.nodes
-                }
-            groups = _merge_filtered(groups, appear_sets[name])
+            groups = _merge_filtered(groups, appear(acg, effects, name))
             if len(groups) <= 1:
                 continue
             if len(program.units) + len(groups) - 1 > (

@@ -60,8 +60,10 @@ from .partition import (
 )
 from .reaching import ReachingResult, compute_reaching
 from .recompile import (
+    ProcInputs,
     ProcSummary,
     inputs_fingerprint,
+    proc_inputs,
     store_opts_fingerprint,
     unit_fingerprint,
 )
@@ -150,31 +152,29 @@ class ProcedureCompiler:
         self,
         proc: A.Procedure,
         acg: ACG,
-        reaching: ReachingResult,
+        inputs: ProcInputs,
         opts: Options,
-        callee_exports: dict[str, ProcExports],
         report: CompileReport,
         tags: TagAllocator,
         is_main: bool,
     ) -> None:
         self.proc = proc
         self.acg = acg
-        self.reaching = reaching
+        self.inputs = inputs
         self.opts = opts
-        self.callee_exports = callee_exports
+        self.callee_exports = dict(inputs.callees)
         self.report = report
         self.tags = tags
         self.is_main = is_main
         env = local_param_env(proc)
-        consts = getattr(reaching, "constants", None) or {}
-        env.update(consts.get(proc.name, {}))
+        env.update(inputs.constants)
         self.env = env
 
     # ------------------------------------------------------------------
 
     def compile(self) -> ProcExports:
         proc, opts = self.proc, self.opts
-        pr = self.reaching.per_proc[proc.name]
+        pr = self.inputs.reaching
         arrays, rtr_arrays = resolve_arrays(proc, pr, opts)
         self.report.distributions[proc.name] = {
             n: (str(i.dist) if i.dist else "replicated")
@@ -703,9 +703,8 @@ def compile_procedure_unit(
     prog: A.Program,
     name: str,
     acg: ACG,
-    reaching: ReachingResult,
+    inputs: ProcInputs,
     opts: Options,
-    exports: dict[str, ProcExports],
     report: CompileReport,
     tags: TagAllocator,
     main_name: str,
@@ -717,8 +716,8 @@ def compile_procedure_unit(
     to *report*; returns the procedure's exports.  Reached through
     :func:`compile_one`."""
     pc = ProcedureCompiler(
-        prog.unit(name), acg, reaching, opts, exports, report,
-        tags, is_main=(name == main_name),
+        prog.unit(name), acg, inputs, opts, report, tags,
+        is_main=(name == main_name),
     )
     if opts.strict:
         return pc.compile()
@@ -733,8 +732,7 @@ def compile_procedure_unit(
         # the procedure is still pristine source here; it exports
         # nothing, which callers already treat conservatively.
         return _demote_to_rtr(
-            name, e, prog, acg, reaching, opts, exports,
-            report, tags, main_name,
+            name, e, prog, acg, inputs, opts, report, tags, main_name,
         )
 
 
@@ -752,8 +750,7 @@ def _spans(tracer):
     return tracer.phase
 
 
-def compile_one(prog, name, acg, reaching, opts, exports,
-                main_name) -> ProcSummary:
+def compile_one(prog, name, acg, inputs, opts, main_name) -> ProcSummary:
     """Compile procedure *name* (in place) with a private tag allocator
     and a private report fragment: everything its compilation leaves
     behind, independent of what was compiled before it — a pure
@@ -763,7 +760,7 @@ def compile_one(prog, name, acg, reaching, opts, exports,
     tags = TagAllocator()
     frag = CompileReport(mode=opts.mode, nprocs=opts.nprocs)
     exp = compile_procedure_unit(
-        prog, name, acg, reaching, opts, exports, frag, tags, main_name,
+        prog, name, acg, inputs, opts, frag, tags, main_name,
     )
     return ProcSummary(name, prog.unit(name), exp, tags.next - 1, frag)
 
@@ -831,10 +828,12 @@ def sweep(
     of the wave, mutually independent, goes through :func:`compile_one`.
 
     The compile service's two differences are per-call callables:
-    ``compile_wave(dirty, exports, prog, acg, reaching, main_name)``
-    returns ``{name: ProcSummary}`` for a wave compiled elsewhere (None:
-    compile it here); ``checkpoint()`` runs on entry, per wave and
-    before each local compile, and may raise to abandon the compile.
+    ``compile_wave(dirty, inputs, main_name)`` returns ``{name:
+    ProcSummary}`` for a wave compiled elsewhere (None: compile it
+    here), *inputs* mapping each ready procedure to its
+    :class:`~repro.core.recompile.ProcInputs`; ``checkpoint()`` runs on
+    entry, per wave and before each local compile, and may raise to
+    abandon the compile.
     """
     span = _spans(tracer)
     checkpoint = checkpoint or (lambda: None)
@@ -867,13 +866,14 @@ def sweep(
                 raise CompileError(
                     f"call-graph cycle among {sorted(pending)}")
             exports = {n: s.exports for n, s in resolved.items()}
+            inputs = {n: proc_inputs(n, acg, reaching, exports)
+                      for n in ready}
             dirty = []
             for n in ready:
                 if store is not None:
                     keys[n] = store.key(
                         opts_fp, unit_fingerprint(acg, n),
-                        inputs_fingerprint(n, acg, reaching, exports,
-                                           opts))
+                        inputs_fingerprint(inputs[n], opts))
                     hit = store.load(keys[n])
                     if hit is not None and hit.name == n:
                         resolved[n] = hit
@@ -882,17 +882,15 @@ def sweep(
                             tracer.decision("summary-reuse", proc=n)
                         continue
                 dirty.append(n)
-            got = compile_wave(
-                dirty, exports, prog, acg, reaching, main_name
-            ) if compile_wave is not None and dirty else None
+            got = compile_wave(dirty, inputs, main_name) \
+                if compile_wave is not None and dirty else None
             if got is None:
                 got = {}
                 for n in dirty:
                     checkpoint()
                     with span("procedure", proc=n):
                         got[n] = compile_one(
-                            prog, n, acg, reaching, opts, exports,
-                            main_name)
+                            prog, n, acg, inputs[n], opts, main_name)
             for n in dirty:
                 resolved[n] = got[n]
                 if store is not None:
@@ -966,8 +964,7 @@ def _prewarm_codegen(compiled: CompiledProgram, tracer=None) -> None:
 
 
 def _demote_to_rtr(
-    name, err, prog, acg, reaching, opts, exports, report,
-    tags, main_name,
+    name, err, prog, acg, inputs, opts, report, tags, main_name,
 ) -> ProcExports:
     """Compile procedure *name* with run-time resolution after its
     compile-time analysis failed with *err* (Options.strict=False)."""
@@ -979,12 +976,11 @@ def _demote_to_rtr(
     if why not in report.rtr_fallbacks:
         report.rtr_fallbacks.append(why)
     proc = prog.unit(name)
-    pr = reaching.per_proc[name]
     pc = ProcedureCompiler(
-        proc, acg, reaching, opts, exports, report, tags,
+        proc, acg, inputs, opts, report, tags,
         is_main=(name == main_name),
     )
-    arrays, rtr_arrays = resolve_arrays(proc, pr, opts)
+    arrays, rtr_arrays = resolve_arrays(proc, inputs.reaching, opts)
     return pc._compile_rtr(arrays, rtr_arrays)
 
 

@@ -41,9 +41,6 @@ class Constraint:
     var: Optional[str]
     off: int
 
-    def shifted_to(self, new_sub: A.Expr, new_var: Optional[str]) -> "Constraint":
-        return Constraint(self.dimdist, new_sub, new_var, self.off)
-
 
 @dataclass
 class PendingComm:
@@ -119,12 +116,6 @@ class ProcExports:
     overlap_offsets: dict[str, list[tuple[int, int]]] = field(
         default_factory=dict
     )
-
-    def add_write(self, array: str, section: RSD) -> None:
-        self.writes.setdefault(array, []).append(section)
-
-    def add_read(self, array: str, section: RSD) -> None:
-        self.reads.setdefault(array, []).append(section)
 
 
 class CompileError(Exception):

@@ -34,8 +34,6 @@ class OverlapEstimate:
 
     #: (procedure, array) -> per-axis offsets
     per_proc: dict[tuple[str, str], Offsets] = field(default_factory=dict)
-    #: array name in the procedure that declares it -> global estimate
-    merged: dict[tuple[str, str], Offsets] = field(default_factory=dict)
 
     def get(self, proc: str, array: str, rank: int) -> Offsets:
         return self.per_proc.get((proc, array), [(0, 0)] * rank)
@@ -72,49 +70,42 @@ def local_offsets(proc: A.Procedure, env: dict | None = None) -> dict[str, Offse
     return out
 
 
+def _meet(facts: list[dict[str, Offsets]]) -> dict[str, Offsets]:
+    """Per-array merge of offset maps, keys in first-seen order."""
+    out: dict[str, Offsets] = {}
+    for fact in facts:
+        for arr, offs in fact.items():
+            out[arr] = _merge(out.get(arr, []), offs)
+    return out
+
+
+def _rename(offs: dict[str, Offsets], pairs) -> dict[str, Offsets]:
+    """*offs* under new array names: ``(old, new)`` per binding."""
+    return _meet([{new: offs[old]} for old, new in pairs if old in offs])
+
+
 def estimate_overlaps(acg: ACG, env_of: dict[str, dict] | None = None) -> OverlapEstimate:
     """Figure 13's propagation phase: merge local offsets bottom-up
     through call sites (formal -> actual), then push the merged maxima
-    back down so every procedure sees a consistent estimate."""
+    back down so every procedure sees a consistent estimate — two walks
+    of the call graph (:meth:`~repro.callgraph.acg.ACG.propagate`)."""
     env_of = env_of or {}
-    est = OverlapEstimate()
-    local: dict[str, dict[str, Offsets]] = {}
-    for name in acg.nodes:
-        local[name] = local_offsets(acg.node(name).proc,
-                                    env_of.get(name))
-
-    # bottom-up merge: callee offsets translate to actual arrays
-    combined: dict[str, dict[str, Offsets]] = {
-        name: {k: list(v) for k, v in offs.items()}
-        for name, offs in local.items()
-    }
-    for name in acg.reverse_topological_order():
-        for site in acg.calls_from(name):
-            callee = combined[site.callee]
-            for formal, actual in site.array_actuals.items():
-                if formal in callee:
-                    mine = combined[name].setdefault(
-                        actual, [(0, 0)] * len(callee[formal])
-                    )
-                    combined[name][actual] = _merge(mine, callee[formal])
-
-    # top-down broadcast of the final estimates along call chains
-    for name in acg.topological_order():
-        for arr, offs in combined[name].items():
-            est.per_proc[(name, arr)] = list(offs)
-        for site in acg.calls_from(name):
-            for formal, actual in site.array_actuals.items():
-                mine = combined[name].get(actual)
-                if mine is None:
-                    continue
-                theirs = combined[site.callee].setdefault(
-                    formal, [(0, 0)] * len(mine)
-                )
-                combined[site.callee][formal] = _merge(theirs, mine)
-    for name in acg.nodes:
-        for arr, offs in combined[name].items():
-            est.per_proc[(name, arr)] = list(offs)
-    return est
+    up, _ = acg.propagate(
+        False,
+        lambda site, offs: _rename(offs, site.array_actuals.items()),
+        _meet,
+        lambda name, below: _meet([
+            local_offsets(acg.node(name).proc, env_of.get(name)), below]),
+    )
+    down, _ = acg.propagate(
+        True,
+        lambda site, offs: _rename(
+            offs, [(a, f) for f, a in site.array_actuals.items()]),
+        _meet,
+        lambda name, above: _meet([up[name], above]),
+    )
+    return OverlapEstimate({(name, arr): offs for name, m in down.items()
+                            for arr, offs in m.items()})
 
 
 @dataclass

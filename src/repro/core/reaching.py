@@ -221,55 +221,46 @@ class ReachingResult:
     """Whole-program reaching decompositions."""
 
     per_proc: dict[str, ProcReaching]
-    #: Reaching(P): facts entering each procedure from all its callers
-    reaching: dict[str, frozenset[Fact]]
     #: per call-site id: translated facts (callee formal names)
     site_reaching: dict[int, frozenset[Fact]]
     #: per-procedure constant environments (interprocedural constants)
-    constants: dict[str, dict] = None  # type: ignore[assignment]
+    constants: dict[str, dict]
 
 
 def compute_reaching(acg: ACG, opts: Options) -> ReachingResult:
-    """Figure 6: local entry facts + top-down interprocedural
-    propagation, solving each procedure's data flow once, with TOP
-    already resolved from its callers (a unit as parsed reuses the solve
-    of its text under the same entry facts: :func:`_solve`)."""
-    program = acg.program
+    """Figure 6: local entry facts + one top-down walk of the call graph
+    (:meth:`~repro.callgraph.acg.ACG.propagate`), solving each
+    procedure's data flow once, with TOP already resolved from its
+    callers (a unit as parsed reuses the solve of its text under the
+    same entry facts: :func:`_solve`)."""
     from ..analysis.constants import propagate_constants
 
+    program = acg.program
     constants = propagate_constants(acg)
 
-    # --- interprocedural propagation (topological: callers first) -------
-    reaching: dict[str, frozenset[Fact]] = {}
-    site_reaching: dict[int, frozenset[Fact]] = {}
-    final: dict[str, ProcReaching] = {}
-    for name in acg.topological_order():
+    def across(site: CallSite, caller: ProcReaching) -> frozenset[Fact]:
+        at_call = caller.at_stmt.get(id(site.stmt), frozenset())
+        return translate_to_callee(at_call, site, program.unit(site.callee))
+
+    def local(name: str, reaching: frozenset[Fact]) -> ProcReaching:
         proc = program.unit(name)
-        callers = acg.calls_to(name)
-        if proc.kind == "program" or not callers:
-            reaching[name] = frozenset()
-        else:
-            merged: set[Fact] = set()
-            for site in callers:
-                caller_pr = final[site.caller]
-                at_call = caller_pr.at_stmt.get(id(site.stmt), frozenset())
-                translated = translate_to_callee(at_call, site, proc)
-                site_reaching[site.id] = translated
-                merged |= translated
-            reaching[name] = frozenset(merged)
+        if proc.kind == "program":
+            reaching = frozenset()
         # resolve TOP in the local entry facts with the propagated ones,
         # then solve: the one data-flow solve per procedure
         entry: set[Fact] = set()
         for arr, d in entry_facts(proc, opts, constants[name]):
             if d is TOP:
-                resolved = {dd for (n, dd) in reaching[name] if n == arr}
+                resolved = {dd for (n, dd) in reaching if n == arr}
                 if resolved:
                     entry |= {(arr, dd) for dd in resolved}
                 else:
                     entry.add((arr, TOP))
             else:
                 entry.add((arr, d))
-        final[name] = _solve(proc, acg.node(name).summary, opts,
-                             frozenset(entry), constants[name])
+        return _solve(proc, acg.node(name).summary, opts,
+                      frozenset(entry), constants[name])
 
-    return ReachingResult(final, reaching, site_reaching, constants)
+    per_proc, site_reaching = acg.propagate(
+        True, across, lambda facts: frozenset().union(*facts), local)
+    return ReachingResult(per_proc, site_reaching, constants)

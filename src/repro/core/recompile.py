@@ -8,12 +8,13 @@ modules that may have been affected".
 
 We implement that as fingerprinting: every procedure's compilation
 records (a) a fingerprint of its own source and (b) a fingerprint of
-every interprocedural input it consumed — reaching decompositions,
-propagated constants, and the callee exports (delayed partitions,
-pending communication, RSD summaries, decomposition sets) visible at its
-call sites.  On a subsequent compilation, a procedure is recompiled only
-when one of those fingerprints changed; everything else keeps its
-previous node code (its stored :class:`ProcSummary` is reused).
+every interprocedural input it consumed, its :class:`ProcInputs` —
+reaching decompositions, propagated constants, and the callee exports
+(delayed partitions, pending communication, RSD summaries, decomposition
+sets) visible at its call sites.  On a subsequent compilation, a
+procedure is recompiled only when one of those fingerprints changed;
+everything else keeps its previous node code (its stored
+:class:`ProcSummary` is reused).
 
 This module holds what §8 defines — the fingerprints, the summary they
 key and the store that keeps summaries — and nothing that imports the
@@ -24,7 +25,7 @@ driver: the pass that applies the test is
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Optional, Union
 
 from ..callgraph.acg import ACG
@@ -33,6 +34,7 @@ from ..lang import ast as A
 from ..lang import procedure_str
 from .model import ProcExports
 from .options import CompileReport, Options
+from .reaching import ProcReaching, ReachingResult
 
 
 def _digest(text: str) -> str:
@@ -82,28 +84,50 @@ def exports_fingerprint(exp: ProcExports) -> str:
     return _digest("|".join(parts))
 
 
-def inputs_fingerprint(
-    name: str,
-    acg: ACG,
-    reaching,
-    exports: dict[str, ProcExports],
-    opts: Options,
-) -> str:
-    """Fingerprint of every interprocedural input procedure *name*'s
-    compilation consumes: the facts reaching its entry, propagated
-    constants, the exports of its callees, and the option values that
-    shape code generation.  A procedure whose source *and* inputs
-    fingerprints are unchanged compiles to identical node code."""
-    parts = []
-    pr = reaching.per_proc[name]
-    parts.append(str(sorted(str(f) for f in pr.entry)))
-    consts = (getattr(reaching, "constants", None) or {}).get(name, {})
-    parts.append(str(sorted(consts.items())))
-    for site in acg.calls_from(name):
-        exp = exports.get(site.callee)
-        parts.append(
-            f"{site.callee}:" + (exports_fingerprint(exp) if exp else "-")
-        )
+@dataclass(frozen=True)
+class ProcInputs:
+    """Every interprocedural fact one procedure's compile reads — what
+    :func:`~repro.core.driver.compile_one` is handed and what
+    :func:`inputs_fingerprint` digests, field by field, so the §8 key
+    covers whatever the compile can see."""
+
+    #: the facts reaching its entry, and its local solve under them
+    reaching: ProcReaching
+    #: its constant environment (PARAMETERs and propagated formals)
+    constants: dict
+    #: ``(callee, exports)`` per call site, in call order
+    callees: tuple[tuple[str, Optional[ProcExports]], ...]
+
+
+def proc_inputs(name: str, acg: ACG, reaching: ReachingResult,
+                exports: dict[str, ProcExports]) -> ProcInputs:
+    """The :class:`ProcInputs` of procedure *name*, given the exports
+    resolved so far (a callee not yet among them reads as None)."""
+    return ProcInputs(
+        reaching.per_proc[name], reaching.constants[name],
+        tuple((site.callee, exports.get(site.callee))
+              for site in acg.calls_from(name)))
+
+
+#: how :func:`inputs_fingerprint` spells each field of :class:`ProcInputs`
+#: (a reaching solve is a function of its entry, the constants and the
+#: source, which the store key holds)
+_PARTS = {
+    "reaching": lambda pr: [str(sorted(str(f) for f in pr.entry))],
+    "constants": lambda env: [str(sorted(env.items()))],
+    "callees": lambda callees: [
+        f"{callee}:" + (exports_fingerprint(exp) if exp else "-")
+        for callee, exp in callees],
+}
+
+
+def inputs_fingerprint(inputs: ProcInputs, opts: Options) -> str:
+    """Fingerprint of a procedure's :class:`ProcInputs` and the option
+    values that shape code generation.  A procedure whose source *and*
+    inputs fingerprints are unchanged compiles to identical node
+    code."""
+    parts = [part for f in fields(ProcInputs)
+             for part in _PARTS[f.name](getattr(inputs, f.name))]
     parts.append(str(opts.nprocs))
     parts.append(opts.mode.value)
     parts.append(str(int(opts.dynopt)))

@@ -107,14 +107,6 @@ class DimDistribution:
             start += stride
         return out or [EMPTY_RANGE]
 
-    def primary_local_range(self, coord: int) -> Range:
-        """The single-range local set (block/cyclic/none); raises for
-        block_cyclic with multiple blocks."""
-        rs = self.local_set(coord)
-        if len(rs) != 1:
-            raise ValueError("block_cyclic local set is not a single range")
-        return rs[0]
-
     def owner_coord_expr(self, idx: A.Expr) -> A.Expr:
         """AST expression computing ``owner_coord`` of a symbolic index
         (used by generated run-time-resolution and broadcast code)."""

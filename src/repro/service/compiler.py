@@ -67,17 +67,17 @@ class ServiceCompiler:
         ships per procedure, plus the stats dict."""
         tracer = tracer if tracer is not None else self.tracer
 
-        def on_pool(dirty, exports, prog, acg, reaching, main_name):
+        def on_pool(dirty, inputs, main_name):
             # workers rebuild prog/acg/reaching from source themselves:
-            # reaching results are keyed by statement identity
+            # reaching results are keyed by statement identity; of the
+            # inputs they are shipped only the callee exports
             if self.pool is None:
                 return None
-            need = {site.callee for n in dirty
-                    for site in acg.calls_from(n)}
+            exports = {callee: exp for n in dirty
+                       for callee, exp in inputs[n].callees}
             try:
                 results = self.pool.compile_procs(
-                    source, opts, dirty,
-                    {c: exports[c] for c in sorted(need)}, main_name,
+                    source, opts, dirty, exports, main_name,
                     deadline=deadline,
                 )
             except ServiceError as e:

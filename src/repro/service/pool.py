@@ -87,12 +87,14 @@ class _Worker:
                 pass
 
     def shutdown(self) -> None:
-        """Polite exit; falls back to kill."""
+        """Polite exit, then :meth:`kill` — a no-op signal once the
+        process is reaped, and the close of its pipes."""
         try:
             write_pipe_frame(self.proc.stdin, {"op": "exit"})
             self.proc.wait(timeout=2)
         except Exception:
-            self.kill()
+            pass
+        self.kill()
 
     # -- deadline-bounded frame read ---------------------------------------
 

@@ -18,13 +18,15 @@ Jobs::
 
 A compile job re-runs the deterministic front end from source (reaching
 results are keyed by statement identity, so they cannot travel between
-processes) and compiles each requested procedure with a private tag
-allocator via the same :func:`~repro.core.driver.compile_one` the
-sweep itself uses — results are byte-identical either way.  The worker
-keeps no cache of its own: the front end is incremental (each unit's
-local summary — tree, reaching solves, fingerprint — is memoised per
-text, :mod:`repro.lang.parser`), so a job that follows a one-procedure
-edit parses and solves that one procedure.
+processes), builds each requested procedure's
+:class:`~repro.core.recompile.ProcInputs` from it and the shipped callee
+exports, and compiles the procedure with a private tag allocator via the
+same :func:`~repro.core.driver.compile_one` the sweep itself uses —
+results are byte-identical either way.  The worker keeps no cache of its
+own: the front end is incremental (each unit's local summary — tree,
+reaching solves, fingerprint — is memoised per text,
+:mod:`repro.lang.parser`), so a job that follows a one-procedure edit
+parses and solves that one procedure.
 
 ``crash_flag`` and ``hang_flag`` are the chaos hooks: if the named
 file exists when a compile job arrives, the worker consumes it and
@@ -45,6 +47,7 @@ import sys
 import time
 
 from ..core.driver import compile_one, front_end
+from ..core.recompile import proc_inputs
 from .protocol import read_pipe_frame, write_pipe_frame
 
 
@@ -71,8 +74,9 @@ def _handle_compile(job: dict) -> dict:
     # reaching results are keyed by the fresh trees' statement identities
     prog, acg, reaching, _report = front_end(job["source"], opts)
     return {"ok": True, "results": [
-        compile_one(prog, name, acg, reaching, opts, job["exports"],
-                    job["main_name"])
+        compile_one(prog, name, acg,
+                    proc_inputs(name, acg, reaching, job["exports"]),
+                    opts, job["main_name"])
         for name in job["names"]
     ]}
 

@@ -70,6 +70,7 @@ class TestDecompSets:
         from repro.core.cloning import clone_program
         from repro.core.driver import ProcedureCompiler, TagAllocator
         from repro.core.options import CompileReport
+        from repro.core.recompile import proc_inputs
 
         opts = Options(nprocs=4, mode=Mode.INTER)
         outcome = clone_program(parse(src), opts)
@@ -78,8 +79,9 @@ class TestDecompSets:
         exports = {}
         for name in outcome.acg.reverse_topological_order():
             pc = ProcedureCompiler(
-                outcome.program.unit(name), outcome.acg, outcome.reaching,
-                opts, exports, report, tags, is_main=(name == "p"),
+                outcome.program.unit(name), outcome.acg,
+                proc_inputs(name, outcome.acg, outcome.reaching, exports),
+                opts, report, tags, is_main=(name == "p"),
             )
             exports[name] = pc.compile()
         f1 = exports["f1"].decomp

@@ -356,6 +356,65 @@ def test_report_backed_decisions_have_one_emitter():
     assert "tracer" not in inspect.getsource(driver.ProcedureCompiler)
 
 
+def test_table1_problems_share_one_walk():
+    """Every Table 1 problem is an instance of ``ACG.propagate``: none
+    of their modules orders or walks the call graph itself."""
+    texts = _sources()
+    walk = re.compile(r"(?:reverse_)?topological_order\(|calls_(?:to|from)\(")
+    for path in (("analysis", "constants.py"), ("analysis", "aliasing.py"),
+                 ("analysis", "sideeffects.py"), ("core", "reaching.py"),
+                 ("core", "overlaps.py")):
+        assert not walk.search(texts[os.path.join(*path)]), path
+
+
+def test_a_compile_reads_its_inputs_record():
+    """The per-procedure compile functions are handed one
+    ``ProcInputs``, not the whole-program reaching result or every
+    export resolved so far."""
+    import inspect
+
+    from repro.core import driver
+
+    for fn in (driver.ProcedureCompiler, driver.compile_procedure_unit,
+               driver.compile_one, driver._demote_to_rtr):
+        params = inspect.signature(fn).parameters
+        assert "inputs" in params, fn
+        assert not {"reaching", "exports", "callee_exports"} & set(params)
+
+
+def test_every_input_keys_the_store():
+    """The §8 key digests the ``ProcInputs`` record field by field:
+    taking a fact out of any one field changes it, and the digest
+    spells exactly the record's fields, so a new fact cannot skip the
+    key."""
+    from dataclasses import fields, replace
+
+    from repro.core import recompile
+    from repro.core.driver import front_end, sweep
+    from repro.core.recompile import (
+        ProcInputs,
+        inputs_fingerprint,
+        proc_inputs,
+    )
+
+    opts, src = Options(nprocs=4), dgefa_source(16)
+    _, acg, reaching, _ = front_end(src, opts)
+    exports = {n: s.exports for n, s in sweep(src, opts).summaries.items()}
+    inputs = proc_inputs("dgefa", acg, reaching, exports)
+    assert {f.name for f in fields(ProcInputs)} == set(recompile._PARTS)
+    base = inputs_fingerprint(inputs, opts)
+    changed = {
+        "reaching": replace(inputs.reaching, entry=frozenset()),
+        "constants": {},
+        "callees": inputs.callees[:-1],
+    }
+    assert changed.keys() == set(recompile._PARTS)
+    for name, value in changed.items():
+        assert value != getattr(inputs, name), name
+        assert inputs_fingerprint(replace(inputs, **{name: value}), opts) \
+            != base, name
+
+
 def test_lower_layers_do_not_import_the_compiler():
     """The simulator, telemetry, engines and front end sit below
     ``repro.core``: what they compute is a function of their inputs,

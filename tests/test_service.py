@@ -464,6 +464,22 @@ class TestServiceCompilerWithPool:
         finally:
             pool.close()
 
+    def test_close_releases_worker_pipes(self):
+        """A polite shutdown closes the worker's pipes, as a kill does:
+        nothing is left for the garbage collector to warn about."""
+        import gc
+        import warnings
+
+        pool = WorkerPool(size=1, seed=0)
+        ServiceCompiler(pool=pool).compile(BASE, Options(nprocs=4))
+        assert pool.stats()["jobs_ok"] > 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            pool.close()
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
 
 # ---------------------------------------------------------------------------
 # daemon + client
