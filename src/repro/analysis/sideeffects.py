@@ -80,11 +80,9 @@ def compute_side_effects(acg: ACG) -> dict[str, SideEffects]:
     """
 
     def across(site: CallSite, callee_eff: SideEffects) -> SideEffects:
-        callee_proc = acg.node(site.callee).proc
-        commons = set(callee_proc.commons)
+        commons = set(site.callee_commons)
         eff = SideEffects(callee_eff.mod & commons, callee_eff.ref & commons)
-        for formal in callee_proc.formals:
-            actual = site.actual_of[formal]
+        for formal, actual in site.actual_of.items():
             if isinstance(actual, A.Var):
                 if formal in callee_eff.mod:
                     eff.mod.add(actual.name)

@@ -43,8 +43,9 @@ class LoopInfo:
 
 @dataclass
 class CallSite:
-    """A call edge of the ACG, with its enclosing loop stack and parameter
-    bindings."""
+    """A call edge of the ACG, with its enclosing loop stack, parameter
+    bindings and the callee's COMMON names — everything a caller's
+    compile reads about one of its calls."""
 
     id: int
     caller: str
@@ -58,6 +59,8 @@ class CallSite:
     index_formals: dict[str, LoopInfo] = field(default_factory=dict)
     #: True when any array actual/formal pair disagrees in rank
     reshaped: bool = False
+    #: the callee's COMMON names (global arrays map to themselves)
+    callee_commons: tuple[str, ...] = ()
 
     def translate_expr(self, e: A.Expr) -> A.Expr:
         """Rewrite an expression over callee formals into caller terms."""
@@ -206,6 +209,7 @@ class ACG:
             callee=stmt.name,
             stmt=stmt,
             loops=loops,
+            callee_commons=tuple(callee.proc.commons),
         )
         loop_by_var = {l.var: l for l in loops}
         for formal, actual in zip(formals, stmt.args):

@@ -34,7 +34,7 @@ from ..analysis.dependence import (
 )
 from ..analysis.rsd import RSD, Range, SymDim
 from ..analysis.symbolics import affine_of, eval_int, substitute
-from ..callgraph.acg import ACG, CallSite, LoopInfo
+from ..callgraph.acg import CallSite, LoopInfo
 from ..lang import ast as A
 from .model import Constraint, PendingComm, ProcExports
 from .options import Mode, Options
@@ -122,36 +122,36 @@ def subs_to_section(
     return RSD(tuple(dims))
 
 
-def array_binding(site: CallSite, acg: ACG) -> dict[str, str]:
+def array_binding(site: CallSite) -> dict[str, str]:
     """Callee array name -> caller array name across *site*: formals map
     through the actual arguments; COMMON (global) arrays map to
     themselves ("global variables are simply copied", §5.2)."""
     out = dict(site.array_actuals)
-    for g in acg.node(site.callee).proc.commons:
+    for g in site.callee_commons:
         out.setdefault(g, g)
     return out
 
 
 class CommPlanner:
-    """Per-procedure communication planning."""
+    """Per-procedure communication planning.  *callees* is
+    :attr:`~repro.core.recompile.ProcInputs.callees`: ``(site, callee
+    exports)`` per call site of *proc*."""
 
     def __init__(
         self,
         proc: A.Procedure,
-        acg: ACG,
         arrays: dict[str, ArrayInfo],
         plan: PartitionPlan,
         opts: Options,
-        callee_exports: dict[str, ProcExports],
+        callees: tuple[tuple[CallSite, Optional[ProcExports]], ...],
         env: dict,
         is_main: bool,
     ) -> None:
         self.proc = proc
-        self.acg = acg
         self.arrays = arrays
         self.plan = plan
         self.opts = opts
-        self.callee_exports = callee_exports
+        self.callees = callees
         self.env = env
         self.is_main = is_main
         self.writes: list[Ref] = []
@@ -160,8 +160,8 @@ class CommPlanner:
         self.exports_writes: dict[str, list[RSD]] = {}
         self.exports_reads: dict[str, list[RSD]] = {}
         self._order = 0
-        self._site_of_call: dict[int, CallSite] = {
-            id(s.stmt): s for s in acg.calls_from(proc.name)
+        self._site_of_call: dict[int, tuple] = {
+            id(site.stmt): (site, exp) for site, exp in callees
         }
 
     # -- reference collection ------------------------------------------------
@@ -177,7 +177,7 @@ class CommPlanner:
     ) -> None:
         for s in body:
             if isinstance(s, A.Do):
-                info = self._loop_info(s, loops)
+                info = LoopInfo(s.var, s.lo, s.hi, s.step, s, len(loops) + 1)
                 self._walk(s.body, loops + [info],
                            self._push_anchor(anchor_stack, s) + [None])
             elif isinstance(s, A.DoWhile):
@@ -202,12 +202,6 @@ class CommPlanner:
     @staticmethod
     def _anchors(stack: list[Optional[A.Stmt]], s: A.Stmt) -> list[A.Stmt]:
         return [a if a is not None else s for a in stack]
-
-    def _loop_info(self, s: A.Do, outer: list[LoopInfo]) -> LoopInfo:
-        for l in self.acg.node(self.proc.name).loops:
-            if l.stmt is s:
-                return l
-        return LoopInfo(s.var, s.lo, s.hi, s.step, s, len(outer) + 1)
 
     def _next_order(self) -> int:
         self._order += 1
@@ -272,7 +266,7 @@ class CommPlanner:
         self, s: A.Call, loops: list[LoopInfo], anchors: list[A.Stmt]
     ) -> None:
         order = self._next_order()
-        site = self._site_of_call.get(id(s))
+        site, exports = self._site_of_call.get(id(s), (None, None))
         lv = loop_var_set(loops)
         # scalar-expression argument reads
         for a in s.args:
@@ -283,13 +277,10 @@ class CommPlanner:
                     subs_to_section(ref.subs, loops, self.env),
                     loops, anchors, s, order, False,
                 ))
-        if site is None:
-            return
-        exports = self.callee_exports.get(site.callee)
         if exports is None:
             return
         bindings = site.actual_of
-        arrays_map = array_binding(site, self.acg)
+        arrays_map = array_binding(site)
         # translated write/read RSD summaries become refs at this site
         for formal, sections in exports.writes.items():
             actual = arrays_map.get(formal)
@@ -469,8 +460,7 @@ class CommPlanner:
                 continue
             self._plan_ref(ref, from_site=None)
         # pending communication imported from call sites
-        for site in self.acg.calls_from(self.proc.name):
-            exports = self.callee_exports.get(site.callee)
+        for site, exports in self.callees:
             if exports is None:
                 continue
             for p in exports.pending:
@@ -493,7 +483,7 @@ class CommPlanner:
         self._place(pending, ref)
 
     def _import_pending(self, p: PendingComm, site: CallSite) -> None:
-        actual = array_binding(site, self.acg).get(p.array)
+        actual = array_binding(site).get(p.array)
         if actual is None:
             return
         info = self.arrays.get(actual)
@@ -501,7 +491,8 @@ class CommPlanner:
             # COMMON arrays may not be declared in this procedure: the
             # pending's own distribution (validated by reaching in the
             # callee) is authoritative, so analysis proceeds
-            if actual not in _program_commons(self.acg):
+            if actual not in site.callee_commons \
+                    and actual not in self.proc.commons:
                 return
         if actual in self.plan.rtr_arrays:
             self.result.rtr_stmts[id(site.stmt)] = (
@@ -743,13 +734,6 @@ def translate_section(sec: RSD, bindings: dict, env: dict) -> RSD:
         else:
             dims.append(SymDim(lo, hi))
     return RSD(tuple(dims))
-
-
-def _program_commons(acg: ACG) -> set[str]:
-    out: set[str] = set()
-    for node in acg.nodes.values():
-        out |= set(node.proc.commons)
-    return out
 
 
 def expr_str_safe(ref: Ref) -> str:

@@ -151,7 +151,6 @@ class ProcedureCompiler:
     def __init__(
         self,
         proc: A.Procedure,
-        acg: ACG,
         inputs: ProcInputs,
         opts: Options,
         report: CompileReport,
@@ -159,10 +158,8 @@ class ProcedureCompiler:
         is_main: bool,
     ) -> None:
         self.proc = proc
-        self.acg = acg
         self.inputs = inputs
         self.opts = opts
-        self.callee_exports = dict(inputs.callees)
         self.report = report
         self.tags = tags
         self.is_main = is_main
@@ -195,8 +192,8 @@ class ProcedureCompiler:
             plan_blocks(proc, plan, opts, self.env, self.is_main,
                         allow_export=allow_export)
             planner = CommPlanner(
-                proc, self.acg, arrays, plan, opts,
-                self.callee_exports, self.env, self.is_main,
+                proc, arrays, plan, opts,
+                self.inputs.callees, self.env, self.is_main,
             )
             comm = planner.analyze()
             self._check_collective_safety(plan, comm)
@@ -228,7 +225,7 @@ class ProcedureCompiler:
             raise CompileError(f"{proc.name}: partition planning diverged")
 
         dyn = DynamicDecompPlanner(
-            proc, self.acg, arrays, opts, self.callee_exports, self.env,
+            proc, arrays, opts, self.inputs.callees, self.env,
             self.is_main, self.report, reaching_pr=pr,
         )
         dyn_plan = dyn.analyze()
@@ -257,7 +254,8 @@ class ProcedureCompiler:
     # -- constraints ------------------------------------------------------
 
     def _assign_constraints(self, plan: PartitionPlan) -> None:
-        site_of = {id(s.stmt): s for s in self.acg.calls_from(self.proc.name)}
+        site_of = {id(site.stmt): (site, exp)
+                   for site, exp in self.inputs.callees}
         self._detect_reductions(plan)
         for s in A.walk_stmts(self.proc.body):
             sid = id(s)
@@ -286,10 +284,9 @@ class ProcedureCompiler:
                     if full not in self.report.rtr_fallbacks:
                         self.report.rtr_fallbacks.append(full)
             elif isinstance(s, A.Call):
-                site = site_of.get(sid)
+                site, exp = site_of.get(sid, (None, None))
                 if site is None:
                     continue
-                exp = self.callee_exports.get(site.callee)
                 if exp is None or exp.constraint is None:
                     plan.stmt_constraint[sid] = None
                     continue
@@ -670,7 +667,7 @@ def front_end(
     if opts.distribute:
         # plan overrides rewrite DISTRIBUTE statements *before* any
         # analysis, so every downstream fact (reaching decompositions,
-        # fingerprints, worker re-runs) sees the overridden layout
+        # fingerprints) sees the overridden layout
         with span("distribution-overrides"):
             for name in apply_dist_overrides(prog, opts.distribute):
                 local.pop(name, None)
@@ -700,25 +697,20 @@ def front_end(
 
 
 def compile_procedure_unit(
-    prog: A.Program,
-    name: str,
-    acg: ACG,
+    proc: A.Procedure,
     inputs: ProcInputs,
     opts: Options,
     report: CompileReport,
     tags: TagAllocator,
-    main_name: str,
+    is_main: bool,
 ) -> ProcExports:
     """Compile one procedure of the reverse-topological sweep, with the
     paper's graceful degradation: a failed compile-time analysis demotes
     the procedure to run-time resolution instead of aborting (unless
-    ``opts.strict``).  Mutates ``prog.unit(name)`` in place and appends
-    to *report*; returns the procedure's exports.  Reached through
+    ``opts.strict``).  Mutates *proc* in place and appends to *report*;
+    returns the procedure's exports.  Reached through
     :func:`compile_one`."""
-    pc = ProcedureCompiler(
-        prog.unit(name), acg, inputs, opts, report, tags,
-        is_main=(name == main_name),
-    )
+    pc = ProcedureCompiler(proc, inputs, opts, report, tags, is_main)
     if opts.strict:
         return pc.compile()
     try:
@@ -731,9 +723,7 @@ def compile_procedure_unit(
         # compile-phase failures raise *before* the body rewrite, so
         # the procedure is still pristine source here; it exports
         # nothing, which callers already treat conservatively.
-        return _demote_to_rtr(
-            name, e, prog, acg, inputs, opts, report, tags, main_name,
-        )
+        return _demote_to_rtr(proc, e, inputs, opts, report, tags, is_main)
 
 
 #: statement types carrying allocator-issued message tags (tag > 0 iff
@@ -750,19 +740,19 @@ def _spans(tracer):
     return tracer.phase
 
 
-def compile_one(prog, name, acg, inputs, opts, main_name) -> ProcSummary:
-    """Compile procedure *name* (in place) with a private tag allocator
-    and a private report fragment: everything its compilation leaves
-    behind, independent of what was compiled before it — a pure
-    function of its inputs, whose decisions are the fragment.  The one
-    path to :func:`compile_procedure_unit` — the sweep and the
-    service's workers both go through here."""
+def compile_one(proc: A.Procedure, inputs: ProcInputs, opts: Options,
+                is_main: bool) -> ProcSummary:
+    """Compile *proc* (in place) with a private tag allocator and a
+    private report fragment: everything its compilation leaves behind,
+    independent of what was compiled before it — a pure function of its
+    tree and its :class:`~repro.core.recompile.ProcInputs`, whose
+    decisions are the fragment.  The one path to
+    :func:`compile_procedure_unit` — the sweep and the service's
+    workers both go through here."""
     tags = TagAllocator()
     frag = CompileReport(mode=opts.mode, nprocs=opts.nprocs)
-    exp = compile_procedure_unit(
-        prog, name, acg, inputs, opts, frag, tags, main_name,
-    )
-    return ProcSummary(name, prog.unit(name), exp, tags.next - 1, frag)
+    exp = compile_procedure_unit(proc, inputs, opts, frag, tags, is_main)
+    return ProcSummary(proc.name, proc, exp, tags.next - 1, frag)
 
 
 @dataclass
@@ -828,12 +818,12 @@ def sweep(
     of the wave, mutually independent, goes through :func:`compile_one`.
 
     The compile service's two differences are per-call callables:
-    ``compile_wave(dirty, inputs, main_name)`` returns ``{name:
-    ProcSummary}`` for a wave compiled elsewhere (None: compile it
-    here), *inputs* mapping each ready procedure to its
-    :class:`~repro.core.recompile.ProcInputs`; ``checkpoint()`` runs on
-    entry, per wave and before each local compile, and may raise to
-    abandon the compile.
+    ``compile_wave(wave)`` returns ``{name: ProcSummary}`` for a wave
+    compiled elsewhere (None: compile it here), *wave* holding each
+    dirty procedure's :func:`compile_one` arguments — its pristine tree,
+    its :class:`~repro.core.recompile.ProcInputs` and whether it is the
+    main program; ``checkpoint()`` runs on entry, per wave and before
+    each local compile, and may raise to abandon the compile.
     """
     span = _spans(tracer)
     checkpoint = checkpoint or (lambda: None)
@@ -882,15 +872,16 @@ def sweep(
                             tracer.decision("summary-reuse", proc=n)
                         continue
                 dirty.append(n)
-            got = compile_wave(dirty, inputs, main_name) \
-                if compile_wave is not None and dirty else None
+            wave = [(prog.unit(n), inputs[n], n == main_name) for n in dirty]
+            got = compile_wave(wave) \
+                if compile_wave is not None and wave else None
             if got is None:
                 got = {}
-                for n in dirty:
+                for proc, record, is_main in wave:
                     checkpoint()
-                    with span("procedure", proc=n):
-                        got[n] = compile_one(
-                            prog, n, acg, inputs[n], opts, main_name)
+                    with span("procedure", proc=proc.name):
+                        got[proc.name] = compile_one(proc, record, opts,
+                                                     is_main)
             for n in dirty:
                 resolved[n] = got[n]
                 if store is not None:
@@ -964,10 +955,11 @@ def _prewarm_codegen(compiled: CompiledProgram, tracer=None) -> None:
 
 
 def _demote_to_rtr(
-    name, err, prog, acg, inputs, opts, report, tags, main_name,
+    proc, err, inputs, opts, report, tags, is_main,
 ) -> ProcExports:
-    """Compile procedure *name* with run-time resolution after its
-    compile-time analysis failed with *err* (Options.strict=False)."""
+    """Compile *proc* with run-time resolution after its compile-time
+    analysis failed with *err* (Options.strict=False)."""
+    name = proc.name
     cause = str(err)
     if cause.startswith(f"{name}: "):  # many errors already name the proc
         cause = cause[len(name) + 2:]
@@ -975,11 +967,7 @@ def _demote_to_rtr(
     report.rtr_demotions.append(f"{name}: {cause}")
     if why not in report.rtr_fallbacks:
         report.rtr_fallbacks.append(why)
-    proc = prog.unit(name)
-    pc = ProcedureCompiler(
-        proc, acg, inputs, opts, report, tags,
-        is_main=(name == main_name),
-    )
+    pc = ProcedureCompiler(proc, inputs, opts, report, tags, is_main)
     arrays, rtr_arrays = resolve_arrays(proc, inputs.reaching, opts)
     return pc._compile_rtr(arrays, rtr_arrays)
 
@@ -1024,7 +1012,7 @@ def _prologue_distribution(main, name, pr, opts) -> Optional[Distribution]:
     for s in main.body:
         if isinstance(s, (A.Decomposition, A.Align, A.Distribute)):
             continue
-        facts = pr.at_stmt.get(id(s))
+        facts = pr.facts_at(s)
         if facts:
             dists = {d for (n, d) in facts
                      if n == name and isinstance(d, Distribution)}

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from ..callgraph.acg import ACG, CallSite
+from ..callgraph.acg import CallSite
 from ..dist import Distribution
 from ..lang import ast as A
 from .model import DecompSets, ProcExports
@@ -105,25 +105,23 @@ class DynamicDecompPlanner:
     def __init__(
         self,
         proc: A.Procedure,
-        acg: ACG,
         arrays: dict[str, ArrayInfo],
         opts: Options,
-        callee_exports: dict[str, ProcExports],
+        callees: tuple[tuple[CallSite, Optional[ProcExports]], ...],
         env: dict,
         is_main: bool,
         report: CompileReport,
         reaching_pr=None,
     ) -> None:
         self.proc = proc
-        self.acg = acg
         self.arrays = arrays
         self.reaching_pr = reaching_pr
         self.opts = opts
-        self.callee_exports = callee_exports
+        self.callees = callees
         self.env = env
         self.is_main = is_main
         self.report = report
-        self.site_of = {id(s.stmt): s for s in acg.calls_from(proc.name)}
+        self.site_of = {id(site.stmt): (site, exp) for site, exp in callees}
         self.table = build_directive_table(proc)
         self.plan = DynPlan()
 
@@ -132,8 +130,7 @@ class DynamicDecompPlanner:
     def analyze(self) -> DynPlan:
         dynamic = find_dynamic_distributes(self.proc, self.is_main)
         has_callee_sets = any(
-            self._callee_sets(site) for site in self.acg.calls_from(self.proc.name)
-        )
+            self._callee_sets(exp) for _site, exp in self.callees)
         self._export_kill_analysis()
         self._collect_use(dynamic)
         if not dynamic and not has_callee_sets:
@@ -234,8 +231,8 @@ class DynamicDecompPlanner:
 
     # -- event collection ----------------------------------------------------
 
-    def _callee_sets(self, site: CallSite) -> Optional[DecompSets]:
-        exp = self.callee_exports.get(site.callee)
+    @staticmethod
+    def _callee_sets(exp: Optional[ProcExports]) -> Optional[DecompSets]:
         if exp is None:
             return None
         d = exp.decomp
@@ -275,12 +272,11 @@ class DynamicDecompPlanner:
                         self.plan.replace.setdefault(id(s), [])
                     continue
                 if isinstance(s, A.Call) and id(s) in self.site_of:
-                    site = self.site_of[id(s)]
+                    site, exp = self.site_of[id(s)]
                     from .communication import array_binding
 
-                    amap = array_binding(site, self.acg)
-                    sets = self._callee_sets(site)
-                    exp = self.callee_exports.get(site.callee)
+                    amap = array_binding(site)
+                    sets = self._callee_sets(exp)
                     if sets is not None:
                         for formal, dist in sets.before.items():
                             arr = amap.get(formal)

@@ -15,7 +15,7 @@ later expands (the ``<⊤, V>`` elements of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 from ..analysis.constants import local_param_env
 from ..analysis.dataflow import solve
@@ -43,19 +43,37 @@ class ProcReaching:
     #: facts entering the procedure (formal arrays start at TOP until
     #: interprocedural propagation fills them in)
     entry: frozenset[Fact] = frozenset()
-    #: per statement (id of the AST node): facts reaching it
-    at_stmt: dict[int, frozenset[Fact]] = field(default_factory=dict)
+    #: per statement of *body*, in :func:`~repro.lang.ast.walk_stmts`
+    #: order: facts reaching it
+    at_stmt: tuple[frozenset[Fact], ...] = ()
+    #: the statements solved (a procedure's pristine body)
+    body: list[A.Stmt] = field(default_factory=list, repr=False,
+                               compare=False)
+    #: id(statement) -> position in *body*; built on first use, so it
+    #: is rebuilt for the copy of the tree another process unpickles
+    _index: Optional[dict[int, int]] = field(default=None, init=False,
+                                             repr=False, compare=False)
+
+    def facts_at(self, stmt: A.Stmt) -> frozenset[Fact]:
+        if self._index is None:
+            self._index = {id(s): i
+                           for i, s in enumerate(A.walk_stmts(self.body))}
+        i = self._index.get(id(stmt))
+        return frozenset() if i is None else self.at_stmt[i]
 
     def dists_of(self, array: str, stmt: A.Stmt) -> set[DistOrTop]:
-        facts = self.at_stmt.get(id(stmt), frozenset())
-        return {d for (n, d) in facts if n == array}
+        return {d for (n, d) in self.facts_at(stmt) if n == array}
 
     def reaching_dists(self, array: str) -> set[DistOrTop]:
         """Union of distributions reaching any use of *array*."""
         out: set[DistOrTop] = set()
-        for facts in self.at_stmt.values():
+        for facts in self.at_stmt:
             out |= {d for (n, d) in facts if n == array}
         return out
+
+    def __getstate__(self):
+        # statement ids mean nothing in another process
+        return {**self.__dict__, "_index": None}
 
 
 def build_directive_table(proc: A.Procedure) -> DirectiveTable:
@@ -166,41 +184,33 @@ def analyze_procedure(
 
     ins, _outs = solve(cfg, transfer, "forward", boundary=entry)
 
-    pr = ProcReaching(proc.name, entry)
-    for node in cfg.nodes:
-        if node.stmt is not None:
-            pr.at_stmt[id(node.stmt)] = ins[node.id]
-    return pr
+    at = {id(node.stmt): ins[node.id] for node in cfg.nodes
+          if node.stmt is not None}
+    # the CFG has a node per statement
+    return ProcReaching(proc.name, entry,
+                        tuple(at[id(s)] for s in A.walk_stmts(proc.body)),
+                        proc.body)
 
 
 def _solve(proc: A.Procedure, summary: UnitSummary | None, opts: Options,
            entry: frozenset[Fact], const_env: dict) -> ProcReaching:
     """:func:`analyze_procedure`, memoised on the procedure's local
-    *summary* (if any) by (entry facts, constants, nprocs).  The memo
-    holds facts by statement position in
-    :func:`~repro.lang.ast.walk_stmts` order (the CFG has a node per
-    statement), so one solve serves every tree cloned from the unit's
-    text."""
+    *summary* (if any) by (entry facts, constants, nprocs).  Facts are
+    held by statement position, so one solve serves every tree cloned
+    from the unit's text."""
     if summary is None:
         return analyze_procedure(proc, opts, entry, const_env=const_env)
-    stmts = list(A.walk_stmts(proc.body))
-
-    def solve_here() -> tuple[frozenset[Fact], ...]:
-        at = analyze_procedure(proc, opts, entry,
-                               const_env=const_env).at_stmt
-        return tuple(at[id(s)] for s in stmts)
-
     # the type keeps 64 and 64.0 apart: they resolve bounds differently
     env = tuple((k, type(v), v) for k, v in sorted(const_env.items()))
-    facts = summary.derive(("reaching", entry, env, opts.nprocs),
-                           solve_here)
-    return ProcReaching(proc.name, entry,
-                        {id(s): f for s, f in zip(stmts, facts)})
+    facts = summary.derive(
+        ("reaching", entry, env, opts.nprocs),
+        lambda: analyze_procedure(proc, opts, entry,
+                                  const_env=const_env).at_stmt)
+    return ProcReaching(proc.name, entry, facts, proc.body)
 
 
-def translate_to_callee(
-    facts: frozenset[Fact], site: CallSite, callee: A.Procedure | None = None
-) -> frozenset[Fact]:
+def translate_to_callee(facts: frozenset[Fact],
+                        site: CallSite) -> frozenset[Fact]:
     """The paper's ``Translate``: map actual-array facts to the callee's
     formal names; facts for COMMON (global) arrays are simply copied."""
     out: set[Fact] = set()
@@ -208,11 +218,9 @@ def translate_to_callee(
         for name, d in facts:
             if name == actual:
                 out.add((formal, d))
-    if callee is not None and callee.commons:
-        commons = set(callee.commons)
-        for name, d in facts:
-            if name in commons:
-                out.add((name, d))
+    for name, d in facts:
+        if name in site.callee_commons:
+            out.add((name, d))
     return frozenset(out)
 
 
@@ -239,8 +247,7 @@ def compute_reaching(acg: ACG, opts: Options) -> ReachingResult:
     constants = propagate_constants(acg)
 
     def across(site: CallSite, caller: ProcReaching) -> frozenset[Fact]:
-        at_call = caller.at_stmt.get(id(site.stmt), frozenset())
-        return translate_to_callee(at_call, site, program.unit(site.callee))
+        return translate_to_callee(caller.facts_at(site.stmt), site)
 
     def local(name: str, reaching: frozenset[Fact]) -> ProcReaching:
         proc = program.unit(name)

@@ -9,12 +9,12 @@ modules that may have been affected".
 We implement that as fingerprinting: every procedure's compilation
 records (a) a fingerprint of its own source and (b) a fingerprint of
 every interprocedural input it consumed, its :class:`ProcInputs` —
-reaching decompositions, propagated constants, and the callee exports
+reaching decompositions, propagated constants, and per call site the
+parameter bindings, the callee's COMMON names and the callee's exports
 (delayed partitions, pending communication, RSD summaries, decomposition
-sets) visible at its call sites.  On a subsequent compilation, a
-procedure is recompiled only when one of those fingerprints changed;
-everything else keeps its previous node code (its stored
-:class:`ProcSummary` is reused).
+sets).  On a subsequent compilation, a procedure is recompiled only when
+one of those fingerprints changed; everything else keeps its previous
+node code (its stored :class:`ProcSummary` is reused).
 
 This module holds what §8 defines — the fingerprints, the summary they
 key and the store that keeps summaries — and nothing that imports the
@@ -28,10 +28,11 @@ import hashlib
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Optional, Union
 
-from ..callgraph.acg import ACG
+from ..callgraph.acg import ACG, CallSite
 from ..cas import PICKLE, Cas
 from ..lang import ast as A
 from ..lang import procedure_str
+from ..lang.printer import expr_str
 from .model import ProcExports
 from .options import CompileReport, Options
 from .reaching import ProcReaching, ReachingResult
@@ -87,16 +88,18 @@ def exports_fingerprint(exp: ProcExports) -> str:
 @dataclass(frozen=True)
 class ProcInputs:
     """Every interprocedural fact one procedure's compile reads — what
-    :func:`~repro.core.driver.compile_one` is handed and what
-    :func:`inputs_fingerprint` digests, field by field, so the §8 key
-    covers whatever the compile can see."""
+    :func:`~repro.core.driver.compile_one` is handed beside the
+    procedure's own tree, and what :func:`inputs_fingerprint` digests,
+    field by field, so the §8 key covers whatever the compile can see.
+    Its statement references (the solve's, each call site's statement
+    and loop stack) point into that tree, so the two travel together."""
 
     #: the facts reaching its entry, and its local solve under them
     reaching: ProcReaching
     #: its constant environment (PARAMETERs and propagated formals)
     constants: dict
-    #: ``(callee, exports)`` per call site, in call order
-    callees: tuple[tuple[str, Optional[ProcExports]], ...]
+    #: ``(site, callee exports)`` per call site, in call order
+    callees: tuple[tuple[CallSite, Optional[ProcExports]], ...]
 
 
 def proc_inputs(name: str, acg: ACG, reaching: ReachingResult,
@@ -105,8 +108,19 @@ def proc_inputs(name: str, acg: ACG, reaching: ReachingResult,
     resolved so far (a callee not yet among them reads as None)."""
     return ProcInputs(
         reaching.per_proc[name], reaching.constants[name],
-        tuple((site.callee, exports.get(site.callee))
+        tuple((site, exports.get(site.callee))
               for site in acg.calls_from(name)))
+
+
+def _site_part(site: CallSite, exp: Optional[ProcExports]) -> str:
+    """A call site as its caller's compile reads it: the bindings, the
+    callee's COMMON names and exports (its statement and loop stack are
+    the caller's source, which the store key holds)."""
+    binding = ",".join(f"{f}={expr_str(a)}" for f, a in site.actual_of.items())
+    arrays = ",".join(f"{f}={a}" for f, a in site.array_actuals.items())
+    return (f"{site.callee}({binding})[{arrays}]"
+            f"/{','.join(site.callee_commons)}:"
+            + (exports_fingerprint(exp) if exp else "-"))
 
 
 #: how :func:`inputs_fingerprint` spells each field of :class:`ProcInputs`
@@ -115,9 +129,8 @@ def proc_inputs(name: str, acg: ACG, reaching: ReachingResult,
 _PARTS = {
     "reaching": lambda pr: [str(sorted(str(f) for f in pr.entry))],
     "constants": lambda env: [str(sorted(env.items()))],
-    "callees": lambda callees: [
-        f"{callee}:" + (exports_fingerprint(exp) if exp else "-")
-        for callee, exp in callees],
+    "callees": lambda callees: [_site_part(site, exp)
+                                for site, exp in callees],
 }
 
 

@@ -67,19 +67,12 @@ class ServiceCompiler:
         ships per procedure, plus the stats dict."""
         tracer = tracer if tracer is not None else self.tracer
 
-        def on_pool(dirty, inputs, main_name):
-            # workers rebuild prog/acg/reaching from source themselves:
-            # reaching results are keyed by statement identity; of the
-            # inputs they are shipped only the callee exports
+        def on_pool(wave):
             if self.pool is None:
                 return None
-            exports = {callee: exp for n in dirty
-                       for callee, exp in inputs[n].callees}
             try:
-                results = self.pool.compile_procs(
-                    source, opts, dirty, exports, main_name,
-                    deadline=deadline,
-                )
+                results = self.pool.compile_procs(opts, wave,
+                                                  deadline=deadline)
             except ServiceError as e:
                 if e.kind == "deadline":
                     raise

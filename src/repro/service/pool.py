@@ -162,17 +162,18 @@ class WorkerPool:
 
     # -- public API ---------------------------------------------------------
 
-    def compile_procs(self, source, opts, names, exports, main_name,
+    def compile_procs(self, opts, procs,
                       deadline: Optional[float] = None
                       ) -> list[ProcSummary]:
-        """Compile *names* (one wave: mutually independent) across the
-        pool.  Returns their summaries in no particular order; raises
-        :class:`ServiceError` when a chunk cannot be completed."""
-        nchunks = min(self.size, len(names))
-        chunks = [names[i::nchunks] for i in range(nchunks)]
+        """Compile *procs* — one wave, mutually independent, as
+        :func:`~repro.core.driver.compile_one` arguments ``(pristine
+        tree, ProcInputs, is_main)`` — across the pool.  Returns their
+        summaries in no particular order; raises :class:`ServiceError`
+        when a chunk cannot be completed."""
+        nchunks = min(self.size, len(procs))
+        chunks = [procs[i::nchunks] for i in range(nchunks)]
         jobs = [{
-            "op": "compile", "source": source, "opts": opts,
-            "names": chunk, "exports": exports, "main_name": main_name,
+            "op": "compile", "opts": opts, "procs": chunk,
             "crash_flag": self.crash_flag, "hang_flag": self.hang_flag,
         } for chunk in chunks]
         replies = self._run_jobs(jobs, deadline)

@@ -8,25 +8,22 @@ Jobs::
 
     {"op": "ping"}
     {"op": "exit"}
-    {"op": "compile", "source": str, "opts": Options, "names": [str],
-     "exports": {name: ProcExports}, "main_name": str,
+    {"op": "compile", "opts": Options,
+     "procs": [(Procedure, ProcInputs, is_main: bool)],
      "crash_flag": path|None, "hang_flag": path|None}
     {"op": "evaluate", "source": str,
      "plans": [{"idx": int, "opts": Options}],
      "machine": {evaluate_plan keyword: value}, "store_dir": path|None,
      "crash_flag": path|None, "hang_flag": path|None}
 
-A compile job re-runs the deterministic front end from source (reaching
-results are keyed by statement identity, so they cannot travel between
-processes), builds each requested procedure's
-:class:`~repro.core.recompile.ProcInputs` from it and the shipped callee
-exports, and compiles the procedure with a private tag allocator via the
-same :func:`~repro.core.driver.compile_one` the sweep itself uses —
-results are byte-identical either way.  The worker keeps no cache of its
-own: the front end is incremental (each unit's local summary — tree,
-reaching solves, fingerprint — is memoised per text,
-:mod:`repro.lang.parser`), so a job that follows a one-procedure edit
-parses and solves that one procedure.
+A compile job carries, per procedure, its pristine tree and its
+:class:`~repro.core.recompile.ProcInputs`, pickled together: the
+record's statement references (reaching facts by statement position,
+each call site's statement and loop stack) point into that tree on
+this side too.  The worker compiles each with the same
+:func:`~repro.core.driver.compile_one` the sweep itself uses — results
+are byte-identical either way — and runs no front end: every parse and
+analysis happens once, in the process that sweeps.
 
 ``crash_flag`` and ``hang_flag`` are the chaos hooks: if the named
 file exists when a compile job arrives, the worker consumes it and
@@ -46,8 +43,7 @@ import signal
 import sys
 import time
 
-from ..core.driver import compile_one, front_end
-from ..core.recompile import proc_inputs
+from ..core.driver import compile_one
 from .protocol import read_pipe_frame, write_pipe_frame
 
 
@@ -69,15 +65,9 @@ def _consume_chaos_flags(job: dict) -> None:
 
 def _handle_compile(job: dict) -> dict:
     _consume_chaos_flags(job)
-    opts = job["opts"]
-    # fresh trees per job: compilation rewrites a procedure in place and
-    # reaching results are keyed by the fresh trees' statement identities
-    prog, acg, reaching, _report = front_end(job["source"], opts)
     return {"ok": True, "results": [
-        compile_one(prog, name, acg,
-                    proc_inputs(name, acg, reaching, job["exports"]),
-                    opts, job["main_name"])
-        for name in job["names"]
+        compile_one(proc, inputs, job["opts"], is_main)
+        for proc, inputs, is_main in job["procs"]
     ]}
 
 
@@ -139,8 +129,7 @@ def main() -> int:
                 reply = _handle_compile(job)
         except Exception as e:  # report, stay alive
             reply = {"ok": False,
-                     "error": f"{type(e).__name__}: {e}",
-                     "names": job.get("names")}
+                     "error": f"{type(e).__name__}: {e}"}
         write_pipe_frame(out, reply)
 
 

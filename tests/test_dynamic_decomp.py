@@ -79,7 +79,7 @@ class TestDecompSets:
         exports = {}
         for name in outcome.acg.reverse_topological_order():
             pc = ProcedureCompiler(
-                outcome.program.unit(name), outcome.acg,
+                outcome.program.unit(name),
                 proc_inputs(name, outcome.acg, outcome.reaching, exports),
                 opts, report, tags, is_main=(name == "p"),
             )

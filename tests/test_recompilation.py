@@ -368,18 +368,36 @@ def test_table1_problems_share_one_walk():
 
 
 def test_a_compile_reads_its_inputs_record():
-    """The per-procedure compile functions are handed one
-    ``ProcInputs``, not the whole-program reaching result or every
-    export resolved so far."""
+    """The per-procedure compile functions are handed one procedure's
+    tree and its ``ProcInputs``: not the whole-program reaching result,
+    every export resolved so far, the program or its call graph."""
     import inspect
 
     from repro.core import driver
+    from repro.core.communication import CommPlanner
+    from repro.core.dynamic import DynamicDecompPlanner
 
     for fn in (driver.ProcedureCompiler, driver.compile_procedure_unit,
                driver.compile_one, driver._demote_to_rtr):
         params = inspect.signature(fn).parameters
         assert "inputs" in params, fn
         assert not {"reaching", "exports", "callee_exports"} & set(params)
+    for fn in (driver.ProcedureCompiler, driver.compile_procedure_unit,
+               driver.compile_one, driver._demote_to_rtr, CommPlanner,
+               DynamicDecompPlanner):
+        params = inspect.signature(fn).parameters
+        assert not {"prog", "acg"} & set(params), fn
+
+
+def test_the_worker_compiles_without_a_front_end():
+    """A worker's compile job is the shipped trees and their records:
+    ``_handle_compile`` runs no front end."""
+    import ast
+
+    text = _sources("service")[os.path.join("service", "worker.py")]
+    (fn,) = [f for f in ast.walk(ast.parse(text))
+             if isinstance(f, ast.FunctionDef) and f.name == "_handle_compile"]
+    assert "front_end" not in ast.get_source_segment(text, fn)
 
 
 def test_every_input_keys_the_store():
@@ -413,6 +431,72 @@ def test_every_input_keys_the_store():
         assert value != getattr(inputs, name), name
         assert inputs_fingerprint(replace(inputs, **{name: value}), opts) \
             != base, name
+    # one site's binding: dscal's n and k bound the other way round
+    (site, exp), *rest = inputs.callees
+    actual_of = dict(site.actual_of, n=site.actual_of["k"],
+                     k=site.actual_of["n"])
+    rebound = ((replace(site, actual_of=actual_of), exp), *rest)
+    assert inputs_fingerprint(replace(inputs, callees=rebound), opts) != base
+
+
+REORDER_V1 = """
+program p
+real x(100), y(100)
+parameter (n$proc = 4)
+distribute x(block)
+distribute y(block)
+do i = 1, 100
+  x(i) = i
+  y(i) = 2 * i
+enddo
+call q(x, y)
+end
+subroutine q(a, b)
+real a(100), b(100)
+do i = 1, 95
+  b(i) = a(i + 5)
+enddo
+end
+"""
+
+#: q's formals reordered: its exports read the same, its callers'
+#: bindings do not
+REORDER_V2 = REORDER_V1.replace("subroutine q(a, b)", "subroutine q(b, a)")
+
+
+@pytest.mark.parametrize("driver", ["manager", "service", "pool"])
+def test_reordered_formals_recompile_the_caller(driver):
+    """The §8 key covers each call's bindings: after ``q(a, b)`` becomes
+    ``q(b, a)`` the caller is recompiled, not reused with its shift
+    messages sending the wrong array."""
+    from repro.core.driver import assemble
+    from repro.service import ServiceCompiler, WorkerPool
+
+    opts = Options(nprocs=4, mode=Mode.INTER)
+    pool = WorkerPool(1) if driver == "pool" else None
+    if driver == "manager":
+        m = RecompilationManager(opts)
+
+        def compile(src):
+            return m.compile(src), m.last_recompiled
+    else:
+        sc = ServiceCompiler(pool=pool)
+
+        def compile(src):
+            swept, _ = sc.sweep(src, opts)
+            return assemble(swept, opts, shared=True), swept.recompiled
+    try:
+        compile(REORDER_V1)
+        cp, recompiled = compile(REORDER_V2)
+    finally:
+        if pool is not None:
+            pool.close()
+    assert "p" in recompiled
+    assert cp.text() == compile_program(REORDER_V2, opts).text()
+    seq = run_sequential(parse(REORDER_V2))
+    res = cp.run(cost=FREE)
+    for arr in ("x", "y"):
+        assert np.allclose(res.gathered(arr), seq.arrays[arr].data), arr
 
 
 def test_lower_layers_do_not_import_the_compiler():

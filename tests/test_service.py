@@ -24,6 +24,7 @@ from repro.apps import (
     adi_source,
     cg_source,
     dgefa_dgesl_source,
+    dgefa_source,
     stencil1d_source,
     stencil2d_source,
     wave_source,
@@ -463,6 +464,30 @@ class TestServiceCompilerWithPool:
             assert r1.stats.messages == r2.stats.messages
         finally:
             pool.close()
+
+    def test_jobs_ship_trees_not_source(self):
+        """A compile job carries each dirty procedure's tree and its
+        ``ProcInputs``, never the source: the worker runs no front end,
+        and its compiles are the cold compile's byte for byte."""
+        jobs = []
+
+        class Spy(WorkerPool):
+            def _run_jobs(self, batch, deadline):
+                jobs.extend(batch)
+                return super()._run_jobs(batch, deadline)
+
+        pool = Spy(size=2, seed=0)
+        try:
+            for mode in (Mode.RTR, Mode.INTRA, Mode.INTER):
+                opts = Options(nprocs=4, mode=mode)
+                src = dgefa_source(16)
+                got, _ = ServiceCompiler(pool=pool).compile(src, opts)
+                assert_same_program(got, compile_program(src, opts))
+        finally:
+            pool.close()
+        assert jobs
+        assert all(job["op"] == "compile" and "source" not in job
+                   for job in jobs)
 
     def test_close_releases_worker_pipes(self):
         """A polite shutdown closes the worker's pipes, as a kill does:

@@ -17,6 +17,8 @@ import time
 import pytest
 
 from repro.core import Options, compile_program
+from repro.core.driver import front_end
+from repro.core.recompile import proc_inputs
 from repro.machine import FREE
 from repro.service import (
     CompileClient,
@@ -131,10 +133,12 @@ class TestWorkerCrash:
 
         pool = AlwaysCrashPool(size=1, seed=0, max_retries=1,
                                crash_flag=str(flag), backoff_base=0.01)
+        opts = Options(nprocs=4)
+        prog, acg, reaching, _ = front_end(BASE, opts)
+        wave = [(prog.unit("p"), proc_inputs("p", acg, reaching, {}), True)]
         try:
             with pytest.raises(ServiceError) as ei:
-                pool.compile_procs(BASE, Options(nprocs=4), ["p"],
-                                   {}, "p")
+                pool.compile_procs(opts, wave)
             assert ei.value.retryable
         finally:
             pool.close()
