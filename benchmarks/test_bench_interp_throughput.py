@@ -22,7 +22,7 @@ import pytest
 
 from repro.apps.stencil import stencil1d_source
 from repro.core import Mode, Options, compile_program
-from repro.interp import run_sequential
+from repro.interp import Interpreter
 from repro.lang import parse
 
 from _harness import emit_bench
@@ -48,7 +48,7 @@ def measured():
     ref = {}
     for vec in (False, True):
         t0 = time.perf_counter()
-        frame = run_sequential(prog, vectorize=vec)
+        frame = Interpreter(prog, ctx=None, vectorize=vec).run()
         out[("seq", vec)] = time.perf_counter() - t0
         ref[("seq", vec)] = frame.arrays["x"].data
         t0 = time.perf_counter()
@@ -66,7 +66,8 @@ def test_bench_throughput_sequential(benchmark, measured, paper_table):
     src = stencil1d_source(N, STEPS)
     prog = parse(src)
     benchmark.pedantic(
-        lambda: run_sequential(prog, vectorize=True), rounds=3, iterations=1
+        lambda: Interpreter(prog, ctx=None, vectorize=True).run(),
+        rounds=3, iterations=1,
     )
     _report(benchmark, measured, paper_table)
     slow, fast = measured[("seq", False)], measured[("seq", True)]

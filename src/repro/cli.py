@@ -434,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
                 if name not in res.frames[0].arrays:
                     continue
                 got = res.gathered(name)
-                same = np.allclose(got, arr.data)
+                same = np.allclose(got, arr.data, equal_nan=True)
                 ok &= same
                 print(f"! verify {name}: "
                       f"{'OK' if same else 'MISMATCH'}")

@@ -111,7 +111,7 @@ def clone_program(program: A.Program, opts: Options,
             for gi, (_key, sites) in enumerate(groups[1:], start=1):
                 clone_name = _fresh_name(program, name, gi)
                 clone = A.clone_procedure(proc, clone_name)
-                program.units.append(clone)
+                program.add(clone)
                 clone_names.append(clone_name)
                 for site in sites:
                     site.stmt.name = clone_name

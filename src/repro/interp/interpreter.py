@@ -23,6 +23,7 @@ Semantics notes
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Generator, NamedTuple, Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ from ..lang import ast as A
 from ..lang.printer import expr_str
 from ..machine.machine import Machine, ProcContext
 from ..machine.costmodel import CostModel, IPSC860
+from ..machine.faults import FaultPlan
 from ..runtime.intrinsics import PURE_INTRINSICS
 from ..runtime.remap import mark_array, remap_array_y
 from ..settings import Settings
@@ -1291,10 +1293,36 @@ def run_sequential(
     init_fn: Callable[[str, tuple[int, ...]], float] = default_init,
     vectorize: Optional[bool] = None,
 ) -> Frame:
-    """Reference execution of the original (pre-compilation) program."""
-    return Interpreter(
-        program, ctx=None, init_fn=init_fn, vectorize=vectorize
-    ).run()
+    """Reference execution of the original (pre-compilation) program.
+
+    The uncompiled source runs through the generated engine on one
+    simulated processor; the Fortran D compiler plays no part, so the
+    reference stays independent of the SPMD run it checks.  Every run
+    knob is passed explicitly, so no ``REPRO_*`` fault, scheduler,
+    topology, trace, metrics or timeout setting reaches it.  With
+    ``REPRO_CODEGEN=0`` it is the tree-walking interpreter
+    (``ctx=None``).  When the generated run fails, the interpreter runs:
+    its error propagates, and if it succeeds the generated failure is
+    raised rather than hidden."""
+    def interpret() -> Frame:
+        return Interpreter(
+            program, ctx=None, init_fn=init_fn, vectorize=vectorize
+        ).run()
+
+    if not Settings.from_env().codegen:
+        return interpret()
+    try:
+        return run_spmd(
+            program, 1, init_fn=init_fn, timeout_s=math.inf,
+            vectorize=vectorize, faults=FaultPlan(), scheduler="event",
+            trace=False, topology="uniform", codegen=True, metrics=False,
+        ).frames[0]
+    except Exception as generated:
+        interpret()
+        raise InterpError(
+            "generated sequential reference failed on a program the "
+            "interpreter runs"
+        ) from generated
 
 
 class SPMDResult:

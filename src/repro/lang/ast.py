@@ -381,13 +381,29 @@ class Program:
     """A whole program: all units, keyed by (lowercased) name."""
 
     units: list[Procedure]
+    #: name -> position in ``units`` of the first unit so named.  Each
+    #: hit is checked against ``units`` and a miss rebuilds it, so an
+    #: in-place edit of ``units`` never serves a stale unit.
+    _at: dict[str, int] = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     def unit(self, name: str) -> Procedure:
         name = name.lower()
-        for u in self.units:
-            if u.name == name:
-                return u
-        raise KeyError(name)
+        units = self.units
+        i = self._at.get(name)
+        if i is None or i >= len(units) or units[i].name != name:
+            self._at = at = {}
+            for k, u in enumerate(units):
+                at.setdefault(u.name, k)
+            if name not in at:
+                raise KeyError(name)
+            i = at[name]
+        return units[i]
+
+    def add(self, unit: Procedure) -> None:
+        """Append *unit*, keeping the name index in step."""
+        self._at.setdefault(unit.name, len(self.units))
+        self.units.append(unit)
 
     @property
     def main(self) -> Procedure:

@@ -71,6 +71,17 @@ class TestRun:
         assert "! verify x: OK" in out
         assert "msgs=6" in out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verify_accepts_the_same_nans(self, tmp_path, capsys):
+        """dgefa under the default initializer overflows to NaN; the
+        SPMD result holds the reference's NaNs in the same places."""
+        from repro.apps.dgefa import dgefa_source
+
+        p = tmp_path / "dgefa.fd"
+        p.write_text(dgefa_source(24))
+        assert main([str(p), "--run", "--verify", "--no-text"]) == 0
+        assert "! verify a: OK" in capsys.readouterr().out
+
     def test_gather_prints_array(self, src_file, capsys):
         assert main([src_file, "--run", "--gather", "x",
                      "--no-text"]) == 0

@@ -152,6 +152,16 @@ class TestCloning:
         assert "f1$1" in names and "f2$1" in names
         assert out.clones == {"f1": ["f1$1"], "f2": ["f2$1"]}
 
+    def test_clones_are_found_by_name(self):
+        prog = parse(FIG4)
+        assert prog.unit("f1") is prog.units[1]  # the name index is built
+        out = clone_program(prog, opts())
+        for name in ("f1$1", "f2$1", "F1$1"):
+            clone = out.program.unit(name)
+            assert clone.name == name.lower() and clone in out.program.units
+        with pytest.raises(KeyError):
+            out.program.unit("f3")
+
     def test_clone_reaching_unique(self):
         out = clone_program(parse(FIG4), opts())
         for name in ("f1", "f2", "f1$1", "f2$1"):
