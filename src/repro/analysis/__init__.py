@@ -1,4 +1,4 @@
-"""Program analyses: RSDs, dependence, dataflow, side effects."""
+"""Program analyses: RSDs, dependence, side effects, aliasing, constants."""
 
 from .rsd import RSD, Range, SymDim, merge_rsd_list, rsd, subs_to_rsd
 

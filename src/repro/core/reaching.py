@@ -18,11 +18,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..analysis.constants import local_param_env
-from ..analysis.dataflow import solve
 from ..callgraph.acg import ACG, CallSite
 from ..dist import TOP, DirectiveTable, Distribution
 from ..dist.decomposition import _Top
-from ..ir.cfg import CFG
 from ..lang import UnitSummary
 from ..lang import ast as A
 from .options import Options
@@ -108,8 +106,8 @@ def _array_bounds(proc: A.Procedure, name: str,
 def entry_facts(proc: A.Procedure, opts: Options,
                 const_env: dict | None = None) -> frozenset[Fact]:
     """Facts entering *proc* before interprocedural propagation: formal
-    and COMMON arrays at ``TOP``, local arrays replicated.  No CFG and
-    no data-flow solve — the local phase of Figure 6 needs only this."""
+    and COMMON arrays at ``TOP``, local arrays replicated.  No walk of
+    the body — the local phase of Figure 6 needs only this."""
     param_env = const_env or local_param_env(proc)
     # COMMON arrays inherit their decomposition from the caller exactly
     # like formals (in the main program they behave like locals)
@@ -128,14 +126,41 @@ def entry_facts(proc: A.Procedure, opts: Options,
     return frozenset(facts)
 
 
+def _walk(body: list[A.Stmt], facts: frozenset[Fact],
+          gen_kill: dict[int, tuple[frozenset[str], frozenset[Fact]]],
+          at: dict[int, frozenset[Fact]]) -> frozenset[Fact]:
+    """Record in *at* the facts reaching each statement of *body*, by
+    ``id``; return the facts leaving it."""
+    for s in body:
+        at[id(s)] = facts
+        if isinstance(s, A.If):
+            facts = _walk(s.then_body, facts, gen_kill, at) \
+                | _walk(s.else_body, facts, gen_kill, at)
+        elif isinstance(s, (A.Do, A.DoWhile)):
+            head = facts
+            while (out := facts | _walk(s.body, head, gen_kill, at)) != head:
+                head = out
+            at[id(s)] = facts = head
+        elif isinstance(s, (A.Return, A.Stop)):
+            facts = frozenset()
+        elif id(s) in gen_kill:
+            kill, g = gen_kill[id(s)]
+            facts = frozenset(f for f in facts if f[0] not in kill) | g
+    return facts
+
+
 def analyze_procedure(
     proc: A.Procedure,
     opts: Options,
     entry: frozenset[Fact] | None = None,
     const_env: dict | None = None,
 ) -> ProcReaching:
-    """Local reaching-decompositions for one procedure: the data-flow
-    solve over its CFG.
+    """Local reaching-decompositions for one procedure: one walk of its
+    structured body (DO / IF / DO WHILE, no GOTO).  A statement sees the
+    facts flowing in; an IF's join is the union of its branch exits; a
+    loop and its body see ``head = incoming ∪ exit(body, head)``, taken
+    to its fixpoint, which is also what leaves the loop; statements
+    after a RETURN / STOP in the same list see nothing.
 
     ``entry`` overrides the default :func:`entry_facts` (used after
     interprocedural propagation has resolved TOP); ``const_env``
@@ -143,16 +168,13 @@ def analyze_procedure(
     formal arrays with symbolic bounds resolves.
     """
     table = build_directive_table(proc)
-    cfg = CFG.build(proc.body)
     param_env = const_env or local_param_env(proc)
     if entry is None:
         entry = entry_facts(proc, opts, const_env)
 
-    # gen/kill per CFG node
-    gen: dict[int, set[Fact]] = {}
-    kills_arrays: dict[int, set[str]] = {}
-    for node in cfg.nodes:
-        s = node.stmt
+    # per DISTRIBUTE: the arrays it kills and the facts it generates
+    gen_kill: dict[int, tuple[frozenset[str], frozenset[Fact]]] = {}
+    for s in A.walk_stmts(proc.body):
         if isinstance(s, A.Distribute):
             try:
                 changed = table.resolve_distribute(s)
@@ -170,23 +192,10 @@ def analyze_procedure(
                     )
                 g.add((arr, Distribution.from_specs(
                     value.specs, bounds, opts.nprocs)))
-            gen[node.id] = g
-            kills_arrays[node.id] = set(changed)
+            gen_kill[id(s)] = (frozenset(changed), frozenset(g))
 
-    def transfer(node, inset):
-        ka = kills_arrays.get(node.id)
-        if ka:
-            inset = frozenset(f for f in inset if f[0] not in ka)
-        g = gen.get(node.id)
-        if g:
-            inset = inset | frozenset(g)
-        return inset
-
-    ins, _outs = solve(cfg, transfer, "forward", boundary=entry)
-
-    at = {id(node.stmt): ins[node.id] for node in cfg.nodes
-          if node.stmt is not None}
-    # the CFG has a node per statement
+    at: dict[int, frozenset[Fact]] = {}
+    _walk(proc.body, entry, gen_kill, at)
     return ProcReaching(proc.name, entry,
                         tuple(at[id(s)] for s in A.walk_stmts(proc.body)),
                         proc.body)

@@ -11,6 +11,11 @@ The generated-module cache and the tuning memo default to directories
 under ``~/.cache``; the suite points both at a session temp dir (removed
 at exit) so a run neither reads what an earlier checkout left there nor
 grows it.
+
+Hypothesis tests that name no ``max_examples`` take it from the loaded
+profile.  ``--hypothesis-profile=sweep`` (a CI step) runs them on fresh
+seeds with ~2 000 examples each; without it the generated-program
+oracles are derandomised, so tier-1 sees the same examples every run.
 """
 
 import atexit
@@ -19,11 +24,14 @@ import shutil
 import tempfile
 
 import pytest
+from hypothesis import settings
 
 from repro.machine import SCHEDULERS
 from repro.obs import Tracer
 
 os.environ.setdefault("REPRO_SIM_TIMEOUT", "20")
+
+settings.register_profile("sweep", max_examples=2000, derandomize=False)
 
 _cache_root = tempfile.mkdtemp(prefix="repro-test-cache-")
 atexit.register(shutil.rmtree, _cache_root, ignore_errors=True)

@@ -1,146 +1,133 @@
-"""Tests for the CFG builder and the generic dataflow solver."""
+"""Control flow of the local reaching-decompositions solve (§5.2):
+sequence, branches, RETURN and loop back edges, the entry seed and the
+statement lookup, each checked on :func:`analyze_procedure`'s facts."""
 
-from repro.analysis.dataflow import gen_kill_transfer, solve
-from repro.ir.cfg import CFG
-from repro.lang import ast as A
+from repro.core.options import Options
+from repro.core.reaching import analyze_procedure, entry_facts
+from repro.dist import TOP, Distribution
 from repro.lang import parse
+from repro.lang.ast import DistSpec
+
+OPTS = Options(nprocs=4)
+HEAD = "program p\nreal x(100), y(100)\ninteger c\nc = 1\n"
 
 
-def body_of(src):
-    return parse(src).main.body
+def solve(src):
+    main = parse(src).main
+    return main.body, analyze_procedure(main, OPTS)
+
+
+def x_at(pr, stmt):
+    return sorted(str(d) for d in pr.dists_of("x", stmt))
 
 
 class TestCFGConstruction:
+    """Sequence, branches, RETURN, a back edge and lookup by identity."""
+
     def test_straight_line(self):
-        cfg = CFG.build(body_of("program p\na = 1\nb = 2\nend\n"))
-        stmts = list(cfg.stmt_nodes())
-        assert len(stmts) == 2
-        # entry -> a -> b -> exit
-        assert cfg.entry.succs == [stmts[0].id]
-        assert stmts[1].succs == [cfg.exit.id]
+        src = ("subroutine f(x)\nreal x(100), y(100)\nx(1) = 0\n"
+               "y(1) = x(1)\nx(2) = y(1)\nend\n")
+        proc = parse(src).units[0]
+        pr = analyze_procedure(proc, OPTS)
+        entry = entry_facts(proc, OPTS)
+        assert ("x", TOP) in entry and len(entry) == 2
+        assert pr.entry == entry
+        assert pr.at_stmt == (entry,) * 3
 
     def test_if_diamond(self):
-        cfg = CFG.build(body_of(
-            "program p\nc = 1\nif (c > 0) then\na = 1\nelse\nb = 2\nendif\n"
-            "d = 3\nend\n"
-        ))
-        head = next(n for n in cfg.stmt_nodes()
-                    if isinstance(n.stmt, A.If))
-        assert len(head.succs) == 2
+        body, pr = solve(
+            HEAD + "distribute x(block)\nif (c > 0) then\n"
+            "distribute x(cyclic)\nx(1) = 0\nelse\nx(2) = 0\nendif\n"
+            "x(3) = 0\nend\n")
+        branch = body[2]
+        assert x_at(pr, branch) == ["(block)"]
+        assert x_at(pr, branch.then_body[1]) == ["(cyclic)"]
+        assert x_at(pr, branch.else_body[0]) == ["(block)"]
+        assert x_at(pr, body[3]) == ["(block)", "(cyclic)"]
 
     def test_if_without_else_falls_through(self):
-        cfg = CFG.build(body_of(
-            "program p\nc = 1\nif (c > 0) then\na = 1\nendif\nd = 3\nend\n"
-        ))
-        head = next(n for n in cfg.stmt_nodes() if isinstance(n.stmt, A.If))
-        assert len(head.succs) == 2  # then-branch and skip edge
+        body, pr = solve(
+            HEAD + "distribute x(block)\nif (c > 0) then\n"
+            "distribute x(cyclic)\nendif\nx(3) = 0\nend\n")
+        assert body[2].else_body == []
+        assert x_at(pr, body[2]) == ["(block)"]
+        assert x_at(pr, body[3]) == ["(block)", "(cyclic)"]
 
     def test_loop_back_edge(self):
-        cfg = CFG.build(body_of(
-            "program p\ndo i = 1, 10\na = i\nenddo\nb = 1\nend\n"
-        ))
-        head = next(n for n in cfg.nodes if n.kind == "loop-head")
-        assign = next(n for n in cfg.stmt_nodes()
-                      if isinstance(n.stmt, A.Assign)
-                      and n.stmt.target.name == "a")
-        assert head.id in assign.succs  # back edge
-        assert len(head.succs) == 2     # body and exit
+        body, pr = solve(
+            HEAD + "distribute x(block)\ndo i = 1, 10\nx(i) = 0\n"
+            "distribute x(cyclic)\nenddo\nend\n")
+        loop = body[2]
+        assert x_at(pr, loop) == ["(block)", "(cyclic)"]
+        assert x_at(pr, loop.body[0]) == ["(block)", "(cyclic)"]
+        assert x_at(pr, loop.body[1]) == ["(block)", "(cyclic)"]
 
     def test_return_reaches_exit(self):
-        cfg = CFG.build(body_of(
-            "program p\na = 1\nreturn\nb = 2\nend\n"
-        ))
-        ret = next(n for n in cfg.stmt_nodes() if isinstance(n.stmt, A.Return))
-        assert cfg.exit.id in ret.succs
+        body, pr = solve(
+            HEAD + "distribute x(block)\nif (c > 0) then\n"
+            "distribute x(cyclic)\nreturn\nx(1) = 0\nendif\nx(2) = 0\n"
+            "return\nx(3) = 0\nend\n")
+        then = body[2].then_body
+        assert x_at(pr, then[1]) == ["(cyclic)"]
+        # statements after RETURN see nothing, not even the entry facts
+        assert pr.facts_at(then[2]) == frozenset()
+        assert pr.facts_at(body[5]) == frozenset()
+        # the then branch does not reach the join: only the skip edge does
+        assert x_at(pr, body[3]) == ["(block)"]
+        assert x_at(pr, body[4]) == ["(block)"]
 
     def test_node_of_identity(self):
-        body = body_of("program p\na = 1\na = 2\nend\n")
-        cfg = CFG.build(body)
-        assert cfg.node_of(body[0]).stmt is body[0]
-        assert cfg.node_of(body[1]).stmt is body[1]
+        src = (HEAD + "distribute x(block)\nx(1) = 0\n"
+               "distribute x(cyclic)\nx(1) = 0\nend\n")
+        body, pr = solve(src)
+        first, second = body[2], body[4]
+        assert first == second and first is not second
+        assert x_at(pr, first) == ["(block)"]
+        assert x_at(pr, second) == ["(cyclic)"]
+        foreign = parse(src).main.body[2]
+        assert foreign == first
+        assert pr.facts_at(foreign) == frozenset()
 
 
 class TestDataflowSolver:
-    def reaching_defs(self, src):
-        """Tiny reaching-definitions instance over scalar assigns."""
-        body = body_of(src)
-        cfg = CFG.build(body)
-        gen, kill = {}, {}
-        for n in cfg.stmt_nodes():
-            s = n.stmt
-            if isinstance(s, A.Assign) and isinstance(s.target, A.Var):
-                gen[n.id] = {(s.target.name, id(s))}
-
-        def kill_fn(node, inset):
-            s = node.stmt
-            if isinstance(s, A.Assign) and isinstance(s.target, A.Var):
-                return frozenset(
-                    f for f in inset if f[0] == s.target.name
-                )
-            return frozenset()
-
-        transfer = gen_kill_transfer(gen, kill_fn)
-        ins, outs = solve(cfg, transfer, "forward")
-        return body, cfg, ins, outs
+    """Kills, loops around branches, zero trips and the entry seed."""
 
     def test_straightline_kill(self):
-        body, cfg, ins, outs = self.reaching_defs(
-            "program p\na = 1\na = 2\nb = a\nend\n"
-        )
-        at_b = ins[cfg.node_of(body[2]).id]
-        a_defs = {f for f in at_b if f[0] == "a"}
-        assert a_defs == {("a", id(body[1]))}
+        body, pr = solve(
+            HEAD + "distribute y(block)\ndistribute x(block)\n"
+            "distribute x(cyclic)\nx(1) = y(1)\nend\n")
+        use = body[4]
+        assert x_at(pr, use) == ["(cyclic)"]
+        assert sorted(str(d) for d in pr.dists_of("y", use)) == ["(block)"]
 
     def test_branch_union(self):
-        body, cfg, ins, outs = self.reaching_defs(
-            "program p\nc = 1\nif (c > 0) then\na = 1\nelse\na = 2\nendif\n"
-            "b = a\nend\n"
-        )
-        at_b = ins[cfg.node_of(body[2]).id]
-        a_defs = {f for f in at_b if f[0] == "a"}
-        assert len(a_defs) == 2
+        body, pr = solve(
+            HEAD + "distribute x(block)\ndo i = 1, 10\nx(i) = 0\n"
+            "if (c > 0) then\ndistribute x(cyclic)\nendif\nx(i) = 1\n"
+            "enddo\nx(1) = 2\nend\n")
+        loop = body[2]
+        assert x_at(pr, loop.body[0]) == ["(block)", "(cyclic)"]
+        assert x_at(pr, loop.body[1].then_body[0]) == ["(block)",
+                                                        "(cyclic)"]
+        assert x_at(pr, loop.body[2]) == ["(block)", "(cyclic)"]
+        assert x_at(pr, body[3]) == ["(block)", "(cyclic)"]
 
     def test_loop_defs_reach_own_body(self):
-        body, cfg, ins, outs = self.reaching_defs(
-            "program p\na = 1\ndo i = 1, 3\nb = a\na = 2\nenddo\nend\n"
-        )
-        loop = body[1]
-        use = loop.body[0]
-        at_use = ins[cfg.node_of(use).id]
-        a_defs = {f for f in at_use if f[0] == "a"}
-        assert len(a_defs) == 2  # initial def and loop-carried redef
-
-    def test_backward_liveness(self):
-        body = body_of("program p\na = 1\nb = a\nc = b\nend\n")
-        cfg = CFG.build(body)
-        # live variables: gen = vars read, kill = var written
-        gen = {}
-        for n in cfg.stmt_nodes():
-            s = n.stmt
-            if isinstance(s, A.Assign):
-                gen[n.id] = {
-                    v.name for v in A.walk_exprs(s.expr)
-                    if isinstance(v, A.Var)
-                }
-
-        def kill_fn(node, inset):
-            s = node.stmt
-            if isinstance(s, A.Assign) and isinstance(s.target, A.Var):
-                return frozenset(x for x in inset if x == s.target.name)
-            return frozenset()
-
-        transfer = gen_kill_transfer(gen, kill_fn)
-        ins, outs = solve(cfg, transfer, "backward")
-        # before `b = a`, `a` is live; before `a = 1` it is not (the
-        # assignment kills it)
-        assert "a" in ins[cfg.node_of(body[1]).id]
-        assert "a" not in ins[cfg.node_of(body[0]).id]
+        body, pr = solve(
+            HEAD + "distribute x(block)\ndo while (c > 0)\n"
+            "distribute x(cyclic)\nx(1) = 0\nenddo\nx(2) = 0\nend\n")
+        loop = body[2]
+        assert x_at(pr, loop.body[1]) == ["(cyclic)"]
+        # zero trips: the pre-loop fact gets past the loop
+        assert x_at(pr, body[3]) == ["(block)", "(cyclic)"]
 
     def test_boundary_seed(self):
-        body = body_of("program p\nb = a\nend\n")
-        cfg = CFG.build(body)
-        transfer = gen_kill_transfer({}, {})
-        ins, outs = solve(
-            cfg, transfer, "forward", boundary=frozenset({"seed"})
-        )
-        assert "seed" in ins[cfg.node_of(body[0]).id]
+        proc = parse("subroutine f(x)\nreal x(100)\nx(1) = 0\n"
+                     "x(2) = 0\nend\n").units[0]
+        seed = frozenset(
+            {("x", Distribution.from_specs([DistSpec("cyclic")],
+                                           [(1, 100)], 4))})
+        pr = analyze_procedure(proc, OPTS, entry=seed)
+        assert pr.entry == seed
+        assert pr.at_stmt == (seed, seed)
+        assert TOP not in pr.dists_of("x", proc.body[0])

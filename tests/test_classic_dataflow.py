@@ -1,102 +1,76 @@
-"""Tests for the classical reaching-definitions and live-variables
-instances (the local analyses reaching/live decompositions mirror)."""
+"""Reaching decompositions as reaching definitions (§5.2): a DISTRIBUTE
+defines every array aligned with its target and kills what reached
+them; STOP ends a path; loops carry definitions around to their own
+bodies, nested loops included.  Checked on :func:`analyze_procedure`."""
 
-from repro.analysis.livevars import compute_live_vars
-from repro.analysis.reachingdefs import compute_reaching_defs
-from repro.lang import ast as A
+from repro.core.options import Options
+from repro.core.reaching import analyze_procedure
 from repro.lang import parse
 
+OPTS = Options(nprocs=4)
+HEAD = "program p\nreal x(100), y(100)\ninteger c\nc = 1\n"
 
-def body_of(src):
-    return parse(src).main.body
+
+def solve(src):
+    main = parse(src).main
+    return main.body, analyze_procedure(main, OPTS)
+
+
+def at(pr, array, stmt):
+    return sorted(str(d) for d in pr.dists_of(array, stmt))
 
 
 class TestReachingDefs:
     def test_straightline(self):
-        body = body_of("program p\na = 1\nb = a\nend\n")
-        rd = compute_reaching_defs(body)
-        defs = rd.reaching(body[1], "a")
-        assert len(defs) == 1 and defs[0] is body[0]
-        assert rd.unique_reaching(body[1], "a") is body[0]
+        body, pr = solve(
+            "program p\nreal x(100), y(100), z(100), w(100)\n"
+            "decomposition d(100)\nalign x(i) with d(i)\n"
+            "align y(i) with x(i)\nalign z(i) with y(i)\n"
+            "distribute d(cyclic)\nz(1) = w(1)\nend\n")
+        use = body[-1]
+        for array in ("x", "y", "z"):
+            assert at(pr, array, use) == ["(cyclic)"]
+        assert at(pr, "w", use) == ["(:)"]
 
     def test_redefinition_kills(self):
-        body = body_of("program p\na = 1\na = 2\nb = a\nend\n")
-        rd = compute_reaching_defs(body)
-        defs = rd.reaching(body[2], "a")
-        assert len(defs) == 1 and defs[0] is body[1]
+        body, pr = solve(
+            HEAD + "distribute x(block)\ndo i = 1, 10\nx(i) = 0\n"
+            "distribute x(cyclic)\nx(i) = 1\nenddo\nx(1) = 2\nend\n")
+        loop = body[2]
+        assert at(pr, "x", loop.body[0]) == ["(block)", "(cyclic)"]
+        assert at(pr, "x", loop.body[2]) == ["(cyclic)"]
+        assert at(pr, "x", body[3]) == ["(block)", "(cyclic)"]
 
     def test_branches_merge(self):
-        body = body_of(
-            "program p\nc = 1\nif (c > 0) then\na = 1\nelse\na = 2\n"
-            "endif\nb = a\nend\n"
-        )
-        rd = compute_reaching_defs(body)
-        assert len(rd.reaching(body[2], "a")) == 2
-        assert rd.unique_reaching(body[2], "a") is None
+        body, pr = solve(
+            HEAD + "distribute x(block)\nif (c > 0) then\n"
+            "distribute x(cyclic)\nstop\nelse\n"
+            "distribute x(block_cyclic(2))\nendif\nx(1) = 0\nend\n")
+        assert at(pr, "x", body[2].then_body[1]) == ["(cyclic)"]
+        assert at(pr, "x", body[3]) == ["(block_cyclic(2))"]
 
     def test_loop_header_def(self):
-        body = body_of("program p\ndo i = 1, 3\na = i\nenddo\nb = i\nend\n")
-        rd = compute_reaching_defs(body)
-        # the DO statement defines i
-        defs = rd.reaching(body[1], "i")
-        assert len(defs) == 1 and defs[0] is body[0]
+        body, pr = solve(
+            HEAD + "distribute x(block)\ndo i = 1, 10\n"
+            "distribute x(cyclic)\nx(i) = 0\nenddo\nx(1) = 0\nend\n")
+        loop = body[2]
+        assert at(pr, "x", loop) == ["(block)", "(cyclic)"]
+        assert at(pr, "x", loop.body[1]) == ["(cyclic)"]
+        # zero trips: the pre-loop fact gets past the loop
+        assert at(pr, "x", body[3]) == ["(block)", "(cyclic)"]
 
     def test_loop_carried_definition(self):
-        body = body_of(
-            "program p\na = 1\ndo i = 1, 3\nb = a\na = 2\nenddo\nend\n"
-        )
-        rd = compute_reaching_defs(body)
-        use = body[1].body[0]
-        assert len(rd.reaching(use, "a")) == 2
-
-
-class TestLiveVars:
-    def test_chain(self):
-        body = body_of("program p\na = 1\nb = a\nc = b\nend\n")
-        lv = compute_live_vars(body)
-        assert "a" in lv.live_before(body[1])
-        assert "a" not in lv.live_before(body[0])
-        assert "b" in lv.live_after(body[1])
-
-    def test_dead_store(self):
-        body = body_of("program p\na = 1\na = 2\nb = a\nend\n")
-        lv = compute_live_vars(body)
-        assert lv.is_dead_store(body[0])      # a = 1 never read
-        assert not lv.is_dead_store(body[1])
-
-    def test_live_out_seed(self):
-        body = body_of("program p\na = 1\nend\n")
-        lv = compute_live_vars(body, live_out=frozenset({"a"}))
-        assert not lv.is_dead_store(body[0])
-
-    def test_condition_uses(self):
-        body = body_of(
-            "program p\nc = 0\nif (c > 0) then\nb = 1\nendif\nend\n"
-        )
-        lv = compute_live_vars(body)
-        assert "c" in lv.live_after(body[0])
-
-    def test_loop_keeps_values_live(self):
-        body = body_of(
-            "program p\ns = 0\ndo i = 1, 3\ns = s + i\nenddo\nb = s\nend\n"
-        )
-        lv = compute_live_vars(body)
-        assert "s" in lv.live_after(body[0])
-        inner = body[1].body[0]
-        assert "s" in lv.live_after(inner)  # via the back edge
-
-    def test_array_partial_update_stays_live(self):
-        body = body_of(
-            "program p\nreal x(10)\nx(1) = 0\ns = x(2)\nend\n"
-        )
-        lv = compute_live_vars(body)
-        assert "x" in lv.live_before(body[0])  # partial write: x live through
-
-    def test_call_arguments_used(self):
-        src = (
-            "program p\nreal x(5)\nn = 2\ncall f(x, n)\nend\n"
-            "subroutine f(a, m)\nreal a(5)\ninteger m\na(m) = 1\nend\n"
-        )
-        body = parse(src).main.body
-        lv = compute_live_vars(body)
-        assert {"x", "n"} <= set(lv.live_before(body[1]))
+        body, pr = solve(
+            HEAD + "distribute x(block)\ndistribute y(block)\n"
+            "do i = 1, 10\ndo j = 1, 10\nx(j) = y(j)\n"
+            "distribute x(cyclic)\nenddo\ndistribute y(cyclic)\nenddo\n"
+            "end\n")
+        outer = body[3]
+        inner = outer.body[0]
+        use = inner.body[0]
+        assert at(pr, "x", use) == ["(block)", "(cyclic)"]
+        # y(cyclic) reaches the inner loop only round the outer back
+        # edge: the outer fixpoint takes a second pass
+        assert at(pr, "y", inner) == ["(block)", "(cyclic)"]
+        assert at(pr, "y", use) == ["(block)", "(cyclic)"]
+        assert at(pr, "y", outer.body[1]) == ["(block)", "(cyclic)"]

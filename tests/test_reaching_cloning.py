@@ -2,6 +2,8 @@
 cloning (Fig. 8)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.apps import FIG4
 from repro.callgraph.acg import ACG
@@ -84,6 +86,83 @@ class TestLocalReaching:
 
 def dists_str_of(pr, array, stmt):
     return sorted(str(d) for d in pr.dists_of(array, stmt))
+
+
+# -- generated bodies against an oracle that never iterates -----------------
+
+_SPECS = ("block", "cyclic", "block_cyclic(2)")
+
+
+def _block(depth):
+    """Source lines of one statement list over ``x`` (formal) and ``y``
+    (local): DISTRIBUTE, assignments, RETURN / STOP and, while *depth*
+    lasts, IF / IF-ELSE / DO / DO WHILE around nested lists."""
+    leaf = st.one_of(
+        st.builds(lambda a, s: [f"distribute {a}({s})"],
+                  st.sampled_from("xy"), st.sampled_from(_SPECS)),
+        st.sampled_from([["x(1) = y(2)"], ["y(1) = x(2)"]]),
+        st.sampled_from([["return"], ["stop"]]),
+    )
+    stmt = leaf
+    if depth:
+        inner = _block(depth - 1)
+        stmt = st.one_of(
+            leaf,
+            st.builds(lambda t, e, has_else: [
+                "if (c > 0) then", *t, *(["else", *e] if has_else else []),
+                "endif"], inner, inner, st.booleans()),
+            st.builds(lambda b: [f"do i{depth} = 1, 4", *b, "enddo"],
+                      inner),
+            st.builds(lambda b: ["do while (c > 0)", *b, "enddo"], inner),
+        )
+    return st.lists(stmt, max_size=3).map(
+        lambda stmts: [line for s in stmts for line in s])
+
+
+def _unrolled_facts(body, entry, nprocs):
+    """Facts reaching each statement of *body*, by ``id``, without a
+    fixpoint: every loop body is unrolled D+1 times (D = DISTRIBUTEs in
+    *body*), a statement gets the union over every copy it appears in,
+    and the facts after a loop are the union of the exits after 0 …
+    D+1 copies."""
+    stmts = list(A.walk_stmts(body))
+    copies = 1 + sum(isinstance(s, A.Distribute) for s in stmts)
+    at = {id(s): frozenset() for s in stmts}
+
+    def run(block, facts):
+        for s in block:
+            at[id(s)] |= facts
+            if isinstance(s, A.If):
+                facts = run(s.then_body, facts) | run(s.else_body, facts)
+            elif isinstance(s, (A.Do, A.DoWhile)):
+                exits = cur = facts
+                for _ in range(copies):
+                    cur = run(s.body, cur)
+                    exits |= cur
+                at[id(s)] |= exits
+                facts = exits
+            elif isinstance(s, (A.Return, A.Stop)):
+                facts = frozenset()
+            elif isinstance(s, A.Distribute):
+                d = Distribution.from_specs(s.specs, [(1, 16)], nprocs)
+                facts = frozenset(
+                    f for f in facts if f[0] != s.name) | {(s.name, d)}
+        return facts
+
+    run(body, entry)
+    return tuple(at[id(s)] for s in stmts)
+
+
+@given(_block(3))
+@settings(deadline=None,
+          derandomize=settings.get_current_profile_name() != "sweep",
+          suppress_health_check=[HealthCheck.too_slow])
+def test_reaching_matches_unrolled_oracle(lines):
+    src = "\n".join(["subroutine f(x)", "real x(16), y(16)", "integer c",
+                     "c = 1", *lines, "end"]) + "\n"
+    proc = parse(src).units[0]
+    pr = analyze_procedure(proc, opts())
+    assert pr.at_stmt == _unrolled_facts(proc.body, pr.entry, 4), src
 
 
 class TestInterprocedural:
