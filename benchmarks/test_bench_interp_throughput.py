@@ -3,10 +3,10 @@
 Not a paper figure — this measures the simulator itself.  The vectorized
 execution engine compiles innermost affine loop nests to numpy slice
 assignments; this bench reports end-to-end elements/second on the 1-D
-relaxation app for both execution paths, sequentially (pure interpreter
-throughput) and under the full SPMD simulation (threads + virtual
-network), and writes the numbers to ``BENCH_interp.json`` at the repo
-root.
+relaxation app for both execution paths, sequentially (the
+interpreter on one simulated processor) and under the full SPMD
+simulation (P ranks + virtual network), and writes the numbers to
+``BENCH_interp.json`` at the repo root.
 
 The two paths produce bit-identical arrays and RunStats (enforced by
 ``tests/test_vectorize_differential.py``); the only difference allowed
@@ -22,7 +22,7 @@ import pytest
 
 from repro.apps.stencil import stencil1d_source
 from repro.core import Mode, Options, compile_program
-from repro.interp import Interpreter
+from repro.interp import run_spmd
 from repro.lang import parse
 
 from _harness import emit_bench
@@ -48,7 +48,7 @@ def measured():
     ref = {}
     for vec in (False, True):
         t0 = time.perf_counter()
-        frame = Interpreter(prog, ctx=None, vectorize=vec).run()
+        frame = run_spmd(prog, 1, codegen=False, vectorize=vec).frames[0]
         out[("seq", vec)] = time.perf_counter() - t0
         ref[("seq", vec)] = frame.arrays["x"].data
         t0 = time.perf_counter()
@@ -66,7 +66,7 @@ def test_bench_throughput_sequential(benchmark, measured, paper_table):
     src = stencil1d_source(N, STEPS)
     prog = parse(src)
     benchmark.pedantic(
-        lambda: Interpreter(prog, ctx=None, vectorize=True).run(),
+        lambda: run_spmd(prog, 1, codegen=False, vectorize=True),
         rounds=3, iterations=1,
     )
     _report(benchmark, measured, paper_table)

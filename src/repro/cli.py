@@ -260,6 +260,16 @@ def _service_main(cmd: str, argv: list[str]) -> int:
         return 1
 
 
+def _sequential_reference(source: str):
+    """``run_sequential`` of *source*, or None once its failure has
+    been reported as one ``fdc:`` line."""
+    try:
+        return run_sequential(parse(source))
+    except Exception as e:
+        print(f"fdc: sequential reference failed: {e}", file=sys.stderr)
+        return None
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -273,7 +283,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.sequential:
-        frame = run_sequential(parse(source))
+        frame = _sequential_reference(source)
+        if frame is None:
+            return 1
         for name, arr in frame.arrays.items():
             print(f"{name}: shape={arr.data.shape} "
                   f"sum={float(arr.data.sum()):.6g}")
@@ -428,7 +440,9 @@ def main(argv: list[str] | None = None) -> int:
             np.set_printoptions(precision=4, threshold=64)
             print(f"{args.gather} = {data}")
         if args.verify:
-            seq = run_sequential(parse(source))
+            seq = _sequential_reference(source)
+            if seq is None:
+                return 1
             ok = True
             for name, arr in seq.arrays.items():
                 if name not in res.frames[0].arrays:

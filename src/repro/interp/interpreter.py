@@ -1,10 +1,10 @@
 """Closure-compiling interpreter for Fortran D / SPMD node programs.
 
-One interpreter instance executes one program on one node (or
-sequentially when ``ctx is None``).  Each procedure body is compiled once
-into a tree of Python closures — roughly 5-10x faster than naive
-re-dispatching tree walking, which matters for the dgefa benchmark
-sweeps.
+One interpreter instance executes one program on one simulated node
+(the sequential reference is a one-node run).  Each procedure body is
+compiled once into a tree of Python closures — roughly 5-10x faster
+than naive re-dispatching tree walking, which matters for the dgefa
+benchmark sweeps.
 
 Semantics notes
 ---------------
@@ -31,7 +31,7 @@ import numpy as np
 from ..dist import Distribution
 from ..lang import ast as A
 from ..lang.printer import expr_str
-from ..machine.machine import Machine, ProcContext
+from ..machine.machine import Machine, ProcContext, SimulationError
 from ..machine.costmodel import CostModel, IPSC860
 from ..machine.faults import FaultPlan
 from ..runtime.intrinsics import PURE_INTRINSICS
@@ -209,37 +209,30 @@ class Interpreter:
     def __init__(
         self,
         program: A.Program,
-        ctx: Optional[ProcContext] = None,
-        initial_dists: Optional[dict[tuple[str, str], Distribution]] = None,
-        init_fn: Callable[[str, tuple[int, ...]], float] = default_init,
-        init_main_arrays: bool = True,
-        vectorize: Optional[bool] = None,
-        blocking: Optional[set[str]] = None,
-        images: Optional[dict[tuple, np.ndarray]] = None,
-        comm_cache: Optional[bool] = None,
+        ctx: ProcContext,
+        initial_dists: dict[tuple[str, str], Distribution],
+        init_fn: Callable[[str, tuple[int, ...]], float],
+        vectorize: bool,
+        blocking: set[str],
+        images: dict[tuple, np.ndarray],
+        comm_cache: bool,
     ) -> None:
         self.program = program
         self.ctx = ctx
-        self.initial_dists = initial_dists or {}
+        self.initial_dists = initial_dists
         self.init_fn = init_fn
-        self.init_main_arrays = init_main_arrays
-        if vectorize is None or comm_cache is None:  # run_spmd passes both
-            s = Settings.from_env()
-            vectorize = s.vectorize if vectorize is None else vectorize
-            comm_cache = s.comm_cache if comm_cache is None else comm_cache
-        self.vectorize = bool(vectorize)
+        self.vectorize = vectorize
         self.comm_cache = comm_cache
         self.comm_cache_hits = 0
         self.comm_cache_misses = 0
-        self.tracer = ctx.tracer if ctx is not None else None
+        self.tracer = ctx.tracer
         self.prints: list[str] = []
         self._compiled: dict[str, list[StmtFn]] = {}
         #: per-unit segment lists of the SPMD (generator) form, and the
         #: procedures that may suspend (``run_spmd`` computes the set
         #: once per program and hands it to every rank's interpreter)
         self._compiled_y: dict[str, list[Seg]] = {}
-        self._blocking = find_blocking_units(program) \
-            if blocking is None else blocking
+        self._blocking = blocking
         #: initial array images shared by the ranks of one run
         #: (``run_spmd`` hands every rank the same dict; see ``_fill``)
         self._images = images
@@ -254,32 +247,18 @@ class Interpreter:
     # public API
     # ------------------------------------------------------------------
 
-    def run(self) -> Frame:
-        """Execute the main program sequentially (``ctx=None``: the
-        independent reference, where no statement can block); returns
-        its final frame."""
-        main = self.program.main
-        frame = self._make_frame(main, [], None)
-        try:
-            self._exec_unit(main, frame)
-        except _Stop:
-            pass
-        return frame
-
     def run_events(self) -> "Generator[None, None, Frame]":
-        """The SPMD entry on every backend: execute the main program
-        as a rank coroutine.
+        """The interpreter's one entry, on every backend: execute the
+        main program as a rank coroutine.
 
         Yields exactly at the points where the rank genuinely suspends
         (a RECV with no matching message, a non-last collective
         arrival); the :class:`~repro.machine.event.EventScheduler`
         resumes the generator when the wait is satisfied, and on the
         ``threads`` oracle the blocking ops wait inline so it never
-        yields.  Statements that cannot suspend run through the same
-        compiled closures as :meth:`run`.
+        yields.  Statements that cannot suspend run as plain closures
+        (:meth:`_compile_stmt`).
         """
-        if self.ctx is None:
-            raise InterpError("run_events requires a machine context")
         main = self.program.main
         frame = self._make_frame(main, [], None)
         try:
@@ -322,8 +301,7 @@ class Interpreter:
                 bounds.append((lo, hi))
             dist = self.initial_dists.get((main.name, name))
             arr = FArray(name, bounds, d.type, dist)
-            if self.init_main_arrays:
-                self._fill(arr)
+            self._fill(arr)
             self._common_store[name] = arr
 
     def _make_frame(
@@ -355,7 +333,7 @@ class Interpreter:
                 bounds.append((lo, hi))
             dist = self.initial_dists.get((unit.name, d.name))
             arr = FArray(d.name, bounds, d.type, dist)
-            if unit.kind == "program" and self.init_main_arrays:
+            if unit.kind == "program":
                 self._fill(arr)
             frame.arrays[d.name] = arr
         return frame
@@ -375,9 +353,6 @@ class Interpreter:
         """Set *arr* to its initial image: computed by the first rank of
         the run to need it, copied by the others (every rank holds the
         global-size array, so P computations would be O(N·P) per run)."""
-        if self._images is None:
-            self._compute_fill(arr)
-            return
         key = (arr.name, tuple(arr.bounds), arr.dtype)
         image = self._images.get(key)
         if image is None:
@@ -433,8 +408,7 @@ class Interpreter:
         procedure *name* and charges the call overhead."""
         unit = self.program.unit(name)
         callee_frame = self._make_frame(unit, args, frame)
-        if self.ctx is not None:
-            self.ctx.compute(3 + len(args))  # call overhead
+        self.ctx.compute(3 + len(args))  # call overhead
         return unit, callee_frame
 
     @staticmethod
@@ -584,8 +558,8 @@ class Interpreter:
     def _compile_call_expr(self, e: A.CallExpr, unit: A.Procedure) -> ExprFn:
         name = e.name
         if name == "myproc":
-            ctx = self.ctx
-            return lambda fr: (ctx.rank if ctx is not None else 0)
+            rank = self.ctx.rank
+            return lambda fr: rank
         if name == "owner":
             if len(e.args) != 1 or not isinstance(e.args[0], A.ArrayRef):
                 raise InterpError("owner() takes one array element")
@@ -690,51 +664,37 @@ class Interpreter:
             if isinstance(s.target, A.Var):
                 name = s.target.name
                 cast = int if scalar_type(unit, name) == "integer" else float
-                if ctx is None:
-                    def assign_scalar(fr: Frame):
-                        fr.scalars[name] = cast(expr_fn(fr))
-                else:
-                    def assign_scalar(fr: Frame):
-                        fr.scalars[name] = cast(expr_fn(fr))
-                        ctx.compute(ops)
+
+                def assign_scalar(fr: Frame):
+                    fr.scalars[name] = cast(expr_fn(fr))
+                    ctx.compute(ops)
+
                 return assign_scalar
             name = s.target.name
             sub_fns = [self._compile_expr(x, unit) for x in s.target.subs]
             ops += len(sub_fns)
-            if ctx is None:
-                def assign_elem(fr: Frame):
-                    arr = fr.arrays[name]
-                    idx = [int(f(fr)) for f in sub_fns]
-                    arr.set(idx, expr_fn(fr))
-            else:
-                def assign_elem(fr: Frame):
-                    arr = fr.arrays[name]
-                    idx = [int(f(fr)) for f in sub_fns]
-                    arr.set(idx, expr_fn(fr))
-                    ctx.compute(ops)
+
+            def assign_elem(fr: Frame):
+                arr = fr.arrays[name]
+                idx = [int(f(fr)) for f in sub_fns]
+                arr.set(idx, expr_fn(fr))
+                ctx.compute(ops)
+
             return assign_elem
         if isinstance(s, A.If):
             cond_fn = self._compile_expr(s.cond, unit)
             cond_ops = _count_ops(s.cond) or 1
             then_code = self._compile_block(s.then_body, unit)
             else_code = self._compile_block(s.else_body, unit)
+            # run-time resolution executes one guard per element: bind
+            # the tick method once instead of resolving it every time
+            guard_tick = ctx.guard_tick
 
-            if ctx is None:
-                def run_if(fr: Frame):
-                    branch = then_code if cond_fn(fr) else else_code
-                    for fn in branch:
-                        fn(fr)
-            else:
-                # run-time resolution executes one guard per element:
-                # bind the tick method once instead of testing ctx and
-                # resolving the attribute on every evaluation
-                guard_tick = ctx.guard_tick
-
-                def run_if(fr: Frame):
-                    guard_tick(cond_ops)
-                    branch = then_code if cond_fn(fr) else else_code
-                    for fn in branch:
-                        fn(fr)
+            def run_if(fr: Frame):
+                guard_tick(cond_ops)
+                branch = then_code if cond_fn(fr) else else_code
+                for fn in branch:
+                    fn(fr)
 
             return run_if
         if isinstance(s, A.Do):
@@ -743,8 +703,8 @@ class Interpreter:
             body_code = self._compile_block(s.body, unit)
 
             # bind the tick method once per compiled loop rather than
-            # testing ctx and resolving the attribute every iteration
-            loop_tick = None if ctx is None else ctx.loop_tick
+            # resolving the attribute every iteration
+            loop_tick = ctx.loop_tick
 
             def run_loop(fr: Frame, lo: int, hi: int, st: int):
                 scal = fr.scalars
@@ -752,16 +712,14 @@ class Interpreter:
                 if st > 0:
                     while i <= hi:
                         scal[var] = i
-                        if loop_tick is not None:
-                            loop_tick()
+                        loop_tick()
                         for fn in body_code:
                             fn(fr)
                         i += st
                 else:
                     while i >= hi:
                         scal[var] = i
-                        if loop_tick is not None:
-                            loop_tick()
+                        loop_tick()
                         for fn in body_code:
                             fn(fr)
                         i += st
@@ -784,8 +742,7 @@ class Interpreter:
                     guard += 1
                     if guard > 10_000_000:
                         raise InterpError("runaway DO WHILE")
-                    if ctx is not None:
-                        ctx.loop_tick()
+                    ctx.loop_tick()
                     for fn in body_code:
                         fn(fr)
 
@@ -814,41 +771,37 @@ class Interpreter:
             return lambda fr: None
         if isinstance(s, A.Print):
             item_fns = [self._compile_expr(i, unit) for i in s.items]
+            rank = ctx.rank
 
             def run_print(fr: Frame):
-                rank = self.ctx.rank if self.ctx is not None else 0
                 self.prints.append(
                     format_print(rank, [fn(fr) for fn in item_fns])
                 )
 
             return run_print
         if isinstance(s, (A.Decomposition, A.Align, A.Distribute)):
-            # declarative placement: consumed by the compiler; executable
-            # no-op in direct interpretation (sequential reference runs)
+            # declarative placement: consumed by the compiler; a no-op
+            # when the uncompiled source runs (the sequential reference)
             return lambda fr: None
         if isinstance(s, A.SetMyProc):
             var = s.var
+            rank = ctx.rank
 
             def run_setmyproc(fr: Frame):
-                fr.scalars[var] = self.ctx.rank if self.ctx is not None else 0
+                fr.scalars[var] = rank
 
             return run_setmyproc
         if isinstance(s, A.Send):
             return self._compile_comm(s, unit)
         if isinstance(s, A.SendPack):
             return self._compile_pack(s, unit)
-        if isinstance(s, _BLOCKING_STMTS):
-            raise InterpError(
-                f"{unit.name}: {type(s).__name__} can block and runs only "
-                f"inside an SPMD run (Interpreter.run_events)"
-            )
         if isinstance(s, A.MarkDist):
             specs = list(s.to_specs)
             name = s.array
+            nprocs = ctx.nprocs
 
             def run_mark(fr: Frame):
                 arr = fr.arrays[name]
-                nprocs = self.ctx.nprocs if self.ctx is not None else 1
                 mark_array(arr, Distribution.from_specs(specs, arr.bounds, nprocs))
 
             return run_mark
@@ -1295,30 +1248,33 @@ def run_sequential(
 ) -> Frame:
     """Reference execution of the original (pre-compilation) program.
 
-    The uncompiled source runs through the generated engine on one
-    simulated processor; the Fortran D compiler plays no part, so the
-    reference stays independent of the SPMD run it checks.  Every run
-    knob is passed explicitly, so no ``REPRO_*`` fault, scheduler,
-    topology, trace, metrics or timeout setting reaches it.  With
-    ``REPRO_CODEGEN=0`` it is the tree-walking interpreter
-    (``ctx=None``).  When the generated run fails, the interpreter runs:
-    its error propagates, and if it succeeds the generated failure is
-    raised rather than hidden."""
-    def interpret() -> Frame:
-        return Interpreter(
-            program, ctx=None, init_fn=init_fn, vectorize=vectorize
-        ).run()
+    The uncompiled source runs on one simulated processor, through the
+    generated engine (the interpreter under ``REPRO_CODEGEN=0``); the
+    Fortran D compiler plays no part, so the reference stays independent
+    of the SPMD run it checks.  Every run knob is passed explicitly, so
+    no ``REPRO_*`` fault, scheduler, topology, trace, metrics or timeout
+    setting reaches it.  A rank's error reaches the caller unwrapped.
+    When the generated run fails, the interpreter runs: its error
+    propagates, and if it succeeds the generated failure is raised."""
+    def at_p1(codegen: bool) -> Frame:
+        try:
+            return run_spmd(
+                program, 1, init_fn=init_fn, timeout_s=math.inf,
+                vectorize=vectorize, faults=FaultPlan(), scheduler="event",
+                trace=False, topology="uniform", codegen=codegen,
+                metrics=False,
+            ).frames[0]
+        except SimulationError as e:  # re-raise the rank's own error
+            if e.__cause__ is None:
+                raise
+            raise e.__cause__ from e.__cause__.__cause__
 
     if not Settings.from_env().codegen:
-        return interpret()
+        return at_p1(False)
     try:
-        return run_spmd(
-            program, 1, init_fn=init_fn, timeout_s=math.inf,
-            vectorize=vectorize, faults=FaultPlan(), scheduler="event",
-            trace=False, topology="uniform", codegen=True, metrics=False,
-        ).frames[0]
+        return at_p1(True)
     except Exception as generated:
-        interpret()
+        at_p1(False)
         raise InterpError(
             "generated sequential reference failed on a program the "
             "interpreter runs"
@@ -1420,6 +1376,7 @@ def run_spmd(
                         variant=variant, cause=cause,
                     )
 
+    initial_dists = initial_dists or {}
     # once per run, not once per rank: a generated program carries the
     # set its emission was decided by
     blocking = gen.blocking if gen is not None \

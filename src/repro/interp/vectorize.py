@@ -458,14 +458,13 @@ def try_vectorize(do: A.Do, unit, interp, bounds,
         if n < MIN_BLOCK or not plan.runtime_ok(fr, lo, st, n):
             scalar_loop(fr, lo, hi, st)
             return
-        tracer = ctx.tracer if ctx is not None else None
+        tracer = ctx.tracer
         t0 = ctx.clock_estimate() if tracer is not None else 0.0
         blk = _Block(lo, st, n)
         for exec_stmt in plan.execs:
             exec_stmt(fr, blk)
-        if ctx is not None:
-            ctx.loop_tick(n)
-            ctx.compute(n * ops_per_iter)
+        ctx.loop_tick(n)
+        ctx.compute(n * ops_per_iter)
         if tracer is not None:
             trace_block(tracer, ctx, t0, unit_name, var, n, n * ops_per_iter)
         fr.scalars[var] = lo + n * st

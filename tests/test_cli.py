@@ -97,11 +97,37 @@ class TestRun:
                          "--no-text"]) == 0
 
 
+OOB = "program p\nreal x(10)\nx(11) = 1\nend\n"
+
+
 class TestSequential:
     def test_sequential_summary(self, src_file, capsys):
         assert main([src_file, "--sequential"]) == 0
         out = capsys.readouterr().out
         assert "x: shape=(100,)" in out
+
+    def test_failing_reference_is_one_line(self, tmp_path, capsys):
+        p = tmp_path / "oob.fd"
+        p.write_text(OOB)
+        assert main([str(p), "--sequential"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("fdc: sequential reference failed: ")
+        assert "x: index 11" in line
+
+    def test_verify_reports_a_failing_reference(self, src_file, capsys,
+                                                monkeypatch):
+        """The run succeeds; the reference it is checked against does
+        not."""
+        import repro.cli as cli
+
+        def fail(program):
+            raise IndexError("x: index 11 outside [1:10] in dim 1")
+
+        monkeypatch.setattr(cli, "run_sequential", fail)
+        assert main([src_file, "--run", "--verify", "--no-text"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("fdc: sequential reference failed: ")
+        assert "x: index 11" in line
 
 
 class TestLocalize:

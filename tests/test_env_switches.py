@@ -7,6 +7,7 @@ default.  Its directory rule: unset means the default directory, empty
 means no disk tier.  Each row checks the parsed field and the public
 reader that falls back to it."""
 
+import functools
 import os
 import pathlib
 import re
@@ -18,25 +19,33 @@ from repro.apps import stencil1d_source
 from repro.cli import main as fdc
 from repro.codegen import cache as gen_cache
 from repro.codegen import enabled as codegen_enabled
-from repro.interp import Interpreter
+from repro.core import Mode, Options, compile_program
 from repro.interp.vectorize import enabled as vectorize_enabled
-from repro.lang import parse
 from repro.obs.metrics import metrics_enabled
 from repro.service.client import default_socket_path, resolve_server
 from repro.settings import Settings
 from repro.tune import EvalMemo
 
 
-def interpreter_comm_cache(flag):
-    """What an interpreter built without run_spmd's value uses."""
-    return Interpreter(parse("program p\nend\n"), comm_cache=flag).comm_cache
+@functools.cache
+def _stencil():
+    return compile_program(stencil1d_source(128, 4),
+                           Options(nprocs=4, mode=Mode.INTER))
+
+
+def run_hits_comm_cache(flag):
+    """Whether a ``run_spmd`` of the stencil hits the communication
+    schedule cache.  A run takes the switch from the environment only,
+    so *flag* must be None."""
+    assert flag is None
+    return _stencil().run().stats.comm_cache_hits > 0
 
 
 #: (variable, Settings field, reader, default when unset)
 SWITCHES = [
     ("REPRO_CODEGEN", "codegen", codegen_enabled, True),
     ("REPRO_VECTORIZE", "vectorize", vectorize_enabled, True),
-    ("REPRO_COMM_CACHE", "comm_cache", interpreter_comm_cache, True),
+    ("REPRO_COMM_CACHE", "comm_cache", run_hits_comm_cache, True),
     ("REPRO_METRICS", "metrics", metrics_enabled, False),
 ]
 

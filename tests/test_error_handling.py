@@ -113,6 +113,16 @@ class TestRuntimeDiagnostics:
             run_sequential(parse(src))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 12: generated element access checks only the upper "
+    "bound, so x(0) wraps to x(10)"))
+def test_generated_reference_checks_the_lower_bound(monkeypatch):
+    monkeypatch.setenv("REPRO_CODEGEN", "1")
+    src = "program p\nreal x(10)\ns = x(0)\nx(0) = 5\nend\n"
+    with pytest.raises(IndexError, match="x: index 0 outside"):
+        run_sequential(parse(src))
+
+
 class TestReportTransparency:
     def test_rtr_reasons_are_sentences(self):
         src = (

@@ -126,9 +126,7 @@ class TestSequentialBasics:
 
     def test_print_collected(self):
         prog = parse("program p\nprint *, 'v =', 42\nend\n")
-        interp = Interpreter(prog)
-        interp.run()
-        assert interp.prints == ["[0] v = 42"]
+        assert run_spmd(prog, 1).prints == ["[0] v = 42"]
 
     def test_undefined_scalar_read_raises(self):
         with pytest.raises(Exception, match="undefined scalar"):

@@ -30,7 +30,7 @@ from repro.apps.stencil import stencil1d_source, stencil2d_source
 from repro.apps.wave import wave_source
 import repro.interp.interpreter as interp_mod
 from repro.codegen import NodeRt
-from repro.interp import InterpError, Interpreter, run_sequential
+from repro.interp import InterpError, run_sequential, run_spmd
 from repro.interp.interpreter import default_init
 from repro.lang import parse
 from repro.machine.faults import FaultPlan
@@ -57,10 +57,12 @@ GRID = [
 
 
 def interpreted(src: str, init_fn=None, vectorize=None):
-    """The reference as it was: the interpreter with ``ctx=None``."""
-    return Interpreter(parse(src), ctx=None,
-                       init_fn=init_fn or default_init,
-                       vectorize=vectorize).run()
+    """The reference as it was: the interpreter, at P=1."""
+    return run_spmd(
+        parse(src), 1, init_fn=init_fn or default_init, timeout_s=math.inf,
+        vectorize=vectorize, faults=FaultPlan(), scheduler="event",
+        trace=False, topology="uniform", codegen=False, metrics=False,
+    ).frames[0]
 
 
 def assert_same_arrays(got, want) -> None:
@@ -115,6 +117,8 @@ def test_environment_does_not_reach_the_reference(monkeypatch, tmp_path):
     link contention, a trace file, the default metrics registry, a
     flight recorder, a wall-clock cut and a postmortem directory.  The
     machine the reference builds shows none of them."""
+    src, init = dgefa_source(16), make_dgefa_init(16)
+    want = interpreted(src, init)
     machines = []
 
     class Spy(interp_mod.Machine):
@@ -126,8 +130,6 @@ def test_environment_does_not_reach_the_reference(monkeypatch, tmp_path):
     trace_file = tmp_path / "trace.json"
     postmortems = tmp_path / "postmortem"
     postmortems.mkdir()
-    src, init = dgefa_source(16), make_dgefa_init(16)
-    want = interpreted(src, init)
     before = default_registry().snapshot()
     for name, value in (
         ("REPRO_CODEGEN", "1"),

@@ -29,7 +29,7 @@ from repro.apps.stencil import stencil1d_source, stencil2d_source
 from repro.apps.wave import wave_source
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
-from repro.interp import Interpreter
+from repro.interp import run_spmd
 from repro.interp.vectorize import enabled
 from repro.lang import parse
 from repro.obs import Tracer
@@ -204,8 +204,8 @@ def sequential_programs(draw):
 @given(sequential_programs())
 def test_random_sequential_programs_bit_identical(src):
     prog = parse(src)
-    f_vec = Interpreter(prog, ctx=None, vectorize=True).run()
-    f_sca = Interpreter(prog, ctx=None, vectorize=False).run()
+    f_vec = run_spmd(prog, 1, codegen=False, vectorize=True).frames[0]
+    f_sca = run_spmd(prog, 1, codegen=False, vectorize=False).frames[0]
     for name in f_sca.arrays:
         assert np.array_equal(
             f_vec.arrays[name].data, f_sca.arrays[name].data, equal_nan=True
