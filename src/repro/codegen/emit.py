@@ -839,8 +839,8 @@ class _FnEmitter:
 
 class _VecPlan:
     """Numpy emission for a DO loop that :class:`LoopPlan` accepted:
-    the same block slices, residual run-time checks, charges and trace
-    event as the interpreter's closure lowering of the same plan."""
+    one slice assignment per statement, the plan's residual run-time
+    checks, and the scalar loop's exact charges in batched form."""
 
     def __init__(self, fn: _FnEmitter, plan: LoopPlan) -> None:
         self.fn = fn
@@ -886,7 +886,7 @@ class _VecPlan:
             fn.w("pass")
         fn.ind -= 1
         # anti-dependence range checks for invariant reads of written
-        # arrays (same inclusive window as vectorize.runtime_ok)
+        # arrays (inclusive window of the block's written range)
         for name, idx in self.plan.checked_inv_reads:
             f_t, l_t = fn.tmp(), fn.tmp()
             fn.w(f"if {ok_t}:")

@@ -523,7 +523,7 @@ class CommPlanner:
         """Ancestor chain of a call statement at each loop depth."""
         anchors: list[A.Stmt] = []
         target: A.Stmt = site.stmt
-        chain = _ancestor_chain(self.proc.body, target)
+        chain = A.ancestors(self.proc.body, target) + [target]
         # chain includes every enclosing statement; pick the one directly
         # inside each loop of site.loops (plus top level)
         depth_anchor: list[A.Stmt] = []
@@ -738,22 +738,6 @@ def translate_section(sec: RSD, bindings: dict, env: dict) -> RSD:
 
 def expr_str_safe(ref: Ref) -> str:
     return f"{ref.array}{ref.section}"
-
-
-def _ancestor_chain(body: list[A.Stmt], target: A.Stmt) -> list[A.Stmt]:
-    """Statements on the path from *body* down to *target* (inclusive)."""
-
-    def find(b: list[A.Stmt]) -> Optional[list[A.Stmt]]:
-        for s in b:
-            if s is target:
-                return [s]
-            for blk in A.child_blocks(s):
-                sub = find(blk)
-                if sub is not None:
-                    return [s] + sub
-        return None
-
-    return find(body) or [target]
 
 
 def _anchor_in(

@@ -337,7 +337,7 @@ class ProcedureCompiler:
         to run-time resolution in the next planning round)."""
         for sid, spec in list(plan.reductions.items()):
             bad = False
-            for anc in _ancestors_of(self.proc.body, spec.loop):
+            for anc in A.ancestors(self.proc.body, spec.loop):
                 if id(anc) in plan.loop_reduce or id(anc) in plan.guard_stmt:
                     bad = True
                     break
@@ -359,7 +359,7 @@ class ProcedureCompiler:
             # every enclosing loop up to the placement level must be
             # executed identically by all processors
             bad = False
-            for anc in _ancestors_of(self.proc.body, act.anchor):
+            for anc in A.ancestors(self.proc.body, act.anchor):
                 if id(anc) in reduced or id(anc) in guarded:
                     bad = True
                     break
@@ -452,7 +452,7 @@ class ProcedureCompiler:
                 )
                 rw.guard_stmt.pop(id(s), None)
             elif isinstance(s, A.If):
-                for anc in _ancestors_of(self.proc.body, s):
+                for anc in A.ancestors(self.proc.body, s):
                     if id(anc) in plan.loop_reduce \
                             or id(anc) in rw.guard_stmt:
                         raise CompileError(
@@ -542,20 +542,6 @@ class ProcedureCompiler:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _ancestors_of(body: list[A.Stmt], target: A.Stmt) -> list[A.Stmt]:
-    def find(b):
-        for s in b:
-            if s is target:
-                return []
-            for blk in A.child_blocks(s):
-                sub = find(blk)
-                if sub is not None:
-                    return [s] + sub
-        return None
-
-    return find(body) or []
 
 
 def _in_prologue(proc: A.Procedure, stmt: A.Stmt) -> bool:

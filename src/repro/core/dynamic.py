@@ -179,18 +179,9 @@ class DynamicDecompPlanner:
                     sets.kill.add(arr)
                 self.plan.replace.setdefault(id(s), [])
             else:
-                for arr in _stmt_array_uses(s, set(self.arrays)):
-                    if arr not in sets.kill:
-                        used_before.add(arr)
-                        if arr in self.proc.formals or \
-                                arr in self.proc.commons:
-                            sets.use.add(arr)
-        # arrays used but never killed use the inherited decomposition
-        iface = set(self.proc.formals) | set(self.proc.commons)
-        for s in A.walk_stmts(self.proc.body):
-            for arr in _stmt_array_uses(s, set(self.arrays)):
-                if arr in iface and arr not in sets.kill:
-                    sets.use.add(arr)
+                # DecompUse is already complete (_collect_use ran first)
+                used_before |= _stmt_array_uses(s, set(self.arrays)) \
+                    - sets.kill
 
     def _collect_use(self, dynamic: list[A.Distribute]) -> None:
         """DecompUse(P): formal arrays that may use a decomposition
@@ -595,11 +586,7 @@ def find_dynamic_distributes(
 
 def _stmt_array_uses(s: A.Stmt, arrays: set[str]) -> set[str]:
     out: set[str] = set()
-    if isinstance(s, (A.Do, A.DoWhile, A.If)):
-        exprs = list(A.stmt_exprs(s))
-    else:
-        exprs = list(A.stmt_exprs(s))
-    for e in exprs:
+    for e in A.stmt_exprs(s):
         for x in A.walk_exprs(e):
             if isinstance(x, (A.ArrayRef, A.Var)) and x.name in arrays:
                 out.add(x.name)

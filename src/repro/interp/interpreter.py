@@ -212,17 +212,13 @@ class Interpreter:
         ctx: ProcContext,
         initial_dists: dict[tuple[str, str], Distribution],
         init_fn: Callable[[str, tuple[int, ...]], float],
-        vectorize: bool,
         blocking: set[str],
         images: dict[tuple, np.ndarray],
-        comm_cache: bool,
     ) -> None:
         self.program = program
         self.ctx = ctx
         self.initial_dists = initial_dists
         self.init_fn = init_fn
-        self.vectorize = vectorize
-        self.comm_cache = comm_cache
         self.comm_cache_hits = 0
         self.comm_cache_misses = 0
         self.tracer = ctx.tracer
@@ -706,7 +702,8 @@ class Interpreter:
             # resolving the attribute every iteration
             loop_tick = ctx.loop_tick
 
-            def run_loop(fr: Frame, lo: int, hi: int, st: int):
+            def run_loop(fr: Frame):
+                lo, hi, st = bounds(fr)
                 scal = fr.scalars
                 i = lo
                 if st > 0:
@@ -725,13 +722,7 @@ class Interpreter:
                         i += st
                 scal[var] = i
 
-            if self.vectorize:
-                from .vectorize import try_vectorize
-
-                vec = try_vectorize(s, unit, self, bounds, run_loop)
-                if vec is not None:
-                    return vec
-            return lambda fr: run_loop(fr, *bounds(fr))
+            return run_loop
         if isinstance(s, A.DoWhile):
             cond_fn = self._compile_expr(s.cond, unit)
             body_code = self._compile_block(s.body, unit)
@@ -897,8 +888,6 @@ class Interpreter:
             bounds = self._compile_bounds(s, unit)
             body_segs = self._compile_block_y(s.body, unit)
             loop_tick = ctx.loop_tick
-            # no try_vectorize: the vectorizer only accepts all-Assign
-            # bodies, so a loop containing communication never qualifies
 
             def run_do_y(fr: Frame):
                 lo, hi, st = bounds(fr)
@@ -1034,8 +1023,7 @@ class Interpreter:
         if not isinstance(view, np.ndarray):
             view = None  # single element: index directly, not via a view
         entry = (view, slices, arr.section_bytes(subs))
-        if self.comm_cache:
-            cache[key] = entry
+        cache[key] = entry
         return entry
 
     @staticmethod
@@ -1342,7 +1330,10 @@ def run_spmd(
     fresh one (a file ``REPRO_TRACE`` names receives the Chrome trace);
     *topology* a :class:`~repro.machine.topology.Topology` or a name like
     ``"mesh2d:contention"``; *codegen* the generated node-program path
-    (*codegen_strict* escalates per-procedure demotions to errors);
+    (*vectorize* lets it emit numpy blocks for the loops
+    :class:`~repro.interp.vectorize.LoopPlan` accepts, and
+    *codegen_strict* escalates per-procedure demotions to errors; the
+    interpreter always runs scalar);
     *metrics* a :class:`~repro.obs.MetricsRegistry` or ``True`` for the
     process-wide default registry.
     """
@@ -1353,15 +1344,16 @@ def run_spmd(
                       scheduler=scheduler, trace=trace, topology=topology,
                       metrics=metrics)
     prints: list[str] = []
-    # resolved once per run and handed to every rank's interpreter
+    # resolved once per run
     settings = Settings.from_env()
-    vectorize = settings.vectorize if vectorize is None else bool(vectorize)
 
     gen = None
     if settings.codegen if codegen is None else codegen:
+        if vectorize is None:
+            vectorize = settings.vectorize
         try:
             gen, gh, gm = get_generated(
-                program, nprocs, vectorize, strict=codegen_strict,
+                program, nprocs, bool(vectorize), strict=codegen_strict,
             )
         except CodegenError:
             raise
@@ -1393,8 +1385,7 @@ def run_spmd(
         def node(ctx: ProcContext):
             interp = Interpreter(
                 program, ctx=ctx, initial_dists=initial_dists,
-                init_fn=init_fn, vectorize=vectorize, blocking=blocking,
-                images=images, comm_cache=settings.comm_cache,
+                init_fn=init_fn, blocking=blocking, images=images,
             )
             if mod is not None:
                 frame = yield from NodeRt(interp, mod).run_y()

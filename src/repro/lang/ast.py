@@ -502,6 +502,23 @@ def child_blocks(s: Stmt) -> Iterator[list[Stmt]]:
         yield s.body
 
 
+def ancestors(body: list[Stmt], target: Stmt) -> list[Stmt]:
+    """The statements enclosing *target* (by identity) in *body*,
+    outermost first: empty at top level and when *target* is absent."""
+
+    def find(b: list[Stmt]) -> Optional[list[Stmt]]:
+        for s in b:
+            if s is target:
+                return []
+            for blk in child_blocks(s):
+                sub = find(blk)
+                if sub is not None:
+                    return [s] + sub
+        return None
+
+    return find(body) or []
+
+
 def walk_stmts(body: list[Stmt]) -> Iterator[Stmt]:
     """Yield every statement in *body*, preorder, descending into nests."""
     for s in body:

@@ -56,9 +56,9 @@ class ProcContext:
     *batched*: they accumulate exact integer counters and convert to
     virtual time only when the clock is observed (a communication call,
     a direct ``ctx.clock`` read, end of run).  Between observation
-    points only the counter totals matter, so the scalar interpreter
-    path (one ``compute`` per statement instance) and the vectorized
-    block path (one ``compute`` per loop nest) produce bit-identical
+    points only the counter totals matter, so scalar execution (one
+    ``compute`` per statement instance) and generated numpy blocks
+    (one ``compute`` per loop nest) produce bit-identical
     clocks, work counts, and guard statistics.  Batching also removes a
     stats-lock acquisition per guard — a measurable win for run-time
     resolution, which executes one guard per array element.

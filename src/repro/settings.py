@@ -65,7 +65,6 @@ class Settings:
 
     codegen: bool
     vectorize: bool
-    comm_cache: bool
     codegen_cache: Optional[str]
     scheduler: str
     topology: str
@@ -90,7 +89,6 @@ class Settings:
         return cls(
             codegen=switch(env("REPRO_CODEGEN"), True),
             vectorize=switch(env("REPRO_VECTORIZE"), True),
-            comm_cache=switch(env("REPRO_COMM_CACHE"), True),
             codegen_cache=_directory(env("REPRO_CODEGEN_CACHE"),
                                      "repro-codegen"),
             scheduler=text("REPRO_SCHEDULER").lower() or "event",

@@ -7,9 +7,11 @@ score candidates identically.
 
 Evaluation always pins the **event-driven** scheduler backend (fastest
 and deterministic — the tuner's objective is simulated virtual time,
-which is scheduler-invariant anyway) and runs through the interpreter
-(``codegen=False``): virtual time is bit-identical to the codegen path,
-and skipping per-plan module generation keeps each probe cheap.
+which is scheduler-invariant anyway) and runs the default engine:
+generated node programs, or the interpreter under ``REPRO_CODEGEN=0``.
+The engines are bit-identical, so a score does not depend on which one
+ran; generated code is the faster even with each plan's procedures
+emitted cold.
 Compilation is the compiler's one :func:`~repro.core.driver.sweep` over
 a summary store (:class:`~repro.service.compiler.ServiceCompiler`), so
 sibling plans only recompile the procedures whose distribution actually
@@ -56,8 +58,8 @@ def evaluate_plan(compiler, source: str, opts: Options,
     cp, cstats = compiler.compile(source, opts)
     # an empty plan, not None: None would defer to REPRO_FAULTS
     res = cp.run(cost=cost_model, scheduler=scheduler,
-                 trace=True if trace else False, codegen=False,
-                 topology=topology, faults=faults or FaultPlan())
+                 trace=True if trace else False, topology=topology,
+                 faults=faults or FaultPlan())
     sd = res.stats.as_dict()
     metrics = {
         "time_us": sd["time_us"],

@@ -33,7 +33,9 @@ from repro.tune import (
     Plan,
     TuneSpace,
     autotune,
+    evaluate_plan,
     initial_moves,
+    make_eval_compiler,
     plan_key,
     render_tune_report,
 )
@@ -87,6 +89,33 @@ class TestPlanKeys:
         applied = p.apply(base)
         assert applied.nprocs == 8
         assert {ov.array for ov in applied.distribute} == {"x", "y"}
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("plan", [
+        Plan(4, ()),
+        Plan(8, (DistOverride("x", (("cyclic", None),)),)),
+    ], ids=["base", "cyclic8"])
+    def test_plans_are_scored_on_generated_code(self, plan, monkeypatch):
+        """An evaluation runs the default engine, generated node
+        programs, and scores the plan exactly as the scalar interpreter
+        does."""
+        from repro.codegen import GEN_COUNTS
+        from repro.core import compile_program
+        from repro.machine import IPSC860
+
+        monkeypatch.delenv("REPRO_CODEGEN", raising=False)
+        opts = plan.apply(OPTS)
+        before = GEN_COUNTS["units_emitted"] + GEN_COUNTS["units_reused"]
+        got = evaluate_plan(make_eval_compiler(), SRC, opts)
+        assert GEN_COUNTS["units_emitted"] + GEN_COUNTS["units_reused"] \
+            > before
+        ref = compile_program(SRC, opts).run(
+            cost=IPSC860, scheduler="event", codegen=False,
+            faults=FaultPlan(), topology="uniform")
+        sd = ref.stats.as_dict()
+        for key in ("time_us", "messages", "bytes"):
+            assert got[key] == sd[key], key
 
 
 class TestEvalMemo:

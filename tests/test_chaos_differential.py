@@ -103,8 +103,8 @@ def test_chaos_actually_perturbs_clocks():
 
 
 def test_scalar_path_equally_immune():
-    """The fault layer sits below the execution paths: the scalar
-    interpreter under chaos must also match its own fault-free run (CI
+    """The fault layer sits below the execution paths: scalar loops
+    under chaos must also match their own fault-free run (CI
     additionally runs the whole module under REPRO_VECTORIZE=0/1)."""
     cp = compile_program(stencil2d_source(24, 2),
                          Options(nprocs=4, mode=Mode.INTER))

@@ -2,7 +2,7 @@
 
 The generated path must be an *invisible* perf optimization: per-rank
 arrays, virtual clocks, delivery statistics, and printed output are
-bit-identical to the closure-tree interpreter on every scheduler
+bit-identical to the scalar closure-tree interpreter on every scheduler
 backend, under fault injection, with and without vectorization — and
 every cache malfunction (poisoned entry, unreadable file, stale
 generator version) silently regenerates instead of failing or, worse,
@@ -87,20 +87,19 @@ def _tracer() -> Tracer:
 
 
 def _engine_events(res) -> list[list[dict]]:
-    """Each rank's ordered stream of the events the *execution engine*
-    emits (the machine's ``net.*``/``sched.*`` events are engine-blind):
-    which loops ran as blocks, with which trip and operation counts at
-    which virtual time, and every comm-schedule cache probe."""
+    """Each rank's ordered stream of the comm-schedule cache probes,
+    the engine event both engines emit (the machine's ``net.*`` /
+    ``sched.*`` events are engine-blind; ``interp.vec`` blocks run only
+    in generated code)."""
     return [
-        [ev for ev in evs if ev["kind"] in ("interp.vec", "interp.cache")]
+        [ev for ev in evs if ev["kind"] == "interp.cache"]
         for evs in res.trace.rank_events
     ]
 
 
 def _assert_identical(a, b, label, traced=False):
     """Clocks, stats, arrays and prints; with *traced* (both runs carry
-    a tracer) also the engine event streams, dict for dict — batched
-    charging makes a block decision invisible to the other four."""
+    a tracer) also the cache-probe streams, dict for dict."""
     if traced:
         assert _engine_events(a) == _engine_events(b), label
     assert a.stats.proc_times == b.stats.proc_times, label
@@ -142,17 +141,17 @@ def test_apps_bit_identical_generated_vs_interpreter(src, init, seed):
 @pytest.mark.parametrize("vectorize", [False, True],
                          ids=["scalar", "vectorized"])
 def test_vectorize_axis_bit_identical(vectorize):
-    """The generated vectorizer must make block decisions identical to
-    the interpreter's in both switch positions."""
+    """Generated code matches the scalar interpreter in both switch
+    positions: a block charges exactly what its scalar loop would."""
     cp = compile_program(stencil1d_source(128, 4),
                          Options(nprocs=4, mode=Mode.INTER))
-    ref = _run(cp, None, "event", vectorize=vectorize, codegen=False,
-               trace=_tracer())
-    # not vacuous: blocks ran exactly when the switch is on
-    assert bool(ref.trace.events("interp.vec")) == vectorize
+    ref = _run(cp, None, "event", codegen=False, trace=_tracer())
+    assert not ref.trace.events("interp.vec")  # the oracle is scalar
     for sched in SCHEDULERS:
         gen = _run(cp, None, sched, vectorize=vectorize, codegen=True,
                    trace=_tracer())
+        # not vacuous: blocks ran exactly when the switch is on
+        assert bool(gen.trace.events("interp.vec")) == vectorize
         _assert_identical(ref, gen, f"vec={vectorize} {sched}", traced=True)
 
 

@@ -7,7 +7,6 @@ default.  Its directory rule: unset means the default directory, empty
 means no disk tier.  Each row checks the parsed field and the public
 reader that falls back to it."""
 
-import functools
 import os
 import pathlib
 import re
@@ -19,7 +18,6 @@ from repro.apps import stencil1d_source
 from repro.cli import main as fdc
 from repro.codegen import cache as gen_cache
 from repro.codegen import enabled as codegen_enabled
-from repro.core import Mode, Options, compile_program
 from repro.interp.vectorize import enabled as vectorize_enabled
 from repro.obs.metrics import metrics_enabled
 from repro.service.client import default_socket_path, resolve_server
@@ -27,25 +25,10 @@ from repro.settings import Settings
 from repro.tune import EvalMemo
 
 
-@functools.cache
-def _stencil():
-    return compile_program(stencil1d_source(128, 4),
-                           Options(nprocs=4, mode=Mode.INTER))
-
-
-def run_hits_comm_cache(flag):
-    """Whether a ``run_spmd`` of the stencil hits the communication
-    schedule cache.  A run takes the switch from the environment only,
-    so *flag* must be None."""
-    assert flag is None
-    return _stencil().run().stats.comm_cache_hits > 0
-
-
 #: (variable, Settings field, reader, default when unset)
 SWITCHES = [
     ("REPRO_CODEGEN", "codegen", codegen_enabled, True),
     ("REPRO_VECTORIZE", "vectorize", vectorize_enabled, True),
-    ("REPRO_COMM_CACHE", "comm_cache", run_hits_comm_cache, True),
     ("REPRO_METRICS", "metrics", metrics_enabled, False),
 ]
 
@@ -164,7 +147,7 @@ def test_cold_codegen_reads_settings_once_per_program(monkeypatch, tmp_path):
 def test_settings_has_one_field_per_name():
     names = set(re.findall(r"REPRO_[A-Z_]+", pathlib.Path(
         repro.__file__).with_name("settings.py").read_text()))
-    assert len(names) == len(Settings.__dataclass_fields__) == 16
+    assert len(names) == len(Settings.__dataclass_fields__) == 15
 
 
 def test_only_settings_reads_the_environment():

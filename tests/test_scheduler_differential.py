@@ -185,19 +185,6 @@ def test_event_deadlock_creates_no_threads():
     assert threading.active_count() == before
 
 
-def test_comm_cache_equivalence(monkeypatch):
-    """The communication-schedule cache is a pure memoization: results
-    and statistics are identical with it disabled."""
-    cp = compile_program(stencil1d_source(128, 4),
-                         Options(nprocs=4, mode=Mode.INTER))
-    cached = _run(cp, None, "event")
-    monkeypatch.setenv("REPRO_COMM_CACHE", "0")
-    uncached = _run(cp, None, "event")
-    _assert_identical(cached, uncached, "comm-cache")
-    assert cached.stats.comm_cache_hits > 0
-    assert uncached.stats.comm_cache_hits == 0
-
-
 def test_scheduler_stats_surface():
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=Mode.INTER))

@@ -2,8 +2,8 @@
 run through the generated engine on one simulated processor.
 
 What every ``--verify`` compares against must not move: the reference
-gives the tree-walking interpreter's arrays on every application builder
-and paper figure, with vectorization on and off.  A failure of the
+gives the scalar tree-walking interpreter's arrays on every application
+builder and paper figure, with vectorization on and off.  A failure of the
 generated run is never hidden behind the interpreter's answer, and no
 run setting in the environment reaches the reference.  Each test sets
 ``REPRO_CODEGEN`` itself, so every CI leg checks the generated path.
@@ -56,11 +56,11 @@ GRID = [
 ]
 
 
-def interpreted(src: str, init_fn=None, vectorize=None):
-    """The reference as it was: the interpreter, at P=1."""
+def interpreted(src: str, init_fn=None):
+    """The reference as it was: the scalar interpreter, at P=1."""
     return run_spmd(
         parse(src), 1, init_fn=init_fn or default_init, timeout_s=math.inf,
-        vectorize=vectorize, faults=FaultPlan(), scheduler="event",
+        faults=FaultPlan(), scheduler="event",
         trace=False, topology="uniform", codegen=False, metrics=False,
     ).frames[0]
 
@@ -79,7 +79,7 @@ def test_reference_is_the_interpreters(name, src, init, vectorize,
     monkeypatch.setenv("REPRO_CODEGEN", "1")
     kw = {"init_fn": init} if init is not None else {}
     got = run_sequential(parse(src), vectorize=vectorize, **kw)
-    assert_same_arrays(got, interpreted(src, init, vectorize))
+    assert_same_arrays(got, interpreted(src, init))
 
 
 def _fail_run_y(self):

@@ -22,6 +22,7 @@ import repro
 from repro.apps.cg import cg_source
 from repro.apps.dgefa import dgefa_source, make_dgefa_init
 from repro.apps.stencil import stencil1d_source
+from repro.codegen import enabled as codegen_enabled
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
 from repro.machine import Machine, resolve_scheduler
@@ -54,11 +55,11 @@ GRID_IDS = [f"{s}-{'vec' if v else 'scalar'}" for s, v in GRID]
 
 
 def _traced_run(src, *, scheduler="event", vectorize=False, init_fn=None,
-                nprocs=4, mode=Mode.INTER):
+                nprocs=4, mode=Mode.INTER, codegen=None):
     cp = compile_program(src, Options(nprocs=nprocs, mode=mode))
     extra = {"init_fn": init_fn} if init_fn is not None else {}
     return cp.run(trace=True, scheduler=scheduler, vectorize=vectorize,
-                  **extra)
+                  codegen=codegen, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +162,8 @@ class TestRankEvents:
         else:
             assert not sched_evs  # thread oracle has no dispatcher
         vec_evs = tr.events("interp.vec")
-        if vectorize:
+        # blocks run only in generated code; the interpreter is scalar
+        if vectorize and codegen_enabled(None):
             assert vec_evs
             for ev in vec_evs:
                 assert ev["n"] > 0 and ev["unit"]
@@ -365,7 +367,8 @@ class TestSchema:
 
         seen = set()
         for _, src, init in CASES:
-            res = _traced_run(src, vectorize=True, init_fn=init)
+            res = _traced_run(src, vectorize=True, init_fn=init,
+                              codegen=True)
             for ev in res.trace.events():
                 names = [k for k in ev if k not in _STD]
                 schema = FIELDS[ev["kind"]]

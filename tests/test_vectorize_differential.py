@@ -1,12 +1,15 @@
-"""Differential tests: vectorized vs scalar execution, bit for bit.
+"""Differential tests: generated numpy blocks vs scalar execution, bit
+for bit.
 
 The fast path's contract is not "numerically close" — every array
 element, every virtual clock, and every statistic must be *identical*
 whether a loop nest executed as numpy slice assignments or as one
-closure call per element.  These tests enforce the contract on the full
-application suite (all modes the apps compile under) and on randomly
-generated affine loop programs, including programs the vectorizer must
-reject or bail out of at run time.
+statement per element.  The scalar interpreter is the oracle: the
+generated node program, emitted with and without blocks, must match it
+on the full application suite (all modes the apps compile under) and on
+randomly generated affine loop programs, including programs whose loops
+:class:`~repro.interp.vectorize.LoopPlan` must reject or fall back from
+at run time.
 """
 
 from __future__ import annotations
@@ -42,19 +45,25 @@ STAT_FIELDS = (
 
 
 def assert_bit_identical(cp, init_fn=None, timeout_s=30.0):
-    """Run *cp* on both paths and require identical arrays and stats."""
+    """Run *cp* on the scalar interpreter and as generated code in both
+    vectorize positions; require identical arrays, prints and stats."""
     kw = {"init_fn": init_fn} if init_fn else {}
-    r_vec = cp.run(vectorize=True, timeout_s=timeout_s, **kw)
-    r_sca = cp.run(vectorize=False, timeout_s=timeout_s, **kw)
-    for f in STAT_FIELDS:
-        assert getattr(r_vec.stats, f) == getattr(r_sca.stats, f), f
-    assert r_vec.stats.proc_times == r_sca.stats.proc_times
-    assert r_vec.stats.proc_work == r_sca.stats.proc_work
-    for name in r_vec.frames[0].arrays:
-        for rk, (fv, fs) in enumerate(zip(r_vec.frames, r_sca.frames)):
-            assert np.array_equal(
-                fv.arrays[name].data, fs.arrays[name].data, equal_nan=True
-            ), f"array {name} differs on rank {rk}"
+    r_sca = cp.run(codegen=False, timeout_s=timeout_s, **kw)
+    for vec in (False, True):
+        r_gen = cp.run(codegen=True, vectorize=vec, timeout_s=timeout_s,
+                       **kw)
+        for f in STAT_FIELDS:
+            assert getattr(r_gen.stats, f) == getattr(r_sca.stats, f), \
+                (vec, f)
+        assert r_gen.stats.proc_times == r_sca.stats.proc_times, vec
+        assert r_gen.stats.proc_work == r_sca.stats.proc_work, vec
+        assert sorted(r_gen.prints) == sorted(r_sca.prints), vec
+        for name in r_sca.frames[0].arrays:
+            for rk, (fg, fs) in enumerate(zip(r_gen.frames, r_sca.frames)):
+                assert np.array_equal(
+                    fg.arrays[name].data, fs.arrays[name].data,
+                    equal_nan=True,
+                ), f"vec={vec}: array {name} differs on rank {rk}"
 
 
 APP_CASES = [
@@ -139,7 +148,7 @@ end
 #: including at loop-invariant subscripts.  Outside that subset — a
 #: loop writing one array at two different offsets, reading it at a
 #: different offset than it writes, or accessing it loop-invariantly —
-#: the planner deadlocks (identically on both execution paths; verified
+#: the planner deadlocks (identically on every execution path; verified
 #: pre-existing on the seed).  The sequential generator below covers
 #: those shapes, where no comm planning is involved.
 
@@ -178,8 +187,8 @@ def test_random_affine_programs_bit_identical(case):
 
 #: Sequential programs: the full grammar — any array read or written at
 #: any subscript, including the loop-invariant shapes that force the
-#: vectorizer's runtime fallback (invariant read inside the written
-#: range, unequal write offsets, invariant write targets).
+#: blocks' runtime fallback (invariant read inside the written range,
+#: unequal write offsets, invariant write targets).
 _seq_ref = st.tuples(st.sampled_from(("a", "b", "c")), _any_subs).map(
     lambda p: f"{p[0]}({p[1]})"
 )
@@ -203,30 +212,30 @@ def sequential_programs(draw):
 )
 @given(sequential_programs())
 def test_random_sequential_programs_bit_identical(src):
+    # the uncompiled source (the sequential reference's shape) and the
+    # compiled P=1 node program, each generated with and without blocks
+    # against the scalar interpreter
     prog = parse(src)
-    f_vec = run_spmd(prog, 1, codegen=False, vectorize=True).frames[0]
-    f_sca = run_spmd(prog, 1, codegen=False, vectorize=False).frames[0]
-    for name in f_sca.arrays:
-        assert np.array_equal(
-            f_vec.arrays[name].data, f_sca.arrays[name].data, equal_nan=True
-        ), f"array {name} differs"
-    # the same grammar through the emitter: the generated node program
-    # (P=1) against the scalar interpreter, and its block decisions —
-    # accept, reject, per-block fallback — against the vectorized
-    # interpreter's, event for event
+    f_sca = run_spmd(prog, 1, codegen=False).frames[0]
     cp = compile_program(src, Options(nprocs=1))
-    r_gen = cp.run(codegen=True, vectorize=True, timeout_s=5.0,
-                   trace=Tracer(sample=False))
-    r_sca = cp.run(codegen=False, vectorize=False, timeout_s=5.0)
-    r_vec = cp.run(codegen=False, vectorize=True, timeout_s=5.0,
-                   trace=Tracer(sample=False))
-    assert r_gen.stats.proc_times == r_sca.stats.proc_times
-    for name, arr in r_sca.frames[0].arrays.items():
-        assert np.array_equal(
-            r_gen.frames[0].arrays[name].data, arr.data, equal_nan=True
-        ), f"generated: array {name} differs"
-    assert r_gen.trace.events("interp.vec") \
-        == r_vec.trace.events("interp.vec")
+    r_sca = cp.run(codegen=False, timeout_s=5.0)
+    for vec in (False, True):
+        f_gen = run_spmd(prog, 1, codegen=True, vectorize=vec).frames[0]
+        for name in f_sca.arrays:
+            assert np.array_equal(
+                f_gen.arrays[name].data, f_sca.arrays[name].data,
+                equal_nan=True,
+            ), f"vec={vec}: array {name} differs"
+        r_gen = cp.run(codegen=True, vectorize=vec, timeout_s=5.0,
+                       trace=Tracer(sample=False))
+        assert r_gen.stats.proc_times == r_sca.stats.proc_times, vec
+        for name, arr in r_sca.frames[0].arrays.items():
+            assert np.array_equal(
+                r_gen.frames[0].arrays[name].data, arr.data, equal_nan=True
+            ), f"generated vec={vec}: array {name} differs"
+        # a block ran only where the emitter was allowed to emit one
+        if not vec:
+            assert not r_gen.trace.events("interp.vec")
 
 
 def test_loop_bounds_evaluated_once_when_block_falls_back():
@@ -250,7 +259,7 @@ end
 """, Options(nprocs=1))
     times = {
         (cg, vec): cp.run(codegen=cg, vectorize=vec).stats.proc_times
-        for cg in (False, True) for vec in (False, True)
+        for cg, vec in ((False, None), (True, False), (True, True))
     }
     assert len({repr(t) for t in times.values()}) == 1, times
 
@@ -274,12 +283,14 @@ class TestSwitch:
         assert enabled(False) is False
 
     def test_env_flag_forces_scalar_run(self, monkeypatch):
-        """REPRO_VECTORIZE=0 changes the executed path, not the result."""
+        """REPRO_VECTORIZE=0 changes the emitted loops, not the result."""
         src = stencil1d_source(64, 2)
         cp = compile_program(src, Options(nprocs=2, mode=Mode.INTER))
         monkeypatch.setenv("REPRO_VECTORIZE", "0")
-        r_off = cp.run()
+        r_off = cp.run(codegen=True, trace=True)
         monkeypatch.delenv("REPRO_VECTORIZE", raising=False)
-        r_on = cp.run()
+        r_on = cp.run(codegen=True, trace=True)
+        assert not r_off.trace.events("interp.vec")
+        assert r_on.trace.events("interp.vec")
         assert np.array_equal(r_on.gathered("x"), r_off.gathered("x"))
         assert r_on.stats.proc_times == r_off.stats.proc_times
