@@ -83,7 +83,7 @@ def emit_bench(name: str, payload: dict) -> Path:
     the configuration that produced it without consulting CI logs.
     """
     from repro.codegen import enabled as codegen_enabled
-    from repro.interp.vectorize import enabled as vectorize_enabled
+    from repro.codegen.vectorize import enabled as vectorize_enabled
     from repro.obs.metrics import default_registry, metrics_enabled
 
     payload.setdefault("git_sha", git_sha())

@@ -111,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "evaluations (default 32)")
     p.add_argument("--tune-workers", type=int, default=None, metavar="N",
                    help="with --autotune: evaluate candidates across N "
-                        "worker processes (default: min(4, cpu count); "
-                        "0 = in-process serial sweep)")
+                        "worker processes (default: 0, the in-process "
+                        "serial sweep)")
     p.add_argument("--tune-json", metavar="FILE",
                    help="with --autotune: write the machine-readable "
                         "search result (plans, objectives, best) as JSON")
@@ -350,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.codegen_dump:
         from .codegen import get_generated
-        from .interp.vectorize import enabled as vec_enabled
+        from .codegen.vectorize import enabled as vec_enabled
 
         try:
             gen, _, _ = get_generated(cp.program, opts.nprocs,

@@ -20,10 +20,12 @@ block (``find_blocking_units`` says so), a plain function otherwise.
 The generated code must be **bit-identical** to the interpreter in
 arrays, virtual clocks, and RunStats.  The rules the two engines share
 are not restated here but *lowered* from their one definition under
-:mod:`repro.interp`: which loops run as blocks and under which
-run-time checks (:class:`~repro.interp.vectorize.LoopPlan`), the call
-convention, ``/``, scalar typing, print formatting, block sections,
-the block trace event and the memoized ``_comm_entry``.  What this
+:mod:`repro.interp`: the call convention, ``/``, scalar typing, print
+formatting and the memoized ``_comm_entry``.  Which loops and 2-deep
+nests run as blocks, under which run-time checks
+(:class:`~repro.codegen.vectorize.LoopPlan`), block sections and the
+block trace event are defined once in :mod:`repro.codegen.vectorize`,
+since only generated code runs blocks.  What this
 module owns is the statement walk: every ``compute``/``loop_tick``/
 ``guard_tick`` charge is emitted in the interpreter's order, which the
 differential suites check.
@@ -44,15 +46,18 @@ from ..interp.interpreter import (
     _count_ops,
     scalar_type,
 )
-from ..interp.vectorize import (
-    MIN_BLOCK,
-    LoopPlan,
-    _mentions,
-    loop_plan,
-)
 from ..lang import ast as A
 from ..runtime.intrinsics import PURE_INTRINSICS
 from .cache import Variant
+from .vectorize import (
+    MIN_BLOCK,
+    LoopPlan,
+    _mentions,
+    const_int,
+    const_offset,
+    loop_plan,
+    nest_plan,
+)
 
 
 class Unsupported(Exception):
@@ -87,16 +92,6 @@ _VEC_CALL_SRC = {
 }
 
 
-def _const_int(e: A.Expr) -> Optional[int]:
-    if isinstance(e, A.Num) and isinstance(e.value, int):
-        return e.value
-    if isinstance(e, A.UnOp) and e.op == "-" \
-            and isinstance(e.operand, A.Num) \
-            and isinstance(e.operand.value, int):
-        return -e.operand.value
-    return None
-
-
 #: What every unit text assumes is in scope.  The loader executes it
 #: once and runs each text over a copy of the resulting namespace; an
 #: assembled module (:func:`assemble_module`) starts with it.  Only
@@ -108,9 +103,8 @@ from numpy import abs as np_abs, arange as np_arange
 from numpy import maximum as np_maximum, minimum as np_minimum
 from numpy import sqrt as np_sqrt
 
-from repro.codegen.runtime import ax_slice, fdiv
-from repro.interp.interpreter import InterpError, _Stop
-from repro.interp.vectorize import _fortran_div as _vdiv
+from repro.codegen.vectorize import _fortran_div as _vdiv, ax_slice
+from repro.interp.interpreter import InterpError, _Stop, fdiv
 from repro.lang.ast import DistSpec
 from repro.runtime.intrinsics import PURE_INTRINSICS, f_func, g_func
 
@@ -604,9 +598,9 @@ class _FnEmitter:
         if op not in _CMP_FLIP:
             return None
         if self._is_rank_expr(e.left):
-            c = _const_int(e.right)
+            c = const_int(e.right)
         elif self._is_rank_expr(e.right):
-            c = _const_int(e.left)
+            c = const_int(e.left)
             op = _CMP_FLIP[op]
         else:
             return None
@@ -641,24 +635,28 @@ class _FnEmitter:
 
     def emit_do(self, s: A.Do) -> None:
         self.uses.update(("S", "loop_tick"))
+        bounds = self.loop_bounds(s)
+        plan = (loop_plan(s) or nest_plan(s)) if self.vectorize else None
+        if plan is not None:
+            _VecPlan(self, plan).emit(*bounds)
+        else:
+            self.emit_do_scalar(s, *bounds)
+
+    def loop_bounds(self, s: A.Do) -> tuple[str, str, str, Optional[int]]:
+        """Evaluate the bounds of *s* once: ``(lo, hi, step)`` sources
+        and the step's literal value (None unless a nonzero literal)."""
         lo_t, hi_t = self.tmp(), self.tmp()
         self.w(f"{lo_t} = int({self.ex(s.lo)})")
         self.w(f"{hi_t} = int({self.ex(s.hi)})")
-        st_lit = _const_int(s.step)
+        st_lit = const_int(s.step)
         if st_lit is not None and st_lit != 0:
-            st_src = repr(st_lit)
-        else:
-            st_lit = None
-            st_src = self.tmp()
-            self.w(f"{st_src} = int({self.ex(s.step)})")
-            self.w(f"if {st_src} == 0:")
-            msg = f"{self.unit.name}: zero DO step"
-            self.w(f"    raise InterpError({msg!r})")
-        plan = loop_plan(s) if self.vectorize else None
-        if plan is not None:
-            _VecPlan(self, plan).emit(lo_t, hi_t, st_src, st_lit)
-        else:
-            self.emit_do_scalar(s, lo_t, hi_t, st_src, st_lit)
+            return lo_t, hi_t, repr(st_lit), st_lit
+        st_src = self.tmp()
+        self.w(f"{st_src} = int({self.ex(s.step)})")
+        self.w(f"if {st_src} == 0:")
+        msg = f"{self.unit.name}: zero DO step"
+        self.w(f"    raise InterpError({msg!r})")
+        return lo_t, hi_t, st_src, None
 
     def emit_do_scalar(self, s: A.Do, lo_t: str, hi_t: str,
                        st_src: str, st_lit: Optional[int]) -> None:
@@ -833,26 +831,35 @@ class _FnEmitter:
 
 
 # --------------------------------------------------------------------------
-# loop vectorization (source lowering of repro.interp.vectorize.LoopPlan)
+# loop vectorization (source lowering of repro.codegen.vectorize.LoopPlan)
 # --------------------------------------------------------------------------
 
 
 class _VecPlan:
     """Numpy emission for a DO loop that :class:`LoopPlan` accepted:
     one slice assignment per statement, the plan's residual run-time
-    checks, and the scalar loop's exact charges in batched form."""
+    checks, and the scalar loop's exact charges in batched form.  For a
+    nest's plan, the statements run once per inner iteration over the
+    block of outer iterations, whose loop-axis sections are computed
+    once per nest."""
 
     def __init__(self, fn: _FnEmitter, plan: LoopPlan) -> None:
         self.fn = fn
         self.plan = plan
         self.do = plan.do
         self.v = plan.v
+        #: array name -> first write offset source
+        self.woff: dict[str, str] = {}
+        #: nests only: hoisted ``ax_slice`` source -> its temp
+        self.hoist: Optional[dict[str, str]] = \
+            None if plan.inner is None else {}
         for name in plan.writes:
             fn.areg(name)
 
     def _off_src(self, off) -> str:
-        if off[0] == "zero":
-            return "0"
+        c = const_offset(off)
+        if c is not None:
+            return repr(c)
         src = f"int({self.fn.ex(off[1])})"
         return src if off[0] == "pos" else f"(-{src})"
 
@@ -860,49 +867,14 @@ class _VecPlan:
              st_lit: Optional[int]) -> None:
         fn = self.fn
         fn.uses.update(("S", "loop_tick", "compute", "ctx", "_trc"))
-        n_t, ok_t = fn.tmp(), fn.tmp()
+        n_t = fn.tmp()
         fn.w(f"{n_t} = ({hi_t} - {lo_t}) // {st_src} + 1")
         fn.w(f"if {n_t} <= 0:")
         fn.w(f"    S[{self.do.var!r}] = {lo_t}")
         fn.w("else:")
         fn.ind += 1
-        fn.w(f"{ok_t} = {n_t} >= {MIN_BLOCK}")
-        # per-array write offsets + equality constraints
-        woff_t: dict[str, str] = {}
-        conds: list[str] = []
-        fn.w(f"if {ok_t}:")
-        fn.ind += 1
-        for name, (axis, offs) in self.plan.writes.items():
-            t = fn.tmp()
-            woff_t[name] = t
-            fn.w(f"{t} = {self._off_src(offs[0])}")
-            for extra in offs[1:]:
-                conds.append(f"{self._off_src(extra)} == {t}")
-        for name, off in self.plan.checked_v_reads:
-            conds.append(f"{self._off_src(off)} == {woff_t[name]}")
-        if conds:
-            fn.w(f"{ok_t} = " + " and ".join(conds))
-        else:
-            fn.w("pass")
-        fn.ind -= 1
-        # anti-dependence range checks for invariant reads of written
-        # arrays (inclusive window of the block's written range)
-        for name, idx in self.plan.checked_inv_reads:
-            f_t, l_t = fn.tmp(), fn.tmp()
-            fn.w(f"if {ok_t}:")
-            fn.ind += 1
-            fn.w(f"{f_t} = {lo_t} + {woff_t[name]}")
-            fn.w(f"{l_t} = {f_t} + ({n_t} - 1) * {st_src}")
-            if st_lit is not None:
-                wl, wh = (f_t, l_t) if st_lit > 0 else (l_t, f_t)
-                fn.w(f"{ok_t} = not ({wl} <= int({fn.ex(idx)}) <= {wh})")
-            else:
-                b_t = fn.tmp()
-                fn.w(f"{b_t} = int({fn.ex(idx)})")
-                fn.w(f"{ok_t} = not (({f_t} <= {b_t} <= {l_t}) "
-                     f"if {st_src} > 0 else ({l_t} <= {b_t} <= {f_t}))")
-            fn.ind -= 1
-        fn.w(f"if not {ok_t}:")
+        small = self._emit_checks(lo_t, n_t, st_src, st_lit)
+        fn.w(f"if {small}:")
         fn.ind += 1
         fn.emit_do_scalar(self.do, lo_t, hi_t, st_src, st_lit)
         fn.ind -= 1
@@ -914,19 +886,101 @@ class _VecPlan:
         if self.plan.uses_iota:
             fn.w(f"{io_t} = np_arange({lo_t}, {lo_t} + {n_t} * {st_src}, "
                  f"{st_src})")
-        for target, axis, off, expr in self.plan.stmts:
-            tgt = self._slice_src(target, axis, off, lo_t, n_t, st_src,
-                                  woff_t.get(target.name))
-            rhs = self._vec_ex(expr, lo_t, n_t, st_src, io_t)
-            fn.w(f"{tgt} = {rhs}")
-        fn.w(f"loop_tick({n_t})")
+        stmts = [(self._slice_src(target, axis, off, lo_t, n_t, st_src,
+                                  self.woff.get(target.name)),
+                  self._vec_ex(expr, lo_t, n_t, st_src, io_t))
+                 for target, axis, off, expr in self.plan.stmts]
         ops = self.plan.ops_per_iter
-        fn.w(f"compute({n_t} * {ops})")
+        if self.hoist is None:
+            for tgt, rhs in stmts:
+                fn.w(f"{tgt} = {rhs}")
+            fn.w(f"loop_tick({n_t})")
+            n_src = n_t
+        else:
+            n_src = self._emit_inner(stmts, n_t)
+        fn.w(f"compute({n_src} * {ops})")
         fn.w("if _trc:")
-        fn.w(f"    rt.trace_vec({t0_t}, {self.fn.unit.name!r}, "
-             f"{self.do.var!r}, {n_t}, {n_t} * {ops})")
+        fn.w(f"    rt.trace_vec({t0_t}, {fn.unit.name!r}, "
+             f"{self.do.var!r}, {n_src}, {n_src} * {ops})")
         fn.w(f"S[{self.do.var!r}] = {lo_t} + {n_t} * {st_src}")
         fn.ind -= 2
+
+    def _emit_checks(self, lo_t: str, n_t: str, st_src: str,
+                     st_lit: Optional[int]) -> str:
+        """Emit the plan's residual checks; returns the condition under
+        which the block falls back to the scalar loop.  Checks that are
+        constant at emit time are decided here (a refuted plan never
+        reaches the emitter), so a plan whose checks are all constant
+        has no ``ok``-chain at all."""
+        fn, plan = self.fn, self.plan
+        first: list[str] = []
+        for name, (_, offs) in plan.writes.items():
+            src = self._off_src(offs[0])
+            if const_offset(offs[0]) is None:
+                t = fn.tmp()
+                first.append(f"{t} = {src}")
+                src = t
+            self.woff[name] = src
+        conds = []
+        for name, off in plan.offset_checks():
+            if const_offset(off) is None \
+                    or const_offset(plan.writes[name][1][0]) is None:
+                conds.append(f"{self._off_src(off)} == {self.woff[name]}")
+        if not (first or conds or plan.checked_inv_reads):
+            return f"{n_t} < {MIN_BLOCK}"
+        ok_t = fn.tmp()
+        fn.w(f"{ok_t} = {n_t} >= {MIN_BLOCK}")
+        if first or conds:
+            fn.w(f"if {ok_t}:")
+            for line in first:
+                fn.w(f"    {line}")
+            if conds:
+                fn.w(f"    {ok_t} = " + " and ".join(conds))
+        # anti-dependence range checks for invariant reads of written
+        # arrays (inclusive window of the block's written range)
+        for name, idx in plan.checked_inv_reads:
+            f_t, l_t = fn.tmp(), fn.tmp()
+            fn.w(f"if {ok_t}:")
+            fn.ind += 1
+            fn.w(f"{f_t} = {lo_t} + {self.woff[name]}")
+            fn.w(f"{l_t} = {f_t} + ({n_t} - 1) * {st_src}")
+            if st_lit is not None:
+                wl, wh = (f_t, l_t) if st_lit > 0 else (l_t, f_t)
+                fn.w(f"{ok_t} = not ({wl} <= int({fn.ex(idx)}) <= {wh})")
+            else:
+                b_t = fn.tmp()
+                fn.w(f"{b_t} = int({fn.ex(idx)})")
+                fn.w(f"{ok_t} = not (({f_t} <= {b_t} <= {l_t}) "
+                     f"if {st_src} > 0 else ({l_t} <= {b_t} <= {f_t}))")
+            fn.ind -= 1
+        return f"not {ok_t}"
+
+    def _emit_inner(self, stmts: list[tuple[str, str]], n_t: str) -> str:
+        """A nest's inner loop, run in order around the block statements
+        and charged as the scalar nest charges; returns the source of
+        the element-iteration count ``n_out * n_in``."""
+        fn = self.fn
+        inner = self.plan.inner
+        lo_t, hi_t, st_src, _ = fn.loop_bounds(inner)
+        nin_t, j_t = fn.tmp(), fn.tmp()
+        fn.w(f"{nin_t} = ({hi_t} - {lo_t}) // {st_src} + 1")
+        fn.w(f"if {nin_t} > 0:")
+        fn.ind += 1
+        for src, t in self.hoist.items():
+            fn.w(f"{t} = {src}")
+        end = f"{lo_t} + {nin_t} * {st_src}"
+        fn.w(f"for {j_t} in range({lo_t}, {end}, {st_src}):")
+        fn.w(f"    S[{inner.var!r}] = {j_t}")
+        for tgt, rhs in stmts:
+            fn.w(f"    {tgt} = {rhs}")
+        fn.w(f"S[{inner.var!r}] = {end}")
+        fn.ind -= 1
+        fn.w("else:")
+        fn.w(f"    {nin_t} = 0")
+        fn.w(f"    S[{inner.var!r}] = {lo_t}")
+        fn.w(f"loop_tick({n_t})")
+        fn.w(f"loop_tick({n_t} * {nin_t})")
+        return f"{n_t} * {nin_t}"
 
     def _slice_src(self, ref: A.ArrayRef, axis: int, off, lo_t: str,
                    n_t: str, st_src: str, woff: Optional[str]) -> str:
@@ -935,16 +989,18 @@ class _VecPlan:
         fn = self.fn
         ident = fn.areg(ref.name)
         fn.arr_data.add(ident)
-        first = f"({lo_t} + {woff})" if woff is not None else None
-        if first is None:
-            osrc = self._off_src(off)
-            first = lo_t if osrc == "0" else f"({lo_t} + {osrc})"
+        if woff is None:
+            woff = self._off_src(off)
+        first = lo_t if woff == "0" else f"({lo_t} + {woff})"
         last = f"({first} + ({n_t} - 1) * {st_src})"
         parts = []
         for ax, sub in enumerate(ref.subs):
             if ax == axis:
-                parts.append(f"ax_slice(_a_{ident}, {ax}, {first}, "
-                             f"{last}, {st_src})")
+                sl = (f"ax_slice(_a_{ident}, {ax}, {first}, {last}, "
+                      f"{st_src})")
+                if self.hoist is not None:
+                    sl = self.hoist.setdefault(sl, fn.tmp())
+                parts.append(sl)
             else:
                 parts.append(f"_a_{ident}._offset({ax}, "
                              f"int({fn.ex(sub)}))")

@@ -5,10 +5,10 @@ Python: it reads and writes frame scalars and numpy buffers directly
 and charges the virtual clock inline.  Everything that must stay
 *shared* with the interpreter — frame construction, COMMON storage,
 the communication-schedule cache, print formatting, remap execution,
-call/return conventions, ``/`` and block sections — is defined once
-under :mod:`repro.interp` and reached through the :class:`NodeRt` shim
-(or re-exported here, for the names generated modules import), so the
-two execution paths cannot drift apart.  One ``NodeRt`` wraps one
+call/return conventions and ``/`` — is defined once under
+:mod:`repro.interp` and reached through the :class:`NodeRt` shim (or
+imported by name, by the generated modules' prelude), so the two
+execution paths cannot drift apart.  One ``NodeRt`` wraps one
 :class:`~repro.interp.interpreter.Interpreter` instance per rank; any
 procedure the generator demoted falls back to that interpreter's
 compiled closures mid-run, transparently.
@@ -23,14 +23,12 @@ import numpy as np
 from ..dist import Distribution
 from ..interp.arrays import FArray
 from ..interp.interpreter import (
-    Frame, Interpreter, InterpError, _Stop, fdiv, format_print,
+    Frame, Interpreter, InterpError, _Stop, format_print,
 )
-from ..interp.vectorize import ax_slice, trace_block
 from ..runtime.remap import mark_array, remap_array_y
+from .vectorize import trace_block
 
-#: ``ax_slice`` and ``fdiv`` are re-exports: generated modules import
-#: them from here
-__all__ = ["NodeRt", "ax_slice", "fdiv"]
+__all__ = ["NodeRt"]
 
 
 class NodeRt:

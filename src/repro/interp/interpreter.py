@@ -1331,7 +1331,7 @@ def run_spmd(
     *topology* a :class:`~repro.machine.topology.Topology` or a name like
     ``"mesh2d:contention"``; *codegen* the generated node-program path
     (*vectorize* lets it emit numpy blocks for the loops
-    :class:`~repro.interp.vectorize.LoopPlan` accepts, and
+    :class:`~repro.codegen.vectorize.LoopPlan` accepts, and
     *codegen_strict* escalates per-procedure demotions to errors; the
     interpreter always runs scalar);
     *metrics* a :class:`~repro.obs.MetricsRegistry` or ``True`` for the

@@ -16,6 +16,7 @@ module is that library for the simulated machine:
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 from ..analysis.rsd import RSD, Range
@@ -26,12 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..machine.machine import ProcContext
 
 
-def _rsd_to_subs(section: RSD) -> list:
+def _rsd_to_subs(section: RSD) -> tuple:
     out = []
     for d in section.dims:
         assert isinstance(d, Range)
         out.append((d.lo, d.hi, d.step))
-    return out
+    return tuple(out)
 
 
 def transfer_sections(
@@ -47,23 +48,36 @@ def transfer_sections(
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def send_plan(old: Distribution, new: Distribution, me: int,
+              nprocs: int) -> tuple[tuple[int, tuple[tuple, ...]], ...]:
+    """What rank *me* ships when an array moves from *old* to *new*: per
+    destination that receives anything, the section subscripts.
+
+    Memoised by value (a :class:`Distribution` hashes by its fields): a
+    phase computation remaps between the same two distributions every
+    step, and each rank would otherwise intersect its sections with
+    every peer's each time.  Immutable, since every caller shares it."""
+    plan = []
+    for dst in range(nprocs):
+        if dst == me:
+            continue
+        pieces = transfer_sections(old, new, me, dst)
+        if pieces:
+            plan.append((dst, tuple(_rsd_to_subs(p) for p in pieces)))
+    return tuple(plan)
+
+
 def _build_outgoing(
     ctx: "ProcContext", arr: "FArray", old: Distribution, new: Distribution
 ) -> tuple[dict[int, list], int]:
     """Read out the sections this rank must ship: ``{dst: [(subs,
     payload), ...]}`` plus the total outgoing byte count."""
-    me = ctx.rank
     outgoing: dict[int, list] = {}
     out_bytes = 0
-    for dst in range(ctx.nprocs):
-        if dst == me:
-            continue
-        pieces = transfer_sections(old, new, me, dst)
-        if not pieces:
-            continue
+    for dst, sections in send_plan(old, new, ctx.rank, ctx.nprocs):
         bundle = []
-        for piece in pieces:
-            subs = _rsd_to_subs(piece)
+        for subs in sections:
             payload = arr.read_section(subs)
             bundle.append((subs, payload))
             out_bytes += payload.size * arr.element_bytes

@@ -12,8 +12,8 @@ Evaluation cost is attacked three ways:
 
 * **parallelism** — candidate batches fan out over the compile
   service's supervised :class:`~repro.service.pool.WorkerPool`
-  (``workers`` processes; any pool failure falls back to the serial
-  sweep, which scores identically);
+  (``workers`` processes, opt-in; any pool failure falls back to the
+  serial sweep, which scores identically);
 * **summary reuse** — every evaluation compiles through an incremental
   :class:`~repro.service.compiler.ServiceCompiler` whose store keys are
   plan-invariant, so sibling plans recompile only the procedures whose
@@ -29,7 +29,6 @@ with the same :func:`~repro.tune.evaluate.evaluate_plan`.
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 import time
@@ -125,12 +124,6 @@ class TuneOutcome:
         }
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        return min(4, os.cpu_count() or 1)
-    return max(0, workers)
-
-
 class _Evaluator:
     """Scores plan batches — across the worker pool when one is
     requested and usable, in-process otherwise; both paths call the
@@ -191,14 +184,15 @@ def autotune(source: str, opts: Optional[Options] = None,
     one) minimizes simulated virtual time.
 
     *budget* caps actual simulator evaluations (memo hits are free);
-    *workers* sets the evaluation pool size (None = min(4, cpus),
-    0/1 = serial); *memo_dir* overrides ``REPRO_TUNE_CACHE``.  The
+    *workers* sets the evaluation pool size (None, 0 or 1: serial, the
+    default, since scoring a few dozen plans in process costs less than
+    starting a pool); *memo_dir* overrides ``REPRO_TUNE_CACHE``.  The
     topology and fault plan come from the environment, once per search.
     """
     if budget < 1:
         raise ValueError("autotune budget must be >= 1")
     opts = opts or Options()
-    workers = _resolve_workers(workers)
+    workers = max(0, workers or 0)
     memo = EvalMemo(memo_dir)
     t0 = time.perf_counter()
     # what shapes virtual time besides the plan, resolved once per search

@@ -230,6 +230,16 @@ class TestSearch:
         assert again.evaluated == 1  # only the (untraced-memo) base
         assert again.best == first.best
 
+    def test_default_is_serial(self, monkeypatch):
+        import repro.service.pool as pool_mod
+
+        def no_pool(*a, **k):
+            raise AssertionError("the default search started a pool")
+
+        monkeypatch.setattr(pool_mod, "WorkerPool", no_pool)
+        out = autotune(SRC, OPTS, budget=4, workers=None, memo_dir="")
+        assert out.workers == 0 and out.evaluated >= 1
+
     def test_parallel_equals_serial(self):
         serial = autotune(SRC, OPTS, budget=8, workers=0, memo_dir="")
         par = autotune(SRC, OPTS, budget=8, workers=2, memo_dir="")

@@ -276,9 +276,10 @@ class TestOnDiskCompatibility:
     today starts with the literal old header."""
 
     def test_versions_unchanged(self):
-        # GEN_VERSION 4: one entry per procedure (was one per rank class);
+        # GEN_VERSION 5: outer-loop blocks, helpers imported from
+        # repro.codegen.vectorize (4: one entry per procedure);
         # MEMO_VERSION 2: plan keys cover the topology and fault plan
-        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "2", "4")
+        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "2", "5")
 
     def test_summary_store(self, tmp_path):
         d = tmp_path / "s"

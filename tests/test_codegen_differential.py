@@ -169,27 +169,42 @@ def test_modes_bit_identical(mode):
 
 
 def test_engine_rules_have_one_home():
-    """The rules both engines must agree on are defined under
-    ``repro/interp`` and only *lowered* or re-exported by
-    ``repro/codegen``: no second legality analysis, call convention or
-    scalar helper, and no comment promising to mirror one."""
+    """Every rule the engines must agree on has exactly one definition:
+    the scalar helpers and the call convention under ``repro/interp``,
+    block legality and block sections in ``repro/codegen/vectorize.py``
+    (only the generated engine runs blocks).  The rest of
+    ``repro/codegen`` only lowers or re-exports them: no second
+    legality analysis, call convention or scalar helper, and no comment
+    promising to mirror one."""
     src_root = os.path.dirname(os.path.dirname(codegen.__file__))
-    moved = ("_classify_ref", "_axis_offset", "_check_expr", "_invariant",
-             "_finalize", "scalar_type", "fdiv", "owner_of", "ax_slice")
+    homes = {
+        "scalar_type": "interp/interpreter.py",
+        "fdiv": "interp/interpreter.py",
+        "classify_ref": "codegen/vectorize.py",
+        "_axis_offset": "codegen/vectorize.py",
+        "_check_expr": "codegen/vectorize.py",
+        "_invariant": "codegen/vectorize.py",
+        "ax_slice": "codegen/vectorize.py",
+        "trace_block": "codegen/vectorize.py",
+    }
+    found: dict[str, list[str]] = {name: [] for name in homes}
     for root, _, files in os.walk(src_root):
         for name in files:
             if not name.endswith(".py"):
                 continue
             path = os.path.join(root, name)
+            rel = os.path.relpath(path, src_root).replace(os.sep, "/")
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             assert "_call_procedure" not in text, path
+            for d in re.findall(r"^\s*def (\w+)", text, re.M):
+                if d in found:
+                    found[d].append(rel)
             if os.path.dirname(path) == os.path.dirname(codegen.__file__):
-                defs = re.findall(r"^\s*def (\w+)", text, re.M)
-                assert not set(defs) & set(moved), path
                 assert not re.search(r"[Mm]irror of", text), path
+    assert found == {name: [home] for name, home in homes.items()}
     # one intrinsic table: the emitter only spells its entries
-    from repro.interp.vectorize import VEC_INTRINSICS
+    from repro.codegen.vectorize import VEC_INTRINSICS
 
     assert emit_mod._VEC_CALL_SRC.keys() == VEC_INTRINSICS.keys()
 

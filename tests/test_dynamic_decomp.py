@@ -11,10 +11,11 @@ from repro.core.dynamic import (
     find_dynamic_distributes,
 )
 from repro.dist import Distribution
-from repro.interp import run_sequential
+from repro.interp import FArray, run_sequential
 from repro.lang import ast as A
 from repro.lang import parse
-from repro.machine import FREE
+from repro.machine import FREE, Machine
+from repro.runtime import remap as remap_mod
 
 
 def check(src, arr="x", dynopt=DynOpt.KILLS, P=4):
@@ -207,3 +208,51 @@ class TestOptimizationLevels:
         # before+after around the redistributing call, per iteration;
         # one no-op elided by the runtime on the first entry
         assert res.stats.remaps >= 2 * 6
+
+
+class TestSendPlanMemo:
+    """A remap's send plan is computed once per (old, new, rank) value:
+    the phase computations remap between the same two distributions
+    every step."""
+
+    N, P = 12, 4
+
+    def remap_once(self):
+        n, P = self.N, self.P
+        bounds = [(1, n), (1, n)]
+        rows = [A.DistSpec("block"), A.DistSpec("none")]
+        cols = [A.DistSpec("none"), A.DistSpec("block")]
+        want = np.arange(n * n, dtype=float).reshape(n, n)
+
+        def node(ctx):
+            # fresh, equal distributions each run: the memo is by value
+            arr = FArray("a", bounds,
+                         dist=Distribution.from_specs(rows, bounds, P))
+            arr.data[...] = 0.0
+            own = slice(ctx.rank * (n // P), (ctx.rank + 1) * (n // P))
+            arr.data[own, :] = want[own, :]
+            yield from remap_mod.remap_array_y(
+                ctx, arr, Distribution.from_specs(cols, bounds, P))
+            assert np.array_equal(arr.data[:, own], want[:, own])
+            return arr.data.copy()
+
+        return Machine(P, FREE).run(node)
+
+    def test_second_identical_remap_computes_no_section(self, monkeypatch):
+        calls = []
+        real = Distribution.local_index_sets
+
+        def counted(dist, rank):
+            calls.append(rank)
+            return real(dist, rank)
+
+        monkeypatch.setattr(Distribution, "local_index_sets", counted)
+        remap_mod.send_plan.cache_clear()
+        first = self.remap_once()
+        assert calls
+        calls.clear()
+        second = self.remap_once()
+        assert calls == []
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+

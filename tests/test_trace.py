@@ -454,7 +454,7 @@ def test_one_emit_path():
     assert front_door == [] and literals == []
     assert emits == {
         "machine/wire.py": 5, "machine/event.py": 5,
-        "interp/interpreter.py": 2, "interp/vectorize.py": 1,
+        "interp/interpreter.py": 2, "codegen/vectorize.py": 1,
     }
     # ... and in tracer.py the one event-dict literal is event_dict's
     with open(os.path.join(SRC_ROOT, "obs", "tracer.py"),

@@ -8,8 +8,9 @@ statement per element.  The scalar interpreter is the oracle: the
 generated node program, emitted with and without blocks, must match it
 on the full application suite (all modes the apps compile under) and on
 randomly generated affine loop programs, including programs whose loops
-:class:`~repro.interp.vectorize.LoopPlan` must reject or fall back from
-at run time.
+:class:`~repro.codegen.vectorize.LoopPlan` must reject or fall back from
+at run time, and 2-deep nests that may or may not run as outer-loop
+blocks.
 """
 
 from __future__ import annotations
@@ -236,6 +237,152 @@ def test_random_sequential_programs_bit_identical(src):
         # a block ran only where the emitter was allowed to emit one
         if not vec:
             assert not r_gen.trace.events("interp.vec")
+
+
+# -- generated 2-deep nests (outer-loop blocks) ---------------------------
+
+M = 16          # extent of each axis of the nest programs' arrays
+
+#: outer-axis subscripts: aligned, shifted (outer-carried when written),
+#: a symbolic shift (decided at run time), an inner-variable offset
+#: (static reject), invariant rows inside / outside the written range
+#: and a row that moves with the inner variable (static reject)
+_outer_subs = st.sampled_from(
+    ["i", "i", "i - 1", "i + 1", "i - k", "i + (j - 8)", "6", "2", "j"]
+)
+_other_subs = st.sampled_from(["j", "j - 1", "j + 1", "5", "k"])
+#: the outer loop: long, reversed, too short for a block, strided
+_outer_ranges = st.sampled_from(["4, 12", "12, 4, -1", "4, 6", "4, 12, 2"])
+#: the inner loop: forward, reversed, strided, empty, and bounded by
+#: the outer variable (static reject)
+_inner_ranges = st.sampled_from(
+    ["5, 12", "5, 12", "12, 5, -1", "5, 12, 2", "9, 8", "5, i"]
+)
+
+
+@st.composite
+def nest_programs(draw):
+    swap = draw(st.booleans())  # the outer variable on axis 1 (colsweep)
+
+    def spell(arr, outer, other):
+        return f"{arr}({other}, {outer})" if swap else \
+            f"{arr}({outer}, {other})"
+
+    ref = st.tuples(st.sampled_from(("a", "b", "c")), _outer_subs,
+                    _other_subs).map(lambda t: spell(*t))
+    stmts = draw(st.lists(
+        st.tuples(st.sampled_from(("a", "b")), _outer_subs, _other_subs,
+                  _expr_strategy(st.one_of(ref, st.just("j")))),
+        min_size=1, max_size=3,
+    ))
+    body = "\n".join(f"      {spell(arr, o, x)} = {e}"
+                     for arr, o, x, e in stmts)
+    return f"""
+program h
+real a({M},{M}), b({M},{M}), c({M},{M})
+integer k
+k = 1
+do t = 1, {draw(st.integers(1, 2))}
+  do i = {draw(_outer_ranges)}
+    do j = {draw(_inner_ranges)}
+{body}
+    enddo
+  enddo
+enddo
+end
+"""
+
+
+def assert_nest_bit_identical(src):
+    """The nest program at P=1 as generated code, with and without
+    blocks, against the scalar interpreter: arrays, the loop variables
+    left behind, and the clock.  Returns the blocked run's blocks."""
+    cp = compile_program(src, Options(nprocs=1))
+    ref = cp.run(codegen=False, timeout_s=5.0)
+    for vec in (False, True):
+        gen = cp.run(codegen=True, vectorize=vec, timeout_s=5.0,
+                     trace=Tracer(sample=False))
+        assert gen.stats.proc_times == ref.stats.proc_times, vec
+        assert gen.stats.proc_work == ref.stats.proc_work, vec
+        assert gen.frames[0].scalars == ref.frames[0].scalars, vec
+        for name, arr in ref.frames[0].arrays.items():
+            assert np.array_equal(
+                gen.frames[0].arrays[name].data, arr.data, equal_nan=True
+            ), f"vec={vec}: array {name} differs"
+        blocks = gen.trace.events("interp.vec")
+        if not vec:
+            assert not blocks
+    return blocks
+
+
+@given(nest_programs())
+@settings(deadline=None,
+          derandomize=settings.get_current_profile_name() != "sweep",
+          suppress_health_check=[HealthCheck.too_slow])
+def test_random_nests_bit_identical(src):
+    assert_nest_bit_identical(src)
+
+
+def _nest(stmt, outer="4, 12", inner="5, 12"):
+    return f"""
+program h
+real a({M},{M}), b({M},{M})
+integer k
+k = 1
+do i = {outer}
+  do j = {inner}
+    {stmt}
+  enddo
+enddo
+end
+"""
+
+
+@pytest.mark.parametrize("src,loops", [
+    # ADI's two sweeps: the inner loop carries, the outer does not
+    (_nest("a(i, j) = a(i, j) + 0.5 * a(i, j - 1)"), {"i"}),
+    (_nest("a(j, i) = a(j, i) + 0.5 * a(j - 1, i)"), {"i"}),
+    (_nest("a(i, j) = a(i, j) + 0.5 * a(i, j - 1)", "12, 4, -1",
+           "12, 5, -1"), {"i"}),
+    # an invariant read outside the written rows
+    (_nest("a(i, j) = a(i, j - 1) + a(2, j)"), {"i"}),
+    # an inner loop that blocks keeps its own blocks
+    (_nest("a(i, j) = a(i - 1, j) + 1.0"), {"j"}),
+    # both loops carry: no block is emitted
+    (_nest("a(i, j) = a(i - 1, j - 1) + 1.0"), set()),
+    # ... or the outer one carries by a shift known only at run time
+    (_nest("a(i, j) = a(i - k, j - 1) + 1.0"), set()),
+    # an invariant read inside the written rows: fall back
+    (_nest("a(i, j) = a(i, j - 1) + a(6, j)"), set()),
+    # ... or at a row that moves with the inner variable
+    (_nest("a(i, j) = a(i, j - 1) + a(j, 5)"), set()),
+    # inner bounds that move with the outer variable
+    (_nest("a(i, j) = a(i, j - 1) + 1.0", inner="5, i"), set()),
+    # an outer-axis offset that moves with the inner variable
+    (_nest("a(i + (j - 8), j) = a(i + (j - 8), j - 1) + 1.0"), set()),
+    # too few outer iterations for a block
+    (_nest("a(i, j) = a(i, j) + 0.5 * a(i, j - 1)", "4, 6"), set()),
+])
+def test_nest_shapes(src, loops):
+    """Which loop of each nest ran as blocks (the ``var`` of its
+    ``interp.vec`` events), bit-identically to the scalar nest."""
+    assert {e["var"] for e in assert_nest_bit_identical(src)} == loops
+
+
+def test_adi_sweeps_run_as_outer_blocks():
+    """Both ADI sweeps run as outer-loop blocks in the SPMD program; the
+    other apps' blocks are the innermost-loop ones they always were."""
+    def blocks(src, init=None):
+        kw = {"init_fn": init} if init else {}
+        cp = compile_program(src, Options(nprocs=4))
+        res = cp.run(codegen=True, trace=Tracer(sample=False), **kw)
+        return res.trace.events("interp.vec")
+
+    adi = {e["unit"] for e in blocks(adi_source(64, 4))}
+    assert adi == {"rowsweep", "colsweep"}
+    assert len(blocks(dgefa_source(32), make_dgefa_init(32))) == 518
+    assert len(blocks(wave_source(256, 8))) == 68
+    assert len(blocks(stencil2d_source(64, 4))) == 1984
 
 
 def test_loop_bounds_evaluated_once_when_block_falls_back():
