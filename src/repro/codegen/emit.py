@@ -921,11 +921,9 @@ class _VecPlan:
                 first.append(f"{t} = {src}")
                 src = t
             self.woff[name] = src
-        conds = []
-        for name, off in plan.offset_checks():
-            if const_offset(off) is None \
-                    or const_offset(plan.writes[name][1][0]) is None:
-                conds.append(f"{self._off_src(off)} == {self.woff[name]}")
+        conds = [f"{self._off_src(off)} == {self.woff[name]}"
+                 for name, off in plan.offset_checks()
+                 if plan.decided(name, off) is None]
         if not (first or conds or plan.checked_inv_reads):
             return f"{n_t} < {MIN_BLOCK}"
         ok_t = fn.tmp()

@@ -259,15 +259,17 @@ class LoopPlan:
                for off in offs[1:]]
         return out + self.checked_v_reads
 
+    def decided(self, name: str, off: tuple) -> Optional[bool]:
+        """The verdict of one offset check when both of its offsets are
+        literals (known at emit time), else None."""
+        c, w = const_offset(off), const_offset(self.writes[name][1][0])
+        return None if c is None or w is None else c == w
+
     def refuted(self) -> bool:
-        """Some residual offset check is constant and false at emit
-        time: no block of this plan can ever run."""
-        for name, off in self.offset_checks():
-            c = const_offset(off)
-            w = const_offset(self.writes[name][1][0])
-            if c is not None and w is not None and c != w:
-                return True
-        return False
+        """Some residual offset check is decided false at emit time: no
+        block of this plan can ever run."""
+        return any(self.decided(name, off) is False
+                   for name, off in self.offset_checks())
 
     def classify_ref(self, ref: A.ArrayRef):
         """``(axis, off)`` of the one subscript of *ref* that mentions
