@@ -48,24 +48,35 @@ def transfer_sections(
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def send_plan(old: Distribution, new: Distribution, me: int,
-              nprocs: int) -> tuple[tuple[int, tuple[tuple, ...]], ...]:
-    """What rank *me* ships when an array moves from *old* to *new*: per
-    destination that receives anything, the section subscripts.
+@functools.lru_cache(maxsize=64)
+def send_plans(old: Distribution, new: Distribution, nprocs: int
+               ) -> tuple[tuple[tuple[int, tuple[tuple, ...]], ...], ...]:
+    """Every rank's part of a remap from *old* to *new*: entry ``me``
+    lists, per destination that receives anything from rank *me*, the
+    section subscripts (the pieces :func:`transfer_sections` finds, in
+    its order).
 
     Memoised by value (a :class:`Distribution` hashes by its fields): a
     phase computation remaps between the same two distributions every
     step, and each rank would otherwise intersect its sections with
-    every peer's each time.  Immutable, since every caller shares it."""
-    plan = []
-    for dst in range(nprocs):
-        if dst == me:
-            continue
-        pieces = transfer_sections(old, new, me, dst)
-        if pieces:
-            plan.append((dst, tuple(_rsd_to_subs(p) for p in pieces)))
-    return tuple(plan)
+    every peer's each time.  One entry holds all ranks' plans, so a run
+    needs one entry per distinct (old, new) pair whatever P is: two for
+    an array remapped back and forth.  Immutable, since every rank
+    shares it."""
+    have = [old.local_index_sets(r) for r in range(nprocs)]
+    want = [new.local_index_sets(r) for r in range(nprocs)]
+    table = []
+    for me in range(nprocs):
+        plan = []
+        for dst in range(nprocs):
+            if dst == me:
+                continue
+            pieces = (a.intersect(b) for a in have[me] for b in want[dst])
+            subs = tuple(_rsd_to_subs(p) for p in pieces if not p.empty)
+            if subs:
+                plan.append((dst, subs))
+        table.append(tuple(plan))
+    return tuple(table)
 
 
 def _build_outgoing(
@@ -75,7 +86,7 @@ def _build_outgoing(
     payload), ...]}`` plus the total outgoing byte count."""
     outgoing: dict[int, list] = {}
     out_bytes = 0
-    for dst, sections in send_plan(old, new, ctx.rank, ctx.nprocs):
+    for dst, sections in send_plans(old, new, ctx.nprocs)[ctx.rank]:
         bundle = []
         for subs in sections:
             payload = arr.read_section(subs)

@@ -184,9 +184,11 @@ def autotune(source: str, opts: Optional[Options] = None,
     one) minimizes simulated virtual time.
 
     *budget* caps actual simulator evaluations (memo hits are free);
-    *workers* sets the evaluation pool size (None, 0 or 1: serial, the
-    default, since scoring a few dozen plans in process costs less than
-    starting a pool); *memo_dir* overrides ``REPRO_TUNE_CACHE``.  The
+    *workers* sets the evaluation pool size (None, 0 or 1: the
+    in-process serial sweep, the default; searches of 4-5 evaluations on
+    the paper apps ran faster serially on a 2-CPU host, while larger
+    searches on more CPUs can favour the pool); *memo_dir* overrides
+    ``REPRO_TUNE_CACHE``.  The
     topology and fault plan come from the environment, once per search.
     """
     if budget < 1:

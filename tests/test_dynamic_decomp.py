@@ -211,9 +211,9 @@ class TestOptimizationLevels:
 
 
 class TestSendPlanMemo:
-    """A remap's send plan is computed once per (old, new, rank) value:
-    the phase computations remap between the same two distributions
-    every step."""
+    """A remap's send plans are computed once per (old, new) value, for
+    every rank at once: the phase computations remap between the same
+    two distributions every step."""
 
     N, P = 12, 4
 
@@ -247,12 +247,15 @@ class TestSendPlanMemo:
             return real(dist, rank)
 
         monkeypatch.setattr(Distribution, "local_index_sets", counted)
-        remap_mod.send_plan.cache_clear()
+        remap_mod.send_plans.cache_clear()
         first = self.remap_once()
-        assert calls
+        # each distribution's sets once per rank, not once per peer
+        assert len(calls) == 2 * self.P
         calls.clear()
         second = self.remap_once()
         assert calls == []
+        # one entry for the pair, shared by all ranks
+        assert remap_mod.send_plans.cache_info().currsize == 1
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 

@@ -45,12 +45,18 @@ STAT_FIELDS = (
 )
 
 
-def assert_bit_identical(cp, init_fn=None, timeout_s=30.0):
+def assert_bit_identical(cp, init_fn=None, timeout_s=30.0, traced=False):
     """Run *cp* on the scalar interpreter and as generated code in both
-    vectorize positions; require identical arrays, prints and stats."""
+    vectorize positions; require identical arrays, scalars, prints and
+    stats.  With *traced*, the generated runs are traced and the blocked
+    run's ``interp.vec`` events are returned (the scalar-loop run must
+    have none)."""
     kw = {"init_fn": init_fn} if init_fn else {}
     r_sca = cp.run(codegen=False, timeout_s=timeout_s, **kw)
+    blocks = None
     for vec in (False, True):
+        if traced:
+            kw["trace"] = Tracer(sample=False)
         r_gen = cp.run(codegen=True, vectorize=vec, timeout_s=timeout_s,
                        **kw)
         for f in STAT_FIELDS:
@@ -59,12 +65,18 @@ def assert_bit_identical(cp, init_fn=None, timeout_s=30.0):
         assert r_gen.stats.proc_times == r_sca.stats.proc_times, vec
         assert r_gen.stats.proc_work == r_sca.stats.proc_work, vec
         assert sorted(r_gen.prints) == sorted(r_sca.prints), vec
+        for rk, (fg, fs) in enumerate(zip(r_gen.frames, r_sca.frames)):
+            assert fg.scalars == fs.scalars, f"vec={vec}: rank {rk}"
         for name in r_sca.frames[0].arrays:
             for rk, (fg, fs) in enumerate(zip(r_gen.frames, r_sca.frames)):
                 assert np.array_equal(
                     fg.arrays[name].data, fs.arrays[name].data,
                     equal_nan=True,
                 ), f"vec={vec}: array {name} differs on rank {rk}"
+        if traced:
+            blocks = r_gen.trace.events("interp.vec")
+            assert vec or not blocks
+    return blocks
 
 
 APP_CASES = [
@@ -293,26 +305,11 @@ end
 """
 
 
-def assert_nest_bit_identical(src):
-    """The nest program at P=1 as generated code, with and without
-    blocks, against the scalar interpreter: arrays, the loop variables
-    left behind, and the clock.  Returns the blocked run's blocks."""
+def _nest_blocks(src):
+    """The nest program at P=1, checked by :func:`assert_bit_identical`;
+    returns the blocked run's blocks."""
     cp = compile_program(src, Options(nprocs=1))
-    ref = cp.run(codegen=False, timeout_s=5.0)
-    for vec in (False, True):
-        gen = cp.run(codegen=True, vectorize=vec, timeout_s=5.0,
-                     trace=Tracer(sample=False))
-        assert gen.stats.proc_times == ref.stats.proc_times, vec
-        assert gen.stats.proc_work == ref.stats.proc_work, vec
-        assert gen.frames[0].scalars == ref.frames[0].scalars, vec
-        for name, arr in ref.frames[0].arrays.items():
-            assert np.array_equal(
-                gen.frames[0].arrays[name].data, arr.data, equal_nan=True
-            ), f"vec={vec}: array {name} differs"
-        blocks = gen.trace.events("interp.vec")
-        if not vec:
-            assert not blocks
-    return blocks
+    return assert_bit_identical(cp, timeout_s=5.0, traced=True)
 
 
 @given(nest_programs())
@@ -320,7 +317,7 @@ def assert_nest_bit_identical(src):
           derandomize=settings.get_current_profile_name() != "sweep",
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_nests_bit_identical(src):
-    assert_nest_bit_identical(src)
+    _nest_blocks(src)
 
 
 def _nest(stmt, outer="4, 12", inner="5, 12"):
@@ -366,7 +363,7 @@ end
 def test_nest_shapes(src, loops):
     """Which loop of each nest ran as blocks (the ``var`` of its
     ``interp.vec`` events), bit-identically to the scalar nest."""
-    assert {e["var"] for e in assert_nest_bit_identical(src)} == loops
+    assert {e["var"] for e in _nest_blocks(src)} == loops
 
 
 def test_adi_sweeps_run_as_outer_blocks():
