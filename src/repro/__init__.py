@@ -28,7 +28,7 @@ from .core import (
     RecompilationManager,
     compile_program,
 )
-from .interp import SPMDResult, run_sequential, run_spmd
+from .runtime.node import SPMDResult, run_sequential, run_spmd
 from .lang import parse, program_str
 from .machine import FAST_NETWORK, FREE, IPSC860, CostModel, Machine
 from .obs import Tracer, profile_report, write_chrome_trace

@@ -43,7 +43,7 @@ from .core import (
 )
 from .core.localize import localized_procedure_text
 from .dist import Distribution
-from .interp import run_sequential
+from .runtime.node import run_sequential
 from .lang import parse
 from .machine import FAST_NETWORK, FREE, IPSC860, FaultPlan, SimulationError
 from .obs import Tracer, profile_report, write_chrome_trace

@@ -29,16 +29,15 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..interp.interpreter import find_blocking_units, unit_facts
 from ..lang import ast as A
+from ..runtime.node import find_blocking_units, unit_facts
 from ..settings import Settings
 from . import cache as _cache
 from .cache import Variant
 from .emit import PRELUDE, assemble_module, emit_unit, unit_ident
-from .runtime import NodeRt
 
 __all__ = [
-    "CodegenError", "GeneratedModule", "GeneratedProgram", "NodeRt",
+    "CodegenError", "GeneratedModule", "GeneratedProgram",
     "enabled", "get_generated", "rank_classes", "reset_memory",
     "unit_keys", "GEN_COUNTS",
 ]

@@ -19,7 +19,7 @@ could be decided, else one per group of classes that print the same
 text, with a demoted class recorded by its cause — and an end marker,
 so a truncated entry never passes for a short procedure::
 
-    # repro-codegen 5 a3f9…c1-4-vec
+    # repro-codegen 6 a3f9…c1-4-vec
     #@ lo
     def _u_relax(rt, fr): ...
     #@ mid hi
@@ -42,7 +42,7 @@ from ..settings import Settings
 
 #: bump when the generated-code shape changes; stale entries then
 #: fail the header check and regenerate
-GEN_VERSION = "5"
+GEN_VERSION = "6"
 
 _MARK = "\n#@ "
 _END = _MARK + "end\n"

@@ -16,12 +16,14 @@ one text serves every rank.
 Each procedure is one function: a generator ``fn(rt, fr)`` that
 yields at exactly the interpreter's suspension points when it may
 block (``find_blocking_units`` says so), a plain function otherwise.
+``rt`` is the rank's :class:`~repro.runtime.node.Node`.
 
 The generated code must be **bit-identical** to the interpreter in
 arrays, virtual clocks, and RunStats.  The rules the two engines share
-are not restated here but *lowered* from their one definition under
-:mod:`repro.interp`: the call convention, ``/``, scalar typing, print
-formatting and the memoized ``_comm_entry``.  Which loops and 2-deep
+are not restated here but *lowered* from their one definition in
+:mod:`repro.runtime.node`: the call convention (``rt.call``), ``/``,
+scalar typing, print formatting and the memoized section cache
+(``rt.comm_entry``).  Which loops and 2-deep
 nests run as blocks, under which run-time checks
 (:class:`~repro.codegen.vectorize.LoopPlan`), block sections and the
 block trace event are defined once in :mod:`repro.codegen.vectorize`,
@@ -40,14 +42,9 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from ..interp.interpreter import (
-    Interpreter,
-    UnitFacts,
-    _count_ops,
-    scalar_type,
-)
 from ..lang import ast as A
 from ..runtime.intrinsics import PURE_INTRINSICS
+from ..runtime.node import UnitFacts, _comm_origin, _count_ops, scalar_type
 from .cache import Variant
 from .vectorize import (
     MIN_BLOCK,
@@ -103,10 +100,10 @@ from numpy import abs as np_abs, arange as np_arange
 from numpy import maximum as np_maximum, minimum as np_minimum
 from numpy import sqrt as np_sqrt
 
-from repro.codegen.vectorize import _fortran_div as _vdiv, ax_slice
-from repro.interp.interpreter import InterpError, _Stop, fdiv
+from repro.codegen.vectorize import _fortran_div as _vdiv, ax_slice, trace_block
 from repro.lang.ast import DistSpec
 from repro.runtime.intrinsics import PURE_INTRINSICS, f_func, g_func
+from repro.runtime.node import InterpError, _Stop, fdiv
 
 """ + "".join(f"_in_{name} = PURE_INTRINSICS[{name!r}]\n"
               for name in PURE_INTRINSICS)
@@ -728,13 +725,13 @@ class _FnEmitter:
         return "[" + ", ".join(parts) + "]"
 
     def _origin(self, s: A.Stmt) -> str:
-        return Interpreter._comm_origin(s, self.unit)
+        return _comm_origin(s, self.unit)
 
     def _entry(self, array: str, subs: list[A.Expr]) -> tuple[str, str]:
         ident = self.areg(array)
         self.arr_data.add(ident)
         # static id of this communication statement: its section cache
-        # in NodeRt (one per statement, exactly like the interpreter's
+        # in the node (one per statement, exactly like the interpreter's
         # per-closure caches)
         self._nsid += 1
         sid = f"{self.unit.name}:{self._nsid}"
@@ -900,7 +897,7 @@ class _VecPlan:
             n_src = self._emit_inner(stmts, n_t)
         fn.w(f"compute({n_src} * {ops})")
         fn.w("if _trc:")
-        fn.w(f"    rt.trace_vec({t0_t}, {fn.unit.name!r}, "
+        fn.w(f"    trace_block(rt.tracer, ctx, {t0_t}, {fn.unit.name!r}, "
              f"{self.do.var!r}, {n_src}, {n_src} * {ops})")
         fn.w(f"S[{self.do.var!r}] = {lo_t} + {n_t} * {st_src}")
         fn.ind -= 2

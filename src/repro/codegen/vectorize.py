@@ -80,7 +80,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..interp.interpreter import _count_ops
+from ..runtime.node import _count_ops
 from ..lang import ast as A
 from ..runtime.intrinsics import PURE_INTRINSICS
 from ..settings import Settings
@@ -389,7 +389,7 @@ def trace_block(tracer, ctx, t0: float, unit: str, var: str, n: int,
                 ops: int) -> None:
     """The ``interp.vec`` event of one executed block: the virtual span
     of its charges, previewed without flushing (a flush here would
-    perturb the simulation).  Generated modules call it through
-    ``NodeRt.trace_vec``."""
+    perturb the simulation).  Generated modules call it by this
+    name."""
     tracer.emit(ctx.rank, ("interp.vec", t0, ctx.clock_estimate() - t0,
                            unit, var, n, ops))

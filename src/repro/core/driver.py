@@ -26,7 +26,7 @@ from ..analysis.constants import local_param_env
 from ..analysis.symbolics import affine_of
 from ..callgraph.acg import ACG
 from ..dist import Distribution
-from ..interp.interpreter import SPMDResult, run_spmd
+from ..runtime.node import SPMDResult, default_init, run_spmd
 from ..lang import ast as A
 from ..lang import parse_summaries, program_str
 from ..machine.costmodel import CostModel, IPSC860
@@ -92,10 +92,8 @@ class CompiledProgram:
         metrics=None,
     ) -> SPMDResult:
         """Execute on the simulated machine; the arguments are
-        :func:`~repro.interp.interpreter.run_spmd`'s, and with
+        :func:`~repro.runtime.node.run_spmd`'s, and with
         ``Options.strict`` any codegen demotion is a hard error."""
-        from ..interp.interpreter import default_init
-
         return run_spmd(
             self.program,
             self.opts.nprocs,

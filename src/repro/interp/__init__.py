@@ -1,15 +1,16 @@
-"""SPMD node-program interpreter."""
+"""The closure-compiling interpreter, the generated engine's oracle.
+The runtime names re-exported here live in :mod:`repro.runtime.node`."""
 
-from .arrays import FArray
-from .interpreter import (
+from ..runtime.node import (
+    FArray,
     Frame,
     InterpError,
-    Interpreter,
     SPMDResult,
     default_init,
     run_sequential,
     run_spmd,
 )
+from .interpreter import Interpreter
 
 __all__ = [
     "FArray",

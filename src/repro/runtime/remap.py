@@ -23,15 +23,20 @@ from ..analysis.rsd import RSD, Range
 from ..dist import Distribution
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..interp.arrays import FArray
+    from .node import FArray
     from ..machine.machine import ProcContext
 
 
-def _rsd_to_subs(section: RSD) -> tuple:
+def _bounds(dist: Distribution) -> list[tuple[int, int]]:
+    return [(d.lo, d.hi) for d in dist.dims]
+
+
+def _rsd_to_slices(section: RSD, bounds: list[tuple[int, int]]) -> tuple:
+    """The numpy index tuple of *section* in an array of *bounds*."""
     out = []
-    for d in section.dims:
-        assert isinstance(d, Range)
-        out.append((d.lo, d.hi, d.step))
+    for d, (lo, hi) in zip(section.dims, bounds):
+        assert isinstance(d, Range) and lo <= d.lo <= d.hi <= hi
+        out.append(slice(d.lo - lo, d.hi - lo + 1, d.step))
     return tuple(out)
 
 
@@ -53,8 +58,10 @@ def send_plans(old: Distribution, new: Distribution, nprocs: int
                ) -> tuple[tuple[tuple[int, tuple[tuple, ...]], ...], ...]:
     """Every rank's part of a remap from *old* to *new*: entry ``me``
     lists, per destination that receives anything from rank *me*, the
-    section subscripts (the pieces :func:`transfer_sections` finds, in
-    its order).
+    numpy index tuples of the sections (the pieces
+    :func:`transfer_sections` finds, in its order) in an array of
+    *old*'s bounds, which :func:`remap_array_y` checks are the
+    array's.
 
     Memoised by value (a :class:`Distribution` hashes by its fields): a
     phase computation remaps between the same two distributions every
@@ -63,6 +70,7 @@ def send_plans(old: Distribution, new: Distribution, nprocs: int
     needs one entry per distinct (old, new) pair whatever P is: two for
     an array remapped back and forth.  Immutable, since every rank
     shares it."""
+    bounds = _bounds(old)
     have = [old.local_index_sets(r) for r in range(nprocs)]
     want = [new.local_index_sets(r) for r in range(nprocs)]
     table = []
@@ -72,9 +80,10 @@ def send_plans(old: Distribution, new: Distribution, nprocs: int
             if dst == me:
                 continue
             pieces = (a.intersect(b) for a in have[me] for b in want[dst])
-            subs = tuple(_rsd_to_subs(p) for p in pieces if not p.empty)
-            if subs:
-                plan.append((dst, subs))
+            slices = tuple(_rsd_to_slices(p, bounds)
+                           for p in pieces if not p.empty)
+            if slices:
+                plan.append((dst, slices))
         table.append(tuple(plan))
     return tuple(table)
 
@@ -82,15 +91,15 @@ def send_plans(old: Distribution, new: Distribution, nprocs: int
 def _build_outgoing(
     ctx: "ProcContext", arr: "FArray", old: Distribution, new: Distribution
 ) -> tuple[dict[int, list], int]:
-    """Read out the sections this rank must ship: ``{dst: [(subs,
+    """Read out the sections this rank must ship: ``{dst: [(slices,
     payload), ...]}`` plus the total outgoing byte count."""
     outgoing: dict[int, list] = {}
     out_bytes = 0
     for dst, sections in send_plans(old, new, ctx.nprocs)[ctx.rank]:
         bundle = []
-        for subs in sections:
-            payload = arr.read_section(subs)
-            bundle.append((subs, payload))
+        for slices in sections:
+            payload = arr.data[slices].copy()
+            bundle.append((slices, payload))
             out_bytes += payload.size * arr.element_bytes
         outgoing[dst] = bundle
     return outgoing, out_bytes
@@ -106,8 +115,8 @@ def _apply_incoming(
     equals the total data moved, without an O(P^2) all-pairs section
     scan.  Rank 0 counts the remap operation itself."""
     for _src, bundle in incoming.items():
-        for subs, payload in bundle:
-            arr.write_section(subs, payload)
+        for slices, payload in bundle:
+            arr.data[slices] = payload  # the sender's section, same shape
     arr.dist = new
     ctx.stats.record_remap(out_bytes, count=1 if ctx.rank == 0 else 0)
 
@@ -122,6 +131,12 @@ def remap_array_y(ctx: "ProcContext", arr: "FArray", new: Distribution,
     if old.same_mapping(new):
         arr.dist = new  # mapping-identical: recorded in place, no motion
         return
+    # the memoised plan indexes an array of the distributions' bounds
+    if not arr.bounds == _bounds(old) == _bounds(new):
+        raise IndexError(
+            f"{arr.name}: bounds {arr.bounds} differ from its "
+            f"distribution's ({_bounds(old)} -> {_bounds(new)})"
+        )
     outgoing, out_bytes = _build_outgoing(ctx, arr, old, new)
     incoming = yield from ctx.exchange_y(outgoing, out_bytes, origin=origin)
     _apply_incoming(ctx, arr, incoming, new, out_bytes)

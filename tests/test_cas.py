@@ -276,10 +276,11 @@ class TestOnDiskCompatibility:
     today starts with the literal old header."""
 
     def test_versions_unchanged(self):
-        # GEN_VERSION 5: outer-loop blocks, helpers imported from
-        # repro.codegen.vectorize (4: one entry per procedure);
+        # GEN_VERSION 6: the prelude imports the runtime from
+        # repro.runtime.node and blocks call trace_block (5: outer-loop
+        # blocks; 4: one entry per procedure);
         # MEMO_VERSION 2: plan keys cover the topology and fault plan
-        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "2", "5")
+        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "2", "6")
 
     def test_summary_store(self, tmp_path):
         d = tmp_path / "s"

@@ -20,6 +20,7 @@ import pytest
 import repro.codegen as codegen
 import repro.codegen.emit as emit_mod
 import repro.interp.interpreter as interp_mod
+import repro.runtime.node as node_mod
 from repro.apps import FIG1, FIG4, FIG15, dgefa_pivot_source
 from repro.apps.adi import adi_source
 from repro.apps.cg import cg_source
@@ -46,6 +47,7 @@ from repro.lang import ast as A
 from repro.lang import parse
 from repro.machine import SCHEDULERS, FaultPlan
 from repro.obs import Tracer
+from repro.runtime.node import run_spmd
 
 STAT_FIELDS = (
     "messages", "bytes", "collectives", "collective_bytes",
@@ -170,16 +172,20 @@ def test_modes_bit_identical(mode):
 
 def test_engine_rules_have_one_home():
     """Every rule the engines must agree on has exactly one definition:
-    the scalar helpers and the call convention under ``repro/interp``,
-    block legality and block sections in ``repro/codegen/vectorize.py``
-    (only the generated engine runs blocks).  The rest of
-    ``repro/codegen`` only lowers or re-exports them: no second
-    legality analysis, call convention or scalar helper, and no comment
-    promising to mirror one."""
+    the scalar helpers, the call convention and the section write in
+    the node runtime (``repro/runtime/node.py``), block legality and
+    block sections in ``repro/codegen/vectorize.py`` (only the
+    generated engine runs blocks).  The rest of ``repro/codegen`` only
+    lowers or re-exports them: no second legality analysis, call
+    convention or scalar helper, no comment promising to mirror one,
+    and no import of the interpreter the engine is checked against."""
     src_root = os.path.dirname(os.path.dirname(codegen.__file__))
     homes = {
-        "scalar_type": "interp/interpreter.py",
-        "fdiv": "interp/interpreter.py",
+        "scalar_type": "runtime/node.py",
+        "fdiv": "runtime/node.py",
+        "enter_call": "runtime/node.py",
+        "leave_call": "runtime/node.py",
+        "write_entry": "runtime/node.py",
         "classify_ref": "codegen/vectorize.py",
         "_axis_offset": "codegen/vectorize.py",
         "_check_expr": "codegen/vectorize.py",
@@ -207,6 +213,8 @@ def test_engine_rules_have_one_home():
                 defs = re.findall(r"^\s*def (\w+)", text, re.M)
                 assert not set(defs) & set(gone), path
                 assert not re.search(r"[Mm]irror of", text), path
+                assert not re.search(r"^\s*(?:from|import)\s+(?:repro\.|\.\.)"
+                                     r"interp\b", text, re.M), path
     assert found == {name: [home] for name, home in homes.items()}
     # one intrinsic table: the emitter only spells its entries
     from repro.codegen.vectorize import VEC_INTRINSICS
@@ -601,13 +609,13 @@ def test_blocking_closure_computed_once_per_run(codegen_tmp, monkeypatch):
     program is walked once per run (per rank it would be 4 per run
     here), on either engine."""
     calls = []
-    real = interp_mod.find_blocking_units
+    real = node_mod.find_blocking_units
 
     def counting(program, facts=None):
         calls.append(program)
         return real(program, facts)
 
-    monkeypatch.setattr(interp_mod, "find_blocking_units", counting)
+    monkeypatch.setattr(node_mod, "find_blocking_units", counting)
     monkeypatch.setattr(codegen, "find_blocking_units", counting)
     monkeypatch.setenv("REPRO_CODEGEN", "1")  # the prewarm runs
     cp = compile_program(stencil1d_source(80, 2),
@@ -619,6 +627,58 @@ def test_blocking_closure_computed_once_per_run(codegen_tmp, monkeypatch):
     for _ in range(3):
         _run(cp, None, "event", codegen=False)
     assert len(calls) == 3
+
+
+#: only rank 0 calls ``bump``, so only rank 0 can run it interpreted
+ONE_CALLER = """\
+program p
+real x(8)
+if (myproc() .eq. 0) then
+  call bump(x)
+endif
+end
+subroutine bump(x)
+real x(8)
+do i = 1, 8
+  x(i) = x(i) + 1
+enddo
+end
+"""
+
+
+def test_interpreter_built_only_where_needed(codegen_tmp, monkeypatch):
+    """A rank builds its interpreter the first time it calls a procedure
+    without generated code: a fully generated run builds none, and a
+    forced demotion builds one on the ranks that call the demoted
+    procedure only, with results bit-identical to the interpreter's."""
+    built = []
+
+    class Spy(interp_mod.Interpreter):
+        def __init__(self, node):
+            built.append(node.ctx.rank)
+            super().__init__(node)
+
+    monkeypatch.setattr(interp_mod, "Interpreter", Spy)
+    monkeypatch.setenv("REPRO_CODEGEN", "1")  # the prewarm runs
+    cp = compile_program(stencil1d_source(80, 2),
+                         Options(nprocs=4, mode=Mode.INTER))
+    res = _run(cp, None, "event", codegen=True)
+    assert res.stats.codegen_demotions == 0
+    assert built == []
+    _run(cp, None, "event", codegen=False)
+    assert sorted(built) == [0, 1, 2, 3]
+
+    monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.Do,))
+    prog = parse(ONE_CALLER)
+    for scheduler in SCHEDULERS:
+        del built[:]
+        demoted = run_spmd(prog, 4, timeout_s=30.0, scheduler=scheduler,
+                           codegen=True)
+        assert demoted.stats.codegen_demotions > 0
+        assert built == [0], scheduler
+        ref = run_spmd(prog, 4, timeout_s=30.0, scheduler=scheduler,
+                       codegen=False)
+        _assert_identical(demoted, ref, f"one caller / {scheduler}")
 
 
 # ---------------------------------------------------------------------------

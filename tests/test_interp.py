@@ -6,17 +6,12 @@ import pytest
 from repro.apps import dgefa_source, make_dgefa_init, stencil1d_source
 from repro.core import Options, compile_program
 from repro.dist import Distribution
-from repro.interp import (
-    FArray,
-    InterpError,
-    Interpreter,
-    run_sequential,
-    run_spmd,
-)
+from repro.interp import FArray, InterpError, run_sequential, run_spmd
 from repro.lang import ast as A
 from repro.lang import parse
 from repro.lang.ast import DistSpec
 from repro.machine import FREE
+from repro.runtime.node import Node
 from repro.runtime.intrinsics import f_func
 
 
@@ -407,7 +402,7 @@ class TestSharedInitialImages:
 
         shared = run()
         # the reference: every rank computes its own image
-        monkeypatch.setattr(Interpreter, "_fill", Interpreter._compute_fill)
+        monkeypatch.setattr(Node, "_fill", Node._compute_fill)
         own = run()
         assert facts(shared) == facts(own)
         for fs, fo in zip(shared.frames, own.frames):

@@ -11,7 +11,7 @@ from repro.dist import Distribution
 from repro.interp import FArray, run_sequential, run_spmd
 from repro.lang import parse
 from repro.lang.ast import DistSpec
-from repro.machine import FREE, Machine
+from repro.machine import FREE, Machine, SimulationError
 from repro.runtime.intrinsics import PURE_INTRINSICS
 from repro.runtime.remap import remap_array_y, transfer_sections
 
@@ -85,6 +85,19 @@ class TestRemapCollective:
         m = Machine(P, FREE)
         assert all(m.run(node))
         return m.stats
+
+    def test_bounds_differing_from_the_distribution_raise(self):
+        """A remap moves the sections of a plan memoised against the
+        distribution's bounds, so an array with other bounds is
+        refused instead of being indexed with them."""
+        def node(ctx):
+            arr = FArray("x", [(0, 15)], dist=dist("block", 16, 2))
+            yield from remap_array_y(ctx, arr, dist("cyclic", 16, 2))
+
+        with pytest.raises(SimulationError) as info:
+            Machine(2, FREE).run(node)
+        assert isinstance(info.value.__cause__, IndexError)
+        assert "x: bounds" in str(info.value.__cause__)
 
     @pytest.mark.parametrize("pair", [
         ("block", "cyclic"), ("cyclic", "block"),

@@ -256,7 +256,7 @@ def test_communicating_function_in_expression_is_compile_error(
     reference that (transitively) communicates is refused when the
     calling procedure is compiled — on every backend, not only on the
     one that would otherwise have hung or mis-scheduled."""
-    from repro.interp.interpreter import find_blocking_units
+    from repro.runtime.node import find_blocking_units
 
     cp = compile_program(COMM_IN_EXPR, Options(nprocs=2, mode=Mode.INTER))
     assert "g2" in find_blocking_units(cp.program)

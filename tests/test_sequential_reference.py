@@ -28,8 +28,8 @@ from repro.apps.dgefa import (
 from repro.apps.paper_figures import fig1_source, fig4_source, fig15_source
 from repro.apps.stencil import stencil1d_source, stencil2d_source
 from repro.apps.wave import wave_source
-import repro.interp.interpreter as interp_mod
-from repro.codegen import NodeRt
+import repro.runtime.node as node_mod
+from repro.codegen import GeneratedProgram
 from repro.interp import InterpError, run_sequential, run_spmd
 from repro.interp.interpreter import default_init
 from repro.lang import parse
@@ -82,7 +82,7 @@ def test_reference_is_the_interpreters(name, src, init, vectorize,
     assert_same_arrays(got, interpreted(src, init))
 
 
-def _fail_run_y(self):
+def _fail_generated(self, *args):
     raise RuntimeError("forced generated failure")
 
 
@@ -91,7 +91,7 @@ def test_generated_failure_is_never_silent(monkeypatch):
     is raised (chained), not papered over with the interpreter's
     frame."""
     monkeypatch.setenv("REPRO_CODEGEN", "1")
-    monkeypatch.setattr(NodeRt, "run_y", _fail_run_y)
+    monkeypatch.setattr(GeneratedProgram, "module_for", _fail_generated)
     with pytest.raises(InterpError, match="generated sequential reference"
                        ) as info:
         run_sequential(parse(FIG1))
@@ -106,7 +106,7 @@ def test_generated_failure_is_never_silent(monkeypatch):
 def test_codegen_off_is_the_interpreter(monkeypatch):
     """``REPRO_CODEGEN=0`` keeps the interpreted reference: the
     generated engine is not entered at all."""
-    monkeypatch.setattr(NodeRt, "run_y", _fail_run_y)
+    monkeypatch.setattr(GeneratedProgram, "module_for", _fail_generated)
     monkeypatch.setenv("REPRO_CODEGEN", "0")
     assert_same_arrays(run_sequential(parse(FIG1)), interpreted(FIG1))
 
@@ -121,12 +121,12 @@ def test_environment_does_not_reach_the_reference(monkeypatch, tmp_path):
     want = interpreted(src, init)
     machines = []
 
-    class Spy(interp_mod.Machine):
+    class Spy(node_mod.Machine):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             machines.append(self)
 
-    monkeypatch.setattr(interp_mod, "Machine", Spy)
+    monkeypatch.setattr(node_mod, "Machine", Spy)
     trace_file = tmp_path / "trace.json"
     postmortems = tmp_path / "postmortem"
     postmortems.mkdir()

@@ -428,7 +428,7 @@ class TestSchema:
 def test_one_emit_path():
     """Under ``src/repro`` nothing outside ``obs/tracer.py`` calls the
     keyword front door or writes an event dict literal, and a tracer's
-    ``emit`` is called from exactly the 13 instrumentation sites."""
+    ``emit`` is called from exactly the 12 instrumentation sites."""
     emit_call = re.compile(r"\btracer\.emit\(")
     # {"kind": ..., "rank": ..., "ts": ...} (profile.py's path segments
     # carry t0/t1, not ts)
@@ -454,7 +454,7 @@ def test_one_emit_path():
     assert front_door == [] and literals == []
     assert emits == {
         "machine/wire.py": 5, "machine/event.py": 5,
-        "interp/interpreter.py": 2, "codegen/vectorize.py": 1,
+        "runtime/node.py": 1, "codegen/vectorize.py": 1,
     }
     # ... and in tracer.py the one event-dict literal is event_dict's
     with open(os.path.join(SRC_ROOT, "obs", "tracer.py"),
