@@ -44,7 +44,13 @@ from typing import Optional
 
 from ..lang import ast as A
 from ..runtime.intrinsics import PURE_INTRINSICS
-from ..runtime.node import UnitFacts, _comm_origin, _count_ops, scalar_type
+from ..runtime.node import (
+    UnitFacts,
+    _collective_origin,
+    _comm_origin,
+    _count_ops,
+    scalar_type,
+)
 from .cache import Variant
 from .vectorize import (
     MIN_BLOCK,
@@ -202,8 +208,8 @@ class _FnEmitter:
     *y* (the procedure may block).
 
     Charge placement follows ``Interpreter._compile_stmt`` statement by
-    statement; a generator yields exactly where
-    ``Interpreter._compile_stmt_y`` does.
+    statement, and a generator yields exactly where the interpreter's
+    generator closures do.
     """
 
     def __init__(self, unit: A.Procedure, facts: UnitFacts,
@@ -800,8 +806,7 @@ class _FnEmitter:
 
     def emit_reduce(self, s: A.GlobalReduce) -> None:
         self.uses.update(("ctx", "S"))
-        origin = getattr(s, "comment", "") \
-            or f"{self.unit.name}:{s.op} {s.var}"
+        origin = _collective_origin(s, self.unit)
         self.has_yield = True
         r_t = self.tmp()
         if s.op == "maxloc":
@@ -817,7 +822,7 @@ class _FnEmitter:
     def emit_remap(self, s: A.Remap) -> None:
         ident = self.areg(s.array)
         spec = self.specs_const(s.to_specs)
-        origin = s.comment or f"{self.unit.name}:remap {s.array}"
+        origin = _collective_origin(s, self.unit)
         self.has_yield = True
         self.w(f"yield from rt.remap_y(_a_{ident}, {spec}, {origin!r})")
 

@@ -9,6 +9,14 @@ is the statement walk.  Each procedure body is compiled once into a
 tree of Python closures — roughly 5-10x faster than naive
 re-dispatching tree walking.
 
+There is one walk.  Each statement compiles to one segment
+``(is_generator, fn)``: leaf statements to plain closures, IF / DO /
+DO WHILE and the receiving and collective statements to generator
+closures, and a CALL to whichever form its callee needs (the node's
+``blocking`` set, which the emitter reads too).  A rank therefore
+yields only inside a receive or a collective, and a run of plain
+closures in a block fuses into one segment.
+
 The Fortran D directives are executable no-ops here: data placement is
 the *compiler's* concern; compiled node programs contain explicit
 Send/Recv/Bcast/Remap statements instead.
@@ -16,15 +24,16 @@ Send/Recv/Bcast/Remap statements instead.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, Generator, Optional
 
 from ..lang import ast as A
 from ..runtime.intrinsics import PURE_INTRINSICS
 from ..runtime.node import (
-    _BLOCKING_STMTS,
     Frame,
     InterpError,
     Node,
+    _collective_origin,
     _comm_origin,
     _count_ops,
     _Stop,
@@ -39,23 +48,10 @@ class _Return(Exception):
 
 
 ExprFn = Callable[[Frame], object]
-StmtFn = Callable[[Frame], None]
-#: one compiled statement on a blocking path: ``(is_generator, fn)`` —
-#: generator closures are entered with ``yield from``, plain closures
-#: are called directly (they can never suspend)
+#: one compiled statement: ``(is_generator, fn)`` — generator closures
+#: are entered with ``yield from``, plain closures are called directly
+#: (they can never suspend)
 Seg = tuple[bool, Callable]
-
-
-def blocking_call_in_expr(s: A.Stmt, blocking: set[str]) -> Optional[str]:
-    """Name of a function in *blocking* referenced in expression
-    position directly in statement *s*, else None.  A rank cannot
-    suspend there (a generator cannot yield from inside an expression),
-    and compiled node programs never place communication there."""
-    for e in A.stmt_exprs(s):
-        for sub in A.walk_exprs(e):
-            if isinstance(sub, A.CallExpr) and sub.name in blocking:
-                return sub.name
-    return None
 
 
 class Interpreter:
@@ -68,31 +64,18 @@ class Interpreter:
         self.node = node
         self.program = node.program
         self.ctx = node.ctx
-        self._compiled: dict[str, list[StmtFn]] = {}
-        #: per-unit segment lists of the generator form
-        self._compiled_y: dict[str, list[Seg]] = {}
-
-    def exec_unit(self, unit: A.Procedure, frame: Frame) -> None:
-        """Run procedure *unit*, which cannot block, in *frame*."""
-        code = self._compiled.get(unit.name)
-        if code is None:
-            code = [self._compile_stmt(s, unit) for s in unit.body]
-            self._compiled[unit.name] = code
-        try:
-            for fn in code:
-                fn(frame)
-        except _Return:
-            pass
+        #: per-unit segment lists
+        self._compiled: dict[str, list[Seg]] = {}
 
     def exec_unit_y(
         self, unit: A.Procedure, frame: Frame
     ) -> Generator[None, None, None]:
-        """Generator twin of :meth:`exec_unit` for units that may
-        suspend."""
-        segs = self._compiled_y.get(unit.name)
+        """Run procedure *unit* in *frame*: a generator that yields only
+        where the rank suspends."""
+        segs = self._compiled.get(unit.name)
         if segs is None:
-            segs = self._compile_block_y(unit.body, unit)
-            self._compiled_y[unit.name] = segs
+            segs = self._compiled[unit.name] = \
+                self._compile_block(unit.body, unit)
         try:
             for is_gen, fn in segs:
                 if is_gen:
@@ -219,6 +202,15 @@ class Interpreter:
 
     def _compile_call_expr(self, e: A.CallExpr, unit: A.Procedure) -> ExprFn:
         name = e.name
+        if name in self.node.blocking:
+            # a generator cannot yield from inside an expression, and
+            # compiled node programs never place communication there:
+            # a compile-time error, not a silent wrong answer
+            raise InterpError(
+                f"{unit.name}: function {name!r} communicates; "
+                f"a rank cannot suspend inside an expression — "
+                f"restructure as a CALL statement"
+            )
         if name == "myproc":
             rank = self.ctx.rank
             return lambda fr: rank
@@ -283,15 +275,30 @@ class Interpreter:
 
     def _compile_block(
         self, body: list[A.Stmt], unit: A.Procedure
-    ) -> list[StmtFn]:
-        return [self._compile_stmt(s, unit) for s in body]
+    ) -> list[Seg]:
+        """Compile *body* into segments: each run of plain closures
+        fuses into one, generator closures stay one segment each."""
+        segs: list[Seg] = []
+        compiled = [self._compile_stmt(s, unit) for s in body]
+        for is_gen, run in groupby(compiled, key=lambda seg: seg[0]):
+            fns = tuple(fn for _, fn in run)
+            if is_gen:
+                segs += [(True, fn) for fn in fns]
+            elif len(fns) == 1:
+                segs.append((False, fns[0]))
+            else:
+                def run_plain(fr: Frame, fns=fns) -> None:
+                    for fn in fns:
+                        fn(fr)
+
+                segs.append((False, run_plain))
+        return segs
 
     def _compile_bounds(
         self, s: A.Do, unit: A.Procedure
     ) -> Callable[[Frame], tuple[int, int, int]]:
-        """The DO prologue of the scalar, generator and block forms of
-        a loop: ``lo``, ``hi``, ``step`` evaluated in that order, a zero
-        step refused."""
+        """The DO prologue: ``lo``, ``hi``, ``step`` evaluated in that
+        order, a zero step refused."""
         lo_fn = self._compile_expr(s.lo, unit)
         hi_fn = self._compile_expr(s.hi, unit)
         st_fn = self._compile_expr(s.step, unit)
@@ -307,7 +314,7 @@ class Interpreter:
 
         return bounds
 
-    def _compile_stmt(self, s: A.Stmt, unit: A.Procedure) -> StmtFn:
+    def _compile_stmt(self, s: A.Stmt, unit: A.Procedure) -> Seg:
         ctx = self.ctx
         if isinstance(s, A.Assign):
             expr_fn = self._compile_expr(s.expr, unit)
@@ -320,7 +327,7 @@ class Interpreter:
                     fr.scalars[name] = cast(expr_fn(fr))
                     ctx.compute(ops)
 
-                return assign_scalar
+                return False, assign_scalar
             name = s.target.name
             sub_fns = [self._compile_expr(x, unit) for x in s.target.subs]
             ops += len(sub_fns)
@@ -331,220 +338,39 @@ class Interpreter:
                 arr.set(idx, expr_fn(fr))
                 ctx.compute(ops)
 
-            return assign_elem
+            return False, assign_elem
         if isinstance(s, A.If):
             cond_fn = self._compile_expr(s.cond, unit)
             cond_ops = _count_ops(s.cond) or 1
-            then_code = self._compile_block(s.then_body, unit)
-            else_code = self._compile_block(s.else_body, unit)
+            then_segs = self._compile_block(s.then_body, unit)
+            else_segs = self._compile_block(s.else_body, unit)
             # run-time resolution executes one guard per element: bind
             # the tick method once instead of resolving it every time
             guard_tick = ctx.guard_tick
 
             def run_if(fr: Frame):
                 guard_tick(cond_ops)
-                branch = then_code if cond_fn(fr) else else_code
-                for fn in branch:
-                    fn(fr)
-
-            return run_if
-        if isinstance(s, A.Do):
-            var = s.var
-            bounds = self._compile_bounds(s, unit)
-            body_code = self._compile_block(s.body, unit)
-
-            # bind the tick method once per compiled loop rather than
-            # resolving the attribute every iteration
-            loop_tick = ctx.loop_tick
-
-            def run_loop(fr: Frame):
-                lo, hi, st = bounds(fr)
-                scal = fr.scalars
-                i = lo
-                if st > 0:
-                    while i <= hi:
-                        scal[var] = i
-                        loop_tick()
-                        for fn in body_code:
-                            fn(fr)
-                        i += st
-                else:
-                    while i >= hi:
-                        scal[var] = i
-                        loop_tick()
-                        for fn in body_code:
-                            fn(fr)
-                        i += st
-                scal[var] = i
-
-            return run_loop
-        if isinstance(s, A.DoWhile):
-            cond_fn = self._compile_expr(s.cond, unit)
-            body_code = self._compile_block(s.body, unit)
-
-            def run_while(fr: Frame):
-                guard = 0
-                while cond_fn(fr):
-                    guard += 1
-                    if guard > 10_000_000:
-                        raise InterpError("runaway DO WHILE")
-                    ctx.loop_tick()
-                    for fn in body_code:
-                        fn(fr)
-
-            return run_while
-        if isinstance(s, A.Call):
-            name = s.name
-            actuals, var_actuals = self._compile_actuals(s.args, unit)
-            call = self.node.call
-
-            def run_call(fr: Frame):
-                call(name, fr, actuals(fr), var_actuals)
-
-            return run_call
-        if isinstance(s, A.Return):
-            def run_return(fr: Frame):
-                raise _Return()
-
-            return run_return
-        if isinstance(s, A.Stop):
-            def run_stop(fr: Frame):
-                raise _Stop()
-
-            return run_stop
-        if isinstance(s, A.Continue):
-            return lambda fr: None
-        if isinstance(s, A.Print):
-            item_fns = [self._compile_expr(i, unit) for i in s.items]
-            emit_print = self.node.emit_print
-
-            def run_print(fr: Frame):
-                emit_print([fn(fr) for fn in item_fns])
-
-            return run_print
-        if isinstance(s, (A.Decomposition, A.Align, A.Distribute)):
-            # declarative placement: consumed by the compiler; a no-op
-            # when the uncompiled source runs (the sequential reference)
-            return lambda fr: None
-        if isinstance(s, A.SetMyProc):
-            var = s.var
-            rank = ctx.rank
-
-            def run_setmyproc(fr: Frame):
-                fr.scalars[var] = rank
-
-            return run_setmyproc
-        if isinstance(s, A.Send):
-            return self._compile_comm(s, unit)
-        if isinstance(s, A.SendPack):
-            return self._compile_pack(s, unit)
-        if isinstance(s, A.MarkDist):
-            specs = s.to_specs
-            name = s.array
-            mark = self.node.mark
-
-            def run_mark(fr: Frame):
-                mark(fr.arrays[name], specs)
-
-            return run_mark
-        raise InterpError(f"cannot compile statement {type(s).__name__}")
-
-    # -- compilation of statements that may suspend --------------------------
-    #
-    # Each rank runs as a generator coroutine that yields only at
-    # genuine suspension points.  Compiling every statement as a
-    # generator would slow the common (non-blocking) path dramatically,
-    # so compilation is split: a fixpoint over the call graph
-    # (``find_blocking_units``) marks the procedures that can suspend,
-    # and only statements on a blocking path become generator closures
-    # — all other statements go through ``_compile_stmt``, grouped into
-    # straight-line segments.
-
-    def _stmt_may_block(self, s: A.Stmt, unit: A.Procedure) -> bool:
-        fn_name = blocking_call_in_expr(s, self.node.blocking)
-        if fn_name is not None:
-            # a compile-time error, not a silent wrong answer
-            raise InterpError(
-                f"{unit.name}: function {fn_name!r} communicates; "
-                f"a rank cannot suspend inside an expression — "
-                f"restructure as a CALL statement"
-            )
-        if isinstance(s, _BLOCKING_STMTS):
-            return True
-        if isinstance(s, A.Call):
-            return s.name in self.node.blocking
-        return any(
-            self._stmt_may_block(c, unit)
-            for blk in A.child_blocks(s) for c in blk
-        )
-
-    def _compile_block_y(
-        self, body: list[A.Stmt], unit: A.Procedure
-    ) -> list[Seg]:
-        """Compile *body* into segments: runs of non-blocking statements
-        collapse to one plain closure (the fast path stays the fast
-        path); blocking statements become generator closures."""
-        segs: list[Seg] = []
-        plain: list[StmtFn] = []
-
-        def flush() -> None:
-            if not plain:
-                return
-            if len(plain) == 1:
-                segs.append((False, plain[0]))
-            else:
-                fns = tuple(plain)
-
-                def run_plain(fr: Frame, fns=fns) -> None:
-                    for fn in fns:
-                        fn(fr)
-
-                segs.append((False, run_plain))
-            plain.clear()
-
-        for s in body:
-            if self._stmt_may_block(s, unit):
-                flush()
-                segs.append((True, self._compile_stmt_y(s, unit)))
-            else:
-                plain.append(self._compile_stmt(s, unit))
-        flush()
-        return segs
-
-    def _compile_stmt_y(self, s: A.Stmt, unit: A.Procedure) -> Callable:
-        """Generator closure for one statement on a blocking path.
-        Charge ordering of IF/DO/DO WHILE/CALL mirrors
-        :meth:`_compile_stmt` exactly — where a statement sits must not
-        change the virtual clock."""
-        ctx = self.ctx
-        if isinstance(s, A.If):
-            cond_fn = self._compile_expr(s.cond, unit)
-            cond_ops = _count_ops(s.cond) or 1
-            then_segs = self._compile_block_y(s.then_body, unit)
-            else_segs = self._compile_block_y(s.else_body, unit)
-            guard_tick = ctx.guard_tick
-
-            def run_if_y(fr: Frame):
-                guard_tick(cond_ops)
-                branch = then_segs if cond_fn(fr) else else_segs
-                for is_gen, fn in branch:
+                for is_gen, fn in then_segs if cond_fn(fr) else else_segs:
                     if is_gen:
                         yield from fn(fr)
                     else:
                         fn(fr)
 
-            return run_if_y
+            return True, run_if
         if isinstance(s, A.Do):
             var = s.var
             bounds = self._compile_bounds(s, unit)
-            body_segs = self._compile_block_y(s.body, unit)
+            body_segs = self._compile_block(s.body, unit)
+            # bind the tick method once per compiled loop rather than
+            # resolving the attribute every iteration
             loop_tick = ctx.loop_tick
 
-            def run_do_y(fr: Frame):
+            def run_do(fr: Frame):
                 lo, hi, st = bounds(fr)
                 scal = fr.scalars
                 i = lo
-                while (i <= hi) if st > 0 else (i >= hi):
+                # the trip count is fixed on entry (empty when negative)
+                for _ in range((hi - lo) // st + 1):
                     scal[var] = i
                     loop_tick()
                     for is_gen, fn in body_segs:
@@ -555,12 +381,12 @@ class Interpreter:
                     i += st
                 scal[var] = i
 
-            return run_do_y
+            return True, run_do
         if isinstance(s, A.DoWhile):
             cond_fn = self._compile_expr(s.cond, unit)
-            body_segs = self._compile_block_y(s.body, unit)
+            body_segs = self._compile_block(s.body, unit)
 
-            def run_while_y(fr: Frame):
+            def run_while(fr: Frame):
                 guard = 0
                 while cond_fn(fr):
                     guard += 1
@@ -573,27 +399,69 @@ class Interpreter:
                         else:
                             fn(fr)
 
-            return run_while_y
+            return True, run_while
         if isinstance(s, A.Call):
             name = s.name
             actuals, var_actuals = self._compile_actuals(s.args, unit)
-            call_y = self.node.call_y
+            # a callee that may block is entered as a generator
+            blocks = name in self.node.blocking
+            call = self.node.call_y if blocks else self.node.call
+            return blocks, lambda fr: call(name, fr, actuals(fr),
+                                           var_actuals)
+        if isinstance(s, A.Return):
+            def run_return(fr: Frame):
+                raise _Return()
 
-            def run_call_y(fr: Frame):
-                yield from call_y(name, fr, actuals(fr), var_actuals)
+            return False, run_return
+        if isinstance(s, A.Stop):
+            def run_stop(fr: Frame):
+                raise _Stop()
 
-            return run_call_y
-        if isinstance(s, (A.Recv, A.Bcast)):
+            return False, run_stop
+        if isinstance(s, (A.Continue, A.Decomposition, A.Align,
+                          A.Distribute)):
+            # the directives are declarative placement, consumed by the
+            # compiler: a no-op when the uncompiled source runs (the
+            # sequential reference)
+            return False, lambda fr: None
+        if isinstance(s, A.Print):
+            item_fns = [self._compile_expr(i, unit) for i in s.items]
+            emit_print = self.node.emit_print
+
+            def run_print(fr: Frame):
+                emit_print([fn(fr) for fn in item_fns])
+
+            return False, run_print
+        if isinstance(s, A.SetMyProc):
+            var = s.var
+            rank = ctx.rank
+
+            def run_setmyproc(fr: Frame):
+                fr.scalars[var] = rank
+
+            return False, run_setmyproc
+        if isinstance(s, (A.Send, A.Recv, A.Bcast)):
             return self._compile_comm(s, unit)
-        if isinstance(s, A.RecvPack):
+        if isinstance(s, (A.SendPack, A.RecvPack)):
             return self._compile_pack(s, unit)
         if isinstance(s, A.GlobalReduce):
             return self._compile_reduce(s, unit)
         if isinstance(s, A.Remap):
-            return self._compile_remap(s, unit)
-        raise InterpError(  # pragma: no cover - _stmt_may_block gates this
-            f"statement {type(s).__name__} cannot suspend"
-        )
+            name = s.array
+            specs = list(s.to_specs)
+            origin = _collective_origin(s, unit)
+            remap_y = self.node.remap_y
+            return True, lambda fr: remap_y(fr.arrays[name], specs, origin)
+        if isinstance(s, A.MarkDist):
+            specs = s.to_specs
+            name = s.array
+            mark = self.node.mark
+
+            def run_mark(fr: Frame):
+                mark(fr.arrays[name], specs)
+
+            return False, run_mark
+        raise InterpError(f"cannot compile statement {type(s).__name__}")
 
     # -- communication statements ------------------------------------------
 
@@ -625,7 +493,7 @@ class Interpreter:
 
         return build
 
-    def _compile_comm(self, s: A.Stmt, unit: A.Procedure) -> Callable:
+    def _compile_comm(self, s: A.Stmt, unit: A.Procedure) -> Seg:
         """Send compiles to a plain closure (it never blocks); Recv and
         Bcast to generator closures."""
         section_fn = self._compile_section(s.subs, unit)
@@ -647,7 +515,7 @@ class Interpreter:
                 ctx.send(int(dest_fn(fr)), tag, payload, nbytes,
                          origin=origin)
 
-            return run_send
+            return False, run_send
         if isinstance(s, A.Recv):
             src_fn = self._compile_expr(s.src, unit)
             write = self.node.write_entry
@@ -660,7 +528,7 @@ class Interpreter:
                 )
                 write(arr, view, slices, payload)
 
-            return run_recv_y
+            return True, run_recv_y
         # broadcast
         root_fn = self._compile_expr(s.root, unit)
         consumer = self.node.consumer
@@ -684,9 +552,9 @@ class Interpreter:
                     consume=consumer(arr, view, slices), origin=origin,
                 )
 
-        return run_bcast_y
+        return True, run_bcast_y
 
-    def _compile_pack(self, s: A.Stmt, unit: A.Procedure) -> Callable:
+    def _compile_pack(self, s: A.Stmt, unit: A.Procedure) -> Seg:
         """Aggregated multi-section messages (SendPack/RecvPack): all
         parts travel as one message (one startup charge).  SendPack is
         a plain closure, RecvPack a generator closure."""
@@ -716,7 +584,7 @@ class Interpreter:
                 ctx.send(int(dest_fn(fr)), tag, payloads, nbytes,
                          origin=origin)
 
-            return run_sendpack
+            return False, run_sendpack
         src_fn = self._compile_expr(s.src, unit)
         write = self.node.write_entry
 
@@ -729,12 +597,11 @@ class Interpreter:
                 view, slices, _nb = entry(sid, arr, sec_fn(fr))
                 write(arr, view, slices, data)
 
-        return run_recvpack_y
+        return True, run_recvpack_y
 
-    def _compile_reduce(self, s: A.GlobalReduce,
-                        unit: A.Procedure) -> Callable:
+    def _compile_reduce(self, s: A.GlobalReduce, unit: A.Procedure) -> Seg:
         var, op, aux = s.var, s.op, s.aux
-        origin = getattr(s, "comment", "") or f"{unit.name}:{op} {var}"
+        origin = _collective_origin(s, unit)
 
         def run_reduce_y(fr: Frame):
             if op == "maxloc":
@@ -749,18 +616,7 @@ class Interpreter:
                 )
                 fr.scalars[var] = result
 
-        return run_reduce_y
-
-    def _compile_remap(self, s: A.Remap, unit: A.Procedure) -> Callable:
-        name = s.array
-        specs = list(s.to_specs)
-        origin = getattr(s, "comment", "") or f"{unit.name}:remap {name}"
-        remap_y = self.node.remap_y
-
-        def run_remap_y(fr: Frame):
-            yield from remap_y(fr.arrays[name], specs, origin)
-
-        return run_remap_y
+        return True, run_reduce_y
 
 
 def _binop_fn(op: str, lf: ExprFn, rf: ExprFn) -> ExprFn:

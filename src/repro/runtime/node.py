@@ -136,28 +136,6 @@ class FArray:
                 out.append(self._offset(axis, int(s)))
         return tuple(out)
 
-    def read_section(
-        self, subs: Sequence[SubsValue], copy: bool = True
-    ) -> np.ndarray:
-        """The section described by *subs* (ints or ``(lo, hi, step)``
-        triples, inclusive global bounds).
-
-        By default a contiguous copy — the safe payload for messages
-        whose consumption the sender cannot wait for.  ``copy=False``
-        returns a zero-copy view; callers must guarantee the array is
-        not mutated before every consumer has copied the data out (the
-        broadcast collective's ``consume`` rendezvous provides exactly
-        that guarantee).
-        """
-        view = self.data[self._slices(subs)]
-        return view.copy() if copy else view
-
-    def write_section(self, subs: Sequence[SubsValue], payload) -> None:
-        slices = self._slices(subs)
-        view = self.data[slices]
-        Node.write_entry(self, view if isinstance(view, np.ndarray)
-                         else None, slices, payload)
-
     @staticmethod
     def section_count(subs: Sequence[SubsValue]) -> int:
         n = 1
@@ -245,6 +223,18 @@ def _comm_origin(s: A.Stmt, unit: A.Procedure) -> str:
     if ":" in c:
         return c
     return f"{unit.name}:{c}"
+
+
+def _collective_origin(s: A.GlobalReduce | A.Remap,
+                       unit: A.Procedure) -> str:
+    """Trace provenance of a reduction or a remap: its codegen comment,
+    else ``proc:<op> <var>`` / ``proc:remap <array>``."""
+    c = getattr(s, "comment", "")
+    if c:
+        return c
+    if isinstance(s, A.Remap):
+        return f"{unit.name}:remap {s.array}"
+    return f"{unit.name}:{s.op} {s.var}"
 
 
 #: statements that can suspend the executing rank (the matching Send
@@ -555,7 +545,9 @@ class Node:
         if fn is not None:
             fn(self, callee)
         else:
-            self.interp.exec_unit(unit, callee)
+            for _ in self.interp.exec_unit_y(unit, callee):
+                raise InterpError(f"{name}: a procedure that cannot "
+                                  f"block suspended")
         self.leave_call(unit, var_actuals, fr, callee)
         return callee
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -99,11 +100,23 @@ def _engine_events(res) -> list[list[dict]]:
     ]
 
 
+def _origins(res) -> list[Counter]:
+    """Each rank's multiset of ``(kind, origin)`` over its message and
+    collective events: the provenance both engines attach."""
+    return [
+        Counter((ev["kind"], ev["origin"]) for ev in evs
+                if ev["kind"].startswith("net.") or ev["kind"] == "coll")
+        for evs in res.trace.rank_events
+    ]
+
+
 def _assert_identical(a, b, label, traced=False):
     """Clocks, stats, arrays and prints; with *traced* (both runs carry
-    a tracer) also the cache-probe streams, dict for dict."""
+    a tracer) also the cache-probe streams, dict for dict, and each
+    rank's message and collective provenance."""
     if traced:
         assert _engine_events(a) == _engine_events(b), label
+        assert _origins(a) == _origins(b), label
     assert a.stats.proc_times == b.stats.proc_times, label
     for f in STAT_FIELDS:
         assert getattr(a.stats, f) == getattr(b.stats, f), (label, f)

@@ -37,21 +37,36 @@ class TestFArray:
         with pytest.raises(IndexError):
             a.set([0], 1.0)
 
+    @staticmethod
+    def write(a, subs, payload):
+        """Write *payload* into section *subs* the way a receive does:
+        through the section's view, or its element index."""
+        slices = a._slices(subs)
+        view = a.data[slices]
+        Node.write_entry(a, view if isinstance(view, np.ndarray) else None,
+                         slices, payload)
+
     def test_section_read_write(self):
         a = FArray("x", [(1, 10)])
-        a.write_section([(2, 5, 1)], np.array([1.0, 2.0, 3.0, 4.0]))
-        got = a.read_section([(2, 5, 1)])
+        self.write(a, [(2, 5, 1)], np.array([1.0, 2.0, 3.0, 4.0]))
+        got = a.data[a._slices([(2, 5, 1)])]
         assert got.tolist() == [1.0, 2.0, 3.0, 4.0]
+        self.write(a, [7], 5.0)
+        assert a.get([7]) == 5.0
 
     def test_strided_section(self):
         a = FArray("x", [(1, 10)])
-        a.write_section([(1, 9, 2)], np.array([9.0] * 5))
+        self.write(a, [(1, 9, 2)], np.array([9.0] * 5))
         assert a.data[::2].tolist() == [9.0] * 5
         assert a.data[1::2].tolist() == [0.0] * 5
 
     def test_2d_mixed_section(self):
         a = FArray("x", [(1, 4), (1, 4)])
-        a.write_section([(1, 4, 1), 2], np.arange(4.0))
+        # a flat payload is reshaped to the section
+        self.write(a, [(1, 4, 1), (2, 3, 1)], np.arange(8.0))
+        assert a.data[:, 1:3].tolist() == [[0.0, 1.0], [2.0, 3.0],
+                                           [4.0, 5.0], [6.0, 7.0]]
+        self.write(a, [(1, 4, 1), 2], np.arange(4.0))
         assert a.data[:, 1].tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_section_count_and_bytes(self):

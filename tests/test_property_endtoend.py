@@ -16,6 +16,7 @@ from repro.core import DynOpt, Mode, Options, compile_program
 from repro.interp import run_sequential
 from repro.lang import parse
 from repro.machine import FREE
+from tests.test_vectorize_differential import assert_bit_identical
 
 SETTINGS = dict(
     max_examples=25,
@@ -281,3 +282,27 @@ def test_random_condition_reads(case):
         assert np.allclose(res.gathered("x"), seq.arrays["x"].data), src
         for fr in res.frames:
             assert fr.scalars["hit"] == seq.scalars["hit"], src
+
+
+#: examples of the engine differential: derandomised in tier-1; fresh
+#: seeds under the "sweep" profile (tests/conftest.py), at a count that
+#: keeps its share of the CI "Seed sweep" step near 20 s
+SWEEP = settings.get_current_profile_name() == "sweep"
+ENGINE_EXAMPLES = 1000 if SWEEP else 60
+
+
+@given(st.one_of(
+    shift_program().map(lambda case: (case[0], case[2])),
+    two_phase_program(), reduction_program(), condition_program(),
+))
+@settings(max_examples=ENGINE_EXAMPLES, deadline=None, derandomize=not SWEEP,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_random_programs_engines_agree(case):
+    """The interpreter and generated code agree on generated
+    communicating programs: arrays, scalars, prints, stats and per-rank
+    clocks.  RTR puts receives and broadcasts under IF inside DO inside
+    callees, where both engines place their yields."""
+    src, P = case
+    for mode in (Mode.INTER, Mode.RTR):
+        cp = compile_program(src, Options(nprocs=P, mode=mode))
+        assert_bit_identical(cp)
