@@ -42,7 +42,7 @@ from ..settings import Settings
 
 #: bump when the generated-code shape changes; stale entries then
 #: fail the header check and regenerate
-GEN_VERSION = "6"
+GEN_VERSION = "7"
 
 _MARK = "\n#@ "
 _END = _MARK + "end\n"

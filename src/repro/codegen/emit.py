@@ -843,7 +843,9 @@ class _VecPlan:
     checks, and the scalar loop's exact charges in batched form.  For a
     nest's plan, the statements run once per inner iteration over the
     block of outer iterations, whose loop-axis sections are computed
-    once per nest."""
+    once per nest.  Each distinct non-loop-axis offset is computed once
+    per block (per inner iteration for a nest), just before the first
+    statement that uses it."""
 
     def __init__(self, fn: _FnEmitter, plan: LoopPlan) -> None:
         self.fn = fn
@@ -855,6 +857,10 @@ class _VecPlan:
         #: nests only: hoisted ``ax_slice`` source -> its temp
         self.hoist: Optional[dict[str, str]] = \
             None if plan.inner is None else {}
+        #: ``_offset`` call source -> its temp, and the assignments of
+        #: the temps the statement being lowered introduces
+        self.offs: dict[str, str] = {}
+        self.new_offs: list[str] = []
         for name in plan.writes:
             fn.areg(name)
 
@@ -888,14 +894,18 @@ class _VecPlan:
         if self.plan.uses_iota:
             fn.w(f"{io_t} = np_arange({lo_t}, {lo_t} + {n_t} * {st_src}, "
                  f"{st_src})")
-        stmts = [(self._slice_src(target, axis, off, lo_t, n_t, st_src,
-                                  self.woff.get(target.name)),
-                  self._vec_ex(expr, lo_t, n_t, st_src, io_t))
-                 for target, axis, off, expr in self.plan.stmts]
+        stmts = []
+        for target, axis, off, expr in self.plan.stmts:
+            # the right side's offsets first: the order they evaluate in
+            rhs = self._vec_ex(expr, lo_t, n_t, st_src, io_t)
+            tgt = self._slice_src(target, axis, off, lo_t, n_t, st_src,
+                                  self.woff.get(target.name))
+            stmts += self.new_offs + [f"{tgt} = {rhs}"]
+            self.new_offs = []
         ops = self.plan.ops_per_iter
         if self.hoist is None:
-            for tgt, rhs in stmts:
-                fn.w(f"{tgt} = {rhs}")
+            for line in stmts:
+                fn.w(line)
             fn.w(f"loop_tick({n_t})")
             n_src = n_t
         else:
@@ -955,7 +965,7 @@ class _VecPlan:
             fn.ind -= 1
         return f"not {ok_t}"
 
-    def _emit_inner(self, stmts: list[tuple[str, str]], n_t: str) -> str:
+    def _emit_inner(self, stmts: list[str], n_t: str) -> str:
         """A nest's inner loop, run in order around the block statements
         and charged as the scalar nest charges; returns the source of
         the element-iteration count ``n_out * n_in``."""
@@ -971,8 +981,8 @@ class _VecPlan:
         end = f"{lo_t} + {nin_t} * {st_src}"
         fn.w(f"for {j_t} in range({lo_t}, {end}, {st_src}):")
         fn.w(f"    S[{inner.var!r}] = {j_t}")
-        for tgt, rhs in stmts:
-            fn.w(f"    {tgt} = {rhs}")
+        for line in stmts:
+            fn.w(f"    {line}")
         fn.w(f"S[{inner.var!r}] = {end}")
         fn.ind -= 1
         fn.w("else:")
@@ -1002,8 +1012,14 @@ class _VecPlan:
                     sl = self.hoist.setdefault(sl, fn.tmp())
                 parts.append(sl)
             else:
-                parts.append(f"_a_{ident}._offset({ax}, "
-                             f"int({fn.ex(sub)}))")
+                call = f"_a_{ident}._offset({ax}, int({fn.ex(sub)}))"
+                if not fn._has_user_call([sub]):
+                    t = self.offs.get(call)
+                    if t is None:
+                        t = self.offs[call] = fn.tmp()
+                        self.new_offs.append(f"{t} = {call}")
+                    call = t
+                parts.append(call)
         return f"_d_{ident}[{', '.join(parts)}]"
 
     def _vec_ex(self, e: A.Expr, lo_t: str, n_t: str, st_src: str,

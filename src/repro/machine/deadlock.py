@@ -21,6 +21,11 @@ The wall-clock timeout remains as a safety net (configurable via
 ``REPRO_SIM_TIMEOUT`` / ``Machine(timeout_s=...)``), but every ordinary
 deadlock — a receive nobody matches, mismatched barrier membership, a
 tag mismatch — is reported immediately.
+
+The machine's exceptions (:class:`SimulationError`,
+:class:`DeadlockError`, :class:`AbortError`) are defined here, next to
+the report they carry, so every machine module can import them without
+a cycle; ``repro.machine.network`` re-exports them.
 """
 
 from __future__ import annotations
@@ -31,6 +36,25 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .network import Network
+
+
+class SimulationError(Exception):
+    """Deadlock or protocol error inside the simulated machine."""
+
+    report: Optional["DeadlockReport"] = None
+
+
+class DeadlockError(SimulationError):
+    """Deadlock detected; ``report`` carries the structured diagnosis."""
+
+    def __init__(self, msg: str, report: Optional["DeadlockReport"] = None):
+        super().__init__(msg)
+        self.report = report
+
+
+class AbortError(SimulationError):
+    """Secondary failure: this rank was torn down because another rank
+    failed first (the primary error is re-raised by ``Machine.run``)."""
 
 #: rank states tracked by the detector
 RUNNING = "running"
@@ -151,7 +175,7 @@ class DeadlockDetector:
         self._clock = [0.0] * nprocs
         self.report: Optional[DeadlockReport] = None
         self.network: Optional["Network"] = None
-        self._declare_cb = None  # set by Machine: aborts the run
+        self._declare_cb = None  # set by the backend: aborts the run
 
     def attach(self, network: "Network", declare_cb) -> None:
         self.network = network
@@ -206,8 +230,6 @@ class DeadlockDetector:
             if self._declare_cb is not None:
                 self._declare_cb(rep)
             if raise_here:
-                from .network import DeadlockError
-
                 raise DeadlockError(
                     f"deadlock: {rep.reason}\n{rep.describe()}", rep
                 )

@@ -1,5 +1,9 @@
 """The event-driven execution core: rank state machine + calendar heap.
 
+:class:`EventScheduler` is the ``event`` backend object ``Machine``
+drives; it builds its own :class:`EventNetwork` and
+:class:`EventCollectives` over the machine's wire.
+
 Exactly **one** rank executes at any moment, on the calling thread.  A
 rank runs until it blocks at a network operation — a receive with an
 empty queue, or a collective it is not the last to enter — and only
@@ -19,12 +23,10 @@ it) with none of its cost:
   popped exactly once, so the heap never holds stale entries (a
   blocked or ready rank's clock is frozen until it runs);
 * node programs are Python **generator coroutines**: they ``yield``
-  only at a genuine blocking point and a context switch is one
+  only at a genuine blocking point (inside one of
+  :class:`EventProcContext`'s ``*_y`` ops) and a context switch is one
   ``gen.send(None)``.  No thread is ever created here; a plain
-  callable node program is simply a coroutine that never yields (its
-  sends, compute charges and already-satisfiable receives work; a
-  receive or collective that would have to wait is a
-  :class:`SimulationError`);
+  callable node program is simply a coroutine that never yields;
 * no locks or condition variables anywhere in the data path — plain
   dicts and lists, because there is never a second runner to race with;
 * a collective completes in a **single rendezvous**: the last arrival
@@ -55,15 +57,13 @@ from .deadlock import (
     FAILED,
     FINISHED,
     RUNNING,
+    AbortError,
+    DeadlockError,
     DeadlockReport,
+    SimulationError,
     build_report,
 )
 from .machine import ProcContext
-from .network import (
-    AbortError,
-    DeadlockError,
-    SimulationError,
-)
 from ..obs.tracer import ABSENT
 
 if TYPE_CHECKING:
@@ -94,22 +94,95 @@ _STATE_NAMES = {
 }
 
 
-class EventScheduler:
-    """The event loop: SoA rank state, the calendar heap, dispatch.
-
-    :class:`EventNetwork` and :class:`EventCollectives` drive the
-    state transitions (``block_recv`` / ``unblock_recv`` /
-    ``block_collective`` / ``release_collective`` / ``finish``).
-    Blocking *registers* the state and returns; the caller's generator
-    then yields, and :meth:`run_ranks` resumes it when the rank is
-    pushed back onto the heap.
+class EventProcContext(ProcContext):
+    """Node-processor context for the event loop: the blocking
+    communication ops (``recv_y`` / ``broadcast_y`` / ``allreduce_y`` /
+    ``barrier_y`` / ``exchange_y``) are generators that ``yield`` while
+    blocked; node programs drive them with ``yield from``.
     """
 
-    def __init__(self, nprocs: int, timeout_s: float,
-                 tracer: Any = None) -> None:
-        self.nprocs = nprocs
+    def recv_y(self, src: int, tag: int, origin: Optional[str] = None
+               ) -> Generator[None, None, Any]:
+        self._maybe_crash()
+        sched = self.machine.backend
+        net = sched.network
+        rank = self.rank
+        now = self.clock
+        while True:
+            got = net.try_recv(rank, src, tag, now, origin=origin)
+            if got is not None:
+                payload, t = got
+                self.clock = t
+                return payload
+            if sched.failed:
+                raise sched.failure_error(AbortError(
+                    f"processor {rank} aborted while waiting for "
+                    f"(src={src}, tag={tag})"
+                ))
+            sched.block_recv(rank, (src, tag), now)
+            yield
+            if sched.failed:
+                raise sched.failure_error(AbortError(
+                    f"processor {rank} aborted while waiting for "
+                    f"(src={src}, tag={tag})"
+                ))
+
+    def broadcast_y(self, root: int, payload: Any, nbytes: int,
+                    consume: Any = None, origin: Optional[str] = None
+                    ) -> Generator[None, None, Any]:
+        self._maybe_crash()
+        data, self.clock = yield from self.machine.collectives.collective_y(
+            self.rank, "bcast", self.clock, origin, root, payload, nbytes,
+            consume
+        )
+        return data
+
+    def allreduce_y(self, value: Any, op: str, nbytes: int = 8,
+                    origin: Optional[str] = None
+                    ) -> Generator[None, None, Any]:
+        self._maybe_crash()
+        result, self.clock = yield from self.machine.collectives.collective_y(
+            self.rank, "reduce", self.clock, origin, op, value, nbytes
+        )
+        return result
+
+    def barrier_y(self, origin: Optional[str] = None
+                  ) -> Generator[None, None, None]:
+        self._maybe_crash()
+        _none, self.clock = yield from self.machine.collectives.collective_y(
+            self.rank, "barrier", self.clock, origin
+        )
+
+    def exchange_y(self, outgoing: dict[int, Any], nbytes_out: int,
+                   origin: Optional[str] = None
+                   ) -> Generator[None, None, dict[int, Any]]:
+        self._maybe_crash()
+        table, self.clock = yield from self.machine.collectives.collective_y(
+            self.rank, "exchange", self.clock, origin, None, outgoing,
+            nbytes_out
+        )
+        return table
+
+
+class EventScheduler:
+    """The ``event`` backend object: SoA rank state, the calendar heap,
+    dispatch, and the :class:`EventNetwork` / :class:`EventCollectives`
+    it builds over the machine's wire.
+
+    Those two drive the state transitions (``block_recv`` /
+    ``unblock_recv`` / ``block_collective`` / ``release_collective``);
+    ``Machine`` calls :meth:`finish` and :meth:`fail`.  Blocking
+    *registers* the state and returns; the caller's generator then
+    yields, and :meth:`run_ranks` resumes it when the rank is pushed
+    back onto the heap.
+    """
+
+    Context = EventProcContext
+
+    def __init__(self, wire: "Wire", timeout_s: float) -> None:
+        self.nprocs = nprocs = wire.nprocs
         self.timeout_s = timeout_s
-        self.tracer = tracer
+        self.tracer = wire.tracer
         #: structure-of-arrays rank state
         self.clocks = np.zeros(nprocs, dtype=np.float64)
         self.states = np.full(nprocs, S_READY, dtype=np.int8)
@@ -119,9 +192,10 @@ class EventScheduler:
         self._heap: list[tuple[float, int]] = []
         self.report: Optional[DeadlockReport] = None
         self.failed = False
-        self.network: Optional["EventNetwork"] = None  # set by Machine
         self.dispatches = 0
         self.switches = 0
+        self.network = EventNetwork(wire, self, timeout_s)
+        self.collectives = EventCollectives(wire, self)
 
     # -- failure surface ---------------------------------------------------
 
@@ -151,11 +225,10 @@ class EventScheduler:
                 heapq.heappush(self._heap, (float(self.clocks[r]), r))
 
     def _snapshot(self) -> DeadlockReport:
-        pending = self.network.pending_summary if self.network else None
         states = [_STATE_NAMES[int(s)] for s in self.states]
         clocks = [float(c) for c in self.clocks]
         return build_report(states, self._detail, clocks,
-                            pending_of=pending)
+                            pending_of=self.network.pending_summary)
 
     def _declare_deadlock(self) -> None:
         """The heap ran empty with ranks still blocked: the event-loop
@@ -351,11 +424,6 @@ class EventNetwork:
             {} for _ in range(self.nprocs)
         ]
 
-    # -- failure propagation ----------------------------------------------
-
-    def fail(self) -> None:
-        self.sched.fail()
-
     # -- traffic -----------------------------------------------------------
 
     def send(
@@ -377,20 +445,6 @@ class EventNetwork:
         q.append(msg)
         self.sched.unblock_recv(dst, key)
         return sender_after
-
-    def recv(self, dst: int, src: int, tag: int, now: float,
-             origin: Optional[str] = None) -> tuple[Any, float]:
-        """Sync receive (``ctx.recv`` in a plain-callable node program):
-        completes only when the message is already queued, because only
-        a generator can suspend on this backend."""
-        got = self.try_recv(dst, src, tag, now, origin=origin)
-        if got is None:
-            raise SimulationError(
-                f"processor {dst}: blocking operation outside the event "
-                f"loop: recv(src={src}, tag={tag}) has to wait; make the "
-                f"node program a generator and `yield from ctx.recv_y(...)`"
-            )
-        return got
 
     def try_recv(self, dst: int, src: int, tag: int, now: float,
                  origin: Optional[str] = None
@@ -435,15 +489,13 @@ class EventCollectives:
         self.sched = scheduler
         self._arrived = 0
 
-    def abort(self) -> None:
-        """Teardown is driven entirely by the scheduler."""
-
-    def _collective_y(self, rank: int, label: str, now: float,
-                      origin: Optional[str], param: Any = None,
-                      value: Any = None, nbytes: int = 0,
-                      consume: Any = None
-                      ) -> Generator[None, None, tuple[Any, float]]:
-        """One rendezvous: deposit, wait for every rank, settle."""
+    def collective_y(self, rank: int, label: str, now: float,
+                     origin: Optional[str], param: Any = None,
+                     value: Any = None, nbytes: int = 0,
+                     consume: Any = None
+                     ) -> Generator[None, None, tuple[Any, float]]:
+        """One rendezvous: deposit, wait for every rank, settle;
+        returns (result, new clock)."""
         sched = self.sched
         if sched.failed:
             raise sched.failure_error(AbortError(
@@ -466,115 +518,3 @@ class EventCollectives:
                     f"{label!r} (a peer failed or deadlocked)"
                 ))
         return wire.settle(rank, now, origin)
-
-    def broadcast_y(self, rank: int, root: int, payload: Any, nbytes: int,
-                    now: float, consume: Any = None,
-                    origin: Optional[str] = None
-                    ) -> Generator[None, None, tuple[Any, float]]:
-        return self._collective_y(rank, "bcast", now, origin, root,
-                                  payload, nbytes, consume)
-
-    def allreduce_y(self, rank: int, value: Any, op: str, nbytes: int,
-                    now: float, origin: Optional[str] = None
-                    ) -> Generator[None, None, tuple[Any, float]]:
-        return self._collective_y(rank, "reduce", now, origin, op,
-                                  value, nbytes)
-
-    def barrier_y(self, rank: int, now: float,
-                  origin: Optional[str] = None
-                  ) -> Generator[None, None, float]:
-        _none, t = yield from self._collective_y(rank, "barrier", now,
-                                                 origin)
-        return t
-
-    def exchange_y(self, rank: int, outgoing: dict[int, Any],
-                   nbytes_out: int, now: float,
-                   origin: Optional[str] = None
-                   ) -> Generator[None, None, tuple[dict[int, Any], float]]:
-        return self._collective_y(rank, "exchange", now, origin, None,
-                                  outgoing, nbytes_out)
-
-
-class EventProcContext(ProcContext):
-    """Node-processor context for the event loop: the blocking
-    communication ops (``recv_y`` / ``broadcast_y`` / ``allreduce_y`` /
-    ``barrier_y`` / ``exchange_y``) are generators that ``yield`` while
-    blocked; node programs drive them with ``yield from``.  Nothing
-    outside a generator can suspend here, so the inherited sync
-    ``recv`` completes only when the message is already queued
-    (:meth:`EventNetwork.recv`) and the sync collectives are refused.
-    """
-
-    def _sync_collective(self, *args: Any, **kwargs: Any) -> Any:
-        raise SimulationError(
-            f"processor {self.rank}: blocking operation outside the event "
-            f"loop: a collective has to wait for its peers; make the node "
-            f"program a generator and `yield from ctx.barrier_y()` / "
-            f"broadcast_y / allreduce_y / exchange_y"
-        )
-
-    broadcast = allreduce = barrier = exchange = _sync_collective
-
-    def recv_y(self, src: int, tag: int, origin: Optional[str] = None
-               ) -> Generator[None, None, Any]:
-        self._maybe_crash()
-        net = self.machine.network
-        sched = self.machine._sched
-        rank = self.rank
-        now = self.clock
-        while True:
-            got = net.try_recv(rank, src, tag, now, origin=origin)
-            if got is not None:
-                payload, t = got
-                self.clock = t
-                return payload
-            if sched.failed:
-                raise sched.failure_error(AbortError(
-                    f"processor {rank} aborted while waiting for "
-                    f"(src={src}, tag={tag})"
-                ))
-            sched.block_recv(rank, (src, tag), now)
-            yield
-            if sched.failed:
-                raise sched.failure_error(AbortError(
-                    f"processor {rank} aborted while waiting for "
-                    f"(src={src}, tag={tag})"
-                ))
-
-    def broadcast_y(self, root: int, payload: Any, nbytes: int,
-                    consume: Any = None, origin: Optional[str] = None
-                    ) -> Generator[None, None, Any]:
-        self._maybe_crash()
-        data, t = yield from self.machine.collectives.broadcast_y(
-            self.rank, root, payload, nbytes, self.clock, consume=consume,
-            origin=origin
-        )
-        self.clock = t
-        return data
-
-    def allreduce_y(self, value: Any, op: str, nbytes: int = 8,
-                    origin: Optional[str] = None
-                    ) -> Generator[None, None, Any]:
-        self._maybe_crash()
-        result, t = yield from self.machine.collectives.allreduce_y(
-            self.rank, value, op, nbytes, self.clock, origin=origin
-        )
-        self.clock = t
-        return result
-
-    def barrier_y(self, origin: Optional[str] = None
-                  ) -> Generator[None, None, None]:
-        self._maybe_crash()
-        self.clock = yield from self.machine.collectives.barrier_y(
-            self.rank, self.clock, origin=origin
-        )
-
-    def exchange_y(self, outgoing: dict[int, Any], nbytes_out: int,
-                   origin: Optional[str] = None
-                   ) -> Generator[None, None, dict[int, Any]]:
-        self._maybe_crash()
-        incoming, t = yield from self.machine.collectives.exchange_y(
-            self.rank, outgoing, nbytes_out, self.clock, origin=origin
-        )
-        self.clock = t
-        return incoming

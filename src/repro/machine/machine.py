@@ -2,16 +2,22 @@
 
 A :class:`Machine` runs the same node program (SPMD) on every simulated
 processor; each node sees a :class:`ProcContext` — its rank, virtual
-clock, and communication primitives.  The default backend is the
-single-threaded event loop (:mod:`repro.machine.event`);
-``scheduler="threads"`` selects the free-running thread-per-rank oracle.
-Both run the same node programs: generator functions that enter every
-operation that can block with ``yield from ctx.<op>_y(...)``.
-Exceptions on any node abort the whole run: the remaining ranks are
-signalled and raise at their next network operation, every node thread
-is joined with a bound, and the *first* failure by virtual time is
-re-raised on the caller's thread (secondary teardown aborts never shadow
-the primary error).
+clock, and communication primitives.  A scheduler *backend object*
+drives the ranks: the single-threaded event loop
+(:class:`~repro.machine.event.EventScheduler`, the default) or the
+free-running thread-per-rank oracle
+(:class:`~repro.machine.network.ThreadBackend`, ``scheduler="threads"``).
+Each provides one interface — ``Context`` (its :class:`ProcContext`
+subclass, holding the five blocking ops), ``network``, ``collectives``,
+``run_ranks(coros)``, ``finish(rank, clock, failed)``, ``fail()``,
+``report``, ``dispatches`` and ``switches`` — and :class:`Machine`
+names a backend only where it picks the class.  Both run the same node
+programs: generator functions that enter every operation that can block
+with ``yield from ctx.<op>_y(...)``; a plain callable is a program that
+never waits.  Exceptions on any node abort the whole run: the remaining
+ranks are signalled and raise at their next network operation, and the
+*first* failure by virtual time is re-raised on the caller's thread
+(secondary teardown aborts never shadow the primary error).
 
 Resilience hooks (each falls back to its ``REPRO_*`` setting when unset):
 
@@ -31,14 +37,8 @@ from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
 from .costmodel import CostModel, IPSC860
-from .deadlock import DeadlockDetector, DeadlockReport
+from .deadlock import AbortError, DeadlockReport, SimulationError
 from .faults import FaultPlan
-from .network import (
-    AbortError,
-    CollectiveContext,
-    Network,
-    SimulationError,
-)
 from .scheduler import resolve_scheduler
 from .stats import RunStats
 from .topology import Topology, resolve_topology
@@ -50,7 +50,16 @@ from ..settings import Settings
 
 
 class ProcContext:
-    """One node processor: rank, virtual clock, and communication ops.
+    """One node processor: rank, virtual clock, compute charges and
+    ``send``.  The blocking ops are the backend's: each backend's
+    ``Context`` subclass defines them as generators, entered with
+    ``yield from`` — ``recv_y(src, tag)`` (matched on ``(src, tag)``),
+    ``broadcast_y(root, payload, nbytes, consume=None)`` (*consume*
+    takes the data before any participant resumes, so the root may
+    pass a zero-copy view), ``allreduce_y(value, op)`` (op in sum / max
+    / min / maxloc, combined in rank order), ``barrier_y()`` and
+    ``exchange_y({dst: payload}, nbytes_out)`` (returns ``{src:
+    payload}``).
 
     Compute charges (``compute``/``loop_tick``/``guard_tick``) are
     *batched*: they accumulate exact integer counters and convert to
@@ -180,113 +189,34 @@ class ProcContext:
             self.rank, dst, tag, payload, nbytes, self.clock, origin=origin
         )
 
-    def recv(self, src: int, tag: int, origin: Optional[str] = None) -> Any:
-        self._maybe_crash()
-        payload, self.clock = self.machine.network.recv(
-            self.rank, src, tag, self.clock, origin=origin
-        )
-        return payload
 
-    # -- collectives ----------------------------------------------------------
+def _backend_class(scheduler: str) -> type:
+    """The backend object's class for a resolved scheduler name — the
+    one place the machine names a backend (imported here because both
+    backend modules build on :class:`ProcContext`)."""
+    if scheduler == "threads":
+        from .network import ThreadBackend
 
-    def broadcast(self, root: int, payload: Any, nbytes: int,
-                  consume: Any = None, origin: Optional[str] = None) -> Any:
-        self._maybe_crash()
-        data, self.clock = self.machine.collectives.broadcast(
-            self.rank, root, payload, nbytes, self.clock, consume=consume,
-            origin=origin
-        )
-        return data
+        return ThreadBackend
+    from .event import EventScheduler
 
-    def allreduce(self, value: Any, op: str, nbytes: int = 8,
-                  origin: Optional[str] = None) -> Any:
-        self._maybe_crash()
-        result, self.clock = self.machine.collectives.allreduce(
-            self.rank, value, op, nbytes, self.clock, origin=origin
-        )
-        return result
-
-    def barrier(self, origin: Optional[str] = None) -> None:
-        self._maybe_crash()
-        self.clock = self.machine.collectives.barrier(
-            self.rank, self.clock, origin=origin
-        )
-
-    def exchange(self, outgoing: dict[int, Any], nbytes_out: int,
-                 origin: Optional[str] = None) -> dict[int, Any]:
-        self._maybe_crash()
-        incoming, self.clock = self.machine.collectives.exchange(
-            self.rank, outgoing, nbytes_out, self.clock, origin=origin
-        )
-        return incoming
-
-    # -- the generator form node programs are written in ---------------------
-    #
-    # ``x = yield from ctx.recv_y(src, tag)`` runs unchanged on both
-    # backends.  On the event loop these suspend the rank
-    # (:class:`~repro.machine.event.EventProcContext`); on a rank's own
-    # thread the blocking call above simply waits, so each is a
-    # generator that never yields (the unreachable ``yield`` only makes
-    # it one).
-
-    def recv_y(self, src: int, tag: int, origin: Optional[str] = None
-               ) -> Generator[None, None, Any]:
-        return self.recv(src, tag, origin=origin)
-        yield
-
-    def broadcast_y(self, root: int, payload: Any, nbytes: int,
-                    consume: Any = None, origin: Optional[str] = None
-                    ) -> Generator[None, None, Any]:
-        return self.broadcast(root, payload, nbytes, consume=consume,
-                              origin=origin)
-        yield
-
-    def allreduce_y(self, value: Any, op: str, nbytes: int = 8,
-                    origin: Optional[str] = None
-                    ) -> Generator[None, None, Any]:
-        return self.allreduce(value, op, nbytes, origin=origin)
-        yield
-
-    def barrier_y(self, origin: Optional[str] = None
-                  ) -> Generator[None, None, None]:
-        return self.barrier(origin=origin)
-        yield
-
-    def exchange_y(self, outgoing: dict[int, Any], nbytes_out: int,
-                   origin: Optional[str] = None
-                   ) -> Generator[None, None, dict[int, Any]]:
-        return self.exchange(outgoing, nbytes_out, origin=origin)
-        yield
-
-
-def _run_to_completion(coro: Generator[None, None, None]) -> None:
-    """The synchronous driver of the ``threads`` backend: on a rank's
-    own thread every blocking op waits inline, so a node program runs
-    straight to ``StopIteration``.  A yield means it suspended without
-    the event loop to resume it; that is raised inside the program, at
-    the yield, so the run fails with the usual per-rank error report."""
-    try:
-        coro.send(None)
-        coro.throw(SimulationError(
-            "node program yielded on the threads backend, where "
-            "blocking operations never suspend"
-        ))
-    except StopIteration:
-        pass
+    return EventScheduler
 
 
 class Machine:
     """P simulated node processors plus network and collectives.
 
-    Two interchangeable backends drive the node programs (selected via
-    ``scheduler=`` / ``REPRO_SCHEDULER``, default ``event``):
+    Two interchangeable backend objects drive the node programs
+    (selected via ``scheduler=`` / ``REPRO_SCHEDULER``, default
+    ``event``):
 
-    * ``event`` — the event-driven rank state machine
-      (:mod:`repro.machine.event`): one rank executes at a time,
+    * ``event`` — :class:`~repro.machine.event.EventScheduler`, the
+      event-driven rank state machine: one rank executes at a time,
       dispatched in deterministic (virtual time, rank) order by a
       calendar heap over generator coroutines, with no threads, no
       locks and single-rendezvous collectives;
-    * ``threads`` — the free-running thread-per-rank oracle.
+    * ``threads`` — :class:`~repro.machine.network.ThreadBackend`, the
+      free-running thread-per-rank oracle.
 
     Results, virtual clocks, and message/byte statistics are
     bit-identical across backends (virtual time is dataflow-determined;
@@ -324,13 +254,6 @@ class Machine:
             s.scheduler if scheduler is None else scheduler)
         self.topology: Topology = resolve_topology(
             s.topology if topology is None else topology, nprocs)
-        if self.topology.contention and self.scheduler == "threads":
-            # link-contention arrival times depend on send order; the
-            # free-running thread backend has no deterministic one
-            raise ValueError(
-                "link contention requires a deterministic scheduler "
-                "(event), not threads"
-            )
         self.stats = RunStats(nprocs=nprocs, scheduler=self.scheduler,
                               topology=self.topology.describe())
         self.metrics = resolve_metrics(
@@ -357,41 +280,15 @@ class Machine:
                 self.tracer.meta["faults"] = str(self.faults)
         self.wire = Wire(nprocs, cost, self.stats, self.faults, self.tracer,
                          self.topology)
-        if self.scheduler == "event":
-            from .event import (
-                EventCollectives,
-                EventNetwork,
-                EventScheduler,
-            )
-
-            self.detector = None
-            self._sched = EventScheduler(nprocs, timeout_s,
-                                         tracer=self.tracer)
-            self.network = EventNetwork(self.wire, self._sched, timeout_s)
-            self.collectives = EventCollectives(self.wire, self._sched)
-            self._sched.network = self.network
-        else:
-            self._sched = None
-            self.detector = DeadlockDetector(nprocs)
-            self.network = Network(self.wire, timeout_s,
-                                   detector=self.detector)
-            self.collectives = CollectiveContext(
-                self.wire, timeout_s, detector=self.detector,
-                network=self.network,
-            )
-            self.detector.attach(self.network, self._declare_failure)
-
-    def _declare_failure(self, report: DeadlockReport) -> None:
-        """Deadlock declared: wake every blocked rank so the run tears
-        down (they raise DeadlockError/AbortError at their wait)."""
-        self.network.fail()
-        self.collectives.abort()
+        #: the scheduler backend object; ``network`` and ``collectives``
+        #: are its own, exposed here for the context ops
+        self.backend = _backend_class(self.scheduler)(self.wire, timeout_s)
+        self.network = self.backend.network
+        self.collectives = self.backend.collectives
 
     @property
     def deadlock_report(self) -> Optional[DeadlockReport]:
-        if self._sched is not None:
-            return self._sched.report
-        return self.detector.report
+        return self.backend.report
 
     def run(self, node_program: Callable[[ProcContext], Any]) -> list[Any]:
         """Run *node_program* on every node; returns per-rank results.
@@ -402,11 +299,10 @@ class Machine:
         that enters blocking operations with ``yield from
         ctx.recv_y(...)`` (also ``broadcast_y`` / ``allreduce_y`` /
         ``barrier_y`` / ``exchange_y``); a plain callable is accepted
-        as a program that never has to wait.  On failure the remaining ranks
-        are aborted at their next network operation, all node threads
-        are joined with a bound, and the first error *by virtual time*
-        is re-raised (teardown aborts are only raised when no primary
-        error exists).
+        as a program that never has to wait.  On failure the remaining
+        ranks are aborted at their next network operation and the first
+        error *by virtual time* is re-raised (teardown aborts are only
+        raised when no primary error exists).
         """
         t0 = time.perf_counter()
         failure: Optional[BaseException] = None
@@ -416,11 +312,10 @@ class Machine:
             failure = e
             raise
         finally:
-            sched = self._sched
             self.stats.record_run(
                 self.scheduler, time.perf_counter() - t0,
-                dispatches=sched.dispatches if sched else self.nprocs,
-                switches=sched.switches if sched else 0,
+                dispatches=self.backend.dispatches,
+                switches=self.backend.switches,
             )
             if self.metrics is not None:
                 record_run(self.metrics, self.scheduler, self.stats,
@@ -445,13 +340,8 @@ class Machine:
                 )
 
     def _run(self, node_program: Callable[[ProcContext], Any]) -> list[Any]:
-        if self.scheduler == "event":
-            from .event import EventProcContext
-
-            ctx_cls: Any = EventProcContext
-        else:
-            ctx_cls = ProcContext
-        contexts = [ctx_cls(r, self) for r in range(self.nprocs)]
+        backend = self.backend
+        contexts = [backend.Context(r, self) for r in range(self.nprocs)]
         if isinstance(node_program, (list, tuple)):
             if len(node_program) != self.nprocs:
                 raise ValueError(
@@ -482,49 +372,16 @@ class Machine:
                         (secondary, ctx.clock, ctx.rank, e,
                          traceback.format_exc())
                     )
-                self.network.fail()
-                # break the collective barrier so peers don't hang
-                self.collectives.abort()
+                # wake the blocked peers so they tear down
+                backend.fail()
             finally:
                 self.stats.record_proc_time(ctx.rank, ctx.clock)
                 self.stats.record_proc_work(ctx.rank, ctx.work)
                 # a finished/failed rank may leave peers unwakeable:
                 # both backends declare that deadlock immediately
-                if self._sched is not None:
-                    self._sched.finish(ctx.rank, ctx.clock, failed=failed)
-                else:
-                    self.detector.finish(ctx.rank, ctx.clock, failed=failed)
+                backend.finish(ctx.rank, ctx.clock, failed=failed)
 
-        leaked: list[str] = []
-        coros = [runner(c) for c in contexts]
-        if self._sched is not None:
-            self._sched.run_ranks(coros)
-        else:
-            threads = [
-                threading.Thread(
-                    target=_run_to_completion, args=(coro,),
-                    name=f"node-{rank}", daemon=True,
-                )
-                for rank, coro in enumerate(coros)
-            ]
-            for t in threads:
-                t.start()
-            # bounded join: every rank either finishes, or raises at its
-            # next network operation once a failure is declared
-            deadline = time.monotonic() + self.network.timeout_s + 10.0
-            for t in threads:
-                t.join(timeout=max(0.1, deadline - time.monotonic()))
-            leaked = [t.name for t in threads if t.is_alive()]
-            if leaked:  # pragma: no cover - defensive: should not happen
-                self.network.fail()
-                self.collectives.abort()
-                for t in threads:
-                    t.join(timeout=1.0)
-                leaked = [t.name for t in threads if t.is_alive()]
-        if leaked and not errors:  # pragma: no cover - defensive
-            raise SimulationError(
-                f"node threads failed to terminate: {leaked}"
-            )
+        backend.run_ranks([runner(c) for c in contexts])
         return self._raise_or_results(errors, results)
 
     def _raise_or_results(

@@ -1,14 +1,15 @@
-"""Message-passing network with virtual-time semantics.
+"""The ``threads`` backend: one OS thread per simulated rank.
 
 Point-to-point messages carry a payload plus the virtual time at which
 they become available at the receiver (sender clock at send + latency +
 bandwidth term).  A blocking receive matches on ``(src, tag)`` and
 advances the receiver's clock to ``max(own clock, arrival time)``.
 
-Threads provide the concurrency (one per simulated node); a condition
-variable per destination wakes blocked receivers.  Deadlocks (e.g. a
-miscompiled program receiving a message nobody sends) are detected
-*instantly* by the wait-for bookkeeping in
+Every rank runs its node program on its own thread, and a blocking
+operation waits inline: a condition variable per destination wakes
+blocked receivers, a ``threading.Barrier`` per rendezvous releases a
+collective.  Deadlocks (e.g. a miscompiled program receiving a message
+nobody sends) are detected *instantly* by the wait-for bookkeeping in
 :mod:`repro.machine.deadlock`: the moment every live rank is blocked
 with no in-flight message matching any awaited key, a
 :class:`DeadlockError` carrying a structured
@@ -19,9 +20,12 @@ safety net only.
 What a message or a collective *costs, records and traces* is not
 decided here: that is :mod:`repro.machine.wire`, shared with the event
 backend.  This module is the ``threads`` synchronisation discipline —
-queues under condition variables, a ``threading.Barrier`` per
-rendezvous, the wait-for-graph detector, failure propagation and the
-wall-clock timeouts — which is what makes it the differential oracle.
+queues under condition variables, the barrier, the wait-for-graph
+detector, failure propagation, the wall-clock timeouts and the rank
+threads themselves — which is what makes it the differential oracle.
+:class:`ThreadBackend` is the backend object ``Machine`` drives; the
+exceptions are defined in :mod:`repro.machine.deadlock` and importable
+from here.
 """
 
 from __future__ import annotations
@@ -29,31 +33,19 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from .deadlock import DeadlockDetector, DeadlockReport
+from .deadlock import (
+    AbortError,
+    DeadlockDetector,
+    DeadlockError,
+    DeadlockReport,
+    SimulationError,
+)
+from .machine import ProcContext
 
 if TYPE_CHECKING:
     from .wire import Wire, _Message
-
-
-class SimulationError(Exception):
-    """Deadlock or protocol error inside the simulated machine."""
-
-    report: Optional[DeadlockReport] = None
-
-
-class DeadlockError(SimulationError):
-    """Deadlock detected; ``report`` carries the structured diagnosis."""
-
-    def __init__(self, msg: str, report: Optional[DeadlockReport] = None):
-        super().__init__(msg)
-        self.report = report
-
-
-class AbortError(SimulationError):
-    """Secondary failure: this rank was torn down because another rank
-    failed first (the primary error is re-raised by ``Machine.run``)."""
 
 
 class Network:
@@ -68,12 +60,8 @@ class Network:
     receiver once per unrelated message.
     """
 
-    def __init__(
-        self,
-        wire: "Wire",
-        timeout_s: float,
-        detector: Optional[DeadlockDetector] = None,
-    ) -> None:
+    def __init__(self, wire: "Wire", timeout_s: float,
+                 detector: DeadlockDetector) -> None:
         self.wire = wire
         self.nprocs = nprocs = wire.nprocs
         self.timeout_s = timeout_s
@@ -100,7 +88,7 @@ class Network:
     def _failure_error(self, dst: int, src: int, tag: int) -> SimulationError:
         """The error a torn-down rank raises: the deadlock diagnosis if
         one was declared, a secondary abort otherwise."""
-        rep = self.detector.report if self.detector is not None else None
+        rep = self.detector.report
         if rep is not None:
             return DeadlockError(
                 f"deadlock: {rep.reason}\n{rep.describe()}", rep
@@ -160,8 +148,7 @@ class Network:
             # This raises DeadlockError right here when this rank's
             # transition completes a deadlock.
             try:
-                if self.detector is not None:
-                    self.detector.block_recv(dst, key, now)
+                self.detector.block_recv(dst, key, now)
                 remaining = deadline - time.monotonic()
                 with cond:
                     if not self._queues[dst].get(key) \
@@ -170,8 +157,7 @@ class Network:
                     else:
                         arrived = True
             finally:
-                if self.detector is not None:
-                    self.detector.unblock(dst)
+                self.detector.unblock(dst)
                 with cond:
                     self._waiting[dst] = None
             if not arrived:
@@ -183,15 +169,10 @@ class Network:
                     f"{self.timeout_s:.1f}s for message (src={src}, "
                     f"tag={tag}) that never arrived"
                 )
-                rep = self.detector.snapshot(reason) \
-                    if self.detector is not None else None
-                raise DeadlockError(f"deadlock: {reason}", rep)
+                raise DeadlockError(f"deadlock: {reason}",
+                                    self.detector.snapshot(reason))
 
     # -- introspection -------------------------------------------------------
-
-    def pending(self, dst: int) -> int:
-        with self._conds[dst]:
-            return sum(len(q) for q in self._queues[dst].values())
 
     def has_pending(self, dst: int, key: tuple[int, int]) -> bool:
         """True when an undelivered message matches *key* at *dst*."""
@@ -220,10 +201,8 @@ class CollectiveContext:
     participant then settles its own clock (:meth:`Wire.settle`).
     """
 
-    def __init__(self, wire: "Wire",
-                 timeout_s: float,
-                 detector: Optional[DeadlockDetector] = None,
-                 network: Optional[Network] = None) -> None:
+    def __init__(self, wire: "Wire", timeout_s: float,
+                 detector: DeadlockDetector, network: Network) -> None:
         self.wire = wire
         self.timeout_s = timeout_s
         self.detector = detector
@@ -236,8 +215,7 @@ class CollectiveContext:
         detector release comes first so a rank finishing right after the
         rendezvous cannot observe stale blocked states and cry
         deadlock."""
-        if self.detector is not None:
-            self.detector.release_collective()
+        self.detector.release_collective()
         self.wire.close_round()
 
     def abort(self) -> None:
@@ -248,9 +226,7 @@ class CollectiveContext:
             pass
 
     def _failure_error(self, rank: int, label: str) -> SimulationError:
-        rep = None
-        if self.detector is not None:
-            rep = self.detector.report
+        rep = self.detector.report
         if rep is not None:
             return DeadlockError(
                 f"deadlock: {rep.reason}\n{rep.describe()}", rep
@@ -260,52 +236,168 @@ class CollectiveContext:
             f"(a peer failed or deadlocked)"
         )
 
-    def _collective(self, rank: int, label: str, now: float,
-                    origin: Optional[str], param: Any = None,
-                    value: Any = None, nbytes: int = 0,
-                    consume: Any = None) -> tuple[Any, float]:
-        """One rendezvous: deposit, wait for every rank, settle."""
+    def collective(self, rank: int, label: str, now: float,
+                   origin: Optional[str], param: Any = None,
+                   value: Any = None, nbytes: int = 0,
+                   consume: Any = None) -> tuple[Any, float]:
+        """One rendezvous: deposit, wait for every rank, settle;
+        returns (result, new clock)."""
         with self._lock:
             self.wire.join(rank, label, now, param, value, nbytes, consume)
-        if self.network is not None and self.network.failing():
+        if self.network.failing():
             raise self._failure_error(rank, label)
         try:
-            if self.detector is not None:
-                self.detector.block_collective(rank, label, now)
+            self.detector.block_collective(rank, label, now)
             try:
                 self._barrier.wait(timeout=self.timeout_s)
             finally:
-                if self.detector is not None:
-                    self.detector.unblock(rank)
+                self.detector.unblock(rank)
         except threading.BrokenBarrierError:
             raise self._failure_error(rank, label) from None
         return self.wire.settle(rank, now, origin)
 
-    def broadcast(self, rank: int, root: int, payload: Any, nbytes: int,
-                  now: float, consume: Any = None,
-                  origin: Optional[str] = None) -> tuple[Any, float]:
-        """All nodes call; returns (payload, new clock).  *consume* (a
-        callable taking the broadcast data) runs before any participant
-        resumes, so the root may pass a zero-copy view as *payload*."""
-        return self._collective(rank, "bcast", now, origin, root,
-                                payload, nbytes, consume)
 
-    def allreduce(self, rank: int, value: Any, op: str, nbytes: int,
-                  now: float,
-                  origin: Optional[str] = None) -> tuple[Any, float]:
-        """Combining all-reduce; op in {"sum", "max", "min", "maxloc"},
-        combined in rank order (deterministic floating point)."""
-        return self._collective(rank, "reduce", now, origin, op,
-                                value, nbytes)
+class ThreadProcContext(ProcContext):
+    """Node-processor context for the ``threads`` backend.  On a rank's
+    own thread every blocking op waits inline, so each ``*_y`` op is a
+    generator that never yields (the unreachable ``yield`` only makes it
+    one) and ``yield from ctx.recv_y(...)`` runs unchanged on both
+    backends."""
 
-    def barrier(self, rank: int, now: float,
-                origin: Optional[str] = None) -> float:
-        return self._collective(rank, "barrier", now, origin)[1]
+    def recv_y(self, src: int, tag: int, origin: Optional[str] = None
+               ) -> Generator[None, None, Any]:
+        self._maybe_crash()
+        payload, self.clock = self.machine.network.recv(
+            self.rank, src, tag, self.clock, origin=origin
+        )
+        return payload
+        yield
 
-    def exchange(self, rank: int, outgoing: dict[int, Any], nbytes_out: int,
-                 now: float,
-                 origin: Optional[str] = None) -> tuple[dict[int, Any], float]:
-        """All-to-all personalized exchange (used by the remap runtime):
-        each node contributes {dst: payload}; receives {src: payload}."""
-        return self._collective(rank, "exchange", now, origin, None,
-                                outgoing, nbytes_out)
+    def broadcast_y(self, root: int, payload: Any, nbytes: int,
+                    consume: Any = None, origin: Optional[str] = None
+                    ) -> Generator[None, None, Any]:
+        self._maybe_crash()
+        data, self.clock = self.machine.collectives.collective(
+            self.rank, "bcast", self.clock, origin, root, payload, nbytes,
+            consume
+        )
+        return data
+        yield
+
+    def allreduce_y(self, value: Any, op: str, nbytes: int = 8,
+                    origin: Optional[str] = None
+                    ) -> Generator[None, None, Any]:
+        self._maybe_crash()
+        result, self.clock = self.machine.collectives.collective(
+            self.rank, "reduce", self.clock, origin, op, value, nbytes
+        )
+        return result
+        yield
+
+    def barrier_y(self, origin: Optional[str] = None
+                  ) -> Generator[None, None, None]:
+        self._maybe_crash()
+        _none, self.clock = self.machine.collectives.collective(
+            self.rank, "barrier", self.clock, origin
+        )
+        return
+        yield
+
+    def exchange_y(self, outgoing: dict[int, Any], nbytes_out: int,
+                   origin: Optional[str] = None
+                   ) -> Generator[None, None, dict[int, Any]]:
+        self._maybe_crash()
+        incoming, self.clock = self.machine.collectives.collective(
+            self.rank, "exchange", self.clock, origin, None, outgoing,
+            nbytes_out
+        )
+        return incoming
+        yield
+
+
+def _run_to_completion(coro: Generator[None, None, None]) -> None:
+    """A rank thread's driver: every blocking op waits inline, so a node
+    program runs straight to ``StopIteration``.  A yield means it
+    suspended with no event loop to resume it; that is raised inside the
+    program, at the yield, so the run fails with the usual per-rank
+    error report."""
+    try:
+        coro.send(None)
+        coro.throw(SimulationError(
+            "node program yielded on the threads backend, where "
+            "blocking operations never suspend"
+        ))
+    except StopIteration:
+        pass
+
+
+class ThreadBackend:
+    """The ``threads`` backend object: the free-running thread-per-rank
+    oracle.  It owns the blocking :class:`Network` and
+    :class:`CollectiveContext`, the wait-for-graph
+    :class:`~repro.machine.deadlock.DeadlockDetector` they report to,
+    and the rank threads (start, bounded join, leak report)."""
+
+    Context = ThreadProcContext
+
+    def __init__(self, wire: "Wire", timeout_s: float) -> None:
+        if wire.topo.contention:
+            # link-contention arrival times depend on send order; the
+            # free-running thread backend has no deterministic one
+            raise ValueError(
+                "link contention requires a deterministic scheduler "
+                "(event), not threads"
+            )
+        #: every rank is dispatched once, onto its own thread
+        self.dispatches = wire.nprocs
+        self.switches = 0
+        self._any_failed = False
+        self.detector = DeadlockDetector(wire.nprocs)
+        self.network = Network(wire, timeout_s, self.detector)
+        self.collectives = CollectiveContext(wire, timeout_s, self.detector,
+                                             self.network)
+        # a declared deadlock wakes every blocked rank so the run tears
+        # down (they raise DeadlockError/AbortError at their wait)
+        self.detector.attach(self.network, lambda _report: self.fail())
+
+    @property
+    def report(self) -> Optional[DeadlockReport]:
+        return self.detector.report
+
+    def fail(self) -> None:
+        """Wake every blocked receiver and break the collective barrier
+        so no peer hangs after a failure."""
+        self.network.fail()
+        self.collectives.abort()
+
+    def finish(self, rank: int, clock: float, failed: bool = False) -> None:
+        """Rank left its node program; a deadlock this exposes is
+        declared at once (see :meth:`DeadlockDetector.finish`)."""
+        if failed:
+            self._any_failed = True
+        self.detector.finish(rank, clock, failed=failed)
+
+    def run_ranks(self, coros: list[Any]) -> None:
+        """One thread per rank coroutine, joined with a bound: every rank
+        either finishes, or raises at its next network operation once a
+        failure is declared."""
+        threads = [
+            threading.Thread(target=_run_to_completion, args=(coro,),
+                             name=f"node-{rank}", daemon=True)
+            for rank, coro in enumerate(coros)
+        ]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + self.network.timeout_s + 10.0
+        for t in threads:
+            t.join(timeout=max(0.1, deadline - time.monotonic()))
+        leaked = [t.name for t in threads if t.is_alive()]
+        if leaked:  # pragma: no cover - defensive: should not happen
+            self.fail()
+            for t in threads:
+                t.join(timeout=1.0)
+            leaked = [t.name for t in threads if t.is_alive()]
+        if leaked and not self._any_failed:  # pragma: no cover - defensive
+            raise SimulationError(
+                f"node threads failed to terminate: {leaked}"
+            )

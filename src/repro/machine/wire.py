@@ -26,7 +26,7 @@ from typing import Any, Optional
 
 from .costmodel import CostModel
 from .faults import FaultPlan
-from .network import SimulationError
+from .deadlock import SimulationError
 from .stats import RunStats
 from .topology import LinkClock, Topology
 

@@ -1,7 +1,10 @@
 """Tests for the simulated MIMD machine: network, collectives, timing,
 instant deadlock diagnosis, and deterministic fault injection."""
 
+import ast
+import inspect
 import os
+import textwrap
 import threading
 import time
 
@@ -15,6 +18,7 @@ from repro.machine import (
     CostModel,
     FaultPlan,
     Machine,
+    ProcContext,
     SimulationError,
 )
 from repro.settings import Settings
@@ -468,34 +472,20 @@ class TestNodeProgramForms:
         assert m.stats.scheduler == scheduler
         assert threading.active_count() == before
 
-    def test_plain_callable_that_must_wait_is_refused_on_event(self):
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_plain_callable_that_never_waits_runs_on_both_backends(
+            self, scheduler):
         def prog(ctx):
-            if ctx.rank == 0:
-                return ctx.recv(1, 0)  # rank 1 has not run yet
-            ctx.send(0, 0, "late", 8)
-
-        before = threading.active_count()
-        with pytest.raises(SimulationError) as ei:
-            Machine(2, FREE, scheduler="event").run(prog)
-        msg = str(ei.value)
-        assert "blocking operation outside the event loop" in msg
-        assert "recv_y" in msg and "[node 0]" in msg
-        assert threading.active_count() == before
-
-    def test_plain_callable_that_never_waits_runs_on_event(self):
-        def prog(ctx):
+            ctx.compute(ctx.rank + 1)
             if ctx.rank == 0:
                 ctx.send(1, 0, "early", 8)
-                return None
-            return ctx.recv(0, 0)  # already queued: rank 0 ran first
+            return ctx.rank
 
-        assert Machine(2, FREE, scheduler="event").run(prog) == [
-            None, "early"]
-
-    def test_sync_collective_is_refused_on_event(self):
-        with pytest.raises(SimulationError, match="barrier_y"):
-            Machine(2, FREE, scheduler="event").run(
-                lambda ctx: ctx.barrier())
+        m = Machine(2, FREE, scheduler=scheduler)
+        assert m.run(prog) == [0, 1]
+        assert m.stats.messages == 1
+        assert m.stats.proc_work == {0: 1, 1: 2}
+        assert not node_threads()
 
     def test_yield_on_threads_is_an_error(self):
         def prog(ctx):
@@ -746,3 +736,80 @@ def test_one_wire_model_site():
             text = fh.read()
         found = [n for n in needles if n in text]
         assert found == (list(needles) if name == "wire.py" else []), name
+
+
+#: the blocking ops; each backend's ``Context`` defines the ``_y`` forms
+BLOCKING_OPS = ("recv", "broadcast", "allreduce", "barrier", "exchange")
+#: the backend-object interface ``Machine`` calls
+BACKEND_INTERFACE = ("Context", "network", "collectives", "run_ranks",
+                     "finish", "fail", "report", "dispatches", "switches")
+#: names of one backend's parts, and of the machine-side helpers the
+#: backend objects replaced
+BACKEND_PARTS = {"EventScheduler", "EventProcContext", "EventNetwork",
+                 "EventCollectives", "ThreadBackend", "ThreadProcContext",
+                 "Network", "CollectiveContext", "DeadlockDetector",
+                 "_sched", "detector", "_declare_failure",
+                 "_run_to_completion"}
+
+
+def _backend_branches(source: str) -> list[str]:
+    """What in *source* names one backend or branches on which one runs:
+    a scheduler name, a backend part, a comparison of the scheduler or
+    the backend object, or a type test of the backend object."""
+
+    def about_backend(node: ast.AST) -> bool:
+        return any(isinstance(n, ast.Attribute)
+                   and n.attr in ("scheduler", "backend")
+                   or isinstance(n, ast.Name) and n.id == "backend"
+                   for n in ast.walk(node))
+
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, ast.Constant) \
+                and node.value in SCHEDULER_SPELLINGS:
+            found.append(repr(node.value))
+        elif isinstance(node, ast.Name) and node.id in BACKEND_PARTS:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in BACKEND_PARTS:
+            found.append(node.attr)
+        elif isinstance(node, ast.Compare) and about_backend(node):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("isinstance", "hasattr", "type") \
+                and about_backend(node):
+            found.append(ast.unparse(node))
+    return found
+
+
+class TestOneBackendInterface:
+    """The machine layer keeps one copy of each blocking op per backend
+    and one interface between ``Machine`` and its backend object."""
+
+    def test_proc_context_defines_no_blocking_op(self):
+        for op in BLOCKING_OPS:
+            assert not hasattr(ProcContext, op), op
+            assert not hasattr(ProcContext, op + "_y"), op
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_backend_exposes_the_whole_interface(self, scheduler):
+        backend = Machine(2, FREE, scheduler=scheduler).backend
+        for name in BACKEND_INTERFACE:
+            assert hasattr(backend, name), (scheduler, name)
+        assert issubclass(backend.Context, ProcContext)
+        for op in BLOCKING_OPS:
+            assert not hasattr(backend.Context, op), (scheduler, op)
+            assert inspect.isgeneratorfunction(
+                getattr(backend.Context, op + "_y")), (scheduler, op)
+
+    def test_machine_names_no_backend(self):
+        source = inspect.getsource(Machine)
+        assert _backend_branches(source) == []
+        # the check sees a branch reintroduced in Machine._run
+        anchor = "        backend.run_ranks("
+        assert anchor in source
+        for branch in ('if self.scheduler == "event":',
+                       "if isinstance(backend, EventScheduler):",
+                       'if hasattr(backend, "detector"):'):
+            mutated = source.replace(
+                anchor, f"        {branch}\n            pass\n{anchor}", 1)
+            assert _backend_branches(mutated), branch

@@ -43,7 +43,12 @@ def shift_program(draw):
     n = draw(st.integers(min_value=12, max_value=60))
     P = draw(st.integers(min_value=2, max_value=4))
     dist = draw(st.sampled_from(["block", "cyclic"]))
-    delta = draw(st.integers(min_value=-4, max_value=4))
+    # shifts that communicate first; the local ones (0, and a multiple
+    # of P under cyclic) stay reachable
+    shifts = [1, -1, 2, -2, 3, -3, 4, -4]
+    local = [0] + [d for d in shifts if dist == "cyclic" and d % P == 0]
+    delta = draw(st.sampled_from(
+        [d for d in shifts if d not in local] + local))
     same_array = draw(st.booleans())
     via_call = draw(st.booleans())
     lo = max(1, 1 - delta)
@@ -93,7 +98,9 @@ def two_phase_program(draw):
     n = draw(st.integers(min_value=8, max_value=40))
     P = draw(st.integers(min_value=2, max_value=4))
     d1 = draw(st.sampled_from(["block", "cyclic"]))
-    d2 = draw(st.sampled_from(["block", "cyclic"]))
+    # mostly a real redistribution; keeping the layout stays reachable
+    other = "cyclic" if d1 == "block" else "block"
+    d2 = draw(st.sampled_from([other, other, other, d1]))
     scale1 = draw(st.integers(min_value=1, max_value=5))
     steps = draw(st.integers(min_value=1, max_value=3))
     src = (
@@ -291,10 +298,19 @@ SWEEP = settings.get_current_profile_name() == "sweep"
 ENGINE_EXAMPLES = 1000 if SWEEP else 60
 
 
-@given(st.one_of(
+#: examples of the scheduler differential, the same way; its sweep count
+#: keeps its share of the CI "Seed sweep" step near 20 s as well
+SCHEDULER_EXAMPLES = 1000 if SWEEP else 20
+
+#: ``(source, P)`` of a generated communicating program (local updates
+#: stay reachable)
+GENERATED = st.one_of(
     shift_program().map(lambda case: (case[0], case[2])),
     two_phase_program(), reduction_program(), condition_program(),
-))
+)
+
+
+@given(GENERATED)
 @settings(max_examples=ENGINE_EXAMPLES, deadline=None, derandomize=not SWEEP,
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_programs_engines_agree(case):
@@ -306,3 +322,29 @@ def test_random_programs_engines_agree(case):
     for mode in (Mode.INTER, Mode.RTR):
         cp = compile_program(src, Options(nprocs=P, mode=mode))
         assert_bit_identical(cp)
+
+
+@given(GENERATED)
+@settings(max_examples=SCHEDULER_EXAMPLES, deadline=None,
+          derandomize=not SWEEP, suppress_health_check=[HealthCheck.too_slow])
+def test_random_programs_schedulers_agree(case):
+    """The event loop and the thread oracle agree on generated programs
+    run as generated code: arrays, scalars, prints and the statistics a
+    backend could perturb (messages, bytes, collectives, per-rank clocks
+    and work), bit for bit."""
+    src, P = case
+    for mode in (Mode.INTER, Mode.RTR):
+        cp = compile_program(src, Options(nprocs=P, mode=mode))
+        ev, th = (cp.run(codegen=True, scheduler=name, timeout_s=60)
+                  for name in ("event", "threads"))
+        for f in ("messages", "bytes", "collectives", "proc_times",
+                  "proc_work"):
+            assert getattr(th.stats, f) == getattr(ev.stats, f), \
+                (mode, f, src)
+        # ranks append their prints as they finish, in backend order
+        assert sorted(th.prints) == sorted(ev.prints), (mode, src)
+        for rk, (ft, fe) in enumerate(zip(th.frames, ev.frames)):
+            assert ft.scalars == fe.scalars, (mode, rk, src)
+            for name, arr in fe.arrays.items():
+                assert np.array_equal(ft.arrays[name].data, arr.data,
+                                      equal_nan=True), (mode, rk, name, src)

@@ -31,6 +31,7 @@ from repro.apps.dgefa import (
 from repro.apps.paper_figures import fig1_source, fig4_source, fig15_source
 from repro.apps.stencil import stencil1d_source, stencil2d_source
 from repro.apps.wave import wave_source
+from repro.codegen import get_generated
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
 from repro.interp import run_spmd
@@ -380,6 +381,24 @@ def test_adi_sweeps_run_as_outer_blocks():
     assert len(blocks(dgefa_source(32), make_dgefa_init(32))) == 518
     assert len(blocks(wave_source(256, 8))) == 68
     assert len(blocks(stencil2d_source(64, 4))) == 1984
+
+
+def test_block_computes_each_offset_once():
+    """A block computes each distinct non-loop-axis offset once per inner
+    iteration: ADI's sweeps read ``a(:, j)`` twice and ``a(:, j - 1)``
+    once, so each sweep's inner loop makes two ``_offset`` calls, not
+    three, and still runs bit-identical to the scalar interpreter."""
+    cp = compile_program(adi_source(32, 2), Options(nprocs=4))
+    gen, _, _ = get_generated(cp.program, 4, True)
+    sweeps = [text for text in gen.dump().split("\ndef ")
+              if text.startswith(("_u_rowsweep(", "_u_colsweep("))]
+    assert len(sweeps) == 2 * len(gen.modules)
+    for text in sweeps:
+        body = [line.strip() for line in text.splitlines()
+                if "_offset(" in line and "ax_slice" not in line]
+        assert len(body) == 2 and len(set(body)) == 2, body
+        assert all(line.startswith("_t") for line in body), body
+    assert_bit_identical(cp)
 
 
 def test_loop_bounds_evaluated_once_when_block_falls_back():
