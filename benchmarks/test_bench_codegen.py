@@ -2,7 +2,7 @@
 
 Not a paper figure — this measures the simulator itself.  The codegen
 backend (``repro.codegen``) emits one straight-line numpy Python module
-per rank class and caches it on disk, replacing the closure-tree
+that every rank runs and caches it on disk, replacing the closure-tree
 interpreter walk at run time.  This bench reports end-to-end wall-clock
 on the paper's applications for the two engines — the scalar
 interpreter and generated modules — plus a cold/warm generation-cache
@@ -31,7 +31,7 @@ from repro.apps.cg import cg_source
 from repro.apps.dgefa import dgefa_source, make_dgefa_init
 from repro.apps.stencil import stencil1d_source
 from repro.apps.wave import wave_source
-from repro.codegen import GEN_COUNTS, get_generated, rank_classes, reset_memory
+from repro.codegen import GEN_COUNTS, get_generated, reset_memory
 from repro.core import Mode, Options, compile_program
 
 from _harness import emit_bench
@@ -94,18 +94,17 @@ def measured(tmp_path_factory):
     # cold / warm generation-cache series on the adi program (the
     # largest generated modules): cold = emit + compile + store, warm
     # disk = load + compile only, warm memo = per-procedure unit-memo
-    # lookups plus assembly of the rank-class tables.  The
+    # lookups plus assembly of the module's tables.  The
     # acceptance criterion is that warm runs *generate nothing*.
     cachedir = tmp_path_factory.mktemp("codegen-cache")
     prog = cps["adi"][0].program
     old = os.environ.get("REPRO_CODEGEN_CACHE")
     os.environ["REPRO_CODEGEN_CACHE"] = str(cachedir)
     try:
-        nclasses = len(rank_classes(P))
         reset_memory()
         g0 = dict(GEN_COUNTS)
         t0 = time.perf_counter()
-        _, hits_c, miss_c = get_generated(prog, P, True)
+        gen, hits_c, miss_c = get_generated(prog, P, True)
         t_cold = time.perf_counter() - t0
         gen_cold = GEN_COUNTS["generated"] - g0["generated"]
 
@@ -127,7 +126,7 @@ def measured(tmp_path_factory):
         reset_memory()
 
     cache = {
-        "rank_classes": nclasses,
+        "modules": len(gen.modules),
         "cold_s": t_cold,
         "warm_disk_s": t_disk,
         "warm_memo_s": t_memo,
@@ -199,7 +198,7 @@ def test_bench_codegen_cache(benchmark, measured, paper_table):
     )
     _report(benchmark, measured, paper_table)
     c = measured["cache"]
-    n = c["rank_classes"]
+    n = c["modules"]
     assert c["cold_generated"] == n and c["cold_misses"] == n
     # warm runs skip generation entirely: everything loads from disk
     assert c["warm_disk_generated"] == 0

@@ -156,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-codegen", dest="codegen", action="store_false",
                    help="force the closure-tree interpreter")
     p.add_argument("--codegen-dump", metavar="FILE",
-                   help="write the generated node-program source for "
-                        "every rank class to FILE ('-' for stdout)")
+                   help="write the generated node-program source, "
+                        "one module every rank runs, to FILE ('-' for "
+                        "stdout)")
     p.add_argument("--server", metavar="WHERE", default=None,
                    help="compile via a running 'fdc serve' daemon: "
                         "'off', 'auto' (per-user default socket), or "
@@ -365,8 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             with open(args.codegen_dump, "w") as f:
                 f.write(dump)
-            print(f"! codegen: {len(gen.modules)} rank-class modules -> "
-                  f"{args.codegen_dump}")
+            print(f"! codegen: node-program module -> {args.codegen_dump}")
 
     if args.localize:
         try:

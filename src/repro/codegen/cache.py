@@ -8,21 +8,17 @@ Layout: one ``.py`` file per *unit key* under ``$REPRO_CODEGEN_CACHE``
         07be…5d-4-vec.py
 
 The unit key (:func:`unit_key`) covers everything a procedure's
-generated text depends on: the generator version, ``nprocs`` (the rank
-classes), ``vectorize``, whether the procedure itself may block, for
-every procedure it calls or references that procedure's kind and
-whether *it* may block, and the compiled procedure itself.  The stem is
-``<unit key>-<nprocs>-<vec|novec>``.  An entry's first line is a header
-comment repeating the stem; below it come the procedure's *variants* —
-one text shared by every rank class when no processor-identity guard
-could be decided, else one per group of classes that print the same
-text, with a demoted class recorded by its cause — and an end marker,
-so a truncated entry never passes for a short procedure::
+generated text depends on: the generator version, ``nprocs`` (which
+processor-identity guards fold), ``vectorize``, whether the procedure
+itself may block, for every procedure it calls or references that
+procedure's kind and whether *it* may block, and the compiled procedure
+itself.  The stem is ``<unit key>-<nprocs>-<vec|novec>``.  An entry's
+first line is a header comment repeating the stem; below it comes the
+procedure's one text, which every rank runs — or, where it demoted to
+the interpreter, its cause — and an end marker, so a truncated entry
+never passes for a short procedure::
 
-    # repro-codegen 6 a3f9…c1-4-vec
-    #@ lo
-    def _u_relax(rt, fr): ...
-    #@ mid hi
+    # repro-codegen 8 a3f9…c1-4-vec
     def _u_relax(rt, fr): ...
     #@ end
 
@@ -35,27 +31,17 @@ from __future__ import annotations
 
 import ast
 import hashlib
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..cas import TEXT, Cas
 from ..settings import Settings
 
 #: bump when the generated-code shape changes; stale entries then
 #: fail the header check and regenerate
-GEN_VERSION = "7"
+GEN_VERSION = "8"
 
-_MARK = "\n#@ "
-_END = _MARK + "end\n"
-_DEMOTED = " demoted "
-
-
-class Variant(NamedTuple):
-    """What one or more rank classes run for a procedure: its generated
-    *text*, or the *cause* it demoted to the interpreter."""
-
-    classes: tuple[str, ...]
-    text: Optional[str]
-    cause: Optional[str]
+_END = "\n#@ end\n"
+_DEMOTED = "#@ demoted "
 
 
 def _digest(*parts: str) -> str:
@@ -85,32 +71,25 @@ def entry_path(stem: str) -> str:
     return cas().path(stem)
 
 
-def encode_entry(store: Cas, stem: str, variants: list[Variant]) -> str:
-    """The entry *store* keeps for *stem* (the caller resolved the store
-    once, not once per procedure)."""
-    out = [entry_header(stem, store)]
-    for v in variants:
-        names = " ".join(v.classes)
-        out.append(f"{_MARK}{names}{_DEMOTED}{v.cause!r}" if v.text is None
-                   else f"{_MARK}{names}\n{v.text}")
-    return "".join(out) + _END
+def encode_entry(store: Cas, stem: str, text: Optional[str],
+                 cause: Optional[str]) -> str:
+    """The entry *store* keeps for *stem*: the procedure's *text*, or
+    the *cause* it demoted (the caller resolved the store once, not
+    once per procedure)."""
+    body = text if cause is None else f"{_DEMOTED}{cause!r}"
+    return f"{entry_header(stem, store)}\n{body}{_END}"
 
 
-def decode_entry(payload: str) -> list[Variant]:
-    """Inverse of :func:`encode_entry`; raises on anything else (the
-    header was checked by the store)."""
+def decode_entry(payload: str) -> tuple[Optional[str], Optional[str]]:
+    """Inverse of :func:`encode_entry`: ``(text, None)`` or ``(None,
+    cause)``; raises on anything else (the header was checked by the
+    store)."""
     if not payload.endswith(_END):
         raise ValueError("truncated entry")
-    variants = []
-    for chunk in payload[:-len(_END)].split(_MARK)[1:]:
-        head, _, text = chunk.partition("\n")
-        names, demoted, cause = head.partition(_DEMOTED)
-        if demoted:
-            variants.append(Variant(tuple(names.split()), None,
-                                    ast.literal_eval(cause)))
-        else:
-            variants.append(Variant(tuple(names.split()), text, None))
-    return variants
+    _, _, body = payload[:-len(_END)].partition("\n")
+    if body.startswith(_DEMOTED):
+        return None, ast.literal_eval(body[len(_DEMOTED):])
+    return body, None
 
 
 #: one store per directory seen: ``REPRO_CODEGEN_CACHE`` may change

@@ -8,10 +8,11 @@ explicit ``send/recv/bcast/allreduce/remap`` calls at the placements the
 compiler chose.  The **procedure** is the emitted unit
 (:func:`emit_unit`): its text depends on nothing but its own key (see
 :func:`repro.codegen.cache.unit_key`), so no emitter state outlives one
-procedure.  It is printed per **rank class** (lo / mid / hi — see
-:func:`repro.codegen.rank_classes`) only when a processor-identity
-guard like ``if (my$p .eq. 0)`` folds away for some class; otherwise
-one text serves every rank.
+procedure.  It is printed once, for every rank ``0..P-1``: a
+processor-identity guard like ``if (my$p .eq. 0)`` folds away only
+when it holds the same for all of them (at ``P = 1``, every such guard)
+and otherwise stays a run-time ``if``, as in the paper's one SPMD node
+program.
 
 Each procedure is one function: a generator ``fn(rt, fr)`` that
 yields at exactly the interpreter's suspension points when it may
@@ -51,7 +52,6 @@ from ..runtime.node import (
     _count_ops,
     scalar_type,
 )
-from .cache import Variant
 from .vectorize import (
     MIN_BLOCK,
     LoopPlan,
@@ -131,52 +131,34 @@ def emit_unit(
     callees: tuple[tuple[str, str, bool], ...],
     blocks: bool,
     vectorize: bool,
-    classes: list[tuple[str, int, int]],
-) -> list[Variant]:
-    """Generate procedure *unit* for every rank class of *classes*
-    (:func:`repro.codegen.rank_classes` rows).
+    nprocs: int,
+) -> tuple[Optional[str], Optional[str]]:
+    """Generate procedure *unit* for ranks ``0..nprocs-1``: its text
+    and None, or None and the cause it demoted.
 
     The result depends on the arguments alone — they are what
     :func:`repro.codegen.cache.unit_key` hashes: *facts* is derived
     from *unit*, *callees* is the sorted ``(name, kind, may block)`` row
     of every procedure it calls or references, *blocks* says whether it
-    may suspend itself.  A procedure whose emission never compared the
-    rank with a constant is emitted once, for all classes; otherwise
-    each class is attempted on its own (a guard folded away for one
-    class may hide a statement that demotes another) and classes that
-    print the same text share one variant."""
-    names = tuple(cls for cls, _, _ in classes)
-    outcomes: list[tuple[Optional[str], Optional[str]]] = []
-    for _, rlo, rhi in classes:
-        fn = _FnEmitter(unit, facts, callees, blocks, vectorize, rlo, rhi)
-        try:
-            outcomes.append((fn.emit(), None))
-        except Unsupported as ex:
-            outcomes.append((None, str(ex)))
-        except Exception as ex:  # defensive: demote, never fail
-            outcomes.append((None, f"internal: {type(ex).__name__}: {ex}"))
-        if not fn.rank_sensitive:
-            # nothing read the rank interval: every class ends the same
-            return [Variant(names, *outcomes[-1])]
-    groups: dict[tuple, list[str]] = {}
-    for cls, outcome in zip(names, outcomes):
-        groups.setdefault(outcome, []).append(cls)
-    return [Variant(tuple(group), *outcome)
-            for outcome, group in groups.items()]
+    may suspend itself."""
+    fn = _FnEmitter(unit, facts, callees, blocks, vectorize, 0, nprocs - 1)
+    try:
+        return fn.emit(), None
+    except Unsupported as ex:
+        return None, str(ex)
+    except Exception as ex:  # defensive: demote, never fail
+        return None, f"internal: {type(ex).__name__}: {ex}"
 
 
-def assemble_module(cls: str, rlo: int, rhi: int, nprocs: int,
-                    vectorize: bool, blocking: frozenset,
+def assemble_module(nprocs: int, vectorize: bool, blocking: frozenset,
                     texts: dict[str, str], demoted: dict[str, str]) -> str:
-    """One rank class's node program as a single importable module:
-    the unit *texts* (procedure name -> text) over the prelude, with the
-    ``UNITS`` / ``DEMOTED`` tables.  For reading and dumping only — the
-    run path executes the texts themselves."""
+    """The node program as a single importable module: the unit *texts*
+    (procedure name -> text) over the prelude, with the ``UNITS`` /
+    ``DEMOTED`` tables.  For reading and dumping only — the run path
+    executes the texts themselves."""
     out = ['"""Auto-generated node program — do not edit.', "",
-           f"rank class {cls!r}: ranks {rlo}..{rhi} of {nprocs}; "
+           f"every rank 0..{nprocs - 1} of {nprocs}; "
            f"vectorize={vectorize}", '"""', "", PRELUDE,
-           f"RANK_CLASS = {cls!r}",
-           f"RANK_LO, RANK_HI = {rlo}, {rhi}",
            f"NPROCS = {nprocs}",
            f"BLOCKING = frozenset({sorted(blocking)!r})", ""]
     for text in texts.values():
@@ -222,11 +204,10 @@ class _FnEmitter:
                         for name, kind, blocks in callees}
         self.y = y
         self.vectorize = vectorize
+        #: the ranks the text runs on: a guard folds only when it holds
+        #: the same for all of them
         self.rlo = rlo
         self.rhi = rhi
-        #: set once a guard compared the rank with a constant: only
-        #: then can the text differ between rank classes
-        self.rank_sensitive = False
         self.ident = unit_ident(unit.name, y)
         self.lines: list[str] = []
         self.ind = 1
@@ -270,7 +251,7 @@ class _FnEmitter:
         """Scalars that provably hold ``ctx.rank`` throughout the body:
         bound by a SetMyProc in the entry prefix and never written by
         anything else.  These (plus ``myproc()`` itself) let
-        processor-identity guards fold per rank class."""
+        processor-identity guards fold where every rank agrees."""
         prefix: set[str] = set()
         for s in self.unit.body:
             if isinstance(s, A.SetMyProc):
@@ -562,7 +543,7 @@ class _FnEmitter:
             self.w(f"_d_{ident}[{', '.join(idx)}] = {self.ex(s.expr)}")
         self.w(f"compute({ops})")
 
-    # -- IF (with per-rank-class folding) ----------------------------------
+    # -- IF (rank guards fold where every rank agrees) ---------------------
 
     def emit_if(self, s: A.If) -> None:
         cond_ops = _count_ops(s.cond) or 1
@@ -609,7 +590,6 @@ class _FnEmitter:
             return None
         if c is None:
             return None
-        self.rank_sensitive = True
         lo, hi = self.rlo, self.rhi
         if op == "<":
             return True if hi < c else (False if lo >= c else None)

@@ -913,7 +913,7 @@ def trace_decisions(swept: Swept, opts: Options, tracer) -> None:
 
 
 def _prewarm_codegen(compiled: CompiledProgram, tracer=None) -> None:
-    """Generate (or load from cache) the node-program modules for the
+    """Generate (or load from cache) the node-program module for the
     environment-default execution options, so the first run doesn't pay
     for generation.  Under ``Options.strict`` a codegen demotion is a
     compile error; otherwise every failure here is soft — ``run_spmd``
@@ -933,9 +933,9 @@ def _prewarm_codegen(compiled: CompiledProgram, tracer=None) -> None:
     except Exception:  # pragma: no cover - cache/emit trouble is soft
         return
     if tracer is not None:
-        for cls, variant, proc, cause in gen.demotions:
-            tracer.decision("codegen-demotion", proc=proc, rank_class=cls,
-                            variant=variant, cause=cause)
+        for variant, proc, cause in gen.demotions:
+            tracer.decision("codegen-demotion", proc=proc, variant=variant,
+                            cause=cause)
 
 
 def _demote_to_rtr(

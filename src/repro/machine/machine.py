@@ -293,13 +293,11 @@ class Machine:
     def run(self, node_program: Callable[[ProcContext], Any]) -> list[Any]:
         """Run *node_program* on every node; returns per-rank results.
 
-        *node_program* is either one callable shared by every rank or a
-        sequence of per-rank callables (e.g. generated node programs,
-        which differ per rank class).  Each is a generator function
-        that enters blocking operations with ``yield from
-        ctx.recv_y(...)`` (also ``broadcast_y`` / ``allreduce_y`` /
-        ``barrier_y`` / ``exchange_y``); a plain callable is accepted
-        as a program that never has to wait.  On failure the remaining
+        *node_program* is one callable every rank runs (SPMD): a
+        generator function that enters blocking operations with
+        ``yield from ctx.recv_y(...)`` (also ``broadcast_y`` /
+        ``allreduce_y`` / ``barrier_y`` / ``exchange_y``); a plain
+        callable is accepted as a program that never has to wait.  On failure the remaining
         ranks are aborted at their next network operation and the first
         error *by virtual time* is re-raised (teardown aborts are only
         raised when no primary error exists).
@@ -342,15 +340,6 @@ class Machine:
     def _run(self, node_program: Callable[[ProcContext], Any]) -> list[Any]:
         backend = self.backend
         contexts = [backend.Context(r, self) for r in range(self.nprocs)]
-        if isinstance(node_program, (list, tuple)):
-            if len(node_program) != self.nprocs:
-                raise ValueError(
-                    f"need {self.nprocs} node programs, "
-                    f"got {len(node_program)}"
-                )
-            programs = list(node_program)
-        else:
-            programs = [node_program] * self.nprocs
         results: list[Any] = [None] * self.nprocs
         #: (secondary, clock, rank, exc, tb) per failed rank
         errors: list[tuple[bool, float, int, BaseException, str]] = []
@@ -359,7 +348,7 @@ class Machine:
         def runner(ctx: ProcContext) -> Generator[None, None, None]:
             failed = False
             try:
-                out = programs[ctx.rank](ctx)
+                out = node_program(ctx)
                 if isinstance(out, GeneratorType):
                     out = yield from out
                 # else a plain callable: a node program that never yields

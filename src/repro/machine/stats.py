@@ -46,7 +46,7 @@ class RunStats:
     #: memoized per CommAction per rank)
     comm_cache_hits: int = 0
     comm_cache_misses: int = 0
-    #: generated-node-program cache (one entry per rank class) and
+    #: generated-node-program cache (one module per run) and
     #: per-procedure demotions to the interpreter
     codegen_cache_hits: int = 0
     codegen_cache_misses: int = 0
@@ -140,7 +140,7 @@ class RunStats:
     def record_codegen(self, hits: int, misses: int,
                        demotions: int) -> None:
         """Generated-module cache counters for this run (a hit means
-        every procedure of a rank-class module came from the unit memo
+        every procedure of the run's module came from the unit memo
         or disk; a miss means one was emitted) plus the demotion count."""
         with self._lock:
             self.codegen_cache_hits += hits

@@ -324,8 +324,8 @@ class Node:
     """One rank's runtime: storage, calls, sections, remaps and prints
     for the program it runs.  Generated code receives it as ``rt``.
 
-    *units* maps a procedure name to its generated function in the
-    rank class's module (empty when codegen is off); a procedure
+    *units* maps a procedure name to its generated function (empty
+    when codegen is off); a procedure
     without one runs on the rank's interpreter, built on first use."""
 
     __slots__ = (
@@ -791,10 +791,10 @@ def run_spmd(
         if gen is not None:
             machine.stats.record_codegen(gh, gm, len(gen.demotions))
             if machine.tracer is not None:
-                for cls, variant, proc, cause in gen.demotions:
+                for variant, proc, cause in gen.demotions:
                     machine.tracer.decision(
-                        "codegen-demotion", proc=proc, rank_class=cls,
-                        variant=variant, cause=cause,
+                        "codegen-demotion", proc=proc, variant=variant,
+                        cause=cause,
                     )
 
     initial_dists = initial_dists or {}
@@ -806,24 +806,21 @@ def run_spmd(
     # across runs (two `threads` ranks computing one image is benign)
     images: dict[tuple, np.ndarray] = {}
 
-    def make_rank(rank: int):
-        units = gen.module_for(rank).units if gen is not None else {}
+    units = gen.module.units if gen is not None else {}
 
-        # generator node program: the machine drives each rank as a
-        # coroutine, suspending exactly at blocking communication
-        def rank_program(ctx: ProcContext):
-            node = Node(program, ctx, initial_dists, init_fn, blocking,
-                        images, units)
-            frame = yield from node.run_y()
-            ctx.stats.record_comm_cache(
-                node.comm_cache_hits, node.comm_cache_misses
-            )
-            prints.extend(node.prints)
-            return frame
+    # one SPMD node program: the machine drives each rank as a
+    # coroutine, suspending exactly at blocking communication
+    def rank_program(ctx: ProcContext):
+        node = Node(program, ctx, initial_dists, init_fn, blocking,
+                    images, units)
+        frame = yield from node.run_y()
+        ctx.stats.record_comm_cache(
+            node.comm_cache_hits, node.comm_cache_misses
+        )
+        prints.extend(node.prints)
+        return frame
 
-        return rank_program
-
-    frames = machine.run([make_rank(r) for r in range(nprocs)])
+    frames = machine.run(rank_program)
     # the result carries a trace only when one was asked for: a ring
     # the machine attached on its own is its flight recorder
     tracer = machine.tracer

@@ -3,6 +3,7 @@ delayed communication (a write anywhere in the procedure that feeds the
 nonlocal read keeps the message local, placed after the write)."""
 
 import numpy as np
+import pytest
 
 from repro.core import Mode, Options, compile_program
 from repro.interp import run_sequential
@@ -171,3 +172,34 @@ end
         assert not any(
             isinstance(s, (A.Send, A.Recv)) for s in A.walk_stmts(f.body)
         )
+
+
+#: two same-direction shifts of x, the longer one read first; the time
+#: loop makes every step read the values the previous step wrote, so a
+#: missing strip shows in the result instead of being hidden by the
+#: initial global storage
+TWO_SHIFTS = """
+program p
+real x(64), y(64)
+align y(i) with x(i)
+distribute x(block)
+do t = 1, 2
+  do i = 1, 62
+    y(i) = x(i + 2) + 0.5 * x(i + 1)
+  enddo
+  do i = 1, 64
+    x(i) = y(i)
+  enddo
+enddo
+end
+"""
+
+
+@pytest.mark.parametrize("mode", [Mode.INTER, Mode.INTRA],
+                         ids=["inter", "intra"])
+def test_shorter_shift_never_subsumes_a_longer_one(mode):
+    """The 2-wide strip of ``x(i + 2)`` covers the 1-wide strip of
+    ``x(i + 1)``, never the other way round: one 2-element message
+    per neighbour pair per step, 3 pairs, 2 steps."""
+    _, res = check(TWO_SHIFTS, ["x", "y"], mode=mode)
+    assert (res.stats.messages, res.stats.bytes) == (6, 96)

@@ -276,12 +276,13 @@ class TestOnDiskCompatibility:
     today starts with the literal old header."""
 
     def test_versions_unchanged(self):
-        # GEN_VERSION 7: a block computes each distinct non-loop-axis
-        # offset once (6: the prelude imports the runtime from
+        # GEN_VERSION 8: one text per procedure for every rank (7: a
+        # block computes each distinct non-loop-axis offset once; 6: the
+        # prelude imports the runtime from
         # repro.runtime.node and blocks call trace_block; 5: outer-loop
         # blocks; 4: one entry per procedure);
         # MEMO_VERSION 2: plan keys cover the topology and fault plan
-        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "2", "7")
+        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "2", "8")
 
     def test_summary_store(self, tmp_path):
         d = tmp_path / "s"
@@ -330,7 +331,7 @@ SRC = ("program p\nreal x(64)\ndistribute x(block)\n"
 
 class TestCodegenClient:
     """The generated-module cache used to retry a dead directory on
-    every rank class of every compile, uncounted, and to overwrite a
+    every module of every compile, uncounted, and to overwrite a
     header-valid entry whose body does not ``exec`` without counting
     it; through ``cas`` both are visible."""
 
@@ -346,7 +347,7 @@ class TestCodegenClient:
         prog = self._program()  # prewarms: its one procedure emitted
         reset_memory()
         gen, hits, misses = get_generated(prog, 4, True)
-        assert (hits, misses) == (0, 3) and not gen.demotions
+        assert (hits, misses) == (0, 1) and not gen.demotions
         stats = gen_cache.cas().stats()
         assert stats["stores"] == 2 and stats["degraded"] == 1
         reset_memory()
@@ -365,7 +366,7 @@ class TestCodegenClient:
         reset_memory()
         before = store.stats()["corrupt"]
         _, hits, misses = get_generated(prog, 4, True)
-        assert (hits, misses) == (0, 3)  # every class runs the procedure
+        assert (hits, misses) == (0, 1)  # the procedure was emitted again
         assert store.stats()["corrupt"] == before + 1
         assert open(store.path(stem)).read() == good
         reset_memory()

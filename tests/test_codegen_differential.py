@@ -32,7 +32,6 @@ from repro.codegen import (
     CodegenError,
     GEN_COUNTS,
     get_generated,
-    rank_classes,
     reset_memory,
     unit_keys,
 )
@@ -256,26 +255,25 @@ def test_warm_run_skips_generation(codegen_tmp, monkeypatch):
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(codegen_tmp / "fresh"))
     reset_memory()
     gen, hits, misses = get_generated(cp.program, 4, True)
-    assert misses == len(gen.modules) and hits == 0
-    assert GEN_COUNTS["generated"] == len(gen.modules)
+    assert (hits, misses) == (0, 1)
+    assert GEN_COUNTS["generated"] == 1
     emitted, texts = GEN_COUNTS["units_emitted"], GEN_COUNTS["texts_compiled"]
     # in-process unit memo: nothing emitted or compiled again, and every
     # procedure is the function object the first resolution loaded
     gen2, hits2, misses2 = get_generated(cp.program, 4, True)
-    assert misses2 == 0 and hits2 == len(gen.modules)
-    assert GEN_COUNTS["generated"] == len(gen.modules)  # unchanged
+    assert (hits2, misses2) == (1, 0)
+    assert GEN_COUNTS["generated"] == 1  # unchanged
     assert GEN_COUNTS["units_emitted"] == emitted
     assert GEN_COUNTS["texts_compiled"] == texts
-    for cls, (_lo, _hi, mod) in gen.modules.items():
-        units2 = gen2.modules[cls][2].units
-        assert units2.keys() == mod.units.keys()
-        assert all(units2[u] is fn for u, fn in mod.units.items()), cls
+    units, units2 = gen.module.units, gen2.module.units
+    assert units2.keys() == units.keys()
+    assert all(units2[u] is fn for u, fn in units.items())
     # disk (fresh process simulated by dropping the memo)
     reset_memory()
-    gen3, hits3, misses3 = get_generated(cp.program, 4, True)
-    assert misses3 == 0 and hits3 == len(gen3.modules)
+    _, hits3, misses3 = get_generated(cp.program, 4, True)
+    assert (hits3, misses3) == (1, 0)
     assert GEN_COUNTS["generated"] == 0
-    assert GEN_COUNTS["disk"] == len(gen3.modules)
+    assert GEN_COUNTS["disk"] == 1
 
 
 def test_run_surfaces_codegen_counters(codegen_tmp):
@@ -283,8 +281,7 @@ def test_run_surfaces_codegen_counters(codegen_tmp):
                          Options(nprocs=4, mode=Mode.INTER))
     res = _run(cp, None, "event", codegen=True)
     s = res.stats
-    ncls = len(rank_classes(4))
-    assert s.codegen_cache_hits + s.codegen_cache_misses == ncls
+    assert s.codegen_cache_hits + s.codegen_cache_misses == 1
     assert s.codegen_demotions == 0
     d = s.as_dict()
     for key in ("codegen_cache_hits", "codegen_cache_misses",
@@ -293,9 +290,9 @@ def test_run_surfaces_codegen_counters(codegen_tmp):
     # a run's stats are a function of the run alone
     assert not any(k.startswith("compile_cache") for k in d)
     assert "codegen=" in s.sched_summary()
-    # second run: every module comes from cache
+    # second run: the module comes from cache
     res2 = _run(cp, None, "event", codegen=True)
-    assert res2.stats.codegen_cache_hits == ncls
+    assert res2.stats.codegen_cache_hits == 1
     assert res2.stats.codegen_cache_misses == 0
     # the interpreter-only path records nothing
     res3 = _run(cp, None, "event", codegen=False)
@@ -372,14 +369,14 @@ def test_one_function_per_unit(codegen_tmp):
         cp = compile_program(src, Options(nprocs=4, mode=Mode.INTER))
         gen, _, _ = get_generated(cp.program, 4, True)
         units = {u.name for u in cp.program.units}
-        for cls, (_lo, _hi, mod) in gen.modules.items():
-            assert "UNITS_Y" not in mod.source, (name, cls)
-            assert "DEMOTED_Y" not in mod.source, (name, cls)
-            assert mod.source.count("\ndef _u_") == len(units), (name, cls)
-            assert set(mod.units) == units and not mod.demoted
-            for unit, fn in mod.units.items():
-                assert inspect.isgeneratorfunction(fn) \
-                    == (unit in mod.blocking), (name, cls, unit)
+        mod = gen.module
+        assert "UNITS_Y" not in mod.source, name
+        assert "DEMOTED_Y" not in mod.source, name
+        assert mod.source.count("\ndef _u_") == len(units), name
+        assert set(mod.units) == units and not mod.demoted
+        for unit, fn in mod.units.items():
+            assert inspect.isgeneratorfunction(fn) \
+                == (unit in mod.blocking), (name, unit)
 
 
 def test_version_1_disk_entry_ignored_and_regenerated(codegen_tmp):
@@ -465,11 +462,14 @@ def fresh_counts(codegen_tmp, monkeypatch):
     return codegen_tmp
 
 
-def _shared(gen):
-    """Procedures that are one function object in every rank class."""
-    mods = [mod for _, _, mod in gen.modules.values()]
-    return {u for u, fn in mods[0].units.items()
-            if all(m.units.get(u) is fn for m in mods[1:])}
+_RANK_GUARD = re.compile(r"^\s*if \(S\['my\$p'\] [<>=!]=? \d+\):", re.M)
+
+
+def _rank_guarded(gen):
+    """Procedures whose one text keeps a comparison of the rank with a
+    constant as a run-time ``if`` (it holds for some ranks only)."""
+    return {u for u, text in gen.module._texts.items()
+            if _RANK_GUARD.search(text)}
 
 
 def _unit_counts():
@@ -477,31 +477,42 @@ def _unit_counts():
                  ("units_emitted", "texts_compiled", "units_reused"))
 
 
-@pytest.mark.parametrize("mode,texts,shared", [
-    # no foldable my$p guard anywhere: one text per procedure
-    (Mode.RTR, 9, {"p"} | {f"stage{j}" for j in range(8)}),
-    # every stage guards its own messages: three texts each
-    (Mode.INTRA, 1 + 3 * 8, {"p"}),
-    # the messages were hoisted into main: only main specializes
-    (Mode.INTER, 8 + 3, {f"stage{j}" for j in range(8)}),
+@pytest.mark.parametrize("mode,guarded", [
+    # ownership tests only: no rank-versus-constant guard
+    (Mode.RTR, set()),
+    # every stage guards its own messages
+    (Mode.INTRA, {f"stage{j}" for j in range(8)}),
+    # the messages were hoisted into main: only main guards
+    (Mode.INTER, {"p"}),
 ], ids=["rtr", "intra", "inter"])
-def test_units_emitted_and_shared_exactly(fresh_counts, mode, texts,
-                                          shared):
+def test_units_emitted_and_shared_exactly(fresh_counts, mode, guarded):
+    """One text per procedure, which every rank shares: a guard that
+    holds for some ranks only stays a run-time ``if`` in it."""
     prog = _pipeline(mode)
     gen, hits, misses = get_generated(prog, 8, True)
-    assert (hits, misses) == (0, 3) and gen.demotions == []
-    assert _unit_counts() == (9, texts, 0)
-    assert _shared(gen) == shared
-    assert [GEN_COUNTS[k] for k in ("generated", "disk")] == [3, 0]
+    assert (hits, misses) == (0, 1) and gen.demotions == []
+    assert gen.modules == {"all": (0, 7, gen.module)}
+    assert _unit_counts() == (9, 9, 0)
+    assert _rank_guarded(gen) == guarded
+    assert [GEN_COUNTS[k] for k in ("generated", "disk")] == [1, 0]
     # memo-warm, then disk-warm: the module counters keep their meaning
-    assert get_generated(prog, 8, True)[1:] == (3, 0)
-    assert [GEN_COUNTS[k] for k in ("generated", "disk")] == [3, 3]
-    assert _unit_counts() == (9, texts, 9)
+    assert get_generated(prog, 8, True)[1:] == (1, 0)
+    assert [GEN_COUNTS[k] for k in ("generated", "disk")] == [1, 1]
+    assert _unit_counts() == (9, 9, 9)
     reset_memory()
     gen2, hits, misses = get_generated(prog, 8, True)
-    assert (hits, misses) == (3, 0) and _shared(gen2) == shared
-    assert [GEN_COUNTS[k] for k in ("generated", "disk")] == [0, 3]
-    assert _unit_counts() == (0, texts, 9)
+    assert (hits, misses) == (1, 0) and _rank_guarded(gen2) == guarded
+    assert [GEN_COUNTS[k] for k in ("generated", "disk")] == [0, 1]
+    assert _unit_counts() == (0, 9, 9)
+
+
+def test_one_text_compiled_per_emitted_procedure(fresh_counts):
+    """Every stage of an INTRA pipeline guards its messages by rank; at
+    P=4 the edge ranks decide those guards differently from the
+    interior ones, and still each procedure is compiled once."""
+    get_generated(_pipeline(Mode.INTRA, nprocs=4), 4, True)
+    assert GEN_COUNTS["units_emitted"] == 9
+    assert GEN_COUNTS["texts_compiled"] == GEN_COUNTS["units_emitted"]
 
 
 def test_one_procedure_edit_emits_one_procedure(fresh_counts):
@@ -511,15 +522,15 @@ def test_one_procedure_edit_emits_one_procedure(fresh_counts):
     consts[3] = "9.5"
     edited = _pipeline(Mode.INTER, consts)
     _, hits, misses = get_generated(edited, 8, True)
-    assert (hits, misses) == (0, 3)
+    assert (hits, misses) == (0, 1)
     assert tuple(b - a for a, b in zip(before, _unit_counts())) == (1, 1, 8)
     # a second edit in a fresh process on the same directory: the
     # eight untouched procedures come from disk
     reset_memory()
     consts[5] = "7.5"
     _, hits, misses = get_generated(_pipeline(Mode.INTER, consts), 8, True)
-    assert (hits, misses) == (0, 3)
-    assert _unit_counts() == (1, 8 + 3, 8)
+    assert (hits, misses) == (0, 1)
+    assert _unit_counts() == (1, 1 + 8, 8)
 
 
 def _entry_body(program, unit, nprocs=4, vectorize=True):
@@ -578,16 +589,17 @@ def test_unit_key_covers_vectorize_and_nprocs(fresh_counts):
                          Options(nprocs=4, mode=Mode.INTER))
     main = cp.program.main.name
     keys, loops, guards = set(), {}, {}
-    for nprocs, vec in ((4, True), (4, False), (8, True)):
+    for nprocs, vec in ((4, True), (4, False), (1, True)):
         gen, _, _ = get_generated(cp.program, nprocs, vec)
-        assert main not in _shared(gen)  # rank-sensitive
+        # at P=1 every rank-versus-constant guard is decided
+        assert (main in _rank_guarded(gen)) == (nprocs > 1)
         keys.add(unit_keys(cp.program, nprocs, vec)[main])
         loops[nprocs, vec] = _entry_body(cp.program, "smooth", nprocs, vec)
         guards[nprocs, vec] = _entry_body(cp.program, main, nprocs, vec)
     assert len(keys) == 3
-    # vectorize changes the loops, nprocs what the interior class folds
+    # vectorize changes the loops, nprocs which guards fold
     assert loops[4, True] != loops[4, False]
-    assert guards[4, True] != guards[8, True]
+    assert guards[4, True] != guards[1, True]
 
 
 DUMP_APPS = CASES + [
@@ -604,17 +616,16 @@ def test_dump_is_what_runs(codegen_tmp, src):
     compile to the same code as the functions that are."""
     for mode in (Mode.RTR, Mode.INTRA, Mode.INTER):
         cp = compile_program(src, Options(nprocs=4, mode=mode))
-        gen, _, _ = get_generated(cp.program, 4, True)
-        for cls, (_lo, _hi, mod) in gen.modules.items():
-            ns: dict = {}
-            exec(compile(mod.source, f"<dump:{cls}>", "exec"), ns)
-            assert set(ns["UNITS"]) == set(mod.units)
-            assert ns["DEMOTED"] == mod.demoted
-            assert ns["BLOCKING"] == mod.blocking
-            for unit, fn in mod.units.items():
-                dumped = ns["UNITS"][unit].__code__
-                assert dumped.co_code == fn.__code__.co_code, (cls, unit)
-                assert dumped.co_consts == fn.__code__.co_consts
+        mod = get_generated(cp.program, 4, True)[0].module
+        ns: dict = {}
+        exec(compile(mod.source, "<dump>", "exec"), ns)
+        assert set(ns["UNITS"]) == set(mod.units)
+        assert ns["DEMOTED"] == mod.demoted
+        assert ns["BLOCKING"] == mod.blocking
+        for unit, fn in mod.units.items():
+            dumped = ns["UNITS"][unit].__code__
+            assert dumped.co_code == fn.__code__.co_code, (mode, unit)
+            assert dumped.co_consts == fn.__code__.co_consts
 
 
 def test_blocking_closure_computed_once_per_run(codegen_tmp, monkeypatch):
@@ -727,7 +738,7 @@ def test_partial_demotion_mixes_paths(codegen_tmp, monkeypatch):
     cp = compile_program(dgefa_source(16),
                          Options(nprocs=4, mode=Mode.INTER))
     gen, _, _ = get_generated(cp.program, 4, True)
-    demoted = {proc for _, _, proc, _ in gen.demotions}
+    demoted = {proc for _, proc, _ in gen.demotions}
     all_procs = {u.name for u in cp.program.units}
     assert demoted and demoted < all_procs  # strictly partial
     assert cp.program.main.name not in demoted  # main stays generated
@@ -746,24 +757,20 @@ GUARDED_PRINT = ("program p\nreal x(64)\ndistribute x(block)\n"
                  "end\n")
 
 
-def test_demotion_is_per_rank_class(codegen_tmp, monkeypatch):
-    """A guard that folds away for ``mid`` / ``hi`` hides the statement
-    that demotes ``lo``: only ``lo`` runs the procedure on the
-    interpreter."""
+def test_demotion_is_per_procedure(codegen_tmp, monkeypatch):
+    """A statement the emitter refuses demotes its procedure for every
+    rank, even under a guard that only rank 0 passes: there is one text
+    per procedure, and the guard stays in it as a run-time ``if``."""
     monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.Print,))
     cp = compile_program(GUARDED_PRINT, Options(nprocs=4))
     gen, _, _ = get_generated(cp.program, 4, True)
     assert gen.demotions == [
-        ("lo", "node", "p", "statement Print disabled for testing")]
-    assert {cls: sorted(mod.units)
-            for cls, (_, _, mod) in gen.modules.items()} \
-        == {"lo": [], "mid": ["p"], "hi": ["p"]}
-    assert gen.modules["mid"][2].units["p"] \
-        is gen.modules["hi"][2].units["p"]
+        ("node", "p", "statement Print disabled for testing")]
+    assert gen.module.units == {} and list(gen.module.demoted) == ["p"]
     res = _run(cp, None, "event", codegen=True)
     assert res.prints == ["[0] 1"]
     _assert_identical(_run(cp, None, "event", codegen=False), res,
-                      "per-class demotion")
+                      "per-procedure demotion")
 
 
 CLONE_AND_LOOKALIKE = """program p
@@ -797,11 +804,10 @@ def test_lookalike_procedure_names_stay_distinct(codegen_tmp):
     assert {"h$1", "h_1"} <= names
     gen, _, _ = get_generated(cp.program, 4, True)
     assert gen.demotions == []
-    for cls, (_lo, _hi, mod) in gen.modules.items():
-        ns: dict = {}
-        exec(compile(mod.source, f"<dump:{cls}>", "exec"), ns)
-        assert set(ns["UNITS"]) == names
-        assert len(set(ns["UNITS"].values())) == len(names)
+    ns: dict = {}
+    exec(compile(gen.module.source, "<dump>", "exec"), ns)
+    assert set(ns["UNITS"]) == names
+    assert len(set(ns["UNITS"].values())) == len(names)
     _assert_identical(_run(cp, None, "event", codegen=False),
                       _run(cp, None, "event", codegen=True),
                       "lookalike names")
@@ -853,6 +859,6 @@ def test_cli_codegen_flags(tmp_path, capsys, monkeypatch):
     rc = main([str(f), "--no-text", "--codegen-dump", str(dump)])
     assert rc == 0
     text = dump.read_text()
-    assert "rank class" in text and "UNITS" in text
+    assert "every rank 0..3 of 4" in text and "UNITS" in text
     compile(text, str(dump), "exec")  # dump is well-formed python
     reset_memory()

@@ -82,8 +82,14 @@ def test_reference_is_the_interpreters(name, src, init, vectorize,
     assert_same_arrays(got, interpreted(src, init))
 
 
-def _fail_generated(self, *args):
+def _fail_generated(self):
     raise RuntimeError("forced generated failure")
+
+
+#: ``GeneratedProgram.module`` stored as usual but failing to read: a
+#: run fails where it takes the generated functions
+_failing_module = property(
+    _fail_generated, lambda self, mod: vars(self).update(module=mod))
 
 
 def test_generated_failure_is_never_silent(monkeypatch):
@@ -91,7 +97,8 @@ def test_generated_failure_is_never_silent(monkeypatch):
     is raised (chained), not papered over with the interpreter's
     frame."""
     monkeypatch.setenv("REPRO_CODEGEN", "1")
-    monkeypatch.setattr(GeneratedProgram, "module_for", _fail_generated)
+    monkeypatch.setattr(GeneratedProgram, "module", _failing_module,
+                        raising=False)
     with pytest.raises(InterpError, match="generated sequential reference"
                        ) as info:
         run_sequential(parse(FIG1))
@@ -106,7 +113,8 @@ def test_generated_failure_is_never_silent(monkeypatch):
 def test_codegen_off_is_the_interpreter(monkeypatch):
     """``REPRO_CODEGEN=0`` keeps the interpreted reference: the
     generated engine is not entered at all."""
-    monkeypatch.setattr(GeneratedProgram, "module_for", _fail_generated)
+    monkeypatch.setattr(GeneratedProgram, "module", _failing_module,
+                        raising=False)
     monkeypatch.setenv("REPRO_CODEGEN", "0")
     assert_same_arrays(run_sequential(parse(FIG1)), interpreted(FIG1))
 

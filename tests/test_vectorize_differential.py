@@ -15,6 +15,8 @@ blocks.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,6 +38,7 @@ from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
 from repro.interp import run_spmd
 from repro.interp.vectorize import enabled
+from repro.lang import ast as A
 from repro.lang import parse
 from repro.obs import Tracer
 
@@ -104,6 +107,99 @@ APP_CASES = [
 def test_apps_bit_identical(src, mode, init):
     cp = compile_program(src, Options(nprocs=4, mode=mode))
     assert_bit_identical(cp, init)
+
+
+#: statement kinds no app runs, each under a guard that holds for some
+#: ranks only, so the generated text keeps it as a run-time ``if``
+GUARDED_KINDS = [
+    ("do_while", A.DoWhile, """program p
+real x(16)
+distribute x(block)
+do i = 1, 16
+  x(i) = i
+enddo
+k = 0
+if (myproc() .lt. 2) then
+  do while (k .lt. 3)
+    k = k + 1
+  enddo
+endif
+print *, k
+end
+"""),
+    ("return", A.Return, """program p
+real x(16)
+distribute x(block)
+k = 1
+call bump(k)
+print *, k
+end
+subroutine bump(k)
+if (myproc() .gt. 0) then
+  return
+endif
+k = k + 10
+end
+"""),
+    ("stop", A.Stop, """program p
+real x(16)
+distribute x(block)
+k = 1
+if (myproc() .eq. 3) then
+  stop
+endif
+k = 2
+print *, k
+end
+"""),
+    # a DIMENSION declaration, written only where the guard passes
+    ("dimension", A.Do, """program p
+real x(16)
+dimension w(8)
+distribute x(block)
+do i = 1, 8
+  w(i) = 0.0
+enddo
+if (myproc() .ne. 1) then
+  do i = 1, 8
+    w(i) = i * 0.5
+  enddo
+endif
+print *, w(3)
+end
+"""),
+    # two arrays shifted alike: the compiler packs both strips into one
+    # message per neighbour pair, sent under ``my$p < 3``
+    ("pack", A.SendPack, """program p
+real u(64), v(64), w(64)
+align v(i) with u(i)
+align w(i) with u(i)
+distribute u(block)
+do i = 1, 64
+  u(i) = i * 1.0
+  v(i) = 65.0 - i
+enddo
+do i = 1, 63
+  w(i) = u(i + 1) + v(i + 1)
+enddo
+end
+"""),
+]
+
+
+@pytest.mark.parametrize("mode", [Mode.INTER, Mode.INTRA],
+                         ids=["inter", "intra"])
+@pytest.mark.parametrize("kind,src", [c[1:] for c in GUARDED_KINDS],
+                         ids=[c[0] for c in GUARDED_KINDS])
+def test_guarded_statement_kinds_bit_identical(kind, src, mode):
+    cp = compile_program(src, Options(nprocs=4, mode=mode))
+    assert any(isinstance(s, kind) for u in cp.program.units
+               for s in A.walk_stmts(u.body))
+    gen = get_generated(cp.program, 4, True)[0]
+    assert gen.demotions == []
+    assert re.search(r"^ +if \((RANK|S\['my\$p'\]) [!<=>]", gen.dump(),
+                     re.M)
+    assert_bit_identical(cp)
 
 
 # -- randomly generated affine loop programs ------------------------------
