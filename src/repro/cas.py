@@ -26,10 +26,10 @@ tier is a pure accelerator, and this is all it does, in every namespace:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import pickle
-import tempfile
 from typing import Any, Optional
 
 #: codecs: (encode obj → bytes, decode bytes → obj)
@@ -39,12 +39,30 @@ JSON = (lambda obj: json.dumps(obj, sort_keys=True).encode(), json.loads)
 TEXT = (lambda s: s.encode("utf-8"), lambda b: b.decode("utf-8"))
 
 
+#: per-process serial for temp names: ``<path>.<pid>.<n>.tmp`` is unique
+#: among live writers without drawing a random name
+_serial = itertools.count()
+_EXCL = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
+def _open_temp(path: str) -> tuple[int, str]:
+    """A new temp file beside *path*, created exclusively; the directory
+    is made only when the open says it is missing."""
+    while True:
+        tmp = f"{path}.{os.getpid()}.{next(_serial)}.tmp"
+        try:
+            return os.open(tmp, _EXCL, 0o600), tmp
+        except FileExistsError:  # left by a dead writer with our pid
+            continue
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            return os.open(tmp, _EXCL, 0o600), tmp
+
+
 def atomic_write(path: str, data: bytes) -> None:
     """Publish *data* at *path* all-or-nothing (creating its directory);
     raises ``OSError`` with no temp file left behind."""
-    d = os.path.dirname(path)
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    fd, tmp = _open_temp(path)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -356,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             gen, _, _ = get_generated(cp.program, opts.nprocs,
                                       vec_enabled(None),
-                                      strict=args.strict)
+                                      strict=args.strict, load=False)
         except Exception as e:
             print(f"fdc: codegen failed: {e}", file=sys.stderr)
             return 1

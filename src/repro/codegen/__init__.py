@@ -10,9 +10,11 @@ as in the paper's one node program.  The **procedure is the unit** that
 is emitted, ``compile()``d, memoised and stored on disk
 (:mod:`repro.codegen.cache`): the program's module is assembled from
 its procedures' functions, and an edit to one procedure regenerates
-that procedure only.  Execution stays bit-identical to the
-interpreter: same virtual-clock charges in the same order, same
-communication schedule, same RunStats.
+that procedure only.  A compile only *resolves* each procedure's text
+(memo, disk, else emission); a run also *loads* it (``compile()``),
+once per process, before the machine starts.  Execution stays
+bit-identical to the interpreter: same virtual-clock charges in the
+same order, same communication schedule, same RunStats.
 
 Any procedure the emitter cannot lower **demotes** to the interpreter's
 closures for that procedure only; demotions are reported per
@@ -58,14 +60,29 @@ def enabled(override: Optional[bool] = None) -> bool:
 #: *disk* when every one came from the unit memo or the disk cache.
 #: The ``units_*`` keys count procedures (emitted / served without
 #: emission) and ``texts_compiled`` counts ``compile()`` calls: one per
-#: emitted or loaded procedure that did not demote.
+#: procedure loaded (by a run, or a strict compile), at most once per
+#: process.
 GEN_COUNTS = {"generated": 0, "disk": 0,
               "units_emitted": 0, "texts_compiled": 0, "units_reused": 0}
 
-#: the in-process unit memo: one loaded procedure per unit key —
-#: ``(function, text)``, or ``(None, cause)`` where it demoted — so a
-#: procedure is loaded once per process, whichever program it is part of
-_units: dict[str, tuple[Optional[Callable], str]] = {}
+
+class _Unit:
+    """One procedure's outcome — its ``text``, or the ``cause`` it
+    demoted — plus its function once loaded (``fn``).  ``fresh``: this
+    process emitted the text, so one that does not compile is an
+    emitter bug rather than a poisoned disk body."""
+
+    __slots__ = ("text", "cause", "fn", "fresh")
+
+    def __init__(self, text: Optional[str], cause: Optional[str],
+                 fresh: bool) -> None:
+        self.text, self.cause, self.fresh = text, cause, fresh
+        self.fn: Optional[Callable] = None
+
+
+#: the in-process unit memo, one entry per unit key, whichever program
+#: the procedure is part of
+_units: dict[str, _Unit] = {}
 
 
 def reset_memory() -> None:
@@ -77,13 +94,13 @@ def reset_memory() -> None:
 
 class GeneratedModule:
     """The node program every rank runs: per procedure, its generated
-    function (``units``) or why it runs on the interpreter
-    (``demoted``)."""
+    function (``units``, filled once the program is loaded) or why it
+    runs on the interpreter (``demoted``)."""
 
     __slots__ = ("units", "blocking", "demoted", "_about", "_texts")
 
     def __init__(self, about: tuple, blocking: frozenset,
-                 resolved: list[tuple[str, tuple]]) -> None:
+                 resolved: list[tuple[str, _Unit]], loaded: bool) -> None:
         self.blocking = blocking
         self.units: dict[str, Callable] = {}
         self.demoted: dict[str, str] = {}
@@ -91,12 +108,13 @@ class GeneratedModule:
         #: is assembled from
         self._about = about
         self._texts: dict[str, str] = {}
-        for name, (fn, text) in resolved:
-            if fn is None:
-                self.demoted[name] = text
-            else:
-                self.units[name] = fn
-                self._texts[name] = text
+        for name, unit in resolved:
+            if unit.cause is not None:
+                self.demoted[name] = unit.cause
+                continue
+            self._texts[name] = unit.text
+            if loaded:
+                self.units[name] = unit.fn
 
     @property
     def source(self) -> str:
@@ -137,16 +155,12 @@ def _prelude() -> dict:
     return ns
 
 
-def _load(ukey: str, ident: str, text: Optional[str],
-          cause: Optional[str]) -> tuple:
-    """``(function, text)`` from ``compile()``-ing *text* by itself, or
-    ``(None, cause)`` for a demoted procedure."""
-    if text is None:
-        return None, cause
+def _load(unit: _Unit, ukey: str, ident: str) -> None:
+    """``compile()`` the unit's text by itself into ``unit.fn``."""
     ns = dict(_prelude())
-    exec(compile(text, f"<repro-codegen:{ukey}>", "exec"), ns)
+    exec(compile(unit.text, f"<repro-codegen:{ukey}>", "exec"), ns)
     GEN_COUNTS["texts_compiled"] += 1
-    return ns[ident], text
+    unit.fn = ns[ident]
 
 
 def _emission_inputs(program: A.Program, nprocs: int,
@@ -179,43 +193,55 @@ def unit_keys(program: A.Program, nprocs: int,
     return {u.name: ukey for u, _, _, _, ukey in rows}
 
 
-def _generate(program: A.Program, nprocs: int,
-              vectorize: bool) -> tuple[GeneratedProgram, bool]:
-    """Resolve every procedure — unit memo, then disk, then emit
-    (storing back) — and assemble the module from the loaded
-    functions.  Also returns whether anything was emitted."""
+def _generate(program: A.Program, nprocs: int, vectorize: bool,
+              load: bool) -> tuple[GeneratedProgram, bool]:
+    """Resolve every procedure's outcome — unit memo, then disk, then
+    emit (storing back) — and, if *load*, ``compile()`` each text not
+    loaded yet.  Also returns whether anything was emitted."""
     blocking, rows = _emission_inputs(program, nprocs, vectorize)
     store = _cache.cas()
     resolved = []
     emitted = False
+
+    def emit(u, facts, blocks, callees, stem) -> _Unit:
+        nonlocal emitted
+        text, cause = emit_unit(u, facts, callees, blocks, vectorize, nprocs)
+        store.store(stem, _cache.encode_entry(store, stem, text, cause))
+        GEN_COUNTS["units_emitted"] += 1
+        emitted = True
+        return _Unit(text, cause, fresh=True)
+
     for u, facts, blocks, callees, ukey in rows:
-        ident = unit_ident(u.name, blocks)
         stem = _cache.entry_stem(ukey, nprocs, vectorize)
         unit = _units.get(ukey)
         if unit is None:
             payload = store.load(stem)
             if payload is not None:
                 try:
-                    unit = _load(ukey, ident, *_cache.decode_entry(payload))
+                    unit = _Unit(*_cache.decode_entry(payload), fresh=False)
                 except Exception:
-                    store.discard(stem)  # header-valid, body poisoned
+                    store.discard(stem)  # header-valid, entry cut short
         if unit is not None:
             GEN_COUNTS["units_reused"] += 1
         else:
-            text, cause = emit_unit(u, facts, callees, blocks, vectorize,
-                                    nprocs)
+            unit = emit(u, facts, blocks, callees, stem)
+        # at most two passes: a body read from disk, then a fresh one
+        while load and unit.fn is None and unit.cause is None:
             try:
-                unit = _load(ukey, ident, text, cause)
-            except Exception as ex:  # an emitter bug demotes the unit
-                text, cause = None, f"internal: {type(ex).__name__}: {ex}"
-                unit = (None, cause)
-            store.store(stem, _cache.encode_entry(store, stem, text, cause))
-            GEN_COUNTS["units_emitted"] += 1
-            emitted = True
+                _load(unit, ukey, unit_ident(u.name, blocks))
+            except Exception as ex:
+                if unit.fresh:  # an emitter bug demotes the unit
+                    cause = f"internal: {type(ex).__name__}: {ex}"
+                    unit = _Unit(None, cause, fresh=True)
+                    store.store(stem, _cache.encode_entry(store, stem, None,
+                                                          cause))
+                else:  # header-valid, body poisoned: emit it again
+                    store.discard(stem)
+                    unit = emit(u, facts, blocks, callees, stem)
         _units[ukey] = unit
         resolved.append((u.name, unit))
 
-    mod = GeneratedModule((nprocs, vectorize), blocking, resolved)
+    mod = GeneratedModule((nprocs, vectorize), blocking, resolved, load)
     demotions = [("event" if proc in blocking else "node", proc, cause)
                  for proc, cause in mod.demoted.items()]
     return GeneratedProgram(nprocs, vectorize, mod, blocking,
@@ -227,14 +253,18 @@ def get_generated(
     nprocs: int,
     vectorize: bool,
     strict: bool = False,
+    load: bool = True,
 ) -> tuple[GeneratedProgram, int, int]:
     """Return the generated node program plus (cache hits, misses),
     counted in modules: ``(0, 1)`` when any procedure had to be emitted,
     else ``(1, 0)``.
 
     Resolution, per procedure: the unit memo, then disk, then emit.
-    ``strict`` escalates any demotion to :class:`CodegenError`."""
-    gen, emitted = _generate(program, nprocs, vectorize)
+    *load* ``compile()``s every text not loaded yet, as a run needs;
+    without it the program only has its texts and demotions (a compile
+    or ``--codegen-dump``).  ``strict`` escalates any demotion to
+    :class:`CodegenError`."""
+    gen, emitted = _generate(program, nprocs, vectorize, load)
     GEN_COUNTS["generated" if emitted else "disk"] += 1
     if strict and gen.demotions:
         raise CodegenError(_strict_message(gen))

@@ -18,13 +18,13 @@ procedure's one text, which every rank runs — or, where it demoted to
 the interpreter, its cause — and an end marker, so a truncated entry
 never passes for a short procedure::
 
-    # repro-codegen 8 a3f9…c1-4-vec
+    # repro-codegen 9 a3f9…c1-4-vec
     def _u_relax(rt, fr): ...
     #@ end
 
 Storage is a :class:`repro.cas.Cas` namespace (``codegen``, no memory
-tier — the in-process memos hold loaded functions); the disk
-discipline is documented once, in DESIGN.md § 7 Stores.
+tier — the in-process unit memo holds outcomes and loaded functions);
+the disk discipline is documented once, in DESIGN.md § 7 Stores.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..settings import Settings
 
 #: bump when the generated-code shape changes; stale entries then
 #: fail the header check and regenerate
-GEN_VERSION = "8"
+GEN_VERSION = "9"
 
 _END = "\n#@ end\n"
 _DEMOTED = "#@ demoted "

@@ -351,6 +351,9 @@ class _FnEmitter:
         if isinstance(e, (A.Num, A.Logical, A.Str)):
             return repr(e.value)
         if isinstance(e, A.Var):
+            if e.name in self.myvars:  # proven to hold the rank
+                self.uses.add("RANK")
+                return "RANK"
             self.uses.add("S")
             return f"S[{e.name!r}]"
         if isinstance(e, A.ArrayRef):

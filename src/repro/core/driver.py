@@ -622,7 +622,7 @@ def compile_program(
         compiled = assemble(sweep(source, opts, tracer=tracer), opts,
                             shared=False)
     with span("emit-node-program", nprocs=opts.nprocs):
-        _prewarm_codegen(compiled, tracer)
+        _resolve_codegen(compiled, tracer)
     return compiled
 
 
@@ -912,21 +912,23 @@ def trace_decisions(swept: Swept, opts: Options, tracer) -> None:
             decide("rtr-demotion", proc=name, line=line)
 
 
-def _prewarm_codegen(compiled: CompiledProgram, tracer=None) -> None:
-    """Generate (or load from cache) the node-program module for the
-    environment-default execution options, so the first run doesn't pay
-    for generation.  Under ``Options.strict`` a codegen demotion is a
-    compile error; otherwise every failure here is soft — ``run_spmd``
-    regenerates on demand and demotes to the interpreter."""
+def _resolve_codegen(compiled: CompiledProgram, tracer=None) -> None:
+    """Emit (or find in the unit memo or on disk) every procedure's
+    node-program text for the environment-default execution options,
+    so the first run only loads them.  Under ``Options.strict`` the
+    texts are also loaded, and any codegen demotion is a compile error;
+    otherwise every failure here is soft — ``run_spmd`` resolves again
+    and demotes to the interpreter."""
     from ..codegen import CodegenError, get_generated
 
     settings = Settings.from_env()
     if not settings.codegen:
         return
+    strict = compiled.opts.strict
     try:
         gen, _, _ = get_generated(
             compiled.program, compiled.opts.nprocs, settings.vectorize,
-            strict=compiled.opts.strict,
+            strict=strict, load=strict,
         )
     except CodegenError as e:
         raise CompileError(str(e)) from None

@@ -780,6 +780,8 @@ def run_spmd(
     if settings.codegen if codegen is None else codegen:
         if vectorize is None:
             vectorize = settings.vectorize
+        # every procedure is loaded here, before the machine starts: a
+        # compile only resolved the texts, and nothing demotes mid-run
         try:
             gen, gh, gm = get_generated(
                 program, nprocs, bool(vectorize), strict=codegen_strict,

@@ -276,13 +276,14 @@ class TestOnDiskCompatibility:
     today starts with the literal old header."""
 
     def test_versions_unchanged(self):
-        # GEN_VERSION 8: one text per procedure for every rank (7: a
+        # GEN_VERSION 9: a proven rank variable reads as RANK (8: one
+        # text per procedure for every rank; 7: a
         # block computes each distinct non-loop-axis offset once; 6: the
         # prelude imports the runtime from
         # repro.runtime.node and blocks call trace_block; 5: outer-loop
         # blocks; 4: one entry per procedure);
         # MEMO_VERSION 2: plan keys cover the topology and fault plan
-        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "2", "8")
+        assert (STORE_VERSION, MEMO_VERSION, GEN_VERSION) == ("2", "2", "9")
 
     def test_summary_store(self, tmp_path):
         d = tmp_path / "s"
@@ -342,9 +343,9 @@ class TestCodegenClient:
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(blocker / "cache"))
-        # the compile-time prewarm only runs when codegen is the default
+        # the compile-time resolve only runs when codegen is the default
         monkeypatch.setenv("REPRO_CODEGEN", "1")
-        prog = self._program()  # prewarms: its one procedure emitted
+        prog = self._program()  # resolves: its one procedure emitted
         reset_memory()
         gen, hits, misses = get_generated(prog, 4, True)
         assert (hits, misses) == (0, 1) and not gen.demotions

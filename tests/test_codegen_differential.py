@@ -37,11 +37,12 @@ from repro.codegen import (
 )
 from repro.codegen.cache import (
     GEN_VERSION,
+    cas,
     entry_header,
     entry_path,
     entry_stem,
 )
-from repro.core.driver import compile_program
+from repro.core.driver import CompileError, compile_program
 from repro.core.options import Mode, Options
 from repro.lang import ast as A
 from repro.lang import parse
@@ -251,7 +252,7 @@ def test_no_demotions_on_paper_apps():
 def test_warm_run_skips_generation(codegen_tmp, monkeypatch):
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=Mode.INTER))
-    # compile_program may itself prewarm; start from a clean slate
+    # compile_program itself resolves; start from a clean slate
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(codegen_tmp / "fresh"))
     reset_memory()
     gen, hits, misses = get_generated(cp.program, 4, True)
@@ -347,9 +348,9 @@ def test_unreadable_entry_regenerated(codegen_tmp):
 
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=Mode.INTER))
-    reset_memory()  # compile_program may have prewarmed the memo
+    reset_memory()  # compile_program may have filled the memo
     path = _unit_entry_for(cp.program)
-    if os.path.isfile(path):  # prewarm may have written the entry
+    if os.path.isfile(path):  # the compile may have written it
         os.unlink(path)
     os.makedirs(path, exist_ok=True)  # open() -> IsADirectoryError
     gen, hits, misses = get_generated(cp.program, 4, True)
@@ -456,13 +457,14 @@ def _pipeline(mode, consts=PIPE_CONSTS, nprocs=8):
 
 @pytest.fixture
 def fresh_counts(codegen_tmp, monkeypatch):
-    """Compile with the prewarm off, so every count below is the work
+    """Compile without codegen, so every count below is the work
     of the ``get_generated`` calls the test makes."""
     monkeypatch.setenv("REPRO_CODEGEN", "0")
     return codegen_tmp
 
 
-_RANK_GUARD = re.compile(r"^\s*if \(S\['my\$p'\] [<>=!]=? \d+\):", re.M)
+_RANK_GUARD = re.compile(r"^\s*if \((RANK|S\['my\$p'\]) [<>=!]=? \d+\):",
+                         re.M)
 
 
 def _rank_guarded(gen):
@@ -641,7 +643,7 @@ def test_blocking_closure_computed_once_per_run(codegen_tmp, monkeypatch):
 
     monkeypatch.setattr(node_mod, "find_blocking_units", counting)
     monkeypatch.setattr(codegen, "find_blocking_units", counting)
-    monkeypatch.setenv("REPRO_CODEGEN", "1")  # the prewarm runs
+    monkeypatch.setenv("REPRO_CODEGEN", "1")  # the compile resolves
     cp = compile_program(stencil1d_source(80, 2),
                          Options(nprocs=4, mode=Mode.INTER))
     for _ in range(3):
@@ -683,7 +685,7 @@ def test_interpreter_built_only_where_needed(codegen_tmp, monkeypatch):
             super().__init__(node)
 
     monkeypatch.setattr(interp_mod, "Interpreter", Spy)
-    monkeypatch.setenv("REPRO_CODEGEN", "1")  # the prewarm runs
+    monkeypatch.setenv("REPRO_CODEGEN", "1")  # the compile resolves
     cp = compile_program(stencil1d_source(80, 2),
                          Options(nprocs=4, mode=Mode.INTER))
     res = _run(cp, None, "event", codegen=True)
@@ -703,6 +705,113 @@ def test_interpreter_built_only_where_needed(codegen_tmp, monkeypatch):
         ref = run_spmd(prog, 4, timeout_s=30.0, scheduler=scheduler,
                        codegen=False)
         _assert_identical(demoted, ref, f"one caller / {scheduler}")
+
+
+# ---------------------------------------------------------------------------
+# a compile resolves the texts, a run loads them
+# ---------------------------------------------------------------------------
+
+
+def test_compile_resolves_and_the_run_loads(codegen_tmp, monkeypatch):
+    """A cold compile emits every procedure and ``compile()``s none; the
+    first run loads each procedure once, a second run loads nothing,
+    and both runs match the interpreter bit for bit."""
+    monkeypatch.setenv("REPRO_CODEGEN", "1")
+    init = make_dgefa_init(16)
+    cp = compile_program(dgefa_source(16),
+                         Options(nprocs=4, mode=Mode.INTER))
+    n = len(cp.program.units)
+    assert (GEN_COUNTS["units_emitted"], GEN_COUNTS["texts_compiled"]) \
+        == (n, 0)
+    first = _run(cp, init, "event", codegen=True)
+    assert (GEN_COUNTS["units_emitted"], GEN_COUNTS["texts_compiled"]) \
+        == (n, n)
+    assert first.stats.codegen_cache_hits == 1
+    second = _run(cp, init, "event", codegen=True)
+    assert GEN_COUNTS["texts_compiled"] == n
+    ref = _run(cp, init, "event", codegen=False)
+    _assert_identical(ref, first, "first run")
+    _assert_identical(ref, second, "second run")
+
+
+def test_codegen_dump_compiles_nothing(codegen_tmp, monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_CODEGEN", "1")
+    f = codegen_tmp / "prog.fd"
+    f.write_text(stencil1d_source(64, 2))
+    assert main([str(f), "--no-text", "--codegen-dump", "-"]) == 0
+    assert "def _u_" in capsys.readouterr().out
+    assert GEN_COUNTS["units_emitted"] > 0
+    assert GEN_COUNTS["texts_compiled"] == 0
+
+
+def test_poisoned_body_resolved_at_compile_heals_at_load(codegen_tmp,
+                                                         monkeypatch):
+    """A header-valid entry whose body does not compile passes the
+    compile's resolve; the run's load discards it, emits the procedure
+    again and rewrites the entry."""
+    monkeypatch.setenv("REPRO_CODEGEN", "1")
+    src, opts = stencil1d_source(64, 2), Options(nprocs=4, mode=Mode.INTER)
+    cp = compile_program(src, opts)
+    path = _unit_entry_for(cp.program)
+    good = open(path).read()
+    with open(path, "w") as f:
+        f.write(good.split("\n", 1)[0] + "\ndef broken(:\n#@ end\n")
+    reset_memory()
+    corrupt = cas().stats()["corrupt"]
+    cp = compile_program(src, opts)
+    assert GEN_COUNTS["units_emitted"] == GEN_COUNTS["texts_compiled"] == 0
+    assert cas().stats()["corrupt"] == corrupt
+    res = _run(cp, None, "event", codegen=True)
+    assert (res.stats.codegen_cache_hits,
+            res.stats.codegen_cache_misses) == (0, 1)
+    assert GEN_COUNTS["units_emitted"] == 1
+    assert cas().stats()["corrupt"] == corrupt + 1
+    assert open(path).read() == good
+    _assert_identical(_run(cp, None, "event", codegen=False), res,
+                      "healed at load")
+
+
+def _uncompilable_main(monkeypatch):
+    """Make the emitter print a text for the main program that does not
+    compile (an emitter bug)."""
+    real = codegen.emit_unit
+
+    def emit(unit, *args):
+        text, cause = real(unit, *args)
+        return ("def broken(:\n", None) if unit.kind == "program" \
+            else (text, cause)
+
+    monkeypatch.setattr(codegen, "emit_unit", emit)
+    monkeypatch.setenv("REPRO_CODEGEN", "1")
+
+
+def test_uncompilable_text_fails_a_strict_compile(codegen_tmp, monkeypatch):
+    _uncompilable_main(monkeypatch)
+    with pytest.raises(CompileError, match="internal: SyntaxError"):
+        compile_program(stencil1d_source(64, 2),
+                        Options(nprocs=4, mode=Mode.INTER, strict=True))
+
+
+def test_uncompilable_text_demotes_in_the_run(codegen_tmp, monkeypatch):
+    _uncompilable_main(monkeypatch)
+    cp = compile_program(stencil1d_source(64, 2),
+                         Options(nprocs=4, mode=Mode.INTER))
+    emitted = GEN_COUNTS["units_emitted"]
+    assert GEN_COUNTS["texts_compiled"] == 0
+    tracer = _tracer()
+    res = _run(cp, None, "event", codegen=True, trace=tracer)
+    assert res.stats.codegen_demotions == 1
+    # this process emitted the text: an emitter bug, not a poisoned
+    # entry, so nothing is discarded or emitted again
+    assert GEN_COUNTS["units_emitted"] == emitted
+    assert cas().stats()["corrupt"] == 0
+    causes = [e["cause"] for e in tracer.host_events
+              if e.get("name") == "codegen-demotion"]
+    assert len(causes) == 1 and causes[0].startswith("internal: SyntaxError")
+    _assert_identical(_run(cp, None, "event", codegen=False), res,
+                      "uncompilable main")
 
 
 # ---------------------------------------------------------------------------
@@ -826,11 +935,9 @@ def test_strict_escalates_demotion(codegen_tmp, monkeypatch):
 
 def test_strict_compile_fails_on_demotion(codegen_tmp, monkeypatch):
     """Options.strict turns a codegen demotion into a compile error
-    (the driver prewarm path)."""
-    from repro.core.driver import CompileError
-
+    (the driver's compile-time resolve, which loads under strict)."""
     monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.Do,))
-    # the prewarm returns early when the environment default is off
+    # the resolve returns early when the environment default is off
     monkeypatch.setenv("REPRO_CODEGEN", "1")
     with pytest.raises(CompileError, match="demoted under --strict"):
         compile_program(stencil1d_source(96, 3),
