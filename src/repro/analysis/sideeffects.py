@@ -37,11 +37,13 @@ def _direct_effects(proc: A.Procedure) -> SideEffects:
     eff = SideEffects()
 
     def note_expr(e: A.Expr) -> None:
+        # a call's arguments are walked as well, so a variable passed to
+        # a user function counts as referenced: all Appear needs (the
+        # function's own effects are not summarised, since function
+        # references add no ACG edge)
         for sub in A.walk_exprs(e):
             if isinstance(sub, (A.Var, A.ArrayRef)):
                 eff.ref.add(sub.name)
-            elif isinstance(sub, A.CallExpr):
-                pass  # intrinsic: args already walked
 
     for s in A.walk_stmts(proc.body):
         if isinstance(s, A.Assign):

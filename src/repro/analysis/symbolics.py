@@ -50,7 +50,7 @@ def eval_const(e: A.Expr, env: Mapping[str, Number] | None = None) -> Optional[N
         if e.op == "**":
             return a ** b
         return None
-    if isinstance(e, A.CallExpr):
+    if isinstance(e, A.CallExpr):  # an intrinsic; a FuncRef never folds
         args = [eval_const(a, env) for a in e.args]
         if any(v is None for v in args):
             return None
@@ -86,8 +86,8 @@ def substitute(e: A.Expr, bindings: Mapping[str, A.Expr]) -> A.Expr:
                        substitute(e.right, bindings))
     if isinstance(e, A.UnOp):
         return A.UnOp(e.op, substitute(e.operand, bindings))
-    if isinstance(e, A.CallExpr):
-        return A.CallExpr(e.name, tuple(substitute(a, bindings) for a in e.args))
+    if isinstance(e, (A.CallExpr, A.FuncRef)):
+        return type(e)(e.name, tuple(substitute(a, bindings) for a in e.args))
     if isinstance(e, A.ArrayRef):
         return A.ArrayRef(e.name, tuple(substitute(s, bindings) for s in e.subs))
     if isinstance(e, A.Triplet):
@@ -115,8 +115,8 @@ def fold(e: A.Expr, env: Mapping[str, Number] | None = None) -> A.Expr:
         return A.BinOp(e.op, l, r)
     if isinstance(e, A.UnOp):
         return A.UnOp(e.op, fold(e.operand, env))
-    if isinstance(e, A.CallExpr):
-        return A.CallExpr(e.name, tuple(fold(a, env) for a in e.args))
+    if isinstance(e, (A.CallExpr, A.FuncRef)):
+        return type(e)(e.name, tuple(fold(a, env) for a in e.args))
     return e
 
 

@@ -185,9 +185,8 @@ class ACG:
                 self._scan_body(unit, s.else_body, loops)
             elif isinstance(s, A.Call):
                 self._add_call(unit, s, list(loops))
-            # function calls in expressions: treated as side-effect free
-            # intrinsics (user functions with array args are out of the
-            # compiled subset and rejected by the driver)
+            # function references (``A.FuncRef``) add no ACG edge: the
+            # interprocedural phases see CALL statements only
 
     def _add_call(
         self, unit: A.Procedure, stmt: A.Call, loops: list[LoopInfo]

@@ -355,8 +355,7 @@ def main(argv: list[str] | None = None) -> int:
 
         try:
             gen, _, _ = get_generated(cp.program, opts.nprocs,
-                                      vec_enabled(None),
-                                      strict=args.strict, load=False)
+                                      vec_enabled(None), load=False)
         except Exception as e:
             print(f"fdc: codegen failed: {e}", file=sys.stderr)
             return 1
@@ -401,6 +400,8 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as e:
                 print(f"fdc: {e}", file=sys.stderr)
                 return 2
+        from .codegen import CodegenError
+
         try:
             res = cp.run(cost=COSTS[args.cost], faults=faults,
                          timeout_s=args.timeout,
@@ -409,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
                          topology=args.topology,
                          codegen=args.codegen,
                          metrics=args.metrics)
+        except CodegenError as e:  # an internal error, never the program's
+            print(f"fdc: codegen failed: {e}", file=sys.stderr)
+            return 1
         except (SimulationError, ValueError) as e:
             print(f"fdc: simulation failed: {e}", file=sys.stderr)
             return 1
@@ -450,8 +454,13 @@ def main(argv: list[str] | None = None) -> int:
                 got = res.gathered(name)
                 same = np.allclose(got, arr.data, equal_nan=True)
                 ok &= same
+                # equal NaNs pass without a value compared: say how
+                # many elements were compared by value
+                finite = int(np.count_nonzero(np.isfinite(got)
+                                              & np.isfinite(arr.data)))
                 print(f"! verify {name}: "
-                      f"{'OK' if same else 'MISMATCH'}")
+                      f"{'OK' if same else 'MISMATCH'} "
+                      f"({finite}/{got.size} finite)")
             if not ok:
                 return 1
     return 0

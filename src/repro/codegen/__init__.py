@@ -16,34 +16,35 @@ once per process, before the machine starts.  Execution stays
 bit-identical to the interpreter: same virtual-clock charges in the
 same order, same communication schedule, same RunStats.
 
-Any procedure the emitter cannot lower **demotes** to the interpreter's
-closures for that procedure only; demotions are reported per
-(variant, procedure, cause) — *variant* is ``"event"`` for a procedure
-that may block (a generator), ``"node"`` otherwise — so the driver can
-trace them and ``--strict`` can turn them into hard errors.
+Emission is total: the front end rejects ill-formed programs, so a
+procedure the emitter cannot lower, or whose text does not compile, is
+an internal :class:`CodegenError` naming it.  A run never falls back to
+the interpreter; the interpreter runs only when codegen is off.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..lang import ast as A
 from ..runtime.node import find_blocking_units, unit_facts
 from ..settings import Settings
 from . import cache as _cache
-from .emit import PRELUDE, assemble_module, emit_unit, unit_ident
+from .emit import (
+    PRELUDE,
+    CodegenError,
+    assemble_module,
+    emit_unit,
+    unit_ident,
+)
 
 __all__ = [
     "CodegenError", "GeneratedModule", "GeneratedProgram",
     "enabled", "get_generated", "reset_memory",
     "unit_keys", "GEN_COUNTS",
 ]
-
-
-class CodegenError(Exception):
-    """Raised under ``--strict`` when any procedure demoted."""
 
 
 def enabled(override: Optional[bool] = None) -> bool:
@@ -60,23 +61,20 @@ def enabled(override: Optional[bool] = None) -> bool:
 #: *disk* when every one came from the unit memo or the disk cache.
 #: The ``units_*`` keys count procedures (emitted / served without
 #: emission) and ``texts_compiled`` counts ``compile()`` calls: one per
-#: procedure loaded (by a run, or a strict compile), at most once per
-#: process.
+#: procedure a run loads, at most once per process.
 GEN_COUNTS = {"generated": 0, "disk": 0,
               "units_emitted": 0, "texts_compiled": 0, "units_reused": 0}
 
 
 class _Unit:
-    """One procedure's outcome — its ``text``, or the ``cause`` it
-    demoted — plus its function once loaded (``fn``).  ``fresh``: this
-    process emitted the text, so one that does not compile is an
-    emitter bug rather than a poisoned disk body."""
+    """One procedure's ``text`` plus its function once loaded (``fn``).
+    ``fresh``: this process emitted the text, so one that does not
+    compile is an emitter bug rather than a poisoned disk body."""
 
-    __slots__ = ("text", "cause", "fn", "fresh")
+    __slots__ = ("text", "fn", "fresh")
 
-    def __init__(self, text: Optional[str], cause: Optional[str],
-                 fresh: bool) -> None:
-        self.text, self.cause, self.fresh = text, cause, fresh
+    def __init__(self, text: str, fresh: bool) -> None:
+        self.text, self.fresh = text, fresh
         self.fn: Optional[Callable] = None
 
 
@@ -94,34 +92,25 @@ def reset_memory() -> None:
 
 class GeneratedModule:
     """The node program every rank runs: per procedure, its generated
-    function (``units``, filled once the program is loaded) or why it
-    runs on the interpreter (``demoted``)."""
+    function (``units``, filled once the program is loaded)."""
 
-    __slots__ = ("units", "blocking", "demoted", "_about", "_texts")
+    __slots__ = ("units", "blocking", "_about", "_texts")
 
     def __init__(self, about: tuple, blocking: frozenset,
                  resolved: list[tuple[str, _Unit]], loaded: bool) -> None:
         self.blocking = blocking
-        self.units: dict[str, Callable] = {}
-        self.demoted: dict[str, str] = {}
         #: (nprocs, vectorize) and procedure -> text: what ``source``
         #: is assembled from
         self._about = about
-        self._texts: dict[str, str] = {}
-        for name, unit in resolved:
-            if unit.cause is not None:
-                self.demoted[name] = unit.cause
-                continue
-            self._texts[name] = unit.text
-            if loaded:
-                self.units[name] = unit.fn
+        self._texts = {name: unit.text for name, unit in resolved}
+        self.units: dict[str, Callable] = \
+            {name: unit.fn for name, unit in resolved} if loaded else {}
 
     @property
     def source(self) -> str:
         """The procedures as one importable module, assembled on demand
         (``--codegen-dump``); never what the run executes."""
-        return assemble_module(*self._about, self.blocking, self._texts,
-                               self.demoted)
+        return assemble_module(*self._about, self.blocking, self._texts)
 
 
 @dataclass
@@ -133,14 +122,21 @@ class GeneratedProgram:
     module: GeneratedModule
     #: procedures that may suspend (``find_blocking_units``)
     blocking: frozenset[str]
-    #: (variant, procedure, cause)
-    demotions: list[tuple[str, str, str]] = field(default_factory=list)
+
+    # frozen-harness shims: ``benchmarks/e2e`` reads these two; ROADMAP
+    # item 2 (g) deletes them with the harness change
 
     @property
     def modules(self) -> dict[str, tuple[int, int, GeneratedModule]]:
         """``{"all": (0, nprocs - 1, module)}``: the one module, keyed
         the way the benchmark harness reads it."""
         return {"all": (0, self.nprocs - 1, self.module)}
+
+    @property
+    def demotions(self) -> list:
+        """Always empty: no procedure runs on the interpreter in a
+        generated run."""
+        return []
 
     def dump(self) -> str:
         """The generated source, assembled (``--codegen-dump``)."""
@@ -178,7 +174,7 @@ def _emission_inputs(program: A.Program, nprocs: int,
         blocks = u.name in blocking
         callees = tuple(sorted(
             (name, kinds[name], name in blocking)
-            for name in f.calls | f.expr_calls.keys() if name in kinds
+            for name in f.calls | f.func_refs.keys() if name in kinds
         ))
         ukey = _cache.unit_key(repr(u), nprocs, vectorize, blocks, callees)
         rows.append((u, f, blocks, callees, ukey))
@@ -195,9 +191,9 @@ def unit_keys(program: A.Program, nprocs: int,
 
 def _generate(program: A.Program, nprocs: int, vectorize: bool,
               load: bool) -> tuple[GeneratedProgram, bool]:
-    """Resolve every procedure's outcome — unit memo, then disk, then
-    emit (storing back) — and, if *load*, ``compile()`` each text not
-    loaded yet.  Also returns whether anything was emitted."""
+    """Resolve every procedure's text — unit memo, then disk, then emit
+    (storing back) — and, if *load*, ``compile()`` each text not loaded
+    yet.  Also returns whether anything was emitted."""
     blocking, rows = _emission_inputs(program, nprocs, vectorize)
     store = _cache.cas()
     resolved = []
@@ -205,11 +201,11 @@ def _generate(program: A.Program, nprocs: int, vectorize: bool,
 
     def emit(u, facts, blocks, callees, stem) -> _Unit:
         nonlocal emitted
-        text, cause = emit_unit(u, facts, callees, blocks, vectorize, nprocs)
-        store.store(stem, _cache.encode_entry(store, stem, text, cause))
+        text = emit_unit(u, facts, callees, blocks, vectorize, nprocs)
+        store.store(stem, _cache.encode_entry(store, stem, text))
         GEN_COUNTS["units_emitted"] += 1
         emitted = True
-        return _Unit(text, cause, fresh=True)
+        return _Unit(text, fresh=True)
 
     for u, facts, blocks, callees, ukey in rows:
         stem = _cache.entry_stem(ukey, nprocs, vectorize)
@@ -218,7 +214,7 @@ def _generate(program: A.Program, nprocs: int, vectorize: bool,
             payload = store.load(stem)
             if payload is not None:
                 try:
-                    unit = _Unit(*_cache.decode_entry(payload), fresh=False)
+                    unit = _Unit(_cache.decode_entry(payload), fresh=False)
                 except Exception:
                     store.discard(stem)  # header-valid, entry cut short
         if unit is not None:
@@ -226,33 +222,28 @@ def _generate(program: A.Program, nprocs: int, vectorize: bool,
         else:
             unit = emit(u, facts, blocks, callees, stem)
         # at most two passes: a body read from disk, then a fresh one
-        while load and unit.fn is None and unit.cause is None:
+        while load and unit.fn is None:
             try:
                 _load(unit, ukey, unit_ident(u.name, blocks))
             except Exception as ex:
-                if unit.fresh:  # an emitter bug demotes the unit
-                    cause = f"internal: {type(ex).__name__}: {ex}"
-                    unit = _Unit(None, cause, fresh=True)
-                    store.store(stem, _cache.encode_entry(store, stem, None,
-                                                          cause))
-                else:  # header-valid, body poisoned: emit it again
-                    store.discard(stem)
-                    unit = emit(u, facts, blocks, callees, stem)
+                if unit.fresh:  # an emitter bug
+                    raise CodegenError(
+                        f"{u.name}: internal: generated text does not "
+                        f"compile: {type(ex).__name__}: {ex}") from ex
+                # header-valid, body poisoned: emit it again
+                store.discard(stem)
+                unit = emit(u, facts, blocks, callees, stem)
         _units[ukey] = unit
         resolved.append((u.name, unit))
 
     mod = GeneratedModule((nprocs, vectorize), blocking, resolved, load)
-    demotions = [("event" if proc in blocking else "node", proc, cause)
-                 for proc, cause in mod.demoted.items()]
-    return GeneratedProgram(nprocs, vectorize, mod, blocking,
-                            demotions), emitted
+    return GeneratedProgram(nprocs, vectorize, mod, blocking), emitted
 
 
 def get_generated(
     program: A.Program,
     nprocs: int,
     vectorize: bool,
-    strict: bool = False,
     load: bool = True,
 ) -> tuple[GeneratedProgram, int, int]:
     """Return the generated node program plus (cache hits, misses),
@@ -261,17 +252,9 @@ def get_generated(
 
     Resolution, per procedure: the unit memo, then disk, then emit.
     *load* ``compile()``s every text not loaded yet, as a run needs;
-    without it the program only has its texts and demotions (a compile
-    or ``--codegen-dump``).  ``strict`` escalates any demotion to
+    without it the program only has its texts (a compile or
+    ``--codegen-dump``).  A procedure that cannot be generated raises
     :class:`CodegenError`."""
     gen, emitted = _generate(program, nprocs, vectorize, load)
     GEN_COUNTS["generated" if emitted else "disk"] += 1
-    if strict and gen.demotions:
-        raise CodegenError(_strict_message(gen))
     return gen, int(not emitted), int(emitted)
-
-
-def _strict_message(gen: GeneratedProgram) -> str:
-    rows = ", ".join(f"{proc}[{variant}]: {cause}"
-                     for variant, proc, cause in gen.demotions)
-    return f"codegen demoted under --strict: {rows}"

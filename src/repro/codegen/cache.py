@@ -14,22 +14,20 @@ itself may block, for every procedure it calls or references that
 procedure's kind and whether *it* may block, and the compiled procedure
 itself.  The stem is ``<unit key>-<nprocs>-<vec|novec>``.  An entry's
 first line is a header comment repeating the stem; below it comes the
-procedure's one text, which every rank runs — or, where it demoted to
-the interpreter, its cause — and an end marker, so a truncated entry
-never passes for a short procedure::
+procedure's one text, which every rank runs, and an end marker, so a
+truncated entry never passes for a short procedure::
 
-    # repro-codegen 9 a3f9…c1-4-vec
+    # repro-codegen 10 a3f9…c1-4-vec
     def _u_relax(rt, fr): ...
     #@ end
 
 Storage is a :class:`repro.cas.Cas` namespace (``codegen``, no memory
-tier — the in-process unit memo holds outcomes and loaded functions);
+tier — the in-process unit memo holds texts and loaded functions);
 the disk discipline is documented once, in DESIGN.md § 7 Stores.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 from typing import Optional
 
@@ -38,10 +36,9 @@ from ..settings import Settings
 
 #: bump when the generated-code shape changes; stale entries then
 #: fail the header check and regenerate
-GEN_VERSION = "9"
+GEN_VERSION = "10"
 
 _END = "\n#@ end\n"
-_DEMOTED = "#@ demoted "
 
 
 def _digest(*parts: str) -> str:
@@ -71,25 +68,18 @@ def entry_path(stem: str) -> str:
     return cas().path(stem)
 
 
-def encode_entry(store: Cas, stem: str, text: Optional[str],
-                 cause: Optional[str]) -> str:
-    """The entry *store* keeps for *stem*: the procedure's *text*, or
-    the *cause* it demoted (the caller resolved the store once, not
-    once per procedure)."""
-    body = text if cause is None else f"{_DEMOTED}{cause!r}"
-    return f"{entry_header(stem, store)}\n{body}{_END}"
+def encode_entry(store: Cas, stem: str, text: str) -> str:
+    """The entry *store* keeps for *stem*: the procedure's *text* (the
+    caller resolved the store once, not once per procedure)."""
+    return f"{entry_header(stem, store)}\n{text}{_END}"
 
 
-def decode_entry(payload: str) -> tuple[Optional[str], Optional[str]]:
-    """Inverse of :func:`encode_entry`: ``(text, None)`` or ``(None,
-    cause)``; raises on anything else (the header was checked by the
-    store)."""
+def decode_entry(payload: str) -> str:
+    """Inverse of :func:`encode_entry`: the text; raises on a truncated
+    entry (the header was checked by the store)."""
     if not payload.endswith(_END):
         raise ValueError("truncated entry")
-    _, _, body = payload[:-len(_END)].partition("\n")
-    if body.startswith(_DEMOTED):
-        return None, ast.literal_eval(body[len(_DEMOTED):])
-    return body, None
+    return payload[:-len(_END)].partition("\n")[2]
 
 
 #: one store per directory seen: ``REPRO_CODEGEN_CACHE`` may change

@@ -33,9 +33,10 @@ module owns is the statement walk: every ``compute``/``loop_tick``/
 ``guard_tick`` charge is emitted in the interpreter's order, which the
 differential suites check.
 
-Any construct without a generated equivalent raises :class:`Unsupported`
-and the whole procedure demotes to the interpreter (see
-:mod:`repro.codegen`) — never a hard failure unless ``--strict``.
+Emission is total over what the front end accepts: name resolution
+(``lang/parser``) and the compiler (``core/driver.assemble``) reject
+ill-formed programs, so a construct without a generated equivalent is
+an internal error — :class:`CodegenError`, naming the procedure.
 """
 
 from __future__ import annotations
@@ -63,14 +64,9 @@ from .vectorize import (
 )
 
 
-class Unsupported(Exception):
-    """A construct the emitter cannot lower; the procedure demotes."""
-
-
-#: Test hook — statement classes the emitter must refuse.  Lets the
-#: suite force the per-procedure demotion path on ordinary programs
-#: (monkeypatched; consulted on every statement).
-UNSUPPORTED_STMTS: tuple = ()
+class CodegenError(Exception):
+    """A procedure the generator could not lower, or whose text does not
+    compile: an internal error, never a property of the program."""
 
 
 #: Fortran binary operators with a direct Python spelling.
@@ -132,9 +128,9 @@ def emit_unit(
     blocks: bool,
     vectorize: bool,
     nprocs: int,
-) -> tuple[Optional[str], Optional[str]]:
-    """Generate procedure *unit* for ranks ``0..nprocs-1``: its text
-    and None, or None and the cause it demoted.
+) -> str:
+    """Generate procedure *unit* for ranks ``0..nprocs-1``: its text, or
+    :class:`CodegenError` naming the procedure.
 
     The result depends on the arguments alone — they are what
     :func:`repro.codegen.cache.unit_key` hashes: *facts* is derived
@@ -143,19 +139,18 @@ def emit_unit(
     may suspend itself."""
     fn = _FnEmitter(unit, facts, callees, blocks, vectorize, 0, nprocs - 1)
     try:
-        return fn.emit(), None
-    except Unsupported as ex:
-        return None, str(ex)
-    except Exception as ex:  # defensive: demote, never fail
-        return None, f"internal: {type(ex).__name__}: {ex}"
+        return fn.emit()
+    except Exception as ex:
+        raise CodegenError(
+            f"{unit.name}: internal: {type(ex).__name__}: {ex}") from ex
 
 
 def assemble_module(nprocs: int, vectorize: bool, blocking: frozenset,
-                    texts: dict[str, str], demoted: dict[str, str]) -> str:
+                    texts: dict[str, str]) -> str:
     """The node program as a single importable module: the unit *texts*
-    (procedure name -> text) over the prelude, with the ``UNITS`` /
-    ``DEMOTED`` tables.  For reading and dumping only — the run path
-    executes the texts themselves."""
+    (procedure name -> text) over the prelude, with the ``UNITS``
+    table.  For reading and dumping only — the run path executes the
+    texts themselves."""
     out = ['"""Auto-generated node program — do not edit.', "",
            f"every rank 0..{nprocs - 1} of {nprocs}; "
            f"vectorize={vectorize}", '"""', "", PRELUDE,
@@ -163,21 +158,13 @@ def assemble_module(nprocs: int, vectorize: bool, blocking: frozenset,
            f"BLOCKING = frozenset({sorted(blocking)!r})", ""]
     for text in texts.values():
         out += [text, ""]
-    units = {name: unit_ident(name, name in blocking) for name in texts}
-    out.append(_table("UNITS", units, quote_values=False))
-    out.append(_table("DEMOTED", demoted, quote_values=True))
+    if not texts:
+        return "\n".join(out + ["UNITS = {}"]) + "\n"
+    out.append("UNITS = {")
+    out += [f"    {name!r}: {unit_ident(name, name in blocking)},"
+            for name in texts]
+    out.append("}")
     return "\n".join(out) + "\n"
-
-
-def _table(name: str, mapping: dict, quote_values: bool) -> str:
-    if not mapping:
-        return f"{name} = {{}}"
-    rows = [f"{name} = {{"]
-    for k in mapping:
-        v = repr(mapping[k]) if quote_values else mapping[k]
-        rows.append(f"    {k!r}: {v},")
-    rows.append("}")
-    return "\n".join(rows)
 
 
 # --------------------------------------------------------------------------
@@ -236,7 +223,7 @@ class _FnEmitter:
     def areg(self, name: str) -> str:
         """Register an array use; returns its sanitized ident."""
         if name not in self.arr_ranks:
-            raise Unsupported(f"unknown array {name!r}")
+            raise CodegenError(f"unknown array {name!r}")
         ident = self.arrays.get(name)
         if ident is None:
             base = re.sub(r"\W", "_", name)
@@ -264,15 +251,14 @@ class _FnEmitter:
         if not prefix:
             return prefix
         written = set(self.unit.formals) | self.facts.written
-        for name, var_args in self.facts.expr_calls.items():
-            if name in self.callees:
-                written |= var_args
+        for var_args in self.facts.func_refs.values():
+            written |= var_args
         return prefix - written
 
     def specs_const(self, specs) -> str:
         for sp in specs:
             if sp.param is not None and not isinstance(sp.param, int):
-                raise Unsupported(f"distribution parameter {sp.param!r}")
+                raise CodegenError(f"distribution parameter {sp.param!r}")
         key = tuple((sp.kind, sp.param) for sp in specs)
         ident = self.specs.get(key)
         if ident is None:
@@ -285,8 +271,6 @@ class _FnEmitter:
     def emit(self) -> str:
         """The unit's self-contained text: the constants it names, then
         its ``def``."""
-        if self.y:
-            self._check_no_blocking_exprs()
         self.suite_inline(self.unit.body)
         if self.y and not self.has_yield:
             self.w("if False:")
@@ -336,15 +320,6 @@ class _FnEmitter:
             pre.append(f"_l{ax}_{ident} = _a_{ident}.bounds[{ax}][0]")
         return ["    " + ln for ln in pre]
 
-    def _check_no_blocking_exprs(self) -> None:
-        """Demoting here lets the interpreter raise its compile-time
-        error for a function that communicates in expression position."""
-        for name in self.facts.expr_calls:
-            if name in self.callees and self.callees[name][1]:
-                raise Unsupported(
-                    f"function {name!r} communicates inside an expression"
-                )
-
     # -- expressions -------------------------------------------------------
 
     def ex(self, e: A.Expr) -> str:
@@ -368,7 +343,7 @@ class _FnEmitter:
                 return f"fdiv({left}, {right})"
             op = _BIN_PY.get(e.op)
             if op is None:
-                raise Unsupported(f"operator {e.op!r}")
+                raise CodegenError(f"operator {e.op!r}")
             return f"({left} {op} {right})"
         if isinstance(e, A.UnOp):
             x = self.ex(e.operand)
@@ -376,33 +351,32 @@ class _FnEmitter:
                 return f"(-{x})"
             if e.op == ".not.":
                 return f"(not {x})"
-            raise Unsupported(f"unary operator {e.op!r}")
+            raise CodegenError(f"unary operator {e.op!r}")
         if isinstance(e, A.CallExpr):
             return self.call_expr(e)
-        raise Unsupported(f"expression {type(e).__name__}")
+        if isinstance(e, A.FuncRef):
+            args_src, actuals_src = self.call_args(list(e.args))
+            return f"rt.fcall({e.name!r}, fr, {args_src}, {actuals_src})"
+        raise CodegenError(f"expression {type(e).__name__}")
 
     def elem(self, ref: A.ArrayRef) -> str:
         ident = self.areg(ref.name)
         self.arr_data.add(ident)
         idx = []
         for ax, s in enumerate(ref.subs):
-            if isinstance(s, A.Triplet):
-                raise Unsupported("array section outside communication")
             self.arr_lo.add((ident, ax))
             idx.append(f"int({self.ex(s)}) - _l{ax}_{ident}")
         return f"_d_{ident}[{', '.join(idx)}]"
 
     def call_expr(self, e: A.CallExpr) -> str:
+        """An intrinsic (name resolution made every user function
+        reference an ``A.FuncRef``)."""
         name = e.name
         if name == "myproc":
             self.uses.add("RANK")
             return "RANK"
         if name == "owner":
-            if len(e.args) != 1 or not isinstance(e.args[0], A.ArrayRef):
-                raise Unsupported("owner() takes one array element")
             ref = e.args[0]
-            if any(isinstance(s, A.Triplet) for s in ref.subs):
-                raise Unsupported("owner() of an array section")
             ident = self.areg(ref.name)
             parts = [f"int({self.ex(s)})" for s in ref.subs]
             if len(parts) <= 2:
@@ -413,15 +387,8 @@ class _FnEmitter:
             arr = f"_a_{ident}"
             return (f"(0 if {arr}.dist is None or {arr}.dist.is_replicated "
                     f"else {arr}.dist.owner({idx}))")
-        if name in PURE_INTRINSICS:
-            args = ", ".join(self.ex(a) for a in e.args)
-            return f"_in_{name}({args})"
-        if name not in self.callees:
-            raise Unsupported(f"unknown function {name!r}")
-        if self.callees[name][0] != "function":
-            raise Unsupported(f"{name} is not a function")
-        args_src, actuals_src = self.call_args(list(e.args))
-        return f"rt.fcall({name!r}, fr, {args_src}, {actuals_src})"
+        args = ", ".join(self.ex(a) for a in e.args)
+        return f"_in_{name}({args})"
 
     def call_args(self, args: list[A.Expr]) -> tuple[str, str]:
         items, actuals = [], []
@@ -440,13 +407,10 @@ class _FnEmitter:
         actuals_src = "(" + ", ".join(actuals) + comma + ")"
         return args_src, actuals_src
 
-    def _has_user_call(self, exprs: list[A.Expr]) -> bool:
-        for e in exprs:
-            for sub in A.walk_exprs(e):
-                if isinstance(sub, A.CallExpr) \
-                        and sub.name in self.callees:
-                    return True
-        return False
+    @staticmethod
+    def _has_user_call(exprs: list[A.Expr]) -> bool:
+        return any(isinstance(sub, A.FuncRef)
+                   for e in exprs for sub in A.walk_exprs(e))
 
     # -- statements --------------------------------------------------------
 
@@ -464,10 +428,6 @@ class _FnEmitter:
         self.ind -= 1
 
     def emit_stmt(self, s: A.Stmt) -> None:
-        if UNSUPPORTED_STMTS and isinstance(s, tuple(UNSUPPORTED_STMTS)):
-            raise Unsupported(
-                f"statement {type(s).__name__} disabled for testing"
-            )
         if isinstance(s, A.Assign):
             return self.emit_assign(s)
         if isinstance(s, A.If):
@@ -509,7 +469,7 @@ class _FnEmitter:
             return self.emit_remap(s)
         if isinstance(s, A.MarkDist):
             return self.emit_mark(s)
-        raise Unsupported(f"statement {type(s).__name__}")
+        raise CodegenError(f"statement {type(s).__name__}")
 
     def emit_assign(self, s: A.Assign) -> None:
         self.uses.add("compute")
@@ -523,8 +483,6 @@ class _FnEmitter:
             self.w(f"compute({ops})")
             return
         ref = s.target
-        if any(isinstance(x, A.Triplet) for x in ref.subs):
-            raise Unsupported("array-section assignment")
         ops += len(ref.subs)
         ident = self.areg(ref.name)
         self.arr_data.add(ident)
@@ -681,8 +639,6 @@ class _FnEmitter:
     # -- calls / IO --------------------------------------------------------
 
     def emit_call(self, s: A.Call) -> None:
-        if s.name not in self.callees:
-            raise Unsupported(f"call of unknown procedure {s.name!r}")
         args_src, actuals_src = self.call_args(list(s.args))
         if self.callees[s.name][1]:
             self.has_yield = True

@@ -82,7 +82,6 @@ import numpy as np
 
 from ..runtime.node import _count_ops
 from ..lang import ast as A
-from ..runtime.intrinsics import PURE_INTRINSICS
 from ..settings import Settings
 
 #: below this trip count the scalar loop is cheaper than slice setup
@@ -157,10 +156,6 @@ VEC_INTRINSICS: dict[str, tuple[int, Optional[int]]] = {
     "min": (2, None),
     "max": (2, None),
 }
-
-#: calls that are pure and cost-free in the scalar path, hence safe
-#: inside once-per-block invariant subexpressions
-_INVARIANT_OK_CALLS = set(PURE_INTRINSICS) | {"myproc", "owner"}
 
 
 class LoopPlan:
@@ -319,10 +314,7 @@ class LoopPlan:
         reads inside it are recorded so the per-block disjointness
         check sees them."""
         for sub in A.walk_exprs(e):
-            if isinstance(sub, A.CallExpr) \
-                    and sub.name not in _INVARIANT_OK_CALLS:
-                raise _Reject
-            if isinstance(sub, A.Triplet):
+            if isinstance(sub, (A.FuncRef, A.Triplet)):
                 raise _Reject
             if isinstance(sub, A.ArrayRef):
                 self._inv_reads.append(sub)

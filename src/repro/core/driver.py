@@ -26,7 +26,12 @@ from ..analysis.constants import local_param_env
 from ..analysis.symbolics import affine_of
 from ..callgraph.acg import ACG
 from ..dist import Distribution
-from ..runtime.node import SPMDResult, default_init, run_spmd
+from ..runtime.node import (
+    SPMDResult,
+    default_init,
+    find_blocking_units,
+    run_spmd,
+)
 from ..lang import ast as A
 from ..lang import parse_summaries, program_str
 from ..machine.costmodel import CostModel, IPSC860
@@ -92,8 +97,7 @@ class CompiledProgram:
         metrics=None,
     ) -> SPMDResult:
         """Execute on the simulated machine; the arguments are
-        :func:`~repro.runtime.node.run_spmd`'s, and with
-        ``Options.strict`` any codegen demotion is a hard error."""
+        :func:`~repro.runtime.node.run_spmd`'s."""
         return run_spmd(
             self.program,
             self.opts.nprocs,
@@ -107,7 +111,6 @@ class CompiledProgram:
             trace=trace,
             topology=topology,
             codegen=codegen,
-            codegen_strict=self.opts.strict,
             metrics=metrics,
         )
 
@@ -622,7 +625,7 @@ def compile_program(
         compiled = assemble(sweep(source, opts, tracer=tracer), opts,
                             shared=False)
     with span("emit-node-program", nprocs=opts.nprocs):
-        _resolve_codegen(compiled, tracer)
+        _resolve_codegen(compiled)
     return compiled
 
 
@@ -779,6 +782,10 @@ def assemble(swept: Swept, opts: Options, *, shared: bool) -> CompiledProgram:
         procs[name] = proc
         swept.report.merge(s.fragment)
     program = A.Program([procs[name] for name in swept.units])
+    if any(u.kind == "function" for u in program.units):
+        # raises when a function reference reaches a procedure the
+        # compiler placed communication in (or in a callee of)
+        find_blocking_units(program)
     return CompiledProgram(program, swept.initial_dists, swept.report, opts)
 
 
@@ -912,32 +919,17 @@ def trace_decisions(swept: Swept, opts: Options, tracer) -> None:
             decide("rtr-demotion", proc=name, line=line)
 
 
-def _resolve_codegen(compiled: CompiledProgram, tracer=None) -> None:
+def _resolve_codegen(compiled: CompiledProgram) -> None:
     """Emit (or find in the unit memo or on disk) every procedure's
     node-program text for the environment-default execution options,
-    so the first run only loads them.  Under ``Options.strict`` the
-    texts are also loaded, and any codegen demotion is a compile error;
-    otherwise every failure here is soft — ``run_spmd`` resolves again
-    and demotes to the interpreter."""
-    from ..codegen import CodegenError, get_generated
+    so the first run only loads them.  Emission is total: a
+    :class:`~repro.codegen.CodegenError` here is an internal error."""
+    from ..codegen import get_generated
 
     settings = Settings.from_env()
-    if not settings.codegen:
-        return
-    strict = compiled.opts.strict
-    try:
-        gen, _, _ = get_generated(
-            compiled.program, compiled.opts.nprocs, settings.vectorize,
-            strict=strict, load=strict,
-        )
-    except CodegenError as e:
-        raise CompileError(str(e)) from None
-    except Exception:  # pragma: no cover - cache/emit trouble is soft
-        return
-    if tracer is not None:
-        for variant, proc, cause in gen.demotions:
-            tracer.decision("codegen-demotion", proc=proc, variant=variant,
-                            cause=cause)
+    if settings.codegen:
+        get_generated(compiled.program, compiled.opts.nprocs,
+                      settings.vectorize, load=False)
 
 
 def _demote_to_rtr(

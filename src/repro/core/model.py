@@ -24,6 +24,7 @@ from ..analysis.rsd import RSD
 from ..dist import Distribution
 from ..dist.distribution import DimDistribution
 from ..lang import ast as A
+from ..lang.parser import CompileError  # noqa: F401 - re-exported
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,6 @@ class ProcExports:
     overlap_offsets: dict[str, list[tuple[int, int]]] = field(
         default_factory=dict
     )
-
-
-class CompileError(Exception):
-    """Input outside the compilable subset with no safe fallback."""
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,16 @@ def _digest(text: str) -> str:
 
 def source_fingerprint(proc: A.Procedure) -> str:
     """Stable fingerprint of one procedure's source (the "local summary
-    collected after an editing session")."""
-    return _digest(procedure_str(proc))
+    collected after an editing session").  The printer spells a user
+    function reference like an intrinsic call (``f(k)``), so the names
+    resolved to user functions are part of it: adding or removing
+    ``function f`` changes the callers' fingerprints."""
+    text = procedure_str(proc)
+    funcs = sorted({e.name for e in A.walk_all_exprs(proc.body)
+                    if isinstance(e, A.FuncRef)})
+    if funcs:
+        text += "\n! functions " + " ".join(funcs)
+    return _digest(text)
 
 
 def unit_fingerprint(acg: ACG, name: str) -> str:

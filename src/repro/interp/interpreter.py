@@ -66,6 +66,21 @@ class Interpreter:
         self.ctx = node.ctx
         #: per-unit segment lists
         self._compiled: dict[str, list[Seg]] = {}
+        #: procedure name -> ``fn(node, frame)``, the form generated code
+        #: has: a generator function when the procedure may block
+        self.units = {u.name: self._unit_fn(u) for u in self.program.units}
+
+    def _unit_fn(self, unit: A.Procedure) -> Callable:
+        exec_unit_y = self.exec_unit_y
+        if unit.name in self.node.blocking:
+            return lambda node, frame: exec_unit_y(unit, frame)
+
+        def run(node: Node, frame: Frame) -> None:
+            for _ in exec_unit_y(unit, frame):
+                raise InterpError(f"{unit.name}: a procedure that cannot "
+                                  f"block suspended")
+
+        return run
 
     def exec_unit_y(
         self, unit: A.Procedure, frame: Frame
@@ -162,6 +177,11 @@ class Interpreter:
             raise InterpError(f"unknown unary op {e.op}")
         if isinstance(e, A.CallExpr):
             return self._compile_call_expr(e, unit)
+        if isinstance(e, A.FuncRef):
+            name = e.name
+            actuals, var_actuals = self._compile_actuals(e.args, unit)
+            fcall = self.node.fcall
+            return lambda fr: fcall(name, fr, actuals(fr), var_actuals)
         if isinstance(e, A.Triplet):
             raise InterpError("triplet outside communication statement")
         raise InterpError(f"cannot compile expression {e!r}")
@@ -201,22 +221,13 @@ class Interpreter:
         return cmp_owner
 
     def _compile_call_expr(self, e: A.CallExpr, unit: A.Procedure) -> ExprFn:
+        """An intrinsic (name resolution made every user function
+        reference an ``A.FuncRef``)."""
         name = e.name
-        if name in self.node.blocking:
-            # a generator cannot yield from inside an expression, and
-            # compiled node programs never place communication there:
-            # a compile-time error, not a silent wrong answer
-            raise InterpError(
-                f"{unit.name}: function {name!r} communicates; "
-                f"a rank cannot suspend inside an expression — "
-                f"restructure as a CALL statement"
-            )
         if name == "myproc":
             rank = self.ctx.rank
             return lambda fr: rank
         if name == "owner":
-            if len(e.args) != 1 or not isinstance(e.args[0], A.ArrayRef):
-                raise InterpError("owner() takes one array element")
             ref = e.args[0]
             sub_fns = [self._compile_expr(s, unit) for s in ref.subs]
             arr_name = ref.name
@@ -246,28 +257,15 @@ class Interpreter:
                     return dist.owner([int(f(fr)) for f in sub_fns])
 
             return owner_fn
-        if name in PURE_INTRINSICS:
-            fn = PURE_INTRINSICS[name]
-            arg_fns = [self._compile_expr(a, unit) for a in e.args]
-            if len(arg_fns) == 1:
-                a0 = arg_fns[0]
-                return lambda fr: fn(a0(fr))
-            if len(arg_fns) == 2:
-                a0, a1 = arg_fns
-                return lambda fr: fn(a0(fr), a1(fr))
-            return lambda fr: fn(*[f(fr) for f in arg_fns])
-        # user function
-        try:
-            callee = self.program.unit(name)
-        except KeyError:
-            raise InterpError(
-                f"{unit.name}: call of unknown function {name!r}"
-            ) from None
-        if callee.kind != "function":
-            raise InterpError(f"{name} is not a function")
-        actuals, var_actuals = self._compile_actuals(e.args, unit)
-        fcall = self.node.fcall
-        return lambda fr: fcall(name, fr, actuals(fr), var_actuals)
+        fn = PURE_INTRINSICS[name]
+        arg_fns = [self._compile_expr(a, unit) for a in e.args]
+        if len(arg_fns) == 1:
+            a0 = arg_fns[0]
+            return lambda fr: fn(a0(fr))
+        if len(arg_fns) == 2:
+            a0, a1 = arg_fns
+            return lambda fr: fn(a0(fr), a1(fr))
+        return lambda fr: fn(*[f(fr) for f in arg_fns])
 
     # ------------------------------------------------------------------
     # statement compilation

@@ -5,6 +5,7 @@ from .lexer import LexError, logical_lines, tokenize
 from .parser import (
     PARSE_COUNTS,
     SUMMARY_COUNTS,
+    CompileError,
     ParseError,
     Parser,
     UnitSummary,
@@ -23,6 +24,7 @@ __all__ = [
     "parse_summaries",
     "Parser",
     "ParseError",
+    "CompileError",
     "PARSE_COUNTS",
     "SUMMARY_COUNTS",
     "UnitSummary",

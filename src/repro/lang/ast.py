@@ -95,7 +95,19 @@ class UnOp(Expr):
 
 @dataclass(frozen=True)
 class CallExpr(Expr):
-    """Function or intrinsic call in expression position."""
+    """Intrinsic call in expression position (``runtime/intrinsics.py``
+    names them), whether the source wrote it or the compiler inserted
+    it (``min`` / ``max`` / ``pmod`` / ``owner`` bounds and guards)."""
+
+    name: str
+    args: tuple[Expr, ...]
+
+
+@dataclass(frozen=True)
+class FuncRef(Expr):
+    """Reference to a user ``function`` in expression position.  Name
+    resolution (``lang/parser._resolve_unit``) makes it; a user function
+    shadows the intrinsic of the same name."""
 
     name: str
     args: tuple[Expr, ...]
@@ -451,7 +463,7 @@ def walk_exprs(e: Expr) -> Iterator[Expr]:
         yield from walk_exprs(e.right)
     elif isinstance(e, UnOp):
         yield from walk_exprs(e.operand)
-    elif isinstance(e, CallExpr):
+    elif isinstance(e, (CallExpr, FuncRef)):
         for a in e.args:
             yield from walk_exprs(a)
     elif isinstance(e, ArrayRef):

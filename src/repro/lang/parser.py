@@ -28,6 +28,10 @@ from .lexer import eof_line, lex_lines, logical_lines
 from .tokens import TokKind, Token
 
 
+class CompileError(Exception):
+    """Input outside the compilable subset with no safe fallback."""
+
+
 class ParseError(Exception):
     def __init__(self, message: str, tok: Token) -> None:
         super().__init__(f"parse error at {tok.line}:{tok.col}: {message} (got {tok})")
@@ -634,17 +638,20 @@ class UnitSummary:
 
 class _Chunk:
     """One unit-memo entry: the pristine units a chunk's text parses to,
-    and their local summaries per set of ``function`` names their call
-    resolution consults — a subset of the chunk's :attr:`arrays`, and in
-    practice the same one every time."""
+    and their local summaries per set of procedures their name
+    resolution consults — the procedures named by the chunk's
+    :attr:`names` (its arrays and every ``name(...)`` it writes), with
+    their kinds, and in practice the same set every time."""
 
-    __slots__ = ("units", "arrays", "summaries")
+    __slots__ = ("units", "names", "summaries")
 
     def __init__(self, units: list[A.Procedure]) -> None:
         self.units = units
-        self.arrays = frozenset(d.name for u in units for d in u.decls
-                                if d.is_array)
-        self.summaries: dict[frozenset[str], list[UnitSummary]] = {}
+        self.names = frozenset(
+            [d.name for u in units for d in u.decls if d.is_array]
+            + [e.name for u in units for e in A.walk_all_exprs(u.body)
+               if isinstance(e, A.ArrayRef)])
+        self.summaries: dict[frozenset, list[UnitSummary]] = {}
 
 
 def reset_unit_memo() -> None:
@@ -692,12 +699,12 @@ def _parse_chunk(chunk: list[tuple[int, str]], eof: int) -> _Chunk:
     return entry
 
 
-def _summaries(entry: _Chunk, func_names: set[str]) -> list[UnitSummary]:
+def _summaries(entry: _Chunk, procs: dict[str, str]) -> list[UnitSummary]:
     """The local summaries of *entry*'s units in a program whose
-    ``function`` units are *func_names*: built from clones of the
-    pristine units once per set of names call resolution consults (the
-    chunk's arrays that are also functions)."""
-    consulted = entry.arrays & func_names
+    procedures are *procs* (name -> kind): built from clones of the
+    pristine units once per set of procedures name resolution consults
+    (those the chunk names)."""
+    consulted = frozenset((n, procs[n]) for n in entry.names if n in procs)
     with _unit_memo_lock:
         summaries = entry.summaries.get(consulted)
         if summaries is not None:
@@ -706,7 +713,7 @@ def _summaries(entry: _Chunk, func_names: set[str]) -> list[UnitSummary]:
     summaries = []
     for u in entry.units:
         unit = A.clone_procedure(u)
-        _resolve_unit(unit, func_names)
+        _resolve_unit(unit, procs)
         summaries.append(UnitSummary(unit))
     with _unit_memo_lock:
         entry.summaries[consulted] = summaries
@@ -716,16 +723,15 @@ def _summaries(entry: _Chunk, func_names: set[str]) -> list[UnitSummary]:
 
 def parse_summaries(source: str) -> list[UnitSummary]:
     """The local summaries of *source*'s units, in source order: each
-    unit's text is lexed and parsed once per process, and its calls
-    resolved once per (text, consulted function names)."""
+    unit's text is lexed and parsed once per process, and its names
+    resolved once per (text, consulted procedures)."""
     eof = eof_line(source)
     # a source without a single logical line is one empty chunk: the
     # parser raises its own "empty program"
     entries = [_parse_chunk(chunk, eof)
                for chunk in list(_unit_chunks(source)) or [[]]]
-    func_names = {u.name for e in entries for u in e.units
-                  if u.kind == "function"}
-    return [s for e in entries for s in _summaries(e, func_names)]
+    procs = {u.name: u.kind for e in entries for u in e.units}
+    return [s for e in entries for s in _summaries(e, procs)]
 
 
 def parse(source: str) -> A.Program:
@@ -737,45 +743,56 @@ def parse(source: str) -> A.Program:
     return A.Program([s.tree() for s in parse_summaries(source)])
 
 
-#: Names always treated as function calls (intrinsics + user math funcs).
-INTRINSICS = frozenset(
-    {
-        "min", "max", "mod", "abs", "sqrt", "float", "int", "sign",
-        "myproc", "owner", "f", "g", "nint", "dble", "exp", "pmod",
-    }
-)
-
-
 def _resolve_calls(prog: A.Program) -> None:
-    """Rewrite ``ArrayRef`` nodes whose name is not a declared array into
-    ``CallExpr`` (intrinsic or user function call)."""
-    func_names = {u.name for u in prog.units if u.kind == "function"}
+    """:func:`_resolve_unit` for every unit of *prog*."""
+    procs = {u.name: u.kind for u in prog.units}
     for unit in prog.units:
-        _resolve_unit(unit, func_names)
+        _resolve_unit(unit, procs)
 
 
-def _resolve_unit(unit: A.Procedure, func_names: set[str]) -> None:
-    """:func:`_resolve_calls` for one unit of a program whose
-    ``function`` units are *func_names*."""
+def _resolve_unit(unit: A.Procedure, procs: dict[str, str]) -> None:
+    """Name resolution for one unit of a program whose procedures are
+    *procs* (name -> kind): the one place a ``name(...)`` in an
+    expression gets its meaning.  A declared array stays an
+    ``ArrayRef``; a user ``function`` becomes a ``FuncRef``, shadowing
+    the intrinsic of the same name (Fortran's rule); an intrinsic
+    becomes a ``CallExpr`` (a subroutine never shadows one).  Anything
+    else — a subroutine or the program, or a name that is none of
+    these — is a :class:`CompileError`, and so is an array section
+    (the compiler's alone, in the messages it places)."""
+    # deferred: the runtime package imports the analyses, which import
+    # this one
+    from ..runtime.intrinsics import INTRINSICS
+
+    def resolve(name: str, args: tuple[A.Expr, ...]) -> A.Expr:
+        kind = procs.get(name)
+        if kind == "function":
+            return A.FuncRef(name, args)
+        if name not in INTRINSICS:
+            if kind is not None:
+                raise CompileError(
+                    f"{unit.name}: {kind} {name!r} used as a function")
+            raise CompileError(f"{unit.name}: unknown function {name!r}")
+        if name == "owner" and not (
+                len(args) == 1 and isinstance(args[0], A.ArrayRef)
+                and not any(isinstance(x, A.Triplet) for x in args[0].subs)):
+            raise CompileError(f"{unit.name}: owner() takes one array "
+                               f"element")
+        return A.CallExpr(name, args)
 
     def fix(e: A.Expr, arrays: set[str]) -> A.Expr:
         if isinstance(e, A.ArrayRef):
             subs = tuple(fix(s, arrays) for s in e.subs)
             if e.name in arrays:
                 return A.ArrayRef(e.name, subs)
-            return A.CallExpr(e.name, subs)
+            return resolve(e.name, subs)
         if isinstance(e, A.BinOp):
             return A.BinOp(e.op, fix(e.left, arrays), fix(e.right, arrays))
         if isinstance(e, A.UnOp):
             return A.UnOp(e.op, fix(e.operand, arrays))
-        if isinstance(e, A.CallExpr):
-            return A.CallExpr(e.name, tuple(fix(a, arrays) for a in e.args))
         if isinstance(e, A.Triplet):
-            return A.Triplet(
-                fix(e.lo, arrays) if e.lo is not None else None,
-                fix(e.hi, arrays) if e.hi is not None else None,
-                fix(e.step, arrays) if e.step is not None else None,
-            )
+            raise CompileError(f"{unit.name}: array section outside "
+                               f"communication")
         return e
 
     def fix_body(body: list[A.Stmt], arrays: set[str]) -> None:
@@ -802,5 +819,5 @@ def _resolve_unit(unit: A.Procedure, func_names: set[str]) -> None:
                 fix_body(blk, arrays)
 
     arrays = {d.name for d in unit.decls if d.is_array}
-    arrays -= func_names
+    arrays -= {name for name, kind in procs.items() if kind == "function"}
     fix_body(unit.body, arrays)

@@ -24,7 +24,7 @@ def expr_str(e: A.Expr) -> str:
         return e.name
     if isinstance(e, A.ArrayRef):
         return f"{e.name}({', '.join(expr_str(s) for s in e.subs)})"
-    if isinstance(e, A.CallExpr):
+    if isinstance(e, (A.CallExpr, A.FuncRef)):
         return f"{e.name}({', '.join(expr_str(a) for a in e.args)})"
     if isinstance(e, A.Triplet):
         lo = expr_str(e.lo) if e.lo is not None else ""

@@ -46,11 +46,9 @@ class RunStats:
     #: memoized per CommAction per rank)
     comm_cache_hits: int = 0
     comm_cache_misses: int = 0
-    #: generated-node-program cache (one module per run) and
-    #: per-procedure demotions to the interpreter
+    #: generated-node-program cache (one module per run)
     codegen_cache_hits: int = 0
     codegen_cache_misses: int = 0
-    codegen_demotions: int = 0
     #: metrics-registry snapshot stamped by the machine at end of run
     #: (None unless metrics were enabled — REPRO_METRICS / metrics=);
     #: the same schema the daemon's ``metrics`` op and the benchmark
@@ -137,15 +135,13 @@ class RunStats:
         with self._lock:
             self.metrics = snapshot
 
-    def record_codegen(self, hits: int, misses: int,
-                       demotions: int) -> None:
+    def record_codegen(self, hits: int, misses: int) -> None:
         """Generated-module cache counters for this run (a hit means
         every procedure of the run's module came from the unit memo
-        or disk; a miss means one was emitted) plus the demotion count."""
+        or disk; a miss means one was emitted)."""
         with self._lock:
             self.codegen_cache_hits += hits
             self.codegen_cache_misses += misses
-            self.codegen_demotions += demotions
 
     # -- reporting ---------------------------------------------------------
 
@@ -222,7 +218,6 @@ class RunStats:
                 "comm_cache_misses": self.comm_cache_misses,
                 "codegen_cache_hits": self.codegen_cache_hits,
                 "codegen_cache_misses": self.codegen_cache_misses,
-                "codegen_demotions": self.codegen_demotions,
                 "metrics": self.metrics,
                 "time_us": time_us,
                 "time_ms": time_us / 1000.0,
@@ -252,5 +247,4 @@ class RunStats:
             f"{self.comm_cache_hits + self.comm_cache_misses} hits  "
             f"codegen={self.codegen_cache_hits}/"
             f"{self.codegen_cache_hits + self.codegen_cache_misses} hits"
-            f" {self.codegen_demotions} demoted"
         )

@@ -470,7 +470,6 @@ def record_run(registry: MetricsRegistry, backend: str, stats: Any,
             "comm_misses": stats.comm_cache_misses,
             "codegen_hits": stats.codegen_cache_hits,
             "codegen_misses": stats.codegen_cache_misses,
-            "codegen_demotions": stats.codegen_demotions,
         },
         help="interpreter/codegen cache activity (latest run)",
     )

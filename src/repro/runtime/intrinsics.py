@@ -57,3 +57,7 @@ PURE_INTRINSICS: dict[str, Callable] = {
 }
 
 CONTEXT_INTRINSICS = frozenset({"myproc", "owner"})
+
+#: every intrinsic name: what name resolution (``lang/parser``) makes a
+#: ``CallExpr`` when no user function of that name exists
+INTRINSICS = frozenset(PURE_INTRINSICS) | CONTEXT_INTRINSICS

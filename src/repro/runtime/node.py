@@ -9,9 +9,9 @@ remaps, sections and calls, and declares its local blocks itself
   ``rt`` and calls :meth:`Node.call`, :meth:`Node.comm_entry`,
   :meth:`Node.remap_y` and the rest by name;
 * the closure compiler (:class:`~repro.interp.interpreter.Interpreter`)
-  calls the same methods from its closures.  A node builds its
-  interpreter only when a procedure without generated code is first
-  called: a demoted procedure, or every procedure when codegen is off.
+  calls the same methods from its closures.  A run picks its engine
+  once: a node runs every procedure's generated function, or (codegen
+  off) builds its interpreter and runs every procedure on that.
 
 What lives here is what the two engines must agree on: frames, the
 COMMON store, array allocation and initial images, the call convention,
@@ -43,6 +43,7 @@ import numpy as np
 
 from ..dist import Distribution
 from ..lang import ast as A
+from ..lang.parser import CompileError
 from ..lang.printer import expr_str
 from ..machine.costmodel import CostModel, IPSC860
 from ..machine.faults import FaultPlan
@@ -182,7 +183,7 @@ def default_init(name: str, indices: tuple[int, ...]) -> float:
 def _count_ops(e: A.Expr) -> int:
     n = 0
     for sub in A.walk_exprs(e):
-        if isinstance(sub, (A.BinOp, A.UnOp, A.CallExpr)):
+        if isinstance(sub, (A.BinOp, A.UnOp, A.CallExpr, A.FuncRef)):
             n += 1
     return n
 
@@ -250,10 +251,10 @@ class UnitFacts(NamedTuple):
     blocks: bool
     #: targets of its CALL statements
     calls: frozenset[str]
-    #: every name called in expression position (user functions and
-    #: intrinsics alike, in first-occurrence order) -> the scalar
-    #: variables passed to it, which a user function may write
-    expr_calls: dict[str, frozenset[str]]
+    #: every user function referenced in expression position (in
+    #: first-occurrence order) -> the scalar variables passed to it,
+    #: which it may write
+    func_refs: dict[str, frozenset[str]]
     #: scalars its statements write: assignment targets, DO variables,
     #: reduction results and the variables a CALL passes by reference
     written: frozenset[str]
@@ -263,7 +264,7 @@ def unit_facts(unit: A.Procedure) -> UnitFacts:
     """The single statement / expression walk behind :class:`UnitFacts`."""
     blocks = False
     calls: set[str] = set()
-    expr_calls: dict[str, set[str]] = {}
+    func_refs: dict[str, set[str]] = {}
     written: set[str] = set()
     for s in A.walk_stmts(unit.body):
         if isinstance(s, _BLOCKING_STMTS):
@@ -282,13 +283,13 @@ def unit_facts(unit: A.Procedure) -> UnitFacts:
             written.update(a.name for a in s.args if isinstance(a, A.Var))
         for e in A.stmt_exprs(s):
             for sub in A.walk_exprs(e):
-                if isinstance(sub, A.CallExpr):
-                    expr_calls.setdefault(sub.name, set()).update(
+                if isinstance(sub, A.FuncRef):
+                    func_refs.setdefault(sub.name, set()).update(
                         a.name for a in sub.args if isinstance(a, A.Var)
                     )
     return UnitFacts(
         blocks, frozenset(calls),
-        {name: frozenset(args) for name, args in expr_calls.items()},
+        {name: frozenset(args) for name, args in func_refs.items()},
         frozenset(written),
     )
 
@@ -297,10 +298,12 @@ def find_blocking_units(
     program: A.Program, facts: Optional[dict[str, UnitFacts]] = None
 ) -> set[str]:
     """Procedures that may suspend: those containing a blocking
-    statement, transitively closed over CALL / function-call edges.
-    Both engines place their yields at exactly these procedures; the
-    code generator passes the per-unit *facts* it has already
-    collected."""
+    statement, transitively closed over CALL edges.  Both engines place
+    their yields at exactly these procedures; the code generator passes
+    the per-unit *facts* it has already collected.  A function
+    reference to one of them is a :class:`CompileError` (the compiler
+    checks its output with this too): a rank cannot suspend inside an
+    expression."""
     if facts is None:
         facts = {u.name: unit_facts(u) for u in program.units}
     blocking = {name for name, f in facts.items() if f.blocks}
@@ -308,10 +311,15 @@ def find_blocking_units(
     while changed:
         changed = False
         for name, f in facts.items():
-            if name not in blocking and (
-                    f.calls & blocking or f.expr_calls.keys() & blocking):
+            if name not in blocking and f.calls & blocking:
                 blocking.add(name)
                 changed = True
+    for name, f in facts.items():
+        for callee in f.func_refs:
+            if callee in blocking:
+                raise CompileError(
+                    f"{name}: function {callee!r} communicates inside an "
+                    f"expression; restructure as a CALL statement")
     return blocking
 
 
@@ -324,15 +332,16 @@ class Node:
     """One rank's runtime: storage, calls, sections, remaps and prints
     for the program it runs.  Generated code receives it as ``rt``.
 
-    *units* maps a procedure name to its generated function (empty
-    when codegen is off); a procedure
-    without one runs on the rank's interpreter, built on first use."""
+    *units* maps every procedure name to its generated function; None
+    (codegen off) makes the node build its interpreter, whose
+    ``units`` map each procedure to its closures in the same form —
+    ``fn(node, frame)``, a generator function when the procedure may
+    block."""
 
     __slots__ = (
         "program", "ctx", "tracer", "initial_dists", "init_fn",
         "blocking", "units", "param_env", "prints", "comm_cache_hits",
         "comm_cache_misses", "_images", "_common_store", "_caches",
-        "_interp",
     )
 
     def __init__(
@@ -343,7 +352,7 @@ class Node:
         init_fn: Callable[[str, tuple[int, ...]], float],
         blocking: set[str],
         images: dict[tuple, np.ndarray],
-        units: dict[str, Callable],
+        units: Optional[dict[str, Callable]],
     ) -> None:
         self.program = program
         self.ctx = ctx
@@ -353,7 +362,6 @@ class Node:
         #: procedures that may suspend (``run_spmd`` computes the set
         #: once per program and hands it to every rank)
         self.blocking = blocking
-        self.units = units
         self.param_env = {u.name: self._eval_params(u)
                           for u in program.units}
         self.prints: list[str] = []
@@ -366,19 +374,14 @@ class Node:
         #: static id (``'<procedure>:<k>'`` in generated code, one
         #: object per compiled closure in the interpreter)
         self._caches: dict[object, dict] = {}
-        self._interp = None
         # COMMON arrays: one storage per node, visible in every frame
         self._common_store: dict[str, FArray] = {}
         self._build_commons()
-
-    @property
-    def interp(self):
-        """This rank's interpreter, built when first needed."""
-        if self._interp is None:
+        if units is None:
             from ..interp.interpreter import Interpreter
 
-            self._interp = Interpreter(self)
-        return self._interp
+            units = Interpreter(self).units
+        self.units = units
 
     def run_y(self):
         """Execute the main program as a rank coroutine.
@@ -392,10 +395,8 @@ class Node:
         main = self.program.main
         frame = self._make_frame(main, [])
         try:
-            fn = self.units.get(main.name)
-            if fn is None:
-                yield from self.interp.exec_unit_y(main, frame)
-            elif main.name in self.blocking:
+            fn = self.units[main.name]
+            if main.name in self.blocking:
                 yield from fn(self, frame)
             else:
                 # a main that never blocks runs straight through
@@ -538,27 +539,16 @@ class Node:
     def call(self, name: str, fr: Frame, args: list,
              var_actuals: tuple) -> Frame:
         """CALL statement / function reference for a callee that cannot
-        block: its generated body when it has one, else the
-        interpreter's."""
+        block."""
         unit, callee = self.enter_call(name, args)
-        fn = self.units.get(name)
-        if fn is not None:
-            fn(self, callee)
-        else:
-            for _ in self.interp.exec_unit_y(unit, callee):
-                raise InterpError(f"{name}: a procedure that cannot "
-                                  f"block suspended")
+        self.units[name](self, callee)
         self.leave_call(unit, var_actuals, fr, callee)
         return callee
 
     def call_y(self, name: str, fr: Frame, args: list, var_actuals: tuple):
         """Generator form of :meth:`call` for callees that may block."""
         unit, callee = self.enter_call(name, args)
-        fn_y = self.units.get(name)
-        if fn_y is not None:
-            yield from fn_y(self, callee)
-        else:
-            yield from self.interp.exec_unit_y(unit, callee)
+        yield from self.units[name](self, callee)
         self.leave_call(unit, var_actuals, fr, callee)
         return callee
 
@@ -746,7 +736,6 @@ def run_spmd(
     trace=None,
     topology=None,
     codegen: Optional[bool] = None,
-    codegen_strict: bool = False,
     metrics=None,
 ) -> SPMDResult:
     """Run a compiled SPMD node program on the simulated machine.
@@ -760,14 +749,13 @@ def run_spmd(
     *topology* a :class:`~repro.machine.topology.Topology` or a name like
     ``"mesh2d:contention"``; *codegen* the generated node-program path
     (*vectorize* lets it emit numpy blocks for the loops
-    :class:`~repro.codegen.vectorize.LoopPlan` accepts, and
-    *codegen_strict* escalates per-procedure demotions to errors; the
-    interpreter always runs scalar);
+    :class:`~repro.codegen.vectorize.LoopPlan` accepts; the interpreter
+    always runs scalar), chosen once for the whole run;
     *metrics* a :class:`~repro.obs.MetricsRegistry` or ``True`` for the
     process-wide default registry.
     """
     # deferred import: repro.codegen imports this module
-    from ..codegen import CodegenError, get_generated
+    from ..codegen import get_generated
 
     machine = Machine(nprocs, cost, timeout_s, faults=faults,
                       scheduler=scheduler, trace=trace, topology=topology,
@@ -781,23 +769,9 @@ def run_spmd(
         if vectorize is None:
             vectorize = settings.vectorize
         # every procedure is loaded here, before the machine starts: a
-        # compile only resolved the texts, and nothing demotes mid-run
-        try:
-            gen, gh, gm = get_generated(
-                program, nprocs, bool(vectorize), strict=codegen_strict,
-            )
-        except CodegenError:
-            raise
-        except Exception:  # pragma: no cover - codegen must not kill runs
-            gen = None
-        if gen is not None:
-            machine.stats.record_codegen(gh, gm, len(gen.demotions))
-            if machine.tracer is not None:
-                for variant, proc, cause in gen.demotions:
-                    machine.tracer.decision(
-                        "codegen-demotion", proc=proc, variant=variant,
-                        cause=cause,
-                    )
+        # compile only resolved the texts
+        gen, gh, gm = get_generated(program, nprocs, bool(vectorize))
+        machine.stats.record_codegen(gh, gm)
 
     initial_dists = initial_dists or {}
     # once per run, not once per rank: a generated program carries the
@@ -808,7 +782,7 @@ def run_spmd(
     # across runs (two `threads` ranks computing one image is benign)
     images: dict[tuple, np.ndarray] = {}
 
-    units = gen.module.units if gen is not None else {}
+    units = gen.module.units if gen is not None else None
 
     # one SPMD node program: the machine drives each rank as a
     # coroutine, suspending exactly at blocking communication

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.lang import parse
+from repro.runtime.node import run_sequential
 
 FIG1 = """
 program p1
@@ -80,7 +82,13 @@ class TestRun:
         p = tmp_path / "dgefa.fd"
         p.write_text(dgefa_source(24))
         assert main([str(p), "--run", "--verify", "--no-text"]) == 0
-        assert "! verify a: OK" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "! verify a: OK" in out
+        # the line says how few elements were compared by value
+        ref = run_sequential(parse(dgefa_source(24))).arrays["a"].data
+        finite = int(np.isfinite(ref).sum())
+        assert 0 < finite < ref.size
+        assert f"! verify a: OK ({finite}/{ref.size} finite)" in out
 
     def test_gather_prints_array(self, src_file, capsys):
         assert main([src_file, "--run", "--gather", "x",

@@ -236,12 +236,13 @@ def test_engine_rules_have_one_home():
 
 
 def test_no_demotions_on_paper_apps():
-    """Every procedure of every paper app must lower; a demotion here
-    means the generator regressed."""
+    """Every procedure of every paper app lowers (a procedure that does
+    not raises ``CodegenError``) and is loaded."""
     for name, src, _ in CASES:
         cp = compile_program(src, Options(nprocs=4, mode=Mode.INTER))
         gen, _, _ = get_generated(cp.program, 4, True)
-        assert gen.demotions == [], (name, gen.demotions)
+        assert set(gen.module.units) == {u.name for u in cp.program.units}
+        assert all(gen.module.units.values()), name
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +284,8 @@ def test_run_surfaces_codegen_counters(codegen_tmp):
     res = _run(cp, None, "event", codegen=True)
     s = res.stats
     assert s.codegen_cache_hits + s.codegen_cache_misses == 1
-    assert s.codegen_demotions == 0
     d = s.as_dict()
-    for key in ("codegen_cache_hits", "codegen_cache_misses",
-                "codegen_demotions"):
+    for key in ("codegen_cache_hits", "codegen_cache_misses"):
         assert key in d
     # a run's stats are a function of the run alone
     assert not any(k.startswith("compile_cache") for k in d)
@@ -362,8 +361,7 @@ def test_unreadable_entry_regenerated(codegen_tmp):
 
 def test_one_function_per_unit(codegen_tmp):
     """Each procedure is emitted once — a generator when it may block,
-    a plain function otherwise — and there is one UNITS / one DEMOTED
-    table."""
+    a plain function otherwise — and there is one UNITS table."""
     import inspect
 
     for name, src, _ in CASES:
@@ -372,9 +370,9 @@ def test_one_function_per_unit(codegen_tmp):
         units = {u.name for u in cp.program.units}
         mod = gen.module
         assert "UNITS_Y" not in mod.source, name
-        assert "DEMOTED_Y" not in mod.source, name
+        assert "DEMOTED" not in mod.source, name
         assert mod.source.count("\ndef _u_") == len(units), name
-        assert set(mod.units) == units and not mod.demoted
+        assert set(mod.units) == units
         for unit, fn in mod.units.items():
             assert inspect.isgeneratorfunction(fn) \
                 == (unit in mod.blocking), (name, unit)
@@ -400,7 +398,7 @@ def test_version_1_disk_entry_ignored_and_regenerated(codegen_tmp):
     with open(path, "w") as f:
         f.write(old)
     gen, hits, misses = get_generated(cp.program, 4, True)
-    assert misses >= 1 and gen.demotions == []
+    assert misses >= 1
     healed = open(path).read()
     assert healed.startswith(entry_header(stem) + "\n")
     assert "UNITS_Y" not in healed
@@ -492,7 +490,7 @@ def test_units_emitted_and_shared_exactly(fresh_counts, mode, guarded):
     holds for some ranks only stays a run-time ``if`` in it."""
     prog = _pipeline(mode)
     gen, hits, misses = get_generated(prog, 8, True)
-    assert (hits, misses) == (0, 1) and gen.demotions == []
+    assert (hits, misses) == (0, 1)
     assert gen.modules == {"all": (0, 7, gen.module)}
     assert _unit_counts() == (9, 9, 0)
     assert _rank_guarded(gen) == guarded
@@ -569,7 +567,8 @@ def test_unit_key_covers_what_the_callees_are(fresh_counts):
     """A caller whose own text is identical in two programs must not
     share a generated function when a callee starts to communicate
     (``rt.call`` would skip the callee's suspension points) or changes
-    kind."""
+    kind.  (From source, a subroutine referenced as a function never
+    reaches the emitter: name resolution refuses it.)"""
     import dataclasses
 
     plain, comm, kind = parse(CALLER), parse(CALLER), parse(CALLER)
@@ -583,7 +582,9 @@ def test_unit_key_covers_what_the_callees_are(fresh_counts):
         get_generated(prog, 4, True)
     assert "rt.call('h'" in _entry_body(plain, "g")
     assert "yield from rt.call_y('h'" in _entry_body(comm, "g")
-    assert "demoted 'k is not a function'" in _entry_body(kind, "g")
+    with pytest.raises(CompileError, match="g: subroutine 'k' used as a "
+                                           "function"):
+        parse(CALLER.replace("function k", "subroutine k"))
 
 
 def test_unit_key_covers_vectorize_and_nprocs(fresh_counts):
@@ -622,7 +623,6 @@ def test_dump_is_what_runs(codegen_tmp, src):
         ns: dict = {}
         exec(compile(mod.source, "<dump>", "exec"), ns)
         assert set(ns["UNITS"]) == set(mod.units)
-        assert ns["DEMOTED"] == mod.demoted
         assert ns["BLOCKING"] == mod.blocking
         for unit, fn in mod.units.items():
             dumped = ns["UNITS"][unit].__code__
@@ -655,28 +655,11 @@ def test_blocking_closure_computed_once_per_run(codegen_tmp, monkeypatch):
     assert len(calls) == 3
 
 
-#: only rank 0 calls ``bump``, so only rank 0 can run it interpreted
-ONE_CALLER = """\
-program p
-real x(8)
-if (myproc() .eq. 0) then
-  call bump(x)
-endif
-end
-subroutine bump(x)
-real x(8)
-do i = 1, 8
-  x(i) = x(i) + 1
-enddo
-end
-"""
-
-
 def test_interpreter_built_only_where_needed(codegen_tmp, monkeypatch):
-    """A rank builds its interpreter the first time it calls a procedure
-    without generated code: a fully generated run builds none, and a
-    forced demotion builds one on the ranks that call the demoted
-    procedure only, with results bit-identical to the interpreter's."""
+    """A run picks its engine once: across the paper apps, in every
+    mode and in the sequential reference, a generated run never
+    constructs an ``Interpreter``; an interpreted run builds one per
+    rank."""
     built = []
 
     class Spy(interp_mod.Interpreter):
@@ -685,26 +668,16 @@ def test_interpreter_built_only_where_needed(codegen_tmp, monkeypatch):
             super().__init__(node)
 
     monkeypatch.setattr(interp_mod, "Interpreter", Spy)
-    monkeypatch.setenv("REPRO_CODEGEN", "1")  # the compile resolves
-    cp = compile_program(stencil1d_source(80, 2),
-                         Options(nprocs=4, mode=Mode.INTER))
-    res = _run(cp, None, "event", codegen=True)
-    assert res.stats.codegen_demotions == 0
-    assert built == []
-    _run(cp, None, "event", codegen=False)
+    # the compile resolves, and the sequential reference runs generated
+    monkeypatch.setenv("REPRO_CODEGEN", "1")
+    for name, src, init in DUMP_APPS:
+        for mode in (Mode.RTR, Mode.INTRA, Mode.INTER):
+            cp = compile_program(src, Options(nprocs=4, mode=mode))
+            _run(cp, init, "event", codegen=True)
+        node_mod.run_sequential(parse(src), init or node_mod.default_init)
+        assert built == [], name
+    _run(cp, init, "event", codegen=False)
     assert sorted(built) == [0, 1, 2, 3]
-
-    monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.Do,))
-    prog = parse(ONE_CALLER)
-    for scheduler in SCHEDULERS:
-        del built[:]
-        demoted = run_spmd(prog, 4, timeout_s=30.0, scheduler=scheduler,
-                           codegen=True)
-        assert demoted.stats.codegen_demotions > 0
-        assert built == [0], scheduler
-        ref = run_spmd(prog, 4, timeout_s=30.0, scheduler=scheduler,
-                       codegen=False)
-        _assert_identical(demoted, ref, f"one caller / {scheduler}")
 
 
 # ---------------------------------------------------------------------------
@@ -779,107 +752,31 @@ def _uncompilable_main(monkeypatch):
     real = codegen.emit_unit
 
     def emit(unit, *args):
-        text, cause = real(unit, *args)
-        return ("def broken(:\n", None) if unit.kind == "program" \
-            else (text, cause)
+        text = real(unit, *args)
+        return "def broken(:\n" if unit.kind == "program" else text
 
     monkeypatch.setattr(codegen, "emit_unit", emit)
     monkeypatch.setenv("REPRO_CODEGEN", "1")
 
 
-def test_uncompilable_text_fails_a_strict_compile(codegen_tmp, monkeypatch):
-    _uncompilable_main(monkeypatch)
-    with pytest.raises(CompileError, match="internal: SyntaxError"):
-        compile_program(stencil1d_source(64, 2),
-                        Options(nprocs=4, mode=Mode.INTER, strict=True))
-
-
-def test_uncompilable_text_demotes_in_the_run(codegen_tmp, monkeypatch):
+def test_uncompilable_text_fails_the_run(codegen_tmp, monkeypatch):
+    """An emitted text that does not compile is an internal error that
+    names the procedure: the run fails, and no interpreter runs in its
+    place (``--verify`` would pass on the oracle's answer)."""
     _uncompilable_main(monkeypatch)
     cp = compile_program(stencil1d_source(64, 2),
                          Options(nprocs=4, mode=Mode.INTER))
     emitted = GEN_COUNTS["units_emitted"]
     assert GEN_COUNTS["texts_compiled"] == 0
-    tracer = _tracer()
-    res = _run(cp, None, "event", codegen=True, trace=tracer)
-    assert res.stats.codegen_demotions == 1
+    main = cp.program.main.name
+    with pytest.raises(CodegenError, match=rf"^{main}: internal: generated "
+                                           r"text does not compile: "
+                                           r"SyntaxError"):
+        _run(cp, None, "event", codegen=True)
     # this process emitted the text: an emitter bug, not a poisoned
     # entry, so nothing is discarded or emitted again
     assert GEN_COUNTS["units_emitted"] == emitted
     assert cas().stats()["corrupt"] == 0
-    causes = [e["cause"] for e in tracer.host_events
-              if e.get("name") == "codegen-demotion"]
-    assert len(causes) == 1 and causes[0].startswith("internal: SyntaxError")
-    _assert_identical(_run(cp, None, "event", codegen=False), res,
-                      "uncompilable main")
-
-
-# ---------------------------------------------------------------------------
-# demotion and --strict
-# ---------------------------------------------------------------------------
-
-
-def test_demotion_falls_back_and_traces(codegen_tmp, monkeypatch):
-    """An emitter-unsupported construct demotes that procedure to the
-    interpreter — bit-identical results, counted in RunStats, and a
-    traced codegen-demotion decision."""
-    monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.Do,))
-    cp = compile_program(stencil1d_source(64, 2),
-                         Options(nprocs=4, mode=Mode.INTER))
-    tracer = Tracer()
-    gen_res = _run(cp, None, "event", codegen=True, trace=tracer)
-    assert gen_res.stats.codegen_demotions > 0
-    names = [e["name"] for e in tracer.host_events
-             if e["kind"] == "compile.decision"]
-    assert "codegen-demotion" in names
-    monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", ())
-    reset_memory()
-    ref = _run(cp, None, "event", codegen=False)
-    _assert_identical(ref, gen_res, "demoted-vs-interpreter")
-
-
-def test_partial_demotion_mixes_paths(codegen_tmp, monkeypatch):
-    """Demoting only some procedures leaves the rest generated; the
-    mid-run handoff — generated main calling an interpreter-demoted
-    callee — must stay bit-identical too, on both backend kinds."""
-    monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.If,))
-    init = make_dgefa_init(16)
-    cp = compile_program(dgefa_source(16),
-                         Options(nprocs=4, mode=Mode.INTER))
-    gen, _, _ = get_generated(cp.program, 4, True)
-    demoted = {proc for _, proc, _ in gen.demotions}
-    all_procs = {u.name for u in cp.program.units}
-    assert demoted and demoted < all_procs  # strictly partial
-    assert cp.program.main.name not in demoted  # main stays generated
-    gen_event = _run(cp, init, "event", codegen=True)
-    gen_threads = _run(cp, init, "threads", codegen=True)
-    monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", ())
-    reset_memory()
-    ref = _run(cp, init, "event", codegen=False)
-    _assert_identical(ref, gen_event, "partial-demotion event")
-    _assert_identical(ref, gen_threads, "partial-demotion threads")
-
-
-GUARDED_PRINT = ("program p\nreal x(64)\ndistribute x(block)\n"
-                 "do i = 1, 64\n  x(i) = i\nenddo\n"
-                 "if (myproc() .eq. 0) then\n  print *, x(1)\nendif\n"
-                 "end\n")
-
-
-def test_demotion_is_per_procedure(codegen_tmp, monkeypatch):
-    """A statement the emitter refuses demotes its procedure for every
-    rank, even under a guard that only rank 0 passes: there is one text
-    per procedure, and the guard stays in it as a run-time ``if``."""
-    monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.Print,))
-    cp = compile_program(GUARDED_PRINT, Options(nprocs=4))
-    gen, _, _ = get_generated(cp.program, 4, True)
-    assert gen.demotions == [
-        ("node", "p", "statement Print disabled for testing")]
-    assert gen.module.units == {} and list(gen.module.demoted) == ["p"]
-    res = _run(cp, None, "event", codegen=True)
-    assert res.prints == ["[0] 1"]
-    _assert_identical(_run(cp, None, "event", codegen=False), res,
-                      "per-procedure demotion")
 
 
 CLONE_AND_LOOKALIKE = """program p
@@ -912,7 +809,6 @@ def test_lookalike_procedure_names_stay_distinct(codegen_tmp):
     names = {u.name for u in cp.program.units}
     assert {"h$1", "h_1"} <= names
     gen, _, _ = get_generated(cp.program, 4, True)
-    assert gen.demotions == []
     ns: dict = {}
     exec(compile(gen.module.source, "<dump>", "exec"), ns)
     assert set(ns["UNITS"]) == names
@@ -920,28 +816,6 @@ def test_lookalike_procedure_names_stay_distinct(codegen_tmp):
     _assert_identical(_run(cp, None, "event", codegen=False),
                       _run(cp, None, "event", codegen=True),
                       "lookalike names")
-
-
-def test_strict_escalates_demotion(codegen_tmp, monkeypatch):
-    monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.Do,))
-    cp = compile_program(stencil1d_source(64, 2),
-                         Options(nprocs=4, mode=Mode.INTER))
-    with pytest.raises(CodegenError, match="demoted under --strict"):
-        get_generated(cp.program, 4, True, strict=True)
-    # non-strict proceeds on the same (unit-memoized) generation
-    gen, _, _ = get_generated(cp.program, 4, True)
-    assert gen.demotions
-
-
-def test_strict_compile_fails_on_demotion(codegen_tmp, monkeypatch):
-    """Options.strict turns a codegen demotion into a compile error
-    (the driver's compile-time resolve, which loads under strict)."""
-    monkeypatch.setattr(emit_mod, "UNSUPPORTED_STMTS", (A.Do,))
-    # the resolve returns early when the environment default is off
-    monkeypatch.setenv("REPRO_CODEGEN", "1")
-    with pytest.raises(CompileError, match="demoted under --strict"):
-        compile_program(stencil1d_source(96, 3),
-                        Options(nprocs=4, mode=Mode.INTER, strict=True))
 
 
 # ---------------------------------------------------------------------------

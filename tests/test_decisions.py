@@ -22,8 +22,8 @@ from .test_rtr_demotion import SRC as DEMOTED
 from .test_service import sock_path
 
 #: the decisions a compile report backs (the rest — phase spans,
-#: ``summary-reuse``, ``codegen-demotion``, ``service.*`` — describe how
-#: one compile ran, not what it decided)
+#: ``summary-reuse``, ``service.*`` — describe how one compile ran, not
+#: what it decided)
 REPORT_BACKED = {"dist-override", "clone", "note", "distribution",
                  "comm-placement", "rtr-fallback", "rtr-demotion"}
 

@@ -237,7 +237,7 @@ class TestExpressions:
         )
         p = parse(src)
         e = p.main.body[0].expr
-        assert isinstance(e, A.CallExpr) and e.name == "g2"
+        assert isinstance(e, A.FuncRef) and e.name == "g2"
         assert isinstance(e.args[0], A.ArrayRef)
 
 
@@ -369,15 +369,16 @@ class TestUnitMemo:
         assert PARSE_COUNTS == {"units_parsed": 2, "units_reused": 2}
 
     def test_adding_a_function_unit_reresolves_its_callers(self):
-        """Call resolution consults the program's ``function`` names, so
-        a unit's summary is keyed by its text *and* the names it
-        consults: the same main resolves ``f(2)`` as an element of its
-        array ``f`` alone and as a call once a ``function f`` exists."""
+        """Name resolution consults the program's procedures, so a
+        unit's summary is keyed by its text *and* the procedures it
+        names: the same main resolves ``f(2)`` as an element of its
+        array ``f`` alone and as a function reference once a ``function
+        f`` exists."""
         main = "program p\nreal f(8), x\nx = f(2)\nend\n"
         func = "real function f(i)\ninteger i\nf = i * 2\nend\n"
         alone, with_f = parse(main), parse(main + func)
         assert isinstance(alone.main.body[0].expr, A.ArrayRef)
-        assert isinstance(with_f.main.body[0].expr, A.CallExpr)
+        assert isinstance(with_f.main.body[0].expr, A.FuncRef)
         assert SUMMARY_COUNTS == {"summaries_built": 3,
                                   "summaries_reused": 0}
         for src in (main, main + func):
@@ -385,13 +386,15 @@ class TestUnitMemo:
         assert PARSE_COUNTS == {"units_parsed": 2, "units_reused": 4}
         assert SUMMARY_COUNTS == {"summaries_built": 3,
                                   "summaries_reused": 3}
-        # a unit without an array named f consults no name: adding the
-        # function leaves its summary (and the function's) as they were
+        # a unit that names f only as a call re-resolves too: its f(2)
+        # is the intrinsic alone and the user function beside it (the
+        # function's own summary, naming no procedure, is reused)
         sub = "subroutine s(y)\nreal y(8)\ny(1) = f(2)\nend\n"
-        parse(sub)
-        parse(sub + func)
-        assert SUMMARY_COUNTS == {"summaries_built": 4,
-                                  "summaries_reused": 5}
+        assert isinstance(parse(sub).units[0].body[0].expr, A.CallExpr)
+        assert isinstance(parse(sub + func).units[0].body[0].expr,
+                          A.FuncRef)
+        assert SUMMARY_COUNTS == {"summaries_built": 5,
+                                  "summaries_reused": 4}
 
     def test_compilation_never_reaches_the_memoised_trees(self):
         src = SOURCES["stencil1d_source"]

@@ -196,7 +196,6 @@ def test_guarded_statement_kinds_bit_identical(kind, src, mode):
     assert any(isinstance(s, kind) for u in cp.program.units
                for s in A.walk_stmts(u.body))
     gen = get_generated(cp.program, 4, True)[0]
-    assert gen.demotions == []
     assert re.search(r"^ +if \((RANK|S\['my\$p'\]) [!<=>]", gen.dump(),
                      re.M)
     assert_bit_identical(cp)
