@@ -1,22 +1,22 @@
 """Experiment [observability]: tracing overhead.
 
-Not a paper figure — this measures the tracer itself.  There are three
+Not a paper figure — this measures the tracer itself.  There are two
 cost levels, and the design contract differs for each:
 
-* **off** (``trace=False``, or ``REPRO_FLIGHTREC=0``: no sink attached)
-  must be free: every instrumentation point is one ``tracer is not
-  None`` test, so such a run is indistinguishable from the
-  pre-instrumentation simulator.  Measured as a twin series (the same
-  run, best-of-N, twice) whose ratio bounds both timer noise and any
-  guard cost — the target is ≤ 2 %.
-* **default** (``trace=None``, ``REPRO_FLIGHTREC`` unset) is what every
-  user actually gets — ``fdc --run``, the daemon, the end-to-end
-  benchmark: the always-on flight recorder is attached.  Each event is
-  one positional record appended to a per-rank ring (no dict, no
-  kwargs); the target is ≤ 1.25x the off run, the hard gate 1.6x.
+* **off** — what every user actually gets (``fdc --run``, the daemon,
+  the end-to-end benchmark): an untraced run (``trace=None``, or
+  ``trace=False``) attaches no sink, so every instrumentation point is
+  one ``tracer is not None`` test and the run is indistinguishable
+  from the pre-instrumentation simulator.  Measured as a twin series
+  (the same ``trace=False`` run, best-of-N, twice) whose ratio bounds
+  both timer noise and any guard cost — the target is ≤ 2 %.  The
+  default run (``trace=None``) is gated at the same twin tolerance: a
+  failed run's flight recorder is a replay after the failure, so a run
+  that succeeds pays nothing for it.
 * **tracing on** may pay for full event collection, but no more than
-  2x: each event is the same record appended to a per-rank list, no
-  locks, no I/O during the run; dicts are built when the trace is read.
+  2x: each event is one positional record appended to a per-rank list,
+  no locks, no I/O during the run; dicts are built when the trace is
+  read.
 
 The stencil relaxation at P = 16 is the workload (communication-dense,
 so a run records an event at every message, dispatch, and cache
@@ -39,12 +39,10 @@ N, STEPS, P = 256, 50, 16
 REPS = 5
 
 #: twin-series tolerance — the tracing-off target (2 %) plus the timer
-#: noise floor best-of-REPS leaves behind on a shared CI host
+#: noise floor best-of-REPS leaves behind on a shared CI host; the
+#: default run is gated at it too
 OFF_TOLERANCE = 1.25
 ON_LIMIT = 2.0
-#: the default (flight recorder attached) run over the off run; the
-#: 1.25x design target is recorded in the payload
-DEFAULT_LIMIT = 1.6
 
 
 def _best_wall(run, reps: int = REPS) -> tuple[float, object]:
@@ -92,7 +90,7 @@ def test_bench_obs_overhead(benchmark, paper_table, monkeypatch):
         "off_twin_ratio": twin_ratio,
         "off_target_ratio": 1.02,
         "default_over_off": default_ratio,
-        "default_target_ratio": 1.25,
+        "default_target_ratio": 1.02,
         "on_over_off": on_ratio,
         "events": events,
         "events_per_second": events / on_w if on_w else 0.0,
@@ -107,7 +105,7 @@ def test_bench_obs_overhead(benchmark, paper_table, monkeypatch):
             f"    1.00x",
             f"{'tracing off (twin)':<22} {max(off_a, off_b) * 1e3:>8.1f}"
             f"    {twin_ratio:.3f}x",
-            f"{'default (flight recorder)':<22} {default_w * 1e3:>5.1f}"
+            f"{'default (untraced)':<22} {default_w * 1e3:>8.1f}"
             f"    {default_ratio:.3f}x",
             f"{'tracing on':<22} {on_w * 1e3:>8.1f}"
             f"    {on_ratio:.3f}x  ({events} events)",
@@ -124,10 +122,10 @@ def test_bench_obs_overhead(benchmark, paper_table, monkeypatch):
     # target is recorded in the payload, the hard gate absorbs CI noise
     assert twin_ratio <= OFF_TOLERANCE, \
         f"tracing-off runs diverged {twin_ratio:.3f}x (noise or guards)"
-    # noise that inflates the twin ratio inflates this one as much
-    assert default_ratio <= DEFAULT_LIMIT * max(1.0, twin_ratio), \
-        f"default (flight recorder) run {default_ratio:.2f}x the off " \
-        f"run exceeds {DEFAULT_LIMIT}x"
+    # the default run attaches no sink: it is a third off run
+    assert default_ratio <= OFF_TOLERANCE, \
+        f"default (untraced) run {default_ratio:.3f}x the off run " \
+        f"exceeds the off/off tolerance {OFF_TOLERANCE}x"
     assert on_ratio <= ON_LIMIT, \
         f"tracing-on overhead {on_ratio:.2f}x exceeds {ON_LIMIT}x"
     assert events > 0

@@ -786,7 +786,70 @@ def assemble(swept: Swept, opts: Options, *, shared: bool) -> CompiledProgram:
         # raises when a function reference reaches a procedure the
         # compiler placed communication in (or in a callee of)
         find_blocking_units(program)
+        _refuse_distributed_function_reads(program,
+                                          swept.report.distributions)
     return CompiledProgram(program, swept.initial_dists, swept.report, opts)
+
+
+def _refuse_distributed_function_reads(
+        program: A.Program, distributions: dict[str, dict[str, str]]
+) -> None:
+    """A function reference adds no ACG edge, so the compiler places no
+    communication for the distributed data a function reads and every
+    rank would read its own stale copy.  Until the ACG carries function
+    edges, a reference passing a distributed array, or to a function
+    that (itself or through its callees) uses a distributed COMMON
+    array, is a :class:`CompileError`."""
+    def distributed(unit: str, name: str) -> bool:
+        return distributions.get(unit, {}).get(name, "replicated") \
+            != "replicated"
+
+    common = {name for u in program.units for name in u.commons
+              if any(distributed(v.name, name) for v in program.units)}
+    #: per unit: the units it calls or references, the distributed
+    #: COMMON arrays it uses
+    calls: dict[str, set[str]] = {}
+    uses: dict[str, set[str]] = {}
+    for u in program.units:
+        calls[u.name] = {s.name for s in A.walk_stmts(u.body)
+                         if isinstance(s, A.Call)}
+        uses[u.name] = set()
+        for e in A.walk_all_exprs(u.body):
+            if isinstance(e, A.FuncRef):
+                calls[u.name].add(e.name)
+            elif isinstance(e, (A.Var, A.ArrayRef)) \
+                    and e.name in common and e.name in u.commons:
+                uses[u.name].add(e.name)
+
+    def common_use(fn: str) -> Optional[str]:
+        seen, todo = set(), [fn]
+        while todo:
+            name = todo.pop()
+            if name in seen or name not in uses:
+                continue
+            seen.add(name)
+            if uses[name]:
+                return min(uses[name])
+            todo.extend(calls[name])
+        return None
+
+    for u in program.units:
+        for e in A.walk_all_exprs(u.body):
+            if not isinstance(e, A.FuncRef):
+                continue
+            arrays = [a.name for a in e.args if isinstance(a, A.Var)
+                      and distributed(u.name, a.name)]
+            if arrays:
+                raise CompileError(
+                    f"{u.name}: function {e.name!r} reads distributed "
+                    f"array {arrays[0]!r}; restructure as a CALL "
+                    f"statement")
+            shared = common_use(e.name)
+            if shared is not None:
+                raise CompileError(
+                    f"{u.name}: function {e.name!r} reads distributed "
+                    f"COMMON array {shared!r}; restructure as a CALL "
+                    f"statement")
 
 
 def sweep(

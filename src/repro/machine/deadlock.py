@@ -42,6 +42,8 @@ class SimulationError(Exception):
     """Deadlock or protocol error inside the simulated machine."""
 
     report: Optional["DeadlockReport"] = None
+    #: the failing rank's formatted traceback, when a rank raised it
+    traceback: Optional[str] = None
 
 
 class DeadlockError(SimulationError):

@@ -45,6 +45,7 @@ it) with none of its cost:
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from collections import deque
 from typing import TYPE_CHECKING, Any, Generator, Optional
@@ -179,6 +180,11 @@ class EventScheduler:
 
     Context = EventProcContext
 
+    #: the dispatch count a replayed wall-clock timeout was declared at:
+    #: set on a replay's backend by :meth:`prepare_replay`, it stands in
+    #: for the wall clock (None: the wall clock decides)
+    stop_after: Optional[int] = None
+
     def __init__(self, wire: "Wire", timeout_s: float) -> None:
         self.nprocs = nprocs = wire.nprocs
         self.timeout_s = timeout_s
@@ -192,6 +198,7 @@ class EventScheduler:
         self._heap: list[tuple[float, int]] = []
         self.report: Optional[DeadlockReport] = None
         self.failed = False
+        self.timed_out = False
         self.dispatches = 0
         self.switches = 0
         self.network = EventNetwork(wire, self, timeout_s)
@@ -216,6 +223,14 @@ class EventScheduler:
                 self.report,
             )
         return fallback
+
+    def prepare_replay(self, replica: "EventScheduler") -> bool:
+        """Bound *replica*, the backend of a replay of this failed run:
+        a wall-clock timeout is replayed up to the dispatch it was
+        declared at, so the replay stops where this run stopped."""
+        if self.timed_out:
+            replica.stop_after = self.dispatches
+        return True
 
     def _push_blocked(self) -> None:
         """Teardown: every blocked rank re-enters the calendar so its
@@ -355,8 +370,12 @@ class EventScheduler:
         # per-wait timeouts the threads backend enforces.  Check
         # the deadline periodically (every _CHECK_EVERY dispatches:
         # cheap relative to one gen.send) and tear the run down with
-        # the same DeadlockError surface the threads backend raises.
-        deadline = time.monotonic() + self.timeout_s
+        # the same DeadlockError surface the threads backend raises.  A
+        # replay stops at a dispatch count instead (stop_after).
+        if self.stop_after is None:
+            deadline, stop = time.monotonic() + self.timeout_s, math.inf
+        else:
+            deadline, stop = math.inf, self.stop_after
         unchecked = 0
         while True:
             r = self._pop_runnable()
@@ -368,7 +387,8 @@ class EventScheduler:
             unchecked += 1
             if unchecked >= _CHECK_EVERY:
                 unchecked = 0
-                if time.monotonic() > deadline:
+                if time.monotonic() > deadline or self.dispatches >= stop:
+                    self.timed_out = True
                     # snapshot the rank states *before* teardown mutates
                     # them: the report feeds the postmortem bundle
                     if self.report is None:

@@ -10,14 +10,15 @@ free-running thread-per-rank oracle
 Each provides one interface — ``Context`` (its :class:`ProcContext`
 subclass, holding the five blocking ops), ``network``, ``collectives``,
 ``run_ranks(coros)``, ``finish(rank, clock, failed)``, ``fail()``,
-``report``, ``dispatches`` and ``switches`` — and :class:`Machine`
-names a backend only where it picks the class.  Both run the same node
-programs: generator functions that enter every operation that can block
-with ``yield from ctx.<op>_y(...)``; a plain callable is a program that
-never waits.  Exceptions on any node abort the whole run: the remaining
-ranks are signalled and raise at their next network operation, and the
-*first* failure by virtual time is re-raised on the caller's thread
-(secondary teardown aborts never shadow the primary error).
+``prepare_replay(replica)``, ``report``, ``dispatches`` and
+``switches`` — and :class:`Machine` names a backend only where it picks
+the class.  Both run the same node programs: generator functions that
+enter every operation that can block with ``yield from
+ctx.<op>_y(...)``; a plain callable is a program that never waits.
+Exceptions on any node abort the whole run: the remaining ranks are
+signalled and raise at their next network operation, and the *first*
+failure by virtual time is re-raised on the caller's thread (secondary
+teardown aborts never shadow the primary error).
 
 Resilience hooks (each falls back to its ``REPRO_*`` setting when unset):
 
@@ -242,47 +243,64 @@ class Machine:
     ) -> None:
         if nprocs < 1:
             raise ValueError("need at least one processor")
-        self.nprocs = nprocs
-        self.cost = cost
         # the environment is read once per machine; explicit arguments win
         s = Settings.from_env()
-        if timeout_s is None:
-            timeout_s = s.sim_timeout_s
-        self.faults = faults if faults is not None \
-            else FaultPlan.from_settings(s)
-        self.scheduler = resolve_scheduler(
-            s.scheduler if scheduler is None else scheduler)
-        self.topology: Topology = resolve_topology(
-            s.topology if topology is None else topology, nprocs)
-        self.stats = RunStats(nprocs=nprocs, scheduler=self.scheduler,
-                              topology=self.topology.describe())
-        self.metrics = resolve_metrics(
-            s.metrics if metrics is None else metrics)
-        #: the run's one sink: the trace the caller asked for, else the
-        #: always-on flight recorder (a ring of recent events per rank,
-        #: so a run that dies leaves a postmortem), else a ring keeping
-        #: nothing when only the metrics fold needs the records
-        self.tracer: Optional[Tracer] = resolve_trace(trace, s)
-        if self.tracer is None:
-            capacity = 0 if trace is False else s.flightrec
-            if capacity or self.metrics is not None:
-                self.tracer = Tracer(nprocs, capacity=capacity)
-        if self.tracer is not None:
-            self.tracer.fold = None if self.metrics is None \
-                else SimMetrics(self.metrics, self.scheduler).fold
-            self.tracer.ensure_ranks(nprocs)
-            self.tracer.meta.update(
-                nprocs=nprocs, scheduler=self.scheduler, cost=str(cost),
+        self._build(
+            nprocs, cost,
+            s.sim_timeout_s if timeout_s is None else timeout_s,
+            faults if faults is not None else FaultPlan.from_settings(s),
+            resolve_scheduler(s.scheduler if scheduler is None
+                              else scheduler),
+            resolve_topology(s.topology if topology is None else topology,
+                             nprocs),
+            resolve_trace(trace, s),
+            resolve_metrics(s.metrics if metrics is None else metrics),
+        )
+        #: where a failed run's postmortem bundle goes (None: no bundle)
+        self.postmortem_dir = s.postmortem_dir
+        #: the per-rank ring size of the replay that records a failed
+        #: untraced run's last events for its bundle (0: no events)
+        self.flightrec = 0 if trace is False else s.flightrec
+
+    def _build(self, nprocs: int, cost: CostModel, timeout_s: float,
+               faults: Optional[FaultPlan], scheduler: str,
+               topology: Topology, tracer: Optional[Tracer],
+               metrics: Any) -> None:
+        """Assemble the machine from resolved settings (:meth:`_replay`
+        builds its replica here, without reading the environment)."""
+        self.nprocs = nprocs
+        self.cost = cost
+        self.timeout_s = timeout_s
+        self.faults = faults
+        self.scheduler = scheduler
+        self.topology = topology
+        self.stats = RunStats(nprocs=nprocs, scheduler=scheduler,
+                              topology=topology.describe())
+        self.metrics = metrics
+        self.postmortem_dir: Optional[str] = None
+        self.flightrec = 0
+        #: the run's sink: the trace the caller asked for, else a ring
+        #: keeping nothing when only the metrics fold needs the records,
+        #: else None — an untraced run records nothing (a failed one is
+        #: replayed for its postmortem, :meth:`_replay`)
+        if tracer is None and metrics is not None:
+            tracer = Tracer(nprocs, capacity=0)
+        self.tracer = tracer
+        if tracer is not None:
+            tracer.fold = None if metrics is None \
+                else SimMetrics(metrics, scheduler).fold
+            tracer.ensure_ranks(nprocs)
+            tracer.meta.update(
+                nprocs=nprocs, scheduler=scheduler, cost=str(cost),
             )
-            if not self.topology.is_uniform:
-                self.tracer.meta["topology"] = self.topology.describe()
-            if self.faults is not None:
-                self.tracer.meta["faults"] = str(self.faults)
-        self.wire = Wire(nprocs, cost, self.stats, self.faults, self.tracer,
-                         self.topology)
+            if not topology.is_uniform:
+                tracer.meta["topology"] = topology.describe()
+            if faults is not None:
+                tracer.meta["faults"] = str(faults)
+        self.wire = Wire(nprocs, cost, self.stats, faults, tracer, topology)
         #: the scheduler backend object; ``network`` and ``collectives``
         #: are its own, exposed here for the context ops
-        self.backend = _backend_class(self.scheduler)(self.wire, timeout_s)
+        self.backend = _backend_class(scheduler)(self.wire, timeout_s)
         self.network = self.backend.network
         self.collectives = self.backend.collectives
 
@@ -297,10 +315,12 @@ class Machine:
         generator function that enters blocking operations with
         ``yield from ctx.recv_y(...)`` (also ``broadcast_y`` /
         ``allreduce_y`` / ``barrier_y`` / ``exchange_y``); a plain
-        callable is accepted as a program that never has to wait.  On failure the remaining
-        ranks are aborted at their next network operation and the first
-        error *by virtual time* is re-raised (teardown aborts are only
-        raised when no primary error exists).
+        callable is accepted as a program that never has to wait.  On
+        failure the remaining ranks are aborted at their next network
+        operation and the first error *by virtual time* is re-raised
+        (teardown aborts are only raised when no primary error exists);
+        with ``REPRO_POSTMORTEM_DIR`` set it also leaves one postmortem
+        bundle (:meth:`_postmortem`).
         """
         t0 = time.perf_counter()
         failure: Optional[BaseException] = None
@@ -319,23 +339,66 @@ class Machine:
                 record_run(self.metrics, self.scheduler, self.stats,
                            failed=failure is not None)
                 self.stats.record_metrics(self.metrics.snapshot())
-            if failure is not None:
-                # postmortem bundle (REPRO_POSTMORTEM_DIR; best-effort,
-                # never masks the error being raised)
-                dump_postmortem(
-                    "simulation-error",
-                    error=failure,
-                    report=getattr(failure, "report", None)
-                    or self.deadlock_report,
-                    stats=self.stats,
-                    recorder=self.tracer,
-                    metrics=self.metrics,
-                    extra={
-                        "nprocs": self.nprocs,
-                        "scheduler": self.scheduler,
-                        "topology": self.topology.describe(),
-                    },
-                )
+            if failure is not None and self.postmortem_dir is not None:
+                self._postmortem(failure, node_program)
+
+    def _postmortem(self, failure: SimulationError,
+                    node_program: Callable[[ProcContext], Any]) -> None:
+        """Write the failed run's bundle into ``postmortem_dir``
+        (best-effort, never masks the error being raised).  Its events
+        are what the run's own sink kept; when it kept none, a replay
+        records them (:meth:`_replay`)."""
+        sink = self.tracer
+        if sink is not None and any(sink.streams):
+            events, replayed, note = sink.tail(), False, None
+        else:
+            events, replayed, note = self._replay(node_program)
+        dump_postmortem(
+            "simulation-error",
+            error=failure,
+            report=getattr(failure, "report", None) or self.deadlock_report,
+            stats=self.stats,
+            events=events,
+            metrics=self.metrics,
+            extra={
+                "nprocs": self.nprocs,
+                "scheduler": self.scheduler,
+                "topology": self.topology.describe(),
+            },
+            directory=self.postmortem_dir,
+            replayed=replayed,
+            note=note,
+        )
+
+    def _replay(self, node_program: Callable[[ProcContext], Any]
+                ) -> tuple[Optional[dict], bool, Optional[str]]:
+        """Re-run the failed program on a replica of this machine with a
+        ``flightrec``-sized ring per rank: ``(events, replayed, note)``
+        for the bundle.  The simulation is deterministic — virtual time
+        follows dataflow, fault plans are pure functions of message
+        identity — so the rings hold what a ring attached to the failed
+        run would have held.  The failed backend bounds the replica's
+        (``prepare_replay``): the event loop replays a wall-clock
+        timeout up to the dispatch it was declared at, the thread
+        backend does not replay one."""
+        if not self.flightrec:
+            return None, False, "REPRO_FLIGHTREC=0: no events recorded"
+        ring = Tracer(self.nprocs, capacity=self.flightrec)
+        replica = Machine.__new__(Machine)
+        replica._build(self.nprocs, self.cost, self.timeout_s, self.faults,
+                       self.scheduler, self.topology, ring, None)
+        if not self.backend.prepare_replay(replica.backend):
+            return None, False, (
+                f"no events: a wall-clock timeout on the {self.scheduler} "
+                f"backend is not replayed (where its ranks stopped is "
+                f"host timing, not simulation state)")
+        try:
+            replica.run(node_program)
+        except Exception:  # noqa: BLE001 - the failure being replayed
+            return ring.tail(), True, None
+        return ring.tail(), True, (
+            "the replay did not fail: its rings end where a completed "
+            "run ends, not at this failure")
 
     def _run(self, node_program: Callable[[ProcContext], Any]) -> list[Any]:
         backend = self.backend
@@ -385,11 +448,10 @@ class Machine:
             errors.sort(key=lambda e: (e[0], e[1], e[2]))
             _secondary, _clock, rank, exc, tb = errors[0]
             report = getattr(exc, "report", None)
-            if isinstance(exc, SimulationError):
-                err = SimulationError(f"[node {rank}] {exc}")
-                err.report = report
-                raise err from exc
-            err = SimulationError(f"node {rank} failed: {exc}\n{tb}")
+            err = SimulationError(
+                f"[node {rank}] {exc}" if isinstance(exc, SimulationError)
+                else f"node {rank} failed: {exc}")
             err.report = report
+            err.traceback = tb  # for the postmortem bundle, not the message
             raise err from exc
         return results

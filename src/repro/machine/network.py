@@ -72,6 +72,8 @@ class Network:
         self._conds = [threading.Condition() for _ in range(nprocs)]
         self._waiting: list[tuple[int, int] | None] = [None] * nprocs
         self._failed = threading.Event()
+        #: a wait hit the wall-clock safety net (a receive or a barrier)
+        self.timed_out = False
 
     # -- failure propagation ------------------------------------------------
 
@@ -163,6 +165,7 @@ class Network:
             if not arrived:
                 # wall-clock safety net: something is blocked in a way
                 # the wait-for graph cannot see (should not happen)
+                self.timed_out = True
                 self.fail()
                 reason = (
                     f"wall-clock timeout: processor {dst} waited "
@@ -253,6 +256,8 @@ class CollectiveContext:
             finally:
                 self.detector.unblock(rank)
         except threading.BrokenBarrierError:
+            if not self.network.failing():  # broken by its own timeout
+                self.network.timed_out = True
             raise self._failure_error(rank, label) from None
         return self.wire.settle(rank, now, origin)
 
@@ -363,6 +368,12 @@ class ThreadBackend:
     @property
     def report(self) -> Optional[DeadlockReport]:
         return self.detector.report
+
+    def prepare_replay(self, replica: "ThreadBackend") -> bool:
+        """Whether a replay of this failed run can stand for it: not
+        after a wall-clock timeout, where the free-running ranks
+        stopped is host timing, not simulation state."""
+        return not self.network.timed_out
 
     def fail(self) -> None:
         """Wake every blocked receiver and break the collective barrier

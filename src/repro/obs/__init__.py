@@ -10,10 +10,10 @@ visible for any compiled program:
   spans and decision events) and the simulator (virtual-time message
   lifecycle, scheduler dispatch, collective rendezvous,
   vectorized-block and comm-cache events).  It keeps everything, a
-  sample, or — as the always-on flight recorder ``Machine`` attaches
-  to untraced runs — a bounded ring of recent events per rank.  With
-  no sink attached every instrumentation point is a single
-  ``is not None`` test, with one it appends one positional record
+  sample, or — as the flight recorder ``Machine`` replays a failed
+  untraced run with — a bounded ring of recent events per rank.  With
+  no sink attached (an untraced run) every instrumentation point is a
+  single ``is not None`` test, with one it appends one positional record
   (:data:`FIELDS` is the schema; event dicts are built on read), and
   traced and untraced runs are bit-identical.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — export to the
@@ -30,9 +30,10 @@ visible for any compiled program:
   the production-telemetry substrate of the compile daemon
   (``fdc metrics``) and, under ``REPRO_METRICS``, the simulator, whose
   per-event metrics (:class:`SimMetrics`) fold the sink's records.
-* :func:`dump_postmortem` (:mod:`.flightrec`) — the flight recorder's
-  tails, run stats and metrics in one bundle under
-  ``REPRO_POSTMORTEM_DIR`` when a run or a service worker dies.
+* :func:`dump_postmortem` (:mod:`.flightrec`) — the error, event tails
+  (for an untraced run, recorded by a replay of the failed run), run
+  stats and metrics in one bundle under ``REPRO_POSTMORTEM_DIR`` when a
+  run or a service worker dies.
 """
 
 from .tracer import FIELDS, Tracer, resolve_trace

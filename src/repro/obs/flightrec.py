@@ -1,19 +1,24 @@
 """Postmortem bundles: what a run or a service worker leaves when it dies.
 
-The flight recorder itself is a :class:`~repro.obs.tracer.Tracer` ring
-(``Tracer(capacity=N)``): when no trace is requested,
-:class:`~repro.machine.machine.Machine` attaches one to every run
-(``REPRO_FLIGHTREC`` sizes the per-rank rings or turns them off), so a
-run that dies with a :class:`~repro.machine.network.SimulationError` or
-deadlock still has its final moments on record.
+The flight recorder is a replay, not an always-on ring: an untraced run
+attaches no sink at all, so every instrumentation site costs its one
+``tracer is not None`` test.  When a run fails and a bundle will be
+written (``REPRO_POSTMORTEM_DIR`` set), and the run's own sink kept no
+events, :class:`~repro.machine.machine.Machine` re-simulates the same
+node program on a replica of itself with a
+:class:`~repro.obs.tracer.Tracer` ring of ``REPRO_FLIGHTREC`` events per
+rank (0: no events).  The simulation is deterministic, so the rings hold
+what a ring attached to the failed run would have held.
 
-:func:`dump_postmortem` writes one JSON bundle — the error, the
-structured :class:`DeadlockReport`, the run's :class:`RunStats`, the
-sink's event tails (:meth:`Tracer.tail`, whichever retention the run's
-tracer had), and a metrics snapshot — into ``REPRO_POSTMORTEM_DIR`` (no
-directory configured → no bundle; the dump is best-effort and never
-raises into the failing run).  The machine dumps on simulation failure;
-the service worker pool dumps on worker crashes and hang kills.
+:func:`dump_postmortem` writes one JSON bundle — the error (with the
+failing rank's traceback), the structured :class:`DeadlockReport`, the
+run's :class:`RunStats`, the event tails (:meth:`Tracer.tail` of the
+run's own sink or of the replay's ring; ``replayed`` says which), a
+note when the events need one, and a metrics snapshot — into
+``REPRO_POSTMORTEM_DIR`` (no directory configured → no bundle; the dump
+is best-effort and never raises into the failing run).  The machine
+dumps on simulation failure; the service worker pool dumps on worker
+crashes and hang kills.
 """
 
 from __future__ import annotations
@@ -59,15 +64,19 @@ def dump_postmortem(
     error: Optional[BaseException] = None,
     report: Any = None,
     stats: Any = None,
-    recorder: Any = None,
+    events: Optional[dict] = None,
     metrics: Any = None,
     extra: Optional[dict] = None,
     directory: Optional[str] = None,
+    replayed: bool = False,
+    note: Optional[str] = None,
 ) -> Optional[str]:
     """Write one postmortem bundle into *directory* (else
     ``REPRO_POSTMORTEM_DIR``); returns its path, or None when no
-    directory is configured.  Best-effort: any failure here returns
-    None rather than masking the error being reported."""
+    directory is configured.  *events* is a :meth:`Tracer.tail`,
+    *replayed* whether a replay recorded it, *note* why the events are
+    missing or what they are not.  Best-effort: any failure here
+    returns None rather than masking the error being reported."""
     global _seq
     try:
         d = directory or Settings.from_env().postmortem_dir
@@ -87,8 +96,12 @@ def dump_postmortem(
             "stats": stats.as_dict() if stats is not None else None,
             "metrics": metrics.snapshot() if metrics is not None
             else None,
-            "events": recorder.tail() if recorder is not None else None,
+            "events": events,
+            "replayed": replayed,
+            "events_note": note,
         }
+        if getattr(error, "traceback", None):
+            bundle["error"]["traceback"] = error.traceback
         if extra:
             bundle["extra"] = extra
         with _seq_lock:

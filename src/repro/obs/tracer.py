@@ -11,10 +11,10 @@ traced-vs-untraced differential suite):
   points come from :meth:`ProcContext.clock_estimate`, which previews
   the batched-charge flush without performing it (an actual flush
   changes floating-point summation order and would alter clocks).
-* **low overhead** — with no sink attached (``trace=False`` or
-  ``REPRO_FLIGHTREC=0``, metrics off) each instrumentation point costs
-  one ``tracer is not None`` test.  With a sink — the default flight
-  recorder ring or a full trace — an event is one positional tuple and
+* **low overhead** — with no sink attached (an untraced run, metrics
+  off: the default) each instrumentation point costs one ``tracer is
+  not None`` test.  With a sink — a full trace, a sample, or the ring a
+  failed run's replay records — an event is one positional tuple and
   one :meth:`Tracer.emit` call appending it to the rank's stream; the
   event *dict* is built only when a consumer reads
   (:attr:`Tracer.rank_events`, :meth:`Tracer.events`, the exports).
@@ -62,8 +62,8 @@ A tracer keeps one of three things of what it is offered:
   stream — per-rank clock monotonicity is preserved
   (``tests/test_trace_sampling.py`` enforces it);
 * **a ring** (``capacity=N``): the *N* most recent events per rank,
-  the always-on flight recorder :class:`~repro.machine.machine.Machine`
-  attaches to untraced runs (``REPRO_FLIGHTREC``).  Memory stays
+  the flight recorder :class:`~repro.machine.machine.Machine` replays a
+  failed untraced run with (``REPRO_FLIGHTREC``).  Memory stays
   O(P · N) however long the run; ``capacity=0`` keeps nothing.
 
 Whatever is kept, one counter per rank counts every event offered:

@@ -797,8 +797,8 @@ def run_spmd(
         return frame
 
     frames = machine.run(rank_program)
-    # the result carries a trace only when one was asked for: a ring
-    # the machine attached on its own is its flight recorder
+    # the result carries a trace only when one was asked for, not the
+    # empty ring a metrics fold rides on
     tracer = machine.tracer
     if tracer is not None and tracer is not trace \
             and tracer.capacity is not None:

@@ -395,7 +395,7 @@ class WorkerPool:
 
         dump_postmortem(
             "worker-crash",
-            recorder=self.tracer,
+            events=None if self.tracer is None else self.tracer.tail(),
             metrics=self.metrics,
             extra={
                 "cause": kind,

@@ -1,11 +1,14 @@
 """Flight-recorder and postmortem-bundle tests.
 
-The flight recorder is a ``Tracer`` ring.  It must stay bounded
-(O(P · capacity) memory no matter how long the run), attach
-automatically to untraced runs without leaking into
-``SPMDResult.trace``, and — when ``REPRO_POSTMORTEM_DIR`` is set — a
-run that dies (deadlock on any backend, crashed service worker) must
-leave one complete JSON bundle behind, whichever sink the run had.
+The flight recorder is a replay: an untraced run attaches no sink, and
+only when a failed run leaves a bundle (``REPRO_POSTMORTEM_DIR``) and
+its own sink kept no events is the same node program re-simulated on a
+replica of the machine with a ``Tracer`` ring per rank.  The ring must
+stay bounded (O(P · capacity) memory no matter how long the run), the
+replay must record exactly what a ring attached to the failed run would
+have held, and a run that dies (deadlock, collective mismatch, injected
+crash, run-time error, timeout on any backend; crashed service worker)
+must leave one complete JSON bundle behind, whichever sink the run had.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ import pytest
 from repro.apps.stencil import stencil1d_source
 from repro.core.driver import compile_program
 from repro.core.options import Mode, Options
-from repro.machine import FREE, Machine, resolve_scheduler
+from repro.machine import (
+    FREE,
+    IPSC860,
+    SCHEDULERS,
+    FaultPlan,
+    Machine,
+    resolve_scheduler,
+)
+from repro.machine.event import EventScheduler
 from repro.machine.network import SimulationError
 from repro.obs import FIELDS, Tracer
 from repro.obs.flightrec import dump_postmortem
@@ -100,20 +111,24 @@ class TestCapacity:
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
         monkeypatch.delenv("REPRO_METRICS", raising=False)
-        assert Machine(2).tracer.capacity == DEFAULT_CAPACITY
-        monkeypatch.setenv("REPRO_FLIGHTREC", "64")
-        assert Machine(2).tracer.capacity == 64
-        monkeypatch.setenv("REPRO_FLIGHTREC", "0")
+        # an untraced run has no sink, whatever the ring size
         assert Machine(2).tracer is None
+        assert Machine(2).flightrec == DEFAULT_CAPACITY
+        monkeypatch.setenv("REPRO_FLIGHTREC", "64")
+        assert Machine(2).tracer is None and Machine(2).flightrec == 64
+        monkeypatch.setenv("REPRO_FLIGHTREC", "0")
+        assert Machine(2).tracer is None and Machine(2).flightrec == 0
         # metrics alone: a ring that keeps nothing carries the fold
         m = Machine(2, metrics=MetricsRegistry())
         assert m.tracer.capacity == 0 and m.tracer.fold is not None
-        # an explicit trace wins: no recorder rides along
+        # an explicit trace is the sink; trace=False also means no
+        # events in a bundle
         monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
         t = Tracer()
         assert Machine(2, trace=t).tracer is t
         assert Machine(2, trace=True).tracer.capacity is None
         assert Machine(2, trace=False).tracer is None
+        assert Machine(2, trace=False).flightrec == 0
         # ... and only an asked-for trace reaches the result
         cp = compile_program(stencil1d_source(32, 1),
                              Options(nprocs=2, mode=Mode.INTER))
@@ -124,26 +139,31 @@ class TestCapacity:
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_SPELLINGS)
-def test_events_seen_is_exact(monkeypatch, recorders, scheduler):
-    """The default run's recorder is offered exactly the rank events a
-    full-fidelity trace of the same run records — on both backends."""
+def test_events_seen_is_exact(tmp_path, monkeypatch, recorders, scheduler):
+    """A run that succeeds makes no ring; the replay of one that fails
+    is offered exactly the rank events a full-fidelity trace of the
+    same failing run records — on both backends."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
+    monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
     cp = compile_program(stencil1d_source(256, 10),
                          Options(nprocs=8, mode=Mode.INTER))
-    res = cp.run(scheduler=scheduler)
-    assert res.trace is None and len(recorders) == 1
-    traced = cp.run(scheduler=scheduler, trace=Tracer(sample=False))
-    assert len(recorders) == 1  # an explicit trace: no recorder
-    fr = recorders[0]
+    assert cp.run(scheduler=scheduler).trace is None
+    assert recorders == []
+
+    def run(trace):
+        with pytest.raises(SimulationError, match="deadlock"):
+            Machine(4, IPSC860, timeout_s=10.0, scheduler=scheduler,
+                    trace=trace).run(_ring_then_hang)
+
+    full = Tracer(sample=False)
+    run(full)
+    assert recorders == []  # the trace kept events: nothing replayed
+    run(None)
+    (fr,) = recorders
     assert fr.capacity == DEFAULT_CAPACITY
-    assert fr.events_seen == len(traced.trace.events()) > 0
-    # every kind the full trace holds is in the rings too
-    tail = fr.tail()
-    assert tail["events_seen"] == fr.events_seen
-    ring_kinds = {ev["kind"] for evs in tail["ranks"].values()
-                  for ev in evs}
-    assert ring_kinds == {ev["kind"] for ev in traced.trace.events()}
+    assert fr.events_seen == len(full.events()) > 0
+    assert fr.events() == full.events()  # a ring this size holds them all
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +327,216 @@ class TestEventGeneratorBundle:
         bundle = _load_bundle(tmp_path, "simulation-error")
         assert bundle["deadlock"] is not None
         assert bundle["events"]["events_seen"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the replay: a failed untraced run's bundle holds what a ring would have
+# ---------------------------------------------------------------------------
+
+
+def _bundle_of(directory, monkeypatch, run) -> dict:
+    """The one bundle *run* — which must fail — leaves in *directory*."""
+    directory.mkdir()
+    monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(directory))
+    with pytest.raises(SimulationError):
+        run()
+    (path,) = directory.glob("postmortem-simulation-error-*.json")
+    return json.loads(path.read_text())
+
+
+def _mismatch(ctx):
+    """Ranks 0-2 send rank 3 a token and enter an allreduce; rank 3
+    collects the tokens and enters a barrier."""
+    if ctx.rank == 3:
+        for src in range(3):
+            yield from ctx.recv_y(src, 1)
+        yield from ctx.barrier_y()
+    else:
+        ctx.send(3, 1, ctx.rank, 8)
+        yield from ctx.allreduce_y(1.0, "sum")
+
+
+def _gather_then_reply(ctx):
+    """Every other rank sends rank 1 a token and waits for its reply;
+    rank 1 collects the tokens, computes past its injected crash and
+    replies."""
+    if ctx.rank == 1:
+        for src in (0, 2, 3):
+            yield from ctx.recv_y(src, 1)
+        ctx.compute(10 ** 6)
+        for dst in (0, 2, 3):
+            ctx.send(dst, 5, 1, 8)
+    else:
+        ctx.send(1, 1, ctx.rank, 8)
+        yield from ctx.recv_y(1, 5)
+
+
+def _ping_pong(ctx):
+    """Ranks 0 and 1 trade a message forever; rank 2 waits for a
+    message nobody sends, so only the wall clock ends the run."""
+    if ctx.rank == 2:
+        yield from ctx.recv_y(0, 9)
+    peer = 1 - ctx.rank
+    if ctx.rank == 0:
+        ctx.send(peer, 1, 0, 8)
+    while True:
+        yield from ctx.recv_y(peer, 1)
+        ctx.compute(10)
+        ctx.send(peer, 1, 0, 8)
+
+
+#: a run-time error in a compiled program: rank 0 fails while the other
+#: ranks wait in the broadcast of the value it was computing, so the
+#: free-running thread backend stops every rank at the same place too
+OOB = """
+program p
+real x(16), r(10)
+distribute x(block)
+x(1) = r(11)
+do i = 2, 16
+  x(i) = x(1)
+enddo
+end
+"""
+
+
+def _machine_case(program, faults=None):
+    def run(scheduler, trace):
+        Machine(4, IPSC860, timeout_s=10.0, faults=faults,
+                scheduler=scheduler, trace=trace).run(program)
+    return run
+
+
+def _compiled_case(scheduler, trace):
+    cp = compile_program(OOB, Options(nprocs=4, mode=Mode.INTER))
+    cp.run(scheduler=scheduler, trace=trace, timeout_s=10.0)
+
+
+REPLAY_CASES = {
+    "deadlock": _machine_case(_ring_then_hang),
+    "collective-mismatch": _machine_case(_mismatch),
+    "crash-fault": _machine_case(_gather_then_reply,
+                                 FaultPlan(crash_at={1: 1e5})),
+    "index-error": _compiled_case,
+}
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_replay_holds_what_a_ring_would_have(tmp_path, monkeypatch,
+                                             scheduler, case):
+    """The bundle of a failed untraced run equals, event for event, the
+    bundle of the same failing run given the ring up front.  Each case
+    fails while every other rank is finished or waiting on the failing
+    one, so the thread backend's free-running ranks stop at the same
+    place in every run."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
+    run = REPLAY_CASES[case]
+    replayed = _bundle_of(tmp_path / "replayed", monkeypatch,
+                          lambda: run(scheduler, None))
+    ring = _bundle_of(tmp_path / "ring", monkeypatch,
+                      lambda: run(scheduler, Tracer(capacity=256)))
+    assert replayed["replayed"] is True and ring["replayed"] is False
+    assert replayed["events_note"] is None
+    assert replayed["events"]["events_seen"] > 0
+    assert replayed["events"] == ring["events"]
+    assert replayed["error"]["type"] == ring["error"]["type"]
+
+
+def test_event_timeout_replays_to_its_dispatch(tmp_path, monkeypatch):
+    """A wall-clock timeout on the event loop is replayed up to the
+    dispatch it was declared at: its bundle equals that of the same
+    run given the ring up front and stopped at the same dispatch."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
+
+    def run(trace):
+        Machine(3, IPSC860, timeout_s=0.3, scheduler="event",
+                trace=trace).run(_ping_pong)
+
+    replayed = _bundle_of(tmp_path / "replayed", monkeypatch,
+                          lambda: run(None))
+    assert "wall-clock timeout" in replayed["error"]["message"]
+    dispatches = replayed["stats"]["dispatches"]
+    monkeypatch.setattr(EventScheduler, "stop_after", dispatches)
+    ring = _bundle_of(tmp_path / "ring", monkeypatch,
+                      lambda: run(Tracer(capacity=256)))
+    assert ring["stats"]["dispatches"] == dispatches
+    assert replayed["replayed"] is True
+    assert replayed["events"]["events_seen"] > 0
+    assert replayed["events"] == ring["events"]
+
+
+def test_threads_timeout_is_not_replayed(tmp_path, monkeypatch, recorders):
+    """On the thread backend where the ranks stood at a wall-clock
+    timeout is host timing: the bundle carries no events and says
+    why."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
+    bundle = _bundle_of(tmp_path / "pm", monkeypatch, lambda: Machine(
+        3, IPSC860, timeout_s=0.3, scheduler="threads").run(_ping_pong))
+    assert "wall-clock timeout" in bundle["error"]["message"]
+    assert bundle["events"] is None and bundle["replayed"] is False
+    assert "not replayed" in bundle["events_note"]
+    assert bundle["deadlock"] is not None
+
+
+def test_no_bundle_no_replay(monkeypatch, recorders):
+    """Without REPRO_POSTMORTEM_DIR a failed run is not re-simulated."""
+    monkeypatch.delenv("REPRO_POSTMORTEM_DIR", raising=False)
+    with pytest.raises(SimulationError, match="deadlock"):
+        Machine(4, FREE, timeout_s=10.0).run(_ring_then_hang)
+    assert recorders == []
+
+
+def test_flightrec_zero_means_no_events(tmp_path, monkeypatch, recorders):
+    monkeypatch.setenv("REPRO_FLIGHTREC", "0")
+    bundle = _bundle_of(tmp_path / "pm", monkeypatch, lambda: Machine(
+        4, FREE, timeout_s=10.0).run(_ring_then_hang))
+    assert recorders == []
+    assert bundle["events"] is None and bundle["replayed"] is False
+    assert bundle["deadlock"] is not None
+
+
+def test_a_replay_that_does_not_fail_says_so(tmp_path, monkeypatch):
+    """A node program whose failure the replay does not reproduce (it
+    depends on state outside the simulation) still leaves its events,
+    marked as the end of a completed run."""
+    monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
+    runs = []
+
+    def fails_once(ctx):
+        r, p = ctx.rank, ctx.nprocs
+        ctx.send((r + 1) % p, 1, r, 8)
+        yield from ctx.recv_y((r - 1) % p, 1)
+        if r == 0:
+            runs.append(1)
+            if len(runs) == 1:
+                raise RuntimeError("only the first time")
+
+    bundle = _bundle_of(tmp_path / "pm", monkeypatch, lambda: Machine(
+        4, FREE, timeout_s=10.0).run(fails_once))
+    assert len(runs) == 2
+    assert bundle["replayed"] is True
+    assert "did not fail" in bundle["events_note"]
+    assert bundle["events"]["events_seen"] > 0
+
+
+def test_rank_error_is_one_line_with_its_traceback_bundled(tmp_path,
+                                                          monkeypatch):
+    """A rank's Python error surfaces as one message line; the rank's
+    traceback is on the error and in the bundle, not in the message."""
+    bundle = _bundle_of(tmp_path / "pm", monkeypatch,
+                        lambda: _compiled_case("event", None))
+    assert "\n" not in bundle["error"]["message"]
+    assert bundle["error"]["message"].startswith("node ")
+    assert "Traceback (most recent call last)" in \
+        bundle["error"]["traceback"]
+    with pytest.raises(SimulationError) as info:
+        _compiled_case("event", None)
+    assert "\n" not in str(info.value)
+    assert info.value.traceback.startswith("Traceback")
 
 
 class TestWorkerCrashBundle:

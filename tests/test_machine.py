@@ -742,7 +742,8 @@ def test_one_wire_model_site():
 BLOCKING_OPS = ("recv", "broadcast", "allreduce", "barrier", "exchange")
 #: the backend-object interface ``Machine`` calls
 BACKEND_INTERFACE = ("Context", "network", "collectives", "run_ranks",
-                     "finish", "fail", "report", "dispatches", "switches")
+                     "finish", "fail", "prepare_replay", "report",
+                     "dispatches", "switches")
 #: names of one backend's parts, and of the machine-side helpers the
 #: backend objects replaced
 BACKEND_PARTS = {"EventScheduler", "EventProcContext", "EventNetwork",

@@ -104,6 +104,49 @@ enddo
 end
 """
 
+#: a function reading distributed data: a function reference adds no
+#: call-graph edge, so no communication would be placed for the read
+#: and each rank would read its own stale copy of ``x(1)``
+DIST_READ = """\
+program p
+real x(16), b(16)
+distribute x(block)
+align b(i) with x(i)
+do i = 1, 16
+  x(i) = i * 10.0
+enddo
+y = g(x)
+do i = 1, 16
+  b(i) = y
+enddo
+end
+real function g(x)
+real x(16)
+g = x(1) * 2.0
+end
+"""
+
+#: the same read through a distributed COMMON array, one call deep
+COMMON_READ = """\
+program p
+real x(16)
+common /d/ x
+distribute x(block)
+do i = 1, 16
+  x(i) = i * 10.0
+enddo
+y = g(2.0)
+end
+real function g(s)
+g = s * h(1)
+end
+real function h(k)
+real x(16)
+common /d/ x
+h = x(k)
+end
+"""
+
 #: ill-formed program -> the one line its compile fails with
 ILL_FORMED = {
     "unknown": (SHADOW.replace("f(k)", "nosuch(k)"),
@@ -116,6 +159,12 @@ ILL_FORMED = {
                      "restructure as a CALL statement"),
     "section": ("program p\nreal x(10)\ns = x(1:5)\nend\n",
                 "p: array section outside communication"),
+    "distributed-actual": (DIST_READ,
+                           "p: function 'g' reads distributed array 'x'; "
+                           "restructure as a CALL statement"),
+    "distributed-common": (COMMON_READ,
+                           "p: function 'g' reads distributed COMMON "
+                           "array 'x'; restructure as a CALL statement"),
 }
 
 ENGINES = pytest.mark.parametrize("codegen", ["0", "1"],
@@ -205,6 +254,23 @@ def test_ill_formed_program_is_one_compile_error(tmp_path, capsys,
     assert main([str(path), "--run", "--no-text", "-p", "2"]) == 1
     err = capsys.readouterr().err
     assert err == f"fdc: compilation failed: {message}\n"
+
+
+@ENGINES
+def test_distributed_element_actual_verifies(tmp_path, capsys, monkeypatch,
+                                             codegen):
+    """Passing one element of a distributed array is a read in the
+    caller, which the compiler serves with a broadcast: the function
+    sees the owner's value on every rank."""
+    monkeypatch.setenv("REPRO_CODEGEN", codegen)
+    path = tmp_path / "elem.fd"
+    path.write_text(DIST_READ.replace("y = g(x)", "y = g(x(1))")
+                    .replace("real x(16)\ng = x(1) * 2.0",
+                             "g = x * 2.0"))
+    assert main([str(path), "--run", "--verify", "--no-text", "-p", "4",
+                 "--gather", "b"]) == 0
+    out = capsys.readouterr().out
+    assert "b = [20. 20. 20." in out and "MISMATCH" not in out
 
 
 def test_name_classification_has_one_home():
