@@ -9,7 +9,8 @@ cost levels, and the design contract differs for each:
   one ``tracer is not None`` test and the run is indistinguishable
   from the pre-instrumentation simulator.  Measured as a twin series
   (the same ``trace=False`` run, best-of-N, twice) whose ratio bounds
-  both timer noise and any guard cost — the target is ≤ 2 %.  The
+  both timer noise and any guard cost — the target is ≤ 2 %.  All
+  four series are measured interleaved, one run of each per round.  The
   default run (``trace=None``) is gated at the same twin tolerance: a
   failed run's flight recorder is a replay after the failure, so a run
   that succeeds pays nothing for it.
@@ -45,13 +46,17 @@ OFF_TOLERANCE = 1.25
 ON_LIMIT = 2.0
 
 
-def _best_wall(run, reps: int = REPS) -> tuple[float, object]:
-    best, res = float("inf"), None
+def _best_walls(runs: list, reps: int = REPS) -> list[tuple[float, object]]:
+    """Best-of-*reps* wall time of each run, measured interleaved round
+    by round, so a burst of host noise hits every series alike instead
+    of one series whole."""
+    best = [(float("inf"), None)] * len(runs)
     for _ in range(reps):
-        t0 = time.perf_counter()
-        res = run()
-        best = min(best, time.perf_counter() - t0)
-    return best, res
+        for i, run in enumerate(runs):
+            t0 = time.perf_counter()
+            res = run()
+            best[i] = (min(best[i][0], time.perf_counter() - t0), res)
+    return best
 
 
 def test_bench_obs_overhead(benchmark, paper_table, monkeypatch):
@@ -64,10 +69,11 @@ def test_bench_obs_overhead(benchmark, paper_table, monkeypatch):
         return cp.run(cost=IPSC860, scheduler="event", timeout_s=300.0,
                       trace=trace)
 
-    off_a, res_off = _best_wall(lambda: run(False))
-    off_b, _ = _best_wall(lambda: run(False))
-    default_w, res_default = _best_wall(lambda: run(None))
-    on_w, res_on = _best_wall(lambda: run(True))
+    (off_a, res_off), (off_b, _), (default_w, res_default), \
+        (on_w, res_on) = _best_walls([lambda: run(False),
+                                      lambda: run(False),
+                                      lambda: run(None),
+                                      lambda: run(True)])
     benchmark.pedantic(lambda: run(False), rounds=2, iterations=1)
 
     # tracing must also be *invisible*: same arrays, same clocks

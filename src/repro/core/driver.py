@@ -33,7 +33,7 @@ from ..runtime.node import (
     run_spmd,
 )
 from ..lang import ast as A
-from ..lang import parse_summaries, program_str
+from ..lang import join_units, parse_summaries, procedure_str, program_str
 from ..machine.costmodel import CostModel, IPSC860
 from ..obs import resolve_trace
 from ..settings import Settings
@@ -82,6 +82,10 @@ class CompiledProgram:
     initial_dists: dict[tuple[str, str], Distribution]
     report: CompileReport
     opts: Options
+    #: a shared assembly's pieces in unit order (their trees are
+    #: ``program``'s units); None for an unshared one
+    pieces: Optional[list[Piece]] = field(default=None, repr=False,
+                                          compare=False)
 
     def run(
         self,
@@ -115,8 +119,12 @@ class CompiledProgram:
         )
 
     def text(self) -> str:
-        """The generated node program, Figure-2/10-style."""
-        return program_str(self.program)
+        """The generated node program, Figure-2/10-style.  A shared
+        assembly joins its pieces' texts, printing only those never
+        printed."""
+        if self.pieces is None:
+            return program_str(self.program)
+        return join_units(p.text() for p in self.pieces)
 
     def explain(self) -> str:
         """The compile report as ``fdc --report`` prints it, one
@@ -761,34 +769,68 @@ class Swept:
     recompiled: list[str] = field(default_factory=list)
 
 
+#: shared-assembly activity (tests and the service client's
+#: ``client_stats()`` read it): procedure texts printed by
+#: :meth:`Piece.text`
+ASSEMBLY_COUNTS = {"procs_printed": 0}
+
+
+class Piece:
+    """A shared summary's body renumbered by one tag base, and its text
+    once printed — memoised on the summary
+    (:meth:`~repro.core.recompile.ProcSummary.pieces`) and shared by
+    every program assembled from it, so the tree is read-only."""
+
+    __slots__ = ("proc", "_text")
+
+    def __init__(self, proc: A.Procedure) -> None:
+        self.proc = proc
+        self._text: Optional[str] = None
+
+    def text(self) -> str:
+        if self._text is None:
+            self._text = procedure_str(self.proc)
+            ASSEMBLY_COUNTS["procs_printed"] += 1
+        return self._text
+
+
 def assemble(swept: Swept, opts: Options, *, shared: bool) -> CompiledProgram:
     """The one assembly: splice the procedure bodies into one program,
     shifting each private tag block by the running total and merging
     the report fragments, both in reverse topological order — the
     numbering and report of one shared allocator, whichever procedures
     were reused, compiled elsewhere or shipped.  *shared* summaries
-    outlive the call (a store's, a client cache's): their bodies are
-    renumbered in a copy."""
-    procs: dict[str, A.Procedure] = {}
+    outlive the call (a store's, a client cache's): a body is renumbered
+    in a copy once per tag base (once in all if it has no tags), and the
+    copy (a :class:`Piece`) is reused by every later assembly at that
+    base."""
+    pieces: dict[str, Piece] = {}
     base = 0
     for name in swept.order:
         s = swept.summaries[name]
-        proc = A.clone_procedure(s.proc) if shared else s.proc
-        if base:
-            for st in A.walk_stmts(proc.body):
-                if isinstance(st, _TAGGED) and st.tag > 0:
-                    st.tag += base
+        memo = s.pieces() if shared else {}
+        at = base if s.tag_count else 0
+        piece = memo.get(at)
+        if piece is None:
+            proc = A.clone_procedure(s.proc) if shared else s.proc
+            if at:
+                for st in A.walk_stmts(proc.body):
+                    if isinstance(st, _TAGGED) and st.tag > 0:
+                        st.tag += base
+            piece = memo.setdefault(at, Piece(proc))
+        pieces[name] = piece
         base += s.tag_count
-        procs[name] = proc
         swept.report.merge(s.fragment)
-    program = A.Program([procs[name] for name in swept.units])
+    program = A.Program([pieces[name].proc for name in swept.units])
     if any(u.kind == "function" for u in program.units):
         # raises when a function reference reaches a procedure the
         # compiler placed communication in (or in a callee of)
         find_blocking_units(program)
         _refuse_distributed_function_reads(program,
                                           swept.report.distributions)
-    return CompiledProgram(program, swept.initial_dists, swept.report, opts)
+    return CompiledProgram(
+        program, swept.initial_dists, swept.report, opts,
+        [pieces[name] for name in swept.units] if shared else None)
 
 
 def _refuse_distributed_function_reads(

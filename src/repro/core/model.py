@@ -118,6 +118,13 @@ class ProcExports:
         default_factory=dict
     )
 
+    def __getstate__(self) -> dict:
+        # without the memoised spelling (recompile.exports_fingerprint),
+        # so a stored summary pickles the same whether or not a caller
+        # was keyed on it
+        return {k: v for k, v in self.__dict__.items()
+                if k != "_fingerprint"}
+
 
 # ---------------------------------------------------------------------------
 # distribution-plan overrides (``fdc --distribute`` / the auto-tuner)

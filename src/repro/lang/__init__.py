@@ -13,7 +13,13 @@ from .parser import (
     parse_summaries,
     reset_unit_memo,
 )
-from .printer import expr_str, procedure_str, program_str, stmt_lines
+from .printer import (
+    expr_str,
+    join_units,
+    procedure_str,
+    program_str,
+    stmt_lines,
+)
 
 __all__ = [
     "ast",
@@ -33,4 +39,5 @@ __all__ = [
     "stmt_lines",
     "procedure_str",
     "program_str",
+    "join_units",
 ]

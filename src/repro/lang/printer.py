@@ -7,6 +7,8 @@ two-space indentation inside loops and branches, and explicit ``send`` /
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from . import ast as A
 
 _INDENT = "  "
@@ -196,6 +198,11 @@ def procedure_str(p: A.Procedure) -> str:
     return "\n".join(lines)
 
 
+def join_units(texts: Iterable[str]) -> str:
+    """Render a whole program from its units' texts, in unit order."""
+    return "\n\n".join(texts) + "\n"
+
+
 def program_str(prog: A.Program) -> str:
     """Render a whole program."""
-    return "\n\n".join(procedure_str(u) for u in prog.units) + "\n"
+    return join_units(procedure_str(u) for u in prog.units)

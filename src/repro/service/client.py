@@ -38,6 +38,7 @@ from collections import OrderedDict
 from typing import Optional
 
 from ..core.driver import (
+    ASSEMBLY_COUNTS,
     CompiledProgram,
     assemble,
     compile_program,
@@ -64,21 +65,27 @@ from .protocol import (
 _stats = {"remote": 0, "fallback": 0, "retries": 0, "local": 0,
           "blobs_received": 0, "blobs_reused": 0}
 
-#: bound of the blob cache, in procedures (an LRU).  Every request names
-#: every cached key, so the bound is also the ``have`` list's: 256 keys
-#: are ~17 kB of JSON, ~0.1 ms to encode and decode
+#: bound of the blob cache, in procedures (an LRU), below which no key
+#: of the latest reply is evicted: the bound is max(this, the reply's
+#: procedures).  Every request names every cached key, so the bound is
+#: also the ``have`` list's: 256 keys are ~17 kB of JSON, ~0.1 ms to
+#: encode and decode
 _BLOB_CACHE_CAP = 256
 
 #: §8 store key -> the procedure a reply shipped under it (tags local,
-#: no exports).  Entries are never mutated — assembly renumbers copies —
-#: and a key names one compilation result, so there is nothing to
-#: invalidate.  Memory only, like the parser's unit memo.
+#: no exports).  Entries are never mutated — assembly renumbers copies,
+#: memoised on the entry per tag base with their texts — and a key names
+#: one compilation result, so there is nothing to invalidate.  Memory
+#: only, like the parser's unit memo.
 _blob_cache: OrderedDict[str, ProcSummary] = OrderedDict()
 _blob_cache_lock = threading.Lock()
 
 
 def client_stats() -> dict:
-    return dict(_stats)
+    """The client counters, plus ``procs_printed``: procedure texts this
+    process printed for shared assemblies (``.text()`` of a served
+    program prints only pieces never printed before)."""
+    return {**_stats, "procs_printed": ASSEMBLY_COUNTS["procs_printed"]}
 
 
 def reset_blob_cache() -> None:
@@ -195,7 +202,9 @@ class CompileClient:
             for name, key in swept.keys.items():
                 _blob_cache[key] = swept.summaries[name]
                 _blob_cache.move_to_end(key)
-            while len(_blob_cache) > _BLOB_CACHE_CAP:
+            # the reply's keys were moved to the end: evicting from the
+            # front down to this bound never drops one of them
+            while len(_blob_cache) > max(_BLOB_CACHE_CAP, len(swept.keys)):
                 _blob_cache.popitem(last=False)
             _stats["blobs_received"] += shipped
             _stats["blobs_reused"] += len(swept.order) - shipped

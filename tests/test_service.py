@@ -766,12 +766,18 @@ class TestProcedureReply:
             src = pipeline_source(8, [f"{j}.5"] + ["2.25"] * 7)
             assert c.compile(src, opts).text() \
                 == compile_program(src, opts).text()
-            assert len(client_mod._blob_cache) == 8
-        # 9 procedures, 8 slots: an exact repeat ships the one that
-        # did not fit
+            # 9 procedures, 8 slots: the bound stretches to the reply,
+            # whose keys are never evicted
+            assert len(client_mod._blob_cache) == 9
+        # so an exact repeat ships nothing, and the edit before it
+        # ships the one stage the last reply evicted
         got, n = shipped(d, lambda: c.compile(src, opts))
-        assert n == 1
+        assert n == 0
         assert_same_program(got, compile_program(src, opts))
+        prev = pipeline_source(8, ["4.5"] + ["2.25"] * 7)
+        got, n = shipped(d, lambda: c.compile(prev, opts))
+        assert n == 1
+        assert_same_program(got, compile_program(prev, opts))
 
     def test_two_threads_interleaved_edits_share_one_cache(
             self, daemon, monkeypatch):
